@@ -11,7 +11,7 @@ up as delayed, smoothed temperature swings.
 
 from .cdu import CDU, CDUState
 from .cooling_tower import CoolingTower, CoolingTowerState
-from .plant import CoolingPlant, CoolingPlantState
+from .plant import CoolingPlant, CoolingPlantState, power_usage_effectiveness
 
 __all__ = [
     "CDU",
@@ -20,4 +20,5 @@ __all__ = [
     "CoolingTowerState",
     "CoolingPlant",
     "CoolingPlantState",
+    "power_usage_effectiveness",
 ]

@@ -17,6 +17,17 @@ from ..config import CoolingConfig
 WATER_CP = 4186.0
 
 
+def lag_fraction(dt_s: float, tau_s: float) -> float:
+    """Share of the gap to its target a first-order lag closes in ``dt_s``.
+
+    ``1 - exp(-dt_s / tau_s)`` (``1.0`` for a massless loop). Every loop of
+    the plant relaxes by ``x += lag_fraction(dt_s, tau_s) * (target - x)``;
+    because the factors compose exactly across substeps, a coalesced step
+    lands where the dense steps it replaces would.
+    """
+    return 1.0 - pow(2.718281828459045, -dt_s / tau_s) if tau_s > 0 else 1.0
+
+
 @dataclass
 class CDUState:
     """Thermal state of one CDU at a point in time."""
@@ -49,6 +60,8 @@ class CDU:
         self.effectiveness = effectiveness
         self.flow_kg_per_s = config.secondary_flow_kg_per_s_per_cdu
         self.thermal_mass_j_per_k = config.cdu_thermal_mass_j_per_k
+        #: Time constant of the return-temperature lag, s.
+        self.tau_s = self.thermal_mass_j_per_k / (self.flow_kg_per_s * WATER_CP)
         self._return_temperature_c = config.supply_temperature_c
         self._heat_load_kw = 0.0
 
@@ -74,8 +87,7 @@ class CDU:
         """
         heat_load_kw = max(0.0, heat_load_kw)
         target = self.steady_state_return_c(heat_load_kw)
-        tau = self.thermal_mass_j_per_k / (self.flow_kg_per_s * WATER_CP)
-        alpha = 1.0 - pow(2.718281828459045, -dt_s / tau) if tau > 0 else 1.0
+        alpha = lag_fraction(dt_s, self.tau_s)
         self._return_temperature_c += alpha * (target - self._return_temperature_c)
         self._heat_load_kw = heat_load_kw
         return self.state

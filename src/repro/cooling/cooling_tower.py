@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import CoolingConfig
-from .cdu import WATER_CP
+from .cdu import WATER_CP, lag_fraction
 
 
 @dataclass
@@ -37,6 +37,8 @@ class CoolingTower:
         self.config = config
         self.flow_kg_per_s = config.facility_flow_kg_per_s
         self.thermal_mass_j_per_k = config.facility_thermal_mass_j_per_k
+        #: Time constant of both loop-temperature lags, s.
+        self.tau_s = self.thermal_mass_j_per_k / (self.flow_kg_per_s * WATER_CP)
         self._return_temperature_c = config.facility_supply_temperature_c
         self._supply_temperature_c = config.facility_supply_temperature_c
         self._heat_rejected_kw = 0.0
@@ -62,20 +64,24 @@ class CoolingTower:
         config = self.config
         return config.tower_approach_c + config.tower_range_coefficient * heat_load_kw * 1000.0
 
-    def step(self, heat_load_kw: float, dt_s: float) -> CoolingTowerState:
-        """Advance the facility loop by ``dt_s`` seconds under ``heat_load_kw``."""
+    def advance(self, heat_load_kw: float, dt_s: float) -> float:
+        """Advance the facility loop by ``dt_s`` seconds under ``heat_load_kw``.
+
+        Returns the tower fan power (kW); :meth:`step` is the same update
+        returning the full :class:`CoolingTowerState`.
+        """
         heat_load_kw = max(0.0, heat_load_kw)
+        config = self.config
 
         # Cold-side (tower supply) temperature: wet bulb + approach, but never
         # below the configured facility supply setpoint.
         supply_target = max(
-            self.config.facility_supply_temperature_c,
-            self.config.ambient_wet_bulb_c + self.approach_c(heat_load_kw),
+            config.facility_supply_temperature_c,
+            config.ambient_wet_bulb_c + self.approach_c(heat_load_kw),
         )
 
         # Hot-side (tower return) temperature relaxes towards supply + dT.
-        tau = self.thermal_mass_j_per_k / (self.flow_kg_per_s * WATER_CP)
-        alpha = 1.0 - pow(2.718281828459045, -dt_s / tau) if tau > 0 else 1.0
+        alpha = lag_fraction(dt_s, self.tau_s)
 
         delta_t = (heat_load_kw * 1000.0) / (self.flow_kg_per_s * WATER_CP)
         return_target = supply_target + delta_t
@@ -83,7 +89,13 @@ class CoolingTower:
         self._supply_temperature_c += alpha * (supply_target - self._supply_temperature_c)
         self._return_temperature_c += alpha * (return_target - self._return_temperature_c)
         self._heat_rejected_kw = heat_load_kw
-        self._fan_power_kw = self.config.fan_power_fraction * heat_load_kw
+        fan_power_kw = config.fan_power_fraction * heat_load_kw
+        self._fan_power_kw = fan_power_kw
+        return fan_power_kw
+
+    def step(self, heat_load_kw: float, dt_s: float) -> CoolingTowerState:
+        """Advance the facility loop by ``dt_s`` seconds under ``heat_load_kw``."""
+        self.advance(heat_load_kw, dt_s)
         return self.state
 
     def reset(self) -> None:

@@ -1,12 +1,10 @@
-"""Batch-of-simulations Monte Carlo kernel: vectorise across runs.
+"""Batch-of-simulations Monte Carlo kernel: N replicas in one process.
 
 A Monte Carlo study runs the *same* system under N seed (or variant)
 replicas of a workload. Run serially, every replica re-derives state that
 is identical across the batch — the :class:`~repro.config.SystemConfig`,
 the :class:`~repro.power.SystemPowerModel` (node models + loss model), the
-workload generator's post-processing — and then pays the fully general
-per-step code (dataclass samples, ``np``-scalar loss curves, cooling-state
-objects) for bookkeeping whose *outputs* are three floats per tick.
+workload generator's post-processing and the job power-state grids.
 
 :class:`BatchSimulationEngine` executes N replicas in one process:
 
@@ -26,21 +24,15 @@ objects) for bookkeeping whose *outputs* are three floats per tick.
   starts from that pool;
 - **a shared event loop** — replicas advance through one min-heap over
   their next event times; a replica with no event at ``now`` costs a heap
-  pop/push, nothing else;
-- **columnar per-replica stats** — each replica records through
-  :meth:`~repro.engine.stats.StatsCollector.record_tick_scalars` into its
-  own columnar arena, keeping the O(1) summaries of the serial path.
+  pop/push, nothing else.
 
-Per-replica semantics are strictly isolated: every replica owns its
-scheduler, resource manager, queue, stats and cooling state, and the lean
-step mirrors :meth:`SimulationEngine.step` operation for operation —
-including float association order — so batched and serial summaries agree
-within 1e-9 for every policy, with and without operating-signal caps (the
-CI bench gate and the hypothesis property suite enforce exactly that).
-The only numeric daylight is the loss-curve exponential (``math.exp`` vs
-``np.exp``, ≤ 1 ulp): losses are pure outputs — scheduler and power-cap
-decisions never read a sampled loss — so the difference cannot flip a
-discrete decision, and the summary drift stays ~1e-15 relative.
+Every replica is an ordinary :class:`~repro.engine.SimulationEngine` with
+its own scheduler, resource manager, queue, stats and cooling state, and
+advances through the serial run loop's own iteration — the same
+:meth:`~repro.engine.SimulationEngine.step` and the same horizon stop. The
+prebuilt power states are bit-identical to ones built at job start, so a
+batched replica reproduces its serial twin exactly; the CI bench gate and
+the hypothesis property suite check the summaries at 1e-9.
 
 :func:`run_batch` is the :func:`~repro.sweep.run_request`-shaped entry
 point the sweep driver's ``batch_size`` fast path and the benchmark
@@ -51,22 +43,18 @@ harness use: one :class:`~repro.sweep.RunRequest` plus a seed list, one
 from __future__ import annotations
 
 import heapq
-import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..cluster import ResourceManager
 from ..config import SystemConfig, get_system_config
-from ..cooling import CoolingPlant
-from ..cooling.cdu import WATER_CP
-from ..exceptions import AllocationError, SchedulingError, SimulationError
+from ..exceptions import SimulationError
 from ..obs.progress import ProgressReporter
 from ..power import RunningSetPowerAggregator, SystemPowerModel
-from ..power.losses import ConversionLossModel
 from ..power.signals import OperatingSignals
 from ..power.system_power import _JobPowerState, build_power_states
-from ..telemetry.job import Job, JobState
+from ..telemetry.job import Job
 from ..workloads import default_workload_spec
 from ..workloads.synthetic import SyntheticWorkloadGenerator
 from .engine import SimulationEngine, SimulationResult, resolve_policy_name
@@ -140,401 +128,6 @@ class PrebuiltPowerStateAggregator(RunningSetPowerAggregator):
         }
 
 
-class _LeanLosses:
-    """Scalar fast path of :class:`~repro.power.losses.ConversionLossModel`.
-
-    Same IEEE operations as :meth:`ConversionLossModel.evaluate` — the load
-    clamp, the two saturating efficiency stages, the per-stage input
-    back-calculation and the left-associated loss total — but on plain
-    floats with ``math.exp`` instead of ``np`` scalars and a
-    :class:`LossBreakdown` allocation per step. ``math.exp`` and ``np.exp``
-    agree to ≤ 1 ulp; losses are pure outputs (no scheduling decision reads
-    them), so the batched-vs-serial drift from this substitution stays far
-    below the 1e-9 gates.
-    """
-
-    __slots__ = (
-        "peak_compute_power_kw",
-        "sivoc_idle",
-        "sivoc_peak",
-        "rect_idle",
-        "rect_peak",
-        "switchgear_fraction",
-    )
-
-    def __init__(self, model: ConversionLossModel) -> None:
-        config = model.config
-        self.peak_compute_power_kw = model.peak_compute_power_kw
-        self.sivoc_idle = config.sivoc_efficiency_idle
-        self.sivoc_peak = config.sivoc_efficiency_peak
-        self.rect_idle = config.rectifier_efficiency_idle
-        self.rect_peak = config.rectifier_efficiency_peak
-        self.switchgear_fraction = config.switchgear_loss_fraction
-
-    def total_loss_kw(self, compute_power_kw: float) -> float:
-        """``evaluate(compute_power_kw).total_loss_kw`` without the boxing."""
-        if compute_power_kw < 0.0:
-            compute_power_kw = 0.0
-        load = compute_power_kw / self.peak_compute_power_kw
-        if load > 1.5:  # np.clip(load, 0.0, 1.5); load >= 0 already
-            load = 1.5
-        decay = math.exp(-8.0 * load)
-        sivoc_eff = self.sivoc_peak - (self.sivoc_peak - self.sivoc_idle) * decay
-        sivoc_input = compute_power_kw / sivoc_eff
-        rect_eff = self.rect_peak - (self.rect_peak - self.rect_idle) * decay
-        rect_input = sivoc_input / rect_eff
-        return (
-            (sivoc_input - compute_power_kw) + (rect_input - sivoc_input)
-        ) + rect_input * self.switchgear_fraction
-
-
-class _LeanCooling:
-    """Scalar fast path of :meth:`~repro.cooling.CoolingPlant.step`.
-
-    Advances the *same* CDU / tower objects of one replica's plant with the
-    exact arithmetic of the object-based path — the sequential per-CDU heat
-    accumulation, the ``pow(2.718281828459045, ...)`` first-order lags, the
-    ``(pump + fan) + crac`` cooling total and the PUE branches — but
-    returns the two floats the stats need instead of building
-    ``CDUState``/``CoolingTowerState``/``CoolingPlantState`` objects each
-    step. The plant's ``last_state`` convenience cache is not maintained on
-    this path (it feeds no statistic); temperatures still evolve on the
-    plant's own objects, so inspecting a replica's plant after a batch run
-    matches a serial run.
-    """
-
-    __slots__ = (
-        "cdus",
-        "tower",
-        "air_cooled_fraction",
-        "crac_cop",
-        "pump_fraction",
-        "fan_fraction",
-        "cdu_supply_c",
-        "cdu_flow_heat_capacity",
-        "cdu_tau_s",
-        "cdu_effectiveness",
-        "facility_supply_c",
-        "ambient_wet_bulb_c",
-        "tower_approach_c",
-        "tower_range_coefficient",
-        "tower_flow_heat_capacity",
-        "tower_tau_s",
-    )
-
-    def __init__(self, plant: CoolingPlant) -> None:
-        config = plant.config
-        self.cdus = plant.cdus
-        self.tower = plant.tower
-        self.air_cooled_fraction = config.air_cooled_fraction
-        self.crac_cop = config.crac_cop
-        self.pump_fraction = config.pump_power_fraction
-        self.fan_fraction = config.fan_power_fraction
-        self.facility_supply_c = config.facility_supply_temperature_c
-        self.ambient_wet_bulb_c = config.ambient_wet_bulb_c
-        self.tower_approach_c = config.tower_approach_c
-        self.tower_range_coefficient = config.tower_range_coefficient
-        if self.cdus:
-            # CoolingPlant builds homogeneous CDUs (same config, same
-            # effectiveness), so the steady-state target and lag constant
-            # are hoisted out of the per-CDU loop.
-            cdu = self.cdus[0]
-            self.cdu_supply_c = config.supply_temperature_c
-            self.cdu_flow_heat_capacity = cdu.flow_kg_per_s * WATER_CP
-            self.cdu_tau_s = cdu.thermal_mass_j_per_k / self.cdu_flow_heat_capacity
-            self.cdu_effectiveness = cdu.effectiveness
-        tower = self.tower
-        self.tower_flow_heat_capacity = tower.flow_kg_per_s * WATER_CP
-        self.tower_tau_s = tower.thermal_mass_j_per_k / self.tower_flow_heat_capacity
-
-    def step(
-        self, it_power_kw: float, loss_power_kw: float, dt_s: float
-    ) -> tuple[float, float]:
-        """One plant step; returns ``(cooling_power_kw, pue)``."""
-        if it_power_kw < 0.0:
-            it_power_kw = 0.0
-        if loss_power_kw < 0.0:
-            loss_power_kw = 0.0
-        total_heat_kw = it_power_kw + loss_power_kw
-        liquid_heat_kw = total_heat_kw * (1.0 - self.air_cooled_fraction)
-        air_heat_kw = total_heat_kw * self.air_cooled_fraction
-
-        heat_to_facility_kw = 0.0
-        cdus = self.cdus
-        if cdus:
-            per_cdu_heat_kw = liquid_heat_kw / len(cdus)
-            if per_cdu_heat_kw < 0.0:
-                per_cdu_heat_kw = 0.0
-            target_c = self.cdu_supply_c + (per_cdu_heat_kw * 1000.0) / (
-                self.cdu_flow_heat_capacity
-            )
-            tau_s = self.cdu_tau_s
-            alpha = 1.0 - pow(2.718281828459045, -dt_s / tau_s) if tau_s > 0 else 1.0
-            transfer_kw = self.cdu_effectiveness * per_cdu_heat_kw
-            for cdu in cdus:
-                cdu._return_temperature_c += alpha * (
-                    target_c - cdu._return_temperature_c
-                )
-                cdu._heat_load_kw = per_cdu_heat_kw
-                heat_to_facility_kw += transfer_kw
-
-        crac_power_kw = air_heat_kw / self.crac_cop if air_heat_kw > 0 else 0.0
-        facility_heat_kw = heat_to_facility_kw + air_heat_kw + crac_power_kw
-
-        if facility_heat_kw < 0.0:
-            facility_heat_kw = 0.0
-        supply_target_c = max(
-            self.facility_supply_c,
-            self.ambient_wet_bulb_c
-            + (
-                self.tower_approach_c
-                + self.tower_range_coefficient * facility_heat_kw * 1000.0
-            ),
-        )
-        tau_s = self.tower_tau_s
-        alpha = 1.0 - pow(2.718281828459045, -dt_s / tau_s) if tau_s > 0 else 1.0
-        return_target_c = supply_target_c + (facility_heat_kw * 1000.0) / (
-            self.tower_flow_heat_capacity
-        )
-        tower = self.tower
-        tower._supply_temperature_c += alpha * (
-            supply_target_c - tower._supply_temperature_c
-        )
-        tower._return_temperature_c += alpha * (
-            return_target_c - tower._return_temperature_c
-        )
-        tower._heat_rejected_kw = facility_heat_kw
-        fan_power_kw = self.fan_fraction * facility_heat_kw
-        tower._fan_power_kw = fan_power_kw
-
-        pump_power_kw = self.pump_fraction * total_heat_kw
-        cooling_power_kw = pump_power_kw + fan_power_kw + crac_power_kw
-        overhead_kw = loss_power_kw + cooling_power_kw
-        if it_power_kw > 0:
-            pue = (it_power_kw + overhead_kw) / it_power_kw
-        elif overhead_kw > 0:
-            pue = math.inf
-        else:
-            pue = 1.0
-        return cooling_power_kw, pue
-
-
-class _ReplicaContext:
-    """Per-replica constants the lean step reads without attribute chains."""
-
-    __slots__ = (
-        "timestep_s",
-        "partitions",
-        "total_nodes",
-        "down_nodes",
-        "in_service_nodes",
-        "losses",
-        "cooling",
-    )
-
-    def __init__(self, engine: SimulationEngine, losses: _LeanLosses) -> None:
-        system = engine.system
-        self.timestep_s = float(system.timestep_s)
-        self.partitions = tuple(
-            (partition.node_count, partition.node_power.min_w)
-            for partition in system.partitions
-        )
-        self.total_nodes = system.total_nodes
-        # Down nodes are fixed after the resource manager's seed draw.
-        self.down_nodes = engine.resource_manager.down_nodes
-        self.in_service_nodes = engine._in_service_nodes
-        self.losses = losses
-        self.cooling = (
-            _LeanCooling(engine.cooling_plant)
-            if engine.cooling_plant is not None
-            else None
-        )
-
-
-def _lean_step(engine: SimulationEngine, ctx: _ReplicaContext) -> None:
-    """One engine step without instrumentation residue or sample boxing.
-
-    Operation-for-operation mirror of :meth:`SimulationEngine.step` with
-    ``obs=None``: identical release/submit/schedule phases (same scheduler,
-    resource manager and queue code — *decisions* run the very same
-    bytecode as a serial run), then phases 4–6 composed from scalars — the
-    aggregator's running totals, :class:`_LeanLosses`,
-    :class:`_LeanCooling` and
-    :meth:`~repro.engine.stats.StatsCollector.record_tick_scalars` — with
-    the serial path's exact float association at every reduction.
-    """
-    now = engine.now
-    rm = engine.resource_manager
-    stats = engine.stats
-
-    # (1) Release jobs whose simulated runtime has elapsed.
-    for job in rm.complete_finished_jobs(now):
-        stats.record_job(job)
-
-    # (2) Submit newly-arrived jobs.
-    pending = engine._pending
-    while pending and pending[0].submit_time <= now:
-        job = pending.popleft()
-        if engine._impossible(job):
-            job.mark_dismissed()
-            job.metadata["dismiss_reason"] = "request exceeds system capacity"
-            stats.record_job(job)
-            continue
-        job.mark_queued(job.submit_time)
-        engine._queue.append(job)
-
-    # (3) Scheduling decisions, executed through the resource manager.
-    if engine._queue:
-        scheduler = engine.scheduler
-        decisions = scheduler.schedule(engine._queue, rm, now)
-        started: set[int] = set()
-        for decision in decisions:
-            job = decision.job
-            if job.state is not JobState.QUEUED or job.job_id in started:
-                raise SchedulingError(
-                    f"policy {scheduler.name!r} scheduled job "
-                    f"{job.job_id} which is not queued"
-                )
-            start = decision.start_time if decision.start_time is not None else now
-            try:
-                rm.allocate(
-                    job,
-                    start,
-                    node_ids=decision.node_ids,
-                    exact_placement=decision.exact_placement,
-                )
-            except AllocationError as exc:
-                raise SchedulingError(
-                    f"policy {scheduler.name!r} produced an invalid "
-                    f"placement at t={now:.0f}: {exc}"
-                ) from exc
-            started.add(job.job_id)
-        dismissed = scheduler.drain_dismissals()
-        for job, reason in dismissed:
-            job.mark_dismissed()
-            job.metadata["dismiss_reason"] = reason
-            stats.record_job(job)
-        if started or dismissed:
-            removed = started | {job.job_id for job, _ in dismissed}
-            engine._queue = [j for j in engine._queue if j.job_id not in removed]
-
-    # (3b) Event-driven coalescing (shared with the serial path: the
-    # interval choice must be float-identical).
-    running_count = len(rm.running_by_id)
-    timestep_s = ctx.timestep_s
-    if engine.dense_ticks:
-        dt_s = timestep_s
-    else:
-        dt_s = engine._coalesced_dt(now, timestep_s)
-    if engine.horizon_s is not None:
-        horizon_end = engine._start_time + engine.horizon_s
-        if now < horizon_end < now + dt_s:
-            dt_s = horizon_end - now
-
-    # (4) Power: refresh the aggregator's cached totals, then compose the
-    # sample inline — including compose_sample's two distinct associations:
-    # losses are evaluated on (job_w + idle_w) / 1000.0 while the recorded
-    # compute power is job_w / 1000.0 + idle_w / 1000.0 (the property sum).
-    aggregator = engine.power_aggregator
-    aggregator._refresh(now)
-    allocated = rm.allocated_nodes
-    idle_nodes = ctx.total_nodes - allocated - ctx.down_nodes
-    if idle_nodes < 0:
-        idle_nodes = 0
-    idle_power_w = 0.0
-    remaining_idle = idle_nodes
-    busy_remaining = allocated
-    for node_count, min_w in ctx.partitions:
-        busy_here = min(busy_remaining, node_count)
-        busy_remaining -= busy_here
-        idle_here = min(remaining_idle, node_count - busy_here)
-        remaining_idle -= idle_here
-        idle_power_w += idle_here * min_w
-    job_power_w = aggregator._job_power_w
-    loss_kw = ctx.losses.total_loss_kw((job_power_w + idle_power_w) / 1000.0)
-    compute_power_kw = job_power_w / 1000.0 + idle_power_w / 1000.0
-    nodes_busy = aggregator._nodes_busy
-    if nodes_busy:
-        mean_cpu_util = aggregator._cpu_weighted / nodes_busy
-        mean_gpu_util = aggregator._gpu_weighted / nodes_busy
-    else:
-        mean_cpu_util = 0.0
-        mean_gpu_util = 0.0
-
-    # (5) Cooling on the resulting heat (PUE branches mirror record_tick's).
-    cooling = ctx.cooling
-    if cooling is not None:
-        cooling_kw, pue = cooling.step(compute_power_kw, loss_kw, dt_s)
-    else:
-        cooling_kw = 0.0
-        facility_kw = (compute_power_kw + loss_kw) + cooling_kw
-        if compute_power_kw > 0:
-            pue = facility_kw / compute_power_kw
-        elif facility_kw > 0:
-            pue = math.inf
-        else:
-            pue = 1.0
-
-    # (6) Statistics on the signal values at ``now`` (piecewise constant
-    # over the coalesced interval by construction).
-    if engine.signals is not None:
-        power_cap_kw, price_per_kwh, carbon_kg_per_kwh = engine.signals.values_at(now)
-    else:
-        power_cap_kw, price_per_kwh, carbon_kg_per_kwh = math.inf, 0.0, 0.0
-    stats.record_tick_scalars(
-        now,
-        dt_s,
-        compute_power_kw=compute_power_kw,
-        loss_kw=loss_kw,
-        cooling_kw=cooling_kw,
-        pue=pue,
-        allocated_nodes=allocated,
-        utilization=(
-            allocated / ctx.in_service_nodes if ctx.in_service_nodes else 0.0
-        ),
-        running_jobs=running_count,
-        queued_jobs=len(engine._queue),
-        mean_cpu_util=mean_cpu_util,
-        mean_gpu_util=mean_gpu_util,
-        price_per_kwh=price_per_kwh,
-        carbon_kg_per_kwh=carbon_kg_per_kwh,
-        power_cap_kw=power_cap_kw,
-        cap_held_jobs=engine.scheduler.held_jobs() if engine._queue else 0,
-    )
-    engine.now = now + dt_s
-
-
-def _finish_at_horizon(engine: SimulationEngine) -> None:
-    """Dismiss pending/queued jobs and truncate running ones at the horizon.
-
-    Mirror of the horizon block in :meth:`SimulationEngine.run` (the
-    truncation-time reasoning lives there).
-    """
-    engine._dismiss_remaining("simulation horizon reached")
-    assert engine.horizon_s is not None
-    horizon_end = engine._start_time + engine.horizon_s
-    for job in engine.resource_manager.running_jobs:
-        start = job.sim_start_time if job.sim_start_time is not None else engine.now
-        natural_end = start + job.duration
-        end = min(engine.now, horizon_end, natural_end)
-        if end < natural_end:
-            job.metadata["truncated_by_horizon"] = True
-        engine.resource_manager.release(job, end)
-        engine.stats.record_job(job)
-
-
-def _result_of(engine: SimulationEngine) -> SimulationResult:
-    return SimulationResult(
-        system=engine.system,
-        policy=engine.scheduler.name,
-        stats=engine.stats,
-        jobs=engine.jobs,
-        start_time_s=engine._start_time,
-        end_time_s=engine.now,
-        seed=engine.seed,
-    )
-
-
 class BatchSimulationEngine:
     """Run N replicas of one system in a single process on a shared loop.
 
@@ -562,9 +155,9 @@ class BatchSimulationEngine:
         :class:`~repro.power.SystemPowerModel` for the whole batch.
 
     Replica isolation is semantic, not just structural: the batched run of
-    replica *i* must produce (within 1e-9 per summary metric; typically
-    ~1e-15) the result of a serial
-    :class:`~repro.engine.SimulationEngine` run with the same inputs.
+    replica *i* must produce the result of a serial
+    :class:`~repro.engine.SimulationEngine` run with the same inputs (the
+    gates compare summaries at 1e-9).
     """
 
     def __init__(
@@ -637,8 +230,6 @@ class BatchSimulationEngine:
                 self.power_model, engine.resource_manager, pool
             )
 
-        losses = _LeanLosses(self.power_model.loss_model)
-        self._contexts = [_ReplicaContext(engine, losses) for engine in self.engines]
         self.replicas_total = len(self.engines)
         self.replicas_done = 0
 
@@ -676,7 +267,6 @@ class BatchSimulationEngine:
                 "progress reporters"
             )
         engines = self.engines
-        contexts = self._contexts
         results: list[SimulationResult | None] = [None] * len(engines)
         ticks = [0] * len(engines)
         if progress is not None:
@@ -688,26 +278,11 @@ class BatchSimulationEngine:
         while heap:
             _, index = heapq.heappop(heap)
             engine = engines[index]
-            rm = engine.resource_manager
-            # finished? (running_by_id check: `engine.finished` sorts the
-            # running set, which would cost O(R log R) per visit)
-            if not engine._pending and not engine._queue and not rm.running_by_id:
+            # The serial run loop's own iteration: finish or stop at the
+            # horizon, else one SimulationEngine.step.
+            if not engine._advance(ticks[index]):
                 results[index] = self._finalize(engine, index, progress)
                 continue
-            if (
-                engine.horizon_s is not None
-                and engine.now - engine._start_time >= engine.horizon_s
-            ):
-                _finish_at_horizon(engine)
-                results[index] = self._finalize(engine, index, progress)
-                continue
-            if ticks[index] >= engine._max_ticks:
-                raise SimulationError(
-                    f"engine exceeded {engine._max_ticks} ticks without "
-                    f"draining the workload (policy {engine.scheduler.name!r} "
-                    "stuck?)"
-                )
-            _lean_step(engine, contexts[index])
             ticks[index] += 1
             if progress is not None:
                 reporter = progress[index]
@@ -738,7 +313,7 @@ class BatchSimulationEngine:
                     replicas_done=self.replicas_done,
                     replicas_total=self.replicas_total,
                 )
-        return _result_of(engine)
+        return engine._result()
 
 
 def run_batch(

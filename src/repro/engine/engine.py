@@ -41,7 +41,7 @@ from time import perf_counter_ns
 
 from ..cluster import NodeState, ResourceManager
 from ..config import SystemConfig, get_system_config
-from ..cooling import CoolingPlant
+from ..cooling import CoolingPlant, power_usage_effectiveness
 from ..devtools import hot_path
 from ..exceptions import AllocationError, SchedulingError, SimulationError
 from ..obs import Observability
@@ -313,8 +313,12 @@ class SimulationEngine:
 
     @property
     def finished(self) -> bool:
-        """True once every job has completed or been dismissed."""
-        return not self._pending and not self._queue and not self.resource_manager.running_jobs
+        """True once every job has completed or been dismissed (O(1))."""
+        return (
+            not self._pending
+            and not self._queue
+            and not self.resource_manager.running_by_id
+        )
 
     # -- engine loop -----------------------------------------------------------
 
@@ -433,22 +437,28 @@ class SimulationEngine:
         # reuses cached per-job contributions, so the power evaluation of an
         # event-free step is O(1) — profile lookups and model evaluations
         # never rescan the running set. With the default event index the
-        # release check and event bounds are heap-backed too, so an
-        # event-free step is O(log R) end to end.
-        allocated = self.resource_manager.allocated_nodes
-        down = self.resource_manager.down_nodes
+        # release check and event bounds are heap-backed too, and the run
+        # loop's ``finished`` check is O(1), so an event-free step is
+        # O(log R) end to end. The power sample is the only object the rest
+        # of the step builds: losses, cooling and the stats record work on
+        # plain floats.
+        rm = self.resource_manager
+        allocated = rm.allocated_nodes
         power = self.power_aggregator.sample(
-            now, allocated_nodes=allocated, down_nodes=down
+            now, allocated_nodes=allocated, down_nodes=rm.down_nodes
         )
+        compute_kw = power.compute_power_kw
+        loss_kw = power.loss_kw
         if tracer is not None:
             t0 = self._mark("power", t0)
-        cooling = None
         if self.cooling_plant is not None:
-            cooling = self.cooling_plant.step(
-                now, power.compute_power_kw, power.loss_kw, dt_s
-            )
+            cooling_kw, pue = self.cooling_plant.step(now, compute_kw, loss_kw, dt_s)
             if tracer is not None:
                 t0 = self._mark("cooling", t0)
+        else:
+            # No cooling model coupled: PUE floor from conversion losses only.
+            cooling_kw = 0.0
+            pue = power_usage_effectiveness(compute_kw, loss_kw)
 
         # (6) Statistics. Operating-signal values are piecewise constant and
         # every coalesced interval is bounded by the signals' change points
@@ -457,25 +467,31 @@ class SimulationEngine:
             power_cap_kw, price_per_kwh, carbon_kg_per_kwh = self.signals.values_at(now)
         else:
             power_cap_kw, price_per_kwh, carbon_kg_per_kwh = math.inf, 0.0, 0.0
+        queue = self._queue
         self.stats.record_tick(
             now,
             dt_s,
-            power,
-            cooling,
+            compute_power_kw=compute_kw,
+            loss_kw=loss_kw,
+            cooling_kw=cooling_kw,
+            pue=pue,
+            allocated_nodes=allocated,
             utilization=(
                 allocated / self._in_service_nodes if self._in_service_nodes else 0.0
             ),
             running_jobs=running_count,
-            queued_jobs=len(self._queue),
+            queued_jobs=len(queue),
+            mean_cpu_util=power.mean_cpu_util,
+            mean_gpu_util=power.mean_gpu_util,
             price_per_kwh=price_per_kwh,
             carbon_kg_per_kwh=carbon_kg_per_kwh,
             power_cap_kw=power_cap_kw,
-            cap_held_jobs=self.scheduler.held_jobs() if self._queue else 0,
+            cap_held_jobs=self.scheduler.held_jobs() if queue else 0,
         )
         if tracer is not None:
             self._mark("stats", t0)
         if self._queue_gauge is not None:
-            self._queue_gauge.set(float(len(self._queue)))
+            self._queue_gauge.set(float(len(queue)))
         self.now = now + dt_s
 
     def run(self) -> SimulationResult:
@@ -496,46 +512,17 @@ class SimulationEngine:
         if progress is not None:
             progress.start()
         ticks = 0
-        while not self.finished:
-            if self.horizon_s is not None and self.now - self._start_time >= self.horizon_s:
-                if events is not None:
-                    events.milestone("horizon_reached", self.now)
-                self._dismiss_remaining("simulation horizon reached")
-                # Jobs still on nodes are truncated at the horizon so every
-                # job ends the run completed or dismissed (their partial
-                # node-hours and waits stay in the statistics). The release
-                # time is the horizon itself, not ``self.now``: the clock
-                # sits on the first tick boundary at or past the horizon,
-                # which for a non-grid-aligned horizon would credit runtime
-                # and node-hours the window never contained. A job whose
-                # natural end falls inside that final partial tick ends at
-                # its own end time and is not flagged as truncated.
-                horizon_end = self._start_time + self.horizon_s
-                for job in self.resource_manager.running_jobs:
-                    start = (
-                        job.sim_start_time if job.sim_start_time is not None else self.now
-                    )
-                    natural_end = start + job.duration
-                    end = min(self.now, horizon_end, natural_end)
-                    if end < natural_end:
-                        job.metadata["truncated_by_horizon"] = True
-                    self.resource_manager.release(job, end)
-                    self.stats.record_job(job)
-                    if events is not None:
-                        events.job_finished(
-                            job, end, energy_kwh=self._job_energy_kwh(job)
-                        )
-                break
-            if ticks >= self._max_ticks:
-                raise SimulationError(
-                    f"engine exceeded {self._max_ticks} ticks without draining "
-                    f"the workload (policy {self.scheduler.name!r} stuck?)"
-                )
-            self.step()
+        while self._advance(ticks):
             ticks += 1
             if progress is not None and progress.due():
                 progress.report(self)
-        result = SimulationResult(
+        result = self._result()
+        if self.obs is not None:
+            self._finalize_obs(result, run_t0)
+        return result
+
+    def _result(self) -> SimulationResult:
+        return SimulationResult(
             system=self.system,
             policy=self.scheduler.name,
             stats=self.stats,
@@ -544,9 +531,58 @@ class SimulationEngine:
             end_time_s=self.now,
             seed=self.seed,
         )
-        if self.obs is not None:
-            self._finalize_obs(result, run_t0)
-        return result
+
+    def _advance(self, ticks: int) -> bool:
+        """One iteration of the run loop; ``False`` once the run is over.
+
+        The run is over when every job has left the system, or when the
+        clock has reached the horizon — then the run is cut there (see
+        :meth:`_stop_at_horizon`). Otherwise the engine takes one
+        :meth:`step`; ``ticks`` (steps taken so far) guards against a
+        policy that never drains the workload. Shared by :meth:`run` and
+        the batch engine's replica loop.
+        """
+        if self.finished:
+            return False
+        if self.horizon_s is not None and self.now - self._start_time >= self.horizon_s:
+            self._stop_at_horizon()
+            return False
+        if ticks >= self._max_ticks:
+            raise SimulationError(
+                f"engine exceeded {self._max_ticks} ticks without draining "
+                f"the workload (policy {self.scheduler.name!r} stuck?)"
+            )
+        self.step()
+        return True
+
+    def _stop_at_horizon(self) -> None:
+        """Dismiss what has not started and truncate what runs at the horizon.
+
+        Jobs still on nodes are truncated at the horizon so every job ends
+        the run completed or dismissed (their partial node-hours and waits
+        stay in the statistics). The release time is the horizon itself,
+        not ``self.now``: the clock sits on the first tick boundary at or
+        past the horizon, which for a non-grid-aligned horizon would credit
+        runtime and node-hours the window never contained. A job whose
+        natural end falls inside that final partial tick ends at its own
+        end time and is not flagged as truncated.
+        """
+        assert self.horizon_s is not None  # _advance checks the horizon first
+        events = self._events
+        if events is not None:
+            events.milestone("horizon_reached", self.now)
+        self._dismiss_remaining("simulation horizon reached")
+        horizon_end = self._start_time + self.horizon_s
+        for job in self.resource_manager.running_jobs:
+            start = job.sim_start_time if job.sim_start_time is not None else self.now
+            natural_end = start + job.duration
+            end = min(self.now, horizon_end, natural_end)
+            if end < natural_end:
+                job.metadata["truncated_by_horizon"] = True
+            self.resource_manager.release(job, end)
+            self.stats.record_job(job)
+            if events is not None:
+                events.job_finished(job, end, energy_kwh=self._job_energy_kwh(job))
 
     # -- event-driven time advancement -----------------------------------------
 

@@ -181,7 +181,8 @@ class ReplayScheduler(Scheduler):
     """Start every job at its recorded start time, where it actually ran.
 
     Jobs whose recorded placement is momentarily infeasible (busy nodes, a
-    prepopulation edge case) are retried each tick and started as soon as
+    prepopulation edge case), or that a wrapping :class:`PowerCapScheduler`
+    holds under its cap, are retried each tick and started as soon as
     possible at the *current* time, tagged ``metadata['replay_delayed'] =
     True`` so downstream analysis can exclude them from validation plots.
     Jobs whose recorded placement can *never* be satisfied (out-of-range
@@ -192,7 +193,11 @@ class ReplayScheduler(Scheduler):
     name = "replay"
 
     def __init__(self) -> None:
+        #: Due jobs whose placement failed: they wait for a release.
         self._delayed: set[int] = set()
+        #: Jobs proposed at least once; proposing one again means the
+        #: earlier proposal did not start it.
+        self._proposed: set[int] = set()
         #: (now, job ids expected in the queue after the engine executes
         #: the returned decisions, earliest future recorded start) stashed
         #: by :meth:`schedule` so the engine's same-tick
@@ -220,6 +225,7 @@ class ReplayScheduler(Scheduler):
 
     def reset(self) -> None:
         self._delayed.clear()
+        self._proposed.clear()
         self._hint_stash = None
         self._order_memo = None
         self.order_memo_hits = 0
@@ -339,10 +345,18 @@ class ReplayScheduler(Scheduler):
         return decisions
 
     def _start_time(self, job: Job, now: float) -> float:
-        """Recorded start when on time; the current tick when delayed."""
-        if job.job_id in self._delayed:
+        """Recorded start on a job's first proposal; the current tick after.
+
+        A job proposed again was not started by its earlier proposal: its
+        placement failed, or a wrapping policy such as
+        :class:`PowerCapScheduler` held it. It then starts at the tick that
+        admits it, never backdated to its recorded start, and is tagged.
+        """
+        job_id = job.job_id
+        if job_id in self._delayed or job_id in self._proposed:
             job.metadata["replay_delayed"] = True
             return now
+        self._proposed.add(job_id)
         return job.start_time
 
     @hot_path

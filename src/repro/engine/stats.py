@@ -1,11 +1,12 @@
 """Simulation statistics: per-tick time series and summary metrics.
 
-The collector is fed once per engine step with the power sample, the cooling
-plant state (when the system couples one) and the engine's cluster counters,
-plus once per job completion. From these it derives the quantities the paper
-reports: total facility energy, mean/maximum PUE, node-hours delivered, mean
-queue wait and system utilization. Time series export to CSV and the whole
-record (summary + series) to JSON.
+The collector is fed once per engine step with plain floats — IT power,
+conversion losses, cooling power and PUE, the engine's cluster counters and
+the operating-signal values — plus once per job completion. From these it
+derives the quantities the paper reports: total facility energy,
+mean/maximum PUE, node-hours delivered, mean queue wait and system
+utilization. Time series export to CSV and the whole record (summary +
+series) to JSON.
 
 Samples are *interval-aware*: each :class:`TickSample` carries the length
 ``dt_s`` of the interval it stands for, so the event-driven engine can
@@ -44,9 +45,7 @@ from typing import Any, Iterator, Sequence, overload
 
 import numpy as np
 
-from ..cooling.plant import CoolingPlantState
 from ..devtools import hot_path
-from ..power.system_power import SystemPowerSample
 from ..telemetry.job import Job, JobState
 
 __all__ = ["TickSample", "StatsCollector", "json_safe"]
@@ -214,104 +213,6 @@ class StatsCollector:
         self,
         now: float,
         dt_s: float,
-        power: SystemPowerSample,
-        cooling: CoolingPlantState | None,
-        *,
-        utilization: float,
-        running_jobs: int,
-        queued_jobs: int,
-        price_per_kwh: float = 0.0,
-        carbon_kg_per_kwh: float = 0.0,
-        power_cap_kw: float = math.inf,
-        cap_held_jobs: int = 0,
-    ) -> TickSample:
-        """Append one tick worth of coupled-model output.
-
-        ``dt_s`` is the length of the interval the sample stands for; energy
-        integrals treat each sample as constant over its interval (left
-        Riemann sum on the tick grid). The operating-signal inputs (price,
-        carbon intensity, active power cap, jobs held by the capping
-        policy) default to the signal-free values, so callers without an
-        :class:`~repro.power.OperatingSignals` input are unaffected; the
-        engine guarantees every signal value is constant over the interval
-        (signal change points bound coalescing), so the cost/carbon/
-        violation integrals below are exact, like every other integral
-        here.
-        """
-        cooling_kw = cooling.cooling_power_kw if cooling is not None else 0.0
-        facility_kw = power.facility_power_kw + cooling_kw
-        if cooling is not None:
-            pue = cooling.pue
-        elif power.compute_power_kw > 0:
-            # No cooling model coupled: PUE floor from conversion losses only.
-            pue = facility_kw / power.compute_power_kw
-        elif facility_kw > 0:
-            # Overhead power with zero IT power: PUE is unbounded, and
-            # reporting the 1.0 floor would understate idle overhead.
-            pue = float("inf")
-        else:
-            pue = 1.0
-        index = self._tick_count
-        columns = self._columns
-        if index == len(columns["time_s"]):
-            self._grow()
-            columns = self._columns
-        columns["time_s"][index] = now
-        columns["dt_s"][index] = dt_s
-        columns["compute_power_kw"][index] = power.compute_power_kw
-        columns["loss_power_kw"][index] = power.loss_kw
-        columns["cooling_power_kw"][index] = cooling_kw
-        columns["facility_power_kw"][index] = facility_kw
-        columns["pue"][index] = pue
-        columns["allocated_nodes"][index] = power.allocated_nodes
-        columns["utilization"][index] = utilization
-        columns["running_jobs"][index] = running_jobs
-        columns["queued_jobs"][index] = queued_jobs
-        columns["mean_cpu_util"][index] = power.mean_cpu_util
-        columns["mean_gpu_util"][index] = power.mean_gpu_util
-        self._tick_count = index + 1
-        hours = dt_s / 3600.0
-        self._energy_kwh += facility_kw * hours
-        self._it_energy_kwh += power.compute_power_kw * hours
-        self._cooling_energy_kwh += cooling_kw * hours
-        self._utilization_weight += utilization * dt_s
-        # dt-weighted like mean_utilization above: under coalescing a
-        # step-weighted average over the per-tick columns would overweight
-        # short samples.
-        self._cpu_util_weight += power.mean_cpu_util * dt_s
-        self._gpu_util_weight += power.mean_gpu_util * dt_s
-        self._time_weight_s += dt_s
-        self._energy_cost += facility_kw * hours * price_per_kwh
-        self._carbon_kg += facility_kw * hours * carbon_kg_per_kwh
-        if power.compute_power_kw > power_cap_kw:
-            self._cap_violation_kwh += (power.compute_power_kw - power_cap_kw) * hours
-        if cap_held_jobs:
-            self._capped_hold_s += cap_held_jobs * dt_s
-        if power.compute_power_kw > 0 and math.isfinite(pue) and pue > self._max_pue:
-            self._max_pue = pue
-        # Returned sample built straight from the locals — no column
-        # re-reads or per-field dtype dispatch on the engine's hot path.
-        return TickSample(
-            time_s=now,
-            dt_s=dt_s,
-            compute_power_kw=power.compute_power_kw,
-            loss_power_kw=power.loss_kw,
-            cooling_power_kw=cooling_kw,
-            facility_power_kw=facility_kw,
-            pue=pue,
-            allocated_nodes=power.allocated_nodes,
-            utilization=utilization,
-            running_jobs=running_jobs,
-            queued_jobs=queued_jobs,
-            mean_cpu_util=power.mean_cpu_util,
-            mean_gpu_util=power.mean_gpu_util,
-        )
-
-    @hot_path
-    def record_tick_scalars(
-        self,
-        now: float,
-        dt_s: float,
         *,
         compute_power_kw: float,
         loss_kw: float,
@@ -328,15 +229,25 @@ class StatsCollector:
         power_cap_kw: float = math.inf,
         cap_held_jobs: int = 0,
     ) -> None:
-        """:meth:`record_tick` on pre-composed scalars (batch-engine path).
+        """Append one tick worth of coupled-model output.
 
-        Byte-for-byte the same column writes and accumulator updates as
-        :meth:`record_tick` — ``facility_kw`` is derived here with the exact
-        association ``(compute + loss) + cooling`` the sample-based path
-        uses — but without requiring the caller to box its scalars into a
-        :class:`SystemPowerSample`/:class:`CoolingPlantState` pair first.
-        The batch engine's lean step keeps everything scalar; equality of
-        the two recorders is enforced by the batched-vs-serial 1e-9 gates.
+        The engine composes the inputs as plain floats: IT power and its
+        conversion losses from the power sample, cooling power and PUE from
+        the cooling plant (or 0.0 and the loss-only
+        :func:`~repro.cooling.power_usage_effectiveness` when no plant is
+        coupled). Facility power is derived here as
+        ``(compute + loss) + cooling``.
+
+        ``dt_s`` is the length of the interval the sample stands for; energy
+        integrals treat each sample as constant over its interval (left
+        Riemann sum on the tick grid). The operating-signal inputs (price,
+        carbon intensity, active power cap, jobs held by the capping
+        policy) default to the signal-free values, so callers without an
+        :class:`~repro.power.OperatingSignals` input are unaffected; the
+        engine guarantees every signal value is constant over the interval
+        (signal change points bound coalescing), so the cost/carbon/
+        violation integrals below are exact, like every other integral
+        here.
         """
         facility_kw = (compute_power_kw + loss_kw) + cooling_kw
         index = self._tick_count
@@ -363,6 +274,9 @@ class StatsCollector:
         self._it_energy_kwh += compute_power_kw * hours
         self._cooling_energy_kwh += cooling_kw * hours
         self._utilization_weight += utilization * dt_s
+        # dt-weighted like mean_utilization above: under coalescing a
+        # step-weighted average over the per-tick columns would overweight
+        # short samples.
         self._cpu_util_weight += mean_cpu_util * dt_s
         self._gpu_util_weight += mean_gpu_util * dt_s
         self._time_weight_s += dt_s

@@ -12,6 +12,7 @@ changes total energy, not just its timing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,26 +92,48 @@ class ConversionLossModel:
 
     # -- evaluation ---------------------------------------------------------------
 
+    def _stage_losses_kw(self, compute_power_kw: float) -> tuple[float, float, float]:
+        """``(sivoc, rectifier, switchgear)`` losses in kW, on plain floats.
+
+        The scalar form of the :meth:`_stage_efficiency` curves — the same
+        load clamp, saturating stages and per-stage input back-calculation —
+        with ``math.exp`` instead of a numpy ufunc on a 0-d value.
+        ``compute_power_kw`` must already be clamped at zero.
+        """
+        load = compute_power_kw / self.peak_compute_power_kw
+        decay = math.exp(-8.0 * min(load, 1.5))
+        config = self.config
+        sivoc_peak = config.sivoc_efficiency_peak
+        sivoc_eff = sivoc_peak - (sivoc_peak - config.sivoc_efficiency_idle) * decay
+        sivoc_input = compute_power_kw / sivoc_eff
+        rect_peak = config.rectifier_efficiency_peak
+        rect_eff = rect_peak - (rect_peak - config.rectifier_efficiency_idle) * decay
+        rect_input = sivoc_input / rect_eff
+        return (
+            sivoc_input - compute_power_kw,
+            rect_input - sivoc_input,
+            rect_input * config.switchgear_loss_fraction,
+        )
+
+    def total_loss_kw(self, compute_power_kw: float) -> float:
+        """Total conversion loss (kW) at ``compute_power_kw``, as a plain float.
+
+        Equals ``evaluate(compute_power_kw).total_loss_kw`` — same stages,
+        same left-associated sum — without building a
+        :class:`LossBreakdown`; the engine calls this once per step.
+        """
+        sivoc, rectifier, switchgear = self._stage_losses_kw(max(0.0, compute_power_kw))
+        return sivoc + rectifier + switchgear
+
     def evaluate(self, compute_power_kw: float) -> LossBreakdown:
         """Compute the loss breakdown for a given instantaneous compute power."""
         compute_power_kw = max(0.0, float(compute_power_kw))
-        load = compute_power_kw / self.peak_compute_power_kw
-
-        sivoc_eff = float(self.sivoc_efficiency(load))
-        sivoc_input = compute_power_kw / sivoc_eff
-        sivoc_loss = sivoc_input - compute_power_kw
-
-        rect_eff = float(self.rectifier_efficiency(load))
-        rect_input = sivoc_input / rect_eff
-        rect_loss = rect_input - sivoc_input
-
-        switchgear_loss = rect_input * self.config.switchgear_loss_fraction
-
+        sivoc, rectifier, switchgear = self._stage_losses_kw(compute_power_kw)
         return LossBreakdown(
             compute_power_kw=compute_power_kw,
-            sivoc_loss_kw=sivoc_loss,
-            rectifier_loss_kw=rect_loss,
-            switchgear_loss_kw=switchgear_loss,
+            sivoc_loss_kw=sivoc,
+            rectifier_loss_kw=rectifier,
+            switchgear_loss_kw=switchgear,
         )
 
     def facility_power_kw(self, compute_power_kw: float) -> float:

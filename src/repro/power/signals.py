@@ -9,7 +9,7 @@ means "uncapped" in that window, which is how demand-response events —
 temporary cap windows inside an otherwise uncapped schedule — are spelled.
 
 The change points of every series are precomputed into one merged,
-deduplicated breakpoint array. The engine feeds
+deduplicated breakpoint tuple. The engine feeds
 :meth:`OperatingSignals.next_change_after` into ``_coalesced_dt`` as an
 additional breakpoint stream, so a price, carbon or cap step always bounds
 a coalesced interval and the dense-vs-event 1e-9 summary contract extends
@@ -19,6 +19,7 @@ to cost/carbon/violation metrics unchanged.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -133,15 +134,18 @@ class OperatingSignals:
     price_per_kwh: "tuple[Segment, ...] | None" = None
     carbon_kg_per_kwh: "tuple[Segment, ...] | None" = None
 
-    # Lookup caches built once in __post_init__ (excluded from eq/repr).
-    _cap_times: np.ndarray = field(init=False, repr=False, compare=False)
-    _cap_values: np.ndarray = field(init=False, repr=False, compare=False)
-    _cap_suffix_max: np.ndarray = field(init=False, repr=False, compare=False)
-    _price_times: np.ndarray = field(init=False, repr=False, compare=False)
-    _price_values: np.ndarray = field(init=False, repr=False, compare=False)
-    _carbon_times: np.ndarray = field(init=False, repr=False, compare=False)
-    _carbon_values: np.ndarray = field(init=False, repr=False, compare=False)
-    _changes: np.ndarray = field(init=False, repr=False, compare=False)
+    # Lookup caches built once in __post_init__ (excluded from eq/repr):
+    # plain float tuples, searched with bisect_right — a lookup is a few
+    # hundred nanoseconds, where np.searchsorted on a scalar costs
+    # microseconds, and the engine makes several per capped step.
+    _cap_times: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _cap_values: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _cap_suffix_max: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _price_times: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _price_values: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _carbon_times: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _carbon_values: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _changes: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cap = _canonical_series("power_cap_kw", self.power_cap_kw, allow_none_value=True)
@@ -167,17 +171,9 @@ class OperatingSignals:
         carbon_times, carbon_values = _series_arrays(
             carbon, default=0.0, none_value=0.0
         )
-        object.__setattr__(self, "_cap_times", cap_times)
-        object.__setattr__(self, "_cap_values", cap_values)
         # Suffix maximum of the cap series: the loosest cap at or after each
         # segment, for the "can this job ever fit?" feasibility check.
-        object.__setattr__(
-            self, "_cap_suffix_max", np.maximum.accumulate(cap_values[::-1])[::-1]
-        )
-        object.__setattr__(self, "_price_times", price_times)
-        object.__setattr__(self, "_price_values", price_values)
-        object.__setattr__(self, "_carbon_times", carbon_times)
-        object.__setattr__(self, "_carbon_values", carbon_values)
+        cap_suffix_max = np.maximum.accumulate(cap_values[::-1])[::-1]
         changes = np.unique(
             np.concatenate(
                 [
@@ -187,7 +183,17 @@ class OperatingSignals:
                 ]
             )
         )
-        object.__setattr__(self, "_changes", changes)
+        for name, array in (
+            ("_cap_times", cap_times),
+            ("_cap_values", cap_values),
+            ("_cap_suffix_max", cap_suffix_max),
+            ("_price_times", price_times),
+            ("_price_values", price_values),
+            ("_carbon_times", carbon_times),
+            ("_carbon_values", carbon_values),
+            ("_changes", changes),
+        ):
+            object.__setattr__(self, name, tuple(array.tolist()))
 
     # -- construction helpers ------------------------------------------------
 
@@ -242,9 +248,11 @@ class OperatingSignals:
     # -- lookups -------------------------------------------------------------
 
     @staticmethod
-    def _zoh(times: np.ndarray, values: np.ndarray, t_s: float) -> float:
-        index = int(np.searchsorted(times, t_s, side="right")) - 1
-        return float(values[max(index, 0)])
+    def _zoh(times: tuple[float, ...], values: tuple[float, ...], t_s: float) -> float:
+        # Series start at t=0, so only a query before 0 lands on index -1;
+        # it reads the first segment.
+        index = bisect_right(times, t_s) - 1
+        return values[index if index > 0 else 0]
 
     def cap_at(self, t_s: float) -> float:
         """Active power cap in kW (``inf`` when uncapped)."""
@@ -269,8 +277,7 @@ class OperatingSignals:
         :class:`~repro.engine.scheduler.PowerCapScheduler` dismisses it
         instead of holding it forever.
         """
-        index = int(np.searchsorted(self._cap_times, t_s, side="right")) - 1
-        return float(self._cap_suffix_max[max(index, 0)])
+        return self._zoh(self._cap_times, self._cap_suffix_max, t_s)
 
     def next_change_after(self, t_s: float) -> "float | None":
         """The first signal change strictly after ``t_s`` (``None`` if none).
@@ -279,22 +286,19 @@ class OperatingSignals:
         and power-profile breakpoints, so every cap/price/carbon step bounds
         a coalesced interval.
         """
-        index = int(np.searchsorted(self._changes, t_s, side="right"))
-        if index >= len(self._changes):
-            return None
-        return float(self._changes[index])
+        changes = self._changes
+        index = bisect_right(changes, t_s)
+        return changes[index] if index < len(changes) else None
 
     @property
     def has_cap(self) -> bool:
         """Whether any window carries a finite power cap."""
-        return bool(np.isfinite(self._cap_values).any())
+        return any(math.isfinite(value) for value in self._cap_values)
 
     @property
     def last_change_s(self) -> float:
         """The latest signal change point (0.0 for constant signals)."""
-        if len(self._changes) == 0:
-            return 0.0
-        return float(self._changes[-1])
+        return self._changes[-1] if self._changes else 0.0
 
     # -- serialisation -------------------------------------------------------
 

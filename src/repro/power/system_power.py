@@ -22,7 +22,7 @@ from ..cluster.resource_manager import ResourceManager
 from ..config import SystemConfig
 from ..devtools import hot_path
 from ..telemetry.job import Job
-from .losses import ConversionLossModel, LossBreakdown
+from .losses import ConversionLossModel
 from .node_power import NodePowerModel
 
 
@@ -225,15 +225,14 @@ class SystemPowerModel:
             remaining_idle -= idle_here
             idle_power_w += idle_here * partition.node_power.min_w
 
-        compute_kw = (job_power_w + idle_power_w) / 1000.0
-        losses: LossBreakdown = self.loss_model.evaluate(compute_kw)
-
         total_busy = max(1, nodes_busy)
         return SystemPowerSample(
             time_s=now,
             job_power_kw=job_power_w / 1000.0,
             idle_power_kw=idle_power_w / 1000.0,
-            loss_kw=losses.total_loss_kw,
+            loss_kw=self.loss_model.total_loss_kw(
+                (job_power_w + idle_power_w) / 1000.0
+            ),
             allocated_nodes=allocated_nodes,
             mean_cpu_util=cpu_weighted / total_busy if nodes_busy else 0.0,
             mean_gpu_util=gpu_weighted / total_busy if nodes_busy else 0.0,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,26 @@ class TestConversionLossModel:
         model = ConversionLossModel(PowerLossConfig(), peak_compute_power_kw=1000.0)
         breakdown = model.evaluate(power)
         assert breakdown.facility_power_kw >= breakdown.compute_power_kw
+
+    @pytest.mark.parametrize("load", [-0.25, 0.0, 0.5, 1.0, 1.5, 3.0])
+    def test_scalar_total_matches_numpy_curves(self, model, load):
+        # Reference: the loss arithmetic on the array-capable numpy
+        # efficiency curves, as evaluate() computed it before the scalar
+        # form. Only the exponential differs (math.exp vs np.exp).
+        compute_kw = load * model.peak_compute_power_kw
+        clamped = max(0.0, compute_kw)
+        ratio = clamped / model.peak_compute_power_kw
+        sivoc_input = clamped / float(model.sivoc_efficiency(ratio))
+        rect_input = sivoc_input / float(model.rectifier_efficiency(ratio))
+        reference = (
+            (sivoc_input - clamped)
+            + (rect_input - sivoc_input)
+            + rect_input * model.config.switchgear_loss_fraction
+        )
+        got = model.total_loss_kw(compute_kw)
+        assert isinstance(got, float)
+        assert abs(got - reference) <= math.ulp(reference)
+        assert got == model.evaluate(compute_kw).total_loss_kw
 
 
 class TestSystemPowerModel:

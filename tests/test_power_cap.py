@@ -8,16 +8,21 @@ jobs infeasible outright.
 
 from __future__ import annotations
 
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 from repro import OperatingSignals, PowerCapScheduler, run_simulation
+from repro.config import get_system_config
 from repro.engine import FCFSScheduler, SimulationEngine
 from repro.exceptions import SchedulingError
+from repro.obs import EventLog, Observability
 from repro.power import SystemPowerModel
 from repro.telemetry import JobState
+from repro.workloads import SyntheticWorkloadGenerator, busy_trace_spec
 
 from helpers import make_job
 
@@ -303,3 +308,71 @@ class TestEquivalenceUnderCaps:
             if key == "ticks":
                 continue
             assert event[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
+
+
+class TestReplayUnderCap:
+    """A replay job the cap holds starts at the tick that admits it.
+
+    busy_trace seed 3 under an 18 kW cap: the cap holds replay proposals,
+    and a held job must not be backdated to its recorded start once a later
+    tick admits it.
+    """
+
+    @staticmethod
+    def _run(power_cap_kw, dense_ticks):
+        system = get_system_config("tiny")
+        jobs = SyntheticWorkloadGenerator(system, busy_trace_spec(), seed=3).generate(
+            6 * 3600.0
+        )
+        signals = (
+            OperatingSignals.constant(power_cap_kw=power_cap_kw)
+            if power_cap_kw is not None
+            else None
+        )
+        stream = io.StringIO()
+        with EventLog.to_stream(stream) as events:
+            result = SimulationEngine(
+                system,
+                jobs,
+                "replay",
+                signals=signals,
+                horizon_s=12 * 3600.0,
+                dense_ticks=dense_ticks,
+                obs=Observability(events=events),
+            ).run()
+        admitted_at = {
+            event["job_id"]: event["t_s"]
+            for event in map(json.loads, stream.getvalue().splitlines())
+            if event["event"] == "job_started"
+        }
+        return system, result, admitted_at
+
+    @pytest.mark.parametrize("dense_ticks", [False, True], ids=["event", "dense"])
+    @pytest.mark.parametrize("power_cap_kw", [None, 18.0], ids=["uncapped", "capped"])
+    def test_no_start_a_tick_before_its_admission(self, power_cap_kw, dense_ticks):
+        system, result, admitted_at = self._run(power_cap_kw, dense_ticks)
+        delayed = 0
+        for job in result.jobs:
+            if job.job_id not in admitted_at:
+                continue
+            tick_s = admitted_at[job.job_id]
+            assert job.sim_start_time > tick_s - system.timestep_s, job.job_id
+            if job.metadata.get("replay_delayed"):
+                delayed += 1
+                assert job.sim_start_time == tick_s
+            else:
+                assert job.sim_start_time == job.start_time
+        if power_cap_kw is not None:
+            assert result.summary()["capped_hold_s"] > 0.0
+            assert delayed > 0
+
+    def test_dense_equals_event(self):
+        _, event, _ = self._run(18.0, dense_ticks=False)
+        _, dense, _ = self._run(18.0, dense_ticks=True)
+        for key, value in dense.summary().items():
+            if key == "ticks":
+                continue
+            assert event.summary()[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
+        assert [(j.state, j.sim_start_time) for j in event.jobs] == [
+            (j.state, j.sim_start_time) for j in dense.jobs
+        ]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -109,6 +110,80 @@ class TestLookups:
         constant = OperatingSignals.constant(power_cap_kw=10.0)
         assert constant.has_cap
         assert constant.last_change_s == 0.0
+
+
+def _series(segments, none_value):
+    times = np.asarray([t for t, _ in segments], dtype=float)
+    values = np.asarray(
+        [none_value if v is None else v for _, v in segments], dtype=float
+    )
+    return times, values
+
+
+def _searchsorted_zoh(times, values, t_s):
+    index = int(np.searchsorted(times, t_s, side="right")) - 1
+    return float(values[max(index, 0)])
+
+
+class TestLookupsMatchSearchsorted:
+    """The bisect lookups against np.searchsorted(side="right"), exactly."""
+
+    SIGNALS = OperatingSignals(
+        power_cap_kw=((0.0, 12.0), (900.0, None), (1800.5, 9.5), (5400.0, 14.0)),
+        price_per_kwh=((0.0, 0.10), (1800.5, 0.30), (3600.0, 0.30), (7200.0, 0.05)),
+        carbon_kg_per_kwh=((0.0, 0.25), (2700.0, 0.4)),
+    )
+
+    def _queries(self):
+        signals = self.SIGNALS
+        breakpoints = {
+            t
+            for series in (
+                signals.power_cap_kw,
+                signals.price_per_kwh,
+                signals.carbon_kg_per_kwh,
+            )
+            for t, _ in series
+        }
+        # Before 0 and after the last change, then each breakpoint and the
+        # floats either side of it.
+        queries = [-1.0, -math.ulp(0.0), 1e12, math.inf]
+        for t in sorted(breakpoints):
+            queries += [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+        return queries
+
+    def test_every_lookup_matches(self):
+        signals = self.SIGNALS
+        cap_times, cap_values = _series(signals.power_cap_kw, math.inf)
+        price_times, price_values = _series(signals.price_per_kwh, 0.0)
+        carbon_times, carbon_values = _series(signals.carbon_kg_per_kwh, 0.0)
+        suffix_max = np.maximum.accumulate(cap_values[::-1])[::-1]
+        changes = np.unique(
+            np.concatenate(
+                [
+                    times[np.flatnonzero(values[1:] != values[:-1]) + 1]
+                    for times, values in (
+                        (cap_times, cap_values),
+                        (price_times, price_values),
+                        (carbon_times, carbon_values),
+                    )
+                ]
+            )
+        )
+        for t in self._queries():
+            cap = _searchsorted_zoh(cap_times, cap_values, t)
+            price = _searchsorted_zoh(price_times, price_values, t)
+            carbon = _searchsorted_zoh(carbon_times, carbon_values, t)
+            assert signals.cap_at(t) == cap, t
+            assert signals.price_at(t) == price, t
+            assert signals.carbon_at(t) == carbon, t
+            assert signals.values_at(t) == (cap, price, carbon), t
+            assert signals.max_cap_at_or_after(t) == _searchsorted_zoh(
+                cap_times, suffix_max, t
+            ), t
+            index = int(np.searchsorted(changes, t, side="right"))
+            expected = float(changes[index]) if index < len(changes) else None
+            assert signals.next_change_after(t) == expected, t
 
 
 class TestConstructors:

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.cooling import power_usage_effectiveness
 from repro.engine import SimulationEngine
 from repro.engine.stats import StatsCollector, TickSample
 
@@ -55,37 +56,52 @@ class TestDerivedMetrics:
         assert summary["jobs_completed"] == 0.0
 
 
-def _power_sample(compute_kw: float, loss_kw: float) -> "SystemPowerSample":
-    from repro.power.system_power import SystemPowerSample
-
-    return SystemPowerSample(
-        time_s=0.0,
-        job_power_kw=compute_kw,
-        idle_power_kw=0.0,
+def _record(
+    stats: StatsCollector,
+    now: float,
+    dt_s: float,
+    compute_kw: float,
+    loss_kw: float,
+    *,
+    utilization: float,
+    running_jobs: int,
+    queued_jobs: int,
+) -> TickSample:
+    """Record one tick the way the engine does without a cooling plant."""
+    stats.record_tick(
+        now,
+        dt_s,
+        compute_power_kw=compute_kw,
         loss_kw=loss_kw,
+        cooling_kw=0.0,
+        pue=power_usage_effectiveness(compute_kw, loss_kw),
         allocated_nodes=0,
+        utilization=utilization,
+        running_jobs=running_jobs,
+        queued_jobs=queued_jobs,
         mean_cpu_util=0.0,
         mean_gpu_util=0.0,
     )
+    return stats.ticks[-1]
 
 
 class TestPueAtZeroItPower:
     def test_zero_it_tick_reports_inf_pue(self):
         stats = StatsCollector()
-        tick = stats.record_tick(
-            0.0, 15.0, _power_sample(0.0, 25.0), None,
+        tick = _record(
+            stats, 0.0, 15.0, 0.0, 25.0,
             utilization=0.0, running_jobs=0, queued_jobs=0,
         )
         assert tick.pue == float("inf")
 
     def test_zero_it_ticks_excluded_from_max_pue(self):
         stats = StatsCollector()
-        stats.record_tick(
-            0.0, 15.0, _power_sample(0.0, 25.0), None,
+        _record(
+            stats, 0.0, 15.0, 0.0, 25.0,
             utilization=0.0, running_jobs=0, queued_jobs=0,
         )
-        stats.record_tick(
-            15.0, 15.0, _power_sample(100.0, 5.0), None,
+        _record(
+            stats, 15.0, 15.0, 100.0, 5.0,
             utilization=0.5, running_jobs=1, queued_jobs=0,
         )
         # The inf sentinel of the idle tick must not swamp the meaningful
@@ -94,8 +110,8 @@ class TestPueAtZeroItPower:
 
     def test_all_idle_run_has_inf_mean_pue(self):
         stats = StatsCollector()
-        stats.record_tick(
-            0.0, 15.0, _power_sample(0.0, 25.0), None,
+        _record(
+            stats, 0.0, 15.0, 0.0, 25.0,
             utilization=0.0, running_jobs=0, queued_jobs=0,
         )
         assert stats.mean_pue == float("inf")
@@ -103,8 +119,8 @@ class TestPueAtZeroItPower:
 
     def test_inf_pue_exports_as_null_in_strict_json(self, tmp_path):
         stats = StatsCollector()
-        stats.record_tick(
-            0.0, 15.0, _power_sample(0.0, 25.0), None,
+        _record(
+            stats, 0.0, 15.0, 0.0, 25.0,
             utilization=0.0, running_jobs=0, queued_jobs=0,
         )
         path = tmp_path / "idle.json"
@@ -117,8 +133,8 @@ class TestPueAtZeroItPower:
 
     def test_truly_dead_tick_keeps_unit_pue(self):
         stats = StatsCollector()
-        tick = stats.record_tick(
-            0.0, 15.0, _power_sample(0.0, 0.0), None,
+        tick = _record(
+            stats, 0.0, 15.0, 0.0, 0.0,
             utilization=0.0, running_jobs=0, queued_jobs=0,
         )
         assert tick.pue == pytest.approx(1.0)
@@ -213,8 +229,8 @@ class TestColumnarStorage:
     def _fill(self, count):
         stats = StatsCollector()
         for i in range(count):
-            stats.record_tick(
-                15.0 * i, 15.0, _power_sample(100.0 + i, 5.0), None,
+            _record(
+                stats, 15.0 * i, 15.0, 100.0 + i, 5.0,
                 utilization=0.5, running_jobs=i % 7, queued_jobs=i % 3,
             )
         return stats
@@ -243,13 +259,38 @@ class TestColumnarStorage:
             ticks[10]
         assert [t.running_jobs for t in ticks] == [i % 7 for i in range(10)]
 
-    def test_record_tick_returns_the_recorded_sample(self):
+    def test_record_tick_writes_one_row(self):
         stats = StatsCollector()
-        tick = stats.record_tick(
-            0.0, 15.0, _power_sample(50.0, 2.0), None,
-            utilization=0.25, running_jobs=2, queued_jobs=1,
+        stats.record_tick(
+            0.0,
+            15.0,
+            compute_power_kw=50.0,
+            loss_kw=2.0,
+            cooling_kw=3.0,
+            pue=1.1,
+            allocated_nodes=4,
+            utilization=0.25,
+            running_jobs=2,
+            queued_jobs=1,
+            mean_cpu_util=0.5,
+            mean_gpu_util=0.75,
         )
-        assert tick == stats.ticks[0]
+        assert stats.ticks[0] == TickSample(
+            time_s=0.0,
+            dt_s=15.0,
+            compute_power_kw=50.0,
+            loss_power_kw=2.0,
+            cooling_power_kw=3.0,
+            facility_power_kw=(50.0 + 2.0) + 3.0,
+            pue=1.1,
+            allocated_nodes=4,
+            utilization=0.25,
+            running_jobs=2,
+            queued_jobs=1,
+            mean_cpu_util=0.5,
+            mean_gpu_util=0.75,
+        )
+        assert len(stats.ticks) == 1
 
     def test_timeseries_types_match_fields(self):
         stats = self._fill(4)
@@ -265,8 +306,8 @@ class TestIncrementalSummary:
     def test_max_pue_matches_scan(self):
         stats = StatsCollector()
         for compute, loss in ((0.0, 25.0), (100.0, 5.0), (50.0, 20.0), (80.0, 2.0)):
-            stats.record_tick(
-                0.0, 15.0, _power_sample(compute, loss), None,
+            _record(
+                stats, 0.0, 15.0, compute, loss,
                 utilization=0.0, running_jobs=0, queued_jobs=0,
             )
         import math
@@ -358,8 +399,8 @@ class TestColumnAccessor:
 
         stats = StatsCollector()
         for i in range(5):
-            stats.record_tick(
-                15.0 * i, 15.0, _power_sample(100.0, 5.0), None,
+            _record(
+                stats, 15.0 * i, 15.0, 100.0, 5.0,
                 utilization=0.5, running_jobs=i, queued_jobs=0,
             )
         column = stats.column("running_jobs")
