@@ -641,10 +641,10 @@ def bench_batch_mc(args, system):
 
     The serial leg is the honest baseline a Monte Carlo user runs today —
     one ``run_request`` per seed, each re-deriving the system config, power
-    model, workload post-processing and power states. The batched leg
-    executes the identical replicas through ``run_batch`` on one shared
-    pool. Both legs include workload generation in the timing; that is the
-    per-replica cost the batch kernel exists to amortise.
+    model and power states. The batched leg executes the identical replicas
+    through ``run_batch`` on one shared pool. Both legs include workload
+    generation in the timing; it is the same per-seed ``generate`` call in
+    both, so only the shared pool can make the batched leg faster.
     """
     from dataclasses import replace
 

@@ -3,8 +3,8 @@
 A Monte Carlo study runs the *same* system under N seed (or variant)
 replicas of a workload. Run serially, every replica re-derives state that
 is identical across the batch — the :class:`~repro.config.SystemConfig`,
-the :class:`~repro.power.SystemPowerModel` (node models + loss model), the
-workload generator's post-processing and the job power-state grids.
+the :class:`~repro.power.SystemPowerModel` (node models + loss model) and
+the job power-state grids.
 
 :class:`BatchSimulationEngine` executes N replicas in one process:
 
@@ -12,10 +12,6 @@ workload generator's post-processing and the job power-state grids.
   ``SystemPowerModel`` serve every replica (the model is stateless over a
   run; see the ``power_model`` kwarg of
   :class:`~repro.engine.engine.SimulationEngine`);
-- **batched workload generation** —
-  :meth:`~repro.workloads.SyntheticWorkloadGenerator.generate_batch`
-  produces all replicas' job lists with shared rng-free post-processing,
-  bit-identical to per-seed :meth:`generate` calls;
 - **one rank-space power-state pass** — the piecewise-constant power grids
   of *every replica's* jobs are prebuilt in a single
   :func:`~repro.power.system_power.build_power_states` call (one union
@@ -136,9 +132,9 @@ class BatchSimulationEngine:
     system:
         The shared system configuration (one instance for every replica).
     workloads:
-        One job list per replica — typically
-        :meth:`~repro.workloads.SyntheticWorkloadGenerator.generate_batch`
-        output. Each engine copies its jobs, so lists may be reused.
+        One job list per replica — typically one
+        :meth:`~repro.workloads.SyntheticWorkloadGenerator.generate` call
+        per seed. Each engine copies its jobs, so lists may be reused.
     scheduler:
         Policy *name* (or ``None`` for the system default). Instances are
         rejected: schedulers are stateful, so each replica constructs its
@@ -326,8 +322,8 @@ def run_batch(
 
     The in-process fast path for Monte Carlo replicas: resolves the system,
     policy and workload spec exactly like :func:`~repro.sweep.run_request`,
-    generates every seed's workload in one batched pass and runs all
-    replicas on a :class:`BatchSimulationEngine`. ``request.seed`` is
+    generates each seed's workload with the same ``generate`` call and runs
+    all replicas on a :class:`BatchSimulationEngine`. ``request.seed`` is
     ignored — each entry of ``seeds`` plays that role for its replica — so
     ``run_batch(request, [a, b])[0]`` must match (within 1e-9 per summary
     metric) ``run_request(replace(request, seed=a))``.
@@ -341,10 +337,12 @@ def run_batch(
         raise SimulationError("run_batch requires a policy name")
     spec = request.spec if request.spec is not None else default_workload_spec(config)
     seeds = [int(seed) for seed in seeds]
-    generator = SyntheticWorkloadGenerator(
-        config, spec, seed=seeds[0] if seeds else 0
-    )
-    workloads = generator.generate_batch(seeds, request.duration_s)
+    workloads = [
+        SyntheticWorkloadGenerator(config, spec, seed=seed).generate(
+            request.duration_s
+        )
+        for seed in seeds
+    ]
     engine = BatchSimulationEngine(
         config,
         workloads,

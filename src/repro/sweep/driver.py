@@ -17,9 +17,9 @@ Design points:
   pending requests that are identical except for their seed are grouped —
   up to ``batch_size`` per group — into a single task executed by the
   in-process batch kernel (:func:`repro.engine.run_batch`): one shared
-  system/power-model pool, one batched workload generation, one power-state
-  build. Each replica still ships its own outcome and progress beats, so
-  the store and resume semantics are identical to the per-run path.
+  system/power-model pool and one power-state build. Each replica still
+  ships its own outcome and progress beats, so the store and resume
+  semantics are identical to the per-run path.
   Requests with no compatible partner fall back to per-run tasks unchanged.
 * **Chunked dispatch.** One pool task executes ``chunk_size`` runs back to
   back, amortising task overhead on short runs while keeping failure and

@@ -15,6 +15,8 @@ preserved in ``Job.metadata['swf']``.
 from __future__ import annotations
 
 import io
+import math
+import zlib
 from pathlib import Path
 from typing import Sequence
 
@@ -86,6 +88,11 @@ def parse_swf(
             raise DataLoaderError(
                 f"SWF line {line_no}: non-numeric field ({exc})"
             ) from exc
+        for name, value in values.items():
+            if not math.isfinite(value):
+                raise DataLoaderError(
+                    f"SWF line {line_no}: non-finite field {name} ({value})"
+                )
         submit = values["submit_time"]
         wait = max(0.0, values["wait_time"]) if values["wait_time"] != _MISSING else 0.0
         run = values["run_time"]
@@ -166,8 +173,12 @@ def write_swf(jobs: Sequence[Job], path: str | Path, **kwargs: object) -> None:
 
 
 def _user_number(name: str) -> int:
-    """Map a user/account name to a stable small integer for SWF export."""
+    """Map a user/account name to a stable small integer for SWF export.
+
+    Names without digits are numbered by CRC-32, which (unlike ``hash``)
+    is not salted per process, so an export is the same on every run.
+    """
     digits = "".join(ch for ch in name if ch.isdigit())
     if digits:
         return int(digits) % 100_000
-    return abs(hash(name)) % 100_000
+    return zlib.crc32(name.encode()) % 100_000

@@ -11,6 +11,7 @@ described in Sec. 3.2.2 of the paper.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -303,9 +304,9 @@ def trusted_profile(times: np.ndarray, values: np.ndarray) -> Profile:
     many profiles costs nothing. The caller must hand over 1-D float64
     arrays of equal length with non-negative strictly increasing times and
     finite values, and must not mutate them (or any array they view)
-    afterwards. Only construction-time-guaranteed producers — the batched
-    workload generator — should use this; everything else goes through
-    ``Profile`` and gets the checks.
+    afterwards. Only producers that guarantee this by construction — the
+    workload generator and :func:`constant_profile` — should use it;
+    everything else goes through ``Profile`` and gets the checks.
     """
     profile = Profile.__new__(Profile)
     times.setflags(write=False)
@@ -318,13 +319,46 @@ def trusted_profile(times: np.ndarray, values: np.ndarray) -> Profile:
     return profile
 
 
+def _frozen_view(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that nobody can make writeable again.
+
+    The base is frozen first, so both writing through the view and
+    ``setflags(write=True)`` on it raise ``ValueError``: one such array can
+    be shared by every profile without any profile being able to change
+    another.
+    """
+    array.setflags(write=False)
+    return array[:]
+
+
+#: The change index every constant profile shares: its zero-order-hold grid
+#: starts (and stays) at 0.0, and its value never changes.
+_ZERO_GRID = _frozen_view(np.zeros(1))
+_NO_CHANGES = _frozen_view(np.empty(0))
+
+
 def constant_profile(value: float, duration: float = 0.0) -> Profile:
     """Build a scalar (single- or two-sample) profile holding ``value``.
 
     Datasets that only provide per-job averages (Fugaku, Lassen, Adastra) are
     represented as constant profiles; ``duration`` > 0 adds a trailing sample
-    so the recorded duration is explicit.
+    so the recorded duration is explicit. The result equals the validated
+    ``Profile([0, duration], [value, value])`` (or ``Profile([0], [value])``)
+    and raises the same :class:`DataLoaderError` for a non-finite ``value``,
+    but is built without the array checks and is born with its change index
+    (the shared empty change array and ``[0.0]`` grid), so neither
+    construction nor power-state building pays per-profile work for it.
     """
+    value = float(value)
+    if not math.isfinite(value):
+        raise DataLoaderError("profile values must be finite")
     if duration > 0:
-        return Profile([0.0, float(duration)], [value, value])
-    return Profile([0.0], [value])
+        profile = trusted_profile(
+            np.array([0.0, float(duration)]), np.array([value, value])
+        )
+    else:
+        profile = trusted_profile(_ZERO_GRID, np.array([value]))
+    profile._change_times = _NO_CHANGES
+    profile._grid_times = _ZERO_GRID
+    profile._grid_values = profile._values[:1]
+    return profile

@@ -24,7 +24,6 @@ from .synthetic import (
     busy_trace_spec,
     default_workload_spec,
     frontier_scale_spec,
-    generate_batch,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "busy_trace_spec",
     "default_workload_spec",
     "frontier_scale_spec",
-    "generate_batch",
     "JobSizeDistribution",
     "PoissonArrivals",
     "RuntimeDistribution",

@@ -14,7 +14,6 @@ relies on to regenerate the paper's figures repeatably.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -200,6 +199,16 @@ class SyntheticWorkloadGenerator:
         The workload specification.
     seed:
         Seed for the internal :class:`numpy.random.Generator`.
+
+    Random draws come from one stream in a fixed order: the per-job scalars
+    (submit times, sizes, runtimes, wall limits, queue waits, users,
+    priorities) as whole arrays, then the utilization profiles. Scalar
+    telemetry (``trace_interval_s=None``) needs one mean per profile, drawn
+    as one array; sampled telemetry draws job by job (three means, the phase
+    count and edges, then per profile the phase levels and sample noise),
+    and the rng-free arithmetic after the draws — clipping, zero-order-hold
+    expansion, noise scaling — runs in a few vectorised passes over every
+    job. A seed therefore always yields the same jobs, bit for bit.
     """
 
     def __init__(
@@ -254,260 +263,32 @@ class SyntheticWorkloadGenerator:
         users = spec.users.sample_users(rng, n)
         priorities = rng.uniform(*spec.priority_range, size=n)
 
+        # Utilization profiles, job-major in cpu/gpu/mem order (3*i + k).
+        if spec.trace_interval_s is None:
+            # One uniform draw over all 3n means: the same doubles, in the
+            # same order, as 3n scalar draws.
+            ranges = (spec.cpu_util_range, spec.gpu_util_range, spec.mem_util_range)
+            lows, highs = np.tile(np.array(ranges).T, n)
+            profiles = [
+                constant_profile(mean, runtime_s)
+                for mean, runtime_s in zip(
+                    rng.uniform(lows, highs).tolist(),
+                    np.repeat(runtimes, 3).tolist(),
+                )
+            ]
+        else:
+            profiles = self._phased_profiles(rng, runtimes, spec.trace_interval_s)
+
         jobs: list[Job] = []
         for i in range(n):
             start_time = float(submit_times[i] + queue_waits[i])
             end_time = float(start_time + runtimes[i])
             user = users[i]
-            cpu_profile, gpu_profile, mem_profile = self._utilization_profiles(
-                rng, float(runtimes[i])
-            )
+            cpu_profile, gpu_profile, mem_profile = profiles[3 * i : 3 * i + 3]
             power_profile = None
             if spec.generate_power_trace:
                 power_profile = self._power_profile(
                     cpu_profile, gpu_profile, mem_profile, nodes_required=int(nodes[i])
-                )
-            job = Job(
-                nodes_required=int(nodes[i]),
-                submit_time=float(submit_times[i]),
-                start_time=start_time,
-                end_time=end_time,
-                wall_time_limit=float(wall_limits[i]),
-                name=f"synth-{self.system.name}-{i:06d}",
-                user=user,
-                account=spec.users.account_of(user),
-                partition=self.system.partitions[0].name,
-                priority=float(priorities[i]),
-                cpu_util=cpu_profile,
-                gpu_util=gpu_profile,
-                mem_util=mem_profile,
-                node_power=power_profile,
-                metadata={"synthetic": True, "workload_seed": self.seed},
-            )
-            jobs.append(job)
-        jobs.sort(key=lambda j: j.submit_time)
-        return jobs
-
-    def generate_job_count(self, count: int, *, rate_scale: float = 1.0) -> list[Job]:
-        """Generate approximately ``count`` jobs by sizing the window from the rate."""
-        if count <= 0:
-            raise ConfigurationError("count must be positive")
-        hours = count / (self.spec.arrivals.rate_per_hour * rate_scale)
-        return self.generate(hours * 3600.0, include_prehistory=False)
-
-    # -- profile synthesis -----------------------------------------------------
-
-    def _utilization_profiles(
-        self, rng: np.random.Generator, runtime_s: float
-    ) -> tuple[Profile, Profile, Profile]:
-        """Build piecewise-constant CPU/GPU/memory utilization profiles."""
-        spec = self.spec
-        cpu_mean = rng.uniform(*spec.cpu_util_range)
-        gpu_mean = rng.uniform(*spec.gpu_util_range)
-        mem_mean = rng.uniform(*spec.mem_util_range)
-
-        if spec.trace_interval_s is None:
-            return (
-                constant_profile(cpu_mean, runtime_s),
-                constant_profile(gpu_mean, runtime_s),
-                constant_profile(mem_mean, runtime_s),
-            )
-
-        interval = spec.trace_interval_s
-        n_samples = max(2, int(np.ceil(runtime_s / interval)) + 1)
-        times = np.minimum(np.arange(n_samples) * interval, runtime_s)
-        # Guard against duplicate trailing time when runtime is a multiple
-        # of the interval.
-        times = np.unique(times)
-
-        n_phases = int(rng.integers(spec.phase_count_range[0], spec.phase_count_range[1] + 1))
-        phase_edges = (
-            np.sort(rng.random(n_phases - 1)) * runtime_s if n_phases > 1 else np.array([])
-        )
-        phase_idx = np.searchsorted(phase_edges, times, side="right")
-
-        def phased(mean: float, jitter: float) -> np.ndarray:
-            phase_levels = np.clip(
-                mean + rng.normal(0.0, jitter, size=n_phases), 0.0, 1.0
-            )
-            # Always draw the noise so the rng stream (and hence every other
-            # sampled quantity of a fixed seed) is independent of
-            # ``sample_noise``; scaling by 0.0 yields exact within-phase
-            # repeats, which the engine's breakpoint detection relies on
-            # (and scaling by the default 1.0 is bit-identical to the
-            # historical unscaled draw).
-            noise = rng.normal(0.0, jitter * 0.2, size=times.size) * spec.sample_noise
-            return np.clip(phase_levels[phase_idx] + noise, 0.0, 1.0)
-
-        return (
-            Profile(times, phased(cpu_mean, 0.15)),
-            Profile(times, phased(gpu_mean, 0.2)),
-            Profile(times, phased(mem_mean, 0.1)),
-        )
-
-    def generate_batch(
-        self,
-        seeds: Sequence[int],
-        duration_s: float,
-        *,
-        start_s: float = 0.0,
-        include_prehistory: bool = True,
-    ) -> list[list[Job]]:
-        """Generate one workload per seed, batching the rng-free arithmetic.
-
-        Each returned job list equals (bit for bit, modulo the process-global
-        ``job_id`` counter) what ``generate()`` produces for the same seed:
-        the per-seed rng streams are consumed in exactly the serial order —
-        the batch engine's equality contract rests on it — and only the
-        deterministic post-processing after the draws (phase-level clips,
-        sample lookups, noise scaling, profile construction) is stacked
-        across a seed's jobs and evaluated in a handful of vectorised passes
-        instead of six per job, with the sample-time grid and its validation
-        shared across every profile of the batch.
-
-        The instance's own ``seed`` is ignored; ``seeds`` drives everything,
-        so one generator serves a whole Monte Carlo batch.
-        """
-        grid_cache: dict[float, np.ndarray] = {}
-        return [
-            self._generate_batched(
-                int(seed),
-                duration_s,
-                start_s=start_s,
-                include_prehistory=include_prehistory,
-                grid_cache=grid_cache,
-            )
-            for seed in seeds
-        ]
-
-    def _generate_batched(
-        self,
-        seed: int,
-        duration_s: float,
-        *,
-        start_s: float,
-        include_prehistory: bool,
-        grid_cache: dict[float, np.ndarray],
-    ) -> list[Job]:
-        """One seed of :meth:`generate_batch`; see there for the contract."""
-        rng = np.random.default_rng(seed)
-        spec = self.spec
-
-        prehistory = 0.0
-        if include_prehistory:
-            prehistory = min(duration_s, 4.0 * spec.runtimes.median_s)
-        submit_times = spec.arrivals.sample(
-            rng, duration_s + prehistory, start_s=start_s - prehistory
-        )
-        n = submit_times.size
-        if n == 0:
-            return []
-
-        nodes = spec.sizes.sample(rng, n)
-        runtimes = spec.runtimes.sample(rng, n)
-        wall_limits = spec.runtimes.sample_wall_limits(rng, runtimes)
-        queue_waits = rng.exponential(scale=spec.runtimes.median_s * 0.25, size=n)
-        users = spec.users.sample_users(rng, n)
-        priorities = rng.uniform(*spec.priority_range, size=n)
-
-        # Raw per-job draws, serial order preserved. Profile means are
-        # job-major in cpu/gpu/mem order throughout (index 3*i + profile).
-        interval = spec.trace_interval_s
-        means = np.empty(3 * n)
-        times_list: list[np.ndarray] = []
-        values_list: list[np.ndarray] = []
-        if interval is not None:
-            lo, hi = spec.phase_count_range
-            phase_idx_list: list[np.ndarray] = []
-            level_raw: list[np.ndarray] = []
-            noise_raw: list[np.ndarray] = []
-            phase_counts = np.empty(3 * n, dtype=np.intp)
-            for i in range(n):
-                runtime_s = float(runtimes[i])
-                means[3 * i] = rng.uniform(*spec.cpu_util_range)
-                means[3 * i + 1] = rng.uniform(*spec.gpu_util_range)
-                means[3 * i + 2] = rng.uniform(*spec.mem_util_range)
-                n_samples = max(2, int(np.ceil(runtime_s / interval)) + 1)
-                grid = _sample_grid(grid_cache, interval, n_samples)
-                times = np.unique(np.minimum(grid[:n_samples], runtime_s))
-                n_phases = int(rng.integers(lo, hi + 1))
-                phase_edges = (
-                    np.sort(rng.random(n_phases - 1)) * runtime_s
-                    if n_phases > 1
-                    else np.array([])
-                )
-                times_list.append(times)
-                phase_idx_list.append(
-                    np.searchsorted(phase_edges, times, side="right")
-                )
-                for jitter in (0.15, 0.2, 0.1):
-                    level_raw.append(rng.normal(0.0, jitter, size=n_phases))
-                    noise_raw.append(
-                        rng.normal(0.0, jitter * 0.2, size=times.size)
-                    )
-                phase_counts[3 * i : 3 * i + 3] = n_phases
-            # Batched post-processing: one clip over every phase level of the
-            # seed (scalar mean + per-phase jitter, elementwise identical to
-            # the serial per-profile expression), then zero-order-hold
-            # expansion per profile, then — only when sample noise is on —
-            # one clip over every sample. With sample_noise == 0.0 the serial
-            # path adds an exact zero and re-clips values already inside
-            # [0, 1], so the expansion itself is the final answer.
-            levels = np.clip(
-                np.repeat(means, phase_counts) + np.concatenate(level_raw),
-                0.0,
-                1.0,
-            )
-            offsets = np.zeros(3 * n + 1, dtype=np.intp)
-            np.cumsum(phase_counts, out=offsets[1:])
-            values_list = [
-                levels[offsets[k] : offsets[k + 1]][phase_idx_list[k // 3]]
-                for k in range(3 * n)
-            ]
-            if spec.sample_noise != 0.0:  # repro-lint: disable=float-compare
-                sample_counts = np.fromiter(
-                    (v.size for v in values_list), dtype=np.intp, count=3 * n
-                )
-                flat = np.clip(
-                    np.concatenate(values_list)
-                    + np.concatenate(noise_raw) * spec.sample_noise,
-                    0.0,
-                    1.0,
-                )
-                sample_offsets = np.zeros(3 * n + 1, dtype=np.intp)
-                np.cumsum(sample_counts, out=sample_offsets[1:])
-                values_list = [
-                    flat[sample_offsets[k] : sample_offsets[k + 1]]
-                    for k in range(3 * n)
-                ]
-        else:
-            for i in range(n):
-                means[3 * i] = rng.uniform(*spec.cpu_util_range)
-                means[3 * i + 1] = rng.uniform(*spec.gpu_util_range)
-                means[3 * i + 2] = rng.uniform(*spec.mem_util_range)
-
-        jobs: list[Job] = []
-        for i in range(n):
-            runtime_s = float(runtimes[i])
-            start_time = float(submit_times[i] + queue_waits[i])
-            end_time = float(start_time + runtimes[i])
-            user = users[i]
-            if interval is None:
-                cpu_profile = _trusted_constant(means[3 * i], runtime_s)
-                gpu_profile = _trusted_constant(means[3 * i + 1], runtime_s)
-                mem_profile = _trusted_constant(means[3 * i + 2], runtime_s)
-            else:
-                times = times_list[i]
-                cpu_profile = trusted_profile(times, values_list[3 * i])
-                gpu_profile = trusted_profile(times, values_list[3 * i + 1])
-                mem_profile = trusted_profile(times, values_list[3 * i + 2])
-            power_profile = None
-            if spec.generate_power_trace:
-                power_profile = self._power_profile(
-                    cpu_profile,
-                    gpu_profile,
-                    mem_profile,
-                    nodes_required=int(nodes[i]),
                 )
             jobs.append(
                 Job(
@@ -525,11 +306,99 @@ class SyntheticWorkloadGenerator:
                     gpu_util=gpu_profile,
                     mem_util=mem_profile,
                     node_power=power_profile,
-                    metadata={"synthetic": True, "workload_seed": seed},
+                    metadata={"synthetic": True, "workload_seed": self.seed},
                 )
             )
         jobs.sort(key=lambda j: j.submit_time)
         return jobs
+
+    def generate_job_count(self, count: int, *, rate_scale: float = 1.0) -> list[Job]:
+        """Generate approximately ``count`` jobs by sizing the window from the rate."""
+        if count <= 0:
+            raise ConfigurationError("count must be positive")
+        hours = count / (self.spec.arrivals.rate_per_hour * rate_scale)
+        return self.generate(hours * 3600.0, include_prehistory=False)
+
+    # -- profile synthesis -----------------------------------------------------
+
+    def _phased_profiles(
+        self, rng: np.random.Generator, runtimes: np.ndarray, interval: float
+    ) -> list[Profile]:
+        """Piecewise-constant CPU/GPU/memory profiles of every job, job-major.
+
+        Each profile is sampled every ``interval`` seconds over its job's
+        runtime and holds one clipped level per phase; with ``sample_noise``
+        on, every sample is jittered and clipped again. A job's three
+        profiles share one read-only sample-time array.
+        """
+        spec = self.spec
+        n = runtimes.size
+        lo, hi = spec.phase_count_range
+        n_samples = np.maximum(2, np.ceil(runtimes / interval).astype(np.intp) + 1)
+        # ``grid[:k]`` is elementwise ``np.arange(k) * interval``.
+        grid = np.arange(int(n_samples.max())) * interval
+
+        # Raw per-job draws, in stream order.
+        means = np.empty(3 * n)
+        times_list: list[np.ndarray] = []
+        phase_idx_list: list[np.ndarray] = []
+        level_raw: list[np.ndarray] = []
+        noise_raw: list[np.ndarray] = []
+        phase_counts = np.empty(3 * n, dtype=np.intp)
+        for i in range(n):
+            runtime_s = float(runtimes[i])
+            means[3 * i] = rng.uniform(*spec.cpu_util_range)
+            means[3 * i + 1] = rng.uniform(*spec.gpu_util_range)
+            means[3 * i + 2] = rng.uniform(*spec.mem_util_range)
+            # np.unique drops the duplicate trailing time when the runtime
+            # is a multiple of the interval.
+            times = np.unique(np.minimum(grid[: n_samples[i]], runtime_s))
+            n_phases = int(rng.integers(lo, hi + 1))
+            phase_edges = (
+                np.sort(rng.random(n_phases - 1)) * runtime_s
+                if n_phases > 1
+                else np.array([])
+            )
+            times_list.append(times)
+            phase_idx_list.append(np.searchsorted(phase_edges, times, side="right"))
+            for jitter in (0.15, 0.2, 0.1):
+                level_raw.append(rng.normal(0.0, jitter, size=n_phases))
+                # The noise is drawn even when ``sample_noise`` is 0.0, so
+                # the stream (and every later draw of a fixed seed) does not
+                # depend on it.
+                noise_raw.append(rng.normal(0.0, jitter * 0.2, size=times.size))
+            phase_counts[3 * i : 3 * i + 3] = n_phases
+
+        # One clip over every phase level (mean + per-phase jitter), then
+        # zero-order-hold expansion per profile, then — only when sample
+        # noise is on — one clip over every jittered sample. With
+        # sample_noise == 0.0 every sample repeats its phase level exactly,
+        # which the engine's breakpoint detection relies on.
+        levels = np.clip(
+            np.repeat(means, phase_counts) + np.concatenate(level_raw), 0.0, 1.0
+        )
+        offsets = np.zeros(3 * n + 1, dtype=np.intp)
+        np.cumsum(phase_counts, out=offsets[1:])
+        values_list = [
+            levels[offsets[k] : offsets[k + 1]][phase_idx_list[k // 3]]
+            for k in range(3 * n)
+        ]
+        if spec.sample_noise != 0.0:  # repro-lint: disable=float-compare
+            sample_counts = np.repeat([times.size for times in times_list], 3)
+            flat = np.clip(
+                np.concatenate(values_list)
+                + np.concatenate(noise_raw) * spec.sample_noise,
+                0.0,
+                1.0,
+            )
+            sample_offsets = np.zeros(3 * n + 1, dtype=np.intp)
+            np.cumsum(sample_counts, out=sample_offsets[1:])
+            values_list = [
+                flat[sample_offsets[k] : sample_offsets[k + 1]] for k in range(3 * n)
+            ]
+        return [
+            trusted_profile(times_list[k // 3], values) for k, values in enumerate(values_list)
+        ]
 
     def _power_profile(
         self,
@@ -561,51 +430,3 @@ class SyntheticWorkloadGenerator:
         )
         return Profile(times, watts)
 
-
-def _sample_grid(
-    cache: dict[float, np.ndarray], interval: float, n_samples: int
-) -> np.ndarray:
-    """A shared ``arange(n) * interval`` grid, grown geometrically.
-
-    ``grid[:n]`` is elementwise identical to ``np.arange(n) * interval`` (the
-    same multiply on the same integers), so slicing the cached grid preserves
-    the serial generator's sample times bit for bit while building the
-    arange once per batch instead of once per job.
-    """
-    grid = cache.get(interval)
-    if grid is None or grid.size < n_samples:
-        size = max(n_samples, 256 if grid is None else 2 * grid.size)
-        grid = np.arange(size) * interval
-        cache[interval] = grid
-    return grid
-
-
-def _trusted_constant(value: float, duration_s: float) -> Profile:
-    """`constant_profile` by value, built through the trusted constructor."""
-    if duration_s > 0:
-        return trusted_profile(
-            np.array([0.0, duration_s]), np.array([value, value])
-        )
-    return trusted_profile(np.array([0.0]), np.array([value]))
-
-
-def generate_batch(
-    system: SystemConfig,
-    spec: WorkloadSpec | None,
-    seeds: Sequence[int],
-    duration_s: float,
-    *,
-    start_s: float = 0.0,
-    include_prehistory: bool = True,
-) -> list[list[Job]]:
-    """Module-level convenience over ``SyntheticWorkloadGenerator.generate_batch``.
-
-    One workload per seed, bit-identical to serial ``generate()`` per seed
-    (see the method docstring for the equality contract).
-    """
-    generator = SyntheticWorkloadGenerator(
-        system, spec, seed=int(seeds[0]) if len(seeds) else 0
-    )
-    return generator.generate_batch(
-        seeds, duration_s, start_s=start_s, include_prehistory=include_prehistory
-    )

@@ -127,8 +127,10 @@ class TestBatchEngine:
 
     def _workloads(self, tiny_system, seeds, duration_s=3600.0):
         spec = busy_trace_spec()
-        generator = SyntheticWorkloadGenerator(tiny_system, spec, seed=seeds[0])
-        return generator.generate_batch(list(seeds), duration_s)
+        return [
+            SyntheticWorkloadGenerator(tiny_system, spec, seed=seed).generate(duration_s)
+            for seed in seeds
+        ]
 
     def test_rejects_scheduler_instances(self, tiny_system):
         from repro.engine import get_scheduler

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import zlib
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.exceptions import DataLoaderError
 from repro.telemetry import jobs_to_swf, parse_swf, read_swf, write_swf
 
@@ -84,6 +91,32 @@ class TestRoundTrip:
         text = jobs_to_swf([make_job(nodes=64)])
         assert "MaxProcs: 64" in text
 
+    def test_names_without_digits_export_the_same_in_every_process(self):
+        # hash() of a str is salted per process; the export must not be.
+        script = (
+            "from repro.telemetry import Job, jobs_to_swf\n"
+            "job = Job(nodes_required=2, submit_time=0.0, start_time=5.0,\n"
+            "          end_time=65.0, user='alice', account='physics')\n"
+            "print(jobs_to_swf([job]), end='')\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        exports = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            )
+            exports.append(completed.stdout)
+        assert exports[0] == exports[1]
+        fields = exports[0].splitlines()[-1].split()
+        assert int(fields[11]) == zlib.crc32(b"alice") % 100_000
+        assert int(fields[12]) == zlib.crc32(b"physics") % 100_000
+
 
 class TestMalformedLines:
     def test_non_numeric_field_names_the_line(self):
@@ -116,6 +149,24 @@ class TestMalformedLines:
         assert job.user == "unknown"
         assert job.account == "unknown"
         assert job.priority == 0.0
+
+    def test_infinite_run_time_names_the_line(self):
+        # Would otherwise make a job that never ends.
+        text = SAMPLE_SWF + "4 0 10 inf 16 -1 -1 16 7200 -1 1 3 5 -1 1 -1 -1 -1\n"
+        with pytest.raises(DataLoaderError, match="line 6.*run_time"):
+            parse_swf(text)
+
+    def test_nan_submit_time_names_the_line(self):
+        # Would otherwise make a job whose every time is NaN.
+        text = SAMPLE_SWF + "4 nan 10 3600 16 -1 -1 16 7200 -1 1 3 5 -1 1 -1 -1 -1\n"
+        with pytest.raises(DataLoaderError, match="line 6.*submit_time"):
+            parse_swf(text)
+
+    def test_infinite_processors_names_the_line(self):
+        # Used to escape as a bare ValueError from int(nan).
+        text = SAMPLE_SWF + "4 0 10 3600 inf -1 -1 16 7200 -1 1 3 5 -1 1 -1 -1 -1\n"
+        with pytest.raises(DataLoaderError, match="line 6.*allocated_processors"):
+            parse_swf(text)
 
 
 class TestProcessorsPerNode:

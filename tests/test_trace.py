@@ -178,6 +178,64 @@ class TestConstantProfile:
         assert len(p) == 2
         assert p.duration == 100.0
 
+    @pytest.mark.parametrize("duration", [0.0, -5.0])
+    def test_non_positive_duration_single_sample(self, duration):
+        p = constant_profile(0.25, duration)
+        assert len(p) == 1
+        assert p.times.tolist() == [0.0]
+        assert p.values.tolist() == [0.25]
+
+    @pytest.mark.parametrize("duration", [0.0, 600.0])
+    def test_change_index_is_empty(self, duration):
+        p = constant_profile(0.4, duration)
+        assert p.change_points().size == 0
+        grid_times, grid_values = p.change_grid()
+        assert grid_times.tolist() == [0.0]
+        assert grid_values.tolist() == [0.4]
+        assert p.is_constant()
+        assert p.next_change_after(-1.0) is None
+
+    def test_shared_grid_cannot_be_written(self):
+        first, second = constant_profile(0.1, 60.0), constant_profile(0.9)
+        grid_times, grid_values = first.change_grid()
+        # A single-sample profile's times are the shared [0.0] grid too.
+        for array in (grid_times, grid_values, first.change_points(), second.times):
+            with pytest.raises(ValueError):
+                array[...] = 7.0
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+        assert second.change_grid()[0].tolist() == [0.0]
+        assert second.change_grid()[1].tolist() == [0.9]
+        assert second.times.tolist() == [0.0]
+        assert first.change_grid()[0].tolist() == [0.0]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("duration", [0.0, 60.0])
+    def test_non_finite_value_rejected(self, value, duration):
+        with pytest.raises(DataLoaderError, match="finite"):
+            constant_profile(value, duration)
+
+    @pytest.mark.parametrize("value", [0.0, 0.3, 1234.5, -2.0])
+    @pytest.mark.parametrize("duration", [0.0, 1.0, 3600.0])
+    def test_equals_validated_profile(self, value, duration):
+        got = constant_profile(value, duration)
+        want = (
+            Profile([0.0, duration], [value, value])
+            if duration > 0
+            else Profile([0.0], [value])
+        )
+        assert got == want
+        for got_array, want_array in (
+            (got.times, want.times),
+            (got.values, want.values),
+            (got.change_points(), want.change_points()),
+            *zip(got.change_grid(), want.change_grid()),
+        ):
+            assert got_array.dtype == want_array.dtype
+            assert got_array.tobytes() == want_array.tobytes()
+        assert got.mean() == want.mean()
+        assert got.integral(2 * duration + 1.0) == want.integral(2 * duration + 1.0)
+
 
 class TestChangePoints:
     """Profile.next_change_after / change_points edge cases."""
