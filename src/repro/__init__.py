@@ -4,8 +4,8 @@ The package reproduces the system described in "HPC Digital Twins for
 Evaluating Scheduling Policies, Incentive Structures and their Impact on
 Power and Cooling" (SC 2025): a forward-time digital-twin simulation loop
 coupling batch scheduling, per-job power modelling, electrical conversion
-losses and a transient cooling plant, plus account-based incentive policies,
-ML-guided scheduling and adapters for external scheduling simulators.
+losses and a transient cooling plant, plus power caps and electricity price
+and carbon signals for power-aware operation, and resumable scenario sweeps.
 
 Quick start::
 

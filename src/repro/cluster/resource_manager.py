@@ -80,12 +80,9 @@ class ResourceManager:
         # recognised on access (map disagrees with the entry) and popped
         # exactly once, never to be revisited. complete_finished_jobs and
         # next_job_end are thereby O(k log R) for k due/stale entries
-        # instead of a full running-set scan. ``scan_completions`` restores
-        # the O(running jobs) scan (identical semantics), kept for the
-        # benchmark comparison and as a differential-testing aid.
+        # instead of a full running-set scan.
         self._end_heap: list[tuple[float, int]] = []
         self._end_of: dict[int, float] = {}
-        self.scan_completions = False
 
         # Allocate/release journal: every membership change appends one
         # ``(is_allocation, job_id)`` entry, so a consumer that polls between
@@ -320,30 +317,18 @@ class ResourceManager:
 
         The due set comes from the end-time min-heap: ``O(k log R)`` for
         ``k`` due jobs (plus any stale entries surfacing, each discarded
-        exactly once) instead of a scan of the running set. Setting
-        :attr:`scan_completions` restores the scan; both paths release the
-        same jobs in the same (job-id) order at the same end times.
+        exactly once) instead of a scan of the running set. Due jobs are
+        released in job-id order.
         """
-        if self.scan_completions:
-            # The O(R) scan is the opt-in differential baseline, not the
-            # default path.
-            finished = [  # repro-lint: disable=hot-path
-                job
-                for job in self._running.values()
-                if job.sim_start_time is not None
-                and self._end_of[job.job_id] <= now
-            ]
-            finished.sort(key=lambda j: j.job_id)
-        else:
-            finished = []
-            while (entry := self._peek_live_end()) is not None:
-                end_time, job_id = entry
-                if end_time > now:
-                    break
-                heapq.heappop(self._end_heap)
-                self.end_heap_pops += 1
-                finished.append(self._running[job_id])
-            finished.sort(key=lambda j: j.job_id)
+        finished = []
+        while (entry := self._peek_live_end()) is not None:
+            end_time, job_id = entry
+            if end_time > now:
+                break
+            heapq.heappop(self._end_heap)
+            self.end_heap_pops += 1
+            finished.append(self._running[job_id])
+        finished.sort(key=lambda j: j.job_id)
         for job in finished:
             end_time = self._end_of.pop(job.job_id)
             for nid in job.assigned_nodes:

@@ -29,7 +29,6 @@ Run a simulation from Python with :func:`run_simulation`, or from the shell
 with ``repro-sim`` / ``python -m repro.engine``.
 """
 
-from .batch import BatchSimulationEngine, PrebuiltPowerStateAggregator, run_batch
 from .engine import SimulationEngine, SimulationResult, parse_duration, run_simulation
 from .scheduler import (
     BackfillScheduler,
@@ -44,9 +43,6 @@ from .scheduler import (
 from .stats import StatsCollector, TickSample
 
 __all__ = [
-    "BatchSimulationEngine",
-    "PrebuiltPowerStateAggregator",
-    "run_batch",
     "SimulationEngine",
     "SimulationResult",
     "run_simulation",

@@ -131,28 +131,6 @@ class SimulationEngine:
         coalescing event-free intervals. Summary metrics are identical
         either way; dense mode exists for consumers of the exact per-tick
         time series.
-    event_index:
-        When true (the default) the per-step release check and the
-        coalescing event bound come from heaps — the resource manager's
-        lazy-deletion end-time heap and the power aggregator's breakpoint
-        heap — making an event-free step ``O(log R)`` in the running-set
-        size ``R``. ``False`` restores the ``O(R)`` scans (identical
-        results, job by job and tick by tick); the flag exists for the
-        frontier-scale benchmark's scan-vs-heap comparison and as a
-        differential-testing aid.
-    vectorized:
-        When true (the default) the per-*event* hot paths are batched and
-        indexed: jobs starting in the same power refresh get their cached
-        power states built in one vectorised pass (one node-power-model
-        evaluation per refresh, not per job), running-set membership
-        changes are consumed from the resource manager's allocate/release
-        journal in O(changes), EASY backfill reads its shadow reservation
-        from the expected-release index, and replay memoizes its queue
-        ordering. ``False`` restores the per-job construction and per-call
-        scans (summaries identical up to float association, gated at 1e-9
-        in CI); the flag exists for the batched-vs-per-job benchmark
-        comparison and as a differential-testing aid, exactly like
-        ``event_index``.
     obs:
         Optional :class:`~repro.obs.Observability` bundle — phase-span
         tracer, metrics registry, structured event log and/or progress
@@ -160,12 +138,6 @@ class SimulationEngine:
         the engine runs the uninstrumented hot path: one ``is None``
         attribute check per phase per step, gated by the benchmark
         harness's wall-time record. See :mod:`repro.obs`.
-    power_model:
-        Optional pre-built :class:`~repro.power.SystemPowerModel` to use
-        instead of constructing one. The model is stateless over a run, so
-        the batch engine (:mod:`repro.engine.batch`) shares one instance —
-        node models, loss model and all — across every replica of a Monte
-        Carlo batch.
     """
 
     def __init__(
@@ -177,11 +149,8 @@ class SimulationEngine:
         seed: int = 0,
         horizon_s: float | None = None,
         dense_ticks: bool = False,
-        event_index: bool = True,
-        vectorized: bool = True,
         signals: OperatingSignals | None = None,
         obs: Observability | None = None,
-        power_model: SystemPowerModel | None = None,
     ) -> None:
         self.system = system
         self.signals = signals
@@ -200,14 +169,8 @@ class SimulationEngine:
             # policy untouched — they only weight the stats integrals.
             self.scheduler = PowerCapScheduler(self.scheduler, signals)
         self.scheduler.reset()
-        self.scheduler.vectorized = vectorized
         self.resource_manager = ResourceManager(system, seed=seed)
-        # The power model is stateless over a run, so batched Monte Carlo
-        # replicas of the same system inject one shared instance (sharing
-        # the node models and loss model); ``None`` builds a private one.
-        self.power_model = (
-            power_model if power_model is not None else SystemPowerModel(system)
-        )
+        self.power_model = SystemPowerModel(system)
         #: Incremental system-power evaluation over the running set: per-job
         #: contributions are pre-evaluated on each profile's change-point
         #: grid at job start — batched across every job starting in the same
@@ -216,7 +179,7 @@ class SimulationEngine:
         #: resource manager's allocate/release journal, O(changes)) and
         #: breakpoint crossings — never rescanned per step.
         self.power_aggregator = RunningSetPowerAggregator(
-            self.power_model, self.resource_manager, batch_states=vectorized
+            self.power_model, self.resource_manager
         )
         if isinstance(self.scheduler, PowerCapScheduler):
             self.scheduler.bind_power_model(self.power_model)
@@ -227,9 +190,6 @@ class SimulationEngine:
         self.seed = seed
         self.horizon_s = horizon_s
         self.dense_ticks = dense_ticks
-        self.event_index = event_index
-        self.vectorized = vectorized
-        self.resource_manager.scan_completions = not event_index
 
         # Observability: unpack the bundle into per-instrument attributes so
         # the disabled path is a single ``is None`` check per phase. The
@@ -436,12 +396,11 @@ class SimulationEngine:
         # (immutable after the seed draw) down count; the power aggregator
         # reuses cached per-job contributions, so the power evaluation of an
         # event-free step is O(1) — profile lookups and model evaluations
-        # never rescan the running set. With the default event index the
-        # release check and event bounds are heap-backed too, and the run
-        # loop's ``finished`` check is O(1), so an event-free step is
-        # O(log R) end to end. The power sample is the only object the rest
-        # of the step builds: losses, cooling and the stats record work on
-        # plain floats.
+        # never rescan the running set. The release check and event bounds
+        # are heap-backed too, and the run loop's ``finished`` check is
+        # O(1), so an event-free step is O(log R) end to end. The power
+        # sample is the only object the rest of the step builds: losses,
+        # cooling and the stats record work on plain floats.
         rm = self.resource_manager
         allocated = rm.allocated_nodes
         power = self.power_aggregator.sample(
@@ -495,7 +454,13 @@ class SimulationEngine:
         self.now = now + dt_s
 
     def run(self) -> SimulationResult:
-        """Run to completion (all jobs finished, or the horizon reached)."""
+        """Run to completion (all jobs finished, or the horizon reached).
+
+        The run is over when every job has left the system, or when the
+        clock has reached the horizon — then the run is cut there (see
+        :meth:`_stop_at_horizon`). The step count guards against a policy
+        that never drains the workload.
+        """
         events = self._events
         progress = self._progress
         run_t0 = perf_counter_ns() if self._tracer is not None else 0
@@ -512,17 +477,23 @@ class SimulationEngine:
         if progress is not None:
             progress.start()
         ticks = 0
-        while self._advance(ticks):
+        while not self.finished:
+            if (
+                self.horizon_s is not None
+                and self.now - self._start_time >= self.horizon_s
+            ):
+                self._stop_at_horizon()
+                break
+            if ticks >= self._max_ticks:
+                raise SimulationError(
+                    f"engine exceeded {self._max_ticks} ticks without draining "
+                    f"the workload (policy {self.scheduler.name!r} stuck?)"
+                )
+            self.step()
             ticks += 1
             if progress is not None and progress.due():
                 progress.report(self)
-        result = self._result()
-        if self.obs is not None:
-            self._finalize_obs(result, run_t0)
-        return result
-
-    def _result(self) -> SimulationResult:
-        return SimulationResult(
+        result = SimulationResult(
             system=self.system,
             policy=self.scheduler.name,
             stats=self.stats,
@@ -531,29 +502,9 @@ class SimulationEngine:
             end_time_s=self.now,
             seed=self.seed,
         )
-
-    def _advance(self, ticks: int) -> bool:
-        """One iteration of the run loop; ``False`` once the run is over.
-
-        The run is over when every job has left the system, or when the
-        clock has reached the horizon — then the run is cut there (see
-        :meth:`_stop_at_horizon`). Otherwise the engine takes one
-        :meth:`step`; ``ticks`` (steps taken so far) guards against a
-        policy that never drains the workload. Shared by :meth:`run` and
-        the batch engine's replica loop.
-        """
-        if self.finished:
-            return False
-        if self.horizon_s is not None and self.now - self._start_time >= self.horizon_s:
-            self._stop_at_horizon()
-            return False
-        if ticks >= self._max_ticks:
-            raise SimulationError(
-                f"engine exceeded {self._max_ticks} ticks without draining "
-                f"the workload (policy {self.scheduler.name!r} stuck?)"
-            )
-        self.step()
-        return True
+        if self.obs is not None:
+            self._finalize_obs(result, run_t0)
+        return result
 
     def _stop_at_horizon(self) -> None:
         """Dismiss what has not started and truncate what runs at the horizon.
@@ -567,7 +518,7 @@ class SimulationEngine:
         natural end falls inside that final partial tick ends at its own
         end time and is not flagged as truncated.
         """
-        assert self.horizon_s is not None  # _advance checks the horizon first
+        assert self.horizon_s is not None  # run() checks the horizon first
         events = self._events
         if events is not None:
             events.milestone("horizon_reached", self.now)
@@ -606,10 +557,8 @@ class SimulationEngine:
         (:meth:`~repro.cluster.ResourceManager.next_job_end`) and the
         earliest profile breakpoint from the power aggregator's change heap
         (:meth:`~repro.power.RunningSetPowerAggregator.next_breakpoint_after`)
-        — both maintain the exact per-job times the per-job scan used to
-        re-derive, so the chosen interval is float-identical. With
-        ``event_index=False`` the historical O(R) scan computes the same
-        bounds job by job (the benchmark's comparison baseline).
+        — both maintain the exact per-job times a per-job scan would
+        re-derive, so the chosen interval is float-identical to one.
 
         Returns ``k * timestep`` where ``now + k * timestep`` is the first
         grid tick that processes the next event — exactly the tick a dense
@@ -632,22 +581,12 @@ class SimulationEngine:
                 events.append(signal_change)
         if self._pending:
             events.append(self._pending[0].submit_time)
-        if self.event_index:
-            next_end = self.resource_manager.next_job_end()
-            if next_end is not None:
-                events.append(next_end)
-            next_change = self.power_aggregator.next_breakpoint_after(now)
-            if next_change is not None:
-                events.append(next_change)
-        else:
-            # event_index=False: the historical O(R) per-job scan, kept
-            # as the equivalence-gate baseline.
-            for job in self.resource_manager.running_by_id.values():  # repro-lint: disable=hot-path
-                start = job.sim_start_time if job.sim_start_time is not None else now
-                events.append(start + job.duration)
-                next_change = job.next_power_change_after(now)
-                if next_change is not None:
-                    events.append(next_change)
+        next_end = self.resource_manager.next_job_end()
+        if next_end is not None:
+            events.append(next_end)
+        next_change = self.power_aggregator.next_breakpoint_after(now)
+        if next_change is not None:
+            events.append(next_change)
         if not events:
             # Nothing queued, pending or running: this is the final sample
             # and the run ends at the next tick — jumping to a far-away

@@ -92,13 +92,6 @@ class Scheduler(abc.ABC):
     #: Registry/CLI name of the policy.
     name: str = "abstract"
 
-    #: Use the vectorised/indexed hot paths (memoized queue orderings, the
-    #: resource manager's expected-release index). The engine sets this from
-    #: ``SimulationEngine(vectorized=...)``; ``False`` restores the
-    #: historical per-call scans as a differential benchmark baseline —
-    #: decisions are identical either way.
-    vectorized: bool = True
-
     @abc.abstractmethod
     def schedule(
         self, queue: Sequence[Job], resource_manager: ResourceManager, now: float
@@ -244,8 +237,7 @@ class ReplayScheduler(Scheduler):
         key = (resource_manager.epoch, len(queue))
         memo = self._order_memo
         if (
-            self.vectorized
-            and memo is not None
+            memo is not None
             and memo[0] == key
             and all(job.job_id in memo[1] for job in queue)
         ):
@@ -587,8 +579,8 @@ class BackfillScheduler(Scheduler):
         starts, and the walk stops as soon as the head fits. That replaces
         the per-call O(running set) occupant scan with its per-node overlap
         loop and the O(R log R) sort. Heads confined to a proper partition
-        (and the ``vectorized=False`` baseline) take the historical scan,
-        which computes identical reservations.
+        take the occupant scan (:meth:`_occupants` + :meth:`_reservation`),
+        which counts only the nodes inside that partition.
         """
         self.reservations_computed += 1
         free_now = free_counts.free_in(head_key)
@@ -599,7 +591,7 @@ class BackfillScheduler(Scheduler):
                 node_range.start == 0
                 and node_range.stop == resource_manager.total_nodes
             )
-        if self.vectorized and whole_pool:
+        if whole_pool:
             self.reservations_indexed += 1
             started_entries = sorted(
                 (end, job.nodes_required, job.job_id) for end, job, _ in started
@@ -833,7 +825,6 @@ class PowerCapScheduler(Scheduler):
     def schedule(
         self, queue: Sequence[Job], resource_manager: ResourceManager, now: float
     ) -> list[SchedulingDecision]:
-        self.base.vectorized = self.vectorized
         self._held = 0
         self._dismissed_pass = 0
         if resource_manager.epoch != self._epoch:

@@ -56,13 +56,6 @@ class ProgressSnapshot:
     jobs_total: int
     #: True only for the snapshot emitted after the run completed.
     final: bool = False
-    #: Batch-mode context (``None`` for plain single-run heartbeats): which
-    #: replica this snapshot describes and the batch's done/total counts.
-    #: The batch engine tags every heartbeat so a batched sweep task still
-    #: emits attributable per-run beats.
-    replica_index: int | None = None
-    replicas_done: int | None = None
-    replicas_total: int | None = None
 
     def format_line(self) -> str:
         """The stderr heartbeat line."""
@@ -73,16 +66,11 @@ class ProgressSnapshot:
         )
         eta = f" eta {self.eta_s:.0f}s" if self.eta_s is not None else ""
         state = "done " if self.final else ""
-        replicas = (
-            f"  replicas {self.replicas_done}/{self.replicas_total}"
-            if self.replicas_total is not None
-            else ""
-        )
         return (
             f"[progress] {state}{percent}  sim t={self.sim_time_s:.0f}s  "
             f"steps={self.steps} ({self.steps_per_s:.0f}/s)  "
             f"jobs {self.jobs_done}/{self.jobs_total}  "
-            f"running={self.running_jobs} queued={self.queued_jobs}{eta}{replicas}"
+            f"running={self.running_jobs} queued={self.queued_jobs}{eta}"
         )
 
 
@@ -129,35 +117,14 @@ class ProgressReporter:
         """Whether a heartbeat is due — the only per-step call."""
         return time.monotonic() >= self._next_due
 
-    def report(
-        self,
-        engine: "SimulationEngine",
-        *,
-        final: bool = False,
-        replica_index: int | None = None,
-        replicas_done: int | None = None,
-        replicas_total: int | None = None,
-    ) -> None:
-        """Build and emit one snapshot from the live engine state.
-
-        The replica kwargs are the batch engine's heartbeat context
-        (:class:`~repro.engine.batch.BatchSimulationEngine`): which replica
-        this reporter watches and how many of the batch's replicas are
-        done. Single-run callers leave them ``None``.
-        """
+    def report(self, engine: "SimulationEngine", *, final: bool = False) -> None:
+        """Build and emit one snapshot from the live engine state."""
         if not self._started:
             self.start()
         now_wall = time.monotonic()
         self._next_due = now_wall + self.interval_s
         self.heartbeats += 1
-        snapshot = self._snapshot(
-            engine,
-            now_wall - self._wall_start,
-            final,
-            replica_index=replica_index,
-            replicas_done=replicas_done,
-            replicas_total=replicas_total,
-        )
+        snapshot = self._snapshot(engine, now_wall - self._wall_start, final)
         if self.callback is not None:
             self.callback(snapshot)
         else:
@@ -167,14 +134,7 @@ class ProgressReporter:
     # -- snapshot assembly -----------------------------------------------------
 
     def _snapshot(
-        self,
-        engine: "SimulationEngine",
-        wall_s: float,
-        final: bool,
-        *,
-        replica_index: int | None = None,
-        replicas_done: int | None = None,
-        replicas_total: int | None = None,
+        self, engine: "SimulationEngine", wall_s: float, final: bool
     ) -> ProgressSnapshot:
         stats = engine.stats
         steps = len(stats.ticks)
@@ -206,7 +166,4 @@ class ProgressReporter:
             jobs_done=jobs_done,
             jobs_total=jobs_total,
             final=final,
-            replica_index=replica_index,
-            replicas_done=replicas_done,
-            replicas_total=replicas_total,
         )

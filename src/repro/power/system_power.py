@@ -289,10 +289,10 @@ class _JobPowerState:
     def for_job(cls, job: Job, model: NodePowerModel, now: float) -> "_JobPowerState":
         """Per-job construction: one profile/model evaluation per job.
 
-        This is the differential baseline for :func:`build_power_states`
-        (engine flag ``vectorized=False``): the batched builder must produce
-        bit-identical grids and powers, and the property tests hold the two
-        to exactly that.
+        The aggregator takes this path for a job that starts alone, where
+        it costs about half a one-job :func:`build_power_states` call. The
+        batched builder must produce bit-identical grids and powers, and
+        the property tests hold the two to exactly that.
         """
         nodes = job.nodes_required
         times = _union_grid(job)
@@ -362,9 +362,8 @@ def build_power_states(
     Every resulting array and cached scalar is bit-identical to
     :meth:`_JobPowerState.for_job` (the same IEEE operations applied
     element-wise; rank arithmetic is exact), so the batched and per-job
-    paths are interchangeable — the engine gates them behind ``vectorized``
-    purely as a differential benchmark baseline, and the property tests
-    hold the two to bit equality.
+    paths are interchangeable, and the property tests hold the two to bit
+    equality.
     """
     count = len(jobs_models)
     if count == 0:
@@ -579,15 +578,10 @@ class RunningSetPowerAggregator:
     """
 
     def __init__(
-        self,
-        model: SystemPowerModel,
-        resource_manager: ResourceManager,
-        *,
-        batch_states: bool = True,
+        self, model: SystemPowerModel, resource_manager: ResourceManager
     ) -> None:
         self._model = model
         self._rm = resource_manager
-        self._batch_states = batch_states
         self._epoch: int | None = None
         self._journal_cursor = 0
         self._states: dict[int, _JobPowerState] = {}
@@ -683,14 +677,13 @@ class RunningSetPowerAggregator:
 
         The default path consumes the resource manager's allocate/release
         journal — O(changes) regardless of the running-set size — and hands
-        every started job to the batched state builder in one pass. When
-        the journal cannot answer (a second consumer drained it, cold start
-        after a capped buffer) or batching is disabled
-        (``batch_states=False``, the differential baseline), the historical
-        full set-diff against :attr:`ResourceManager.running_by_id` runs
-        instead; both paths add and remove the same per-job contributions,
-        so they only differ in float add/subtract association order (well
-        below the engine's 1e-9 equivalence gates).
+        every started job to the state builder in one pass. When the
+        journal cannot answer (a second consumer drained it, cold start
+        after a capped buffer) a full set-diff against
+        :attr:`ResourceManager.running_by_id` runs instead; both paths add
+        and remove the same per-job contributions, so they only differ in
+        float add/subtract association order (well below the engine's 1e-9
+        equivalence gates).
         """
         self.membership_syncs += 1
         running = self._rm.running_by_id
@@ -699,7 +692,6 @@ class RunningSetPowerAggregator:
         )
         if entries is None:
             self.journal_resyncs += 1
-        if entries is None or not self._batch_states:
             ended_ids = sorted(self._states.keys() - running.keys())
             started_jobs = [
                 running[job_id]
@@ -753,14 +745,12 @@ class RunningSetPowerAggregator:
     ) -> list[_JobPowerState]:
         """Construct the power states of jobs that just entered the running set.
 
-        Extracted from :meth:`_sync_membership` as the one overridable seam:
-        subclasses that already hold prebuilt grids (the batch engine's
-        :class:`~repro.engine.batch.PrebuiltPowerStateAggregator`) substitute
-        their pool here, and the batched/per-job choice stays in one place.
-        Both built-in paths produce bit-identical arrays (contract of
-        :func:`build_power_states`).
+        Several jobs starting in one refresh share one vectorised
+        :func:`build_power_states` pass; a job starting alone takes the
+        cheaper :meth:`_JobPowerState.for_job`. Both produce bit-identical
+        arrays (contract of :func:`build_power_states`).
         """
-        if self._batch_states and len(started_jobs) > 1:
+        if len(started_jobs) > 1:
             self.batched_builds += 1
             return build_power_states(
                 [

@@ -74,17 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size",
         type=int,
         default=8,
-        help="tasks per pool submission (default: 8)",
-    )
-    run_p.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "group up to N seed replicas of one request into a single "
-            "in-process Monte Carlo batch task (default: 1 = no batching)"
-        ),
+        help="runs per pool submission (default: 8)",
     )
     run_p.add_argument(
         "--no-resume",
@@ -186,7 +176,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.store,
         workers=args.workers,
         chunk_size=args.chunk_size,
-        batch_size=args.batch_size,
         resume=not args.no_resume,
         heartbeat_interval_s=heartbeat,
     )
@@ -195,9 +184,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"sweep {outcome.sweep!r}: {outcome.total} runs "
             f"({outcome.skipped} resumed, {outcome.completed} completed, "
             f"{outcome.failed} failed) in {outcome.wall_s:.1f}s "
-            f"[{outcome.runs_per_s:.2f} runs/s] "
-            f"tasks: {outcome.batched_tasks} batched + "
-            f"{outcome.per_run_tasks} per-run"
+            f"[{outcome.runs_per_s:.2f} runs/s]"
         )
     return 0 if outcome.failed == 0 else 1
 

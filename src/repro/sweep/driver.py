@@ -13,14 +13,6 @@ Design points:
   serialisation contract the store depends on is exercised by every task),
   and subsequent requests that differ only in their seed are derived from
   the parsed one with :func:`dataclasses.replace`.
-* **Monte Carlo replicas share one batched task.** With ``batch_size > 1``,
-  pending requests that are identical except for their seed are grouped —
-  up to ``batch_size`` per group — into a single task executed by the
-  in-process batch kernel (:func:`repro.engine.run_batch`): one shared
-  system/power-model pool and one power-state build. Each replica still
-  ships its own outcome and progress beats, so the store and resume
-  semantics are identical to the per-run path.
-  Requests with no compatible partner fall back to per-run tasks unchanged.
 * **Chunked dispatch.** One pool task executes ``chunk_size`` runs back to
   back, amortising task overhead on short runs while keeping failure and
   progress granularity per run.
@@ -47,7 +39,6 @@ Design points:
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 import traceback
@@ -55,11 +46,10 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from dataclasses import dataclass, replace
 from pathlib import Path
 from queue import Empty
-from typing import IO, TYPE_CHECKING, Callable, Mapping, Union
+from typing import IO, TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from ..engine.batch import run_batch
 from ..exceptions import ConfigurationError
 from ..obs import Observability, ProgressReporter
 from .request import RunRequest, run_request
@@ -81,11 +71,6 @@ class SweepOutcome:
     found already completed; ``executed = completed + failed`` the runs
     this invocation actually performed. ``stopped_early`` is only set by
     the test-oriented ``stop_after_runs`` kill switch.
-
-    ``batched_tasks`` / ``per_run_tasks`` describe how the pending runs
-    were dispatched: a batched task executes 2..``batch_size`` seed
-    replicas of one request on the in-process batch kernel; a per-run task
-    executes exactly one run. With ``batch_size=1`` every task is per-run.
     """
 
     sweep: str
@@ -97,8 +82,6 @@ class SweepOutcome:
     stopped_early: bool
     wall_s: float
     runs_per_s: float
-    batched_tasks: int = 0
-    per_run_tasks: int = 0
 
 
 @dataclass(frozen=True)
@@ -122,22 +105,6 @@ class _RunOutcome:
     summary: dict[str, float] | None
     error: str | None
     wall_s: float
-
-
-@dataclass(frozen=True)
-class _BatchPayload:
-    """A batched task: seed replicas of one request, run on the batch kernel.
-
-    Grouping guarantees every member's request dict is identical except for
-    its ``seed``, which is exactly the compatibility contract of
-    :func:`repro.engine.run_batch`.
-    """
-
-    payloads: tuple[_RunPayload, ...]
-
-
-#: One unit of worker dispatch: a single run or a batched replica group.
-_Task = Union[_RunPayload, _BatchPayload]
 
 
 @dataclass(frozen=True)
@@ -196,67 +163,6 @@ def _execute_one(
         )
 
 
-def _execute_batch(batch: _BatchPayload, queue: "Queue[object]") -> None:
-    """Run one batched replica group, shipping per-replica outcomes.
-
-    One :func:`repro.engine.run_batch` call executes every seed replica of
-    the group in-process; each replica gets its own throttled
-    :class:`~repro.obs.ProgressReporter` whose beats carry that replica's
-    run id, so the parent's heartbeat sees batched runs exactly like
-    per-run ones. A failure anywhere in the batch fails every replica of
-    the group (they share one kernel invocation), with the traceback
-    recorded on each row. Per-replica ``wall_s`` is the batch wall time
-    amortised over the group — individual replicas are interleaved on one
-    loop, so no finer attribution exists.
-    """
-    start = time.monotonic()
-    payloads = batch.payloads
-    try:
-        request = RunRequest.from_json_dict(payloads[0].request)
-        seeds = [int(payload.request["seed"]) for payload in payloads]  # type: ignore[arg-type]
-        reporters: list[ProgressReporter | None] | None = None
-        interval_s = payloads[0].progress_interval_s
-        if interval_s is not None:
-
-            def _replica_beat(run_id: str) -> "Callable[[object], None]":
-                def _beat(snapshot: object) -> None:
-                    fraction = getattr(snapshot, "fraction_done", None)
-                    if fraction is not None:
-                        queue.put(_ProgressBeat(run_id=run_id, fraction=fraction))
-
-                return _beat
-
-            reporters = [
-                ProgressReporter(interval_s, callback=_replica_beat(payload.run_id))
-                for payload in payloads
-            ]
-        results = run_batch(request, seeds, progress=reporters)
-        wall_s = (time.monotonic() - start) / len(payloads)
-        for payload, result in zip(payloads, results):
-            queue.put(
-                _RunOutcome(
-                    run_id=payload.run_id,
-                    status="completed",
-                    summary=result.summary(),
-                    error=None,
-                    wall_s=wall_s,
-                )
-            )
-    except Exception:
-        error = traceback.format_exc()
-        wall_s = (time.monotonic() - start) / len(payloads)
-        for payload in payloads:
-            queue.put(
-                _RunOutcome(
-                    run_id=payload.run_id,
-                    status="failed",
-                    summary=None,
-                    error=error,
-                    wall_s=wall_s,
-                )
-            )
-
-
 def _equal_except_seed(
     a: Mapping[str, object], b: Mapping[str, object]
 ) -> bool:
@@ -266,22 +172,17 @@ def _equal_except_seed(
     return all(a[key] == b[key] for key in a if key != "seed")
 
 
-def _execute_chunk(tasks: tuple[_Task, ...], queue: "Queue[object]") -> None:
-    """Pool task: run a chunk of tasks, shipping each outcome as it lands.
+def _execute_chunk(tasks: tuple[_RunPayload, ...], queue: "Queue[object]") -> None:
+    """Pool task: run a chunk of runs, shipping each outcome as it lands.
 
-    The request JSON is parsed once per chunk: the first per-run payload
-    takes the full ``from_json_dict`` round-trip (keeping the
-    serialisation contract exercised by every task), and later payloads
-    that differ only in their seed reuse the parsed request via
-    ``dataclasses.replace``. Batched tasks parse their own first payload —
-    the same one-round-trip-per-task discipline.
+    The request JSON is parsed once per chunk: the first payload takes the
+    full ``from_json_dict`` round-trip (keeping the serialisation contract
+    exercised by every task), and later payloads that differ only in their
+    seed reuse the parsed request via ``dataclasses.replace``.
     """
     base_dict: Mapping[str, object] | None = None
     base_request: RunRequest | None = None
     for task in tasks:
-        if isinstance(task, _BatchPayload):
-            _execute_batch(task, queue)
-            continue
         request: RunRequest | None = None
         if base_request is not None and base_dict is not None:
             if _equal_except_seed(base_dict, task.request):
@@ -297,50 +198,9 @@ def _execute_chunk(tasks: tuple[_Task, ...], queue: "Queue[object]") -> None:
         queue.put(_execute_one(task, queue, request))
 
 
-def _task_payloads(task: _Task) -> tuple[_RunPayload, ...]:
-    return task.payloads if isinstance(task, _BatchPayload) else (task,)
-
-
-def _group_tasks(
-    pending: list[SweepRun],
-    payloads: Mapping[str, _RunPayload],
-    batch_size: int,
-) -> tuple[list[_Task], int, int]:
-    """Group compatible pending runs into batched tasks.
-
-    Runs whose request dicts are identical except for their seed share a
-    group; each group is sliced into batched tasks of up to ``batch_size``
-    replicas, and any leftover singleton (or any run with no compatible
-    partner) becomes an ordinary per-run task. Returns the task list plus
-    ``(batched_tasks, per_run_tasks)`` counts. Group order follows first
-    appearance in ``pending``, so ``batch_size=1`` preserves the exact
-    pre-batching dispatch order.
-    """
-    if batch_size <= 1:
-        return [payloads[run.run_id] for run in pending], 0, len(pending)
-    groups: dict[str, list[_RunPayload]] = {}
-    for run in pending:
-        payload = payloads[run.run_id]
-        key = json.dumps(
-            {k: v for k, v in payload.request.items() if k != "seed"},
-            sort_keys=True,
-        )
-        groups.setdefault(key, []).append(payload)
-    tasks: list[_Task] = []
-    batched_tasks = per_run_tasks = 0
-    for group in groups.values():
-        for start in range(0, len(group), batch_size):
-            chunk = group[start : start + batch_size]
-            if len(chunk) >= 2:
-                tasks.append(_BatchPayload(tuple(chunk)))
-                batched_tasks += 1
-            else:
-                tasks.append(chunk[0])
-                per_run_tasks += 1
-    return tasks, batched_tasks, per_run_tasks
-
-
-def _chunks(items: list[_Task], size: int) -> list[tuple[_Task, ...]]:
+def _chunks(
+    items: list[_RunPayload], size: int
+) -> list[tuple[_RunPayload, ...]]:
     return [tuple(items[i : i + size]) for i in range(0, len(items), size)]
 
 
@@ -417,7 +277,7 @@ def _record_outcome(
 
 
 def _run_serial(
-    tasks: list[_Task],
+    tasks: list[_RunPayload],
     store: ResultsStore,
     heartbeat: _Heartbeat,
     by_id: Mapping[str, SweepRun],
@@ -464,7 +324,6 @@ def run_sweep(
     *,
     workers: int | None = None,
     chunk_size: int = 8,
-    batch_size: int = 1,
     resume: bool = True,
     heartbeat_interval_s: float | None = 10.0,
     progress_interval_s: float | None = None,
@@ -485,16 +344,7 @@ def run_sweep(
         with no pool — the single-process baseline the throughput benchmark
         compares against.
     chunk_size:
-        Tasks per pool submission (a batched task counts as one).
-    batch_size:
-        Maximum seed replicas executed per batched task. ``1`` (the
-        default) disables batching; ``> 1`` groups pending requests that
-        are identical except for their seed onto the in-process Monte
-        Carlo kernel (:func:`repro.engine.run_batch`), which shares the
-        system config, power model and power-state construction across the
-        group. Stored results are identical (within 1e-9 per metric, and
-        bit-identical in practice) to a ``batch_size=1`` sweep; requests
-        with no compatible partner run on the per-run path unchanged.
+        Runs per pool submission.
     resume:
         Skip run ids already stored as completed. Failed rows are always
         retried. ``False`` re-executes (and overwrites) everything.
@@ -519,8 +369,6 @@ def run_sweep(
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if stop_after_runs is not None and stop_after_runs < 0:
         raise ConfigurationError("stop_after_runs must be >= 0")
 
@@ -542,8 +390,8 @@ def run_sweep(
             order = np.random.default_rng(shuffle_seed).permutation(len(pending))
             pending = [pending[int(i)] for i in order]
 
-        payloads = {
-            run.run_id: _RunPayload(
+        tasks = [
+            _RunPayload(
                 run_id=run.run_id,
                 sweep=run.sweep,
                 run_index=run.run_index,
@@ -552,7 +400,7 @@ def run_sweep(
                 progress_interval_s=progress_interval_s,
             )
             for run in pending
-        }
+        ]
         heartbeat = _Heartbeat(
             spec.name,
             len(runs),
@@ -560,10 +408,6 @@ def run_sweep(
             stream if heartbeat_interval_s is not None else None,
         )
         heartbeat.done = skipped
-
-        tasks, batched_tasks, per_run_tasks = _group_tasks(
-            pending, payloads, batch_size
-        )
 
         if workers == 1 or not pending:
             completed, failed, stopped = _run_serial(
@@ -593,13 +437,11 @@ def run_sweep(
         stopped_early=stopped,
         wall_s=wall_s,
         runs_per_s=executed / wall_s if wall_s > 0 else 0.0,
-        batched_tasks=batched_tasks,
-        per_run_tasks=per_run_tasks,
     )
 
 
 def _run_pooled(
-    tasks: list[_Task],
+    tasks: list[_RunPayload],
     pending_count: int,
     store: ResultsStore,
     heartbeat: _Heartbeat,
@@ -617,40 +459,38 @@ def _run_pooled(
     reported: set[str] = set()
 
     def _reap_dead_chunk(
-        chunk: tuple[_Task, ...], error: BaseException
+        chunk: tuple[_RunPayload, ...], error: BaseException
     ) -> int:
         """Record every unreported run of a chunk whose task died wholesale.
 
         Covers worker crashes / ``BrokenProcessPool``: the runs never got
-        to report, and silence is not an option for a warehouse. Batched
-        tasks reap every replica of the group.
+        to report, and silence is not an option for a warehouse.
         """
         count = 0
-        for task in chunk:
-            for payload in _task_payloads(task):
-                if payload.run_id in reported:
-                    continue
-                _record_outcome(
-                    store,
-                    by_id[payload.run_id],
-                    _RunOutcome(
-                        run_id=payload.run_id,
-                        status="failed",
-                        summary=None,
-                        error=f"chunk task died before the run reported: {error!r}",
-                        wall_s=0.0,
-                    ),
-                )
-                reported.add(payload.run_id)
-                heartbeat.on_done(payload.run_id)
-                count += 1
+        for payload in chunk:
+            if payload.run_id in reported:
+                continue
+            _record_outcome(
+                store,
+                by_id[payload.run_id],
+                _RunOutcome(
+                    run_id=payload.run_id,
+                    status="failed",
+                    summary=None,
+                    error=f"chunk task died before the run reported: {error!r}",
+                    wall_s=0.0,
+                ),
+            )
+            reported.add(payload.run_id)
+            heartbeat.on_done(payload.run_id)
+            count += 1
         return count
 
     try:
         queue: "Queue[object]" = _results_queue(manager)
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            future_chunks: dict[Future[None], tuple[_Task, ...]] = {
+            future_chunks: dict[Future[None], tuple[_RunPayload, ...]] = {
                 pool.submit(_execute_chunk, chunk, queue): chunk
                 for chunk in _chunks(tasks, chunk_size)
             }

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 from typing import Any, Mapping
 
 from ..config import get_system_config
@@ -69,8 +71,24 @@ _SPEC_TUPLE_FIELDS = (
 )
 
 
-def _dataclass_from_dict(cls: type, data: Mapping[str, object], label: str) -> Any:
+#: Keys a request dict may carry for engine flags that no longer exist. The
+#: run id hashes the dict, so every request still writes them as ``true``;
+#: ``false`` would name a run this engine cannot reproduce.
+_RETIRED_FLAGS = ("event_index", "vectorized")
+
+
+def _json_object(data: object, label: str) -> Mapping[str, object]:
+    """``data`` as a JSON object, or a :class:`ConfigurationError`."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"{label} must be a JSON object, got {type(data).__name__}"
+        )
+    return data
+
+
+def _dataclass_from_dict(cls: type, data: object, label: str) -> Any:
     """Rebuild a flat (non-nested) spec dataclass, rejecting unknown keys."""
+    data = _json_object(data, label)
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:
@@ -103,8 +121,9 @@ def workload_spec_to_dict(spec: WorkloadSpec) -> dict[str, object]:
     return payload
 
 
-def workload_spec_from_dict(data: Mapping[str, object]) -> WorkloadSpec:
+def workload_spec_from_dict(data: object) -> WorkloadSpec:
     """Rebuild a :class:`WorkloadSpec` from its JSON dict form."""
+    data = _json_object(data, "WorkloadSpec")
     known = {f.name for f in fields(WorkloadSpec)}
     unknown = sorted(set(data) - known)
     if unknown:
@@ -115,18 +134,18 @@ def workload_spec_from_dict(data: Mapping[str, object]) -> WorkloadSpec:
     kwargs: dict[str, Any] = dict(data)
     if "sizes" in kwargs:
         kwargs["sizes"] = _dataclass_from_dict(
-            JobSizeDistribution, dict(kwargs["sizes"]), "JobSizeDistribution"
+            JobSizeDistribution, kwargs["sizes"], "JobSizeDistribution"
         )
     if "runtimes" in kwargs:
         kwargs["runtimes"] = _dataclass_from_dict(
-            RuntimeDistribution, dict(kwargs["runtimes"]), "RuntimeDistribution"
+            RuntimeDistribution, kwargs["runtimes"], "RuntimeDistribution"
         )
     if "users" in kwargs:
         kwargs["users"] = _dataclass_from_dict(
-            UserPopulation, dict(kwargs["users"]), "UserPopulation"
+            UserPopulation, kwargs["users"], "UserPopulation"
         )
     if "arrivals" in kwargs:
-        arrival_data = dict(kwargs["arrivals"])
+        arrival_data = dict(_json_object(kwargs["arrivals"], "arrivals"))
         kind = arrival_data.pop("kind", None)
         if kind not in _ARRIVAL_KINDS:
             raise ConfigurationError(
@@ -140,6 +159,27 @@ def workload_spec_from_dict(data: Mapping[str, object]) -> WorkloadSpec:
         if name in kwargs:
             kwargs[name] = tuple(kwargs[name])
     return WorkloadSpec(**kwargs)
+
+
+def _integer(value: object, label: str) -> int:
+    """``value`` as an int; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigurationError(f"{label} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _duration_s(value: object, name: str) -> float:
+    """A positive, finite number of seconds as a float."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigurationError(
+            f"RunRequest.{name} must be a number of seconds, got {value!r}"
+        )
+    seconds = float(value)
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise SimulationError(
+            f"RunRequest.{name} must be positive and finite, got {value!r}"
+        )
+    return seconds
 
 
 @dataclass(frozen=True)
@@ -166,8 +206,8 @@ class RunRequest:
         (:func:`~repro.workloads.default_workload_spec`).
     horizon_s:
         Optional hard stop for the engine clock, seconds.
-    dense_ticks / event_index / vectorized:
-        The engine's sampling / complexity flags, defaulted like the engine.
+    dense_ticks:
+        Force one sample per grid tick, as in the engine.
     signals:
         Optional :class:`~repro.power.signals.OperatingSignals` (or its
         JSON dict form) — power cap, electricity price and carbon
@@ -184,29 +224,23 @@ class RunRequest:
     spec: WorkloadSpec | None = None
     horizon_s: float | None = None
     dense_ticks: bool = False
-    event_index: bool = True
-    vectorized: bool = True
     signals: OperatingSignals | None = None
 
     def __post_init__(self) -> None:
         if not self.system or not isinstance(self.system, str):
             raise ConfigurationError("RunRequest.system must be a registered system name")
-        if self.duration_s <= 0:
-            raise SimulationError(
-                f"RunRequest.duration_s must be positive, got {self.duration_s!r}"
-            )
-        if self.horizon_s is not None and self.horizon_s <= 0:
-            raise SimulationError(
-                f"RunRequest.horizon_s must be positive, got {self.horizon_s!r}"
+        if not isinstance(self.dense_ticks, bool):
+            raise ConfigurationError(
+                f"RunRequest.dense_ticks must be true or false, got {self.dense_ticks!r}"
             )
         # Canonicalise the numeric fields: the run id hashes the JSON form,
         # and json.dumps renders int 3600 and float 3600.0 differently, so
         # equal requests built from "1h" (int) and 3600.0 (float) would
         # otherwise hash apart. frozen=True requires the direct setattr.
-        object.__setattr__(self, "duration_s", float(self.duration_s))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "duration_s", _duration_s(self.duration_s, "duration_s"))
+        object.__setattr__(self, "seed", _integer(self.seed, "RunRequest.seed"))
         if self.horizon_s is not None:
-            object.__setattr__(self, "horizon_s", float(self.horizon_s))
+            object.__setattr__(self, "horizon_s", _duration_s(self.horizon_s, "horizon_s"))
         if self.signals is not None and not isinstance(self.signals, OperatingSignals):
             object.__setattr__(
                 self, "signals", OperatingSignals.from_json_dict(self.signals)
@@ -225,8 +259,7 @@ class RunRequest:
             "spec": None if self.spec is None else workload_spec_to_dict(self.spec),
             "horizon_s": self.horizon_s,
             "dense_ticks": self.dense_ticks,
-            "event_index": self.event_index,
-            "vectorized": self.vectorized,
+            **dict.fromkeys(_RETIRED_FLAGS, True),
         }
         # Serialised by omission when absent: the run id hashes this dict,
         # and a "signals": null key would re-hash every historical request.
@@ -235,16 +268,23 @@ class RunRequest:
         return payload
 
     @classmethod
-    def from_json_dict(cls, data: Mapping[str, object]) -> "RunRequest":
+    def from_json_dict(cls, data: object) -> "RunRequest":
         """Rebuild a request from :meth:`to_json_dict` output."""
+        data = _json_object(data, "RunRequest")
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - known - set(_RETIRED_FLAGS))
         if unknown:
             raise ConfigurationError(
                 f"unknown RunRequest field(s) {', '.join(unknown)}; known: "
                 + ", ".join(sorted(known))
             )
         kwargs: dict[str, Any] = dict(data)
+        for flag in _RETIRED_FLAGS:
+            if kwargs.pop(flag, True) is not True:
+                raise ConfigurationError(
+                    f"RunRequest.{flag} must be true: the engine has no "
+                    f"{flag}=false path any more"
+                )
         spec_data = kwargs.get("spec")
         if spec_data is not None:
             kwargs["spec"] = workload_spec_from_dict(spec_data)
@@ -302,8 +342,6 @@ def run_request(
         seed=request.seed,
         horizon_s=request.horizon_s,
         dense_ticks=request.dense_ticks,
-        event_index=request.event_index,
-        vectorized=request.vectorized,
         signals=request.signals,
         obs=obs,
     )

@@ -45,7 +45,12 @@ from ..workloads import (
     busy_trace_spec,
     frontier_scale_spec,
 )
-from .request import RunRequest, workload_spec_from_dict, workload_spec_to_dict
+from .request import (
+    RunRequest,
+    _integer,
+    workload_spec_from_dict,
+    workload_spec_to_dict,
+)
 
 __all__ = [
     "SweepRun",
@@ -168,10 +173,19 @@ class SweepSpec:
             raise ConfigurationError(
                 "n_seeds (spawned) and seeds (explicit) are mutually exclusive"
             )
-        if self.n_seeds is not None and self.n_seeds < 1:
+        if self.n_seeds is not None and _integer(self.n_seeds, "n_seeds") < 1:
             raise ConfigurationError("n_seeds must be >= 1")
-        if self.seeds is not None and not self.seeds:
-            raise ConfigurationError("explicit seeds must be non-empty")
+        if self.seeds is not None:
+            if not self.seeds:
+                raise ConfigurationError("explicit seeds must be non-empty")
+            for seed in self.seeds:
+                _integer(seed, "each explicit seed")
+        if _integer(self.root_seed, "root_seed") < 0:
+            raise ConfigurationError("root_seed must be >= 0")
+        if not isinstance(self.dense_ticks, bool):
+            raise ConfigurationError(
+                f"sweep dense_ticks must be true or false, got {self.dense_ticks!r}"
+            )
         if not self.power_caps:
             raise ConfigurationError("sweep axis 'power_caps' must be non-empty")
         for cap in self.power_caps:
@@ -372,11 +386,16 @@ class SweepSpec:
             str(name): workload_spec_from_dict(spec_dict)
             for name, spec_dict in custom_raw.items()
         }
-        for axis in ("systems", "policies", "workloads", "power_caps"):
-            if axis in payload:
-                payload[axis] = tuple(payload[axis])
-        if payload.get("seeds") is not None:
-            payload["seeds"] = tuple(int(s) for s in payload["seeds"])
+        for axis in ("systems", "policies", "workloads", "power_caps", "seeds"):
+            values = payload.get(axis)
+            if values is None:
+                continue
+            # A bare string is iterable too: "tiny" would become t, i, n, y.
+            if not isinstance(values, (list, tuple)):
+                raise ConfigurationError(
+                    f"sweep {axis} must be a list, got {values!r}"
+                )
+            payload[axis] = tuple(values)
         try:
             return cls(**payload)  # type: ignore[arg-type]
         except TypeError as exc:

@@ -12,6 +12,7 @@ dataloaders.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Union
 
@@ -80,6 +81,8 @@ def parse_duration(value: DurationLike, *, default: int | None = None) -> int:
             raise ConfigurationError("duration is required but was None")
         return int(default)
     if isinstance(value, (int, float)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"duration must be finite, got {value!r}")
         if value < 0:
             raise ConfigurationError(f"duration must be non-negative, got {value!r}")
         return int(round(value))

@@ -169,10 +169,9 @@ def burst_arrival_spec() -> WorkloadSpec:
     wave), with short multi-phase piecewise-constant profiles
     (``sample_noise=0.0``), so the dominant per-event cost is constructing
     thousands of job power states at once — exactly the path the engine's
-    batched job-start construction exists for, and the differential the
-    ``engine_burst_arrival`` benchmark measures batched vs per-job. Shared
-    by ``scripts/bench_engine.py`` and the burst-arrival equivalence tests
-    so the two can never drift apart.
+    batched job-start construction exists for. Shared by
+    ``scripts/bench_engine.py`` and the burst-arrival equivalence tests so
+    the two can never drift apart.
     """
     return WorkloadSpec(
         sizes=JobSizeDistribution(min_nodes=1, max_nodes=4),

@@ -7,9 +7,11 @@ relying on package-relative imports.
 
 from __future__ import annotations
 
+from repro.power import RunningSetPowerAggregator
+from repro.power.system_power import _JobPowerState
 from repro.telemetry import Job, Profile, constant_profile
 
-__all__ = ["make_job"]
+__all__ = ["PerJobStatesAggregator", "make_job"]
 
 
 def make_job(
@@ -54,3 +56,21 @@ def make_job(
         mem_util=mem_profile if mem_profile is not None else constant_profile(mem, duration),
         node_power=node_power,
     )
+
+
+class PerJobStatesAggregator(RunningSetPowerAggregator):
+    """Reference aggregator: every started job's state built by ``for_job``.
+
+    The engine's aggregator builds the states of jobs starting together in
+    one vectorised :func:`~repro.power.system_power.build_power_states`
+    pass. Swap this one into an engine before ``run()`` to get the per-job
+    construction it must agree with.
+    """
+
+    def _build_states(
+        self, started_jobs: list[Job], now: float
+    ) -> list[_JobPowerState]:
+        return [
+            _JobPowerState.for_job(job, self._model.node_model(job.partition), now)
+            for job in started_jobs
+        ]

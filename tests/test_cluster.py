@@ -367,27 +367,26 @@ class TestEndTimeHeap:
         assert rm.complete_finished_jobs(900.0) == [long]
 
     def test_scan_and_heap_paths_release_identically(self, tiny_system):
-        # scan_completions is the benchmark's comparison baseline: both
-        # paths must release the same jobs in the same order at the same
-        # end times.
-        def run(scan):
-            rm = ResourceManager(tiny_system)
-            rm.scan_completions = scan
-            jobs = [
-                _allocate(rm, make_job(nodes=1, duration=d))
-                for d in (300.0, 100.0, 300.0, 777.25)
-            ]
-            index_of = {job.job_id: i for i, job in enumerate(jobs)}
-            released = []
-            rm.release(jobs[1], 50.0)  # early release -> stale entry
-            for now in (0.0, 299.0, 300.0, 800.0):
-                released.extend(
-                    (now, index_of[j.job_id], j.sim_end_time)
-                    for j in rm.complete_finished_jobs(now)
-                )
-            return released
-
-        assert run(scan=False) == run(scan=True)
+        # The end-time heap must release exactly what a scan of the running
+        # set finds due: the same jobs, in job-id order, at the same end
+        # times.
+        rm = ResourceManager(tiny_system)
+        jobs = [
+            _allocate(rm, make_job(nodes=1, duration=d))
+            for d in (300.0, 100.0, 300.0, 777.25)
+        ]
+        rm.release(jobs[1], 50.0)  # early release -> stale entry
+        released_total = 0
+        for now in (0.0, 299.0, 300.0, 800.0):
+            scanned = sorted(
+                (job.job_id, job.sim_start_time + job.duration)
+                for job in rm.running_by_id.values()
+                if job.sim_start_time + job.duration <= now
+            )
+            released = rm.complete_finished_jobs(now)
+            assert [(j.job_id, j.sim_end_time) for j in released] == scanned
+            released_total += len(released)
+        assert released_total == 3
 
     @given(
         plan=st.lists(

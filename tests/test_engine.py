@@ -349,27 +349,71 @@ class TestEventDrivenEquivalence:
         _summaries_equal(sparse.summary(), dense.summary())
 
 
+def _run_with_scanned_indexes(system, jobs, policy, seed):
+    """Run with every event-index answer checked against a running-set scan.
+
+    The resource manager's end-time heap and the power aggregator's
+    breakpoint heap replace O(R) scans of the running set. At every
+    coalescing decision the heaps must name exactly the earliest job end
+    and profile change the scan finds, and every release must free exactly
+    the scanned due set in job-id order. Returns the result and the number
+    of checked steps.
+    """
+    engine = SimulationEngine(
+        system, [j.copy_for_simulation() for j in jobs], policy, seed=seed
+    )
+    rm = engine.resource_manager
+    coalesced_dt = engine._coalesced_dt
+    complete_finished_jobs = rm.complete_finished_jobs
+    checked = 0
+
+    def checked_coalesced_dt(now, timestep):
+        nonlocal checked
+        running = list(rm.running_by_id.values())
+        ends = [job.sim_start_time + job.duration for job in running]
+        assert rm.next_job_end() == min(ends, default=None)
+        changes = [
+            change
+            for job in running
+            if (change := job.next_power_change_after(now)) is not None
+        ]
+        assert engine.power_aggregator.next_breakpoint_after(now) == min(
+            changes, default=None
+        )
+        checked += 1
+        return coalesced_dt(now, timestep)
+
+    def checked_complete_finished_jobs(now):
+        due = sorted(
+            job.job_id
+            for job in rm.running_by_id.values()
+            if job.sim_start_time + job.duration <= now
+        )
+        released = complete_finished_jobs(now)
+        assert [job.job_id for job in released] == due
+        return released
+
+    engine._coalesced_dt = checked_coalesced_dt
+    rm.complete_finished_jobs = checked_complete_finished_jobs
+    result = engine.run()
+    unchecked = SimulationEngine(
+        system, [j.copy_for_simulation() for j in jobs], policy, seed=seed
+    ).run()
+    assert result.summary() == unchecked.summary()
+    return result, checked
+
+
 class TestEventIndexEquivalence:
     """The O(log R) event indexes must change complexity, never semantics."""
 
     def test_scan_path_matches_heap_path_exactly(self, tiny_system):
-        # event_index=False restores the O(R) running-set scans; on the
-        # breakpoint-dense busy trace both paths must produce the exact
-        # same summary — including the step count — not merely 1e-9-close.
+        # The breakpoint-dense busy trace: the heaps must agree with the
+        # scan at every step, not merely give a 1e-9-close summary.
         jobs = SyntheticWorkloadGenerator(
             tiny_system, busy_trace_spec(), seed=7
         ).generate(6 * 3600.0)
-        heap = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], "backfill", seed=7
-        ).run()
-        scan = SimulationEngine(
-            tiny_system,
-            [j.copy_for_simulation() for j in jobs],
-            "backfill",
-            seed=7,
-            event_index=False,
-        ).run()
-        assert heap.summary() == scan.summary()
+        _, checked = _run_with_scanned_indexes(tiny_system, jobs, "backfill", 7)
+        assert checked > 0
 
     @pytest.mark.parametrize("policy", ["replay", "fcfs"])
     def test_scan_path_matches_for_other_policies(self, tiny_system, policy):
@@ -377,36 +421,24 @@ class TestEventIndexEquivalence:
             tiny_system, default_workload_spec(tiny_system), seed=19
         )
         jobs = generator.generate(4 * 3600.0)
-        heap = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], policy, seed=19
-        ).run()
-        scan = SimulationEngine(
-            tiny_system,
-            [j.copy_for_simulation() for j in jobs],
-            policy,
-            seed=19,
-            event_index=False,
-        ).run()
-        assert heap.summary() == scan.summary()
+        _, checked = _run_with_scanned_indexes(tiny_system, jobs, policy, 19)
+        assert checked > 0
 
     def test_frontier_scale_spec_heap_vs_scan(self):
         # A one-hour slice of the frontier-scale benchmark workload (the
         # benchmark itself runs 12 h): >= 1000 concurrently running jobs,
-        # and the heap-indexed engine must agree with the scan engine
-        # exactly. Shares frontier_scale_spec with scripts/bench_engine.py
-        # so the regression test and the benchmark can never drift apart.
+        # and the heaps must agree with the scan at every step. Shares
+        # frontier_scale_spec with scripts/bench_engine.py so the
+        # regression test and the benchmark can never drift apart.
         from repro.workloads import frontier_scale_spec
 
         system = get_system_config("frontier")
         jobs = SyntheticWorkloadGenerator(
             system, frontier_scale_spec(), seed=3
         ).generate(3600.0)
-        heap = SimulationEngine(system, jobs, "backfill", seed=3).run()
-        scan = SimulationEngine(
-            system, jobs, "backfill", seed=3, event_index=False
-        ).run()
-        assert heap.summary() == scan.summary()
-        assert max(t.running_jobs for t in heap.stats.ticks) >= 1000
+        result, checked = _run_with_scanned_indexes(system, jobs, "backfill", 3)
+        assert checked > 0
+        assert max(t.running_jobs for t in result.stats.ticks) >= 1000
 
     def test_end_heap_drains_after_run(self, tiny_system, tiny_workload):
         # After a full backfill run (plenty of epoch churn) the end-time

@@ -19,7 +19,7 @@ from repro.power import (
 )
 from repro.telemetry import Profile, constant_profile
 
-from helpers import make_job
+from helpers import PerJobStatesAggregator, make_job
 
 
 class TestNodePowerModel:
@@ -230,10 +230,10 @@ def _profile_from(draw_values, duration):
 class TestBatchedPowerStates:
     """Batched and per-job _JobPowerState construction must be bit-identical.
 
-    The engine's ``vectorized`` flag only switches between these two paths,
-    so bit equality here (grids, powers, weighted utilizations, cached
-    current values and next-change bounds) is what guarantees the
-    batched-vs-per-job benchmark gate can never drift.
+    The aggregator builds the states of jobs starting together in one batch
+    and a job starting alone per job, so bit equality here (grids, powers,
+    weighted utilizations, cached current values and next-change bounds)
+    is what keeps the two paths interchangeable.
     """
 
     @staticmethod
@@ -362,10 +362,10 @@ class TestBatchedPowerStates:
         from repro.cluster import ResourceManager
         from repro.power import RunningSetPowerAggregator
 
-        def run(batch):
+        def run(aggregator_cls):
             model = SystemPowerModel(tiny_system)
             rm = ResourceManager(tiny_system)
-            agg = RunningSetPowerAggregator(model, rm, batch_states=batch)
+            agg = aggregator_cls(model, rm)
             jobs = [
                 make_job(nodes=2, submit=0.0, duration=300.0 * (i + 1),
                          cpu_profile=Profile([0.0, 100.0 + i], [0.2, 0.8]))
@@ -383,7 +383,9 @@ class TestBatchedPowerStates:
         # Same op sequence either way: the only difference may be float
         # association order inside the batch, which these workloads keep
         # far below the engine's 1e-9 contract.
-        for batched_sample, perjob_sample in zip(run(True), run(False)):
+        for batched_sample, perjob_sample in zip(
+            run(RunningSetPowerAggregator), run(PerJobStatesAggregator)
+        ):
             assert batched_sample.job_power_kw == pytest.approx(
                 perjob_sample.job_power_kw, rel=1e-12, abs=1e-15
             )

@@ -31,7 +31,7 @@ from repro.workloads.distributions import (
     WaveArrivals,
 )
 
-from helpers import make_job
+from helpers import PerJobStatesAggregator, make_job
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -304,20 +304,24 @@ class TestEdgeCaseEquivalence:
 
 
 def _assert_batched_perjob_equivalent(tiny_system, jobs, policy, horizon_s=None):
-    """vectorized=True vs vectorized=False: same 1e-9 contract as dense-vs-event."""
+    """Batched vs per-job power states: same 1e-9 contract as dense-vs-event."""
     batched = SimulationEngine(
         tiny_system,
         [j.copy_for_simulation() for j in jobs],
         policy,
         horizon_s=horizon_s,
     ).run()
-    perjob = SimulationEngine(
+    engine = SimulationEngine(
         tiny_system,
         [j.copy_for_simulation() for j in jobs],
         policy,
         horizon_s=horizon_s,
-        vectorized=False,
-    ).run()
+    )
+    engine.power_aggregator = PerJobStatesAggregator(
+        engine.power_model, engine.resource_manager
+    )
+    perjob = engine.run()
+    assert engine.power_aggregator.batched_builds == 0
     batched_summary, perjob_summary = batched.summary(), perjob.summary()
     assert set(batched_summary) == set(perjob_summary)
     for key, value in perjob_summary.items():

@@ -562,10 +562,8 @@ class TestReplayOrderMemo:
         assert scheduler._ordered_queue(jobs, rm) is not first
 
     def test_schedule_results_identical_with_and_without_memo(self, tiny_system):
-        def run(vectorized):
+        def run(scheduler):
             rm = ResourceManager(tiny_system)
-            scheduler = ReplayScheduler()
-            scheduler.vectorized = vectorized
             jobs = self._queued(45.0, 30.0, 1200.0)
             started = []
             for now in (0.0, 30.0, 45.0, 60.0, 1200.0):
@@ -579,17 +577,32 @@ class TestReplayOrderMemo:
                 )
             return started
 
-        assert run(True) == run(False)
+        memoized = ReplayScheduler()
+        assert run(memoized) == run(_SortingReplayScheduler())
+        assert memoized.order_memo_hits > 0
+
+
+class _SortingReplayScheduler(ReplayScheduler):
+    """Reference replay policy: sorts the queue on every call, no memo."""
+
+    def _ordered_queue(self, queue, resource_manager):
+        return sorted(queue, key=lambda j: (j.start_time, j.job_id))
+
+
+class _ScanBackfillScheduler(BackfillScheduler):
+    """Reference EASY backfill: every reservation from the occupant scan."""
+
+    def _reserve(self, head, head_key, free_counts, resource_manager, started, now):
+        occupants = self._occupants(resource_manager, started, head_key, now)
+        return self._reservation(head, free_counts.free_in(head_key), occupants, now)
 
 
 class TestBackfillReservationIndex:
-    """The vectorized reservation (expected-release index) vs the scan."""
+    """The indexed reservation (expected-release index) vs the scan."""
 
     def _rig(self, system, running_specs, queue_specs, now):
-        def build(vectorized):
+        def build(scheduler):
             rm = ResourceManager(system)
-            scheduler = BackfillScheduler()
-            scheduler.vectorized = vectorized
             for nodes, duration, limit in running_specs:
                 job = make_job(nodes=nodes, submit=0.0, duration=duration,
                                wall_limit=limit)
@@ -606,7 +619,10 @@ class TestBackfillReservationIndex:
                 for d in scheduler.schedule(queue, rm, now)
             ]
 
-        return build(True), build(False)
+        indexed = BackfillScheduler()
+        decisions = build(indexed), build(_ScanBackfillScheduler())
+        assert indexed.reservations_indexed == indexed.reservations_computed > 0
+        return decisions
 
     def test_indexed_and_scan_reservations_agree(self, tiny_system):
         indexed, scanned = self._rig(
@@ -643,13 +659,10 @@ class TestBackfillReservationIndex:
 
     def test_partition_confined_head_uses_scan_fallback(self, two_partition_system):
         # A head restricted to a proper subset of the nodes cannot use the
-        # whole-pool index; both flag settings must take the same
-        # partition-aware decisions (the PR3 partition test re-run under
-        # vectorized=True lives in TestBackfillScheduler).
-        def run(vectorized):
+        # whole-pool index; it must take the same partition-aware decisions
+        # as the reference scan.
+        def run(scheduler):
             rm = ResourceManager(two_partition_system)
-            scheduler = BackfillScheduler()
-            scheduler.vectorized = vectorized
             running = make_job(nodes=6, partition="gpu", submit=0.0,
                                duration=3600.0, wall_limit=3600.0)
             running.mark_queued(0.0)
@@ -664,7 +677,9 @@ class TestBackfillReservationIndex:
                 job.mark_queued(job.submit_time)
             return [d.job.partition for d in scheduler.schedule(queue, rm, 60.0)]
 
-        assert run(True) == run(False) == ["cpu"]
+        default = BackfillScheduler()
+        assert run(default) == run(_ScanBackfillScheduler()) == ["cpu"]
+        assert default.reservations_indexed == 0
 
     def test_same_tick_starts_enter_the_reservation(self, tiny_system):
         # Phase-1 starts of the same tick must occupy the reservation walk

@@ -83,8 +83,6 @@ class TestRunRequest:
             spec=busy_trace_spec(),
             horizon_s=10800.0,
             dense_ticks=True,
-            event_index=False,
-            vectorized=False,
         )
         again = RunRequest.from_json(request.to_json())
         assert again == request
@@ -99,9 +97,19 @@ class TestRunRequest:
         # The id is a pure content hash — no salts, no object identity —
         # so a literal pin guards against accidental canonical-form drift
         # (which would orphan every existing results store).
-        assert RunRequest(system="tiny", seed=1).run_id == (
-            RunRequest.from_json(RunRequest(system="tiny", seed=1).to_json()).run_id
-        )
+        assert RunRequest(system="tiny", seed=1).run_id == "42acf52c4e8c743a"
+        # The canonical form still carries the retired engine flags as
+        # true; stored requests with both set round-trip to the same id.
+        payload = RunRequest(system="tiny", seed=1).to_json_dict()
+        assert payload["event_index"] is True and payload["vectorized"] is True
+        assert RunRequest.from_json_dict(payload).run_id == "42acf52c4e8c743a"
+
+    @pytest.mark.parametrize("flag", ["event_index", "vectorized"])
+    def test_retired_flag_false_rejected(self, flag: str) -> None:
+        payload = RunRequest(system="tiny", seed=1).to_json_dict()
+        payload[flag] = False
+        with pytest.raises(ConfigurationError, match=flag):
+            RunRequest.from_json_dict(payload)
 
     def test_unknown_field_rejected(self) -> None:
         with pytest.raises(ConfigurationError, match="unknown RunRequest field"):
@@ -116,6 +124,44 @@ class TestRunRequest:
             RunRequest(system="tiny", horizon_s=-1.0)
         with pytest.raises(ConfigurationError, match="system"):
             RunRequest(system="")
+
+    @pytest.mark.parametrize("field", ["duration_s", "horizon_s"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_seconds_rejected(self, field: str, value: float) -> None:
+        from repro.exceptions import SimulationError
+
+        with pytest.raises(SimulationError, match=field):
+            RunRequest(system="tiny", **{field: value})  # type: ignore[arg-type]
+
+    def test_non_bool_dense_ticks_rejected(self) -> None:
+        # "no" is truthy: accepting it would silently run dense.
+        with pytest.raises(ConfigurationError, match="dense_ticks"):
+            RunRequest(system="tiny", dense_ticks="no")  # type: ignore[arg-type]
+
+    def test_fractional_seed_rejected(self) -> None:
+        # int(1.7) == 1 would give the request seed 1's run id.
+        with pytest.raises(ConfigurationError, match="seed"):
+            RunRequest(system="tiny", seed=1.7)  # type: ignore[arg-type]
+
+    def test_non_numeric_seed_rejected(self) -> None:
+        with pytest.raises(ConfigurationError, match="seed"):
+            RunRequest(system="tiny", seed="abc")  # type: ignore[arg-type]
+
+    def test_non_mapping_payload_rejected(self) -> None:
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            RunRequest.from_json_dict(["tiny"])
+
+    @pytest.mark.parametrize(
+        "section", ["sizes", "runtimes", "users", "arrivals", None]
+    )
+    def test_non_object_spec_section_rejected(self, section: str | None) -> None:
+        payload = RunRequest(system="tiny", spec=WorkloadSpec()).to_json_dict()
+        if section is None:
+            payload["spec"] = 5
+        else:
+            payload["spec"][section] = 5  # type: ignore[index]
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            RunRequest.from_json_dict(payload)
 
 
 class TestWorkloadSpecSerialisation:
@@ -249,6 +295,26 @@ class TestSweepSpec:
         ids_a = [run.run_id for run in spec.materialize()]
         ids_b = [run.run_id for run in loaded.materialize()]
         assert ids_a == ids_b
+
+    @pytest.mark.parametrize(
+        "axis, value", [("systems", "tiny"), ("policies", "fcfs")]
+    )
+    def test_string_axis_rejected(self, axis: str, value: str) -> None:
+        # A bare string would split into one-letter axis values.
+        data = small_spec().to_json_dict()
+        data[axis] = value
+        with pytest.raises(ConfigurationError, match=axis):
+            SweepSpec.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dense_ticks", "no"), ("n_seeds", 1.5), ("root_seed", "abc")],
+    )
+    def test_mistyped_scalar_rejected(self, field: str, value: object) -> None:
+        data = small_spec().to_json_dict()
+        data[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            SweepSpec.from_json_dict(data)
 
     def test_workload_variants_registry_materialises(self) -> None:
         for name in WORKLOAD_VARIANTS:
@@ -392,6 +458,16 @@ def assert_store_matches_fresh_runs(store_path: Path) -> int:
 
 
 class TestDriver:
+    def test_equal_except_seed(self) -> None:
+        # A chunk reuses its parsed request for payloads that differ only
+        # in their seed.
+        from repro.sweep.driver import _equal_except_seed
+
+        a = {"system": "tiny", "policy": "fcfs", "seed": 1}
+        assert _equal_except_seed(a, {**a, "seed": 9})
+        assert not _equal_except_seed(a, {**a, "policy": "backfill"})
+        assert not _equal_except_seed(a, {"system": "tiny", "seed": 1})
+
     def test_parallel_sweep_matches_direct_runs(self, tmp_path: Path) -> None:
         spec = small_spec("par")
         path = tmp_path / "par.sqlite"

@@ -138,6 +138,14 @@ class TestParseDurationErrorPaths:
         with pytest.raises(ConfigurationError, match="non-negative"):
             parse_duration(-0.5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            parse_duration(float("nan"))
+
+    def test_infinity_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            parse_duration(float("inf"))
+
     def test_none_error_mentions_requirement(self):
         with pytest.raises(ConfigurationError, match="required"):
             parse_duration(None, default=None)
