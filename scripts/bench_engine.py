@@ -84,13 +84,9 @@ Per-phase breakdown
     measured on a separate span-traced run after the timed ones, so the
     recorded wall numbers stay uninstrumented.
 
-Soft regression check
-    Before overwriting the output record, the previous ``wall_us_per_step``
-    of every benchmark is read back; any benchmark now slower than 1.5x its
-    recorded best prints a prominent warning and lands as a structured
-    entry under ``regressions`` in the output record (never a CI failure —
-    wall clock on shared runners is advisory, unlike the semantic gates
-    above).
+The wall times in the record are single-shot and host-dependent; they are
+not compared against earlier records. ``perfbench/run.py`` is the timer
+for performance comparisons.
 
 Usage::
 
@@ -134,10 +130,6 @@ GOLDEN_RTOL = 1e-6
 
 #: Relative tolerance for the dense-vs-event-driven equivalence gate.
 EQUIVALENCE_RTOL = 1e-9
-
-#: Soft regression threshold: warn when a benchmark's wall_us_per_step
-#: exceeds the previously recorded best by this factor.
-REGRESSION_WARN_FACTOR = 1.5
 
 #: (label, thunk) pairs collected by the bench functions for ``--profile``.
 #: Only populated when profiling was requested — the thunks close over whole
@@ -585,56 +577,6 @@ def _write_profiles(path: Path, top: int = 30) -> None:
     print(f"profile -> {path}")
 
 
-def _soft_regressions(previous: dict | None, record: dict) -> list[dict]:
-    """Benchmarks whose wall_us_per_step regressed > 1.5x vs the record.
-
-    Advisory only: wall clock on shared CI runners is noisy, so unlike the
-    summary-drift gates this never fails the run. Each regression is
-    returned as a structured entry — recorded under ``regressions`` in the
-    output record (so tooling can diff BENCH_engine.json revisions) and
-    printed as a warning before the record is overwritten.
-    """
-    if not previous:
-        return []
-
-    def run_of(rec: dict | None, key: str) -> dict | None:
-        if not isinstance(rec, dict):
-            return None
-        value = rec.get(key)
-        return value if isinstance(value, dict) else None
-
-    pairs = [("engine_24h_window", run_of(record, "best"), run_of(previous, "best"))]
-    for section in (
-        "idle_heavy", "busy_trace", "power_cap", "frontier_scale",
-        "burst_arrival",
-    ):
-        pairs.append((
-            f"{section} (event-driven)",
-            run_of(record.get(section), "event_driven"),
-            run_of(previous.get(section), "event_driven"),
-        ))
-    regressions = []
-    for label, new_run, old_run in pairs:
-        if not new_run or not old_run:
-            continue
-        new_us = new_run.get("wall_us_per_step")
-        old_us = old_run.get("wall_us_per_step")
-        if (
-            isinstance(new_us, (int, float))
-            and isinstance(old_us, (int, float))
-            and old_us > 0
-            and new_us > REGRESSION_WARN_FACTOR * old_us
-        ):
-            regressions.append({
-                "benchmark": label,
-                "wall_us_per_step": new_us,
-                "recorded_best_us_per_step": old_us,
-                "ratio": new_us / old_us,
-                "threshold": REGRESSION_WARN_FACTOR,
-            })
-    return regressions
-
-
 def check_golden(summary: dict, golden_path: Path) -> int:
     """Compare the benchmark summary against the committed golden record."""
     golden = json.loads(golden_path.read_text())
@@ -710,10 +652,6 @@ def main() -> int:
 
     system = get_system_config(args.system)
     output_path = Path(args.output)
-    try:
-        previous_record = json.loads(output_path.read_text())
-    except (OSError, ValueError):
-        previous_record = None
 
     window_record, window_summary = bench_24h_window(args, system)
     idle_record = bench_idle_heavy(args, system)
@@ -733,17 +671,6 @@ def main() -> int:
     record["python"] = platform.python_version()
     record["machine"] = platform.machine()
 
-    regressions = _soft_regressions(previous_record, record)
-    record["regressions"] = regressions
-    for entry in regressions:
-        print(
-            f"PERF WARNING: {entry['benchmark']} wall_us_per_step "
-            f"{entry['wall_us_per_step']:.0f} exceeds recorded best "
-            f"{entry['recorded_best_us_per_step']:.0f} by "
-            f"{entry['ratio']:.2f}x (> {entry['threshold']}x; advisory, "
-            "not a gate)",
-            file=sys.stderr,
-        )
     # Same strict-JSON convention as StatsCollector.to_json: non-finite
     # values (inf step_reduction on an empty event run, inf mean_pue on an
     # all-idle window) export as null, never as a bare Infinity token.

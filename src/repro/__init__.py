@@ -54,7 +54,7 @@ from .sweep import (
     run_request,
     run_sweep,
 )
-from .telemetry import Job, JobState, Profile, constant_profile, read_swf
+from .telemetry import Job, JobRun, JobState, Profile, constant_profile, read_swf
 from .workloads import SyntheticWorkloadGenerator, WorkloadSpec
 
 __all__ = [
@@ -95,6 +95,7 @@ __all__ = [
     "ProgressReporter",
     # workload / telemetry
     "Job",
+    "JobRun",
     "JobState",
     "Profile",
     "constant_profile",

@@ -1,4 +1,4 @@
-"""Cluster substrate: nodes and the resource manager.
+"""Cluster substrate: the resource manager and its node-owner table.
 
 The resource manager owns the node inventory and is the only component that
 mutates node allocation state. The scheduler decides *which* jobs to place
@@ -7,7 +7,6 @@ the placement, mirroring the scheduler/resource-manager split that Sec. 3.2.3
 of the paper describes as a key refactor of S-RAPS.
 """
 
-from .node import Node, NodeState
-from .resource_manager import ResourceManager
+from .resource_manager import DOWN, FREE, ResourceManager
 
-__all__ = ["Node", "NodeState", "ResourceManager"]
+__all__ = ["DOWN", "FREE", "ResourceManager"]

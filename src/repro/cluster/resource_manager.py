@@ -1,4 +1,4 @@
-"""The resource manager: node inventory, allocation and release.
+"""The resource manager: node-owner table, allocation and release.
 
 The resource manager completes placements decided by the scheduler
 (Sec. 3.2.3/3.2.4 of the paper): in replay mode the exact recorded node set
@@ -7,6 +7,13 @@ resource manager selects them. It also resolves the timing corner case the
 paper mentions — jobs ending and starting on the same node within the same
 time step — because releases are always processed before new allocations in
 the engine's step order.
+
+Node occupancy is one owner table: ``owner[node_id]`` holds the id of the
+job running on the node, :data:`FREE` or :data:`DOWN`. Per-partition free
+counts and lowest-id-first free heaps index it, so a placement never scans
+the inventory. What the resource manager allocates and releases are the
+engine's :class:`~repro.telemetry.job.JobRun` records; the read-only
+:class:`~repro.telemetry.job.Job` inside each one is never written.
 """
 
 from __future__ import annotations
@@ -21,8 +28,14 @@ import numpy as np
 from ..config import SystemConfig
 from ..exceptions import AllocationError
 from ..devtools import hot_path
-from ..telemetry.job import Job, JobState
-from .node import Node, NodeState
+from ..telemetry.job import JobRun, JobState
+
+#: Owner-table entry of an idle, in-service node.
+FREE = None
+#: Owner-table entry of a down or drained node; never allocated. The public
+#: datasets do not record this, but the engine supports it for what-if
+#: studies (the paper notes its absence inflates rescheduled utilization).
+DOWN = "down"
 
 
 class ResourceManager:
@@ -39,28 +52,32 @@ class ResourceManager:
 
     def __init__(self, system: SystemConfig, *, seed: int = 0) -> None:
         self.system = system
-        self.nodes: list[Node] = [Node(node_id=i) for i in range(system.total_nodes)]
-        self._running: dict[int, Job] = {}
+        total = system.total_nodes
+        #: ``owner[node_id]``: the running job's id, :data:`FREE` or
+        #: :data:`DOWN`. Read-only outside this class: allocate and release
+        #: keep it in step with the free counts, heaps and counters below.
+        self.owner: list[int | str | None] = [FREE] * total
+        self._running: dict[int, JobRun] = {}
         if system.down_node_fraction > 0.0:
             rng = np.random.default_rng(seed)
-            n_down = int(round(system.down_node_fraction * system.total_nodes))
-            for node_id in rng.choice(system.total_nodes, size=n_down, replace=False):
-                self.nodes[int(node_id)].mark_down()
+            n_down = int(round(system.down_node_fraction * total))
+            for node_id in rng.choice(total, size=n_down, replace=False):
+                self.owner[int(node_id)] = DOWN
 
-        # Free-node index: per-partition id sets (membership / counts) plus
-        # min-heaps (lowest-id-first selection) so placing a job is
-        # O(n log N) instead of a full inventory scan. Node state changes
-        # must go through allocate/release for the index to stay in sync;
-        # heap entries staled by explicit placements are discarded lazily.
-        self._partition_of: list[str] = [""] * system.total_nodes
-        self._free_sets: dict[str, set[int]] = {}
+        # Free-node index: per-partition free counts plus min-heaps
+        # (lowest-id-first selection) so placing a job is O(n log N) instead
+        # of a full inventory scan. Heap entries staled by explicit
+        # placements are discarded lazily: the owner table is the truth.
+        self._partition_of: list[str] = [""] * total
+        self._free_count: dict[str, int] = {}
         self._free_heaps: dict[str, list[int]] = {}
         for partition in system.partitions:
             node_range = system.partition_node_range(partition.name)
-            for nid in node_range:
-                self._partition_of[nid] = partition.name
-            free_ids = [nid for nid in node_range if self.nodes[nid].is_available]
-            self._free_sets[partition.name] = set(free_ids)
+            self._partition_of[node_range.start : node_range.stop] = [
+                partition.name
+            ] * len(node_range)
+            free_ids = [nid for nid in node_range if self.owner[nid] is FREE]
+            self._free_count[partition.name] = len(free_ids)
             self._free_heaps[partition.name] = free_ids  # ascending == valid heap
 
         # Inventory counters kept in lockstep with allocate/release so the
@@ -69,7 +86,7 @@ class ResourceManager:
         # increments on every allocation/release, giving consumers (the
         # incremental power aggregator, scheduler memoization) a cheap
         # "did the running set change?" check.
-        self._down_count = sum(1 for node in self.nodes if node.state is NodeState.DOWN)
+        self._down_count = self.owner.count(DOWN)
         self._allocated_count = 0
         self._epoch = 0
 
@@ -127,12 +144,7 @@ class ResourceManager:
     @property
     def total_nodes(self) -> int:
         """Total node count (including down nodes)."""
-        return len(self.nodes)
-
-    @property
-    def available_nodes(self) -> int:
-        """Number of idle, in-service nodes (from the free-node index)."""
-        return self.free_node_count()
+        return len(self.owner)
 
     @property
     def allocated_nodes(self) -> int:
@@ -156,72 +168,50 @@ class ResourceManager:
         return self._epoch
 
     @property
-    def utilization(self) -> float:
-        """Fraction of in-service nodes that are allocated."""
-        in_service = self.total_nodes - self.down_nodes
-        if in_service == 0:
-            return 0.0
-        return self.allocated_nodes / in_service
-
-    @property
-    def running_jobs(self) -> list[Job]:
-        """Jobs currently occupying nodes (stable job-id order)."""
+    def running_jobs(self) -> list[JobRun]:
+        """Runs currently occupying nodes (stable job-id order)."""
         return [self._running[jid] for jid in sorted(self._running)]
 
     @property
-    def running_by_id(self) -> Mapping[int, Job]:
+    def running_by_id(self) -> Mapping[int, JobRun]:
         """Read-only live view of the running jobs keyed by job id."""
         return MappingProxyType(self._running)
 
-    def job_on_node(self, node_id: int) -> Job | None:
-        """Return the job running on ``node_id``, if any."""
-        job_id = self.nodes[node_id].job_id
-        return self._running.get(job_id) if job_id is not None else None
-
     def available_node_ids(self, partition: str | None = None) -> list[int]:
-        """Ids of idle nodes, optionally restricted to one partition."""
+        """Ids of idle nodes in ascending order, optionally of one partition."""
         if partition is None:
-            ids: list[int] = []
-            for p in self.system.partitions:
-                ids.extend(sorted(self._free_sets[p.name]))
-            return ids
-        self.system.partition_node_range(partition)  # validates the name
-        return sorted(self._free_sets[partition])
+            return [nid for nid, owner in enumerate(self.owner) if owner is FREE]
+        node_range = self.system.partition_node_range(partition)  # validates
+        owner = self.owner
+        return [nid for nid in node_range if owner[nid] is FREE]
 
     def free_node_count(self, partition: str | None = None) -> int:
-        """Number of idle in-service nodes, from the O(1) free-node index."""
+        """Number of idle in-service nodes, from the O(1) free counts."""
         if partition is None:
-            return sum(len(s) for s in self._free_sets.values())
-        return len(self._free_sets.get(partition, ()))
-
-    def can_allocate(self, job: Job) -> bool:
-        """Whether the job's node request can currently be satisfied."""
-        if job.recorded_nodes and self._replay_placement_possible(job):
-            return True
-        partition = job.partition if self._partition_exists(job.partition) else None
-        return self.free_node_count(partition) >= job.nodes_required
+            return len(self.owner) - self._allocated_count - self._down_count
+        return self._free_count.get(partition, 0)
 
     # -- allocation / release ---------------------------------------------------
 
     def allocate(
         self,
-        job: Job,
+        run: JobRun,
         now: float,
         *,
         node_ids: Sequence[int] | None = None,
         exact_placement: bool = False,
     ) -> tuple[int, ...]:
-        """Place ``job`` on nodes at time ``now`` and mark it running.
+        """Place ``run``'s job on nodes at time ``now`` and mark it running.
 
         Parameters
         ----------
-        job:
-            The job to place. Must be queued (or pending for prepopulation).
+        run:
+            The run to place. Must be queued (or pending for prepopulation).
         now:
             Current simulation time.
         node_ids:
             Explicit placement (scheduler- or replay-chosen). When omitted,
-            the first available nodes of the job's partition are used.
+            the lowest-id free nodes of the job's partition are used.
         exact_placement:
             Replay mode — require the job's recorded nodes; if any of them is
             unavailable an :class:`AllocationError` is raised.
@@ -231,76 +221,52 @@ class ResourceManager:
         tuple[int, ...]
             The node ids the job was placed on.
         """
-        if job.job_id in self._running:
-            raise AllocationError(f"job {job.job_id} is already running")
-        if exact_placement:
-            if not job.recorded_nodes:
-                raise AllocationError(
-                    f"job {job.job_id}: exact placement requested but the job "
-                    "has no recorded nodes"
-                )
-            chosen = tuple(job.recorded_nodes)
-        elif node_ids is not None:
-            chosen = tuple(node_ids)
+        job = run.job
+        job_id = run.job_id
+        if job_id in self._running:
+            raise AllocationError(f"job {job_id} is already running")
+        if exact_placement and not job.recorded_nodes:
+            raise AllocationError(
+                f"job {job_id}: exact placement requested but the job "
+                "has no recorded nodes"
+            )
+        if exact_placement or node_ids is not None:
+            chosen = tuple(job.recorded_nodes if exact_placement else node_ids)
+            self._claim(chosen, job_id, job.nodes_required)
         else:
-            partition = job.partition if self._partition_exists(job.partition) else None
+            partition = job.partition if job.partition in self._free_count else None
             free = self.free_node_count(partition)
             if free < job.nodes_required:
                 raise AllocationError(
-                    f"job {job.job_id}: requested {job.nodes_required} nodes, "
+                    f"job {job_id}: requested {job.nodes_required} nodes, "
                     f"only {free} available"
                 )
-            chosen = tuple(self._pop_free_nodes(job.nodes_required, partition))
+            chosen = self._claim_lowest_free(job.nodes_required, partition, job_id)
 
-        if len(set(chosen)) != len(chosen):
-            raise AllocationError(f"job {job.job_id}: duplicate node ids in placement")
-        if len(chosen) != job.nodes_required:
-            raise AllocationError(
-                f"job {job.job_id}: placement of {len(chosen)} nodes does not "
-                f"match request of {job.nodes_required}"
-            )
-        unavailable = [nid for nid in chosen if not self.nodes[nid].is_available]
-        if unavailable:
-            raise AllocationError(
-                f"job {job.job_id}: nodes {unavailable[:8]} are not available"
-            )
-
-        for nid in chosen:
-            self.nodes[nid].allocate(job.job_id, now)
-            self._free_sets[self._partition_of[nid]].discard(nid)
-        job.mark_running(now, chosen)
-        self._running[job.job_id] = job
+        run.mark_running(now, chosen)
+        self._running[job_id] = run
         self._allocated_count += len(chosen)
         self._epoch += 1
         end_time = now + job.duration
-        self._end_of[job.job_id] = end_time
-        heapq.heappush(self._end_heap, (end_time, job.job_id))
+        self._end_of[job_id] = end_time
+        heapq.heappush(self._end_heap, (end_time, job_id))
         expected_end = now + job.requested_runtime
-        self._expected_of[job.job_id] = expected_end
-        insort(self._expected_sorted, (expected_end, job.nodes_required, job.job_id))
-        self._journal_append(True, job.job_id)
+        self._expected_of[job_id] = expected_end
+        insort(self._expected_sorted, (expected_end, job.nodes_required, job_id))
+        self._journal_append(True, job_id)
         return chosen
 
-    def release(self, job: Job, now: float) -> None:
-        """Free the nodes of a finished job and mark it completed."""
-        if job.job_id not in self._running:
-            raise AllocationError(f"job {job.job_id} is not running")
-        for nid in job.assigned_nodes:
-            self.nodes[nid].release(now)
-            self._mark_free(nid)
-        del self._running[job.job_id]
+    def release(self, run: JobRun, now: float) -> None:
+        """Free the nodes of a finished run and mark it completed."""
+        if run.job_id not in self._running:
+            raise AllocationError(f"job {run.job_id} is not running")
         # The heap entry goes stale (the map no longer vouches for it) and
         # is discarded lazily the next time it surfaces.
-        self._end_of.pop(job.job_id, None)
-        self._drop_expected(job.job_id)
-        self._allocated_count -= len(job.assigned_nodes)
-        self._epoch += 1
-        self._journal_append(False, job.job_id)
-        if job.state is JobState.RUNNING:
-            job.mark_completed(now)
+        self._end_of.pop(run.job_id, None)
+        self._release(run, now)
 
     @hot_path
-    def complete_finished_jobs(self, now: float) -> list[Job]:
+    def complete_finished_jobs(self, now: float) -> list[JobRun]:
         """Release every running job whose simulated end time has arrived.
 
         This is step (1) of the engine loop — clearing completed jobs before
@@ -328,18 +294,9 @@ class ResourceManager:
             heapq.heappop(self._end_heap)
             self.end_heap_pops += 1
             finished.append(self._running[job_id])
-        finished.sort(key=lambda j: j.job_id)
-        for job in finished:
-            end_time = self._end_of.pop(job.job_id)
-            for nid in job.assigned_nodes:
-                self.nodes[nid].release(end_time)
-                self._mark_free(nid)
-            del self._running[job.job_id]
-            self._drop_expected(job.job_id)
-            self._allocated_count -= len(job.assigned_nodes)
-            self._epoch += 1
-            self._journal_append(False, job.job_id)
-            job.mark_completed(end_time)
+        finished.sort(key=lambda run: run.job_id)
+        for run in finished:
+            self._release(run, self._end_of.pop(run.job_id))
         return finished
 
     @hot_path
@@ -449,49 +406,85 @@ class ResourceManager:
             ]
             self._expected_stale = 0
 
-    # -- helpers -----------------------------------------------------------------
+    # -- owner table -------------------------------------------------------------
 
-    def _mark_free(self, nid: int) -> None:
-        """Return a released node to the free-node index."""
-        name = self._partition_of[nid]
-        self._free_sets[name].add(nid)
-        heapq.heappush(self._free_heaps[name], nid)
+    def _claim(self, chosen: tuple[int, ...], job_id: int, nodes_required: int) -> None:
+        """Validate an explicit placement, then give its nodes to ``job_id``."""
+        if len(set(chosen)) != len(chosen):
+            raise AllocationError(f"job {job_id}: duplicate node ids in placement")
+        if len(chosen) != nodes_required:
+            raise AllocationError(
+                f"job {job_id}: placement of {len(chosen)} nodes does not "
+                f"match request of {nodes_required}"
+            )
+        owner = self.owner
+        missing = [nid for nid in chosen if not 0 <= nid < len(owner)]
+        if missing:
+            raise AllocationError(f"job {job_id}: nodes {missing[:8]} do not exist")
+        # The owner of a busy node is its job's id, of a down node DOWN.
+        taken = [nid for nid in chosen if owner[nid] is not FREE][:8]
+        if taken:
+            raise AllocationError(
+                f"job {job_id}: nodes {taken} are not available (owners "
+                f"{[owner[nid] for nid in taken]})"
+            )
+        free_count = self._free_count
+        partition_of = self._partition_of
+        for nid in chosen:
+            owner[nid] = job_id
+            free_count[partition_of[nid]] -= 1
 
-    def _pop_free_nodes(self, count: int, partition: str | None) -> list[int]:
-        """Take the ``count`` lowest-id free nodes (of one partition or all).
+    def _claim_lowest_free(
+        self, count: int, partition: str | None, job_id: int
+    ) -> tuple[int, ...]:
+        """Give the ``count`` lowest-id free nodes (of one partition or all)
+        to ``job_id``; the caller has checked that enough are free.
 
-        Entries staled by explicit/replay placements or by nodes taken out
-        of service are discarded lazily as they surface.
+        Heap entries staled by explicit placements are discarded as they
+        surface. Each node is claimed the moment it is popped, so a
+        duplicate heap entry (stale, then re-pushed after a release) cannot
+        be chosen twice within one selection.
         """
-        names = (
-            [partition]
-            if partition is not None
-            else [p.name for p in self.system.partitions]
-        )
+        names = [partition] if partition is not None else list(self._free_heaps)
+        owner = self.owner
         chosen: list[int] = []
         for name in names:
             heap = self._free_heaps[name]
-            free = self._free_sets[name]
+            taken = len(chosen)
             while heap and len(chosen) < count:
                 nid = heapq.heappop(heap)
-                if nid in free and self.nodes[nid].is_available:
-                    # Remove from the set immediately so a duplicate heap
-                    # entry (stale + re-pushed after a release) cannot be
-                    # chosen twice within this selection.
-                    free.discard(nid)
+                if owner[nid] is FREE:
+                    owner[nid] = job_id
                     chosen.append(nid)
+            self._free_count[name] -= len(chosen) - taken
             if len(chosen) == count:
                 break
-        return chosen
+        return tuple(chosen)
 
-    def _partition_exists(self, name: str) -> bool:
-        return any(p.name == name for p in self.system.partitions)
-
-    def _replay_placement_possible(self, job: Job) -> bool:
-        return all(
-            0 <= nid < self.total_nodes and self.nodes[nid].is_available
-            for nid in job.recorded_nodes
-        )
+    def _release(self, run: JobRun, now: float) -> None:
+        """Return a running job's nodes to the free index; complete the run."""
+        job_id = run.job_id
+        owner = self.owner
+        partition_of = self._partition_of
+        free_count = self._free_count
+        free_heaps = self._free_heaps
+        for nid in run.assigned_nodes:
+            if owner[nid] != job_id:
+                raise AllocationError(
+                    f"node {nid} is not allocated to job {job_id} "
+                    f"(owner: {owner[nid]!r})"
+                )
+            owner[nid] = FREE
+            name = partition_of[nid]
+            free_count[name] += 1
+            heapq.heappush(free_heaps[name], nid)
+        del self._running[job_id]
+        self._drop_expected(job_id)
+        self._allocated_count -= len(run.assigned_nodes)
+        self._epoch += 1
+        self._journal_append(False, job_id)
+        if run.state is JobState.RUNNING:
+            run.mark_completed(now)
 
     def observability_counters(self) -> dict[str, int]:
         """Plain-int instrumentation counters (engine metrics publication).
@@ -504,15 +497,4 @@ class ResourceManager:
             "journal_appends": self.journal_appends,
             "journal_drains": self.journal_drains,
             "journal_resyncs": self.journal_resyncs,
-        }
-
-    def snapshot(self) -> dict[str, float]:
-        """Small dictionary snapshot of the inventory state (debug/tests)."""
-        return {
-            "total_nodes": float(self.total_nodes),
-            "allocated_nodes": float(self.allocated_nodes),
-            "available_nodes": float(self.available_nodes),
-            "down_nodes": float(self.down_nodes),
-            "utilization": float(self.utilization),
-            "running_jobs": float(len(self._running)),
         }

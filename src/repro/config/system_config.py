@@ -260,10 +260,6 @@ class SystemConfig:
             f"unknown partition {partition_name!r} for system {self.name!r}"
         )
 
-    def node_power_config(self, node_id: int) -> NodePowerConfig:
-        """Return the power characteristics of ``node_id``'s partition."""
-        return self.partition_of_node(node_id).node_power
-
     @property
     def peak_system_power_kw(self) -> float:
         """Upper bound on modelled IT power in kilowatts."""

@@ -1,8 +1,11 @@
 """The discrete-time simulation engine.
 
-:class:`SimulationEngine` advances a copy of the workload through the coupled
-scheduler → resource-manager → power → cooling pipeline on a fixed
-``SystemConfig.timestep_s`` tick grid. Releases are processed before
+:class:`SimulationEngine` advances a workload through the coupled scheduler →
+resource-manager → power → cooling pipeline on a fixed
+``SystemConfig.timestep_s`` tick grid. The workload's :class:`Job` records
+are read-only: the engine keeps each job's run state in one
+:class:`~repro.telemetry.job.JobRun` of its own, so one job list can drive
+any number of runs without being copied. Releases are processed before
 submissions and scheduling within a tick, which resolves the paper's
 same-timestep end/start collision on a node; replay decisions may backdate a
 job's start to its recorded (possibly off-grid) start time so the simulated
@@ -17,7 +20,7 @@ tick that first processes the next event, recording one aggregated
 :class:`~repro.engine.stats.TickSample` whose ``dt_s`` spans the coalesced
 interval. A running job with a piecewise-constant profile does not force
 dense ticking: it merely bounds the interval by its next profile *value
-change* (:meth:`Job.next_power_change_after`; repeated equal samples are
+change* (:meth:`JobRun.next_power_change_after`; repeated equal samples are
 not breakpoints), so busy telemetry-replay traces coalesce almost as well
 as idle ones. Because power and cooling overhead are constant over such an
 interval (the cooling loops relax exponentially towards a constant target,
@@ -39,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter_ns
 
-from ..cluster import NodeState, ResourceManager
+from ..cluster import ResourceManager
 from ..config import SystemConfig, get_system_config
 from ..cooling import CoolingPlant, power_usage_effectiveness
 from ..devtools import hot_path
@@ -48,7 +51,7 @@ from ..obs import Observability
 from ..obs.metrics import Histogram
 from ..power import RunningSetPowerAggregator, SystemPowerModel
 from ..power.signals import OperatingSignals
-from ..telemetry.job import Job, JobState
+from ..telemetry.job import Job, JobRun, JobState
 from ..units import parse_duration as _parse_duration_s
 from ..workloads import SyntheticWorkloadGenerator, WorkloadSpec, default_workload_spec
 from .scheduler import BackfillScheduler, PowerCapScheduler, Scheduler, get_scheduler
@@ -87,7 +90,8 @@ class SimulationResult:
     system: SystemConfig
     policy: str
     stats: StatsCollector
-    jobs: list[Job] = field(repr=False)
+    #: One run record per input job, in input order.
+    jobs: list[JobRun] = field(repr=False)
     start_time_s: float = 0.0
     end_time_s: float = 0.0
     seed: int = 0
@@ -97,12 +101,12 @@ class SimulationResult:
         return self.stats.summary()
 
     @property
-    def completed_jobs(self) -> list[Job]:
-        return [j for j in self.jobs if j.state is JobState.COMPLETED]
+    def completed_jobs(self) -> list[JobRun]:
+        return [run for run in self.jobs if run.state is JobState.COMPLETED]
 
     @property
-    def dismissed_jobs(self) -> list[Job]:
-        return [j for j in self.jobs if j.state is JobState.DISMISSED]
+    def dismissed_jobs(self) -> list[JobRun]:
+        return [run for run in self.jobs if run.state is JobState.DISMISSED]
 
 
 class SimulationEngine:
@@ -113,9 +117,9 @@ class SimulationEngine:
     system:
         The system configuration (also fixes the tick length).
     jobs:
-        The workload. Each job is copied via :meth:`Job.copy_for_simulation`
-        so the caller's list is never mutated and the same workload can
-        drive several runs.
+        The workload. Jobs are read-only and never copied: the engine
+        builds one :class:`JobRun` per job for its run state, so the same
+        list can drive several runs. Job ids must be unique.
     scheduler:
         Policy instance or registry name; defaults to the system's
         ``default_policy``.
@@ -217,21 +221,24 @@ class SimulationEngine:
                 for name in ENGINE_PHASES
             }
 
-        self.jobs = [job.copy_for_simulation() for job in jobs]
+        #: The run table: one record per input job, keyed by job id.
+        self.runs = [JobRun(job) for job in jobs]
+        self._run_of: dict[int, JobRun] = {}
+        for run in self.runs:
+            if self._run_of.setdefault(run.job_id, run) is not run:
+                raise SimulationError(f"job id {run.job_id} appears more than once")
         self._pending: deque[Job] = deque(
-            sorted(self.jobs, key=lambda j: (j.submit_time, j.job_id))
+            sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
         )
+        #: Queued jobs in submission order, the read-only view policies see.
         self._queue: list[Job] = []
-        # Capacity is fixed after the down-node draw; precompute it so the
-        # per-submission feasibility check is O(1) instead of an inventory scan.
+        # Capacity is fixed after the down-node draw (every in-service node
+        # is still free here); precompute it so the per-submission
+        # feasibility check is O(1) instead of an inventory scan.
         rm = self.resource_manager
         self._in_service_nodes = rm.total_nodes - rm.down_nodes
         self._partition_capacity = {
-            partition.name: sum(
-                1
-                for nid in system.partition_node_range(partition.name)
-                if rm.nodes[nid].state is not NodeState.DOWN
-            )
+            partition.name: rm.free_node_count(partition.name)
             for partition in system.partitions
         }
 
@@ -250,11 +257,11 @@ class SimulationEngine:
         # (SWF traces routinely contain run_time > requested_time), hence
         # the max() over the two runtime notions.
         latest_due = max(
-            (max(j.submit_time, j.start_time) for j in self.jobs), default=0.0
+            (max(j.submit_time, j.start_time) for j in jobs), default=0.0
         )
         worst_case_s = (
             (latest_due - self.now)
-            + sum(max(j.requested_runtime, j.duration) for j in self.jobs)
+            + sum(max(j.requested_runtime, j.duration) for j in jobs)
             + timestep
         )
         if signals is not None:
@@ -302,25 +309,22 @@ class SimulationEngine:
         t0 = perf_counter_ns() if tracer is not None else 0
 
         # (1) Release jobs whose simulated runtime has elapsed.
-        for job in self.resource_manager.complete_finished_jobs(now):
-            self.stats.record_job(job)
+        for run in self.resource_manager.complete_finished_jobs(now):
+            self.stats.record_job(run)
             if events is not None:
-                events.job_finished(job, now, energy_kwh=self._job_energy_kwh(job))
+                events.job_finished(run, now, energy_kwh=self._job_energy_kwh(run))
 
         # (2) Submit newly-arrived jobs (at their recorded submit times).
         while self._pending and self._pending[0].submit_time <= now:
             job = self._pending.popleft()
+            run = self._run_of[job.job_id]
             if self._impossible(job):
-                job.mark_dismissed()
-                job.metadata["dismiss_reason"] = "request exceeds system capacity"
-                self.stats.record_job(job)
-                if events is not None:
-                    events.job_dismissed(job, now)
+                self._dismiss(run, "request exceeds system capacity", now)
                 continue
-            job.mark_queued(job.submit_time)
+            run.mark_queued(job.submit_time)
             self._queue.append(job)
             if events is not None:
-                events.job_submitted(job, now)
+                events.job_submitted(run, now)
 
         # (3) Scheduling decisions, executed through the resource manager.
         # The queue is handed over as-is (policies treat it read-only);
@@ -332,16 +336,17 @@ class SimulationEngine:
             )
             started: set[int] = set()
             for decision in decisions:
-                job = decision.job
-                if job.state is not JobState.QUEUED or job.job_id in started:
+                job_id = decision.job.job_id
+                run = self._run_of.get(job_id)
+                if run is None or run.state is not JobState.QUEUED or job_id in started:
                     raise SchedulingError(
                         f"policy {self.scheduler.name!r} scheduled job "
-                        f"{job.job_id} which is not queued"
+                        f"{job_id} which is not queued"
                     )
                 start = decision.start_time if decision.start_time is not None else now
                 try:
                     self.resource_manager.allocate(
-                        job,
+                        run,
                         start,
                         node_ids=decision.node_ids,
                         exact_placement=decision.exact_placement,
@@ -351,19 +356,17 @@ class SimulationEngine:
                         f"policy {self.scheduler.name!r} produced an invalid "
                         f"placement at t={now:.0f}: {exc}"
                     ) from exc
-                started.add(job.job_id)
+                run.replay_delayed = decision.replay_delayed
+                run.replay_relocated = decision.replay_relocated
+                started.add(job_id)
                 if events is not None:
-                    events.job_started(job, now)
+                    events.job_started(run, now)
             # Jobs a power-capped policy rejected outright (they can never
             # fit under any present-or-future cap) leave the queue here,
             # exactly like capacity-infeasible submissions.
             dismissed = self.scheduler.drain_dismissals()
             for job, reason in dismissed:
-                job.mark_dismissed()
-                job.metadata["dismiss_reason"] = reason
-                self.stats.record_job(job)
-                if events is not None:
-                    events.job_dismissed(job, now, reason)
+                self._dismiss(self._run_of[job.job_id], reason, now)
             if started or dismissed:
                 removed = started | {job.job_id for job, _ in dismissed}
                 self._queue = [j for j in self._queue if j.job_id not in removed]
@@ -470,7 +473,7 @@ class SimulationEngine:
                 self._start_time,
                 system=self.system.name,
                 policy=self.scheduler.name,
-                jobs=len(self.jobs),
+                jobs=len(self.runs),
                 seed=self.seed,
                 horizon_s=self.horizon_s,
             )
@@ -497,7 +500,7 @@ class SimulationEngine:
             system=self.system,
             policy=self.scheduler.name,
             stats=self.stats,
-            jobs=self.jobs,
+            jobs=self.runs,
             start_time_s=self._start_time,
             end_time_s=self.now,
             seed=self.seed,
@@ -524,16 +527,15 @@ class SimulationEngine:
             events.milestone("horizon_reached", self.now)
         self._dismiss_remaining("simulation horizon reached")
         horizon_end = self._start_time + self.horizon_s
-        for job in self.resource_manager.running_jobs:
-            start = job.sim_start_time if job.sim_start_time is not None else self.now
-            natural_end = start + job.duration
+        for run in self.resource_manager.running_jobs:
+            start = run.sim_start_time if run.sim_start_time is not None else self.now
+            natural_end = start + run.job.duration
             end = min(self.now, horizon_end, natural_end)
-            if end < natural_end:
-                job.metadata["truncated_by_horizon"] = True
-            self.resource_manager.release(job, end)
-            self.stats.record_job(job)
+            run.truncated_by_horizon = end < natural_end
+            self.resource_manager.release(run, end)
+            self.stats.record_job(run)
             if events is not None:
-                events.job_finished(job, end, energy_kwh=self._job_energy_kwh(job))
+                events.job_finished(run, end, energy_kwh=self._job_energy_kwh(run))
 
     # -- event-driven time advancement -----------------------------------------
 
@@ -614,15 +616,17 @@ class SimulationEngine:
         partition_capacity = self._partition_capacity.get(job.partition)
         return partition_capacity is not None and job.nodes_required > partition_capacity
 
+    def _dismiss(self, run: JobRun, reason: str, now: float) -> None:
+        """Dismiss one job that will never run, with the reason why."""
+        run.mark_dismissed(reason)
+        self.stats.record_job(run)
+        if self._events is not None:
+            self._events.job_dismissed(run, now)
+
     def _dismiss_remaining(self, reason: str) -> None:
         """Dismiss everything not yet running when the run is cut short."""
-        events = self._events
         for job in list(self._pending) + self._queue:
-            job.mark_dismissed()
-            job.metadata["dismiss_reason"] = reason
-            self.stats.record_job(job)
-            if events is not None:
-                events.job_dismissed(job, self.now, reason)
+            self._dismiss(self._run_of[job.job_id], reason, self.now)
         self._pending.clear()
         self._queue.clear()
 
@@ -637,7 +641,7 @@ class SimulationEngine:
             hists[name].observe((end_ns - t0_ns) / 1e3)
         return end_ns
 
-    def _job_energy_kwh(self, job: Job) -> float:
+    def _job_energy_kwh(self, run: JobRun) -> float:
         """Energy attribution for one finished job's event record, kWh.
 
         Integrates the job's recorded power trace (or the component model
@@ -645,7 +649,7 @@ class SimulationEngine:
         for horizon-truncated jobs this is the recorded-schedule estimate,
         not the truncated-sim share.
         """
-        return self.power_model.job_energy_j(job) / 3.6e6
+        return self.power_model.job_energy_j(run.job) / 3.6e6
 
     def _finalize_obs(self, result: SimulationResult, run_t0_ns: int) -> None:
         """Close the run span, publish metrics, emit the final events."""

@@ -3,10 +3,11 @@
 The scheduler decides *which* queued jobs start *when* (and, in replay mode,
 *where*); the resource manager validates and carries out the placement. Each
 policy returns a list of :class:`SchedulingDecision` for the current tick and
-never mutates job or node state itself — the engine executes decisions in
-order, so a policy must account for the nodes its own earlier decisions of
-the same tick will consume (all policies here track a local free-node count
-for exactly that reason).
+never mutates job or node state itself (jobs are read-only; the engine owns
+each job's run record). The engine executes decisions in order, so a policy
+must account for the nodes its own earlier decisions of the same tick will
+consume (all policies here track a local free-node count for exactly that
+reason).
 
 Three policies cover the paper's experiments:
 
@@ -34,7 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..cluster import NodeState, ResourceManager
+from ..cluster import DOWN, FREE, ResourceManager
 from ..devtools import hot_path
 from ..exceptions import SchedulingError
 from ..power.signals import OperatingSignals
@@ -73,12 +74,17 @@ class SchedulingDecision:
         Simulated start time to record. Replay backdates this to the
         recorded start time (which may fall between ticks); ``None`` means
         "now".
+    replay_delayed / replay_relocated:
+        Replay's tags, copied onto the started job's run record: the job
+        missed its recorded start, or runs away from its recorded nodes.
     """
 
     job: Job
     node_ids: tuple[int, ...] | None = None
     exact_placement: bool = False
     start_time: float | None = None
+    replay_delayed: bool = False
+    replay_relocated: bool = False
 
 
 class Scheduler(abc.ABC):
@@ -176,11 +182,13 @@ class ReplayScheduler(Scheduler):
     Jobs whose recorded placement is momentarily infeasible (busy nodes, a
     prepopulation edge case), or that a wrapping :class:`PowerCapScheduler`
     holds under its cap, are retried each tick and started as soon as
-    possible at the *current* time, tagged ``metadata['replay_delayed'] =
-    True`` so downstream analysis can exclude them from validation plots.
-    Jobs whose recorded placement can *never* be satisfied (out-of-range
-    node ids or down nodes — inconsistent telemetry) fall back to free-node
-    placement and are tagged ``metadata['replay_relocated'] = True``.
+    possible at the *current* time. Their decisions carry
+    ``replay_delayed=True``, which the engine copies onto the run record
+    (:attr:`JobRun.replay_delayed`), so downstream analysis can exclude
+    them from validation plots. Jobs whose recorded placement can *never*
+    be satisfied (out-of-range node ids or down nodes — inconsistent
+    telemetry) fall back to free-node placement, with
+    ``replay_relocated=True``.
     """
 
     name = "replay"
@@ -263,18 +271,16 @@ class ReplayScheduler(Scheduler):
                 now, frozenset(job.job_id for job in ordered), future_min
             )
             return []
+        owner = resource_manager.owner
         exact_jobs: list[Job] = []
         flex_jobs: list[Job] = []
         for job in due:
             if job.recorded_nodes and all(
-                0 <= nid < resource_manager.total_nodes
-                and resource_manager.nodes[nid].state is not NodeState.DOWN
+                0 <= nid < len(owner) and owner[nid] is not DOWN
                 for nid in job.recorded_nodes
             ):
                 exact_jobs.append(job)
             else:
-                if job.recorded_nodes:
-                    job.metadata["replay_relocated"] = True
                 flex_jobs.append(job)
 
         # Recorded placements claim their nodes first, so a free-node
@@ -283,19 +289,13 @@ class ReplayScheduler(Scheduler):
         claimed: set[int] = set()
         for job in exact_jobs:
             feasible = not (claimed & set(job.recorded_nodes)) and all(
-                resource_manager.nodes[nid].is_available for nid in job.recorded_nodes
+                owner[nid] is FREE for nid in job.recorded_nodes
             )
             if not feasible:
                 self._delayed.add(job.job_id)
                 continue
             claimed.update(job.recorded_nodes)
-            decisions.append(
-                SchedulingDecision(
-                    job,
-                    exact_placement=True,
-                    start_time=self._start_time(job, now),
-                )
-            )
+            decisions.append(self._decide(job, now, exact_placement=True))
         # With no recorded placements to protect this tick, a count ledger
         # suffices and the resource manager picks the nodes (cheap on large
         # systems); otherwise select explicit free nodes around the claims.
@@ -306,9 +306,7 @@ class ReplayScheduler(Scheduler):
                     self._delayed.add(job.job_id)
                     continue
                 free_counts.consume(job)
-                decisions.append(
-                    SchedulingDecision(job, start_time=self._start_time(job, now))
-                )
+                decisions.append(self._decide(job, now))
                 continue
             partition = free_counts.partition_key(job)
             free = [
@@ -321,11 +319,7 @@ class ReplayScheduler(Scheduler):
                 continue
             chosen = tuple(free[: job.nodes_required])
             claimed.update(chosen)
-            decisions.append(
-                SchedulingDecision(
-                    job, node_ids=chosen, start_time=self._start_time(job, now)
-                )
-            )
+            decisions.append(self._decide(job, now, node_ids=chosen))
         started_ids = {decision.job.job_id for decision in decisions}
         self._hint_stash = (
             now,
@@ -336,20 +330,35 @@ class ReplayScheduler(Scheduler):
         )
         return decisions
 
-    def _start_time(self, job: Job, now: float) -> float:
-        """Recorded start on a job's first proposal; the current tick after.
+    def _decide(
+        self,
+        job: Job,
+        now: float,
+        *,
+        node_ids: tuple[int, ...] | None = None,
+        exact_placement: bool = False,
+    ) -> SchedulingDecision:
+        """Propose ``job``: at its recorded start the first time, now after.
 
         A job proposed again was not started by its earlier proposal: its
         placement failed, or a wrapping policy such as
         :class:`PowerCapScheduler` held it. It then starts at the tick that
-        admits it, never backdated to its recorded start, and is tagged.
+        admits it, never backdated to its recorded start, and is tagged
+        delayed. A free-node placement of a job with recorded nodes is
+        tagged relocated.
         """
         job_id = job.job_id
-        if job_id in self._delayed or job_id in self._proposed:
-            job.metadata["replay_delayed"] = True
-            return now
-        self._proposed.add(job_id)
-        return job.start_time
+        delayed = job_id in self._delayed or job_id in self._proposed
+        if not delayed:
+            self._proposed.add(job_id)
+        return SchedulingDecision(
+            job,
+            node_ids=node_ids,
+            exact_placement=exact_placement,
+            start_time=now if delayed else job.start_time,
+            replay_delayed=delayed,
+            replay_relocated=bool(job.recorded_nodes) and not exact_placement,
+        )
 
     @hot_path
     def next_event_hint(self, queue: Sequence[Job], now: float) -> float | None:
@@ -627,18 +636,18 @@ class BackfillScheduler(Scheduler):
         else:
             node_range = resource_manager.system.partition_node_range(head_key)
         occupants: list[tuple[float, int]] = []
-        for job in resource_manager.running_jobs:
-            start = job.sim_start_time if job.sim_start_time is not None else now
+        for run in resource_manager.running_jobs:
+            start = run.sim_start_time if run.sim_start_time is not None else now
             if node_range is None:
-                overlap = job.nodes_required
+                overlap = run.job.nodes_required
             else:
                 overlap = sum(
                     1
-                    for nid in job.assigned_nodes
+                    for nid in run.assigned_nodes
                     if node_range.start <= nid < node_range.stop
                 )
             if overlap:
-                occupants.append((start + job.requested_runtime, overlap))
+                occupants.append((start + run.job.requested_runtime, overlap))
         for end, job, job_key in started:
             if head_key is None or job_key is None or job_key == head_key:
                 occupants.append((end, job.nodes_required))
@@ -745,21 +754,14 @@ class PowerCapScheduler(Scheduler):
     starts, it does not checkpoint running jobs.
 
     Jobs whose incremental draw can never fit under any present-or-future
-    cap are dismissed with a reason (``dismiss_infeasible=True``, the
-    default) instead of deadlocking an FCFS queue head forever; held jobs
-    simply stay queued and are re-proposed by the base policy next tick.
+    cap are dismissed with a reason instead of deadlocking an FCFS queue
+    head forever; held jobs simply stay queued and are re-proposed by the
+    base policy next tick.
     """
 
-    def __init__(
-        self,
-        base: Scheduler,
-        signals: OperatingSignals,
-        *,
-        dismiss_infeasible: bool = True,
-    ) -> None:
+    def __init__(self, base: Scheduler, signals: OperatingSignals) -> None:
         self.base = base
         self.signals = signals
-        self.dismiss_infeasible = dismiss_infeasible
         self.name = f"power_cap({base.name})"
         self._power_model: SystemPowerModel | None = None
         self._idle_floor_kw = 0.0
@@ -852,7 +854,7 @@ class PowerCapScheduler(Scheduler):
                 self._committed_total_kw += incr_kw
                 continue
             headroom_kw = self.signals.max_cap_at_or_after(now) - self._idle_floor_kw
-            if self.dismiss_infeasible and incr_kw > headroom_kw:
+            if incr_kw > headroom_kw:
                 self._dismissals.append(
                     (
                         job,

@@ -46,7 +46,7 @@ from typing import Any, Iterator, Sequence, overload
 import numpy as np
 
 from ..devtools import hot_path
-from ..telemetry.job import Job, JobState
+from ..telemetry.job import JobRun, JobState
 
 __all__ = ["TickSample", "StatsCollector", "json_safe"]
 
@@ -145,8 +145,8 @@ class StatsCollector:
     """Accumulates per-tick samples and per-job outcomes for one run."""
 
     def __init__(self) -> None:
-        self.completed_jobs: list[Job] = []
-        self.dismissed_jobs: list[Job] = []
+        self.completed_jobs: list[JobRun] = []
+        self.dismissed_jobs: list[JobRun] = []
         self._columns: dict[str, np.ndarray] = {
             name: np.empty(
                 _INITIAL_CAPACITY,
@@ -289,27 +289,27 @@ class StatsCollector:
         if compute_power_kw > 0 and math.isfinite(pue) and pue > self._max_pue:
             self._max_pue = pue
 
-    def record_job(self, job: Job) -> None:
+    def record_job(self, run: JobRun) -> None:
         """Record a job leaving the system (completed or dismissed)."""
-        if job.state is not JobState.COMPLETED:
-            self.dismissed_jobs.append(job)
+        if run.state is not JobState.COMPLETED:
+            self.dismissed_jobs.append(run)
             return
-        self.completed_jobs.append(job)
-        duration = job.sim_duration
+        self.completed_jobs.append(run)
+        duration = run.sim_duration
         if duration is not None:
-            self._node_h += job.nodes_required * duration / 3600.0
-        wait = job.wait_time
+            self._node_h += run.job.nodes_required * duration / 3600.0
+        wait = run.wait_time
         if wait is not None:
             self._wait_sum_s += wait
             self._wait_count += 1
             if wait > self._max_wait_s:
                 self._max_wait_s = wait
-        start = job.sim_start_time
+        start = run.sim_start_time
         if start is not None and (
             self._first_sim_start is None or start < self._first_sim_start
         ):
             self._first_sim_start = start
-        end = job.sim_end_time
+        end = run.sim_end_time
         if end is not None and (
             self._last_sim_end is None or end > self._last_sim_end
         ):

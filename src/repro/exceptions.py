@@ -36,11 +36,3 @@ class AllocationError(SRapsError):
 
 class SimulationError(SRapsError):
     """Raised when the simulation engine reaches an inconsistent state."""
-
-
-class ExternalSchedulerError(SRapsError):
-    """Raised when an external scheduler adapter violates its protocol."""
-
-
-class MLModelError(SRapsError):
-    """Raised by the ML pipeline for unfit models or malformed feature sets."""

@@ -24,7 +24,7 @@ import math
 from pathlib import Path
 from typing import IO
 
-from ..telemetry.job import Job
+from ..telemetry.job import JobRun
 
 __all__ = ["EventLog", "JsonLinesFormatter", "RUN_LOGGER_NAME"]
 
@@ -143,53 +143,54 @@ class EventLog:
         """Engine milestone (``run_started``, ``horizon_reached``, ...)."""
         self.emit(name, t_s=t_s, **fields)
 
-    def job_submitted(self, job: Job, t_s: float) -> None:
+    def job_submitted(self, run: JobRun, t_s: float) -> None:
+        job = run.job
         self.emit(
             "job_submitted",
             t_s=t_s,
-            job_id=job.job_id,
+            job_id=run.job_id,
             submit_s=job.submit_time,
             nodes=job.nodes_required,
             partition=job.partition,
         )
 
-    def job_started(self, job: Job, t_s: float) -> None:
+    def job_started(self, run: JobRun, t_s: float) -> None:
         self.emit(
             "job_started",
             t_s=t_s,
-            job_id=job.job_id,
-            start_s=job.sim_start_time,
-            wait_s=job.wait_time,
-            nodes=job.nodes_required,
-            partition=job.partition,
+            job_id=run.job_id,
+            start_s=run.sim_start_time,
+            wait_s=run.wait_time,
+            nodes=run.job.nodes_required,
+            partition=run.job.partition,
         )
 
     def job_finished(
-        self, job: Job, t_s: float, *, energy_kwh: float | None = None
+        self, run: JobRun, t_s: float, *, energy_kwh: float | None = None
     ) -> None:
         """Job completion, with node-hour and (optional) energy attribution."""
-        duration = job.sim_duration
+        duration = run.sim_duration
+        nodes = run.job.nodes_required
         self.emit(
             "job_finished",
             t_s=t_s,
-            job_id=job.job_id,
-            start_s=job.sim_start_time,
-            end_s=job.sim_end_time,
+            job_id=run.job_id,
+            start_s=run.sim_start_time,
+            end_s=run.sim_end_time,
             runtime_s=duration,
-            wait_s=job.wait_time,
-            nodes=job.nodes_required,
-            node_hours=(
-                job.nodes_required * duration / 3600.0 if duration is not None else None
-            ),
+            wait_s=run.wait_time,
+            nodes=nodes,
+            node_hours=nodes * duration / 3600.0 if duration is not None else None,
             energy_kwh=energy_kwh,
-            truncated=bool(job.metadata.get("truncated_by_horizon", False)),
+            truncated=run.truncated_by_horizon,
         )
 
-    def job_dismissed(self, job: Job, t_s: float, reason: str | None = None) -> None:
+    def job_dismissed(self, run: JobRun, t_s: float) -> None:
+        """Job dismissal, with the reason its run record carries."""
         self.emit(
             "job_dismissed",
             t_s=t_s,
-            job_id=job.job_id,
-            nodes=job.nodes_required,
-            reason=reason if reason is not None else job.metadata.get("dismiss_reason"),
+            job_id=run.job_id,
+            nodes=run.job.nodes_required,
+            reason=run.dismiss_reason,
         )

@@ -138,7 +138,7 @@ class ProgressReporter:
     ) -> ProgressSnapshot:
         stats = engine.stats
         steps = len(stats.ticks)
-        jobs_total = len(engine.jobs)
+        jobs_total = len(engine.runs)
         jobs_done = len(stats.completed_jobs) + len(stats.dismissed_jobs)
         sim_elapsed = engine.now - engine._start_time
         fraction: float | None

@@ -21,7 +21,7 @@ import numpy as np
 from ..cluster.resource_manager import ResourceManager
 from ..config import SystemConfig
 from ..devtools import hot_path
-from ..telemetry.job import Job
+from ..telemetry.job import Job, JobRun
 from .losses import ConversionLossModel
 from .node_power import NodePowerModel
 
@@ -74,12 +74,13 @@ class SystemPowerModel:
         """The node power model of ``partition`` (default partition fallback)."""
         return self._node_models.get(partition) or self._node_models[self._default_partition]
 
-    def job_power_w(self, job: Job, now: float) -> float:
+    def job_power_w(self, run: JobRun, now: float) -> float:
         """Total power of one running job (watts across all its nodes)."""
-        recorded = job.recorded_power_at(now)
+        job = run.job
+        recorded = run.recorded_power_at(now)
         if recorded is not None:
             return recorded * job.nodes_required
-        cpu, gpu, mem = job.utilization_at(now)
+        cpu, gpu, mem = run.utilization_at(now)
         model = self.node_model(job.partition)
         return float(model.power(cpu, gpu, mem)) * job.nodes_required
 
@@ -157,7 +158,7 @@ class SystemPowerModel:
     def sample(
         self,
         now: float,
-        running_jobs: Sequence[Job] | Iterable[Job],
+        running_jobs: Sequence[JobRun] | Iterable[JobRun],
         *,
         allocated_nodes: int | None = None,
         down_nodes: int = 0,
@@ -173,12 +174,13 @@ class SystemPowerModel:
         cpu_weighted = 0.0
         gpu_weighted = 0.0
         nodes_busy = 0
-        for job in running_jobs:
-            job_power_w += self.job_power_w(job, now)
-            cpu, gpu, _ = job.utilization_at(now)
-            cpu_weighted += cpu * job.nodes_required
-            gpu_weighted += gpu * job.nodes_required
-            nodes_busy += job.nodes_required
+        for run in running_jobs:
+            nodes = run.job.nodes_required
+            job_power_w += self.job_power_w(run, now)
+            cpu, gpu, _ = run.utilization_at(now)
+            cpu_weighted += cpu * nodes
+            gpu_weighted += gpu * nodes
+            nodes_busy += nodes
         return self.compose_sample(
             now,
             job_power_w,
@@ -252,7 +254,7 @@ class _JobPowerState:
     """
 
     __slots__ = (
-        "job",
+        "run",
         "start",
         "times",
         "power_w",
@@ -266,15 +268,15 @@ class _JobPowerState:
 
     def __init__(
         self,
-        job: Job,
+        run: JobRun,
         times: np.ndarray,
         power_w: np.ndarray,
         cpu_weighted: np.ndarray,
         gpu_weighted: np.ndarray,
         now: float,
     ) -> None:
-        self.job = job
-        self.start = job.sim_start_time if job.sim_start_time is not None else now
+        self.run = run
+        self.start = run.sim_start_time if run.sim_start_time is not None else now
         self.times = times
         self.power_w = power_w
         self.cpu_weighted = cpu_weighted
@@ -286,7 +288,7 @@ class _JobPowerState:
         self.advance_to(now)
 
     @classmethod
-    def for_job(cls, job: Job, model: NodePowerModel, now: float) -> "_JobPowerState":
+    def for_job(cls, run: JobRun, model: NodePowerModel, now: float) -> "_JobPowerState":
         """Per-job construction: one profile/model evaluation per job.
 
         The aggregator takes this path for a job that starts alone, where
@@ -294,6 +296,7 @@ class _JobPowerState:
         batched builder must produce bit-identical grids and powers, and
         the property tests hold the two to exactly that.
         """
+        job = run.job
         nodes = job.nodes_required
         times = _union_grid(job)
         cpu_values = job.cpu_util.values_at(times)
@@ -306,7 +309,7 @@ class _JobPowerState:
                 np.asarray(model.power(cpu_values, gpu_values, mem_values), dtype=float)
                 * nodes
             )
-        return cls(job, times, watts, cpu_values * nodes, gpu_values * nodes, now)
+        return cls(run, times, watts, cpu_values * nodes, gpu_values * nodes, now)
 
     def advance_to(self, now: float) -> None:
         """Move the cached contribution to the grid interval containing ``now``."""
@@ -346,7 +349,7 @@ _ROLES_MODEL = (_ROLE_CPU, _ROLE_GPU, _ROLE_MEM)
 
 
 def build_power_states(
-    jobs_models: Sequence[tuple[Job, NodePowerModel]], now: float
+    runs_models: Sequence[tuple[JobRun, NodePowerModel]], now: float
 ) -> list[_JobPowerState]:
     """Construct the :class:`_JobPowerState` of ``k`` started jobs in one pass.
 
@@ -365,7 +368,7 @@ def build_power_states(
     paths are interchangeable, and the property tests hold the two to bit
     equality.
     """
-    count = len(jobs_models)
+    count = len(runs_models)
     if count == 0:
         return []
 
@@ -377,7 +380,8 @@ def build_power_states(
     trace_job_indices: list[int] = []
     #: id(model) -> (model, job indices) for component-model jobs.
     model_groups: dict[int, tuple[NodePowerModel, list[int]]] = {}
-    for index, (job, model) in enumerate(jobs_models):
+    for index, (run, model) in enumerate(runs_models):
+        job = run.job
         roles = _ROLES_MODEL
         if job.node_power is not None:
             roles = _ROLES_TRACE
@@ -442,7 +446,7 @@ def build_power_states(
     cpu_values = held_values[point_role == _ROLE_CPU]
     gpu_values = held_values[point_role == _ROLE_GPU]
 
-    node_counts = np.array([float(job.nodes_required) for job, _ in jobs_models])
+    node_counts = np.array([float(run.job.nodes_required) for run, _ in runs_models])
     weights = np.repeat(node_counts, union_counts)
     cpu_weighted = cpu_values * weights
     gpu_weighted = gpu_values * weights
@@ -477,7 +481,7 @@ def build_power_states(
         for i in trace_job_indices:
             watts[union_offsets[i] : union_offsets[i + 1]] = (
                 trace_values[job_slice(trace_offsets, i)]
-                * jobs_models[i][0].nodes_required
+                * runs_models[i][0].job.nodes_required
             )
 
         def job_cpu(i: int) -> np.ndarray:
@@ -509,8 +513,8 @@ def build_power_states(
     # -- vectorised initial advance_to(now) ----------------------------------
     starts = np.array(
         [
-            job.sim_start_time if job.sim_start_time is not None else now
-            for job, _ in jobs_models
+            run.sim_start_time if run.sim_start_time is not None else now
+            for run, _ in runs_models
         ]
     )
     elapsed = np.maximum(now - starts, 0.0)
@@ -537,10 +541,10 @@ def build_power_states(
     )
 
     states: list[_JobPowerState] = []
-    for index, (job, _) in enumerate(jobs_models):
+    for index, (run, _) in enumerate(runs_models):
         span = slice(union_offsets[index], union_offsets[index + 1])
         state = _JobPowerState.__new__(_JobPowerState)
-        state.job = job
+        state.run = run
         state.start = float(starts[index])
         state.times = union_times[span]
         state.power_w = watts[span]
@@ -634,7 +638,7 @@ class RunningSetPowerAggregator:
         before :meth:`sample` within a step changes nothing but the moment
         the (idempotent) refresh happens. Every returned time is strictly
         after ``now`` and float-identical to the corresponding
-        :meth:`Job.next_power_change_after` bound.
+        :meth:`JobRun.next_power_change_after` bound.
         """
         self._refresh(now)
         changes = self._changes
@@ -720,17 +724,17 @@ class RunningSetPowerAggregator:
             self._job_power_w -= state.current_power_w
             self._cpu_weighted -= state.current_cpu_weighted
             self._gpu_weighted -= state.current_gpu_weighted
-            self._nodes_busy -= state.job.nodes_required
+            self._nodes_busy -= state.run.job.nodes_required
             # Heap entries of ended jobs are discarded lazily.
         if started_jobs:
             self.states_built += len(started_jobs)
             for state in self._build_states(started_jobs, now):
-                job_id = state.job.job_id
+                job_id = state.run.job_id
                 self._states[job_id] = state
                 self._job_power_w += state.current_power_w
                 self._cpu_weighted += state.current_cpu_weighted
                 self._gpu_weighted += state.current_gpu_weighted
-                self._nodes_busy += state.job.nodes_required
+                self._nodes_busy += state.run.job.nodes_required
                 if math.isfinite(state.next_change):
                     heapq.heappush(self._changes, (state.next_change, job_id))
         if not self._states:
@@ -741,7 +745,7 @@ class RunningSetPowerAggregator:
             self._gpu_weighted = 0.0
 
     def _build_states(
-        self, started_jobs: list[Job], now: float
+        self, started_jobs: list[JobRun], now: float
     ) -> list[_JobPowerState]:
         """Construct the power states of jobs that just entered the running set.
 
@@ -754,14 +758,14 @@ class RunningSetPowerAggregator:
             self.batched_builds += 1
             return build_power_states(
                 [
-                    (job, self._model.node_model(job.partition))
-                    for job in started_jobs
+                    (run, self._model.node_model(run.job.partition))
+                    for run in started_jobs
                 ],
                 now,
             )
         return [
-            _JobPowerState.for_job(job, self._model.node_model(job.partition), now)
-            for job in started_jobs
+            _JobPowerState.for_job(run, self._model.node_model(run.job.partition), now)
+            for run in started_jobs
         ]
 
     @hot_path

@@ -27,7 +27,7 @@ import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 from types import TracebackType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from ..engine.stats import json_safe
 from ..exceptions import ConfigurationError
@@ -435,17 +435,6 @@ class ResultsStore:
                     ]
                 )
         return len(stored)
-
-    def iter_request_json(self, *, sweep: str | None = None) -> Iterator[tuple[str, str]]:
-        """Yield ``(run_id, request_json)`` pairs, e.g. for re-execution."""
-        query = "SELECT run_id, request_json FROM runs"
-        params: tuple[object, ...] = ()
-        if sweep is not None:
-            query += " WHERE sweep = ?"
-            params = (sweep,)
-        query += " ORDER BY sweep, run_index"
-        for row in self._conn.execute(query, params):
-            yield row["run_id"], row["request_json"]
 
 
 def _csv_number(value: float) -> object:

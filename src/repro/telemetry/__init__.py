@@ -1,22 +1,23 @@
 """Job and telemetry-trace representations.
 
 The telemetry package contains the data model shared by every other
-subsystem: :class:`~repro.telemetry.job.Job` (one batch job with submit /
-start / end times, resource request, utilization or power profiles and
-account information), :class:`~repro.telemetry.trace.Profile` (a sampled
+subsystem: :class:`~repro.telemetry.job.Job` (one read-only batch job with
+submit / start / end times, resource request, utilization or power profiles
+and account information), :class:`~repro.telemetry.job.JobRun` (that job's
+state in one simulation run), :class:`~repro.telemetry.trace.Profile` (a sampled
 time-series with last-known-value gap filling, as used for CPU/GPU
 utilization and power traces), and reader/writer support for the Standard
 Workload Format (SWF) used by classic scheduling simulators.
 """
 
-from .job import Job, JobState, TraceFlag
+from .job import Job, JobRun, JobState
 from .trace import Profile, constant_profile
 from .swf import jobs_to_swf, parse_swf, read_swf, write_swf
 
 __all__ = [
     "Job",
+    "JobRun",
     "JobState",
-    "TraceFlag",
     "Profile",
     "constant_profile",
     "jobs_to_swf",

@@ -1,12 +1,16 @@
-"""The batch-job data model.
+"""The batch-job data model: read-only workload records and per-run state.
 
 Each :class:`Job` carries the scheduling-relevant fields required by the
 dataloaders (Sec. 3.2.2 of the paper): submit time, recorded start and end
 times, wall-time limit and the number of requested nodes (or the exact node
 set from the telemetry, for replay). On top of those it carries telemetry
 profiles (CPU/GPU/memory utilization or power), user/account information for
-the incentive studies, priority, and the mutable simulation state managed by
-the engine (assigned nodes, simulated start/end, state machine).
+the incentive studies and priority. A :class:`Job` is frozen: it describes
+what the dataset recorded, so one job list can drive any number of runs.
+
+What happens to a job in one run — its state, placement, simulated
+submit/start/end times and the typed reasons behind them — lives in a
+:class:`JobRun`, which the engine builds per input job and owns.
 
 Times are seconds relative to the telemetry window start as established by
 the dataloader; the simulation engine works entirely in this relative frame.
@@ -16,8 +20,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+import math
+import numbers
+from dataclasses import dataclass, field
 
 from ..exceptions import DataLoaderError, SimulationError
 from .trace import Profile, constant_profile
@@ -27,6 +32,14 @@ _job_id_counter = itertools.count(1)
 
 def _next_job_id() -> int:
     return next(_job_id_counter)
+
+
+def _zero_profile() -> Profile:
+    return constant_profile(0.0)
+
+
+#: Fields a :class:`Job` requires to be finite numbers.
+_FINITE_FIELDS = ("submit_time", "start_time", "end_time", "priority")
 
 
 class JobState(enum.Enum):
@@ -44,36 +57,10 @@ class JobState(enum.Enum):
     DISMISSED = "dismissed"
 
 
-class TraceFlag(enum.Flag):
-    """Edge-case flags for jobs relative to the telemetry capture window.
-
-    Figure 3 of the paper: jobs that started before the capture window or
-    ended after it have incomplete telemetry; when such jobs are rescheduled
-    the simulator has no ground truth for part of their lifetime, so they are
-    flagged for downstream consumers.
-    """
-
-    NONE = 0
-    #: Job started before telemetry capture began (Fig. 3, Job 1).
-    STARTED_BEFORE_CAPTURE = enum.auto()
-    #: Job ended after telemetry capture stopped (Fig. 3, Jobs 6-8).
-    ENDED_AFTER_CAPTURE = enum.auto()
-    #: Job was running when the simulation window started (prepopulated).
-    PREPOPULATED = enum.auto()
-    #: Telemetry shorter than the job's simulated runtime (gap-filled).
-    TELEMETRY_GAP_FILLED = enum.auto()
-
-
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Job:
-    """A single batch job.
+    """A single batch job, as the dataset recorded it (read-only)."""
 
-    Immutable *workload* fields describe what the dataset recorded; mutable
-    *simulation* fields (prefixed ``sim_``) are written by the resource
-    manager and engine while the job is replayed or rescheduled.
-    """
-
-    # -- workload description (from the dataloader) --------------------------
     nodes_required: int
     submit_time: float
     start_time: float
@@ -88,31 +75,37 @@ class Job:
     #: Exact node ids recorded in the telemetry (used in replay mode).
     recorded_nodes: tuple[int, ...] = ()
     #: Utilization profiles in [0, 1] relative to job start.
-    cpu_util: Profile = field(default_factory=lambda: constant_profile(0.0))
-    gpu_util: Profile = field(default_factory=lambda: constant_profile(0.0))
-    mem_util: Profile = field(default_factory=lambda: constant_profile(0.0))
+    cpu_util: Profile = field(default_factory=_zero_profile)
+    gpu_util: Profile = field(default_factory=_zero_profile)
+    mem_util: Profile = field(default_factory=_zero_profile)
     #: Optional recorded per-node power profile in watts (overrides the
     #: utilization-based power model when present).
     node_power: Profile | None = None
     #: Dataset-specific extras (performance class, network counters, ...).
     metadata: dict[str, object] = field(default_factory=dict)
-    trace_flags: TraceFlag = TraceFlag.NONE
-
-    # -- simulation state (owned by the engine) -------------------------------
-    state: JobState = JobState.PENDING
-    assigned_nodes: tuple[int, ...] = ()
-    sim_submit_time: float | None = None
-    sim_start_time: float | None = None
-    sim_end_time: float | None = None
-    #: Scheduler-assigned score (ML policy) or effective priority.
-    score: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.nodes_required <= 0:
+        nodes = self.nodes_required
+        # ``type() is int`` first: the ABC check is ten times slower, and
+        # plain ints are what every loader passes.
+        if type(nodes) is not int and (
+            isinstance(nodes, bool) or not isinstance(nodes, numbers.Integral)
+        ):
+            raise DataLoaderError(
+                f"job {self.job_id}: nodes_required must be an integer, "
+                f"got {nodes!r}"
+            )
+        if nodes <= 0:
             raise DataLoaderError(
                 f"job {self.job_id}: nodes_required must be positive, "
-                f"got {self.nodes_required}"
+                f"got {nodes}"
             )
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DataLoaderError(
+                    f"job {self.job_id}: {name} must be finite, got {value!r}"
+                )
         if self.end_time < self.start_time:
             raise DataLoaderError(
                 f"job {self.job_id}: end_time {self.end_time} precedes "
@@ -125,16 +118,18 @@ class Job:
                 raise DataLoaderError(
                     f"job {self.job_id}: submit_time after end_time"
                 )
-            self.submit_time = self.start_time
+            object.__setattr__(self, "submit_time", self.start_time)
         if self.recorded_nodes and len(self.recorded_nodes) != self.nodes_required:
             raise DataLoaderError(
                 f"job {self.job_id}: recorded_nodes has "
                 f"{len(self.recorded_nodes)} entries but nodes_required is "
                 f"{self.nodes_required}"
             )
-        if self.wall_time_limit is not None and self.wall_time_limit <= 0:
+        limit = self.wall_time_limit
+        if limit is not None and not 0.0 < limit < math.inf:
             raise DataLoaderError(
-                f"job {self.job_id}: wall_time_limit must be positive"
+                f"job {self.job_id}: wall_time_limit must be positive and "
+                f"finite, got {limit!r}"
             )
 
     # -- derived workload properties ------------------------------------------
@@ -160,6 +155,74 @@ class Job:
         """Recorded node-seconds (nodes x runtime)."""
         return self.nodes_required * self.duration
 
+    def power_profiles(self) -> tuple[Profile, ...]:
+        """The profiles that determine this job's sampled power state.
+
+        When a recorded node-power trace exists it wins over the component
+        model, so memory utilization becomes irrelevant — but CPU/GPU
+        utilization still feed the per-tick mean-utilization series, so they
+        stay in the set. Without a power trace, power is the component model
+        over all three utilization profiles.
+        """
+        if self.node_power is not None:
+            return (self.node_power, self.cpu_util, self.gpu_util)
+        return (self.cpu_util, self.gpu_util, self.mem_util)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return (
+            f"Job(id={self.job_id}, nodes={self.nodes_required}, "
+            f"submit={self.submit_time:.0f}, start={self.start_time:.0f}, "
+            f"end={self.end_time:.0f})"
+        )
+
+
+class JobRun:
+    """One job's state in one simulation run, owned by the engine.
+
+    Built in O(1) per input job, without validation (the :class:`Job` was
+    validated once, when it was loaded). The ``mark_*`` transitions are the
+    only writers of :attr:`state` and raise :class:`SimulationError` on an
+    illegal move. The typed tags say why a run ended the way it did:
+
+    ``dismiss_reason``
+        Why a dismissed job never ran (capacity, power cap, horizon).
+    ``replay_delayed``
+        Replay could not start the job at its recorded start: its recorded
+        placement was busy, or a power cap held it.
+    ``replay_relocated``
+        Replay placed the job on free nodes because its recorded node set
+        can never be satisfied (out-of-range or down nodes).
+    ``truncated_by_horizon``
+        The run's horizon cut the job before its recorded duration elapsed.
+    """
+
+    __slots__ = (
+        "job",
+        "job_id",
+        "state",
+        "assigned_nodes",
+        "sim_submit_time",
+        "sim_start_time",
+        "sim_end_time",
+        "dismiss_reason",
+        "replay_delayed",
+        "replay_relocated",
+        "truncated_by_horizon",
+    )
+
+    def __init__(self, job: Job) -> None:
+        self.job = job
+        self.job_id = job.job_id
+        self.state = JobState.PENDING
+        self.assigned_nodes: tuple[int, ...] = ()
+        self.sim_submit_time: float | None = None
+        self.sim_start_time: float | None = None
+        self.sim_end_time: float | None = None
+        self.dismiss_reason: str | None = None
+        self.replay_delayed = False
+        self.replay_relocated = False
+        self.truncated_by_horizon = False
+
     # -- derived simulation properties -----------------------------------------
 
     @property
@@ -184,16 +247,19 @@ class Job:
         """Simulated queue wait (start - submit), if started."""
         if self.sim_start_time is None:
             return None
-        submit = self.sim_submit_time if self.sim_submit_time is not None else self.submit_time
-        return max(0.0, self.sim_start_time - submit)
+        return max(0.0, self.sim_start_time - self._submit())
 
     @property
     def turnaround_time(self) -> float | None:
         """Simulated turnaround (end - submit), if finished."""
         if self.sim_end_time is None:
             return None
-        submit = self.sim_submit_time if self.sim_submit_time is not None else self.submit_time
-        return max(0.0, self.sim_end_time - submit)
+        return max(0.0, self.sim_end_time - self._submit())
+
+    def _submit(self) -> float:
+        if self.sim_submit_time is not None:
+            return self.sim_submit_time
+        return self.job.submit_time
 
     # -- state transitions (used by engine / resource manager) -----------------
 
@@ -204,7 +270,8 @@ class Job:
                 f"job {self.job_id}: cannot queue from state {self.state.value}"
             )
         self.state = JobState.QUEUED
-        self.sim_submit_time = now if self.sim_submit_time is None else self.sim_submit_time
+        if self.sim_submit_time is None:
+            self.sim_submit_time = now
 
     def mark_running(self, now: float, nodes: tuple[int, ...]) -> None:
         """Transition QUEUED/PENDING → RUNNING with an allocation."""
@@ -212,16 +279,16 @@ class Job:
             raise SimulationError(
                 f"job {self.job_id}: cannot start from state {self.state.value}"
             )
-        if len(nodes) != self.nodes_required:
+        if len(nodes) != self.job.nodes_required:
             raise SimulationError(
                 f"job {self.job_id}: allocation of {len(nodes)} nodes does not "
-                f"match request of {self.nodes_required}"
+                f"match request of {self.job.nodes_required}"
             )
         self.state = JobState.RUNNING
         self.assigned_nodes = tuple(nodes)
         self.sim_start_time = now
         if self.sim_submit_time is None:
-            self.sim_submit_time = self.submit_time
+            self.sim_submit_time = self.job.submit_time
 
     def mark_completed(self, now: float) -> None:
         """Transition RUNNING → COMPLETED, releasing is the RM's job."""
@@ -232,13 +299,14 @@ class Job:
         self.state = JobState.COMPLETED
         self.sim_end_time = now
 
-    def mark_dismissed(self) -> None:
+    def mark_dismissed(self, reason: str | None = None) -> None:
         """Remove the job from consideration without running it."""
         if self.state is JobState.RUNNING:
             raise SimulationError(
                 f"job {self.job_id}: cannot dismiss a running job"
             )
         self.state = JobState.DISMISSED
+        self.dismiss_reason = reason
 
     # -- telemetry access -------------------------------------------------------
 
@@ -256,24 +324,18 @@ class Job:
         start time (the gap-filling rule covers runs past the recorded end).
         """
         t = self.elapsed(now)
+        job = self.job
         return (
-            float(self.cpu_util.value_at(t)),
-            float(self.gpu_util.value_at(t)),
-            float(self.mem_util.value_at(t)),
+            float(job.cpu_util.value_at(t)),
+            float(job.gpu_util.value_at(t)),
+            float(job.mem_util.value_at(t)),
         )
 
-    def power_profiles(self) -> tuple[Profile, ...]:
-        """The profiles that determine this job's sampled power state.
-
-        When a recorded node-power trace exists it wins over the component
-        model, so memory utilization becomes irrelevant — but CPU/GPU
-        utilization still feed the per-tick mean-utilization series, so they
-        stay in the set. Without a power trace, power is the component model
-        over all three utilization profiles.
-        """
-        if self.node_power is not None:
-            return (self.node_power, self.cpu_util, self.gpu_util)
-        return (self.cpu_util, self.gpu_util, self.mem_util)
+    def recorded_power_at(self, now: float) -> float | None:
+        """Recorded per-node power (watts) at ``now``, if a trace exists."""
+        if self.job.node_power is None:
+            return None
+        return float(self.job.node_power.value_at(self.elapsed(now)))
 
     def next_power_change_after(self, now: float) -> float | None:
         """First simulation time strictly after ``now`` at which this job's
@@ -289,7 +351,7 @@ class Job:
         base = self.sim_start_time if self.sim_start_time is not None else now
         elapsed = now - base
         best: float | None = None
-        for profile in self.power_profiles():
+        for profile in self.job.power_profiles():
             change = profile.next_change_after(elapsed)
             if change is not None:
                 candidate = base + change
@@ -297,41 +359,5 @@ class Job:
                     best = candidate
         return best
 
-    def recorded_power_at(self, now: float) -> float | None:
-        """Recorded per-node power (watts) at ``now``, if a trace exists."""
-        if self.node_power is None:
-            return None
-        return float(self.node_power.value_at(self.elapsed(now)))
-
-    def copy_for_simulation(self) -> "Job":
-        """Return a fresh copy with pristine simulation state.
-
-        Dataloaders build one canonical job list; each simulation run works
-        on copies so that replay and reschedule runs never interfere.
-        """
-        return replace(
-            self,
-            state=JobState.PENDING,
-            assigned_nodes=(),
-            sim_submit_time=None,
-            sim_start_time=None,
-            sim_end_time=None,
-            score=0.0,
-            metadata=dict(self.metadata),
-        )
-
-    def static_features(self) -> Mapping[str, float]:
-        """Pre-submission features available to the ML pipeline at submit time."""
-        return {
-            "nodes_required": float(self.nodes_required),
-            "requested_runtime": float(self.requested_runtime),
-            "priority": float(self.priority),
-            "submit_hour": float((self.submit_time % 86400.0) / 3600.0),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"Job(id={self.job_id}, nodes={self.nodes_required}, "
-            f"submit={self.submit_time:.0f}, start={self.start_time:.0f}, "
-            f"end={self.end_time:.0f}, state={self.state.value})"
-        )
+        return f"JobRun(id={self.job_id}, state={self.state.value})"

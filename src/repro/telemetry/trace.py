@@ -35,7 +35,7 @@ class Profile:
     -----
     Profiles are immutable after construction; the sample arrays are copied
     exactly once and marked read-only so they can be shared between a
-    replayed and a rescheduled copy of the same job without aliasing hazards.
+    replayed and a rescheduled run of the same job without aliasing hazards.
     """
 
     __slots__ = ("_times", "_values", "_change_times", "_grid_times", "_grid_values")

@@ -7,11 +7,21 @@ relying on package-relative imports.
 
 from __future__ import annotations
 
+import copy
+
+from repro.cluster import DOWN, FREE, ResourceManager
+from repro.engine import SimulationEngine, SimulationResult
 from repro.power import RunningSetPowerAggregator
 from repro.power.system_power import _JobPowerState
-from repro.telemetry import Job, Profile, constant_profile
+from repro.telemetry import Job, JobRun, JobState, Profile, constant_profile
 
-__all__ = ["PerJobStatesAggregator", "make_job"]
+__all__ = [
+    "PerJobStatesAggregator",
+    "assert_node_conservation",
+    "make_job",
+    "queued_run",
+    "run_checked",
+]
 
 
 def make_job(
@@ -58,6 +68,69 @@ def make_job(
     )
 
 
+def queued_run(job: Job, now: float = 0.0) -> JobRun:
+    """A fresh run record of ``job``, submitted at ``now``."""
+    run = JobRun(job)
+    run.mark_queued(now)
+    return run
+
+
+def assert_node_conservation(rm: ResourceManager) -> None:
+    """Recount the owner table against the resource manager's counters.
+
+    Every node is free, down or owned by a running job; the three counts
+    add up to the system's node count and match the O(1) counters, per
+    partition too.
+    """
+    owner = rm.owner
+    free = sum(1 for entry in owner if entry is FREE)
+    down = sum(1 for entry in owner if entry is DOWN)
+    allocated = sum(1 for entry in owner if entry is not FREE and entry is not DOWN)
+    assert free + allocated + down == rm.system.total_nodes
+    assert (free, allocated, down) == (
+        rm.free_node_count(),
+        rm.allocated_nodes,
+        rm.down_nodes,
+    )
+    running = rm.running_by_id
+    assert allocated == sum(run.job.nodes_required for run in running.values())
+    for run in running.values():
+        assert all(owner[nid] == run.job_id for nid in run.assigned_nodes)
+    for partition in rm.system.partitions:
+        node_range = rm.system.partition_node_range(partition.name)
+        assert rm.free_node_count(partition.name) == sum(
+            1 for nid in node_range if owner[nid] is FREE
+        )
+
+
+def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationResult:
+    """Run one engine over ``jobs``, checking conservation on its tables.
+
+    Wraps :meth:`SimulationEngine.step` so the owner table is recounted
+    after every step (:func:`assert_node_conservation`). After the run,
+    every run record is COMPLETED or DISMISSED, each job id left the system
+    exactly once, and the input jobs equal a deep copy taken before the run.
+    """
+    before = copy.deepcopy(jobs)
+    engine = SimulationEngine(system, jobs, policy, **engine_kwargs)
+    step = engine.step
+
+    def checked_step() -> None:
+        step()
+        assert_node_conservation(engine.resource_manager)
+
+    engine.step = checked_step  # type: ignore[method-assign]
+    result = engine.run()
+    assert all(
+        run.state in (JobState.COMPLETED, JobState.DISMISSED) for run in result.jobs
+    )
+    left = [run.job_id for run in result.stats.completed_jobs]
+    left += [run.job_id for run in result.stats.dismissed_jobs]
+    assert sorted(left) == sorted(job.job_id for job in jobs)
+    assert jobs == before
+    return result
+
+
 class PerJobStatesAggregator(RunningSetPowerAggregator):
     """Reference aggregator: every started job's state built by ``for_job``.
 
@@ -68,9 +141,9 @@ class PerJobStatesAggregator(RunningSetPowerAggregator):
     """
 
     def _build_states(
-        self, started_jobs: list[Job], now: float
+        self, started_jobs: list[JobRun], now: float
     ) -> list[_JobPowerState]:
         return [
-            _JobPowerState.for_job(job, self._model.node_model(job.partition), now)
-            for job in started_jobs
+            _JobPowerState.for_job(run, self._model.node_model(run.job.partition), now)
+            for run in started_jobs
         ]

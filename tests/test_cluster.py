@@ -1,4 +1,4 @@
-"""Tests for the node model and resource manager."""
+"""Tests for the resource manager and its node-owner table."""
 
 from __future__ import annotations
 
@@ -6,159 +6,154 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Node, NodeState, ResourceManager
+from repro.cluster import DOWN, FREE, ResourceManager
 from repro.config import get_system_config
 from repro.exceptions import AllocationError
+from repro.telemetry import JobRun
 
-from helpers import make_job
+from helpers import assert_node_conservation, make_job, queued_run
 
 
 class TestNode:
-    def test_initial_state(self):
-        node = Node(node_id=3)
-        assert node.is_available
-        assert node.job_id is None
+    """Node-level checks of the owner table."""
 
-    def test_allocate_release_cycle(self):
-        node = Node(node_id=0)
-        node.allocate(job_id=7, now=100.0)
-        assert node.state is NodeState.ALLOCATED
-        assert node.job_id == 7
-        assert not node.is_available
-        node.release(now=400.0)
-        assert node.is_available
-        assert node.busy_s == pytest.approx(300.0)
-        assert node.allocation_count == 1
+    def test_initial_state(self, tiny_system):
+        rm = ResourceManager(tiny_system)
+        assert rm.owner[3] is FREE
+        assert rm.free_node_count() == rm.total_nodes
 
-    def test_double_allocate_rejected(self):
-        node = Node(node_id=0)
-        node.allocate(1, 0.0)
+    def test_allocate_release_cycle(self, tiny_system):
+        rm = ResourceManager(tiny_system)
+        run = queued_run(make_job(nodes=1))
+        rm.allocate(run, 100.0, node_ids=[0])
+        assert rm.owner[0] == run.job_id
+        assert 0 not in rm.available_node_ids()
+        rm.release(run, 400.0)
+        assert rm.owner[0] is FREE
+        assert run.sim_duration == pytest.approx(300.0)
+
+    def test_double_allocate_rejected(self, tiny_system):
+        rm = ResourceManager(tiny_system)
+        rm.allocate(queued_run(make_job(nodes=1)), 0.0, node_ids=[0])
+        second = queued_run(make_job(nodes=1))
         with pytest.raises(AllocationError):
-            node.allocate(2, 1.0)
+            rm.allocate(second, 1.0, node_ids=[0])
+        assert not rm.running_by_id.get(second.job_id)
 
-    def test_release_idle_rejected(self):
+    def test_release_idle_rejected(self, tiny_system):
+        # A run whose placement disagrees with the owner table (node 5 was
+        # never given to it) cannot free that node.
+        rm = ResourceManager(tiny_system)
+        run = queued_run(make_job(nodes=2))
+        rm.allocate(run, 0.0, node_ids=[0, 1])
+        run.assigned_nodes = (0, 5)
         with pytest.raises(AllocationError):
-            Node(node_id=0).release(0.0)
+            rm.release(run, 10.0)
 
-    def test_down_node_cannot_allocate(self):
-        node = Node(node_id=0)
-        node.mark_down()
+    def test_down_node_cannot_allocate(self, tiny_system):
+        system = tiny_system.with_overrides(down_node_fraction=0.25)
+        rm = ResourceManager(system, seed=1)
+        down = rm.owner.index(DOWN)
         with pytest.raises(AllocationError):
-            node.allocate(1, 0.0)
-        node.mark_up()
-        node.allocate(1, 0.0)
-
-    def test_cannot_mark_allocated_node_down(self):
-        node = Node(node_id=0)
-        node.allocate(1, 0.0)
-        with pytest.raises(AllocationError):
-            node.mark_down()
+            rm.allocate(queued_run(make_job(nodes=1)), 0.0, node_ids=[down])
+        assert rm.owner[down] is DOWN
+        assert rm.allocated_nodes == 0
 
 
 class TestResourceManager:
     def test_inventory(self, tiny_system):
         rm = ResourceManager(tiny_system)
         assert rm.total_nodes == 32
-        assert rm.available_nodes == 32
+        assert rm.free_node_count() == 32
         assert rm.allocated_nodes == 0
-        assert rm.utilization == 0.0
 
     def test_allocate_auto_placement(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        job = make_job(nodes=4)
-        job.mark_queued(0.0)
-        nodes = rm.allocate(job, 0.0)
+        run = queued_run(make_job(nodes=4))
+        nodes = rm.allocate(run, 0.0)
         assert len(nodes) == 4
         assert rm.allocated_nodes == 4
-        assert rm.utilization == pytest.approx(4 / 32)
-        assert job.assigned_nodes == nodes
+        assert rm.free_node_count() == 28
+        assert run.assigned_nodes == nodes
 
     def test_allocate_explicit_placement(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        job = make_job(nodes=2)
-        job.mark_queued(0.0)
-        nodes = rm.allocate(job, 0.0, node_ids=[5, 9])
+        run = queued_run(make_job(nodes=2))
+        nodes = rm.allocate(run, 0.0, node_ids=[5, 9])
         assert nodes == (5, 9)
 
     def test_exact_placement_replay(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        job = make_job(nodes=3, recorded_nodes=(1, 2, 3))
-        job.mark_queued(0.0)
-        assert rm.allocate(job, 0.0, exact_placement=True) == (1, 2, 3)
+        run = queued_run(make_job(nodes=3, recorded_nodes=(1, 2, 3)))
+        assert rm.allocate(run, 0.0, exact_placement=True) == (1, 2, 3)
 
     def test_exact_placement_requires_recorded_nodes(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        job = make_job(nodes=2)
-        job.mark_queued(0.0)
+        run = queued_run(make_job(nodes=2))
         with pytest.raises(AllocationError):
-            rm.allocate(job, 0.0, exact_placement=True)
+            rm.allocate(run, 0.0, exact_placement=True)
 
     def test_exact_placement_conflict(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        first = make_job(nodes=1, recorded_nodes=(4,))
-        first.mark_queued(0.0)
+        first = queued_run(make_job(nodes=1, recorded_nodes=(4,)))
         rm.allocate(first, 0.0, exact_placement=True)
-        second = make_job(nodes=1, recorded_nodes=(4,))
-        second.mark_queued(0.0)
+        second = queued_run(make_job(nodes=1, recorded_nodes=(4,)))
         with pytest.raises(AllocationError):
             rm.allocate(second, 0.0, exact_placement=True)
 
     def test_insufficient_nodes(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        job = make_job(nodes=33)
-        job.mark_queued(0.0)
+        run = queued_run(make_job(nodes=33))
         with pytest.raises(AllocationError):
-            rm.allocate(job, 0.0)
+            rm.allocate(run, 0.0)
 
     def test_duplicate_node_ids_rejected(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        job = make_job(nodes=2)
-        job.mark_queued(0.0)
+        run = queued_run(make_job(nodes=2))
         with pytest.raises(AllocationError):
-            rm.allocate(job, 0.0, node_ids=[3, 3])
+            rm.allocate(run, 0.0, node_ids=[3, 3])
+
+    @pytest.mark.parametrize("node_id", [-1, 32])
+    def test_out_of_range_node_ids_rejected(self, tiny_system, node_id):
+        # A negative id must not wrap around to the last node.
+        rm = ResourceManager(tiny_system)
+        with pytest.raises(AllocationError, match="do not exist"):
+            rm.allocate(queued_run(make_job(nodes=1)), 0.0, node_ids=[node_id])
+        assert rm.allocated_nodes == 0
 
     def test_wrong_placement_size_rejected(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        job = make_job(nodes=2)
-        job.mark_queued(0.0)
+        run = queued_run(make_job(nodes=2))
         with pytest.raises(AllocationError):
-            rm.allocate(job, 0.0, node_ids=[1, 2, 3])
+            rm.allocate(run, 0.0, node_ids=[1, 2, 3])
 
     def test_double_allocation_of_job_rejected(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        job = make_job(nodes=1)
-        job.mark_queued(0.0)
-        rm.allocate(job, 0.0)
+        run = queued_run(make_job(nodes=1))
+        rm.allocate(run, 0.0)
         with pytest.raises(AllocationError):
-            rm.allocate(job, 1.0)
+            rm.allocate(run, 1.0)
 
     def test_release(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        job = make_job(nodes=4, duration=600)
-        job.mark_queued(0.0)
-        rm.allocate(job, 0.0)
-        rm.release(job, 600.0)
+        run = queued_run(make_job(nodes=4, duration=600))
+        rm.allocate(run, 0.0)
+        rm.release(run, 600.0)
         assert rm.allocated_nodes == 0
-        assert rm.available_nodes == 32
-        assert job.is_finished
+        assert rm.free_node_count() == 32
+        assert run.is_finished
 
     def test_release_unknown_job_rejected(self, tiny_system):
         rm = ResourceManager(tiny_system)
         with pytest.raises(AllocationError):
-            rm.release(make_job(), 0.0)
-
-    def test_can_allocate(self, tiny_system):
-        rm = ResourceManager(tiny_system)
-        assert rm.can_allocate(make_job(nodes=32))
-        assert not rm.can_allocate(make_job(nodes=33))
+            rm.release(JobRun(make_job()), 0.0)
 
     def test_complete_finished_jobs(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        short = make_job(nodes=2, duration=100)
-        long = make_job(nodes=3, duration=1000)
-        for job in (short, long):
-            job.mark_queued(0.0)
-            rm.allocate(job, 0.0)
+        short = queued_run(make_job(nodes=2, duration=100))
+        long = queued_run(make_job(nodes=3, duration=1000))
+        for run in (short, long):
+            rm.allocate(run, 0.0)
         finished = rm.complete_finished_jobs(now=100.0)
         assert finished == [short]
         assert rm.allocated_nodes == 3
@@ -169,13 +164,11 @@ class TestResourceManager:
     def test_same_timestep_end_and_start(self, tiny_system):
         """A node freed at time t can be reallocated at time t (paper Sec. 3.2.3)."""
         rm = ResourceManager(tiny_system)
-        first = make_job(nodes=32, duration=100)
-        first.mark_queued(0.0)
+        first = queued_run(make_job(nodes=32, duration=100))
         rm.allocate(first, 0.0)
-        assert rm.available_nodes == 0
+        assert rm.free_node_count() == 0
         rm.complete_finished_jobs(now=100.0)
-        second = make_job(nodes=32, submit=50, start=100, duration=100)
-        second.mark_queued(50.0)
+        second = queued_run(make_job(nodes=32, submit=50, start=100, duration=100), 50.0)
         nodes = rm.allocate(second, 100.0)
         assert len(nodes) == 32
 
@@ -183,57 +176,50 @@ class TestResourceManager:
         system = tiny_system.with_overrides(down_node_fraction=0.25)
         rm = ResourceManager(system, seed=1)
         assert rm.down_nodes == 8
-        assert rm.available_nodes == 24
-        assert not rm.can_allocate(make_job(nodes=25))
-        assert rm.can_allocate(make_job(nodes=24))
+        assert rm.free_node_count() == 24
+        with pytest.raises(AllocationError):
+            rm.allocate(queued_run(make_job(nodes=25)), 0.0)
+        nodes = rm.allocate(queued_run(make_job(nodes=24)), 0.0)
+        assert all(rm.owner[nid] is not DOWN for nid in nodes)
 
     def test_utilization_ignores_down_nodes(self, tiny_system):
+        # Utilization is allocated over in-service (free + allocated) nodes.
         system = tiny_system.with_overrides(down_node_fraction=0.5)
         rm = ResourceManager(system, seed=1)
-        job = make_job(nodes=8)
-        job.mark_queued(0.0)
-        rm.allocate(job, 0.0)
-        assert rm.utilization == pytest.approx(8 / 16)
+        rm.allocate(queued_run(make_job(nodes=8)), 0.0)
+        in_service = rm.allocated_nodes + rm.free_node_count()
+        assert in_service == rm.total_nodes - rm.down_nodes == 16
+        assert rm.allocated_nodes / in_service == pytest.approx(8 / 16)
 
     def test_partition_restricted_allocation(self):
         system = get_system_config("tiny")
         rm = ResourceManager(system)
-        job = make_job(nodes=2)
-        job.partition = "batch"
-        job.mark_queued(0.0)
-        nodes = rm.allocate(job, 0.0)
+        run = queued_run(make_job(nodes=2, partition="batch"))
+        nodes = rm.allocate(run, 0.0)
         assert all(n in system.partition_node_range("batch") for n in nodes)
 
     def test_unknown_partition_falls_back_to_any(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        job = make_job(nodes=2)
-        job.partition = "nonexistent"
-        job.mark_queued(0.0)
-        assert len(rm.allocate(job, 0.0)) == 2
-
-    def test_snapshot_keys(self, tiny_system):
-        snap = ResourceManager(tiny_system).snapshot()
-        assert snap["total_nodes"] == 32.0
-        assert set(snap) >= {"allocated_nodes", "available_nodes", "utilization"}
+        run = queued_run(make_job(nodes=2, partition="nonexistent"))
+        assert len(rm.allocate(run, 0.0)) == 2
 
     @given(sizes=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=10))
     @settings(max_examples=30, deadline=None)
     def test_allocation_conservation_property(self, sizes):
-        """Allocated + available + down always equals total."""
+        """Allocated + free + down always equals total."""
         system = get_system_config("tiny")
         rm = ResourceManager(system)
         placed = []
         for size in sizes:
-            job = make_job(nodes=size)
-            job.mark_queued(0.0)
-            if rm.can_allocate(job):
-                rm.allocate(job, 0.0)
-                placed.append(job)
-            assert rm.allocated_nodes + rm.available_nodes + rm.down_nodes == rm.total_nodes
-        for job in placed:
-            rm.release(job, 10.0)
+            run = queued_run(make_job(nodes=size))
+            if rm.free_node_count() >= size:
+                rm.allocate(run, 0.0)
+                placed.append(run)
+            assert_node_conservation(rm)
+        for run in placed:
+            rm.release(run, 10.0)
         assert rm.allocated_nodes == 0
-        assert rm.available_nodes + rm.down_nodes == rm.total_nodes
+        assert_node_conservation(rm)
 
 
 class TestEpochAndCounters:
@@ -242,19 +228,16 @@ class TestEpochAndCounters:
     def test_epoch_bumps_on_allocate_and_release(self, tiny_system):
         rm = ResourceManager(tiny_system)
         assert rm.epoch == 0
-        job = make_job(nodes=4, submit=0.0)
-        job.mark_queued(0.0)
-        rm.allocate(job, 0.0)
+        run = queued_run(make_job(nodes=4, submit=0.0))
+        rm.allocate(run, 0.0)
         assert rm.epoch == 1
-        rm.release(job, 100.0)
+        rm.release(run, 100.0)
         assert rm.epoch == 2
 
     def test_epoch_bumps_on_complete_finished_jobs(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        jobs = [make_job(nodes=1, submit=0.0, duration=300.0) for _ in range(3)]
-        for job in jobs:
-            job.mark_queued(0.0)
-            rm.allocate(job, 0.0)
+        for _ in range(3):
+            rm.allocate(queued_run(make_job(nodes=1, submit=0.0, duration=300.0)), 0.0)
         epoch = rm.epoch
         assert rm.complete_finished_jobs(100.0) == []
         assert rm.epoch == epoch  # no releases, no bump
@@ -264,39 +247,30 @@ class TestEpochAndCounters:
     def test_counters_match_inventory_scan(self, tiny_system):
         system = tiny_system.with_overrides(down_node_fraction=0.125)
         rm = ResourceManager(system, seed=5)
-        jobs = [make_job(nodes=n, submit=0.0) for n in (3, 5, 2)]
-        for job in jobs:
-            job.mark_queued(0.0)
-            rm.allocate(job, 0.0)
-        rm.release(jobs[1], 50.0)
-
-        def scan(state):
-            return sum(1 for node in rm.nodes if node.state is state)
-
-        assert rm.allocated_nodes == scan(NodeState.ALLOCATED) == 5
-        assert rm.down_nodes == scan(NodeState.DOWN) == 4
-        assert rm.available_nodes == sum(
-            1 for node in rm.nodes if node.is_available
-        )
-        assert rm.allocated_nodes + rm.available_nodes + rm.down_nodes == rm.total_nodes
+        runs = [queued_run(make_job(nodes=n, submit=0.0)) for n in (3, 5, 2)]
+        for run in runs:
+            rm.allocate(run, 0.0)
+        rm.release(runs[1], 50.0)
+        assert rm.allocated_nodes == 5
+        assert rm.down_nodes == 4
+        assert_node_conservation(rm)
 
     def test_running_by_id_is_read_only_view(self, tiny_system):
         rm = ResourceManager(tiny_system)
-        job = make_job(nodes=2, submit=0.0)
-        job.mark_queued(0.0)
-        rm.allocate(job, 0.0)
+        run = queued_run(make_job(nodes=2, submit=0.0))
+        rm.allocate(run, 0.0)
         view = rm.running_by_id
-        assert view[job.job_id] is job
+        assert view[run.job_id] is run
         with pytest.raises(TypeError):
-            view[job.job_id + 1] = job  # type: ignore[index]
-        rm.release(job, 10.0)
-        assert job.job_id not in rm.running_by_id
+            view[run.job_id + 1] = run  # type: ignore[index]
+        rm.release(run, 10.0)
+        assert run.job_id not in rm.running_by_id
 
 
 def _allocate(rm, job, now=0.0):
-    job.mark_queued(now)
-    rm.allocate(job, now)
-    return job
+    run = queued_run(job, now)
+    rm.allocate(run, now)
+    return run
 
 
 def _heap_invariants(rm):
@@ -307,8 +281,8 @@ def _heap_invariants(rm):
     job has been released) and must be vouched for by nothing.
     """
     live = {
-        job_id: job.sim_start_time + job.duration
-        for job_id, job in rm.running_by_id.items()
+        job_id: run.sim_start_time + run.job.duration
+        for job_id, run in rm.running_by_id.items()
     }
     assert rm._end_of == live
     heap_live = [(end, jid) for end, jid in rm._end_heap if rm._end_of.get(jid) == end]
@@ -379,9 +353,9 @@ class TestEndTimeHeap:
         released_total = 0
         for now in (0.0, 299.0, 300.0, 800.0):
             scanned = sorted(
-                (job.job_id, job.sim_start_time + job.duration)
-                for job in rm.running_by_id.values()
-                if job.sim_start_time + job.duration <= now
+                (run.job_id, run.sim_start_time + run.job.duration)
+                for run in rm.running_by_id.values()
+                if run.sim_start_time + run.job.duration <= now
             )
             released = rm.complete_finished_jobs(now)
             assert [(j.job_id, j.sim_end_time) for j in released] == scanned
@@ -409,11 +383,11 @@ class TestEndTimeHeap:
         for duration, release_early in plan:
             duration = round(duration / 300.0) * 300.0  # force duplicates
             if rm.free_node_count() >= 1:
-                job = make_job(nodes=1, submit=now, start=now, duration=duration)
-                job.mark_queued(now)
-                rm.allocate(job, now)
+                run = _allocate(
+                    rm, make_job(nodes=1, submit=now, start=now, duration=duration), now
+                )
                 if release_early and duration > 0:
-                    rm.release(job, now)
+                    rm.release(run, now)
             now += 150.0
             rm.complete_finished_jobs(now)
             _heap_invariants(rm)

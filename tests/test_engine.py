@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import pytest
 
 from repro import run_simulation
 from repro.config import get_system_config
 from repro.engine import FCFSScheduler, SimulationEngine, parse_duration
-from repro.exceptions import SchedulingError, SRapsError
+from repro.exceptions import SchedulingError, SimulationError, SRapsError
 from repro.telemetry import JobState, Profile
 from repro.workloads import (
     SyntheticWorkloadGenerator,
@@ -68,9 +71,20 @@ class TestEngineSmoke:
         assert summary["node_hours"] > 0
 
     def test_engine_does_not_mutate_input_jobs(self, tiny_system, tiny_workload):
-        SimulationEngine(tiny_system, tiny_workload, "fcfs").run()
-        assert all(j.state is JobState.PENDING for j in tiny_workload)
-        assert all(j.sim_start_time is None for j in tiny_workload)
+        before = copy.deepcopy(tiny_workload)
+        result = SimulationEngine(tiny_system, tiny_workload, "fcfs").run()
+        assert tiny_workload == before
+        assert [run.job for run in result.jobs] == tiny_workload
+        assert all(run.job is job for run, job in zip(result.jobs, tiny_workload))
+
+    def test_duplicate_job_ids_rejected(self, tiny_system):
+        # The run table is keyed on job ids: a repeated id is an input
+        # error, not a policy that scheduled a job twice.
+        first = make_job(nodes=1)
+        twin = make_job(nodes=2)
+        twin = dataclasses.replace(twin, job_id=first.job_id)
+        with pytest.raises(SimulationError, match=str(first.job_id)):
+            SimulationEngine(tiny_system, [first, twin], "fcfs")
 
     def test_fixed_seed_is_deterministic(self):
         a = run_simulation(system="tiny", policy="fcfs", duration="3h", seed=11)
@@ -99,10 +113,10 @@ class TestEngineSmoke:
             make_job(nodes=2, submit=0.0),
         ]
         result = SimulationEngine(tiny_system, jobs, "fcfs").run()
-        oversize = next(j for j in result.jobs if j.nodes_required == 33)
-        normal = next(j for j in result.jobs if j.nodes_required == 2)
+        oversize = next(j for j in result.jobs if j.job.nodes_required == 33)
+        normal = next(j for j in result.jobs if j.job.nodes_required == 2)
         assert oversize.state is JobState.DISMISSED
-        assert "capacity" in str(oversize.metadata.get("dismiss_reason"))
+        assert "capacity" in str(oversize.dismiss_reason)
         assert normal.state is JobState.COMPLETED
 
     def test_horizon_dismisses_leftover_jobs(self, tiny_system):
@@ -122,7 +136,7 @@ class TestEngineSmoke:
         result = SimulationEngine(tiny_system, jobs, "fcfs", horizon_s=1800.0).run()
         job = result.jobs[0]
         assert job.state is JobState.COMPLETED
-        assert job.metadata.get("truncated_by_horizon") is True
+        assert job.truncated_by_horizon is True
         assert (job.sim_duration or 0.0) < 86400.0
         summary = result.summary()
         assert summary["jobs_completed"] + summary["jobs_dismissed"] == 1.0
@@ -194,10 +208,10 @@ class TestEventDrivenEquivalence:
             make_job(nodes=8, submit=50000.0, start=50000.0, duration=600.0),
         ]
         sparse = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], "fcfs"
+            tiny_system, jobs, "fcfs"
         ).run()
         dense = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], "fcfs", dense_ticks=True
+            tiny_system, jobs, "fcfs", dense_ticks=True
         ).run()
         _summaries_equal(sparse.summary(), dense.summary())
         assert sparse.summary()["ticks"] * 10 <= dense.summary()["ticks"]
@@ -210,10 +224,10 @@ class TestEventDrivenEquivalence:
             make_job(nodes=1, submit=0.0, start=60000.0, duration=300.0),
         ]
         sparse = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], "replay"
+            tiny_system, jobs, "replay"
         ).run()
         dense = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], "replay", dense_ticks=True
+            tiny_system, jobs, "replay", dense_ticks=True
         ).run()
         for result in (sparse, dense):
             starts = sorted(j.sim_start_time for j in result.jobs)
@@ -249,10 +263,10 @@ class TestEventDrivenEquivalence:
             make_job(nodes=2, submit=0.0, duration=1800.0, cpu_profile=profile)
         ]
         sparse = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], "fcfs"
+            tiny_system, jobs, "fcfs"
         ).run()
         dense = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], "fcfs",
+            tiny_system, jobs, "fcfs",
             dense_ticks=True,
         ).run()
         _summaries_equal(sparse.summary(), dense.summary(), rel=1e-9)
@@ -295,11 +309,11 @@ class TestEventDrivenEquivalence:
         ]
         assert 2 * len(non_constant) >= len(jobs)
         sparse = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], policy, seed=seed
+            tiny_system, jobs, policy, seed=seed
         ).run()
         dense = SimulationEngine(
             tiny_system,
-            [j.copy_for_simulation() for j in jobs],
+            jobs,
             policy,
             seed=seed,
             dense_ticks=True,
@@ -317,11 +331,11 @@ class TestEventDrivenEquivalence:
             tiny_system, busy_trace_spec(), seed=42
         ).generate(12 * 3600.0)
         sparse = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], "backfill", seed=42
+            tiny_system, jobs, "backfill", seed=42
         ).run()
         dense = SimulationEngine(
             tiny_system,
-            [j.copy_for_simulation() for j in jobs],
+            jobs,
             "backfill",
             seed=42,
             dense_ticks=True,
@@ -360,7 +374,7 @@ def _run_with_scanned_indexes(system, jobs, policy, seed):
     of checked steps.
     """
     engine = SimulationEngine(
-        system, [j.copy_for_simulation() for j in jobs], policy, seed=seed
+        system, jobs, policy, seed=seed
     )
     rm = engine.resource_manager
     coalesced_dt = engine._coalesced_dt
@@ -370,12 +384,12 @@ def _run_with_scanned_indexes(system, jobs, policy, seed):
     def checked_coalesced_dt(now, timestep):
         nonlocal checked
         running = list(rm.running_by_id.values())
-        ends = [job.sim_start_time + job.duration for job in running]
+        ends = [run.sim_start_time + run.job.duration for run in running]
         assert rm.next_job_end() == min(ends, default=None)
         changes = [
             change
-            for job in running
-            if (change := job.next_power_change_after(now)) is not None
+            for run in running
+            if (change := run.next_power_change_after(now)) is not None
         ]
         assert engine.power_aggregator.next_breakpoint_after(now) == min(
             changes, default=None
@@ -385,19 +399,19 @@ def _run_with_scanned_indexes(system, jobs, policy, seed):
 
     def checked_complete_finished_jobs(now):
         due = sorted(
-            job.job_id
-            for job in rm.running_by_id.values()
-            if job.sim_start_time + job.duration <= now
+            run.job_id
+            for run in rm.running_by_id.values()
+            if run.sim_start_time + run.job.duration <= now
         )
         released = complete_finished_jobs(now)
-        assert [job.job_id for job in released] == due
+        assert [run.job_id for run in released] == due
         return released
 
     engine._coalesced_dt = checked_coalesced_dt
     rm.complete_finished_jobs = checked_complete_finished_jobs
     result = engine.run()
     unchecked = SimulationEngine(
-        system, [j.copy_for_simulation() for j in jobs], policy, seed=seed
+        system, jobs, policy, seed=seed
     ).run()
     assert result.summary() == unchecked.summary()
     return result, checked
@@ -463,7 +477,7 @@ class TestHorizonClamping:
         result = SimulationEngine(tiny_system, jobs, "fcfs", horizon_s=1795.0).run()
         job = result.jobs[0]
         assert job.state is JobState.COMPLETED
-        assert job.metadata.get("truncated_by_horizon") is True
+        assert job.truncated_by_horizon is True
         assert job.sim_end_time == pytest.approx(1795.0)
         summary = result.summary()
         assert summary["node_hours"] == pytest.approx(2 * 1795.0 / 3600.0)
@@ -485,7 +499,7 @@ class TestHorizonClamping:
         job = result.jobs[0]
         assert job.state is JobState.COMPLETED
         assert job.sim_end_time == pytest.approx(1793.0)
-        assert "truncated_by_horizon" not in job.metadata
+        assert job.truncated_by_horizon is False
         assert result.summary()["node_hours"] == pytest.approx(2 * 1793.0 / 3600.0)
 
     def test_workload_draining_before_horizon_matches_dense_mode(self, tiny_system):
@@ -494,11 +508,11 @@ class TestHorizonClamping:
         # up to a far-away horizon.
         jobs = [make_job(nodes=2, submit=0.0, duration=600.0)]
         sparse = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], "fcfs", horizon_s=86400.0
+            tiny_system, jobs, "fcfs", horizon_s=86400.0
         ).run()
         dense = SimulationEngine(
             tiny_system,
-            [j.copy_for_simulation() for j in jobs],
+            jobs,
             "fcfs",
             horizon_s=86400.0,
             dense_ticks=True,
@@ -512,18 +526,18 @@ class TestHorizonClamping:
             make_job(nodes=1, submit=500.0, start=500.0, duration=100.0),
         ]
         sparse = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], "fcfs", horizon_s=2222.0
+            tiny_system, jobs, "fcfs", horizon_s=2222.0
         ).run()
         dense = SimulationEngine(
             tiny_system,
-            [j.copy_for_simulation() for j in jobs],
+            jobs,
             "fcfs",
             horizon_s=2222.0,
             dense_ticks=True,
         ).run()
         _summaries_equal(sparse.summary(), dense.summary())
         for result in (sparse, dense):
-            truncated = next(j for j in result.jobs if j.nodes_required == 4)
+            truncated = next(j for j in result.jobs if j.job.nodes_required == 4)
             assert truncated.sim_end_time == pytest.approx(2222.0)
 
 

@@ -1,11 +1,15 @@
-"""Tests for the Job data model and its state machine."""
+"""Tests for the read-only Job record and the JobRun state machine."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
 from repro.exceptions import DataLoaderError, SimulationError
-from repro.telemetry import Job, JobState, TraceFlag, constant_profile
+from repro.telemetry import Job, JobRun, JobState, Profile, constant_profile
 
 from helpers import make_job
 
@@ -13,7 +17,7 @@ from helpers import make_job
 class TestJobConstruction:
     def test_defaults(self):
         job = make_job()
-        assert job.state is JobState.PENDING
+        assert JobRun(job).state is JobState.PENDING
         assert job.duration == 600.0
         assert job.nodes_required == 1
 
@@ -44,6 +48,50 @@ class TestJobConstruction:
         with pytest.raises(DataLoaderError):
             make_job(wall_limit=0.0)
 
+    def test_job_is_frozen(self):
+        job = make_job()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            job.nodes_required = 2  # type: ignore[misc]
+
+
+class TestJobValidation:
+    """Input that used to escape as a bare Python error, or as an error
+    blamed on the scheduling policy, is rejected where the job is built."""
+
+    @pytest.mark.parametrize("field", ["submit_time", "end_time"])
+    def test_rejects_nan_time(self, field):
+        times = {"submit_time": 0.0, "start_time": 0.0, "end_time": 600.0}
+        times[field] = math.nan
+        with pytest.raises(DataLoaderError, match=field):
+            Job(nodes_required=1, **times)
+
+    def test_rejects_nan_wall_limit(self):
+        with pytest.raises(DataLoaderError, match="wall_time_limit"):
+            make_job(wall_limit=math.nan)
+
+    def test_rejects_infinite_end_time(self):
+        with pytest.raises(DataLoaderError, match="end_time"):
+            Job(nodes_required=1, submit_time=0.0, start_time=0.0, end_time=math.inf)
+
+    def test_rejects_infinite_wall_limit(self):
+        with pytest.raises(DataLoaderError, match="wall_time_limit"):
+            make_job(wall_limit=math.inf)
+
+    def test_rejects_fractional_nodes(self):
+        with pytest.raises(DataLoaderError, match="nodes_required"):
+            make_job(nodes=2.5)  # type: ignore[arg-type]
+
+    def test_rejects_bool_nodes(self):
+        with pytest.raises(DataLoaderError, match="nodes_required"):
+            make_job(nodes=True)
+
+    def test_accepts_numpy_integer_nodes(self):
+        assert make_job(nodes=np.int64(3)).nodes_required == 3
+
+    def test_rejects_nan_priority(self):
+        with pytest.raises(DataLoaderError, match="priority"):
+            make_job(priority=math.nan)
+
 
 class TestDerivedProperties:
     def test_requested_runtime_prefers_wall_limit(self):
@@ -54,122 +102,91 @@ class TestDerivedProperties:
         assert make_job(nodes=4, duration=100).node_s == 400
 
     def test_wait_and_turnaround_before_start(self):
-        job = make_job()
-        assert job.wait_time is None
-        assert job.turnaround_time is None
-        assert job.sim_duration is None
+        run = JobRun(make_job())
+        assert run.wait_time is None
+        assert run.turnaround_time is None
+        assert run.sim_duration is None
 
 
 class TestStateMachine:
     def test_full_lifecycle(self):
-        job = make_job(nodes=2, submit=0, duration=100)
-        job.mark_queued(5.0)
-        assert job.state is JobState.QUEUED
-        job.mark_running(10.0, (3, 4))
-        assert job.state is JobState.RUNNING
-        assert job.is_active
-        job.mark_completed(110.0)
-        assert job.state is JobState.COMPLETED
-        assert job.is_finished
-        assert job.wait_time == pytest.approx(10.0 - 5.0)
-        assert job.turnaround_time == pytest.approx(110.0 - 5.0)
-        assert job.sim_duration == pytest.approx(100.0)
+        run = JobRun(make_job(nodes=2, submit=0, duration=100))
+        run.mark_queued(5.0)
+        assert run.state is JobState.QUEUED
+        run.mark_running(10.0, (3, 4))
+        assert run.state is JobState.RUNNING
+        assert run.is_active
+        run.mark_completed(110.0)
+        assert run.state is JobState.COMPLETED
+        assert run.is_finished
+        assert run.wait_time == pytest.approx(10.0 - 5.0)
+        assert run.turnaround_time == pytest.approx(110.0 - 5.0)
+        assert run.sim_duration == pytest.approx(100.0)
 
     def test_cannot_queue_twice(self):
-        job = make_job()
-        job.mark_queued(0.0)
+        run = JobRun(make_job())
+        run.mark_queued(0.0)
         with pytest.raises(SimulationError):
-            job.mark_queued(1.0)
+            run.mark_queued(1.0)
 
     def test_cannot_start_completed_job(self):
-        job = make_job()
-        job.mark_queued(0.0)
-        job.mark_running(0.0, (0,))
-        job.mark_completed(10.0)
+        run = JobRun(make_job())
+        run.mark_queued(0.0)
+        run.mark_running(0.0, (0,))
+        run.mark_completed(10.0)
         with pytest.raises(SimulationError):
-            job.mark_running(20.0, (0,))
+            run.mark_running(20.0, (0,))
 
     def test_allocation_size_must_match(self):
-        job = make_job(nodes=3)
-        job.mark_queued(0.0)
+        run = JobRun(make_job(nodes=3))
+        run.mark_queued(0.0)
         with pytest.raises(SimulationError):
-            job.mark_running(0.0, (1, 2))
+            run.mark_running(0.0, (1, 2))
 
     def test_cannot_complete_unstarted(self):
         with pytest.raises(SimulationError):
-            make_job().mark_completed(0.0)
+            JobRun(make_job()).mark_completed(0.0)
 
     def test_dismiss(self):
-        job = make_job()
-        job.mark_dismissed()
-        assert job.state is JobState.DISMISSED
-        assert job.is_finished
+        run = JobRun(make_job())
+        run.mark_dismissed("request exceeds system capacity")
+        assert run.state is JobState.DISMISSED
+        assert run.is_finished
+        assert run.dismiss_reason == "request exceeds system capacity"
 
     def test_cannot_dismiss_running(self):
-        job = make_job()
-        job.mark_queued(0.0)
-        job.mark_running(0.0, (0,))
+        run = JobRun(make_job())
+        run.mark_queued(0.0)
+        run.mark_running(0.0, (0,))
         with pytest.raises(SimulationError):
-            job.mark_dismissed()
+            run.mark_dismissed()
+
+    def test_runs_of_one_job_are_independent(self):
+        job = make_job()
+        first, second = JobRun(job), JobRun(job)
+        first.mark_queued(0.0)
+        first.mark_running(5.0, (0,))
+        assert second.state is JobState.PENDING
+        assert second.assigned_nodes == ()
+        assert second.sim_start_time is None
+        assert second.job is first.job
 
 
 class TestTelemetryAccess:
     def test_utilization_relative_to_sim_start(self):
-        from repro.telemetry import Profile
-
-        job = make_job(duration=100)
-        object.__setattr__  # noqa: B018 - jobs are plain dataclasses, direct assign is fine
-        job.cpu_util = Profile([0, 50], [0.2, 0.9])
-        job.mark_queued(0.0)
-        job.mark_running(1000.0, (0,))
-        cpu, _, _ = job.utilization_at(1010.0)
+        run = JobRun(make_job(duration=100, cpu_profile=Profile([0, 50], [0.2, 0.9])))
+        run.mark_queued(0.0)
+        run.mark_running(1000.0, (0,))
+        cpu, _, _ = run.utilization_at(1010.0)
         assert cpu == pytest.approx(0.2)
-        cpu, _, _ = job.utilization_at(1060.0)
+        cpu, _, _ = run.utilization_at(1060.0)
         assert cpu == pytest.approx(0.9)
 
     def test_recorded_power_none_without_trace(self):
-        assert make_job().recorded_power_at(0.0) is None
+        assert JobRun(make_job()).recorded_power_at(0.0) is None
 
     def test_recorded_power_with_trace(self):
-        job = make_job(node_power=constant_profile(500.0, 600.0))
-        job.mark_queued(0.0)
-        job.mark_running(10.0, (0,))
-        assert job.recorded_power_at(20.0) == pytest.approx(500.0)
-
-    def test_static_features_keys(self):
-        features = make_job().static_features()
-        assert set(features) == {
-            "nodes_required",
-            "requested_runtime",
-            "priority",
-            "submit_hour",
-        }
-
-
-class TestCopyForSimulation:
-    def test_copy_resets_simulation_state(self):
-        job = make_job()
-        job.mark_queued(0.0)
-        job.mark_running(5.0, (0,))
-        copy = job.copy_for_simulation()
-        assert copy.state is JobState.PENDING
-        assert copy.assigned_nodes == ()
-        assert copy.sim_start_time is None
-        assert copy.job_id == job.job_id
-        assert copy.nodes_required == job.nodes_required
-
-    def test_copy_metadata_is_independent(self):
-        job = make_job()
-        copy = job.copy_for_simulation()
-        copy.metadata["x"] = 1
-        assert "x" not in job.metadata
-
-
-class TestTraceFlags:
-    def test_flags_combine(self):
-        flags = TraceFlag.STARTED_BEFORE_CAPTURE | TraceFlag.PREPOPULATED
-        assert TraceFlag.STARTED_BEFORE_CAPTURE in flags
-        assert TraceFlag.ENDED_AFTER_CAPTURE not in flags
-
-    def test_default_no_flags(self):
-        assert make_job().trace_flags is TraceFlag.NONE
+        run = JobRun(make_job(node_power=constant_profile(500.0, 600.0)))
+        run.mark_queued(0.0)
+        run.mark_running(10.0, (0,))
+        assert run.recorded_power_at(20.0) == pytest.approx(500.0)

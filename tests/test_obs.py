@@ -15,12 +15,14 @@ import io
 import json
 import logging
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.engine.engine import SimulationEngine, run_simulation, ENGINE_PHASES
 from repro.exceptions import ConfigurationError
+from repro.power import OperatingSignals
 from repro.obs import (
     EventLog,
     JsonLinesFormatter,
@@ -297,6 +299,31 @@ class TestEngineIntegration:
         events.close()
         lines = [json.loads(line) for line in stream.getvalue().splitlines()]
         assert any(line["event"] == "job_dismissed" for line in lines)
+
+    def test_capped_run_logs_each_job_ending_once(self):
+        # A 12 kW cap dismisses infeasible jobs and the horizon cuts the
+        # rest: every job id ends exactly once in the log, and every
+        # dismissal carries the reason its run record holds.
+        stream = io.StringIO()
+        with EventLog.to_stream(stream) as events:
+            result = run_simulation(
+                "tiny", policy="fcfs", duration="2h", seed=1, horizon="3h",
+                signals=OperatingSignals.constant(power_cap_kw=12.0),
+                obs=Observability(events=events),
+            )
+        lines = [json.loads(line) for line in stream.getvalue().splitlines()]
+        endings = Counter(
+            line["job_id"]
+            for line in lines
+            if line["event"] in ("job_finished", "job_dismissed")
+        )
+        assert endings == Counter(run.job_id for run in result.jobs)
+        run_of = {run.job_id: run for run in result.jobs}
+        dismissals = [line for line in lines if line["event"] == "job_dismissed"]
+        reasons = {line["reason"].split(":")[0] for line in dismissals}
+        assert reasons == {"power cap infeasible", "simulation horizon reached"}
+        for line in dismissals:
+            assert line["reason"] == run_of[line["job_id"]].dismiss_reason
 
 
 class TestObservabilityBundle:

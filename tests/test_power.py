@@ -17,9 +17,9 @@ from repro.power import (
     SystemPowerModel,
     system_idle_power_kw,
 )
-from repro.telemetry import Profile, constant_profile
+from repro.telemetry import JobRun, Profile, constant_profile
 
-from helpers import PerJobStatesAggregator, make_job
+from helpers import PerJobStatesAggregator, make_job, queued_run
 
 
 class TestNodePowerModel:
@@ -158,24 +158,23 @@ class TestSystemPowerModel:
 
     def test_job_power_from_utilization(self, model):
         job = make_job(nodes=4, cpu=1.0, gpu=1.0, mem=1.0)
-        job.mark_queued(0.0)
+        job = queued_run(job, 0.0)
         job.mark_running(0.0, (0, 1, 2, 3))
         node_max = model.system.partitions[0].node_power.max_w
         assert model.job_power_w(job, 10.0) == pytest.approx(4 * node_max)
 
     def test_recorded_power_trace_wins(self, model):
         job = make_job(nodes=2, cpu=0.0, node_power=constant_profile(1234.0, 600))
-        job.mark_queued(0.0)
+        job = queued_run(job, 0.0)
         job.mark_running(0.0, (0, 1))
         assert model.job_power_w(job, 5.0) == pytest.approx(2 * 1234.0)
 
     def test_sample_with_running_jobs(self, model):
         jobs = []
         for i in range(3):
-            job = make_job(nodes=2, cpu=0.5, gpu=0.5)
-            job.mark_queued(0.0)
-            job.mark_running(0.0, (2 * i, 2 * i + 1))
-            jobs.append(job)
+            run = queued_run(make_job(nodes=2, cpu=0.5, gpu=0.5))
+            run.mark_running(0.0, (2 * i, 2 * i + 1))
+            jobs.append(run)
         sample = model.sample(100.0, jobs)
         assert sample.allocated_nodes == 6
         assert sample.job_power_kw > 0
@@ -187,7 +186,7 @@ class TestSystemPowerModel:
     def test_more_load_more_power(self, model):
         def sample_for(util):
             job = make_job(nodes=8, cpu=util, gpu=util)
-            job.mark_queued(0.0)
+            job = queued_run(job, 0.0)
             job.mark_running(0.0, tuple(range(8)))
             return model.sample(10.0, [job])
 
@@ -208,10 +207,10 @@ class TestSystemPowerModel:
 
     def test_job_energy_piecewise_profile(self, model, tiny_system):
         node_cfg = tiny_system.partitions[0].node_power
-        job = make_job(nodes=1, duration=200, cpu=0.0)
-        job.cpu_util = Profile([0, 100], [0.0, 1.0])
-        job.gpu_util = constant_profile(0.0, 200)
-        job.mem_util = constant_profile(0.0, 200)
+        job = make_job(
+            nodes=1, duration=200, gpu=0.0, mem=0.0,
+            cpu_profile=Profile([0, 100], [0.0, 1.0]),
+        )
         low = node_cfg.min_w
         high = low + node_cfg.cpus_per_node * (node_cfg.cpu_max_w - node_cfg.cpu_idle_w)
         assert model.job_energy_j(job) == pytest.approx(low * 100 + high * 100)
@@ -240,7 +239,7 @@ class TestBatchedPowerStates:
     def _assert_states_identical(batched, perjob):
         assert len(batched) == len(perjob)
         for got, want in zip(batched, perjob):
-            assert got.job is want.job
+            assert got.run is want.run
             assert got.start == want.start
             assert np.array_equal(got.times, want.times)
             assert np.array_equal(got.power_w, want.power_w)
@@ -251,8 +250,8 @@ class TestBatchedPowerStates:
             assert got.current_gpu_weighted == want.current_gpu_weighted
             assert got.next_change == want.next_change
 
-    def _build_jobs(self, rng, n_jobs, *, with_traces):
-        jobs = []
+    def _build_runs(self, rng, n_jobs, *, with_traces):
+        runs = []
         for i in range(n_jobs):
             kind = rng.integers(0, 4)
             duration = float(rng.choice([0.0, 120.0, 600.0, 3600.0]))
@@ -286,12 +285,13 @@ class TestBatchedPowerStates:
                 mem=float(rng.random()),
                 **kwargs,
             )
+            run = JobRun(job)
             if rng.random() < 0.5:
                 # Off-grid backdated start: elapsed-time indexing must agree.
-                job.mark_queued(0.0)
-                job.mark_running(float(rng.random() * 100.0), tuple(range(nodes)))
-            jobs.append(job)
-        return jobs
+                run.mark_queued(0.0)
+                run.mark_running(float(rng.random() * 100.0), tuple(range(nodes)))
+            runs.append(run)
+        return runs
 
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -307,10 +307,10 @@ class TestBatchedPowerStates:
         system = get_system_config("tiny")
         model = SystemPowerModel(system)
         node_model = model.node_model(system.partitions[0].name)
-        jobs = self._build_jobs(rng, n_jobs, with_traces=with_traces)
-        pairs = [(job, node_model) for job in jobs]
+        runs = self._build_runs(rng, n_jobs, with_traces=with_traces)
+        pairs = [(run, node_model) for run in runs]
         batched = build_power_states(pairs, now)
-        perjob = [_JobPowerState.for_job(job, node_model, now) for job in jobs]
+        perjob = [_JobPowerState.for_job(run, node_model, now) for run in runs]
         self._assert_states_identical(batched, perjob)
 
     def test_mixed_constant_trace_and_piecewise_batch(self, tiny_system):
@@ -333,9 +333,10 @@ class TestBatchedPowerStates:
                 gpu_profile=Profile([0.0, 90.0], [0.1, 0.9]),
             ),
         ]
-        pairs = [(job, node_model) for job in jobs]
+        runs = [JobRun(job) for job in jobs]
+        pairs = [(run, node_model) for run in runs]
         batched = build_power_states(pairs, 15.0)
-        perjob = [_JobPowerState.for_job(job, node_model, 15.0) for job in jobs]
+        perjob = [_JobPowerState.for_job(run, node_model, 15.0) for run in runs]
         self._assert_states_identical(batched, perjob)
 
     def test_multi_partition_models_grouped(self, two_partition_system):
@@ -350,11 +351,12 @@ class TestBatchedPowerStates:
                 cpu_profile=Profile([0.0, 100.0], [0.3, 0.7]),
             ),
         ]
-        pairs = [(job, model.node_model(job.partition)) for job in jobs]
+        runs = [JobRun(job) for job in jobs]
+        pairs = [(run, model.node_model(run.job.partition)) for run in runs]
         batched = build_power_states(pairs, 0.0)
         perjob = [
-            _JobPowerState.for_job(job, model.node_model(job.partition), 0.0)
-            for job in jobs
+            _JobPowerState.for_job(run, model.node_model(run.job.partition), 0.0)
+            for run in runs
         ]
         self._assert_states_identical(batched, perjob)
 
@@ -373,8 +375,7 @@ class TestBatchedPowerStates:
             ]
             samples = []
             for job in jobs:
-                job.mark_queued(0.0)
-                rm.allocate(job, 0.0)
+                rm.allocate(queued_run(job), 0.0)
             for now in np.arange(0.0, 1600.0, 50.0):
                 rm.complete_finished_jobs(now)
                 samples.append(agg.sample(float(now)))
@@ -403,17 +404,18 @@ class TestBatchedPowerStates:
         rm = ResourceManager(tiny_system)
         first = RunningSetPowerAggregator(model, rm)
         second = RunningSetPowerAggregator(model, rm)
-        jobs = [make_job(nodes=2, submit=0.0, duration=600.0, cpu=0.3 * (i + 1))
-                for i in range(3)]
-        for job in jobs:
-            job.mark_queued(0.0)
-            rm.allocate(job, 0.0)
+        runs = [
+            queued_run(make_job(nodes=2, submit=0.0, duration=600.0, cpu=0.3 * (i + 1)))
+            for i in range(3)
+        ]
+        for run in runs:
+            rm.allocate(run, 0.0)
         assert first.sample(0.0).job_power_kw > 0
         # ``first`` drained the journal; ``second`` starts behind it.
         reference = model.sample(0.0, rm.running_jobs)
         got = second.sample(0.0)
         assert got.job_power_kw == pytest.approx(reference.job_power_kw)
-        rm.release(jobs[0], 100.0)
+        rm.release(runs[0], 100.0)
         reference = model.sample(100.0, rm.running_jobs)
         for aggregator in (first, second):
             assert aggregator.sample(100.0).job_power_kw == pytest.approx(
@@ -454,18 +456,17 @@ class TestRunningSetPowerAggregator:
     def test_matches_scan_across_breakpoints_and_membership(self, rig):
         model, rm, agg = rig
         phased = Profile([0.0, 120.0, 240.0], [0.2, 0.8, 0.5])
-        jobs = [
-            make_job(nodes=4, submit=0.0, duration=600.0, cpu_profile=phased),
-            make_job(nodes=2, submit=0.0, duration=600.0, cpu=0.6, gpu=0.3),
+        runs = [
+            queued_run(make_job(nodes=4, submit=0.0, duration=600.0, cpu_profile=phased)),
+            queued_run(make_job(nodes=2, submit=0.0, duration=600.0, cpu=0.6, gpu=0.3)),
         ]
-        for job in jobs:
-            job.mark_queued(0.0)
-            rm.allocate(job, 0.0)
+        for run in runs:
+            rm.allocate(run, 0.0)
         for now in np.arange(0.0, 360.0, 15.0):
             self._assert_matches(
                 agg.sample(now), model.sample(now, rm.running_jobs)
             )
-        rm.release(jobs[1], 360.0)
+        rm.release(runs[1], 360.0)
         for now in np.arange(360.0, 615.0, 15.0):
             self._assert_matches(
                 agg.sample(now), model.sample(now, rm.running_jobs)
@@ -475,7 +476,7 @@ class TestRunningSetPowerAggregator:
         model, rm, agg = rig
         trace = Profile([0.0, 60.0, 60.5, 180.0], [500.0, 500.0, 750.0, 750.0])
         job = make_job(nodes=3, submit=0.0, duration=300.0, node_power=trace)
-        job.mark_queued(0.0)
+        job = queued_run(job, 0.0)
         rm.allocate(job, 0.0)
         for now in (0.0, 45.0, 60.0, 61.0, 200.0):
             sample = agg.sample(now)
@@ -489,7 +490,7 @@ class TestRunningSetPowerAggregator:
         model, rm, agg = rig
         phased = Profile([0.0, 100.0], [0.1, 0.9])
         job = make_job(nodes=2, submit=0.0, duration=400.0, cpu_profile=phased)
-        job.mark_queued(0.0)
+        job = queued_run(job, 0.0)
         rm.allocate(job, 7.5)
         for now in (15.0, 105.0, 107.5, 120.0):
             self._assert_matches(agg.sample(now), model.sample(now, rm.running_jobs))
@@ -497,7 +498,7 @@ class TestRunningSetPowerAggregator:
     def test_idle_system_reports_exact_zero_job_power(self, rig):
         model, rm, agg = rig
         job = make_job(nodes=4, submit=0.0, duration=300.0, cpu=0.7)
-        job.mark_queued(0.0)
+        job = queued_run(job, 0.0)
         rm.allocate(job, 0.0)
         assert agg.sample(0.0).job_power_kw > 0.0
         rm.release(job, 300.0)
@@ -525,15 +526,14 @@ class TestRunningSetPowerAggregator:
             make_job(nodes=1, submit=0.0, duration=600.0, cpu=0.5),  # constant
         ]
         for job in jobs:
-            job.mark_queued(0.0)
-            rm.allocate(job, 0.0)
+            rm.allocate(queued_run(job), 0.0)
         for now in (0.0, 15.0, 90.0, 120.0, 185.0, 240.0, 500.0):
             agg.sample(now)
             expected = min(
                 (
                     change
-                    for job in rm.running_by_id.values()
-                    if (change := job.next_power_change_after(now)) is not None
+                    for run in rm.running_by_id.values()
+                    if (change := run.next_power_change_after(now)) is not None
                 ),
                 default=None,
             )
@@ -542,7 +542,7 @@ class TestRunningSetPowerAggregator:
     def test_next_breakpoint_none_for_constant_jobs(self, rig):
         _, rm, agg = rig
         job = make_job(nodes=2, submit=0.0, duration=600.0, cpu=0.7)
-        job.mark_queued(0.0)
+        job = queued_run(job, 0.0)
         rm.allocate(job, 0.0)
         assert agg.next_breakpoint_after(0.0) is None
 
@@ -550,7 +550,7 @@ class TestRunningSetPowerAggregator:
         _, rm, agg = rig
         phased = Profile([0.0, 300.0], [0.2, 0.9])
         job = make_job(nodes=2, submit=0.0, duration=600.0, cpu_profile=phased)
-        job.mark_queued(0.0)
+        job = queued_run(job, 0.0)
         rm.allocate(job, 0.0)
         assert agg.next_breakpoint_after(0.0) == pytest.approx(300.0)
         rm.release(job, 100.0)
@@ -564,7 +564,7 @@ class TestRunningSetPowerAggregator:
         _, rm, agg = rig
         phased = Profile([0.0, 120.0, 240.0], [0.2, 0.8, 0.5])
         job = make_job(nodes=2, submit=0.0, duration=600.0, cpu_profile=phased)
-        job.mark_queued(0.0)
+        job = queued_run(job, 0.0)
         rm.allocate(job, 0.0)
         # Querying exactly on a breakpoint applies the crossing and reports
         # the following one.
@@ -575,18 +575,17 @@ class TestRunningSetPowerAggregator:
         # Several allocations/releases between two samples (one epoch jump
         # spanning many changes) must still land on the scan result.
         model, rm, agg = rig
-        jobs = [
-            make_job(nodes=2, submit=0.0, duration=1000.0, cpu=0.1 * (i + 1))
+        runs = [
+            queued_run(make_job(nodes=2, submit=0.0, duration=1000.0, cpu=0.1 * (i + 1)))
             for i in range(4)
         ]
-        for job in jobs:
-            job.mark_queued(0.0)
-            rm.allocate(job, 0.0)
+        for run in runs:
+            rm.allocate(run, 0.0)
         self._assert_matches(agg.sample(0.0), model.sample(0.0, rm.running_jobs))
-        rm.release(jobs[0], 100.0)
-        rm.release(jobs[2], 100.0)
+        rm.release(runs[0], 100.0)
+        rm.release(runs[2], 100.0)
         late = make_job(nodes=8, submit=0.0, duration=500.0, gpu=0.9)
-        late.mark_queued(100.0)
+        late = queued_run(late, 100.0)
         rm.allocate(late, 100.0)
         self._assert_matches(agg.sample(100.0), model.sample(100.0, rm.running_jobs))
 
@@ -602,7 +601,7 @@ class TestRunningSetPowerAggregator:
         profile = Profile([0.0, change], [0.2, 0.9])
         job = make_job(nodes=2, submit=start, start=start, duration=600.0,
                        cpu_profile=profile)
-        job.mark_queued(start)
+        job = queued_run(job, start)
         rm.allocate(job, start)
         # Sampling exactly on the rounded boundary must terminate and match
         # the scan (which still sees the pre-change value, elapsed < change).

@@ -76,9 +76,9 @@ class TestConstantCap:
     def test_tight_cap_dismisses_infeasible_jobs(self):
         result = _run(signals=OperatingSignals.constant(power_cap_kw=12.0))
         assert result.dismissed_jobs
-        for job in result.dismissed_jobs:
-            assert job.state is JobState.DISMISSED
-            assert job.metadata["dismiss_reason"].startswith("power cap infeasible")
+        for run in result.dismissed_jobs:
+            assert run.state is JobState.DISMISSED
+            assert run.dismiss_reason.startswith("power cap infeasible")
 
     @pytest.mark.parametrize("cap_kw", [14.0, 12.0, 10.0, 8.5])
     def test_constant_cap_never_violated(self, cap_kw):
@@ -276,13 +276,13 @@ class TestDismissalCoalescing:
 
         for result in results.values():
             [dismissed] = result.dismissed_jobs
-            assert dismissed.nodes_required == 8
-            assert "power cap infeasible" in dismissed.metadata["dismiss_reason"]
+            assert dismissed.job.nodes_required == 8
+            assert "power cap infeasible" in dismissed.dismiss_reason
             # The trailing 6-node job starts on the first grid tick after
             # the head's dismissal at t=600, not at the next natural event
             # (the 20-node job's end at t=7200).
             trailing = next(
-                j for j in result.completed_jobs if j.nodes_required == 6
+                j for j in result.completed_jobs if j.job.nodes_required == 6
             )
             assert trailing.sim_start_time == 615.0
 
@@ -352,16 +352,16 @@ class TestReplayUnderCap:
     def test_no_start_a_tick_before_its_admission(self, power_cap_kw, dense_ticks):
         system, result, admitted_at = self._run(power_cap_kw, dense_ticks)
         delayed = 0
-        for job in result.jobs:
-            if job.job_id not in admitted_at:
+        for run in result.jobs:
+            if run.job_id not in admitted_at:
                 continue
-            tick_s = admitted_at[job.job_id]
-            assert job.sim_start_time > tick_s - system.timestep_s, job.job_id
-            if job.metadata.get("replay_delayed"):
+            tick_s = admitted_at[run.job_id]
+            assert run.sim_start_time > tick_s - system.timestep_s, run.job_id
+            if run.replay_delayed:
                 delayed += 1
-                assert job.sim_start_time == tick_s
+                assert run.sim_start_time == tick_s
             else:
-                assert job.sim_start_time == job.start_time
+                assert run.sim_start_time == run.job.start_time
         if power_cap_kw is not None:
             assert result.summary()["capped_hold_s"] > 0.0
             assert delayed > 0

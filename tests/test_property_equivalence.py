@@ -8,7 +8,10 @@ recorded power traces) plus adversarial hand-built jobs — zero-duration
 jobs, simultaneous ends, replay-backdated starts — and an optional horizon
 that running jobs straddle, then asserts that the event-driven engine's
 summary is equal to dense ticking at 1e-9 relative under *all three*
-scheduling policies.
+scheduling policies. Every one of those runs also goes through
+:func:`helpers.run_checked`, which checks node conservation on the owner
+table after each step, that every job leaves the system exactly once, and
+that the one job list both engines share is left unchanged.
 
 When ``hypothesis`` is unavailable the same property runs over a
 seeded-random parameter sweep (``random.Random(2025)``), so the contract is
@@ -31,7 +34,7 @@ from repro.workloads.distributions import (
     WaveArrivals,
 )
 
-from helpers import PerJobStatesAggregator, make_job
+from helpers import PerJobStatesAggregator, make_job, run_checked
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -83,21 +86,17 @@ def _workload(tiny_system, *, seed, noise, phases, rate, scalar, power_trace):
 
 
 def _assert_dense_event_equivalent(tiny_system, jobs, policy, horizon_s, signals=None):
-    sparse = SimulationEngine(
+    sparse = run_checked(
+        tiny_system, jobs, policy, horizon_s=horizon_s, signals=signals
+    )
+    dense = run_checked(
         tiny_system,
-        [j.copy_for_simulation() for j in jobs],
-        policy,
-        horizon_s=horizon_s,
-        signals=signals,
-    ).run()
-    dense = SimulationEngine(
-        tiny_system,
-        [j.copy_for_simulation() for j in jobs],
+        jobs,
         policy,
         horizon_s=horizon_s,
         dense_ticks=True,
         signals=signals,
-    ).run()
+    )
     sparse_summary, dense_summary = sparse.summary(), dense.summary()
     assert set(sparse_summary) == set(dense_summary)
     for key, dense_value in dense_summary.items():
@@ -275,12 +274,10 @@ class TestEdgeCaseEquivalence:
             make_job(nodes=2, submit=0.0, start=30.0, duration=600.0),
         ]
         _assert_dense_event_equivalent(tiny_system, jobs, policy, None)
-        result = SimulationEngine(
-            tiny_system, [j.copy_for_simulation() for j in jobs], policy
-        ).run()
-        assert all(j.state is JobState.COMPLETED for j in result.jobs)
-        zero = [j for j in result.jobs if j.duration == 0.0]
-        assert all(j.sim_duration == 0.0 for j in zero)
+        result = SimulationEngine(tiny_system, jobs, policy).run()
+        assert all(run.state is JobState.COMPLETED for run in result.jobs)
+        zero = [run for run in result.jobs if run.job.duration == 0.0]
+        assert all(run.sim_duration == 0.0 for run in zero)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_simultaneous_ends_release_together(self, tiny_system, policy):
@@ -305,18 +302,8 @@ class TestEdgeCaseEquivalence:
 
 def _assert_batched_perjob_equivalent(tiny_system, jobs, policy, horizon_s=None):
     """Batched vs per-job power states: same 1e-9 contract as dense-vs-event."""
-    batched = SimulationEngine(
-        tiny_system,
-        [j.copy_for_simulation() for j in jobs],
-        policy,
-        horizon_s=horizon_s,
-    ).run()
-    engine = SimulationEngine(
-        tiny_system,
-        [j.copy_for_simulation() for j in jobs],
-        policy,
-        horizon_s=horizon_s,
-    )
+    batched = SimulationEngine(tiny_system, jobs, policy, horizon_s=horizon_s).run()
+    engine = SimulationEngine(tiny_system, jobs, policy, horizon_s=horizon_s)
     engine.power_aggregator = PerJobStatesAggregator(
         engine.power_model, engine.resource_manager
     )

@@ -18,7 +18,7 @@ from repro.engine import (
 from repro.exceptions import SchedulingError
 from repro.telemetry import JobState
 
-from helpers import make_job
+from helpers import make_job, queued_run
 
 
 class TestRegistry:
@@ -68,7 +68,6 @@ class TestReplayScheduler:
         scheduler = ReplayScheduler()
         rm = ResourceManager(tiny_system)
         job = make_job(nodes=1, submit=0.0, start=500.0)
-        job.mark_queued(0.0)
         assert scheduler.schedule([job], rm, now=0.0) == []
         decisions = scheduler.schedule([job], rm, now=510.0)
         assert len(decisions) == 1
@@ -86,8 +85,8 @@ class TestReplayScheduler:
         )
         result = SimulationEngine(tiny_system, [flexible, recorded], "replay").run()
         assert all(j.state is JobState.COMPLETED for j in result.jobs)
-        placed = next(j for j in result.jobs if j.recorded_nodes)
-        other = next(j for j in result.jobs if not j.recorded_nodes)
+        placed = next(j for j in result.jobs if j.job.recorded_nodes)
+        other = next(j for j in result.jobs if not j.job.recorded_nodes)
         assert placed.assigned_nodes == (0, 1)
         assert not set(other.assigned_nodes) & {0, 1}
         assert placed.sim_start_time == pytest.approx(12.0)
@@ -104,7 +103,7 @@ class TestReplayScheduler:
         )
         result = SimulationEngine(tiny_system, [job], "replay").run()
         assert result.jobs[0].state is JobState.COMPLETED
-        assert result.jobs[0].metadata.get("replay_relocated") is True
+        assert result.jobs[0].replay_relocated is True
         assert all(n < 32 for n in result.jobs[0].assigned_nodes)
 
     def test_delayed_job_starts_late_and_is_flagged(self, tiny_system):
@@ -113,10 +112,10 @@ class TestReplayScheduler:
         late = make_job(nodes=1, submit=0.0, start=60.0, duration=150.0)
         engine = SimulationEngine(tiny_system, [blocker, late], "replay")
         result = engine.run()
-        delayed = next(j for j in result.jobs if j.nodes_required == 1)
+        delayed = next(j for j in result.jobs if j.job.nodes_required == 1)
         assert delayed.state is JobState.COMPLETED
         assert delayed.sim_start_time >= 600.0
-        assert delayed.metadata.get("replay_delayed") is True
+        assert delayed.replay_delayed is True
 
 
 class TestFCFSScheduler:
@@ -127,8 +126,6 @@ class TestFCFSScheduler:
             make_job(nodes=8, submit=float(i), start=float(i), duration=600.0)
             for i in range(3)
         ]
-        for job in jobs:
-            job.mark_queued(job.submit_time)
         decisions = scheduler.schedule(jobs, rm, now=10.0)
         assert [d.job.job_id for d in decisions] == [j.job_id for j in jobs]
 
@@ -138,20 +135,15 @@ class TestFCFSScheduler:
         # 30 of 32 nodes busy: an 8-node head is blocked, and strict FCFS
         # must not let the 1-node job behind it jump the queue.
         running = make_job(nodes=30, submit=0.0)
-        running.mark_queued(0.0)
-        rm.allocate(running, 0.0)
+        rm.allocate(queued_run(running, 0.0), 0.0)
         wide = make_job(nodes=8, submit=0.0)
         small = make_job(nodes=1, submit=1.0, start=1.0)
-        wide.mark_queued(0.0)
-        small.mark_queued(1.0)
         assert scheduler.schedule([wide, small], rm, now=5.0) == []
 
     def test_tracks_nodes_consumed_within_one_tick(self, tiny_system):
         scheduler = FCFSScheduler()
         rm = ResourceManager(tiny_system)
         jobs = [make_job(nodes=12, submit=float(i)) for i in range(3)]
-        for job in jobs:
-            job.mark_queued(job.submit_time)
         decisions = scheduler.schedule(jobs, rm, now=5.0)
         # 12 + 12 fit in 32 nodes; the third must wait even though the
         # resource manager still reports 32 free nodes mid-tick.
@@ -159,19 +151,13 @@ class TestFCFSScheduler:
 
 
 class TestBackfillScheduler:
-    def _queue(self, rm, *jobs):
-        for job in jobs:
-            job.mark_queued(job.submit_time)
-        return list(jobs)
-
     def test_short_job_backfills_without_delaying_wide_head(self, tiny_system):
         scheduler = BackfillScheduler()
         rm = ResourceManager(tiny_system)
         # 24 nodes busy until t=3600 (wall limit known to the scheduler).
         running = make_job(nodes=24, submit=0.0, start=0.0, duration=3600.0,
                            wall_limit=3600.0)
-        running.mark_queued(0.0)
-        rm.allocate(running, 0.0)
+        rm.allocate(queued_run(running, 0.0), 0.0)
         # Head needs 16 nodes -> blocked (only 8 free), shadow time 3600.
         wide = make_job(nodes=16, submit=10.0, wall_limit=1800.0)
         # Short job: 4 nodes for 600 s -> ends before the shadow time.
@@ -183,7 +169,7 @@ class TestBackfillScheduler:
         # Long wide job: 8 nodes past the shadow -> would eat the reservation.
         long_wide = make_job(nodes=8, submit=40.0, duration=7200.0,
                              wall_limit=7200.0)
-        queue = self._queue(rm, wide, short, long_narrow, long_wide)
+        queue = [wide, short, long_narrow, long_wide]
         decisions = scheduler.schedule(queue, rm, now=60.0)
         started = {d.job.job_id for d in decisions}
         assert short.job_id in started
@@ -208,7 +194,7 @@ class TestBackfillScheduler:
 
         def start_of(result, nodes):
             return next(
-                j.sim_start_time for j in result.jobs if j.nodes_required == nodes
+                j.sim_start_time for j in result.jobs if j.job.nodes_required == nodes
             )
 
         # The short job jumps ahead of the blocked 16-node job...
@@ -232,15 +218,12 @@ class TestBackfillScheduler:
         rm = ResourceManager(two_partition_system)
         running = make_job(nodes=6, partition="gpu", submit=0.0, duration=3600.0,
                            wall_limit=3600.0)
-        running.mark_queued(0.0)
-        rm.allocate(running, 0.0)
+        rm.allocate(queued_run(running, 0.0), 0.0)
         head = make_job(nodes=7, partition="gpu", submit=10.0, wall_limit=1800.0)
         gpu_long = make_job(nodes=2, partition="gpu", submit=20.0,
                             duration=7200.0, wall_limit=7200.0)
         cpu_long = make_job(nodes=4, partition="cpu", submit=30.0,
                             duration=7200.0, wall_limit=7200.0)
-        for job in (head, gpu_long, cpu_long):
-            job.mark_queued(job.submit_time)
         decisions = scheduler.schedule([head, gpu_long, cpu_long], rm, now=60.0)
         started = {d.job.job_id for d in decisions}
         assert cpu_long.job_id in started  # different partition: independent
@@ -249,11 +232,6 @@ class TestBackfillScheduler:
 
 
 class TestBackfillReservationEdgeCases:
-    def _queue(self, *jobs):
-        for job in jobs:
-            job.mark_queued(job.submit_time)
-        return list(jobs)
-
     def test_head_that_can_never_fit_reserves_nothing(self, tiny_system):
         # A 40-node head on a 32-node system can never start by the
         # expected-end estimate: shadow_time == inf, spare_nodes == 0.
@@ -263,11 +241,10 @@ class TestBackfillReservationEdgeCases:
         scheduler = BackfillScheduler()
         rm = ResourceManager(tiny_system)
         running = make_job(nodes=24, submit=0.0, duration=3600.0, wall_limit=3600.0)
-        running.mark_queued(0.0)
-        rm.allocate(running, 0.0)
+        rm.allocate(queued_run(running, 0.0), 0.0)
         head = make_job(nodes=40, submit=10.0, wall_limit=600.0)
         filler = make_job(nodes=8, submit=20.0, duration=7200.0, wall_limit=7200.0)
-        queue = self._queue(head, filler)
+        queue = [head, filler]
         decisions = scheduler.schedule(queue, rm, now=60.0)
         started = {d.job.job_id for d in decisions}
         assert head.job_id not in started
@@ -281,15 +258,14 @@ class TestBackfillReservationEdgeCases:
         scheduler = BackfillScheduler()
         rm = ResourceManager(tiny_system)
         overrunner = make_job(nodes=24, submit=0.0, duration=86400.0, wall_limit=600.0)
-        overrunner.mark_queued(0.0)
-        rm.allocate(overrunner, 0.0)
+        rm.allocate(queued_run(overrunner, 0.0), 0.0)
         head = make_job(nodes=16, submit=10.0, wall_limit=1800.0)
         # Shadow at now=7200: available = 8 free + 24 released = 32, spare
         # = 32 - 16 = 16... but only 8 nodes are actually free *now*, so a
         # backfill job must also fit the current free count.
         narrow = make_job(nodes=8, submit=20.0, duration=7200.0, wall_limit=7200.0)
         wide = make_job(nodes=12, submit=30.0, duration=7200.0, wall_limit=7200.0)
-        queue = self._queue(head, narrow, wide)
+        queue = [head, narrow, wide]
         decisions = scheduler.schedule(queue, rm, now=7200.0)
         started = {d.job.job_id for d in decisions}
         assert head.job_id not in started
@@ -324,13 +300,11 @@ class TestNextEventHint:
 
         scheduler = Minimal()
         job = make_job(nodes=1, submit=0.0)
-        job.mark_queued(0.0)
         assert scheduler.next_event_hint([job], now=100.0) == 100.0
         assert scheduler.next_event_hint([], now=100.0) is None
 
     def test_fcfs_and_backfill_are_event_driven(self):
         job = make_job(nodes=1, submit=0.0)
-        job.mark_queued(0.0)
         assert FCFSScheduler().next_event_hint([job], now=50.0) is None
         assert BackfillScheduler().next_event_hint([job], now=50.0) is None
 
@@ -338,14 +312,11 @@ class TestNextEventHint:
         scheduler = ReplayScheduler()
         early = make_job(nodes=1, submit=0.0, start=900.0)
         late = make_job(nodes=1, submit=0.0, start=4500.0)
-        for job in (early, late):
-            job.mark_queued(0.0)
         assert scheduler.next_event_hint([late, early], now=0.0) == pytest.approx(900.0)
 
     def test_replay_vetoes_for_unattempted_due_job(self, tiny_system):
         scheduler = ReplayScheduler()
         due = make_job(nodes=1, submit=0.0, start=100.0)
-        due.mark_queued(0.0)
         # schedule() has not run, so the due job has not been attempted:
         # the hint must veto coalescing rather than silently skip it.
         assert scheduler.next_event_hint([due], now=200.0) == 200.0
@@ -359,8 +330,6 @@ class TestNextEventHint:
         due = make_job(nodes=1, submit=0.0, start=100.0)
         near = make_job(nodes=1, submit=0.0, start=900.0)
         far = make_job(nodes=1, submit=0.0, start=4500.0)
-        for job in (due, near, far):
-            job.mark_queued(0.0)
         decisions = scheduler.schedule([far, due, near], rm, now=200.0)
         assert [d.job.job_id for d in decisions] == [due.job_id]
         # Engine's view: the started job left the queue.
@@ -374,8 +343,6 @@ class TestNextEventHint:
         rm = ResourceManager(tiny_system)
         due = make_job(nodes=1, submit=0.0, start=100.0)
         future = make_job(nodes=1, submit=0.0, start=900.0)
-        for job in (due, future):
-            job.mark_queued(0.0)
         decisions = scheduler.schedule([due, future], rm, now=200.0)
         assert len(decisions) == 1
         assert scheduler.next_event_hint([due, future], now=200.0) == 200.0
@@ -392,8 +359,6 @@ class TestNextEventHint:
         fut_b = make_job(nodes=1, submit=0.0, start=900.0)
         fut_c = make_job(nodes=1, submit=0.0, start=950.0)
         due_d = make_job(nodes=1, submit=0.0, start=150.0)
-        for job in (due_a, fut_b, fut_c, due_d):
-            job.mark_queued(0.0)
         decisions = scheduler.schedule([due_a, fut_b, fut_c], rm, now=200.0)
         assert [d.job.job_id for d in decisions] == [due_a.job_id]
         # Engine view (started job removed): stash answers.
@@ -405,10 +370,8 @@ class TestNextEventHint:
         scheduler = ReplayScheduler()
         rm = ResourceManager(tiny_system)
         blocker = make_job(nodes=32, submit=0.0, duration=3600.0)
-        blocker.mark_queued(0.0)
-        rm.allocate(blocker, 0.0)
+        rm.allocate(queued_run(blocker, 0.0), 0.0)
         delayed = make_job(nodes=4, submit=0.0, start=60.0)
-        delayed.mark_queued(0.0)
         assert scheduler.schedule([delayed], rm, now=60.0) == []
         # The delayed job can only start after a release, which the engine
         # tracks as its own event — no time-based hint is needed.
@@ -451,7 +414,7 @@ class TestLedgerSafety:
         small = make_job(nodes=4, submit=0.0, duration=300.0)
         result = SimulationEngine(tiny_system, [big, small], "fcfs").run()
         assert all(j.state is JobState.COMPLETED for j in result.jobs)
-        deferred = next(j for j in result.jobs if j.nodes_required == 4)
+        deferred = next(j for j in result.jobs if j.job.nodes_required == 4)
         assert deferred.sim_start_time >= 600.0
 
 
@@ -461,11 +424,9 @@ class TestBackfillNoOpMemoization:
     def _blocked_setup(self, now=0.0):
         system = get_system_config("tiny")
         rm = ResourceManager(system)
-        hog = make_job(nodes=32, submit=0.0, duration=7200.0, wall_limit=7200.0)
-        hog.mark_queued(0.0)
+        hog = queued_run(make_job(nodes=32, submit=0.0, duration=7200.0, wall_limit=7200.0))
         rm.allocate(hog, now)
         blocked = make_job(nodes=8, submit=0.0, duration=600.0, wall_limit=600.0)
-        blocked.mark_queued(0.0)
         return system, rm, hog, blocked
 
     def test_noop_is_memoized_until_epoch_changes(self):
@@ -498,7 +459,6 @@ class TestBackfillNoOpMemoization:
         scheduler = BackfillScheduler()
         assert scheduler.schedule((blocked,), rm, 0.0) == []
         newcomer = make_job(nodes=40, submit=0.0, duration=600.0)  # never fits
-        newcomer.mark_queued(0.0)
         assert scheduler.schedule((blocked, newcomer), rm, 0.0) == []
         assert scheduler._noop_key is not None
         assert scheduler._noop_key[1] == (blocked.job_id, newcomer.job_id)
@@ -515,7 +475,6 @@ class TestBackfillNoOpMemoization:
         system = get_system_config("tiny")
         rm = ResourceManager(system)
         job = make_job(nodes=4, submit=0.0, duration=600.0)
-        job.mark_queued(0.0)
         scheduler = BackfillScheduler()
         decisions = scheduler.schedule((job,), rm, 0.0)
         assert len(decisions) == 1
@@ -526,10 +485,7 @@ class TestReplayOrderMemo:
     """The memoized (start, job id) queue ordering of ReplayScheduler."""
 
     def _queued(self, *specs):
-        jobs = [make_job(nodes=1, submit=0.0, start=s, duration=600.0) for s in specs]
-        for job in jobs:
-            job.mark_queued(0.0)
-        return jobs
+        return [make_job(nodes=1, submit=0.0, start=s, duration=600.0) for s in specs]
 
     def test_memo_reused_while_epoch_and_queue_stable(self, tiny_system):
         rm = ResourceManager(tiny_system)
@@ -557,8 +513,7 @@ class TestReplayOrderMemo:
         jobs = self._queued(900.0, 300.0)
         first = scheduler._ordered_queue(jobs, rm)
         runner = make_job(nodes=1, submit=0.0, duration=600.0)
-        runner.mark_queued(0.0)
-        rm.allocate(runner, 0.0)  # epoch bump
+        rm.allocate(queued_run(runner, 0.0), 0.0)  # epoch bump
         assert scheduler._ordered_queue(jobs, rm) is not first
 
     def test_schedule_results_identical_with_and_without_memo(self, tiny_system):
@@ -569,7 +524,7 @@ class TestReplayOrderMemo:
             for now in (0.0, 30.0, 45.0, 60.0, 1200.0):
                 decisions = scheduler.schedule(jobs, rm, now)
                 for decision in decisions:
-                    rm.allocate(decision.job, decision.start_time or now)
+                    rm.allocate(queued_run(decision.job), decision.start_time or now)
                     jobs.remove(decision.job)
                 started.append(
                     (now, sorted(d.start_time for d in decisions),
@@ -606,13 +561,11 @@ class TestBackfillReservationIndex:
             for nodes, duration, limit in running_specs:
                 job = make_job(nodes=nodes, submit=0.0, duration=duration,
                                wall_limit=limit)
-                job.mark_queued(0.0)
-                rm.allocate(job, 0.0)
+                rm.allocate(queued_run(job, 0.0), 0.0)
             queue = []
             for nodes, duration, limit in queue_specs:
                 job = make_job(nodes=nodes, submit=0.0, duration=duration,
                                wall_limit=limit)
-                job.mark_queued(0.0)
                 queue.append(job)
             return [
                 (d.job.nodes_required, d.job.wall_time_limit)
@@ -665,16 +618,13 @@ class TestBackfillReservationIndex:
             rm = ResourceManager(two_partition_system)
             running = make_job(nodes=6, partition="gpu", submit=0.0,
                                duration=3600.0, wall_limit=3600.0)
-            running.mark_queued(0.0)
-            rm.allocate(running, 0.0)
+            rm.allocate(queued_run(running, 0.0), 0.0)
             head = make_job(nodes=7, partition="gpu", submit=10.0, wall_limit=1800.0)
             gpu_long = make_job(nodes=2, partition="gpu", submit=20.0,
                                 duration=7200.0, wall_limit=7200.0)
             cpu_long = make_job(nodes=4, partition="cpu", submit=30.0,
                                 duration=7200.0, wall_limit=7200.0)
             queue = [head, gpu_long, cpu_long]
-            for job in queue:
-                job.mark_queued(job.submit_time)
             return [d.job.partition for d in scheduler.schedule(queue, rm, 60.0)]
 
         default = BackfillScheduler()

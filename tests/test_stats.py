@@ -45,7 +45,7 @@ class TestDerivedMetrics:
         assert stats.mean_wait_s == pytest.approx(sum(waits) / len(waits))
         assert stats.max_wait_s == pytest.approx(max(waits))
         assert stats.node_h == pytest.approx(
-            sum(j.nodes_required * (j.sim_duration or 0.0) for j in stats.completed_jobs)
+            sum(j.job.nodes_required * (j.sim_duration or 0.0) for j in stats.completed_jobs)
             / 3600.0
         )
 
@@ -325,7 +325,7 @@ class TestIncrementalSummary:
         starts = [j.sim_start_time for j in jobs if j.sim_start_time is not None]
         ends = [j.sim_end_time for j in jobs if j.sim_end_time is not None]
         assert stats.node_h == pytest.approx(
-            sum(j.nodes_required * (j.sim_duration or 0.0) for j in jobs) / 3600.0
+            sum(j.job.nodes_required * (j.sim_duration or 0.0) for j in jobs) / 3600.0
         )
         assert stats.mean_wait_s == pytest.approx(sum(waits) / len(waits))
         assert stats.max_wait_s == pytest.approx(max(waits))
