@@ -29,9 +29,8 @@ numbers written to ``BENCH_engine.json`` in the repository root:
 ``engine_burst_arrival``
     Thousands of same-tick releases on ``frontier`` (the post-maintenance
     queue-drain restart: 3,000 jobs per burst) under FCFS, run dense vs
-    event-driven. Every same-refresh job's power state is built in one
-    vectorised pass — one node-power-model evaluation per refresh, not
-    per job.
+    event-driven. One refresh builds thousands of job power states, so the
+    per-start cost of a power state dominates.
 
 ``engine_power_cap``
     The busy-trace window re-run under operating signals: a binding IT
@@ -65,8 +64,8 @@ CI fails if coalescing ever changes a metric. The frontier-scale benchmark
 additionally requires >= 1000 concurrently running jobs, so the workload
 can never silently shrink below the scale the benchmark exists to cover.
 The tests check the event indexes against running-set scans
-(``tests/test_engine.py``) and the batched job-start power states against
-per-job construction (``tests/test_property_equivalence.py``).
+(``tests/test_engine.py``) and every job power state against the scanning
+power model (``tests/test_power.py``).
 
 Two tooling extras ride along:
 
@@ -111,16 +110,11 @@ from repro.power import OperatingSignals
 from repro.obs import Observability, SpanTracer
 from repro.workloads import (
     SyntheticWorkloadGenerator,
-    WorkloadSpec,
     burst_arrival_spec,
     busy_trace_spec,
     default_workload_spec,
     frontier_scale_spec,
-)
-from repro.workloads.distributions import (
-    JobSizeDistribution,
-    RuntimeDistribution,
-    WaveArrivals,
+    idle_heavy_spec,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -137,19 +131,6 @@ EQUIVALENCE_RTOL = 1e-9
 #: Each thunk returns the run's :class:`SpanTracer`, so the profile report
 #: can print a per-phase wall-time table next to the cProfile top functions.
 PROFILE_TARGETS: list = []
-
-
-def idle_heavy_spec() -> WorkloadSpec:
-    """A sparse workload: short constant-power jobs separated by idle hours."""
-    return WorkloadSpec(
-        sizes=JobSizeDistribution(min_nodes=1, max_nodes=8),
-        runtimes=RuntimeDistribution(
-            median_s=1200.0, sigma=0.6, min_s=300.0, max_s=3600.0
-        ),
-        arrivals=WaveArrivals(rate_per_hour=0.3, amplitude=0.3),
-        trace_interval_s=None,  # scalar telemetry -> constant power per job
-        generate_power_trace=False,
-    )
 
 
 def _timed_run(system, workload, policy, seed, *, dense_ticks=False, signals=None):
@@ -384,7 +365,7 @@ def bench_frontier_scale(args):
 
 def bench_burst_arrival(args):
     # FCFS keeps the whole burst starting in one tick (nothing blocks), so
-    # the benchmark isolates the per-event start cost of batched states.
+    # the benchmark isolates the per-event start cost of job power states.
     return _bench_dense_vs_event(
         "engine_burst_arrival", "burst-arrival", args,
         get_system_config(args.frontier_system), burst_arrival_spec(),

@@ -102,16 +102,11 @@ class ResourceManager:
         self._end_of: dict[int, float] = {}
 
         # Allocate/release journal: every membership change appends one
-        # ``(is_allocation, job_id)`` entry, so a consumer that polls between
-        # events (the incremental power aggregator) can apply exactly the
-        # changes since its last poll in O(changes) instead of diffing its
-        # cached job set against the full running set per epoch change.
-        # ``_journal_base`` is the global index of the first retained entry;
-        # draining hands out the retained tail and empties the buffer, and a
-        # consumer whose cursor predates the retained window (a second
-        # consumer, or a capped journal) is told to resync via set diff.
+        # ``(is_allocation, job_id)`` entry. Its one consumer, the engine's
+        # power aggregator, drains it whenever the epoch moved, so it holds
+        # one step's changes and the aggregator applies them in O(changes)
+        # instead of diffing its cached job set against the running set.
         self._journal: list[tuple[bool, int]] = []
-        self._journal_base = 0
 
         # Expected-release index for the EASY shadow reservation: running
         # jobs ordered by ``(sim_start + requested_runtime, nodes_required)``
@@ -131,13 +126,6 @@ class ResourceManager:
         self.end_heap_stale_pops = 0
         self.journal_appends = 0
         self.journal_drains = 0
-        self.journal_resyncs = 0
-
-    #: Retained-journal cap: without a draining consumer the buffer would
-    #: grow by two entries per job for the whole run, so the oldest entries
-    #: are dropped beyond this size (late consumers then resync, which is
-    #: always correct).
-    JOURNAL_CAP = 8192
 
     # -- inventory queries -----------------------------------------------------
 
@@ -253,7 +241,8 @@ class ResourceManager:
         expected_end = now + job.requested_runtime
         self._expected_of[job_id] = expected_end
         insort(self._expected_sorted, (expected_end, job.nodes_required, job_id))
-        self._journal_append(True, job_id)
+        self._journal.append((True, job_id))
+        self.journal_appends += 1
         return chosen
 
     def release(self, run: JobRun, now: float) -> None:
@@ -332,47 +321,15 @@ class ResourceManager:
 
     # -- change journal / expected-release index ---------------------------------
 
-    @property
-    def journal_total(self) -> int:
-        """Number of journal entries ever appended (a consumer cursor)."""
-        return self._journal_base + len(self._journal)
+    def drain_change_journal(self) -> list[tuple[bool, int]]:
+        """The ``(is_allocation, job_id)`` entries since the last drain.
 
-    def drain_change_journal(
-        self, cursor: int
-    ) -> tuple[int, list[tuple[bool, int]] | None]:
-        """Hand out the ``(is_allocation, job_id)`` entries since ``cursor``.
-
-        Returns ``(new_cursor, entries)``. ``entries`` is ``None`` when the
-        journal no longer reaches back to ``cursor`` (the buffer was capped,
-        or another consumer drained it first) — the caller must then resync
-        by diffing its cached membership against :attr:`running_by_id`,
-        which is always correct, just O(running set) instead of O(changes).
-        Draining empties the retained buffer, so the journal never grows
-        beyond one poll interval for its steady consumer.
+        Chronological; the journal is empty afterwards.
         """
-        total = self._journal_base + len(self._journal)
+        entries = self._journal
+        self._journal = []
         self.journal_drains += 1
-        if cursor < self._journal_base:
-            entries: list[tuple[bool, int]] | None = None
-            self.journal_resyncs += 1
-        elif cursor == total:
-            entries = []
-        else:
-            entries = self._journal[cursor - self._journal_base :]
-        self._journal.clear()
-        self._journal_base = total
-        return total, entries
-
-    def _journal_append(self, is_allocation: bool, job_id: int) -> None:
-        journal = self._journal
-        journal.append((is_allocation, job_id))
-        self.journal_appends += 1
-        if len(journal) > self.JOURNAL_CAP:
-            # Nobody is draining: keep the newest half so a steady consumer
-            # that shows up late pays one resync, not unbounded memory.
-            drop = len(journal) - self.JOURNAL_CAP // 2
-            del journal[:drop]
-            self._journal_base += drop
+        return entries
 
     def expected_release_entries(self) -> Iterator[tuple[float, int, int]]:
         """Running jobs as ``(expected end, nodes_required, job_id)``, ordered.
@@ -482,7 +439,8 @@ class ResourceManager:
         self._drop_expected(job_id)
         self._allocated_count -= len(run.assigned_nodes)
         self._epoch += 1
-        self._journal_append(False, job_id)
+        self._journal.append((False, job_id))
+        self.journal_appends += 1
         if run.state is JobState.RUNNING:
             run.mark_completed(now)
 
@@ -496,5 +454,4 @@ class ResourceManager:
             "end_heap_stale_pops": self.end_heap_stale_pops,
             "journal_appends": self.journal_appends,
             "journal_drains": self.journal_drains,
-            "journal_resyncs": self.journal_resyncs,
         }

@@ -175,13 +175,11 @@ class SimulationEngine:
         self.scheduler.reset()
         self.resource_manager = ResourceManager(system, seed=seed)
         self.power_model = SystemPowerModel(system)
-        #: Incremental system-power evaluation over the running set: per-job
-        #: contributions are pre-evaluated on each profile's change-point
-        #: grid at job start — batched across every job starting in the same
-        #: refresh (one NodePowerModel evaluation per refresh, not per job)
-        #: — and refreshed only on membership changes (consumed from the
-        #: resource manager's allocate/release journal, O(changes)) and
-        #: breakpoint crossings — never rescanned per step.
+        #: Incremental system-power evaluation over the running set: each
+        #: job's contribution is evaluated once at its start and again only
+        #: when one of its profiles crosses a change point; membership
+        #: changes come from the resource manager's allocate/release
+        #: journal, O(changes). The running set is never rescanned per step.
         self.power_aggregator = RunningSetPowerAggregator(
             self.power_model, self.resource_manager
         )

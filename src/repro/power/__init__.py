@@ -9,12 +9,7 @@ the cooling model — the RAPS power path of the original ExaDigiT work.
 from .node_power import NodePowerModel, system_idle_power_kw
 from .losses import ConversionLossModel, LossBreakdown
 from .signals import OperatingSignals
-from .system_power import (
-    RunningSetPowerAggregator,
-    SystemPowerModel,
-    SystemPowerSample,
-    build_power_states,
-)
+from .system_power import RunningSetPowerAggregator, SystemPowerModel, SystemPowerSample
 
 __all__ = [
     "NodePowerModel",
@@ -25,5 +20,4 @@ __all__ = [
     "RunningSetPowerAggregator",
     "SystemPowerModel",
     "SystemPowerSample",
-    "build_power_states",
 ]

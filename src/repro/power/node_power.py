@@ -10,8 +10,6 @@ measured node power bypass the model entirely (the recorded trace wins).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..config import NodePowerConfig, SystemConfig
 
 
@@ -28,32 +26,24 @@ class NodePowerModel:
         self._gpu_dynamic_w = config.gpu_max_w - config.gpu_idle_w
 
     def power(
-        self,
-        cpu_util: float | np.ndarray,
-        gpu_util: float | np.ndarray = 0.0,
-        mem_util: float | np.ndarray = 0.0,
-    ) -> float | np.ndarray:
+        self, cpu_util: float, gpu_util: float = 0.0, mem_util: float = 0.0
+    ) -> float:
         """Node power (watts) for the given utilization fractions.
 
-        Inputs outside [0, 1] are clipped; arrays broadcast element-wise so a
-        whole trace (or a whole system's worth of nodes) can be evaluated in
-        one vectorised call. The scalar and vectorised paths apply the same
-        IEEE operations element-wise, so evaluating a profile on its change-
-        point grid gives bit-identical values to scalar per-tick calls.
+        Inputs outside [0, 1] are clipped. Takes Python floats: the min/max
+        clip equals ``np.clip`` on every finite value (profiles hold only
+        finite values) and costs a fraction of it on a scalar.
         """
         cfg = self.config
-        cpu = np.clip(cpu_util, 0.0, 1.0)
-        gpu = np.clip(gpu_util, 0.0, 1.0)
-        mem = np.clip(mem_util, 0.0, 1.0)
-        power = (
+        cpu = min(max(cpu_util, 0.0), 1.0)
+        gpu = min(max(gpu_util, 0.0), 1.0)
+        mem = min(max(mem_util, 0.0), 1.0)
+        return (
             cfg.idle_w
             + cfg.cpus_per_node * (cfg.cpu_idle_w + cpu * self._cpu_dynamic_w)
             + cfg.gpus_per_node * (cfg.gpu_idle_w + gpu * self._gpu_dynamic_w)
             + mem * cfg.mem_dynamic_w
         )
-        if np.isscalar(cpu_util) and np.isscalar(gpu_util) and np.isscalar(mem_util):
-            return float(power)
-        return power
 
     @property
     def idle_power(self) -> float:

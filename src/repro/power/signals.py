@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -36,6 +37,16 @@ CapSegment = tuple[float, "float | None"]
 Segment = tuple[float, float]
 
 
+def _number(raw: object, name: str) -> float:
+    """A segment field as a float; anything but a real number is rejected."""
+    if isinstance(raw, bool) or not isinstance(raw, Real):
+        raise ConfigurationError(f"signals.{name} segments must hold numbers, got {raw!r}")
+    try:
+        return float(raw)
+    except OverflowError:  # an int beyond float range is not finite either
+        return math.inf
+
+
 def _canonical_series(
     name: str,
     segments: "Sequence[Sequence[object]] | None",
@@ -45,16 +56,20 @@ def _canonical_series(
     """Validate and canonicalise one step series (floats, tuples)."""
     if segments is None:
         return None
+    if not isinstance(segments, (list, tuple)):
+        raise ConfigurationError(
+            f"signals.{name} must be a list of (time_s, value) pairs, got {segments!r}"
+        )
     if len(segments) == 0:
         raise ConfigurationError(f"signals.{name} must have at least one segment")
     out: list[tuple[float, float | None]] = []
     for segment in segments:
-        if len(segment) != 2:
+        if not isinstance(segment, (list, tuple)) or len(segment) != 2:
             raise ConfigurationError(
                 f"signals.{name} segments must be (time_s, value) pairs"
             )
         raw_time, raw_value = segment
-        time_s = float(raw_time)  # type: ignore[arg-type]
+        time_s = _number(raw_time, name)
         if not math.isfinite(time_s) or time_s < 0.0:
             raise ConfigurationError(
                 f"signals.{name} segment times must be finite and >= 0, "
@@ -68,7 +83,7 @@ def _canonical_series(
                 )
             value = None
         else:
-            value = float(raw_value)  # type: ignore[arg-type]
+            value = _number(raw_value, name)
             if not math.isfinite(value) or value < 0.0:
                 raise ConfigurationError(
                     f"signals.{name} values must be finite and >= 0, "
@@ -323,8 +338,12 @@ class OperatingSignals:
         return payload
 
     @classmethod
-    def from_json_dict(cls, payload: "Mapping[str, Any]") -> "OperatingSignals":
+    def from_json_dict(cls, payload: object) -> "OperatingSignals":
         """Inverse of :meth:`to_json_dict`; unknown keys are rejected."""
+        if not isinstance(payload, Mapping):
+            raise ConfigurationError(
+                f"OperatingSignals must be a JSON object, got {type(payload).__name__}"
+            )
         known = {"power_cap_kw", "price_per_kwh", "carbon_kg_per_kwh"}
         unknown = set(payload) - known
         if unknown:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -81,8 +82,7 @@ class SystemPowerModel:
         if recorded is not None:
             return recorded * job.nodes_required
         cpu, gpu, mem = run.utilization_at(now)
-        model = self.node_model(job.partition)
-        return float(model.power(cpu, gpu, mem)) * job.nodes_required
+        return self.node_model(job.partition).power(cpu, gpu, mem) * job.nodes_required
 
     def job_energy_j(self, job: Job) -> float:
         """Energy of a job over its recorded duration (joules).
@@ -101,10 +101,7 @@ class SystemPowerModel:
             np.concatenate([job.cpu_util.times, job.gpu_util.times, job.mem_util.times, [0.0]])
         )
         times = times[times <= duration]
-        cpu = job.cpu_util.values_at(times)
-        gpu = job.gpu_util.values_at(times)
-        mem = job.mem_util.values_at(times)
-        watts = np.asarray(model.power(cpu, gpu, mem), dtype=float)
+        watts = np.array(_model_power_w(model, job, times))
         edges = np.concatenate([times, [duration]])
         widths = np.diff(edges)
         return float(np.sum(watts * widths)) * job.nodes_required
@@ -121,16 +118,15 @@ class SystemPowerModel:
         admissions against this peak, which is what makes its zero-violation
         guarantee hold for time-varying job power under a constant cap.
         """
-        times = _union_grid(job)
+        times = np.unique(
+            np.concatenate([profile.change_grid()[0] for profile in job.power_profiles()])
+        )
+        watts: list[float]
         if job.node_power is not None:
-            watts = job.node_power.values_at(times)
+            watts = job.node_power.values_at(times).tolist()
         else:
-            model = self.node_model(job.partition)
-            cpu = job.cpu_util.values_at(times)
-            gpu = job.gpu_util.values_at(times)
-            mem = job.mem_util.values_at(times)
-            watts = np.asarray(model.power(cpu, gpu, mem), dtype=float)
-        return float(np.max(watts)) * job.nodes_required
+            watts = _model_power_w(self.node_model(job.partition), job, times)
+        return max(watts) * job.nodes_required
 
     def node_idle_power_w(self, partition: str) -> float:
         """Idle draw of one in-service node of ``partition`` (watts)."""
@@ -241,321 +237,90 @@ class SystemPowerModel:
         )
 
 
+def _model_power_w(model: NodePowerModel, job: Job, times: np.ndarray) -> list[float]:
+    """Node power of the component model at each relative time in ``times``."""
+    return [
+        model.power(cpu, gpu, mem)
+        for cpu, gpu, mem in zip(
+            job.cpu_util.values_at(times).tolist(),
+            job.gpu_util.values_at(times).tolist(),
+            job.mem_util.values_at(times).tolist(),
+        )
+    ]
+
+
 class _JobPowerState:
     """Cached piecewise-constant power contribution of one running job.
 
-    Built once when the job enters the running set: the job's power-relevant
-    profiles are merged onto the union of their change-point grids and the
-    per-node model (or recorded power trace) is evaluated on that grid in one
-    vectorised call. Afterwards, sampling the job at any time is a
-    ``searchsorted`` into the grid instead of three profile lookups plus a
-    scalar model evaluation — and between change points nothing needs to be
-    recomputed at all.
+    Holds the change grids (:meth:`Profile.change_grid`) of the job's three
+    power-relevant profiles as lists of Python floats. Evaluating the job
+    at an elapsed time takes the value each profile holds there
+    (``bisect_right``; every grid starts at 0.0), one scalar
+    :meth:`NodePowerModel.power` call — or the recorded trace value — and
+    the node-count weighting. Between change points nothing is recomputed.
+    The cached values equal :meth:`SystemPowerModel.job_power_w` and
+    :meth:`JobRun.utilization_at` times the node count exactly: the same
+    IEEE operations on the same floats.
     """
 
     __slots__ = (
         "run",
         "start",
-        "times",
-        "power_w",
-        "cpu_weighted",
-        "gpu_weighted",
+        "nodes",
+        "model",
+        "grids",
         "next_change",
         "current_power_w",
         "current_cpu_weighted",
         "current_gpu_weighted",
     )
 
-    def __init__(
-        self,
-        run: JobRun,
-        times: np.ndarray,
-        power_w: np.ndarray,
-        cpu_weighted: np.ndarray,
-        gpu_weighted: np.ndarray,
-        now: float,
-    ) -> None:
+    def __init__(self, run: JobRun, model: NodePowerModel, now: float) -> None:
+        job = run.job
         self.run = run
         self.start = run.sim_start_time if run.sim_start_time is not None else now
-        self.times = times
-        self.power_w = power_w
-        self.cpu_weighted = cpu_weighted
-        self.gpu_weighted = gpu_weighted
-        self.next_change = math.inf
-        self.current_power_w = 0.0
-        self.current_cpu_weighted = 0.0
-        self.current_gpu_weighted = 0.0
+        self.nodes = job.nodes_required
+        # ``None`` when a recorded power trace (the first grid) wins.
+        self.model = model if job.node_power is None else None
+        self.grids = [
+            (times.tolist(), values.tolist())
+            for times, values in (profile.change_grid() for profile in job.power_profiles())
+        ]
         self.advance_to(now)
 
-    @classmethod
-    def for_job(cls, run: JobRun, model: NodePowerModel, now: float) -> "_JobPowerState":
-        """Per-job construction: one profile/model evaluation per job.
-
-        The aggregator takes this path for a job that starts alone, where
-        it costs about half a one-job :func:`build_power_states` call. The
-        batched builder must produce bit-identical grids and powers, and
-        the property tests hold the two to exactly that.
-        """
-        job = run.job
-        nodes = job.nodes_required
-        times = _union_grid(job)
-        cpu_values = job.cpu_util.values_at(times)
-        gpu_values = job.gpu_util.values_at(times)
-        if job.node_power is not None:
-            watts = job.node_power.values_at(times) * nodes
-        else:
-            mem_values = job.mem_util.values_at(times)
-            watts = (
-                np.asarray(model.power(cpu_values, gpu_values, mem_values), dtype=float)
-                * nodes
-            )
-        return cls(run, times, watts, cpu_values * nodes, gpu_values * nodes, now)
-
     def advance_to(self, now: float) -> None:
-        """Move the cached contribution to the grid interval containing ``now``."""
+        """Move the cached contribution to the values held at ``now``."""
         elapsed = now - self.start
         if elapsed < 0.0:
             elapsed = 0.0
-        times = self.times
-        index = int(np.searchsorted(times, elapsed, side="right")) - 1
-        if index < 0:
-            index = 0
-        self.current_power_w = float(self.power_w[index])
-        self.current_cpu_weighted = float(self.cpu_weighted[index])
-        self.current_gpu_weighted = float(self.gpu_weighted[index])
-        if index + 1 < times.size:
-            self.next_change = self.start + float(times[index + 1])
+        held: list[float] = []
+        upcoming = math.inf
+        for times, values in self.grids:
+            index = bisect_right(times, elapsed)
+            held.append(values[index - 1])
+            if index < len(times) and times[index] < upcoming:
+                upcoming = times[index]
+        first, second, third = held
+        if self.model is None:
+            power_w, cpu, gpu = first, second, third
         else:
-            self.next_change = math.inf
-
-
-def _union_grid(job: Job) -> np.ndarray:
-    """Union of the change-point grids of a job's power-relevant profiles."""
-    grids = [profile.change_grid()[0] for profile in job.power_profiles()]
-    if all(grid.size == 1 for grid in grids):
-        # All profiles constant: every grid is exactly [0.0], so the
-        # union is too — skip the concatenate/unique round-trip, which
-        # dominates state construction on summary-only (scalar
-        # telemetry) workloads at frontier scale.
-        return grids[0]
-    return np.unique(np.concatenate(grids))
-
-
-#: Segment roles of a job's ``power_profiles()`` tuple: with a recorded
-#: power trace the tuple is (node_power, cpu, gpu), otherwise (cpu, gpu, mem).
-_ROLE_POWER, _ROLE_CPU, _ROLE_GPU, _ROLE_MEM = 0, 1, 2, 3
-_ROLES_TRACE = (_ROLE_POWER, _ROLE_CPU, _ROLE_GPU)
-_ROLES_MODEL = (_ROLE_CPU, _ROLE_GPU, _ROLE_MEM)
+            power_w, cpu, gpu = self.model.power(first, second, third), first, second
+        nodes = self.nodes
+        self.current_power_w = power_w * nodes
+        self.current_cpu_weighted = cpu * nodes
+        self.current_gpu_weighted = gpu * nodes
+        self.next_change = self.start + upcoming
 
 
 def build_power_states(
     runs_models: Sequence[tuple[JobRun, NodePowerModel]], now: float
 ) -> list[_JobPowerState]:
-    """Construct the :class:`_JobPowerState` of ``k`` started jobs in one pass.
+    """The :class:`_JobPowerState` of each started ``(run, node model)`` at ``now``.
 
-    The whole batch is processed in *integer rank space*: one global
-    ``np.unique`` over every job's change-point grids yields the distinct
-    times and each point's rank; per-job grid unions, zero-order-hold value
-    lookups (a single segmented ``searchsorted`` — segments kept disjoint
-    by integer key offsets, which unlike float offsets are exact), the
-    :class:`NodePowerModel` evaluation (once per distinct model per
-    refresh, not per job), the node-count weighting, and the initial
-    ``advance_to(now)`` positioning are each **one** vectorised pass over
-    the concatenation; the per-job arrays are then sliced back as views.
-    Every resulting array and cached scalar is bit-identical to
-    :meth:`_JobPowerState.for_job` (the same IEEE operations applied
-    element-wise; rank arithmetic is exact), so the batched and per-job
-    paths are interchangeable, and the property tests hold the two to bit
-    equality.
+    The one place job power states are built: the aggregator builds every
+    start through it, whether the job starts alone or with others.
     """
-    count = len(runs_models)
-    if count == 0:
-        return []
-
-    # -- collect the per-profile change grids (cached on each Profile) -------
-    seg_times: list[np.ndarray] = []      # per segment: change-grid times
-    seg_values: list[np.ndarray] = []     # per segment: change-grid values
-    seg_role: list[int] = []              # per segment: _ROLE_* label
-    seg_job: list[int] = []               # per segment: owning job index
-    trace_job_indices: list[int] = []
-    #: id(model) -> (model, job indices) for component-model jobs.
-    model_groups: dict[int, tuple[NodePowerModel, list[int]]] = {}
-    for index, (run, model) in enumerate(runs_models):
-        job = run.job
-        roles = _ROLES_MODEL
-        if job.node_power is not None:
-            roles = _ROLES_TRACE
-            trace_job_indices.append(index)
-        else:
-            group = model_groups.get(id(model))
-            if group is None:
-                model_groups[id(model)] = group = (model, [])
-            group[1].append(index)
-        for role, profile in zip(roles, job.power_profiles()):
-            grid_times, grid_values = profile.change_grid()
-            seg_times.append(grid_times)
-            seg_values.append(grid_values)
-            seg_role.append(role)
-            seg_job.append(index)
-
-    n_seg = len(seg_times)
-    seg_lengths = np.array([times.size for times in seg_times])
-    point_seg = np.repeat(np.arange(n_seg), seg_lengths)
-    point_job = np.asarray(seg_job)[point_seg]
-
-    # -- rank space: global distinct times, each point's rank ----------------
-    all_times = np.concatenate(seg_times)
-    distinct_times, point_rank = np.unique(all_times, return_inverse=True)
-    n_rank = distinct_times.size
-
-    # -- per-job union grids: unique (job, rank) keys, job-major -------------
-    union_keys = np.unique(point_job * n_rank + point_rank)
-    union_job = union_keys // n_rank
-    union_rank = union_keys - union_job * n_rank
-    union_times = distinct_times[union_rank]
-    union_counts = np.bincount(union_job, minlength=count)
-    union_offsets = np.concatenate([[0], np.cumsum(union_counts)])
-    # Identical values to the per-job ``np.unique(np.concatenate(grids))``:
-    # the same floats, sorted and deduplicated, just computed for the whole
-    # batch at once.
-
-    # -- zero-order-hold lookup: one segmented searchsorted ------------------
-    # Haystack: every grid point keyed ``segment * n_rank + rank`` — sorted,
-    # because grids ascend within a segment and segment keys are disjoint.
-    # Needles: for each segment, its job's union ranks under the same
-    # segment offset. ``searchsorted(..., "right") - 1`` then lands on the
-    # segment's last grid point at or before each union time (every grid
-    # starts at t=0.0, so the result never leaves the segment), exactly the
-    # ``Profile.values_at`` hold rule.
-    needle_lengths = union_counts[seg_job]
-    needle_starts = union_offsets[seg_job]
-    total_needles = int(needle_lengths.sum())
-    needle_local = np.arange(total_needles) - np.repeat(
-        np.cumsum(needle_lengths) - needle_lengths, needle_lengths
-    )
-    needle_pos = needle_local + np.repeat(needle_starts, needle_lengths)
-    needle_keys = union_rank[needle_pos] + np.repeat(
-        np.arange(n_seg) * n_rank, needle_lengths
-    )
-    haystack_keys = point_seg * n_rank + point_rank
-    held_index = np.searchsorted(haystack_keys, needle_keys, side="right") - 1
-    held_values = np.concatenate(seg_values)[held_index]
-
-    # -- split held values by role (job-major order is preserved) ------------
-    point_role = np.repeat(seg_role, needle_lengths)
-    cpu_values = held_values[point_role == _ROLE_CPU]
-    gpu_values = held_values[point_role == _ROLE_GPU]
-
-    node_counts = np.array([float(run.job.nodes_required) for run, _ in runs_models])
-    weights = np.repeat(node_counts, union_counts)
-    cpu_weighted = cpu_values * weights
-    gpu_weighted = gpu_values * weights
-
-    # -- power: one model evaluation per distinct model ----------------------
-    if len(model_groups) == 1 and not trace_job_indices:
-        # Every job uses the same component model (the common case): the
-        # role-split arrays already are the model inputs, in job order.
-        (model, _indices), = model_groups.values()
-        model_w = np.asarray(
-            model.power(cpu_values, gpu_values, held_values[point_role == _ROLE_MEM]),
-            dtype=float,
-        )
-        model_w *= weights
-        watts = model_w
-    else:
-        watts = np.empty(int(union_counts.sum()))
-        mem_values = held_values[point_role == _ROLE_MEM]
-        trace_values = held_values[point_role == _ROLE_POWER]
-        # Offsets of each job's slice within the role-split arrays.
-        is_trace = np.zeros(count, dtype=bool)
-        is_trace[trace_job_indices] = True
-        mem_offsets = np.concatenate(
-            [[0], np.cumsum(np.where(is_trace, 0, union_counts))]
-        )
-        trace_offsets = np.concatenate(
-            [[0], np.cumsum(np.where(is_trace, union_counts, 0))]
-        )
-        def job_slice(offsets: np.ndarray, i: int) -> slice:
-            return slice(offsets[i], offsets[i] + union_counts[i])
-
-        for i in trace_job_indices:
-            watts[union_offsets[i] : union_offsets[i + 1]] = (
-                trace_values[job_slice(trace_offsets, i)]
-                * runs_models[i][0].job.nodes_required
-            )
-
-        def job_cpu(i: int) -> np.ndarray:
-            return cpu_values[union_offsets[i] : union_offsets[i + 1]]
-
-        def job_gpu(i: int) -> np.ndarray:
-            return gpu_values[union_offsets[i] : union_offsets[i + 1]]
-
-        for model, indices in model_groups.values():
-            group_w = np.asarray(
-                model.power(
-                    np.concatenate([job_cpu(i) for i in indices]),
-                    np.concatenate([job_gpu(i) for i in indices]),
-                    np.concatenate(
-                        [mem_values[job_slice(mem_offsets, i)] for i in indices]
-                    ),
-                ),
-                dtype=float,
-            )
-            group_w *= np.repeat(node_counts[indices], union_counts[indices])
-            position = 0
-            for i in indices:
-                width = int(union_counts[i])
-                watts[union_offsets[i] : union_offsets[i] + width] = group_w[
-                    position : position + width
-                ]
-                position += width
-
-    # -- vectorised initial advance_to(now) ----------------------------------
-    starts = np.array(
-        [
-            run.sim_start_time if run.sim_start_time is not None else now
-            for run, _ in runs_models
-        ]
-    )
-    elapsed = np.maximum(now - starts, 0.0)
-    # Count of union times at or before each job's elapsed time, computed in
-    # rank space: ``searchsorted(distinct_times, elapsed, "right")`` bounds
-    # the rank, then the (job, rank) key bounds the job's union slice — the
-    # same index ``advance_to`` finds with its per-job searchsorted.
-    elapsed_rank = np.searchsorted(distinct_times, elapsed, side="right")
-    held_counts = (
-        np.searchsorted(
-            union_keys, np.arange(count) * n_rank + elapsed_rank, side="left"
-        )
-        - union_offsets[:-1]
-    )
-    current_index = np.maximum(held_counts - 1, 0) + union_offsets[:-1]
-    current_power = watts[current_index]
-    current_cpu = cpu_weighted[current_index]
-    current_gpu = gpu_weighted[current_index]
-    has_next = current_index + 1 < union_offsets[1:]
-    next_change = np.where(
-        has_next,
-        starts + union_times[np.minimum(current_index + 1, len(union_times) - 1)],
-        math.inf,
-    )
-
-    states: list[_JobPowerState] = []
-    for index, (run, _) in enumerate(runs_models):
-        span = slice(union_offsets[index], union_offsets[index + 1])
-        state = _JobPowerState.__new__(_JobPowerState)
-        state.run = run
-        state.start = float(starts[index])
-        state.times = union_times[span]
-        state.power_w = watts[span]
-        state.cpu_weighted = cpu_weighted[span]
-        state.gpu_weighted = gpu_weighted[span]
-        state.current_power_w = float(current_power[index])
-        state.current_cpu_weighted = float(current_cpu[index])
-        state.current_gpu_weighted = float(current_gpu[index])
-        state.next_change = float(next_change[index])
-        states.append(state)
-    return states
+    return [_JobPowerState(run, model, now) for run, model in runs_models]
 
 
 class RunningSetPowerAggregator:
@@ -570,8 +335,10 @@ class RunningSetPowerAggregator:
     step, it keeps per-job contributions cached (see :class:`_JobPowerState`)
     and recomputes only
 
-    - jobs that started or ended since the last step, detected in O(1) via
-      :attr:`ResourceManager.epoch`, and
+    - jobs that started or ended since the last step: a moved
+      :attr:`ResourceManager.epoch` says there are some, and the resource
+      manager's change journal names them; every started job's state comes
+      from :func:`build_power_states`;
     - jobs whose profile crossed a change point since the last step, tracked
       in a min-heap of upcoming change times.
 
@@ -587,7 +354,6 @@ class RunningSetPowerAggregator:
         self._model = model
         self._rm = resource_manager
         self._epoch: int | None = None
-        self._journal_cursor = 0
         self._states: dict[int, _JobPowerState] = {}
         self._changes: list[tuple[float, int]] = []  # (abs change time, job id)
         self._job_power_w = 0.0
@@ -598,9 +364,7 @@ class RunningSetPowerAggregator:
         # into the engine's metrics registry at run finalisation.
         self.breakpoint_crossings = 0
         self.membership_syncs = 0
-        self.journal_resyncs = 0
         self.states_built = 0
-        self.batched_builds = 0
 
     @hot_path
     def sample(
@@ -659,9 +423,7 @@ class RunningSetPowerAggregator:
         return {
             "breakpoint_crossings": self.breakpoint_crossings,
             "membership_syncs": self.membership_syncs,
-            "journal_resyncs": self.journal_resyncs,
             "states_built": self.states_built,
-            "batched_builds": self.batched_builds,
         }
 
     # -- internals -----------------------------------------------------------
@@ -677,67 +439,45 @@ class RunningSetPowerAggregator:
         self._apply_due_changes(now)
 
     def _sync_membership(self, now: float) -> None:
-        """Apply the running-set membership changes since the last refresh.
+        """Apply the running-set changes journalled since the last refresh.
 
-        The default path consumes the resource manager's allocate/release
-        journal — O(changes) regardless of the running-set size — and hands
-        every started job to the state builder in one pass. When the
-        journal cannot answer (a second consumer drained it, cold start
-        after a capped buffer) a full set-diff against
-        :attr:`ResourceManager.running_by_id` runs instead; both paths add
-        and remove the same per-job contributions, so they only differ in
-        float add/subtract association order (well below the engine's 1e-9
-        equivalence gates).
+        Drains the resource manager's allocate/release journal, whose one
+        consumer is this aggregator, so the cost is O(changes) regardless
+        of the running-set size.
         """
         self.membership_syncs += 1
         running = self._rm.running_by_id
-        self._journal_cursor, entries = self._rm.drain_change_journal(
-            self._journal_cursor
-        )
-        if entries is None:
-            self.journal_resyncs += 1
-            ended_ids = sorted(self._states.keys() - running.keys())
-            started_jobs = [
-                running[job_id]
-                for job_id in sorted(running.keys() - self._states.keys())
-            ]
-        else:
-            # Net effect of the journal slice: a job that both started and
-            # ended between refreshes never contributed to a sample and
-            # cancels out. First-touch order preserves the chronological
-            # allocate/release order for everything else.
-            touched: dict[int, None] = {}
-            for _, job_id in entries:
-                touched.setdefault(job_id, None)
-            ended_ids = [
-                job_id
-                for job_id in touched
-                if job_id in self._states and job_id not in running
-            ]
-            started_jobs = [
-                running[job_id]
-                for job_id in touched
-                if job_id in running and job_id not in self._states
-            ]
-        for job_id in ended_ids:
-            state = self._states.pop(job_id)
-            self._job_power_w -= state.current_power_w
-            self._cpu_weighted -= state.current_cpu_weighted
-            self._gpu_weighted -= state.current_gpu_weighted
-            self._nodes_busy -= state.run.job.nodes_required
-            # Heap entries of ended jobs are discarded lazily.
+        states = self._states
+        # Net effect of the journal: a job that both started and ended
+        # between refreshes never contributed to a sample and cancels out.
+        # First-touch order preserves the chronological allocate/release
+        # order for everything else.
+        touched = dict.fromkeys(job_id for _, job_id in self._rm.drain_change_journal())
+        for job_id in touched:
+            if job_id in states and job_id not in running:
+                state = states.pop(job_id)
+                self._job_power_w -= state.current_power_w
+                self._cpu_weighted -= state.current_cpu_weighted
+                self._gpu_weighted -= state.current_gpu_weighted
+                self._nodes_busy -= state.nodes
+                # Heap entries of ended jobs are discarded lazily.
+        started_jobs = [
+            running[job_id]
+            for job_id in touched
+            if job_id in running and job_id not in states
+        ]
         if started_jobs:
             self.states_built += len(started_jobs)
             for state in self._build_states(started_jobs, now):
                 job_id = state.run.job_id
-                self._states[job_id] = state
+                states[job_id] = state
                 self._job_power_w += state.current_power_w
                 self._cpu_weighted += state.current_cpu_weighted
                 self._gpu_weighted += state.current_gpu_weighted
-                self._nodes_busy += state.run.job.nodes_required
+                self._nodes_busy += state.nodes
                 if math.isfinite(state.next_change):
                     heapq.heappush(self._changes, (state.next_change, job_id))
-        if not self._states:
+        if not states:
             # Flush float residue so an idle system reports exactly zero job
             # power, not the leftovers of cancelled additions.
             self._job_power_w = 0.0
@@ -747,26 +487,11 @@ class RunningSetPowerAggregator:
     def _build_states(
         self, started_jobs: list[JobRun], now: float
     ) -> list[_JobPowerState]:
-        """Construct the power states of jobs that just entered the running set.
-
-        Several jobs starting in one refresh share one vectorised
-        :func:`build_power_states` pass; a job starting alone takes the
-        cheaper :meth:`_JobPowerState.for_job`. Both produce bit-identical
-        arrays (contract of :func:`build_power_states`).
-        """
-        if len(started_jobs) > 1:
-            self.batched_builds += 1
-            return build_power_states(
-                [
-                    (run, self._model.node_model(run.job.partition))
-                    for run in started_jobs
-                ],
-                now,
-            )
-        return [
-            _JobPowerState.for_job(run, self._model.node_model(run.job.partition), now)
-            for run in started_jobs
-        ]
+        """The power states of jobs that just entered the running set."""
+        return build_power_states(
+            [(run, self._model.node_model(run.job.partition)) for run in started_jobs],
+            now,
+        )
 
     @hot_path
     def _apply_due_changes(self, now: float) -> None:

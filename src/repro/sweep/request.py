@@ -131,7 +131,15 @@ def workload_spec_from_dict(data: object) -> WorkloadSpec:
             f"unknown WorkloadSpec field(s) {', '.join(unknown)}; known: "
             + ", ".join(sorted(known))
         )
-    kwargs: dict[str, Any] = dict(data)
+    _reject_non_finite(data)
+    try:
+        return _workload_spec(dict(data))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"WorkloadSpec field of the wrong type: {exc}") from None
+
+
+def _workload_spec(kwargs: dict[str, Any]) -> WorkloadSpec:
+    """Build a :class:`WorkloadSpec` from its known top-level JSON fields."""
     if "sizes" in kwargs:
         kwargs["sizes"] = _dataclass_from_dict(
             JobSizeDistribution, kwargs["sizes"], "JobSizeDistribution"
@@ -161,6 +169,20 @@ def workload_spec_from_dict(data: object) -> WorkloadSpec:
     return WorkloadSpec(**kwargs)
 
 
+def _reject_non_finite(data: object) -> None:
+    """A NaN or infinity anywhere in a spec dict is a :class:`ConfigurationError`.
+
+    The run id hashes the request's JSON form, which has no spelling for them.
+    """
+    if isinstance(data, float) and not math.isfinite(data):
+        raise ConfigurationError(f"WorkloadSpec values must be finite, got {data!r}")
+    if isinstance(data, Mapping):
+        data = list(data.values())
+    if isinstance(data, (list, tuple)):
+        for item in data:
+            _reject_non_finite(item)
+
+
 def _integer(value: object, label: str) -> int:
     """``value`` as an int; bools, floats and strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, Integral):
@@ -174,7 +196,10 @@ def _duration_s(value: object, name: str) -> float:
         raise ConfigurationError(
             f"RunRequest.{name} must be a number of seconds, got {value!r}"
         )
-    seconds = float(value)
+    try:
+        seconds = float(value)
+    except OverflowError:  # an int beyond float range is not finite either
+        seconds = math.inf
     if not (math.isfinite(seconds) and seconds > 0):
         raise SimulationError(
             f"RunRequest.{name} must be positive and finite, got {value!r}"
@@ -238,7 +263,16 @@ class RunRequest:
         # equal requests built from "1h" (int) and 3600.0 (float) would
         # otherwise hash apart. frozen=True requires the direct setattr.
         object.__setattr__(self, "duration_s", _duration_s(self.duration_s, "duration_s"))
-        object.__setattr__(self, "seed", _integer(self.seed, "RunRequest.seed"))
+        for name in ("policy", "backfill"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigurationError(
+                    f"RunRequest.{name} must be a name or null, got {value!r}"
+                )
+        seed = _integer(self.seed, "RunRequest.seed")
+        if seed < 0:
+            raise ConfigurationError(f"RunRequest.seed must be >= 0, got {seed}")
+        object.__setattr__(self, "seed", seed)
         if self.horizon_s is not None:
             object.__setattr__(self, "horizon_s", _duration_s(self.horizon_s, "horizon_s"))
         if self.signals is not None and not isinstance(self.signals, OperatingSignals):
@@ -303,7 +337,12 @@ class RunRequest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunRequest":
-        return cls.from_json_dict(json.loads(text))
+        """Parse :meth:`to_json` output; malformed JSON is a ConfigurationError."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"RunRequest JSON does not parse: {exc}") from None
+        return cls.from_json_dict(data)
 
     @property
     def run_id(self) -> str:

@@ -44,6 +44,7 @@ from ..workloads import (
     burst_arrival_spec,
     busy_trace_spec,
     frontier_scale_spec,
+    idle_heavy_spec,
 )
 from .request import (
     RunRequest,
@@ -60,25 +61,6 @@ __all__ = [
 ]
 
 
-def _idle_heavy_spec() -> WorkloadSpec:
-    """Sparse constant-power jobs separated by idle hours (bench shape)."""
-    from ..workloads.distributions import (
-        JobSizeDistribution,
-        RuntimeDistribution,
-        WaveArrivals,
-    )
-
-    return WorkloadSpec(
-        sizes=JobSizeDistribution(min_nodes=1, max_nodes=8),
-        runtimes=RuntimeDistribution(
-            median_s=1200.0, sigma=0.6, min_s=300.0, max_s=3600.0
-        ),
-        arrivals=WaveArrivals(rate_per_hour=0.3, amplitude=0.3),
-        trace_interval_s=None,
-        generate_power_trace=False,
-    )
-
-
 #: Built-in workload variant name -> spec factory. ``None`` means "use the
 #: per-system default" (:func:`~repro.workloads.default_workload_spec`,
 #: resolved at execution time so it scales to each system on the axis).
@@ -87,7 +69,7 @@ WORKLOAD_VARIANTS: dict[str, Callable[[], WorkloadSpec] | None] = {
     "busy_trace": busy_trace_spec,
     "frontier_scale": frontier_scale_spec,
     "burst_arrival": burst_arrival_spec,
-    "idle_heavy": _idle_heavy_spec,
+    "idle_heavy": idle_heavy_spec,
 }
 
 

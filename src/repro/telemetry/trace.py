@@ -214,10 +214,6 @@ class Profile:
         """Minimum sample value."""
         return float(np.min(self._values))
 
-    def std(self) -> float:
-        """Standard deviation of the sample values (unweighted)."""
-        return float(np.std(self._values))
-
     def integral(self, duration: float | None = None) -> float:
         """Integrate the zero-order-hold profile over ``[0, duration]``.
 
@@ -241,46 +237,6 @@ class Profile:
         head = float(self._values[0]) * float(edges[0])
         values = self.values_at(edges[:-1])
         return head + float(np.sum(values * np.diff(edges)))
-
-    # -- transformations -----------------------------------------------------
-
-    def scaled(self, factor: float) -> "Profile":
-        """Return a copy with all values multiplied by ``factor``."""
-        return Profile(self._times, self._values * factor)
-
-    def clipped(self, start: float, end: float) -> "Profile":
-        """Return the profile restricted to relative times ``[start, end]``.
-
-        The returned profile is re-based so its first sample is at 0. A
-        sample is synthesised at ``start`` using the zero-order hold value if
-        no sample falls exactly on it, so the clipped profile never loses the
-        value in effect at the window start.
-        """
-        if end <= start:
-            raise DataLoaderError("clip window must have positive length")
-        mask = (self._times > start) & (self._times <= end)
-        times = np.concatenate([[start], self._times[mask]])
-        values = np.concatenate([[self.value_at(start)], self._values[mask]])
-        return Profile(times - start, values)
-
-    def resampled(self, interval: float, duration: float | None = None) -> "Profile":
-        """Return the profile resampled on a regular grid of ``interval`` s."""
-        if interval <= 0:
-            raise DataLoaderError("resample interval must be positive")
-        if duration is None:
-            duration = self.duration
-        n = max(1, int(np.floor(duration / interval)) + 1)
-        grid = np.arange(n, dtype=float) * interval
-        return Profile(grid, self.values_at(grid))
-
-    def summary_statistics(self) -> dict[str, float]:
-        """Summary statistics used by the ML pipeline (Sec. 4.4.3)."""
-        return {
-            "mean": self.mean(),
-            "max": self.maximum(),
-            "min": self.minimum(),
-            "std": self.std(),
-        }
 
 
 def _owned_float_array(data: Iterable[float]) -> np.ndarray:

@@ -24,6 +24,7 @@ from .synthetic import (
     busy_trace_spec,
     default_workload_spec,
     frontier_scale_spec,
+    idle_heavy_spec,
 )
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "busy_trace_spec",
     "default_workload_spec",
     "frontier_scale_spec",
+    "idle_heavy_spec",
     "JobSizeDistribution",
     "PoissonArrivals",
     "RuntimeDistribution",

@@ -138,7 +138,7 @@ class BurstArrivals:
     shape for any per-event cost in the engine — every burst makes one tick
     carry thousands of submissions, placements and power-state
     constructions — and is what the ``engine_burst_arrival`` benchmark
-    drives the batched job-start path with.
+    drives the job-start path with.
 
     Bursts fire at ``first_burst_s + k * burst_interval_s`` (absolute
     times); :meth:`sample` returns the ones falling inside the requested

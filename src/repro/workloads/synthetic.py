@@ -135,6 +135,25 @@ def busy_trace_spec() -> WorkloadSpec:
     )
 
 
+def idle_heavy_spec() -> WorkloadSpec:
+    """A sparse workload: short constant-power jobs separated by idle hours.
+
+    Scalar telemetry gives each job constant power, so event-driven runs
+    coalesce the idle stretches between jobs. Shared by
+    ``scripts/bench_engine.py`` and the sweep's ``idle_heavy`` workload
+    variant.
+    """
+    return WorkloadSpec(
+        sizes=JobSizeDistribution(min_nodes=1, max_nodes=8),
+        runtimes=RuntimeDistribution(
+            median_s=1200.0, sigma=0.6, min_s=300.0, max_s=3600.0
+        ),
+        arrivals=WaveArrivals(rate_per_hour=0.3, amplitude=0.3),
+        trace_interval_s=None,
+        generate_power_trace=False,
+    )
+
+
 def frontier_scale_spec() -> WorkloadSpec:
     """A frontier-scale workload: thousands of concurrently running jobs.
 
@@ -168,8 +187,7 @@ def burst_arrival_spec() -> WorkloadSpec:
     the 9,600-node ``frontier`` system (3,000 jobs of 1-4 nodes fit in one
     wave), with short multi-phase piecewise-constant profiles
     (``sample_noise=0.0``), so the dominant per-event cost is constructing
-    thousands of job power states at once — exactly the path the engine's
-    batched job-start construction exists for. Shared by
+    thousands of job power states at once. Shared by
     ``scripts/bench_engine.py`` and the burst-arrival equivalence tests so
     the two can never drift apart.
     """
@@ -310,13 +328,6 @@ class SyntheticWorkloadGenerator:
             )
         jobs.sort(key=lambda j: j.submit_time)
         return jobs
-
-    def generate_job_count(self, count: int, *, rate_scale: float = 1.0) -> list[Job]:
-        """Generate approximately ``count`` jobs by sizing the window from the rate."""
-        if count <= 0:
-            raise ConfigurationError("count must be positive")
-        hours = count / (self.spec.arrivals.rate_per_hour * rate_scale)
-        return self.generate(hours * 3600.0, include_prehistory=False)
 
     # -- profile synthesis -----------------------------------------------------
 

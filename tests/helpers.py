@@ -11,12 +11,9 @@ import copy
 
 from repro.cluster import DOWN, FREE, ResourceManager
 from repro.engine import SimulationEngine, SimulationResult
-from repro.power import RunningSetPowerAggregator
-from repro.power.system_power import _JobPowerState
 from repro.telemetry import Job, JobRun, JobState, Profile, constant_profile
 
 __all__ = [
-    "PerJobStatesAggregator",
     "assert_node_conservation",
     "make_job",
     "queued_run",
@@ -130,20 +127,3 @@ def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationR
     assert jobs == before
     return result
 
-
-class PerJobStatesAggregator(RunningSetPowerAggregator):
-    """Reference aggregator: every started job's state built by ``for_job``.
-
-    The engine's aggregator builds the states of jobs starting together in
-    one vectorised :func:`~repro.power.system_power.build_power_states`
-    pass. Swap this one into an engine before ``run()`` to get the per-job
-    construction it must agree with.
-    """
-
-    def _build_states(
-        self, started_jobs: list[JobRun], now: float
-    ) -> list[_JobPowerState]:
-        return [
-            _JobPowerState.for_job(run, self._model.node_model(run.job.partition), now)
-            for run in started_jobs
-        ]

@@ -405,58 +405,27 @@ class TestChangeJournal:
         a = _allocate(rm, make_job(nodes=1, duration=600.0))
         b = _allocate(rm, make_job(nodes=1, duration=300.0))
         rm.release(a, 50.0)
-        cursor, entries = rm.drain_change_journal(0)
-        assert cursor == rm.journal_total == 3
+        entries = rm.drain_change_journal()
         assert entries == [(True, a.job_id), (True, b.job_id), (False, a.job_id)]
+        assert rm.journal_appends == 3
 
     def test_drain_is_incremental_from_cursor(self, tiny_system):
+        # The last drain is the cursor: each drain hands out only what was
+        # journalled after it.
         rm = ResourceManager(tiny_system)
         a = _allocate(rm, make_job(nodes=1, duration=600.0))
-        cursor, entries = rm.drain_change_journal(0)
-        assert entries == [(True, a.job_id)]
+        assert rm.drain_change_journal() == [(True, a.job_id)]
         b = _allocate(rm, make_job(nodes=1, duration=600.0))
-        cursor, entries = rm.drain_change_journal(cursor)
-        assert entries == [(True, b.job_id)]
-        cursor, entries = rm.drain_change_journal(cursor)
-        assert entries == []
-
-    def test_stale_cursor_forces_resync(self, tiny_system):
-        # A consumer whose cursor predates the retained window (someone
-        # else drained, or the cap dropped entries) is told to resync.
-        rm = ResourceManager(tiny_system)
-        _allocate(rm, make_job(nodes=1, duration=600.0))
-        rm.drain_change_journal(0)  # first consumer empties the buffer
-        _allocate(rm, make_job(nodes=1, duration=600.0))
-        cursor, entries = rm.drain_change_journal(0)  # behind the base
-        assert entries is None
-        assert cursor == rm.journal_total
-        # Once caught up, the same consumer drains incrementally again.
-        _allocate(rm, make_job(nodes=1, duration=600.0))
-        _, entries = rm.drain_change_journal(cursor)
-        assert entries is not None and len(entries) == 1
+        assert rm.drain_change_journal() == [(True, b.job_id)]
+        assert rm.drain_change_journal() == []
+        assert rm.journal_drains == 3
 
     def test_complete_finished_jobs_journals_releases(self, tiny_system):
         rm = ResourceManager(tiny_system)
         job = _allocate(rm, make_job(nodes=1, duration=300.0))
-        cursor, _ = rm.drain_change_journal(0)
+        rm.drain_change_journal()
         rm.complete_finished_jobs(300.0)
-        _, entries = rm.drain_change_journal(cursor)
-        assert entries == [(False, job.job_id)]
-
-    def test_journal_cap_bounds_memory(self, tiny_system):
-        rm = ResourceManager(tiny_system)
-        original_cap = ResourceManager.JOURNAL_CAP
-        ResourceManager.JOURNAL_CAP = 8
-        try:
-            for _ in range(10):
-                job = _allocate(rm, make_job(nodes=1, duration=100.0))
-                rm.release(job, 0.0)
-            assert len(rm._journal) <= 8
-            assert rm.journal_total == 20
-            _, entries = rm.drain_change_journal(0)
-            assert entries is None  # dropped prefix -> resync
-        finally:
-            ResourceManager.JOURNAL_CAP = original_cap
+        assert rm.drain_change_journal() == [(False, job.job_id)]
 
 
 class TestExpectedReleaseIndex:

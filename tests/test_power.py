@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PowerLossConfig, get_system_config
+from repro.config import PartitionConfig, PowerLossConfig, SystemConfig, get_system_config
 from repro.exceptions import ConfigurationError
 from repro.power import (
     ConversionLossModel,
@@ -17,9 +18,10 @@ from repro.power import (
     SystemPowerModel,
     system_idle_power_kw,
 )
+from repro.power.system_power import build_power_states
 from repro.telemetry import JobRun, Profile, constant_profile
 
-from helpers import PerJobStatesAggregator, make_job, queued_run
+from helpers import make_job, queued_run
 
 
 class TestNodePowerModel:
@@ -42,12 +44,6 @@ class TestNodePowerModel:
     def test_clipping(self, model):
         assert model.power(2.0, 2.0, 2.0) == pytest.approx(model.max_power)
         assert model.power(-1.0) == pytest.approx(model.power(0.0))
-
-    def test_vectorised(self, model):
-        utils = np.linspace(0, 1, 11)
-        powers = model.power(utils)
-        assert powers.shape == (11,)
-        assert np.all(np.diff(powers) > 0)
 
     @given(
         cpu=st.floats(min_value=0, max_value=1),
@@ -226,33 +222,35 @@ def _profile_from(draw_values, duration):
     return Profile(times, draw_values)
 
 
-class TestBatchedPowerStates:
-    """Batched and per-job _JobPowerState construction must be bit-identical.
+def _two_partition_system():
+    """16 cpu + 8 gpu nodes; the gpu partition's nodes idle 50 W higher."""
+    node = get_system_config("tiny").partitions[0].node_power
+    return SystemConfig(
+        name="twopart",
+        description="two-partition test system",
+        partitions=(
+            PartitionConfig("cpu", 16, node),
+            PartitionConfig("gpu", 8, replace(node, idle_w=node.idle_w + 50.0)),
+        ),
+        timestep_s=15,
+        trace_quantum_s=15,
+        default_policy="fcfs",
+    )
 
-    The aggregator builds the states of jobs starting together in one batch
-    and a job starting alone per job, so bit equality here (grids, powers,
-    weighted utilizations, cached current values and next-change bounds)
-    is what keeps the two paths interchangeable.
+
+class TestJobPowerStates:
+    """Every job power state equals the scanning evaluation exactly.
+
+    :func:`build_power_states` is the one constructor of the aggregator's
+    cached per-job contributions. Advanced to any time, a state must hold
+    exactly (``==``) what :meth:`SystemPowerModel.job_power_w`,
+    :meth:`JobRun.utilization_at` and :meth:`JobRun.next_power_change_after`
+    compute from the job's profiles at that time.
     """
 
-    @staticmethod
-    def _assert_states_identical(batched, perjob):
-        assert len(batched) == len(perjob)
-        for got, want in zip(batched, perjob):
-            assert got.run is want.run
-            assert got.start == want.start
-            assert np.array_equal(got.times, want.times)
-            assert np.array_equal(got.power_w, want.power_w)
-            assert np.array_equal(got.cpu_weighted, want.cpu_weighted)
-            assert np.array_equal(got.gpu_weighted, want.gpu_weighted)
-            assert got.current_power_w == want.current_power_w
-            assert got.current_cpu_weighted == want.current_cpu_weighted
-            assert got.current_gpu_weighted == want.current_gpu_weighted
-            assert got.next_change == want.next_change
-
-    def _build_runs(self, rng, n_jobs, *, with_traces):
+    def _build_runs(self, rng, n_jobs, *, with_traces, partitions, now):
         runs = []
-        for i in range(n_jobs):
+        for _ in range(n_jobs):
             kind = rng.integers(0, 4)
             duration = float(rng.choice([0.0, 120.0, 600.0, 3600.0]))
             nodes = int(rng.integers(1, 6))
@@ -260,7 +258,7 @@ class TestBatchedPowerStates:
             if kind >= 1 and duration > 0:
                 # Piecewise-constant profiles with repeated samples (the
                 # repeats must not become breakpoints) and distinct grids
-                # per component so the union is non-trivial.
+                # per component.
                 n = int(rng.integers(2, 6))
                 kwargs["cpu_profile"] = _profile_from(
                     np.round(rng.random(n), 2), duration
@@ -283,13 +281,14 @@ class TestBatchedPowerStates:
                 cpu=float(rng.random()),
                 gpu=float(rng.random()),
                 mem=float(rng.random()),
+                partition=str(rng.choice(partitions)),
                 **kwargs,
             )
             run = JobRun(job)
-            if rng.random() < 0.5:
-                # Off-grid backdated start: elapsed-time indexing must agree.
-                run.mark_queued(0.0)
-                run.mark_running(float(rng.random() * 100.0), tuple(range(nodes)))
+            # Half start now, half at an off-grid backdated (or, for small
+            # ``now``, later) time: elapsed-time indexing must agree.
+            start = float(rng.random() * 100.0) if rng.random() < 0.5 else now
+            run.mark_running(start, tuple(range(nodes)))
             runs.append(run)
         return runs
 
@@ -297,130 +296,48 @@ class TestBatchedPowerStates:
         seed=st.integers(min_value=0, max_value=2**16),
         n_jobs=st.integers(min_value=1, max_value=12),
         with_traces=st.booleans(),
+        two_partitions=st.booleans(),
         now=st.sampled_from([0.0, 7.5, 90.0, 1234.5]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_batched_matches_per_job_bitwise(self, seed, n_jobs, with_traces, now):
-        from repro.power.system_power import _JobPowerState, build_power_states
-
-        rng = np.random.default_rng(seed)
-        system = get_system_config("tiny")
+    def test_states_match_scan(self, seed, n_jobs, with_traces, two_partitions, now):
+        system = _two_partition_system() if two_partitions else get_system_config("tiny")
         model = SystemPowerModel(system)
-        node_model = model.node_model(system.partitions[0].name)
-        runs = self._build_runs(rng, n_jobs, with_traces=with_traces)
-        pairs = [(run, node_model) for run in runs]
-        batched = build_power_states(pairs, now)
-        perjob = [_JobPowerState.for_job(run, node_model, now) for run in runs]
-        self._assert_states_identical(batched, perjob)
+        rng = np.random.default_rng(seed)
+        runs = self._build_runs(
+            rng,
+            n_jobs,
+            with_traces=with_traces,
+            partitions=[partition.name for partition in system.partitions],
+            now=now,
+        )
+        states = build_power_states(
+            [(run, model.node_model(run.job.partition)) for run in runs], now
+        )
+        assert [state.run for state in states] == runs
 
-    def test_mixed_constant_trace_and_piecewise_batch(self, tiny_system):
-        from repro.power.system_power import _JobPowerState, build_power_states
+        def check(state, t):
+            run = state.run
+            nodes = run.job.nodes_required
+            cpu, gpu, _ = run.utilization_at(t)
+            change = run.next_power_change_after(t)
+            assert state.current_power_w == model.job_power_w(run, t)
+            assert state.current_cpu_weighted == cpu * nodes
+            assert state.current_gpu_weighted == gpu * nodes
+            assert state.next_change == (math.inf if change is None else change)
 
-        model = SystemPowerModel(tiny_system)
-        node_model = model.node_model(tiny_system.partitions[0].name)
-        jobs = [
-            make_job(nodes=2, duration=600.0, cpu=0.4),  # all-constant
-            make_job(nodes=1, duration=0.0),  # zero-duration
-            make_job(
-                nodes=3,
-                duration=600.0,
-                node_power=Profile([0.0, 60.0, 60.5, 180.0], [500.0, 500.0, 750.0, 750.0]),
-            ),
-            make_job(
-                nodes=4,
-                duration=600.0,
-                cpu_profile=Profile([0.0, 120.0, 240.0], [0.2, 0.8, 0.5]),
-                gpu_profile=Profile([0.0, 90.0], [0.1, 0.9]),
-            ),
-        ]
-        runs = [JobRun(job) for job in jobs]
-        pairs = [(run, node_model) for run in runs]
-        batched = build_power_states(pairs, 15.0)
-        perjob = [_JobPowerState.for_job(run, node_model, 15.0) for run in runs]
-        self._assert_states_identical(batched, perjob)
-
-    def test_multi_partition_models_grouped(self, two_partition_system):
-        from repro.power.system_power import _JobPowerState, build_power_states
-
-        model = SystemPowerModel(two_partition_system)
-        jobs = [
-            make_job(nodes=2, duration=600.0, cpu=0.6, partition="cpu"),
-            make_job(nodes=1, duration=600.0, gpu=0.9, partition="gpu"),
-            make_job(
-                nodes=2, duration=600.0, partition="gpu",
-                cpu_profile=Profile([0.0, 100.0], [0.3, 0.7]),
-            ),
-        ]
-        runs = [JobRun(job) for job in jobs]
-        pairs = [(run, model.node_model(run.job.partition)) for run in runs]
-        batched = build_power_states(pairs, 0.0)
-        perjob = [
-            _JobPowerState.for_job(run, model.node_model(run.job.partition), 0.0)
-            for run in runs
-        ]
-        self._assert_states_identical(batched, perjob)
-
-    def test_aggregator_batched_matches_per_job_over_membership_churn(self, tiny_system):
-        from repro.cluster import ResourceManager
-        from repro.power import RunningSetPowerAggregator
-
-        def run(aggregator_cls):
-            model = SystemPowerModel(tiny_system)
-            rm = ResourceManager(tiny_system)
-            agg = aggregator_cls(model, rm)
-            jobs = [
-                make_job(nodes=2, submit=0.0, duration=300.0 * (i + 1),
-                         cpu_profile=Profile([0.0, 100.0 + i], [0.2, 0.8]))
-                for i in range(5)
-            ]
-            samples = []
-            for job in jobs:
-                rm.allocate(queued_run(job), 0.0)
-            for now in np.arange(0.0, 1600.0, 50.0):
-                rm.complete_finished_jobs(now)
-                samples.append(agg.sample(float(now)))
-            return samples
-
-        # Same op sequence either way: the only difference may be float
-        # association order inside the batch, which these workloads keep
-        # far below the engine's 1e-9 contract.
-        for batched_sample, perjob_sample in zip(
-            run(RunningSetPowerAggregator), run(PerJobStatesAggregator)
-        ):
-            assert batched_sample.job_power_kw == pytest.approx(
-                perjob_sample.job_power_kw, rel=1e-12, abs=1e-15
-            )
-            assert batched_sample.mean_cpu_util == pytest.approx(
-                perjob_sample.mean_cpu_util, rel=1e-12, abs=1e-15
-            )
-
-    def test_journal_fallback_resync_matches_scan(self, tiny_system):
-        # A second consumer finds the journal already drained and must fall
-        # back to the set-diff resync — and still match the scanning model.
-        from repro.cluster import ResourceManager
-        from repro.power import RunningSetPowerAggregator
-
-        model = SystemPowerModel(tiny_system)
-        rm = ResourceManager(tiny_system)
-        first = RunningSetPowerAggregator(model, rm)
-        second = RunningSetPowerAggregator(model, rm)
-        runs = [
-            queued_run(make_job(nodes=2, submit=0.0, duration=600.0, cpu=0.3 * (i + 1)))
-            for i in range(3)
-        ]
-        for run in runs:
-            rm.allocate(run, 0.0)
-        assert first.sample(0.0).job_power_kw > 0
-        # ``first`` drained the journal; ``second`` starts behind it.
-        reference = model.sample(0.0, rm.running_jobs)
-        got = second.sample(0.0)
-        assert got.job_power_kw == pytest.approx(reference.job_power_kw)
-        rm.release(runs[0], 100.0)
-        reference = model.sample(100.0, rm.running_jobs)
-        for aggregator in (first, second):
-            assert aggregator.sample(100.0).job_power_kw == pytest.approx(
-                reference.job_power_kw
-            )
+        for state in states:
+            check(state, now)
+            t = state.next_change
+            while math.isfinite(t):  # every change time, in order
+                state.advance_to(t)
+                check(state, t)
+                # A rounded ``start + change`` can land before the crossing
+                # (the aggregator re-arms the same way): step one ulp on.
+                t = max(state.next_change, math.nextafter(t, math.inf))
+            for t in rng.uniform(0.0, 5000.0, size=5).tolist():
+                state.advance_to(t)
+                check(state, t)
 
 
 class TestRunningSetPowerAggregator:

@@ -34,7 +34,7 @@ from repro.workloads.distributions import (
     WaveArrivals,
 )
 
-from helpers import PerJobStatesAggregator, make_job, run_checked
+from helpers import make_job, run_checked
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -300,30 +300,13 @@ class TestEdgeCaseEquivalence:
         _assert_dense_event_equivalent(tiny_system, jobs, policy, horizon)
 
 
-def _assert_batched_perjob_equivalent(tiny_system, jobs, policy, horizon_s=None):
-    """Batched vs per-job power states: same 1e-9 contract as dense-vs-event."""
-    batched = SimulationEngine(tiny_system, jobs, policy, horizon_s=horizon_s).run()
-    engine = SimulationEngine(tiny_system, jobs, policy, horizon_s=horizon_s)
-    engine.power_aggregator = PerJobStatesAggregator(
-        engine.power_model, engine.resource_manager
-    )
-    perjob = engine.run()
-    assert engine.power_aggregator.batched_builds == 0
-    batched_summary, perjob_summary = batched.summary(), perjob.summary()
-    assert set(batched_summary) == set(perjob_summary)
-    for key, value in perjob_summary.items():
-        assert batched_summary[key] == pytest.approx(
-            value, rel=EQUIVALENCE_RTOL, abs=1e-12
-        ), f"{policy}/{key} drifted beyond 1e-9 between batched and per-job"
-
-
 class TestBurstArrivalEquivalence:
     """Thousands-of-same-tick-releases shape, scaled to the tiny system.
 
     Mirrors the ``engine_burst_arrival`` benchmark: every burst submits a
-    pile of jobs in one tick, so the batched job-start construction builds
-    many states per refresh. Dense-vs-event and batched-vs-per-job must
-    both hold to the 1e-9 contract, including when a horizon cuts a burst.
+    pile of jobs in one tick, so one refresh builds many job power states.
+    Dense-vs-event must hold to the 1e-9 contract, including when a
+    horizon cuts a burst.
     """
 
     def _burst_jobs(self, tiny_system, *, seed=11, piecewise=True):
@@ -354,15 +337,9 @@ class TestBurstArrivalEquivalence:
         _assert_dense_event_equivalent(tiny_system, jobs, policy, None)
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_batched_perjob_equivalence_on_bursts(self, tiny_system, policy):
-        jobs = self._burst_jobs(tiny_system)
-        _assert_batched_perjob_equivalent(tiny_system, jobs, policy)
-
-    @pytest.mark.parametrize("policy", POLICIES)
     def test_burst_cut_by_horizon(self, tiny_system, policy):
         # The horizon falls inside the second burst's drain: truncation,
-        # dismissal and the final partial sample must agree across all
-        # four engine variants.
+        # dismissal and the final partial sample must agree between dense
+        # and event-driven runs.
         jobs = self._burst_jobs(tiny_system, piecewise=False)
         _assert_dense_event_equivalent(tiny_system, jobs, policy, 5401.7)
-        _assert_batched_perjob_equivalent(tiny_system, jobs, policy, 5401.7)

@@ -4,6 +4,8 @@ The contracts pinned here:
 
 * a :class:`RunRequest` round-trips losslessly through JSON and its
   content-hash ``run_id`` is stable (and changes when the request does);
+  malformed request JSON raises a ``repro.exceptions`` error, never a bare
+  Python one (a hypothesis property over nested ``spec`` and ``signals``);
 * ``run_simulation`` (the back-compat shim) and ``run_request`` are the
   same computation — equal summaries, not merely close ones;
 * :class:`SweepSpec` materialisation is deterministic, collision-checked
@@ -18,15 +20,18 @@ The contracts pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sqlite3
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import OperatingSignals, run_simulation
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SRapsError
 from repro.sweep import (
     ResultsStore,
     RunRequest,
@@ -42,6 +47,9 @@ from repro.workloads import (
     BurstArrivals,
     JobSizeDistribution,
     PoissonArrivals,
+    RuntimeDistribution,
+    UserPopulation,
+    WaveArrivals,
     WorkloadSpec,
     busy_trace_spec,
 )
@@ -65,6 +73,69 @@ def small_spec(name: str = "t", **overrides: object) -> SweepSpec:
 
 # ---------------------------------------------------------------------------
 # RunRequest serialisation
+
+#: Any JSON number, NaN and the infinities included (``json.dumps`` writes
+#: them as ``NaN`` / ``Infinity``, which ``json.loads`` reads back).
+_NUMBERS = st.integers(min_value=-3, max_value=2**70) | st.floats()
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _objects_over(cls: type, value: st.SearchStrategy = _NUMBERS) -> st.SearchStrategy:
+    """JSON objects over a subset of ``cls``'s field names."""
+    return st.fixed_dictionaries(
+        {}, optional={f.name: value | _JSON for f in dataclasses.fields(cls)}
+    )
+
+
+_ARRIVALS = st.builds(
+    lambda kind, rest: {"kind": kind, **rest},
+    st.sampled_from(["wave", "poisson", "burst", "steady"]),
+    _objects_over(WaveArrivals) | _objects_over(PoissonArrivals) | _objects_over(BurstArrivals),
+)
+_SPEC_SECTIONS = {
+    "sizes": _objects_over(JobSizeDistribution),
+    "runtimes": _objects_over(RuntimeDistribution),
+    "users": _objects_over(UserPopulation),
+    "arrivals": _ARRIVALS,
+}
+_SPECS = st.fixed_dictionaries(
+    {},
+    optional={
+        f.name: _SPEC_SECTIONS.get(f.name, _NUMBERS | st.lists(_NUMBERS, max_size=3)) | _JSON
+        for f in dataclasses.fields(WorkloadSpec)
+    },
+)
+_SEGMENTS = st.lists(
+    st.tuples(_NUMBERS | st.none(), _NUMBERS | st.none()).map(list) | _JSON, max_size=3
+)
+_SIGNALS = st.fixed_dictionaries(
+    {},
+    optional={
+        name: _SEGMENTS | _JSON
+        for name in ("power_cap_kw", "price_per_kwh", "carbon_kg_per_kwh")
+    },
+)
+_REQUEST_PAYLOADS = st.fixed_dictionaries(
+    {},
+    optional={
+        "system": st.just("tiny") | _JSON,
+        "policy": st.sampled_from(["fcfs", "backfill", "replay"]) | _JSON,
+        "backfill": st.just("easy") | _JSON,
+        "duration_s": _NUMBERS | _JSON,
+        "seed": _NUMBERS | _JSON,
+        "spec": _SPECS | _JSON,
+        "horizon_s": _NUMBERS | _JSON,
+        "dense_ticks": st.booleans() | _JSON,
+        "signals": _SIGNALS | _JSON,
+        "event_index": st.just(True) | _JSON,
+        "vectorized": st.just(True) | _JSON,
+    },
+)
 
 
 class TestRunRequest:
@@ -150,6 +221,33 @@ class TestRunRequest:
     def test_non_mapping_payload_rejected(self) -> None:
         with pytest.raises(ConfigurationError, match="JSON object"):
             RunRequest.from_json_dict(["tiny"])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"policy": 3}', id="policy-int"),
+            pytest.param('{"backfill": {"x": Infinity}}', id="backfill-object"),
+            pytest.param('{"seed": -1}', id="negative-seed"),
+            pytest.param("{", id="not-json"),
+            pytest.param('{"signals": []}', id="signals-list"),
+            pytest.param('{"signals": {"power_cap_kw": [[null, null]]}}', id="null-time"),
+            pytest.param('{"spec": {"sample_noise": "a"}}', id="spec-string-noise"),
+            pytest.param('{"spec": {"cpu_util_range": 3}}', id="spec-int-range"),
+            pytest.param('{"spec": {"cpu_util_range": [1, 2, 3]}}', id="spec-3-range"),
+        ],
+    )
+    def test_malformed_json_raises_configuration_error(self, text: str) -> None:
+        with pytest.raises(ConfigurationError):
+            RunRequest.from_json(text)
+
+    @given(payload=_REQUEST_PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_from_json_gives_a_run_id_or_an_srapserror(self, payload: dict) -> None:
+        try:
+            request = RunRequest.from_json(json.dumps(payload))
+        except SRapsError:
+            return
+        assert len(request.run_id) == 16
 
     @pytest.mark.parametrize(
         "section", ["sizes", "runtimes", "users", "arrivals", None]

@@ -84,15 +84,10 @@ class TestStatistics:
         p = Profile([0, 10, 40], [1.0, 3.0, 99.0])
         assert p.mean() == pytest.approx(2.5)
 
-    def test_min_max_std(self):
+    def test_min_max(self):
         p = Profile([0, 10, 20], [1.0, 5.0, 3.0])
         assert p.maximum() == 5.0
         assert p.minimum() == 1.0
-        assert p.std() == pytest.approx(np.std([1.0, 5.0, 3.0]))
-
-    def test_summary_statistics_keys(self):
-        stats = Profile([0, 10], [1.0, 2.0]).summary_statistics()
-        assert set(stats) == {"mean", "max", "min", "std"}
 
 
 class TestIntegration:
@@ -127,46 +122,6 @@ class TestIntegration:
     def test_constant_profile_integral_property(self, value, duration):
         p = constant_profile(value, duration)
         assert p.integral(duration) == pytest.approx(value * duration, rel=1e-9)
-
-
-class TestTransformations:
-    def test_scaled(self):
-        p = Profile([0, 10], [1.0, 2.0]).scaled(3.0)
-        np.testing.assert_allclose(p.values, [3.0, 6.0])
-
-    def test_clipped_rebases_time(self):
-        p = Profile([0, 10, 20, 30], [1.0, 2.0, 3.0, 4.0])
-        clipped = p.clipped(5, 25)
-        assert clipped.times[0] == 0.0
-        assert clipped.value_at(0) == 1.0  # value in effect at t=5
-        assert clipped.value_at(5) == 2.0  # original t=10
-        assert clipped.duration == pytest.approx(15.0)
-
-    def test_clipped_invalid_window(self):
-        with pytest.raises(DataLoaderError):
-            Profile([0, 10], [1.0, 2.0]).clipped(10, 10)
-
-    def test_resampled_regular_grid(self):
-        p = Profile([0, 10, 20], [1.0, 2.0, 3.0])
-        r = p.resampled(5.0)
-        np.testing.assert_allclose(r.times, [0, 5, 10, 15, 20])
-        np.testing.assert_allclose(r.values, [1, 1, 2, 2, 3])
-
-    def test_resampled_invalid_interval(self):
-        with pytest.raises(DataLoaderError):
-            Profile([0], [1.0]).resampled(0.0)
-
-    @given(
-        times=st.lists(
-            st.integers(min_value=0, max_value=100_000), min_size=2, max_size=30, unique=True
-        ),
-        factor=st.floats(min_value=0.1, max_value=10.0),
-    )
-    def test_scaling_preserves_mean_ratio(self, times, factor):
-        times = sorted(float(t) for t in times)
-        values = np.linspace(1.0, 2.0, len(times))
-        p = Profile(times, values)
-        assert p.scaled(factor).mean() == pytest.approx(p.mean() * factor, rel=1e-9)
 
 
 class TestConstantProfile:

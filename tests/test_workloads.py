@@ -181,18 +181,6 @@ class TestSyntheticWorkloadGenerator:
         jobs = SyntheticWorkloadGenerator(tiny_system, spec, seed=2).generate(3600.0)
         assert all(len(j.cpu_util) <= 2 for j in jobs)
 
-    def test_generate_job_count_approximate(self, tiny_system):
-        gen = SyntheticWorkloadGenerator(
-            tiny_system,
-            WorkloadSpec(
-                sizes=JobSizeDistribution(max_nodes=8),
-                arrivals=WaveArrivals(rate_per_hour=30),
-            ),
-            seed=11,
-        )
-        jobs = gen.generate_job_count(200)
-        assert 100 <= len(jobs) <= 350
-
     def test_oversized_workload_rejected(self, tiny_system):
         spec = WorkloadSpec(sizes=JobSizeDistribution(max_nodes=10_000))
         with pytest.raises(ConfigurationError):
