@@ -15,8 +15,9 @@ The marker is more than documentation: ``repro-lint`` enforces that the
 body of a ``@hot_path`` function contains no ``list(...)`` / ``sorted(...)``
 materialisation, no ``.pop(0)`` head-pops and no iteration over the running
 set or scheduler queue — the access patterns whose cost scales with the
-number of running jobs R. See the README "Static analysis & typing"
-section for the rule catalogue.
+number of running jobs R — and no numpy calls, which cost ~1 µs each on
+the scalars a per-event path handles. See the README "Static analysis &
+typing" section for the rule catalogue.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ def hot_path(func: _F) -> _F:
 
     Identity decorator — zero runtime cost beyond one attribute write at
     import time. ``repro-lint`` statically bans R-scaling access patterns
-    (``list(queue)``, ``.pop(0)``, per-job iteration) inside functions
-    carrying this mark; suppress a deliberate exception on its line with
-    ``# repro-lint: disable=hot-path``.
+    (``list(queue)``, ``.pop(0)``, per-job iteration) and numpy calls
+    inside functions carrying this mark; suppress a deliberate exception on
+    its line with ``# repro-lint: disable=hot-path``.
     """
     setattr(func, HOT_PATH_ATTRIBUTE, True)
     return func

@@ -21,7 +21,9 @@ otherwise live only in reviewers' heads:
     Inside a function marked ``@hot_path`` (see :mod:`repro.devtools`):
     no ``list(...)`` / ``sorted(...)`` materialisation, no ``.pop(0)``
     head-pops, no iteration over running-set / queue / jobs collections —
-    the patterns whose cost scales with the number of running jobs R.
+    the patterns whose cost scales with the number of running jobs R —
+    and no ``np.*`` / ``numpy.*`` calls, which cost ~1 µs each on the
+    scalars a per-event path handles.
 ``metrics-glossary``
     Every metric name registered on a ``MetricsRegistry`` (literal
     ``.counter(...)`` / ``.gauge(...)`` / ``.histogram(...)`` names and
@@ -80,8 +82,9 @@ RULES: dict[str, str] = {
         "or float literals; use repro.units zero-guards / tolerances"
     ),
     "hot-path": (
-        "no list()/sorted() materialisation, .pop(0) head-pops or "
-        "running-set/queue iteration inside @hot_path functions"
+        "no list()/sorted() materialisation, .pop(0) head-pops, "
+        "running-set/queue iteration or np.*/numpy.* calls inside "
+        "@hot_path functions"
     ),
     "metrics-glossary": (
         "every MetricsRegistry metric name and observability_counters() "
@@ -196,6 +199,9 @@ _BUILTIN_EXCEPTIONS = frozenset(
 #: Identifier substrings that mark a collection as per-job sized (the
 #: ``hot-path`` iteration ban).
 _JOB_COLLECTION_MARKERS = ("running", "queue", "jobs")
+
+#: Module names whose calls the ``hot-path`` rule bans (numpy's aliases).
+_NUMPY_MODULES = frozenset({"np", "numpy"})
 
 #: Method names whose literal first argument registers a metric.
 _METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
@@ -502,6 +508,21 @@ class _FileLinter(ast.NodeVisitor):
                     "hot-path",
                     ".pop(0) is O(n) on a list inside a @hot_path function; "
                     "use a deque or an index cursor",
+                )
+            root = node.func
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if (
+                isinstance(node.func, ast.Attribute)
+                and isinstance(root, ast.Name)
+                and root.id in _NUMPY_MODULES
+            ):
+                self._flag(
+                    node,
+                    "hot-path",
+                    f"numpy call {ast.unparse(node.func)}(...) inside a "
+                    "@hot_path function costs ~1 µs on scalars; keep "
+                    "per-event work on Python floats",
                 )
         if (
             isinstance(node.func, ast.Attribute)

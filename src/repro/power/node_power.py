@@ -10,6 +10,8 @@ measured node power bypass the model entirely (the recorded trace wins).
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..config import NodePowerConfig, SystemConfig
 
 
@@ -30,20 +32,42 @@ class NodePowerModel:
     ) -> float:
         """Node power (watts) for the given utilization fractions.
 
-        Inputs outside [0, 1] are clipped. Takes Python floats: the min/max
-        clip equals ``np.clip`` on every finite value (profiles hold only
-        finite values) and costs a fraction of it on a scalar.
+        Inputs outside [0, 1] are clipped. Takes Python floats: each clip
+        is two comparisons, which return what ``min(max(x, 0.0), 1.0)``
+        returns (``-0.0`` and NaN pass through) at a quarter of its cost.
+        :meth:`power_array` is the same expression over arrays.
         """
         cfg = self.config
-        cpu = min(max(cpu_util, 0.0), 1.0)
-        gpu = min(max(gpu_util, 0.0), 1.0)
-        mem = min(max(mem_util, 0.0), 1.0)
+        cpu = 0.0 if cpu_util < 0.0 else 1.0 if cpu_util > 1.0 else cpu_util
+        gpu = 0.0 if gpu_util < 0.0 else 1.0 if gpu_util > 1.0 else gpu_util
+        mem = 0.0 if mem_util < 0.0 else 1.0 if mem_util > 1.0 else mem_util
         return (
             cfg.idle_w
             + cfg.cpus_per_node * (cfg.cpu_idle_w + cpu * self._cpu_dynamic_w)
             + cfg.gpus_per_node * (cfg.gpu_idle_w + gpu * self._gpu_dynamic_w)
             + mem * cfg.mem_dynamic_w
         )
+
+    def power_array(
+        self, cpu_util: np.ndarray, gpu_util: np.ndarray, mem_util: np.ndarray
+    ) -> np.ndarray:
+        """Vectorised :meth:`power` over float64 utilization arrays.
+
+        Evaluates :meth:`power`'s expression in the same order, one IEEE
+        operation per element for each scalar one, so every element equals
+        the scalar result bit for bit; the tests hold it to that.
+        """
+        cfg = self.config
+        cpu = np.minimum(np.maximum(cpu_util, 0.0), 1.0)
+        gpu = np.minimum(np.maximum(gpu_util, 0.0), 1.0)
+        mem = np.minimum(np.maximum(mem_util, 0.0), 1.0)
+        power_w: np.ndarray = (
+            cfg.idle_w
+            + cfg.cpus_per_node * (cfg.cpu_idle_w + cpu * self._cpu_dynamic_w)
+            + cfg.gpus_per_node * (cfg.gpu_idle_w + gpu * self._gpu_dynamic_w)
+            + mem * cfg.mem_dynamic_w
+        )
+        return power_w
 
     @property
     def idle_power(self) -> float:

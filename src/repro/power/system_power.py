@@ -14,8 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,9 +26,12 @@ from .losses import ConversionLossModel
 from .node_power import NodePowerModel
 
 
-@dataclass(frozen=True)
-class SystemPowerSample:
-    """Power state of the system at one simulation time."""
+class SystemPowerSample(NamedTuple):
+    """Power state of the system at one simulation time.
+
+    A named tuple rather than a frozen dataclass: the engine builds one
+    every step, and a tuple costs about a third as much to build.
+    """
 
     time_s: float
     #: IT (compute) power of busy nodes, kW.
@@ -68,6 +70,12 @@ class SystemPowerModel:
         self.loss_model = ConversionLossModel(
             system.power_loss, peak_compute_power_kw=system.peak_system_power_kw
         )
+        # Read by every per-step sample: hoisted out of the configuration.
+        self._total_nodes = system.total_nodes
+        self._idle_table = tuple(
+            (partition.node_count, partition.node_power.min_w)
+            for partition in system.partitions
+        )
 
     # -- per-job power ------------------------------------------------------------
 
@@ -96,12 +104,15 @@ class SystemPowerModel:
             return 0.0
         if job.node_power is not None:
             return job.node_power.integral(duration) * job.nodes_required
-        model = self.node_model(job.partition)
         times = np.unique(
             np.concatenate([job.cpu_util.times, job.gpu_util.times, job.mem_util.times, [0.0]])
         )
         times = times[times <= duration]
-        watts = np.array(_model_power_w(model, job, times))
+        watts = self.node_model(job.partition).power_array(
+            job.cpu_util.values_at(times),
+            job.gpu_util.values_at(times),
+            job.mem_util.values_at(times),
+        )
         edges = np.concatenate([times, [duration]])
         widths = np.diff(edges)
         return float(np.sum(watts * widths)) * job.nodes_required
@@ -109,24 +120,17 @@ class SystemPowerModel:
     def job_peak_power_w(self, job: Job) -> float:
         """Peak instantaneous power of one job (watts across all its nodes).
 
-        Evaluated on the union change-point grid of the job's
-        power-relevant profiles (recorded trace when present, component
-        model otherwise) — piecewise-constant profiles attain their peak
-        on the grid, so this is an exact bound on
-        :meth:`job_power_w` at any time. The
+        The maximum of the node power a job power state holds on the
+        union change grid of the job's power-relevant profiles (recorded
+        trace when present, component model otherwise) —
+        piecewise-constant profiles attain their peak on the grid, so this
+        is an exact bound on :meth:`job_power_w` at any time. The
         :class:`~repro.engine.scheduler.PowerCapScheduler` projects
         admissions against this peak, which is what makes its zero-violation
         guarantee hold for time-varying job power under a constant cap.
         """
-        times = np.unique(
-            np.concatenate([profile.change_grid()[0] for profile in job.power_profiles()])
-        )
-        watts: list[float]
-        if job.node_power is not None:
-            watts = job.node_power.values_at(times).tolist()
-        else:
-            watts = _model_power_w(self.node_model(job.partition), job, times)
-        return max(watts) * job.nodes_required
+        _, power_w, _, _ = _power_grid(job, self.node_model(job.partition))
+        return max(power_w) * job.nodes_required
 
     def node_idle_power_w(self, partition: str) -> float:
         """Idle draw of one in-service node of ``partition`` (watts)."""
@@ -143,10 +147,7 @@ class SystemPowerModel:
         lower whenever nodes are allocated (their idle share moves into job
         power) or down.
         """
-        idle_w = sum(
-            partition.node_count * partition.node_power.min_w
-            for partition in self.system.partitions
-        )
+        idle_w = sum(node_count * min_w for node_count, min_w in self._idle_table)
         return idle_w / 1000.0
 
     # -- system power ---------------------------------------------------------------
@@ -208,7 +209,7 @@ class SystemPowerModel:
         if allocated_nodes is None:
             allocated_nodes = nodes_busy
 
-        idle_nodes = max(0, self.system.total_nodes - allocated_nodes - down_nodes)
+        idle_nodes = max(0, self._total_nodes - allocated_nodes - down_nodes)
         idle_power_w = 0.0
         remaining_idle = idle_nodes
         # Idle power accounted per partition, assuming busy nodes are drawn
@@ -216,12 +217,12 @@ class SystemPowerModel:
         # single-partition systems of the paper; multi-partition splits are
         # approximate).
         busy_remaining = allocated_nodes
-        for partition in self.system.partitions:
-            busy_here = min(busy_remaining, partition.node_count)
+        for node_count, min_w in self._idle_table:
+            busy_here = min(busy_remaining, node_count)
             busy_remaining -= busy_here
-            idle_here = min(remaining_idle, partition.node_count - busy_here)
+            idle_here = min(remaining_idle, node_count - busy_here)
             remaining_idle -= idle_here
-            idle_power_w += idle_here * partition.node_power.min_w
+            idle_power_w += idle_here * min_w
 
         total_busy = max(1, nodes_busy)
         return SystemPowerSample(
@@ -237,28 +238,74 @@ class SystemPowerModel:
         )
 
 
-def _model_power_w(model: NodePowerModel, job: Job, times: np.ndarray) -> list[float]:
-    """Node power of the component model at each relative time in ``times``."""
-    return [
-        model.power(cpu, gpu, mem)
-        for cpu, gpu, mem in zip(
-            job.cpu_util.values_at(times).tolist(),
-            job.gpu_util.values_at(times).tolist(),
-            job.mem_util.values_at(times).tolist(),
-        )
-    ]
+#: Summed change-grid length of a job's three power profiles up to which
+#: its union grid is built point by point with the scalar model; above it,
+#: in one numpy pass. The pass costs 20-30 µs at any short length, the
+#: scalar side ~1 µs per union point, and the union is longest when the
+#: grids share no time (then it is the summed length less two): there the
+#: two cost the same at 36 points (2-vCPU x86 VM). Constant jobs (3
+#: points) and 2-6-phase profiles (at most 18) sit below the cut, sampled
+#: telemetry above it.
+_SCALAR_MAX_POINTS = 36
+
+
+def _power_grid(
+    job: Job, model: NodePowerModel
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """``(times, power_w, cpu, gpu)`` of ``job`` on its union change grid.
+
+    ``times`` is the sorted union of the change grids
+    (:meth:`Profile.change_grid`) of the job's three power-relevant
+    profiles; it starts at 0.0. On ``[times[i], times[i+1])`` the job holds
+    node power ``power_w[i]`` (the recorded trace value, or the component
+    model on the held utilizations) and CPU / GPU utilization ``cpu[i]`` /
+    ``gpu[i]``. Both ways of filling the lists evaluate the same doubles:
+    :meth:`NodePowerModel.power_array` equals :meth:`NodePowerModel.power`
+    bit for bit.
+    """
+    first, second, third = job.power_profiles()
+    times0, values0 = first.change_grid()
+    times1, values1 = second.change_grid()
+    times2, values2 = third.change_grid()
+    if times0.size + times1.size + times2.size > _SCALAR_MAX_POINTS:
+        union = np.unique(np.concatenate((times0, times1, times2)))
+        arrays = [
+            values
+            if grid_times.size == union.size  # the grid is the union
+            else values[np.searchsorted(grid_times, union, side="right") - 1]
+            for grid_times, values in ((times0, values0), (times1, values1), (times2, values2))
+        ]
+        if job.node_power is None:
+            arrays = [model.power_array(*arrays), arrays[0], arrays[1]]
+        times = union.tolist()
+        held0, held1, held2 = [array.tolist() for array in arrays]
+        return times, held0, held1, held2
+    grid0, grid1, grid2 = times0.tolist(), times1.tolist(), times2.tolist()
+    times = grid0 if grid0 == grid1 == grid2 else sorted({*grid0, *grid1, *grid2})
+    held0 = _held_on(times, grid0, values0.tolist())
+    held1 = _held_on(times, grid1, values1.tolist())
+    held2 = _held_on(times, grid2, values2.tolist())
+    if job.node_power is not None:
+        return times, held0, held1, held2
+    return times, list(map(model.power, held0, held1, held2)), held0, held1
+
+
+def _held_on(times: list[float], grid_times: list[float], values: list[float]) -> list[float]:
+    """The values a change grid holds at each of ``times`` (its superset)."""
+    if len(grid_times) == len(times):
+        return values  # the grid is the union
+    return [values[bisect_right(grid_times, t) - 1] for t in times]
 
 
 class _JobPowerState:
     """Cached piecewise-constant power contribution of one running job.
 
-    Holds the change grids (:meth:`Profile.change_grid`) of the job's three
-    power-relevant profiles as lists of Python floats. Evaluating the job
-    at an elapsed time takes the value each profile holds there
-    (``bisect_right``; every grid starts at 0.0), one scalar
-    :meth:`NodePowerModel.power` call — or the recorded trace value — and
-    the node-count weighting. Between change points nothing is recomputed.
-    The cached values equal :meth:`SystemPowerModel.job_power_w` and
+    Holds the job's union change grid as Python float lists (see
+    :func:`_power_grid`): the grid times and, per interval, the node power
+    and the CPU / GPU utilization. Evaluating the job at an elapsed time is
+    one ``bisect_right`` on the times, three list reads and the node-count
+    weighting; a profile crossing costs no model call. The cached values
+    equal :meth:`SystemPowerModel.job_power_w` and
     :meth:`JobRun.utilization_at` times the node count exactly: the same
     IEEE operations on the same floats.
     """
@@ -267,8 +314,10 @@ class _JobPowerState:
         "run",
         "start",
         "nodes",
-        "model",
-        "grids",
+        "times",
+        "power_w",
+        "cpu",
+        "gpu",
         "next_change",
         "current_power_w",
         "current_cpu_weighted",
@@ -280,36 +329,26 @@ class _JobPowerState:
         self.run = run
         self.start = run.sim_start_time if run.sim_start_time is not None else now
         self.nodes = job.nodes_required
-        # ``None`` when a recorded power trace (the first grid) wins.
-        self.model = model if job.node_power is None else None
-        self.grids = [
-            (times.tolist(), values.tolist())
-            for times, values in (profile.change_grid() for profile in job.power_profiles())
-        ]
+        self.times, self.power_w, self.cpu, self.gpu = _power_grid(job, model)
         self.advance_to(now)
 
+    @hot_path
     def advance_to(self, now: float) -> None:
-        """Move the cached contribution to the values held at ``now``."""
+        """Move the cached contribution to the values held at ``now``.
+
+        Correct for any ``now``, earlier ones included (the tests advance
+        states to random times), because it bisects the whole grid.
+        """
         elapsed = now - self.start
         if elapsed < 0.0:
             elapsed = 0.0
-        held: list[float] = []
-        upcoming = math.inf
-        for times, values in self.grids:
-            index = bisect_right(times, elapsed)
-            held.append(values[index - 1])
-            if index < len(times) and times[index] < upcoming:
-                upcoming = times[index]
-        first, second, third = held
-        if self.model is None:
-            power_w, cpu, gpu = first, second, third
-        else:
-            power_w, cpu, gpu = self.model.power(first, second, third), first, second
+        times = self.times
+        index = bisect_right(times, elapsed)
         nodes = self.nodes
-        self.current_power_w = power_w * nodes
-        self.current_cpu_weighted = cpu * nodes
-        self.current_gpu_weighted = gpu * nodes
-        self.next_change = self.start + upcoming
+        self.current_power_w = self.power_w[index - 1] * nodes
+        self.current_cpu_weighted = self.cpu[index - 1] * nodes
+        self.current_gpu_weighted = self.gpu[index - 1] * nodes
+        self.next_change = self.start + times[index] if index < len(times) else math.inf
 
 
 def build_power_states(

@@ -9,12 +9,18 @@ from __future__ import annotations
 
 import copy
 
+import numpy as np
+import pytest
+
 from repro.cluster import DOWN, FREE, ResourceManager
 from repro.engine import SimulationEngine, SimulationResult
+from repro.engine.stats import StatsCollector
 from repro.telemetry import Job, JobRun, JobState, Profile, constant_profile
 
 __all__ = [
+    "assert_energy_balance",
     "assert_node_conservation",
+    "assert_power_matches_scan",
     "make_job",
     "queued_run",
     "run_checked",
@@ -100,13 +106,59 @@ def assert_node_conservation(rm: ResourceManager) -> None:
         )
 
 
+def assert_power_matches_scan(engine: SimulationEngine) -> None:
+    """The last recorded tick's power equals a scan of the running set.
+
+    Call right after a step: the running set is still the one the step's
+    power sample saw. The incremental aggregator sums in its own order,
+    so the match is to 1e-12, not bit for bit.
+    """
+    rm = engine.resource_manager
+    tick = engine.stats.ticks[-1]
+    scan = engine.power_model.sample(
+        tick.time_s,
+        rm.running_jobs,
+        allocated_nodes=rm.allocated_nodes,
+        down_nodes=rm.down_nodes,
+    )
+    for recorded, expected in (
+        (tick.compute_power_kw, scan.compute_power_kw),
+        (tick.loss_power_kw, scan.loss_kw),
+        (tick.mean_cpu_util, scan.mean_cpu_util),
+        (tick.mean_gpu_util, scan.mean_gpu_util),
+    ):
+        assert recorded == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def assert_energy_balance(stats: StatsCollector) -> None:
+    """Facility power is IT plus losses plus cooling on every tick, and the
+    summary energies are the integrals of their power columns."""
+    column = stats.column
+    compute = column("compute_power_kw")
+    cooling = column("cooling_power_kw")
+    facility = column("facility_power_kw")
+    assert np.array_equal(facility, (compute + column("loss_power_kw")) + cooling)
+    hours = column("dt_s") / 3600.0
+    summary = stats.summary()
+    for key, power in (
+        ("total_energy_kwh", facility),
+        ("it_energy_kwh", compute),
+        ("cooling_energy_kwh", cooling),
+    ):
+        assert summary[key] == pytest.approx(float(np.sum(power * hours)), rel=1e-9)
+
+
 def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationResult:
     """Run one engine over ``jobs``, checking conservation on its tables.
 
     Wraps :meth:`SimulationEngine.step` so the owner table is recounted
-    after every step (:func:`assert_node_conservation`). After the run,
-    every run record is COMPLETED or DISMISSED, each job id left the system
-    exactly once, and the input jobs equal a deep copy taken before the run.
+    after every step (:func:`assert_node_conservation`) and, in
+    event-driven runs, each step's power is checked against a scan of the
+    running set (:func:`assert_power_matches_scan`; dense runs are tied to
+    event-driven ones by the 1e-9 summary contract). After the run, energy
+    balances (:func:`assert_energy_balance`), every run record is COMPLETED
+    or DISMISSED, each job id left the system exactly once, and the input
+    jobs equal a deep copy taken before the run.
     """
     before = copy.deepcopy(jobs)
     engine = SimulationEngine(system, jobs, policy, **engine_kwargs)
@@ -115,9 +167,12 @@ def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationR
     def checked_step() -> None:
         step()
         assert_node_conservation(engine.resource_manager)
+        if not engine.dense_ticks:
+            assert_power_matches_scan(engine)
 
     engine.step = checked_step  # type: ignore[method-assign]
     result = engine.run()
+    assert_energy_balance(result.stats)
     assert all(
         run.state in (JobState.COMPLETED, JobState.DISMISSED) for run in result.jobs
     )

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PartitionConfig, PowerLossConfig, SystemConfig, get_system_config
+from repro.config import (
+    PartitionConfig,
+    PowerLossConfig,
+    SystemConfig,
+    available_systems,
+    get_system_config,
+)
 from repro.exceptions import ConfigurationError
 from repro.power import (
     ConversionLossModel,
@@ -18,7 +24,7 @@ from repro.power import (
     SystemPowerModel,
     system_idle_power_kw,
 )
-from repro.power.system_power import build_power_states
+from repro.power.system_power import _SCALAR_MAX_POINTS, build_power_states
 from repro.telemetry import JobRun, Profile, constant_profile
 
 from helpers import make_job, queued_run
@@ -55,6 +61,35 @@ class TestNodePowerModel:
         model = NodePowerModel(get_system_config("tiny").partitions[0].node_power)
         p = model.power(cpu, gpu, mem)
         assert model.idle_power - 1e-9 <= p <= model.max_power + 1e-9
+
+    @given(
+        config=st.sampled_from(
+            [
+                partition.node_power
+                for name in available_systems()
+                for partition in get_system_config(name).partitions
+            ]
+        ),
+        # Clipped on both sides; the bounds admit ±0.0 and subnormals.
+        points=st.lists(
+            st.tuples(*[st.floats(min_value=-2.0, max_value=3.0)] * 3),
+            max_size=64,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_power_array_equals_power(self, config, points):
+        """The vectorised model is the scalar one, bit for bit."""
+        model = NodePowerModel(config)
+        points = [
+            (0.0, -0.0, 5e-324),
+            (-0.0, -5e-324, 1e-310),
+            (1.0, math.nextafter(1.0, 2.0), -1.0),
+            (math.nextafter(0.0, -1.0), 3.0, math.nextafter(1.0, 0.0)),
+            *points,
+        ]
+        cpu, gpu, mem = (np.array(column) for column in zip(*points))
+        expected = [model.power(*point) for point in points]
+        assert model.power_array(cpu, gpu, mem).tolist() == expected
 
 
 class TestSystemIdlePower:
@@ -238,6 +273,48 @@ def _two_partition_system():
     )
 
 
+def _grid_points(job):
+    """Summed change-grid length of ``job``'s power profiles (the size cut's input)."""
+    return sum(profile.change_grid()[0].size for profile in job.power_profiles())
+
+
+def _sampled_profiles(rng, duration, *, traced):
+    """Sampled telemetry: noisy values with clipped repeats, one grid length
+    per profile, long enough for the vectorised builder."""
+
+    def noisy(n, mean, scale=1.0):
+        values = np.clip(np.round(rng.normal(mean, 0.3, n), 2), 0.0, 1.0) * scale
+        return _profile_from(values, duration * rng.uniform(0.5, 1.5))
+
+    profiles = {
+        "cpu_profile": noisy(int(rng.integers(30, 90)), 0.7),
+        "gpu_profile": noisy(int(rng.integers(30, 90)), 0.5),
+        "mem_profile": noisy(int(rng.integers(30, 90)), 0.2),
+    }
+    if traced:
+        profiles["node_power"] = noisy(int(rng.integers(30, 90)), 0.6, scale=900.0)
+    return profiles
+
+
+def _profiles_with_grid_points(rng, points, duration, *, traced):
+    """Profiles whose three power-relevant change grids sum to ``points``."""
+    first = int(rng.integers(1, points - 1))
+    second = int(rng.integers(1, points - first))
+    profiles = {}
+    names = ["node_power", "cpu_profile", "gpu_profile"] if traced else [
+        "cpu_profile", "gpu_profile", "mem_profile"
+    ]
+    for name, size, stretch in zip(
+        names, (first, second, points - first - second), (1.0, 0.7, 1.3)
+    ):
+        # Alternating levels: every sample is a change point.
+        values = 0.2 + 0.5 * (np.arange(size) % 2) + rng.random() * 0.2
+        if name == "node_power":
+            values = 400.0 + 500.0 * values
+        profiles[name] = _profile_from(values, duration * stretch)
+    return profiles
+
+
 class TestJobPowerStates:
     """Every job power state equals the scanning evaluation exactly.
 
@@ -245,13 +322,16 @@ class TestJobPowerStates:
     cached per-job contributions. Advanced to any time, a state must hold
     exactly (``==``) what :meth:`SystemPowerModel.job_power_w`,
     :meth:`JobRun.utilization_at` and :meth:`JobRun.next_power_change_after`
-    compute from the job's profiles at that time.
+    compute from the job's profiles at that time. The inputs reach both
+    ways of building a state: point by point with the scalar model (at or
+    below ``_SCALAR_MAX_POINTS`` summed change points) and the vectorised
+    pass above it.
     """
 
     def _build_runs(self, rng, n_jobs, *, with_traces, partitions, now):
         runs = []
         for _ in range(n_jobs):
-            kind = rng.integers(0, 4)
+            kind = rng.integers(0, 6)
             duration = float(rng.choice([0.0, 120.0, 600.0, 3600.0]))
             nodes = int(rng.integers(1, 6))
             kwargs = {}
@@ -274,6 +354,13 @@ class TestJobPowerStates:
                 kwargs["node_power"] = _profile_from(
                     500.0 + 300.0 * np.round(rng.random(n), 2), duration
                 )
+            traced = with_traces and bool(rng.random() < 0.5)
+            if kind == 4:
+                kwargs = _sampled_profiles(rng, duration, traced=traced)
+            if kind == 5:
+                # On either side of the builders' size cut.
+                points = _SCALAR_MAX_POINTS + int(rng.integers(0, 2))
+                kwargs = _profiles_with_grid_points(rng, points, duration, traced=traced)
             job = make_job(
                 nodes=nodes,
                 submit=0.0,
@@ -284,6 +371,8 @@ class TestJobPowerStates:
                 partition=str(rng.choice(partitions)),
                 **kwargs,
             )
+            if kind == 5:
+                assert _grid_points(job) == points
             run = JobRun(job)
             # Half start now, half at an off-grid backdated (or, for small
             # ``now``, later) time: elapsed-time indexing must agree.

@@ -10,8 +10,10 @@ that running jobs straddle, then asserts that the event-driven engine's
 summary is equal to dense ticking at 1e-9 relative under *all three*
 scheduling policies. Every one of those runs also goes through
 :func:`helpers.run_checked`, which checks node conservation on the owner
-table after each step, that every job leaves the system exactly once, and
-that the one job list both engines share is left unchanged.
+table after each step, each event-driven step's power against a scan of the
+running set, energy balance over the run, that every job leaves the system
+exactly once, and that the one job list both engines share is left
+unchanged.
 
 When ``hypothesis`` is unavailable the same property runs over a
 seeded-random parameter sweep (``random.Random(2025)``), so the contract is
