@@ -30,7 +30,7 @@ to a dense tick-by-tick run up to floating-point associativity. Pass
 tick when an exact per-tick time series is needed.
 
 :func:`run_simulation` is the one-call entry point used by the CLI, the
-benchmark harness and the quick-start example: it resolves the system
+tests and the quick-start example: it resolves the system
 configuration, synthesises (or accepts) a workload, picks a policy and runs
 the engine to completion.
 """
@@ -40,13 +40,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral
 from time import perf_counter_ns
 
 from ..cluster import ResourceManager
 from ..config import SystemConfig, get_system_config
 from ..cooling import CoolingPlant, power_usage_effectiveness
 from ..devtools import hot_path
-from ..exceptions import AllocationError, SchedulingError, SimulationError
+from ..exceptions import AllocationError, ConfigurationError, SchedulingError, SimulationError
 from ..obs import Observability
 from ..obs.metrics import Histogram
 from ..power import RunningSetPowerAggregator, SystemPowerModel
@@ -63,6 +64,7 @@ ENGINE_PHASES = ("schedule", "coalesce", "power", "cooling", "stats")
 __all__ = [
     "SimulationEngine",
     "SimulationResult",
+    "check_seed",
     "resolve_policy_name",
     "run_simulation",
     "parse_duration",
@@ -81,6 +83,18 @@ def parse_duration(value: str | float | int) -> float:
     if seconds <= 0:
         raise SimulationError(f"duration must be positive, got {value!r}")
     return seconds
+
+
+def check_seed(seed: object) -> int:
+    """``seed`` as a non-negative int, or a :class:`ConfigurationError`.
+
+    The one seed check of both run paths: :class:`~repro.sweep.RunRequest`
+    and the direct branch of :func:`run_simulation`. Bools, floats and
+    strings are rejected rather than truncated or parsed.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
 
 
 @dataclass
@@ -140,8 +154,8 @@ class SimulationEngine:
         tracer, metrics registry, structured event log and/or progress
         reporter (each individually optional). With the default ``None``
         the engine runs the uninstrumented hot path: one ``is None``
-        attribute check per phase per step, gated by the benchmark
-        harness's wall-time record. See :mod:`repro.obs`.
+        attribute check per phase per step, the path perfbench's
+        ``cpu_s`` measures. See :mod:`repro.obs`.
     """
 
     def __init__(
@@ -833,6 +847,7 @@ def run_simulation(
             ),
             obs=obs,
         )
+    seed = check_seed(seed)
     config = system if isinstance(system, SystemConfig) else get_system_config(system)
     if workload is None:
         if spec is None:

@@ -551,7 +551,8 @@ def json_safe(value: object) -> object:
     vectorised finiteness pass — a million-row timeseries column never
     takes a per-element Python recursion. Containers are walked with an
     explicit stack (no recursion depth limit). Shared by
-    :meth:`StatsCollector.to_json` and the benchmark harness.
+    :meth:`StatsCollector.to_json` and the golden-record writer
+    (``pytest --write-golden``).
     """
     _containers = (dict, list, tuple)
     if not isinstance(value, _containers):

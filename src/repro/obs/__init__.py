@@ -27,8 +27,8 @@ parameter:
     or a callback — the subscription hook for service/sweep front ends.
 
 Everything is off by default: ``SimulationEngine(..., obs=None)`` runs the
-uninstrumented hot path (one ``is None`` check per phase), which the
-benchmark harness gates.
+uninstrumented hot path (one ``is None`` check per phase), the path
+perfbench's ``cpu_s`` measures.
 """
 
 from .core import Observability

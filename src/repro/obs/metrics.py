@@ -6,7 +6,7 @@ queue depth, backfill reservations, per-phase wall-time histograms. It is
 deliberately dependency-free (no prometheus client) and snapshot-oriented —
 :meth:`MetricsRegistry.snapshot` returns one nested dict, exportable as
 JSON or CSV — because the consumers in this repo are the CLI's
-``--metrics-out``, the benchmark harness and tests, not a scrape endpoint.
+``--metrics-out`` and the tests, not a scrape endpoint.
 The naming follows the prometheus conventions (``*_total`` counters,
 unit-suffixed gauges/histograms) so wiring a real exporter later is a
 rename-free change.

@@ -4,15 +4,15 @@
 ``power``, ``cooling``, ``stats``) plus run-lifecycle spans. The design
 constraint is the *disabled* cost, not the enabled one: the engine holds a
 plain attribute that is ``None`` when tracing is off, so an uninstrumented
-step pays one identity check per phase and never calls into this module —
-the benchmark gate on ``wall_us_per_step`` keeps that honest. When enabled,
+step pays one identity check per phase and never calls into this module;
+perfbench's ``cpu_s`` measures that uninstrumented path. When enabled,
 each span costs two ``perf_counter_ns`` reads and a couple of dict updates.
 
 Aggregates (per-phase wall total and call count) are always maintained;
-individual span events are retained only with ``keep_events=True`` (the
-default), capped at :attr:`SpanTracer.max_events` so a frontier-scale run
-cannot balloon memory — spans beyond the cap still count into the
-aggregates and are tallied in :attr:`SpanTracer.dropped_events`.
+individual span events are retained up to :attr:`SpanTracer.max_events` so
+a frontier-scale run cannot balloon memory — spans beyond the cap still
+count into the aggregates and are tallied in
+:attr:`SpanTracer.dropped_events`.
 
 :meth:`SpanTracer.to_chrome_trace` writes the retained spans in the Chrome
 trace-event JSON format (an object with a ``traceEvents`` list of complete
@@ -36,16 +36,12 @@ class SpanTracer:
 
     Parameters
     ----------
-    keep_events:
-        Retain individual spans for Chrome trace export. ``False`` keeps
-        only the per-phase aggregates (cheaper; what the benchmark
-        harness's phase-breakdown runs use).
     max_events:
-        Retention cap on individual spans; aggregates are unaffected.
+        Retention cap on individual spans (kept for Chrome trace export);
+        aggregates are unaffected.
     """
 
     __slots__ = (
-        "keep_events",
         "max_events",
         "dropped_events",
         "totals_ns",
@@ -56,8 +52,7 @@ class SpanTracer:
         "_epoch_ns",
     )
 
-    def __init__(self, *, keep_events: bool = True, max_events: int = 1_000_000) -> None:
-        self.keep_events = keep_events
+    def __init__(self, *, max_events: int = 1_000_000) -> None:
         self.max_events = max_events
         self.dropped_events = 0
         self.totals_ns: dict[str, int] = {}
@@ -92,13 +87,12 @@ class SpanTracer:
         else:
             totals[name] = dur
             self.counts[name] = 1
-        if self.keep_events:
-            if len(self._names) < self.max_events:
-                self._names.append(name)
-                self._starts_ns.append(start_ns)
-                self._durs_ns.append(dur)
-            else:
-                self.dropped_events += 1
+        if len(self._names) < self.max_events:
+            self._names.append(name)
+            self._starts_ns.append(start_ns)
+            self._durs_ns.append(dur)
+        else:
+            self.dropped_events += 1
         return end_ns
 
     @contextmanager

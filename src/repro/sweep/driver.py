@@ -326,7 +326,6 @@ def run_sweep(
     chunk_size: int = 8,
     resume: bool = True,
     heartbeat_interval_s: float | None = 10.0,
-    progress_interval_s: float | None = None,
     stop_after_runs: int | None = None,
     shuffle_seed: int | None = None,
     stream: IO[str] | None = None,
@@ -341,8 +340,7 @@ def run_sweep(
         SQLite results store (created if absent).
     workers:
         Pool size; ``None`` means ``os.cpu_count()``. ``1`` runs in-process
-        with no pool — the single-process baseline the throughput benchmark
-        compares against.
+        with no pool.
     chunk_size:
         Runs per pool submission.
     resume:
@@ -350,11 +348,9 @@ def run_sweep(
         retried. ``False`` re-executes (and overwrites) everything.
     heartbeat_interval_s:
         Cadence of the sweep-level progress line on ``stream`` (default
-        stderr); ``None`` disables it.
-    progress_interval_s:
-        Cadence of *per-run* progress beats shipped from workers; defaults
-        to ``heartbeat_interval_s / 2`` (``None`` disables in-run beats and
-        leaves only per-run completion granularity).
+        stderr); ``None`` disables it. Workers ship *per-run* progress
+        beats at half this cadence; with ``None`` they ship none, leaving
+        only per-run completion granularity.
     stop_after_runs:
         Stop dispatch after ingesting this many run outcomes — simulates a
         killed driver for resume tests. In-flight chunk remainders are
@@ -378,8 +374,9 @@ def run_sweep(
 
     if heartbeat_interval_s is not None and stream is None:
         stream = sys.stderr
-    if progress_interval_s is None and heartbeat_interval_s is not None:
-        progress_interval_s = heartbeat_interval_s / 2.0
+    progress_interval_s = (
+        None if heartbeat_interval_s is None else heartbeat_interval_s / 2.0
+    )
 
     with ResultsStore(store_path) as store:
         done_ids = store.known_run_ids(status="completed") if resume else set()

@@ -31,7 +31,7 @@ from numbers import Integral, Real
 from typing import Any, Mapping
 
 from ..config import get_system_config
-from ..engine.engine import SimulationEngine, SimulationResult, resolve_policy_name
+from ..engine.engine import SimulationEngine, SimulationResult, check_seed, resolve_policy_name
 from ..exceptions import ConfigurationError, SimulationError
 from ..obs import Observability
 from ..power.signals import OperatingSignals
@@ -269,10 +269,7 @@ class RunRequest:
                 raise ConfigurationError(
                     f"RunRequest.{name} must be a name or null, got {value!r}"
                 )
-        seed = _integer(self.seed, "RunRequest.seed")
-        if seed < 0:
-            raise ConfigurationError(f"RunRequest.seed must be >= 0, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.horizon_s is not None:
             object.__setattr__(self, "horizon_s", _duration_s(self.horizon_s, "horizon_s"))
         if self.signals is not None and not isinstance(self.signals, OperatingSignals):

@@ -20,9 +20,9 @@ Seeds come in two flavours:
     An explicit seed list applied to every grid point, so e.g. two policies
     can be compared on bit-identical workloads seed by seed.
 
-Workload variants are names: the built-in registry covers the benchmark
-specs (``default``, ``busy_trace``, ``frontier_scale``, ``burst_arrival``,
-``idle_heavy``) and ``custom_workloads`` adds inline
+Workload variants are names: the built-in registry covers the named specs
+of :mod:`repro.workloads` (``default``, ``busy_trace``, ``frontier_scale``,
+``burst_arrival``, ``idle_heavy``) and ``custom_workloads`` adds inline
 :class:`~repro.workloads.WorkloadSpec` definitions under new names.
 """
 
@@ -49,6 +49,7 @@ from ..workloads import (
 from .request import (
     RunRequest,
     _integer,
+    _json_object,
     workload_spec_from_dict,
     workload_spec_to_dict,
 )
@@ -322,15 +323,16 @@ class SweepSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping[str, object]) -> "SweepSpec":
-        """Rebuild a spec from JSON, accepting ``"6h"``-style durations.
+    def from_json_dict(cls, data: object) -> "SweepSpec":
+        """Rebuild a spec from a JSON object, accepting ``"6h"``-style durations.
 
         ``duration`` / ``horizon`` are accepted as aliases of
         ``duration_s`` / ``horizon_s`` and parsed with
         :func:`repro.units.parse_duration`, so spec files can say
-        ``"duration": "6h"``.
+        ``"duration": "6h"``. Anything but a JSON object is a
+        :class:`ConfigurationError`.
         """
-        payload = dict(data)
+        payload = dict(_json_object(data, "sweep spec"))
         for alias, target in (("duration", "duration_s"), ("horizon", "horizon_s")):
             if alias in payload:
                 if target in payload:
@@ -407,6 +409,4 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
             raise ConfigurationError(
                 f"sweep spec {file_path} is not valid JSON: {exc}"
             ) from exc
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(f"sweep spec {file_path} must be a JSON object")
     return SweepSpec.from_json_dict(data)

@@ -137,8 +137,8 @@ class BurstArrivals:
     same tick, then nothing until the next burst. This is the adversarial
     shape for any per-event cost in the engine — every burst makes one tick
     carry thousands of submissions, placements and power-state
-    constructions — and is what the ``engine_burst_arrival`` benchmark
-    drives the job-start path with.
+    constructions — and is what the burst-arrival gate
+    (``tests/test_contract.py``) drives the job-start path with.
 
     Bursts fire at ``first_burst_s + k * burst_interval_s`` (absolute
     times); :meth:`sample` returns the ones falling inside the requested

@@ -7,8 +7,9 @@ real traces) and — for systems whose datasets carry power traces — recorded
 node-power profiles derived from the system's power model so that replay and
 reschedule runs see consistent telemetry.
 
-The generator is deterministic given a seed, which the benchmark harness
-relies on to regenerate the paper's figures repeatably.
+The generator is deterministic given a seed, so a fixed seed regenerates
+the same workload: the golden-summary and dense-vs-event tests
+(``tests/test_contract.py``) and perfbench's reference check rely on it.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class WorkloadSpec:
         default 1.0 keeps the historical behaviour (every sample jittered,
         so every sample is a profile breakpoint); 0.0 produces genuinely
         piecewise-constant profiles whose only breakpoints are the phase
-        edges — the shape telemetry replays dominate on and the one the
-        busy-trace benchmark uses to exercise breakpoint-bounded
+        edges — the shape telemetry replays dominate on and the one
+        :func:`busy_trace_spec` uses to exercise breakpoint-bounded
         coalescing. Any value draws the same random numbers, so changing it
         never perturbs the other workload draws of a fixed seed.
     priority_range:
@@ -119,8 +120,8 @@ def busy_trace_spec() -> WorkloadSpec:
     breakpoint-bounded coalescing is built for. Sized for the 32-node
     ``tiny`` system: at 4 jobs/hour of 2-16-node, ~2 h jobs the machine sits
     around 90% utilization for the whole window. Shared by the busy-trace
-    benchmark (``scripts/bench_engine.py``) and the step-reduction
-    regression test so the two can never drift apart.
+    and power-cap gates (``tests/test_contract.py``) and the
+    step-reduction regression test so they can never drift apart.
     """
     return WorkloadSpec(
         sizes=JobSizeDistribution(min_nodes=2, max_nodes=16),
@@ -139,9 +140,9 @@ def idle_heavy_spec() -> WorkloadSpec:
     """A sparse workload: short constant-power jobs separated by idle hours.
 
     Scalar telemetry gives each job constant power, so event-driven runs
-    coalesce the idle stretches between jobs. Shared by
-    ``scripts/bench_engine.py`` and the sweep's ``idle_heavy`` workload
-    variant.
+    coalesce the idle stretches between jobs. Shared by the idle-heavy
+    gate (``tests/test_contract.py``) and the sweep's ``idle_heavy``
+    workload variant.
     """
     return WorkloadSpec(
         sizes=JobSizeDistribution(min_nodes=1, max_nodes=8),
@@ -164,9 +165,9 @@ def frontier_scale_spec() -> WorkloadSpec:
     breakpoint heap) exist for. Scalar telemetry (``trace_interval_s=None``)
     matches the summary-only datasets (Fugaku, Lassen, Adastra) and makes
     every step's cost be release checks and event bounds — exactly the
-    paths the frontier-scale benchmark compares heap vs scan on. Shared by
-    ``scripts/bench_engine.py`` and the frontier-scale regression test so
-    the two can never drift apart.
+    paths the heap-vs-scan regression test compares. Shared by the
+    frontier-scale gate (``tests/test_contract.py``) and that regression
+    test so the two can never drift apart.
     """
     return WorkloadSpec(
         sizes=JobSizeDistribution(min_nodes=1, max_nodes=16),
@@ -187,9 +188,9 @@ def burst_arrival_spec() -> WorkloadSpec:
     the 9,600-node ``frontier`` system (3,000 jobs of 1-4 nodes fit in one
     wave), with short multi-phase piecewise-constant profiles
     (``sample_noise=0.0``), so the dominant per-event cost is constructing
-    thousands of job power states at once. Shared by
-    ``scripts/bench_engine.py`` and the burst-arrival equivalence tests so
-    the two can never drift apart.
+    thousands of job power states at once. Shared by the burst-arrival
+    gate (``tests/test_contract.py``) and the burst-arrival equivalence
+    tests so they can never drift apart.
     """
     return WorkloadSpec(
         sizes=JobSizeDistribution(min_nodes=1, max_nodes=4),

@@ -12,6 +12,16 @@ from repro.workloads.distributions import JobSizeDistribution, RuntimeDistributi
 from helpers import make_job
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--write-golden",
+        action="store_true",
+        help="rewrite tests/golden/engine_summary_tiny_seed42.json from the "
+        "current engine instead of comparing against it (only for an "
+        "intentional semantic change)",
+    )
+
+
 @pytest.fixture
 def tiny_system():
     """The 32-node test system."""

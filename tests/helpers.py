@@ -8,12 +8,13 @@ relying on package-relative imports.
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 import pytest
 
 from repro.cluster import DOWN, FREE, ResourceManager
-from repro.engine import SimulationEngine, SimulationResult
+from repro.engine import PowerCapScheduler, SimulationEngine, SimulationResult
 from repro.engine.stats import StatsCollector
 from repro.telemetry import Job, JobRun, JobState, Profile, constant_profile
 
@@ -21,9 +22,11 @@ __all__ = [
     "assert_energy_balance",
     "assert_node_conservation",
     "assert_power_matches_scan",
+    "assert_replay_starts",
     "make_job",
     "queued_run",
     "run_checked",
+    "summary_drifts",
 ]
 
 
@@ -148,6 +151,22 @@ def assert_energy_balance(stats: StatsCollector) -> None:
         assert summary[key] == pytest.approx(float(np.sum(power * hours)), rel=1e-9)
 
 
+def assert_replay_starts(runs: list[JobRun]) -> None:
+    """Replay starts each job at its recorded start unless it is delayed.
+
+    A run tagged ``replay_delayed`` (its recorded placement was busy, or a
+    power cap held it) starts strictly later, at the tick that admits it:
+    it is never backdated to its recorded start.
+    """
+    for run in runs:
+        if run.sim_start_time is None:
+            continue
+        if run.replay_delayed:
+            assert run.sim_start_time > run.job.start_time, run.job_id
+        else:
+            assert run.sim_start_time == run.job.start_time, run.job_id
+
+
 def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationResult:
     """Run one engine over ``jobs``, checking conservation on its tables.
 
@@ -157,8 +176,9 @@ def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationR
     running set (:func:`assert_power_matches_scan`; dense runs are tied to
     event-driven ones by the 1e-9 summary contract). After the run, energy
     balances (:func:`assert_energy_balance`), every run record is COMPLETED
-    or DISMISSED, each job id left the system exactly once, and the input
-    jobs equal a deep copy taken before the run.
+    or DISMISSED, each job id left the system exactly once, the input jobs
+    equal a deep copy taken before the run, and replay (bare or under the
+    cap wrapper) started its jobs as :func:`assert_replay_starts` says.
     """
     before = copy.deepcopy(jobs)
     engine = SimulationEngine(system, jobs, policy, **engine_kwargs)
@@ -180,5 +200,48 @@ def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationR
     left += [run.job_id for run in result.stats.dismissed_jobs]
     assert sorted(left) == sorted(job.job_id for job in jobs)
     assert jobs == before
+    scheduler = engine.scheduler
+    if isinstance(scheduler, PowerCapScheduler):
+        scheduler = scheduler.base
+    if scheduler.name == "replay":
+        assert_replay_starts(result.jobs)
     return result
 
+
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def summary_drifts(candidate: dict, reference: dict) -> dict[str, float]:
+    """Per-metric relative deviation between two summaries (``ticks`` excluded).
+
+    Non-finite values — inf/nan in-process, ``null`` once a record has been
+    round-tripped through strict JSON, or a missing metric — compare as one
+    sentinel bucket: no drift against each other, full drift (``inf``)
+    against any finite value. The naive ratio would be nan for those cases
+    and slip silently past any threshold.
+    """
+    drifts = {}
+    for key, ref in reference.items():
+        if key == "ticks":
+            continue
+        got = candidate.get(key)
+        if _is_finite_number(ref) and _is_finite_number(got):
+            if ref == got:
+                drifts[key] = 0.0
+            else:
+                drifts[key] = abs(got - ref) / max(abs(ref), abs(got), 1e-12)
+        elif _is_finite_number(ref) or _is_finite_number(got):
+            drifts[key] = math.inf
+        else:
+            drifts[key] = 0.0
+    # Symmetric check: a metric newly added to the candidate is a semantic
+    # change too and must force a golden refresh, not pass silently.
+    for key in candidate:
+        if key != "ticks" and key not in reference:
+            drifts[key] = math.inf
+    return drifts

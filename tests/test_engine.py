@@ -10,7 +10,7 @@ import pytest
 from repro import run_simulation
 from repro.config import get_system_config
 from repro.engine import FCFSScheduler, SimulationEngine, parse_duration
-from repro.exceptions import SchedulingError, SimulationError, SRapsError
+from repro.exceptions import ConfigurationError, SchedulingError, SimulationError, SRapsError
 from repro.telemetry import JobState, Profile
 from repro.workloads import (
     SyntheticWorkloadGenerator,
@@ -325,8 +325,8 @@ class TestEventDrivenEquivalence:
         # The point of breakpoint-bounded coalescing: a *busy* trace (high
         # utilization, piecewise-constant phases) must shed >= 5x the steps,
         # where the old constant-power veto gave exactly 1x. Uses the same
-        # spec as the busy-trace benchmark so tuning one cannot silently
-        # desynchronise the other.
+        # spec as the busy-trace gate in tests/test_contract.py so tuning
+        # one cannot silently desynchronise the other.
         jobs = SyntheticWorkloadGenerator(
             tiny_system, busy_trace_spec(), seed=42
         ).generate(12 * 3600.0)
@@ -439,11 +439,10 @@ class TestEventIndexEquivalence:
         assert checked > 0
 
     def test_frontier_scale_spec_heap_vs_scan(self):
-        # A one-hour slice of the frontier-scale benchmark workload (the
-        # benchmark itself runs 12 h): >= 1000 concurrently running jobs,
-        # and the heaps must agree with the scan at every step. Shares
-        # frontier_scale_spec with scripts/bench_engine.py so the
-        # regression test and the benchmark can never drift apart.
+        # A one-hour slice of the frontier-scale gate's workload (the gate
+        # in tests/test_contract.py runs 12 h): >= 1000 concurrently
+        # running jobs, and the heaps must agree with the scan at every
+        # step. Both use frontier_scale_spec, so they cannot drift apart.
         from repro.workloads import frontier_scale_spec
 
         system = get_system_config("frontier")
@@ -554,6 +553,18 @@ class TestRunSimulation:
         jobs = [make_job(nodes=4, submit=0.0, duration=450.0)]
         result = run_simulation(system=tiny_system, policy="fcfs", workload=jobs)
         assert result.summary()["jobs_completed"] == 1.0
+
+    @pytest.mark.parametrize(
+        "seed", [-1, 1.5, "3", True], ids=["negative", "float", "string", "bool"]
+    )
+    def test_direct_path_shares_the_request_seed_check(self, tiny_system, seed):
+        # A SystemConfig takes the direct branch, a system name the
+        # RunRequest one: both reject the seed with the same error.
+        with pytest.raises(ConfigurationError) as direct:
+            run_simulation(tiny_system, duration="1h", seed=seed)
+        with pytest.raises(ConfigurationError) as via_request:
+            run_simulation("tiny", duration="1h", seed=seed)
+        assert str(direct.value) == str(via_request.value)
 
     def test_rejects_bad_backfill_combination(self):
         with pytest.raises(SchedulingError):

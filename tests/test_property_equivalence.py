@@ -49,7 +49,7 @@ except ImportError:  # pragma: no cover - exercised only without hypothesis
 POLICIES = ("replay", "fcfs", "backfill")
 
 #: The engine contract: event-driven summaries match dense ticking to 1e-9
-#: relative (matching the benchmark gate in scripts/bench_engine.py).
+#: relative (the tolerance of the gates in tests/test_contract.py).
 EQUIVALENCE_RTOL = 1e-9
 
 #: Horizon choices: none, grid-aligned, and off-grid (tiny's tick is 15 s)

@@ -206,8 +206,8 @@ class TestCLI:
         assert main(["--system", "doesnotexist", "--duration", "1h"]) == 1
         assert "unknown system" in capsys.readouterr().err
 
-    def test_cli_swf_workload(self, tmp_path, capsys):
-        from repro.engine.cli import main
+    @staticmethod
+    def _swf_file(tmp_path):
         from repro.telemetry import jobs_to_swf
 
         jobs = [
@@ -216,11 +216,25 @@ class TestCLI:
         ]
         swf_path = tmp_path / "workload.swf"
         swf_path.write_text(jobs_to_swf(jobs))
+        return str(swf_path)
+
+    def test_cli_swf_workload(self, tmp_path, capsys):
+        from repro.engine.cli import main
+
         code = main(
-            ["--system", "tiny", "--mode", "fcfs", "--swf", str(swf_path)]
+            ["--system", "tiny", "--mode", "fcfs", "--swf", self._swf_file(tmp_path)]
         )
         assert code == 0
         assert "jobs completed    2" in capsys.readouterr().out
+
+    def test_cli_swf_workload_rejects_negative_seed(self, tmp_path, capsys):
+        # --swf takes run_simulation's direct path, which checks the seed
+        # as RunRequest does.
+        from repro.engine.cli import main
+
+        swf = self._swf_file(tmp_path)
+        assert main(["--system", "tiny", "--swf", swf, "--seed", "-1"]) == 1
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 class TestColumnarStorage:

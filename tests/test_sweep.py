@@ -27,7 +27,7 @@ import sqlite3
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import OperatingSignals, run_simulation
@@ -54,8 +54,11 @@ from repro.workloads import (
     busy_trace_spec,
 )
 
+from helpers import summary_drifts
+
 #: One short in-process run is ~0.1 s on the tiny system; every sweep in
-#: this module stays below a dozen runs to keep the file fast.
+#: this module but the 64-run store gate stays below a dozen runs to keep
+#: the file fast.
 SHORT_S = 3600.0
 
 
@@ -136,6 +139,32 @@ _REQUEST_PAYLOADS = st.fixed_dictionaries(
         "vectorized": st.just(True) | _JSON,
     },
 )
+#: Sweep spec files: objects over SweepSpec's keys (the duration aliases
+#: included), or any other JSON value.
+_SWEEP_PAYLOADS = st.fixed_dictionaries(
+    {},
+    optional={
+        "name": st.just("s") | _JSON,
+        "duration_s": _NUMBERS | _JSON,
+        "duration": st.sampled_from(["1h", "90m"]) | _JSON,
+        "systems": st.just(["tiny"]) | _JSON,
+        "policies": st.lists(st.sampled_from(["fcfs", "backfill", "replay"]), max_size=2)
+        | _JSON,
+        "workloads": st.lists(st.sampled_from(sorted(WORKLOAD_VARIANTS)), max_size=2)
+        | _JSON,
+        "n_seeds": _NUMBERS | _JSON,
+        "seeds": st.lists(_NUMBERS, max_size=2) | _JSON,
+        "root_seed": _NUMBERS | _JSON,
+        "horizon_s": _NUMBERS | _JSON,
+        "horizon": st.just("2h") | _JSON,
+        "dense_ticks": st.booleans() | _JSON,
+        "power_caps": st.lists(_NUMBERS | st.none(), max_size=2) | _JSON,
+        "price_per_kwh": _NUMBERS | _JSON,
+        "carbon_kg_per_kwh": _NUMBERS | _JSON,
+        "custom_workloads": st.dictionaries(st.text(max_size=3), _SPECS, max_size=1)
+        | _JSON,
+    },
+) | _JSON
 
 
 class TestRunRequest:
@@ -414,6 +443,18 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError, match=field):
             SweepSpec.from_json_dict(data)
 
+    @given(payload=_SWEEP_PAYLOADS)
+    @example(payload=[["name", "x"], ["duration", "1h"]])
+    @settings(max_examples=300, deadline=None)
+    def test_from_json_dict_gives_run_ids_or_an_srapserror(self, payload: object) -> None:
+        try:
+            spec = SweepSpec.from_json_dict(payload)
+            runs = spec.materialize() if spec.total_runs <= 16 else []
+        except SRapsError:
+            return
+        assert isinstance(payload, dict)
+        assert all(len(run.run_id) == 16 for run in runs)
+
     def test_workload_variants_registry_materialises(self) -> None:
         for name in WORKLOAD_VARIANTS:
             spec = SweepSpec(
@@ -577,16 +618,58 @@ class TestDriver:
         assert outcome.runs_per_s > 0
         assert assert_store_matches_fresh_runs(path) == 4
 
-    def test_serial_and_parallel_stores_are_identical(self, tmp_path: Path) -> None:
-        spec = small_spec("both")
+    @staticmethod
+    def _assert_serial_and_parallel_identical(
+        tmp_path: Path, spec: SweepSpec, workers: int, chunk_size: int
+    ) -> None:
+        """Every run completes on one worker and on a pool, the two stores
+        are equal, and four stored rows re-run through the public
+        ``run_simulation`` shim within 1e-9."""
         serial = tmp_path / "serial.sqlite"
         pooled = tmp_path / "pooled.sqlite"
-        run_sweep(spec, serial, workers=1, heartbeat_interval_s=None)
-        run_sweep(spec, pooled, workers=2, chunk_size=1, heartbeat_interval_s=None)
+        outcomes = (
+            run_sweep(spec, serial, workers=1, heartbeat_interval_s=None),
+            run_sweep(
+                spec, pooled, workers=workers, chunk_size=chunk_size,
+                heartbeat_interval_s=None,
+            ),
+        )
+        for outcome in outcomes:
+            assert (outcome.completed, outcome.failed) == (spec.total_runs, 0)
         with ResultsStore(serial) as a, ResultsStore(pooled) as b:
-            rows_a = {r.run_id: r.summary for r in a.runs()}
+            rows = a.runs()
             rows_b = {r.run_id: r.summary for r in b.runs()}
-        assert rows_a == rows_b
+        assert {r.run_id: r.summary for r in rows} == rows_b
+        for row in rows[:: max(1, len(rows) // 4)][:4]:
+            request = RunRequest.from_json(row.request_json)
+            fresh = run_simulation(
+                system=request.system,
+                policy=request.policy,
+                duration=request.duration_s,
+                seed=request.seed,
+                spec=request.spec,
+                dense_ticks=request.dense_ticks,
+            ).summary()
+            assert row.summary is not None
+            assert max(summary_drifts(fresh, row.summary).values()) <= 1e-9
+
+    def test_serial_and_parallel_stores_are_identical(self, tmp_path: Path) -> None:
+        self._assert_serial_and_parallel_identical(tmp_path, small_spec("both"), 2, 1)
+
+    def test_serial_and_parallel_stores_are_identical_on_64_runs(
+        self, tmp_path: Path
+    ) -> None:
+        # The sweep gate: 2 policies x 2 workloads x 16 seeds of 12 h, on
+        # one worker and on four with chunks of four.
+        spec = small_spec(
+            "grid",
+            duration_s=12 * 3600.0,
+            workloads=("default", "busy_trace"),
+            n_seeds=16,
+            root_seed=42,
+        )
+        assert spec.total_runs == 64
+        self._assert_serial_and_parallel_identical(tmp_path, spec, 4, 4)
 
     def test_shuffled_execution_identical_results(self, tmp_path: Path) -> None:
         spec = small_spec("shuf")

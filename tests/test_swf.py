@@ -9,10 +9,12 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
-from repro.exceptions import DataLoaderError
-from repro.telemetry import jobs_to_swf, parse_swf, read_swf, write_swf
+from repro.exceptions import DataLoaderError, SRapsError
+from repro.telemetry import Job, jobs_to_swf, parse_swf, read_swf, write_swf
 
 from helpers import make_job
 
@@ -23,6 +25,35 @@ SAMPLE_SWF = """\
 2 100 0 1800 32 -1 -1 32 3600 -1 1 4 5 -1 2 -1 -1 -1
 3 200 50 -1 8 -1 -1 8 3600 -1 0 5 6 -1 1 -1 -1 -1
 """
+
+#: One SWF field: a plausible count or time, the -1 "missing" marker,
+#: a non-finite or huge literal, or garbled text.
+_SWF_FIELDS = (
+    st.integers(min_value=-2, max_value=10**6).map(str)
+    | st.floats().map(repr)
+    | st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e400", "9" * 400])
+    | st.text(alphabet="0123456789.eE+-x", min_size=1, max_size=6)
+)
+
+
+def _garbled(edits: list[tuple[int, str]], extra: list[str]) -> str:
+    """The first sample record with some fields replaced and some appended."""
+    fields = SAMPLE_SWF.splitlines()[2].split()
+    for index, value in edits:
+        fields[index] = value
+    return " ".join(fields + extra)
+
+
+#: A garbled record, a short line, or a comment.
+_SWF_LINES = (
+    st.builds(
+        _garbled,
+        st.lists(st.tuples(st.integers(0, 17), _SWF_FIELDS), max_size=3),
+        st.lists(_SWF_FIELDS, max_size=2),
+    )
+    | st.lists(_SWF_FIELDS, max_size=17).map(" ".join)
+    | st.just("; comment")
+)
 
 
 class TestParseSwf:
@@ -161,6 +192,18 @@ class TestMalformedLines:
         text = SAMPLE_SWF + "4 nan 10 3600 16 -1 -1 16 7200 -1 1 3 5 -1 1 -1 -1 -1\n"
         with pytest.raises(DataLoaderError, match="line 6.*submit_time"):
             parse_swf(text)
+
+    @given(
+        lines=st.lists(_SWF_LINES, min_size=1, max_size=4),
+        ppn=st.integers(min_value=-1, max_value=64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_parse_gives_jobs_or_an_srapserror(self, lines, ppn):
+        try:
+            jobs = parse_swf("\n".join(lines), processors_per_node=ppn)
+        except SRapsError:
+            return
+        assert all(isinstance(job, Job) for job in jobs)
 
     def test_infinite_processors_names_the_line(self):
         # Used to escape as a bare ValueError from int(nan).
