@@ -20,12 +20,15 @@ tick that first processes the next event, recording one aggregated
 :class:`~repro.engine.stats.TickSample` whose ``dt_s`` spans the coalesced
 interval. A running job with a piecewise-constant profile does not force
 dense ticking: it merely bounds the interval by its next profile *value
-change* (:meth:`JobRun.next_power_change_after`; repeated equal samples are
-not breakpoints), so busy telemetry-replay traces coalesce almost as well
-as idle ones. Because power and cooling overhead are constant over such an
-interval (the cooling loops relax exponentially towards a constant target,
-which composes exactly across substeps), every summary metric is identical
-to a dense tick-by-tick run up to floating-point associativity. Pass
+change* (a point of the profile's change grid, which holds no repeated
+equal samples; the power aggregator's
+:meth:`~repro.power.RunningSetPowerAggregator.next_breakpoint_after` keeps
+the earliest one of the running set), so busy telemetry-replay traces
+coalesce almost as well as idle ones. Because power and cooling overhead
+are constant over such an interval (the cooling loops relax exponentially
+towards a constant target, which composes exactly across substeps), every
+summary metric is identical to a dense tick-by-tick run up to
+floating-point associativity. Pass
 ``dense_ticks=True`` (CLI: ``--dense-ticks``) to force one sample per grid
 tick when an exact per-tick time series is needed.
 
@@ -88,9 +91,10 @@ def parse_duration(value: str | float | int) -> float:
 def check_seed(seed: object) -> int:
     """``seed`` as a non-negative int, or a :class:`ConfigurationError`.
 
-    The one seed check of both run paths: :class:`~repro.sweep.RunRequest`
-    and the direct branch of :func:`run_simulation`. Bools, floats and
-    strings are rejected rather than truncated or parsed.
+    The one seed check: :class:`SimulationEngine` applies it, and so do
+    :class:`~repro.sweep.RunRequest` and the direct branch of
+    :func:`run_simulation`, which seed a workload before any engine exists.
+    Bools, floats and strings are rejected rather than truncated or parsed.
     """
     if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
@@ -138,7 +142,8 @@ class SimulationEngine:
         Policy instance or registry name; defaults to the system's
         ``default_policy``.
     seed:
-        Seed forwarded to the resource manager's down-node draw.
+        Seed forwarded to the resource manager's down-node draw; an
+        integer >= 0 (:func:`check_seed`).
     horizon_s:
         Optional hard stop (relative to the first tick). Jobs still pending
         or queued at the horizon are dismissed; jobs still on nodes are
@@ -170,6 +175,7 @@ class SimulationEngine:
         signals: OperatingSignals | None = None,
         obs: Observability | None = None,
     ) -> None:
+        seed = check_seed(seed)
         self.system = system
         self.signals = signals
         if isinstance(scheduler, Scheduler):

@@ -1,20 +1,22 @@
 """System-level power aggregation.
 
-At every simulation tick the engine hands the system power model the set of
-running jobs; the model evaluates each job's power (recorded trace if
-available, otherwise the component model applied to its utilization), adds
-the idle power of unallocated nodes, and applies the conversion-loss model to
-obtain facility-side power. The per-tick result is a
-:class:`SystemPowerSample` carrying the breakdown the statistics collector
-and cooling model consume.
+Job power has one derivation, :func:`_power_grid`: the union change grid of
+a job's power-relevant profiles with the node power held on each interval
+(the recorded trace if available, otherwise the component model applied to
+the utilization). Job power states, job energy and job peak power all read
+it. At every simulation step the :class:`RunningSetPowerAggregator` sums the
+running jobs' cached contributions, and :class:`SystemPowerModel` adds the
+idle power of unallocated nodes and the conversion losses to obtain
+facility-side power. The per-step result is a :class:`SystemPowerSample`
+carrying the breakdown the statistics collector and cooling model consume.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
-from typing import Iterable, NamedTuple, Sequence
+from bisect import bisect_left, bisect_right
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,39 +85,25 @@ class SystemPowerModel:
         """The node power model of ``partition`` (default partition fallback)."""
         return self._node_models.get(partition) or self._node_models[self._default_partition]
 
-    def job_power_w(self, run: JobRun, now: float) -> float:
-        """Total power of one running job (watts across all its nodes)."""
-        job = run.job
-        recorded = run.recorded_power_at(now)
-        if recorded is not None:
-            return recorded * job.nodes_required
-        cpu, gpu, mem = run.utilization_at(now)
-        return self.node_model(job.partition).power(cpu, gpu, mem) * job.nodes_required
-
     def job_energy_j(self, job: Job) -> float:
         """Energy of a job over its recorded duration (joules).
 
-        Integrates the recorded power trace when present, otherwise the
-        component model applied to the utilization profiles on the union of
-        their sample grids.
+        Integrates the node power the job holds on its union change grid
+        (:func:`_power_grid`: the recorded trace when present, otherwise the
+        component model applied to the utilization profiles) over
+        ``[0, duration]``.
         """
         duration = job.duration
         if duration <= 0:
             return 0.0
-        if job.node_power is not None:
-            return job.node_power.integral(duration) * job.nodes_required
-        times = np.unique(
-            np.concatenate([job.cpu_util.times, job.gpu_util.times, job.mem_util.times, [0.0]])
-        )
-        times = times[times <= duration]
-        watts = self.node_model(job.partition).power_array(
-            job.cpu_util.values_at(times),
-            job.gpu_util.values_at(times),
-            job.mem_util.values_at(times),
-        )
-        edges = np.concatenate([times, [duration]])
-        widths = np.diff(edges)
-        return float(np.sum(watts * widths)) * job.nodes_required
+        times, power_w, _, _ = _power_grid(job, self.node_model(job.partition))
+        # The grid intervals that start before the job ends, the last one
+        # cut at its end.
+        end = bisect_left(times, duration)
+        edges = [*times[1:end], duration]
+        return math.fsum(
+            power * (stop - start) for power, start, stop in zip(power_w, times, edges)
+        ) * job.nodes_required
 
     def job_peak_power_w(self, job: Job) -> float:
         """Peak instantaneous power of one job (watts across all its nodes).
@@ -124,7 +112,7 @@ class SystemPowerModel:
         union change grid of the job's power-relevant profiles (recorded
         trace when present, component model otherwise) —
         piecewise-constant profiles attain their peak on the grid, so this
-        is an exact bound on :meth:`job_power_w` at any time. The
+        is an exact bound on the job's power at any time. The
         :class:`~repro.engine.scheduler.PowerCapScheduler` projects
         admissions against this peak, which is what makes its zero-violation
         guarantee hold for time-varying job power under a constant cap.
@@ -152,42 +140,6 @@ class SystemPowerModel:
 
     # -- system power ---------------------------------------------------------------
 
-    def sample(
-        self,
-        now: float,
-        running_jobs: Sequence[JobRun] | Iterable[JobRun],
-        *,
-        allocated_nodes: int | None = None,
-        down_nodes: int = 0,
-    ) -> SystemPowerSample:
-        """Evaluate system power at time ``now`` by scanning the running jobs.
-
-        This is the straightforward O(running jobs) evaluation; the engine
-        uses :class:`RunningSetPowerAggregator` instead, which reuses cached
-        per-job contributions between profile breakpoints and produces the
-        same numbers up to floating-point associativity.
-        """
-        job_power_w = 0.0
-        cpu_weighted = 0.0
-        gpu_weighted = 0.0
-        nodes_busy = 0
-        for run in running_jobs:
-            nodes = run.job.nodes_required
-            job_power_w += self.job_power_w(run, now)
-            cpu, gpu, _ = run.utilization_at(now)
-            cpu_weighted += cpu * nodes
-            gpu_weighted += gpu * nodes
-            nodes_busy += nodes
-        return self.compose_sample(
-            now,
-            job_power_w,
-            nodes_busy=nodes_busy,
-            cpu_weighted=cpu_weighted,
-            gpu_weighted=gpu_weighted,
-            allocated_nodes=allocated_nodes,
-            down_nodes=down_nodes,
-        )
-
     def compose_sample(
         self,
         now: float,
@@ -201,10 +153,9 @@ class SystemPowerModel:
     ) -> SystemPowerSample:
         """Build a :class:`SystemPowerSample` from aggregated job totals.
 
-        Shared by the scanning :meth:`sample` and the incremental
-        :class:`RunningSetPowerAggregator`: given the summed job power and
-        node-weighted utilizations, add the idle power of unallocated nodes
-        and the conversion losses.
+        Used by the incremental :class:`RunningSetPowerAggregator`: given
+        the summed job power and node-weighted utilizations, add the idle
+        power of unallocated nodes and the conversion losses.
         """
         if allocated_nodes is None:
             allocated_nodes = nodes_busy
@@ -254,7 +205,8 @@ def _power_grid(
 ) -> tuple[list[float], list[float], list[float], list[float]]:
     """``(times, power_w, cpu, gpu)`` of ``job`` on its union change grid.
 
-    ``times`` is the sorted union of the change grids
+    The one place profiles turn into job power. ``times`` is the sorted
+    union of the change grids
     (:meth:`Profile.change_grid`) of the job's three power-relevant
     profiles; it starts at 0.0. On ``[times[i], times[i+1])`` the job holds
     node power ``power_w[i]`` (the recorded trace value, or the component
@@ -305,9 +257,10 @@ class _JobPowerState:
     and the CPU / GPU utilization. Evaluating the job at an elapsed time is
     one ``bisect_right`` on the times, three list reads and the node-count
     weighting; a profile crossing costs no model call. The cached values
-    equal :meth:`SystemPowerModel.job_power_w` and
-    :meth:`JobRun.utilization_at` times the node count exactly: the same
-    IEEE operations on the same floats.
+    equal a zero-order-hold lookup of each profile's change grid at the
+    elapsed time, put through the node model and times the node count,
+    exactly: the same IEEE operations on the same floats (the tests hold
+    them to their scan reference with ``==``).
     """
 
     __slots__ = (
@@ -365,12 +318,8 @@ def build_power_states(
 class RunningSetPowerAggregator:
     """Incrementally maintained system power over the running set.
 
-    Drop-in replacement for :meth:`SystemPowerModel.sample` (identical up to
-    float add/subtract associativity: the incremental totals can carry
-    ~1e-15 residue relative to a fresh scan while jobs are running, and are
-    flushed to exact zeros whenever the running set drains): the engine asks
-    it for a :class:`SystemPowerSample` every step, but instead of
-    re-evaluating every running job's profiles and node-power model per
+    The engine asks it for a :class:`SystemPowerSample` every step. Instead
+    of re-evaluating every running job's profiles and node-power model per
     step, it keeps per-job contributions cached (see :class:`_JobPowerState`)
     and recomputes only
 
@@ -381,10 +330,14 @@ class RunningSetPowerAggregator:
     - jobs whose profile crossed a change point since the last step, tracked
       in a min-heap of upcoming change times.
 
-    On an event-free stretch a step is O(1). Dense and event-driven runs
-    apply the exact same sequence of add/remove/update operations (membership
-    changes and breakpoint crossings happen on the same grid ticks either
-    way), so the two modes produce bit-identical power series.
+    On an event-free stretch a step is O(1). The result equals a fresh scan
+    of the running set up to float add/subtract associativity: the
+    incremental totals can carry ~1e-15 residue while jobs are running, and
+    are flushed to exact zeros whenever the running set drains. Dense and
+    event-driven runs apply the exact same sequence of add/remove/update
+    operations (membership changes and breakpoint crossings happen on the
+    same grid ticks either way), so the two modes produce bit-identical
+    power series.
     """
 
     def __init__(
@@ -440,8 +393,9 @@ class RunningSetPowerAggregator:
         crossings applied — exactly as :meth:`sample` would, so calling this
         before :meth:`sample` within a step changes nothing but the moment
         the (idempotent) refresh happens. Every returned time is strictly
-        after ``now`` and float-identical to the corresponding
-        :meth:`JobRun.next_power_change_after` bound.
+        after ``now`` and float-identical to the simulated start plus the
+        earliest change point after the elapsed time among the running
+        jobs' power-relevant profiles.
         """
         self._refresh(now)
         changes = self._changes

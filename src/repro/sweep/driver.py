@@ -7,12 +7,11 @@ ingests results into the store as the single writer.
 
 Design points:
 
-* **Requests cross the boundary as JSON dicts.** Workers rebuild requests
-  with :meth:`~repro.sweep.request.RunRequest.from_json_dict` — once per
-  chunk: the first request of a chunk takes the full round-trip (so the
-  serialisation contract the store depends on is exercised by every task),
-  and subsequent requests that differ only in their seed are derived from
-  the parsed one with :func:`dataclasses.replace`.
+* **Requests cross the boundary as JSON dicts.** Every run rebuilds its
+  request with :meth:`~repro.sweep.request.RunRequest.from_json_dict`
+  inside its own failure boundary, so the serialisation contract the store
+  depends on is exercised by every run, and a request that does not parse
+  becomes that run's failed row.
 * **Chunked dispatch.** One pool task executes ``chunk_size`` runs back to
   back, amortising task overhead on short runs while keeping failure and
   progress granularity per run.
@@ -24,6 +23,10 @@ Design points:
   a throttled :class:`~repro.obs.ProgressReporter` whose callback ships
   ``(run_id, fraction_done)`` beats over the queue; the parent folds all
   active runs into a single sweep-level line on its own cadence.
+* **One ingest.** Every message the parent takes off a queue — serial,
+  pooled, or salvaged after an interrupt — goes through one
+  :class:`_Ingest`, which records each run's outcome exactly once and
+  keeps the heartbeat and the tallies.
 * **Resume is id-based and idempotent.** Completed run ids are read from
   the store before dispatch and skipped; failed rows stay eligible and are
   retried. Killing the driver loses at most in-flight runs — every ingested
@@ -43,7 +46,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from queue import Empty
 from typing import IO, TYPE_CHECKING, Mapping
@@ -115,21 +118,14 @@ class _ProgressBeat:
     fraction: float
 
 
-def _execute_one(
-    payload: _RunPayload,
-    queue: "Queue[object]",
-    request: RunRequest | None = None,
-) -> _RunOutcome:
+def _execute_one(payload: _RunPayload, queue: "Queue[object]") -> _RunOutcome:
     """Run one request in a worker, streaming progress beats to ``queue``.
 
-    ``request`` optionally supplies the already-parsed request (the
-    once-per-chunk parse in :func:`_execute_chunk`); ``None`` parses the
-    payload's JSON dict here, inside the failure boundary.
+    The payload's JSON dict is parsed here, inside the failure boundary.
     """
     start = time.monotonic()
     try:
-        if request is None:
-            request = RunRequest.from_json_dict(payload.request)
+        request = RunRequest.from_json_dict(payload.request)
         obs: Observability | None = None
         if payload.progress_interval_s is not None:
 
@@ -163,39 +159,10 @@ def _execute_one(
         )
 
 
-def _equal_except_seed(
-    a: Mapping[str, object], b: Mapping[str, object]
-) -> bool:
-    """Whether two request JSON dicts describe the same run modulo seed."""
-    if a.keys() != b.keys():
-        return False
-    return all(a[key] == b[key] for key in a if key != "seed")
-
-
 def _execute_chunk(tasks: tuple[_RunPayload, ...], queue: "Queue[object]") -> None:
-    """Pool task: run a chunk of runs, shipping each outcome as it lands.
-
-    The request JSON is parsed once per chunk: the first payload takes the
-    full ``from_json_dict`` round-trip (keeping the serialisation contract
-    exercised by every task), and later payloads that differ only in their
-    seed reuse the parsed request via ``dataclasses.replace``.
-    """
-    base_dict: Mapping[str, object] | None = None
-    base_request: RunRequest | None = None
+    """Pool task: run a chunk of runs, shipping each outcome as it lands."""
     for task in tasks:
-        request: RunRequest | None = None
-        if base_request is not None and base_dict is not None:
-            if _equal_except_seed(base_dict, task.request):
-                request = replace(base_request, seed=task.request["seed"])  # type: ignore[arg-type]
-        if request is None:
-            try:
-                request = RunRequest.from_json_dict(task.request)
-                base_request, base_dict = request, task.request
-            except Exception:
-                # Leave request None: _execute_one re-parses inside its
-                # failure boundary and records the traceback as a failed row.
-                request = None
-        queue.put(_execute_one(task, queue, request))
+        queue.put(_execute_one(task, queue))
 
 
 def _chunks(
@@ -276,46 +243,66 @@ def _record_outcome(
         )
 
 
+class _Ingest:
+    """The parent's one consumer of worker messages (the single writer).
+
+    :meth:`take` feeds progress beats to the heartbeat and records each
+    run's outcome in the store exactly once, keeping the tallies the
+    driver reports.
+    """
+
+    def __init__(
+        self, store: ResultsStore, by_id: Mapping[str, SweepRun], heartbeat: _Heartbeat
+    ) -> None:
+        self.store = store
+        self.by_id = by_id
+        self.heartbeat = heartbeat
+        self.reported: set[str] = set()
+        self.completed = 0
+        self.failed = 0
+
+    def take(self, message: object) -> bool:
+        """Handle one message; ``True`` when it recorded a new outcome."""
+        if isinstance(message, _ProgressBeat):
+            self.heartbeat.on_beat(message)
+            return False
+        if not isinstance(message, _RunOutcome) or message.run_id in self.reported:
+            return False
+        _record_outcome(self.store, self.by_id[message.run_id], message)
+        self.reported.add(message.run_id)
+        self.heartbeat.on_done(message.run_id)
+        if message.status == "completed":
+            self.completed += 1
+        else:
+            self.failed += 1
+        return True
+
+
 def _run_serial(
-    tasks: list[_RunPayload],
-    store: ResultsStore,
-    heartbeat: _Heartbeat,
-    by_id: Mapping[str, SweepRun],
-    stop_after_runs: int | None,
-) -> tuple[int, int, bool]:
+    tasks: list[_RunPayload], ingest: _Ingest, stop_after_runs: int | None
+) -> bool:
     """In-process path for ``workers=1``: the honest single-process baseline.
 
     No pool, no pickling of results — but every task still goes through
     the JSON round-trip (each task runs as its own single-task chunk, so
     the ``stop_after_runs`` kill switch keeps per-task granularity) and
-    both paths execute the identical computation.
+    both paths execute the identical computation. Returns whether the kill
+    switch stopped it.
     """
     import queue as queue_module
 
-    completed = failed = ingested = 0
     for task in tasks:
-        if stop_after_runs is not None and ingested >= stop_after_runs:
-            return completed, failed, True
+        if stop_after_runs is not None and len(ingest.reported) >= stop_after_runs:
+            return True
         beats: "Queue[object]" = queue_module.Queue()
         _execute_chunk((task,), beats)
         while True:
             try:
-                message = beats.get_nowait()
+                ingest.take(beats.get_nowait())
             except queue_module.Empty:
                 break
-            if isinstance(message, _ProgressBeat):
-                heartbeat.on_beat(message)
-                continue
-            if isinstance(message, _RunOutcome):
-                _record_outcome(store, by_id[message.run_id], message)
-                heartbeat.on_done(message.run_id)
-                ingested += 1
-                if message.status == "completed":
-                    completed += 1
-                else:
-                    failed += 1
-        heartbeat.maybe_emit()
-    return completed, failed, False
+        ingest.heartbeat.maybe_emit()
+    return False
 
 
 def run_sweep(
@@ -405,24 +392,21 @@ def run_sweep(
             stream if heartbeat_interval_s is not None else None,
         )
         heartbeat.done = skipped
+        ingest = _Ingest(store, by_id, heartbeat)
 
         if workers == 1 or not pending:
-            completed, failed, stopped = _run_serial(
-                tasks, store, heartbeat, by_id, stop_after_runs
-            )
+            stopped = _run_serial(tasks, ingest, stop_after_runs)
         else:
-            completed, failed, stopped = _run_pooled(
+            stopped = _run_pooled(
                 tasks,
-                len(pending),
-                store,
-                heartbeat,
-                by_id,
+                ingest,
                 workers=workers,
                 chunk_size=chunk_size,
                 stop_after_runs=stop_after_runs,
             )
 
     wall_s = time.monotonic() - wall_start
+    completed, failed = ingest.completed, ingest.failed
     executed = completed + failed
     return SweepOutcome(
         sweep=spec.name,
@@ -439,49 +423,38 @@ def run_sweep(
 
 def _run_pooled(
     tasks: list[_RunPayload],
-    pending_count: int,
-    store: ResultsStore,
-    heartbeat: _Heartbeat,
-    by_id: Mapping[str, SweepRun],
+    ingest: _Ingest,
     *,
     workers: int | None,
     chunk_size: int,
     stop_after_runs: int | None,
-) -> tuple[int, int, bool]:
-    """Fan chunks across a process pool, ingesting results as they stream in."""
+) -> bool:
+    """Fan chunks across a process pool, ingesting results as they stream in.
+
+    Returns whether the kill switch stopped it.
+    """
     import multiprocessing
 
-    completed = failed = ingested = 0
     manager: "SyncManager" = multiprocessing.Manager()
-    reported: set[str] = set()
 
     def _reap_dead_chunk(
         chunk: tuple[_RunPayload, ...], error: BaseException
-    ) -> int:
+    ) -> None:
         """Record every unreported run of a chunk whose task died wholesale.
 
         Covers worker crashes / ``BrokenProcessPool``: the runs never got
         to report, and silence is not an option for a warehouse.
         """
-        count = 0
         for payload in chunk:
-            if payload.run_id in reported:
-                continue
-            _record_outcome(
-                store,
-                by_id[payload.run_id],
+            ingest.take(
                 _RunOutcome(
                     run_id=payload.run_id,
                     status="failed",
                     summary=None,
                     error=f"chunk task died before the run reported: {error!r}",
                     wall_s=0.0,
-                ),
+                )
             )
-            reported.add(payload.run_id)
-            heartbeat.on_done(payload.run_id)
-            count += 1
-        return count
 
     try:
         queue: "Queue[object]" = _results_queue(manager)
@@ -498,7 +471,7 @@ def _run_pooled(
             # the last _RunOutcome in flight. Every pending run either
             # reports over the queue or is reaped from a dead chunk, so the
             # loop runs until the two tallies meet.
-            while outstanding or len(reported) < pending_count:
+            while outstanding or len(ingest.reported) < len(tasks):
                 drained = False
                 while True:
                     try:
@@ -506,30 +479,19 @@ def _run_pooled(
                     except Empty:
                         break
                     drained = True
-                    if isinstance(message, _ProgressBeat):
-                        heartbeat.on_beat(message)
-                        continue
-                    if isinstance(message, _RunOutcome):
-                        _record_outcome(store, by_id[message.run_id], message)
-                        reported.add(message.run_id)
-                        heartbeat.on_done(message.run_id)
-                        ingested += 1
-                        if message.status == "completed":
-                            completed += 1
-                        else:
-                            failed += 1
-                        if (
-                            stop_after_runs is not None
-                            and ingested >= stop_after_runs
-                        ):
-                            # Simulated kill: stop ingesting. Queued chunks
-                            # are cancelled; in-flight ones drain into the
-                            # queue unread, so their runs are never
-                            # recorded — exactly a kill's store footprint,
-                            # without orphaning live worker processes.
-                            pool.shutdown(wait=True, cancel_futures=True)
-                            return completed, failed, True
-                heartbeat.maybe_emit()
+                    if (
+                        ingest.take(message)
+                        and stop_after_runs is not None
+                        and len(ingest.reported) >= stop_after_runs
+                    ):
+                        # Simulated kill: stop ingesting. Queued chunks are
+                        # cancelled; in-flight ones drain into the queue
+                        # unread, so their runs are never recorded —
+                        # exactly a kill's store footprint, without
+                        # orphaning live worker processes.
+                        pool.shutdown(wait=True, cancel_futures=True)
+                        return True
+                ingest.heartbeat.maybe_emit()
                 if not outstanding:
                     continue
                 if drained:
@@ -542,26 +504,27 @@ def _run_pooled(
                 for future in finished:
                     error = future.exception()
                     if error is not None:
-                        failed += _reap_dead_chunk(future_chunks[future], error)
+                        _reap_dead_chunk(future_chunks[future], error)
         except BaseException:
             # KeyboardInterrupt (and anything else escaping the ingest
             # loop) must not lose work or orphan workers: persist outcomes
             # already delivered to the queue, tell the user the sweep is
             # resumable, then shut the pool down on the way out.
-            salvaged = _salvage_queue(queue, store, by_id, reported)
-            if heartbeat.stream is not None:
-                heartbeat.stream.write(
-                    f"[sweep {heartbeat.sweep}] interrupted — "
-                    f"{len(reported)} run(s) recorded ({salvaged} salvaged "
+            salvaged = _salvage_queue(queue, ingest)
+            stream = ingest.heartbeat.stream
+            if stream is not None:
+                stream.write(
+                    f"[sweep {ingest.heartbeat.sweep}] interrupted — "
+                    f"{len(ingest.reported)} run(s) recorded ({salvaged} salvaged "
                     "from the queue); re-run the same sweep to resume\n"
                 )
-                heartbeat.stream.flush()
+                stream.flush()
             raise
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
     finally:
         manager.shutdown()
-    return completed, failed, False
+    return False
 
 
 def _results_queue(manager: "SyncManager") -> "Queue[object]":
@@ -569,18 +532,13 @@ def _results_queue(manager: "SyncManager") -> "Queue[object]":
     return manager.Queue()
 
 
-def _salvage_queue(
-    queue: "Queue[object]",
-    store: ResultsStore,
-    by_id: Mapping[str, SweepRun],
-    reported: set[str],
-) -> int:
+def _salvage_queue(queue: "Queue[object]", ingest: _Ingest) -> int:
     """Drain and persist outcomes already delivered when ingest is aborted.
 
     Called on the interrupt path: an outcome sitting in the manager queue
     is finished work, and dropping it would re-run that simulation on
     resume for nothing. Best effort — a manager that is already gone just
-    ends the drain.
+    ends the drain. Returns the number of outcomes recorded.
     """
     salvaged = 0
     while True:
@@ -588,7 +546,4 @@ def _salvage_queue(
             message = queue.get_nowait()
         except (Empty, OSError, EOFError):
             return salvaged
-        if isinstance(message, _RunOutcome) and message.run_id not in reported:
-            _record_outcome(store, by_id[message.run_id], message)
-            reported.add(message.run_id)
-            salvaged += 1
+        salvaged += ingest.take(message)

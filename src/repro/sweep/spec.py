@@ -29,6 +29,7 @@ of :mod:`repro.workloads` (``default``, ``busy_trace``, ``frontier_scale``,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -145,10 +146,16 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("a sweep needs a name")
-        if self.duration_s <= 0:
-            raise ConfigurationError("sweep duration_s must be positive")
-        if self.horizon_s is not None and self.horizon_s <= 0:
-            raise ConfigurationError("sweep horizon_s must be positive")
+        # ``not 0 < x < inf`` also rejects NaN: a spec that cannot run
+        # fails here, not in materialize().
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigurationError(
+                f"sweep duration_s must be positive and finite, got {self.duration_s!r}"
+            )
+        if self.horizon_s is not None and not 0 < self.horizon_s < math.inf:
+            raise ConfigurationError(
+                f"sweep horizon_s must be positive and finite, got {self.horizon_s!r}"
+            )
         for axis in ("systems", "policies", "workloads"):
             if not getattr(self, axis):
                 raise ConfigurationError(f"sweep axis {axis!r} must be non-empty")
@@ -172,14 +179,16 @@ class SweepSpec:
         if not self.power_caps:
             raise ConfigurationError("sweep axis 'power_caps' must be non-empty")
         for cap in self.power_caps:
-            if cap is not None and cap <= 0:
+            if cap is not None and not 0 < cap < math.inf:
                 raise ConfigurationError(
-                    f"power cap values must be positive kW or null, got {cap!r}"
+                    f"power cap values must be finite, positive kW or null, got {cap!r}"
                 )
         for scalar in ("price_per_kwh", "carbon_kg_per_kwh"):
             value = getattr(self, scalar)
-            if value is not None and value < 0:
-                raise ConfigurationError(f"sweep {scalar} must be >= 0")
+            if value is not None and not 0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"sweep {scalar} must be finite and >= 0, got {value!r}"
+                )
         # Mirror RunRequest's numeric canonicalisation so equal specs always
         # materialise identical run ids (parse_duration("1h") returns int).
         object.__setattr__(self, "duration_s", float(self.duration_s))

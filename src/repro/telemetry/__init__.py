@@ -4,10 +4,11 @@ The telemetry package contains the data model shared by every other
 subsystem: :class:`~repro.telemetry.job.Job` (one read-only batch job with
 submit / start / end times, resource request, utilization or power profiles
 and account information), :class:`~repro.telemetry.job.JobRun` (that job's
-state in one simulation run), :class:`~repro.telemetry.trace.Profile` (a sampled
-time-series with last-known-value gap filling, as used for CPU/GPU
-utilization and power traces), and reader/writer support for the Standard
-Workload Format (SWF) used by classic scheduling simulators.
+state in one simulation run), :class:`~repro.telemetry.trace.Profile` (a
+CPU/GPU/memory utilization or power trace, built from samples or a scalar
+summary and held as its change grid, with last-known-value gap filling),
+and reader/writer support for the Standard Workload Format (SWF) used by
+classic scheduling simulators.
 """
 
 from .job import Job, JobRun, JobState

@@ -308,56 +308,5 @@ class JobRun:
         self.state = JobState.DISMISSED
         self.dismiss_reason = reason
 
-    # -- telemetry access -------------------------------------------------------
-
-    def elapsed(self, now: float) -> float:
-        """Seconds since simulated start (0 if not yet started)."""
-        if self.sim_start_time is None:
-            return 0.0
-        return max(0.0, now - self.sim_start_time)
-
-    def utilization_at(self, now: float) -> tuple[float, float, float]:
-        """(cpu, gpu, mem) utilization at simulation time ``now``.
-
-        Profiles are indexed by elapsed time since the *simulated* start, so
-        a rescheduled job replays its recorded behaviour shifted to its new
-        start time (the gap-filling rule covers runs past the recorded end).
-        """
-        t = self.elapsed(now)
-        job = self.job
-        return (
-            float(job.cpu_util.value_at(t)),
-            float(job.gpu_util.value_at(t)),
-            float(job.mem_util.value_at(t)),
-        )
-
-    def recorded_power_at(self, now: float) -> float | None:
-        """Recorded per-node power (watts) at ``now``, if a trace exists."""
-        if self.job.node_power is None:
-            return None
-        return float(self.job.node_power.value_at(self.elapsed(now)))
-
-    def next_power_change_after(self, now: float) -> float | None:
-        """First simulation time strictly after ``now`` at which this job's
-        sampled power state (power draw or mean-utilization contribution)
-        changes, or ``None`` if it never changes again.
-
-        Profiles are indexed by elapsed time since the simulated start, so a
-        replay-backdated (off-grid) start shifts every change point with it.
-        Constant profiles — and any job past its last change point, gap-
-        filled with the last known value — contribute nothing, which is what
-        lets the engine coalesce across them.
-        """
-        base = self.sim_start_time if self.sim_start_time is not None else now
-        elapsed = now - base
-        best: float | None = None
-        for profile in self.job.power_profiles():
-            change = profile.next_change_after(elapsed)
-            if change is not None:
-                candidate = base + change
-                if best is None or candidate < best:
-                    best = candidate
-        return best
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"JobRun(id={self.job_id}, state={self.state.value})"

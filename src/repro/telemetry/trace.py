@@ -1,18 +1,21 @@
-"""Sampled time-series profiles for job telemetry.
+"""Job telemetry profiles, stored as their change grids.
 
 Job telemetry in the paper's datasets comes either as regularly sampled
 traces (Frontier: 15 s, Marconi100: 20 s) or as scalar summaries (Fugaku,
-Lassen, Adastra). :class:`Profile` provides one uniform abstraction for both:
-a sequence of (relative-time, value) samples that can be queried at arbitrary
-simulation times. Missing data — e.g. when a rescheduled job runs longer than
+Lassen, Adastra). Missing data — e.g. when a rescheduled job runs longer than
 its recorded telemetry — is filled with the *last known value*, exactly as
-described in Sec. 3.2.2 of the paper.
+described in Sec. 3.2.2 of the paper, and times before the first sample hold
+the first value. A profile is therefore a zero-order hold over ``[0, inf)``,
+and :class:`Profile` keeps only what that needs: its *change grid* — the
+relative times at which the held value changes, starting at 0.0, and the
+value held from each on — plus its recorded duration. Repeated equal
+samples are dropped once, when the profile is built.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from ..exceptions import DataLoaderError
 
 
 class Profile:
-    """A sampled telemetry profile relative to job start.
+    """A job telemetry profile relative to job start, held as its change grid.
 
     Parameters
     ----------
@@ -33,16 +36,19 @@ class Profile:
 
     Notes
     -----
-    Profiles are immutable after construction; the sample arrays are copied
-    exactly once and marked read-only so they can be shared between a
-    replayed and a rescheduled run of the same job without aliasing hazards.
+    The samples are validated and compressed once, on construction, and
+    not kept: :meth:`change_grid` holds the first value from 0.0 on and
+    then every sample whose value differs from the one before it, and
+    :attr:`duration` is the time of the last sample. The grid arrays are
+    read-only, so a profile can be shared between a replayed and a
+    rescheduled run of the same job without aliasing hazards.
     """
 
-    __slots__ = ("_times", "_values", "_change_times", "_grid_times", "_grid_values")
+    __slots__ = ("_grid_times", "_grid_values", "_duration")
 
     def __init__(self, times: Iterable[float], values: Iterable[float]) -> None:
-        times_arr = _owned_float_array(times)
-        values_arr = _owned_float_array(values)
+        times_arr = _float_array(times)
+        values_arr = _float_array(values)
         if times_arr.ndim != 1 or values_arr.ndim != 1:
             raise DataLoaderError("profile times and values must be 1-D")
         if times_arr.shape != values_arr.shape:
@@ -58,161 +64,68 @@ class Profile:
             raise DataLoaderError("profile times must be strictly increasing")
         if np.any(~np.isfinite(values_arr)):
             raise DataLoaderError("profile values must be finite")
-        self._times = times_arr
-        self._values = values_arr
-        self._times.setflags(write=False)
-        self._values.setflags(write=False)
-        # Change-point index (lazy): the relative times at which the held
-        # value actually *changes* — repeated equal samples are not change
-        # points — plus the compressed zero-order-hold grid over [0, inf).
-        self._change_times: np.ndarray | None = None
-        self._grid_times: np.ndarray | None = None
-        self._grid_values: np.ndarray | None = None
-
-    # -- basic accessors ----------------------------------------------------
-
-    @property
-    def times(self) -> np.ndarray:
-        """Sample times (read-only view), seconds relative to job start."""
-        return self._times
-
-    @property
-    def values(self) -> np.ndarray:
-        """Sample values (read-only view)."""
-        return self._values
+        # The first sample is never a change point: the hold-back rule makes
+        # its value effective from 0.0 already.
+        changed = np.flatnonzero(values_arr[1:] != values_arr[:-1]) + 1
+        self._grid_times = _frozen_view(np.concatenate(([0.0], times_arr[changed])))
+        self._grid_values = _frozen_view(
+            np.concatenate((values_arr[:1], values_arr[changed]))
+        )
+        self._duration = float(times_arr[-1])
 
     @property
     def duration(self) -> float:
         """Time of the last sample (seconds relative to job start)."""
-        return float(self._times[-1])
-
-    def __len__(self) -> int:
-        return int(self._times.size)
+        return self._duration
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
-            f"Profile(n={len(self)}, duration={self.duration:.0f}s, "
-            f"mean={self.mean():.3g})"
+            f"Profile(grid_points={self._grid_times.size}, "
+            f"duration={self._duration:.0f}s, mean={self.mean():.3g})"
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Profile):
             return NotImplemented
         return bool(
-            np.array_equal(self._times, other._times)
-            and np.array_equal(self._values, other._values)
+            self._duration == other._duration
+            and np.array_equal(self._grid_times, other._grid_times)
+            and np.array_equal(self._grid_values, other._grid_values)
         )
 
     def __hash__(self) -> int:
-        return hash((self._times.tobytes(), self._values.tobytes()))
-
-    # -- sampling ------------------------------------------------------------
-
-    def value_at(self, t: float) -> float:
-        """Sample the profile at relative time ``t`` (seconds).
-
-        Uses previous-sample (zero-order) hold: the value of the most recent
-        sample at or before ``t``. Times before the first sample return the
-        first sample; times after the last sample return the last sample —
-        this is the "missing data → last known value" rule of the paper.
-        """
-        return float(self.values_at(np.asarray([t]))[0])
-
-    def values_at(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`value_at` for an array of relative times."""
-        ts_arr = np.asarray(ts, dtype=float)
-        idx = np.searchsorted(self._times, ts_arr, side="right") - 1
-        idx = np.clip(idx, 0, len(self) - 1)
-        return self._values[idx]
-
-    # -- change points -------------------------------------------------------
-
-    def _ensure_change_index(self) -> None:
-        if self._change_times is not None:
-            return
-        values = self._values
-        # Indices where the held value differs from the previous sample;
-        # the first sample is never a change point (the hold-back rule makes
-        # its value effective from t = -inf already).
-        changed = np.flatnonzero(values[1:] != values[:-1]) + 1
-        change_times = self._times[changed]
-        grid_times = np.concatenate([[0.0], change_times])
-        grid_values = np.concatenate([[values[0]], values[changed]])
-        for arr in (change_times, grid_times, grid_values):
-            arr.setflags(write=False)
-        self._change_times = change_times
-        self._grid_times = grid_times
-        self._grid_values = grid_values
-
-    def change_points(self) -> np.ndarray:
-        """Relative times at which the held value changes (read-only).
-
-        Repeated equal samples are *not* change points, so a constant
-        profile — regardless of how many samples spell it out — returns an
-        empty array. The first sample is never a change point either: its
-        value is already in effect before it (hold-back rule).
-        """
-        self._ensure_change_index()
-        assert self._change_times is not None  # _ensure_change_index postcondition
-        return self._change_times
+        return hash(
+            (self._grid_times.tobytes(), self._grid_values.tobytes(), self._duration)
+        )
 
     def change_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Compressed zero-order-hold representation ``(times, values)``.
+        """The zero-order-hold grid ``(times, values)`` (read-only float64).
 
         ``values[i]`` is the value in effect on ``[times[i], times[i+1])``
         (the last entry extends to infinity — gap-filling rule); ``times``
-        always starts at 0.0. Equivalent to, but usually much smaller than,
-        the raw sample arrays; consumers index it with ``searchsorted``.
+        always starts at 0.0, and no two consecutive ``values`` are equal.
+        Consumers index it with ``searchsorted`` / ``bisect_right``.
         """
-        self._ensure_change_index()
-        assert self._grid_times is not None and self._grid_values is not None
         return self._grid_times, self._grid_values
 
-    def next_change_after(self, t: float) -> float | None:
-        """First relative time strictly after ``t`` where the value changes.
-
-        Returns ``None`` when the value never changes after ``t`` — for a
-        constant profile, for any ``t`` at or past the last change point,
-        and always for single-sample profiles. Queries before the first
-        sample see the hold-back value, so the first change point is the
-        earliest possible answer. Backed by the precomputed change-point
-        array, so a query is one ``searchsorted``, not a scan.
-        """
-        self._ensure_change_index()
-        change_times = self._change_times
-        assert change_times is not None  # _ensure_change_index postcondition
-        idx = int(np.searchsorted(change_times, t, side="right"))
-        if idx >= change_times.size:
-            return None
-        return float(change_times[idx])
-
-    def is_constant(self) -> bool:
-        """Whether the profile holds a single value over its whole span."""
-        self._ensure_change_index()
-        assert self._change_times is not None  # _ensure_change_index postcondition
-        return self._change_times.size == 0
+    # -- statistics ----------------------------------------------------------
 
     def mean(self) -> float:
-        """Time-weighted mean of the profile over its recorded duration.
+        """Time-weighted mean of the profile over ``[0, duration]``.
 
-        For a single-sample profile this is simply that sample. For longer
-        profiles the zero-order-hold interpretation makes the time-weighted
-        mean a weighted sum of the samples by their holding intervals (the
-        last sample gets zero weight and is therefore excluded, unless it is
-        the only one).
+        The held value itself when the duration is zero.
         """
-        if len(self) == 1:
-            return float(self._values[0])
-        dt = np.diff(self._times)
-        return float(np.sum(self._values[:-1] * dt) / np.sum(dt))
+        if self._duration <= 0.0:
+            return float(self._grid_values[0])
+        return self.integral() / self._duration
 
     def maximum(self) -> float:
         """Maximum sample value."""
-        return float(np.max(self._values))
+        return float(np.max(self._grid_values))
 
     def minimum(self) -> float:
         """Minimum sample value."""
-        return float(np.min(self._values))
+        return float(np.min(self._grid_values))
 
     def integral(self, duration: float | None = None) -> float:
         """Integrate the zero-order-hold profile over ``[0, duration]``.
@@ -222,57 +135,21 @@ class Profile:
         durations extend the last known value (gap-filling rule).
         """
         if duration is None:
-            duration = self.duration
+            duration = self._duration
         if duration < 0:
             raise DataLoaderError("integration duration must be non-negative")
         if duration == 0:
             return 0.0
-        # Sample boundaries clipped to [0, duration] plus the end point.
-        edges = np.concatenate([self._times[self._times < duration], [duration]])
-        if edges.size <= 1:
-            # Window ends before the first sample: hold the first value.
-            return float(self._values[0]) * duration
-        # Interval before the first sample uses the first value (head), every
-        # following interval holds the value of the sample that starts it.
-        head = float(self._values[0]) * float(edges[0])
-        values = self.values_at(edges[:-1])
-        return head + float(np.sum(values * np.diff(edges)))
+        # The grid intervals that start before ``duration``, the last one
+        # cut there.
+        end = int(np.searchsorted(self._grid_times, duration))
+        widths = np.diff(np.append(self._grid_times[:end], duration))
+        return float(np.sum(self._grid_values[:end] * widths))
 
 
-def _owned_float_array(data: Iterable[float]) -> np.ndarray:
-    """Convert ``data`` to a float64 array the caller owns, copying once.
-
-    ndarray inputs are copied directly (``astype``) — no intermediate Python
-    list, which used to box every element and copy twice on large telemetry
-    loads. Other iterables are materialised into a list first (``np.asarray``
-    then builds a fresh buffer, so no aliasing is possible).
-    """
-    if isinstance(data, np.ndarray):
-        return data.astype(float, copy=True)
-    return np.asarray(list(data), dtype=float)
-
-
-def trusted_profile(times: np.ndarray, values: np.ndarray) -> Profile:
-    """Build a :class:`Profile` from arrays the caller guarantees are valid.
-
-    Skips the validating copies of ``Profile.__init__``: the arrays are
-    marked read-only and stored as-is, so sharing one ``times`` array across
-    many profiles costs nothing. The caller must hand over 1-D float64
-    arrays of equal length with non-negative strictly increasing times and
-    finite values, and must not mutate them (or any array they view)
-    afterwards. Only producers that guarantee this by construction — the
-    workload generator and :func:`constant_profile` — should use it;
-    everything else goes through ``Profile`` and gets the checks.
-    """
-    profile = Profile.__new__(Profile)
-    times.setflags(write=False)
-    values.setflags(write=False)
-    profile._times = times
-    profile._values = values
-    profile._change_times = None
-    profile._grid_times = None
-    profile._grid_values = None
-    return profile
+def _float_array(data: Iterable[float]) -> np.ndarray:
+    """``data`` as a float64 array; iterables other than arrays are listed first."""
+    return np.asarray(data if isinstance(data, np.ndarray) else list(data), dtype=float)
 
 
 def _frozen_view(array: np.ndarray) -> np.ndarray:
@@ -287,34 +164,46 @@ def _frozen_view(array: np.ndarray) -> np.ndarray:
     return array[:]
 
 
-#: The change index every constant profile shares: its zero-order-hold grid
-#: starts (and stays) at 0.0, and its value never changes.
+def _grid_profile(
+    grid_times: np.ndarray, grid_values: np.ndarray, duration: float
+) -> Profile:
+    """A :class:`Profile` from a change grid its producer guarantees.
+
+    No checks and no copies: the caller hands over read-only 1-D float64
+    arrays of equal length, ``grid_times`` strictly increasing from 0.0,
+    finite ``grid_values`` with no two consecutive ones equal, and a
+    ``duration`` at or after the last grid time. Only producers that
+    guarantee this by construction — the workload generator and
+    :func:`constant_profile` — use it; everything else goes through
+    ``Profile`` and gets the checks.
+    """
+    profile = Profile.__new__(Profile)
+    profile._grid_times = grid_times
+    profile._grid_values = grid_values
+    profile._duration = duration
+    return profile
+
+
+#: The grid times every constant profile shares: it holds its value from
+#: 0.0 on and never changes.
 _ZERO_GRID = _frozen_view(np.zeros(1))
-_NO_CHANGES = _frozen_view(np.empty(0))
 
 
 def constant_profile(value: float, duration: float = 0.0) -> Profile:
-    """Build a scalar (single- or two-sample) profile holding ``value``.
+    """Build a constant profile holding ``value`` for ``duration`` seconds.
 
     Datasets that only provide per-job averages (Fugaku, Lassen, Adastra) are
-    represented as constant profiles; ``duration`` > 0 adds a trailing sample
-    so the recorded duration is explicit. The result equals the validated
+    represented as constant profiles; a non-positive ``duration`` gives a
+    zero-duration profile. The result equals the validated
     ``Profile([0, duration], [value, value])`` (or ``Profile([0], [value])``)
-    and raises the same :class:`DataLoaderError` for a non-finite ``value``,
-    but is built without the array checks and is born with its change index
-    (the shared empty change array and ``[0.0]`` grid), so neither
-    construction nor power-state building pays per-profile work for it.
+    and raises the same :class:`DataLoaderError` for a non-finite
+    ``value``, but its grid times are the shared ``[0.0]`` array.
     """
     value = float(value)
     if not math.isfinite(value):
         raise DataLoaderError("profile values must be finite")
-    if duration > 0:
-        profile = trusted_profile(
-            np.array([0.0, float(duration)]), np.array([value, value])
-        )
-    else:
-        profile = trusted_profile(_ZERO_GRID, np.array([value]))
-    profile._change_times = _NO_CHANGES
-    profile._grid_times = _ZERO_GRID
-    profile._grid_values = profile._values[:1]
-    return profile
+    return _grid_profile(
+        _ZERO_GRID,
+        _frozen_view(np.array([value])),
+        float(duration) if duration > 0 else 0.0,
+    )

@@ -15,13 +15,15 @@ the same workload: the golden-summary and dense-vs-event tests
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from ..config import SystemConfig
 from ..exceptions import ConfigurationError
+from ..power.node_power import NodePowerModel
 from ..telemetry.job import Job
-from ..telemetry.trace import Profile, constant_profile, trusted_profile
+from ..telemetry.trace import _ZERO_GRID, Profile, _frozen_view, _grid_profile
 from .distributions import (
     BurstArrivals,
     JobSizeDistribution,
@@ -225,8 +227,9 @@ class SyntheticWorkloadGenerator:
     as one array; sampled telemetry draws job by job (three means, the phase
     count and edges, then per profile the phase levels and sample noise),
     and the rng-free arithmetic after the draws — clipping, zero-order-hold
-    expansion, noise scaling — runs in a few vectorised passes over every
-    job. A seed therefore always yields the same jobs, bit for bit.
+    expansion, noise scaling, power traces, compression to change grids —
+    runs in a few vectorised passes over every job. A seed therefore always
+    yields the same jobs, bit for bit.
     """
 
     def __init__(
@@ -281,21 +284,14 @@ class SyntheticWorkloadGenerator:
         users = spec.users.sample_users(rng, n)
         priorities = rng.uniform(*spec.priority_range, size=n)
 
-        # Utilization profiles, job-major in cpu/gpu/mem order (3*i + k).
+        # Utilization profiles, job-major in cpu/gpu/mem order (3*i + k),
+        # and each job's recorded power trace when the spec asks for one.
         if spec.trace_interval_s is None:
-            # One uniform draw over all 3n means: the same doubles, in the
-            # same order, as 3n scalar draws.
-            ranges = (spec.cpu_util_range, spec.gpu_util_range, spec.mem_util_range)
-            lows, highs = np.tile(np.array(ranges).T, n)
-            profiles = [
-                constant_profile(mean, runtime_s)
-                for mean, runtime_s in zip(
-                    rng.uniform(lows, highs).tolist(),
-                    np.repeat(runtimes, 3).tolist(),
-                )
-            ]
+            profiles, power_profiles = self._constant_profiles(rng, runtimes)
         else:
-            profiles = self._phased_profiles(rng, runtimes, spec.trace_interval_s)
+            profiles, power_profiles = self._phased_profiles(
+                rng, runtimes, spec.trace_interval_s
+            )
 
         jobs: list[Job] = []
         for i in range(n):
@@ -303,11 +299,6 @@ class SyntheticWorkloadGenerator:
             end_time = float(start_time + runtimes[i])
             user = users[i]
             cpu_profile, gpu_profile, mem_profile = profiles[3 * i : 3 * i + 3]
-            power_profile = None
-            if spec.generate_power_trace:
-                power_profile = self._power_profile(
-                    cpu_profile, gpu_profile, mem_profile, nodes_required=int(nodes[i])
-                )
             jobs.append(
                 Job(
                     nodes_required=int(nodes[i]),
@@ -323,7 +314,7 @@ class SyntheticWorkloadGenerator:
                     cpu_util=cpu_profile,
                     gpu_util=gpu_profile,
                     mem_util=mem_profile,
-                    node_power=power_profile,
+                    node_power=power_profiles[i],
                     metadata={"synthetic": True, "workload_seed": self.seed},
                 )
             )
@@ -332,15 +323,47 @@ class SyntheticWorkloadGenerator:
 
     # -- profile synthesis -----------------------------------------------------
 
+    def _constant_profiles(
+        self, rng: np.random.Generator, runtimes: np.ndarray
+    ) -> tuple[list[Profile], Sequence[Profile | None]]:
+        """Scalar telemetry: constant CPU/GPU/memory profiles, job-major,
+        and each job's power profile (``None`` without power traces).
+
+        One uniform draw over all 3n means: the same doubles, in the same
+        order, as 3n scalar draws. Every profile holds its value as a
+        one-element slice of one read-only array, on the ``[0.0]`` grid
+        times all constant profiles share.
+        """
+        spec = self.spec
+        n = runtimes.size
+        ranges = (spec.cpu_util_range, spec.gpu_util_range, spec.mem_util_range)
+        lows, highs = np.tile(np.array(ranges).T, n)
+        means = _frozen_view(rng.uniform(lows, highs))
+        profiles = [
+            _grid_profile(_ZERO_GRID, means[k : k + 1], duration)
+            for k, duration in enumerate(np.repeat(runtimes, 3).tolist())
+        ]
+        if not spec.generate_power_trace:
+            return profiles, [None] * n
+        watts = _frozen_view(self._power_samples(means[0::3], means[1::3], means[2::3]))
+        return profiles, [
+            _grid_profile(_ZERO_GRID, watts[i : i + 1], duration)
+            for i, duration in enumerate(runtimes.tolist())
+        ]
+
     def _phased_profiles(
         self, rng: np.random.Generator, runtimes: np.ndarray, interval: float
-    ) -> list[Profile]:
-        """Piecewise-constant CPU/GPU/memory profiles of every job, job-major.
+    ) -> tuple[list[Profile], Sequence[Profile | None]]:
+        """Piecewise-constant CPU/GPU/memory profiles of every job, job-major,
+        and each job's power profile (``None`` without power traces).
 
         Each profile is sampled every ``interval`` seconds over its job's
         runtime and holds one clipped level per phase; with ``sample_noise``
-        on, every sample is jittered and clipped again. A job's three
-        profiles share one read-only sample-time array.
+        on, every sample is jittered and clipped again. Each component's
+        samples sit in one row of a ``(3, samples)`` array, job after job,
+        aligned with the jobs' concatenated sample times; every row, and the
+        power trace evaluated on the raw rows, is compressed to change grids
+        in one pass (:func:`_change_grids`).
         """
         spec = self.spec
         n = runtimes.size
@@ -348,13 +371,14 @@ class SyntheticWorkloadGenerator:
         n_samples = np.maximum(2, np.ceil(runtimes / interval).astype(np.intp) + 1)
         # ``grid[:k]`` is elementwise ``np.arange(k) * interval``.
         grid = np.arange(int(n_samples.max())) * interval
+        noisy = spec.sample_noise != 0.0  # repro-lint: disable=float-compare
 
         # Raw per-job draws, in stream order.
         means = np.empty(3 * n)
         times_list: list[np.ndarray] = []
         phase_idx_list: list[np.ndarray] = []
         level_raw: list[np.ndarray] = []
-        noise_raw: list[np.ndarray] = []
+        noise_raw: tuple[list[np.ndarray], ...] = ([], [], [])
         phase_counts = np.empty(3 * n, dtype=np.intp)
         for i in range(n):
             runtime_s = float(runtimes[i])
@@ -372,72 +396,85 @@ class SyntheticWorkloadGenerator:
             )
             times_list.append(times)
             phase_idx_list.append(np.searchsorted(phase_edges, times, side="right"))
-            for jitter in (0.15, 0.2, 0.1):
+            for component, jitter in enumerate((0.15, 0.2, 0.1)):
                 level_raw.append(rng.normal(0.0, jitter, size=n_phases))
                 # The noise is drawn even when ``sample_noise`` is 0.0, so
                 # the stream (and every later draw of a fixed seed) does not
-                # depend on it.
-                noise_raw.append(rng.normal(0.0, jitter * 0.2, size=times.size))
+                # depend on it; it is kept only when it is used.
+                noise = rng.normal(0.0, jitter * 0.2, size=times.size)
+                if noisy:
+                    noise_raw[component].append(noise)
             phase_counts[3 * i : 3 * i + 3] = n_phases
 
         # One clip over every phase level (mean + per-phase jitter), then
-        # zero-order-hold expansion per profile, then — only when sample
-        # noise is on — one clip over every jittered sample. With
-        # sample_noise == 0.0 every sample repeats its phase level exactly,
-        # which the engine's breakpoint detection relies on.
+        # zero-order-hold expansion of every profile into its row, then —
+        # only when sample noise is on — one clip over every jittered
+        # sample. With sample_noise == 0.0 every sample repeats its phase
+        # level exactly, so the change grids hold only phase edges.
         levels = np.clip(
             np.repeat(means, phase_counts) + np.concatenate(level_raw), 0.0, 1.0
         )
-        offsets = np.zeros(3 * n + 1, dtype=np.intp)
-        np.cumsum(phase_counts, out=offsets[1:])
-        values_list = [
-            levels[offsets[k] : offsets[k + 1]][phase_idx_list[k // 3]]
-            for k in range(3 * n)
+        level_offsets = np.zeros(3 * n + 1, dtype=np.intp)
+        np.cumsum(phase_counts, out=level_offsets[1:])
+        job_counts = np.array([times.size for times in times_list], dtype=np.intp)
+        samples = levels[
+            np.repeat(level_offsets[:-1].reshape(n, 3).T, job_counts, axis=1)
+            + np.concatenate(phase_idx_list)
         ]
-        if spec.sample_noise != 0.0:  # repro-lint: disable=float-compare
-            sample_counts = np.repeat([times.size for times in times_list], 3)
-            flat = np.clip(
-                np.concatenate(values_list)
-                + np.concatenate(noise_raw) * spec.sample_noise,
-                0.0,
-                1.0,
-            )
-            sample_offsets = np.zeros(3 * n + 1, dtype=np.intp)
-            np.cumsum(sample_counts, out=sample_offsets[1:])
-            values_list = [
-                flat[sample_offsets[k] : sample_offsets[k + 1]] for k in range(3 * n)
-            ]
-        return [
-            trusted_profile(times_list[k // 3], values) for k, values in enumerate(values_list)
-        ]
+        if noisy:
+            noise = np.concatenate([row for rows in noise_raw for row in rows])
+            samples = np.clip(samples + noise.reshape(3, -1) * spec.sample_noise, 0.0, 1.0)
+        job_times = np.concatenate(times_list)
+        job_offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(job_counts, out=job_offsets[1:])
+        # A profile lasts until its job's last sample time (its runtime).
+        durations = job_times[job_offsets[1:] - 1].tolist()
+        cpu, gpu, mem = (
+            _change_grids(job_times, row, job_offsets, durations) for row in samples
+        )
+        profiles = [profile for triple in zip(cpu, gpu, mem) for profile in triple]
+        if not spec.generate_power_trace:
+            return profiles, [None] * n
+        watts = self._power_samples(*samples)
+        return profiles, _change_grids(job_times, watts, job_offsets, durations)
 
-    def _power_profile(
-        self,
-        cpu: Profile,
-        gpu: Profile,
-        mem: Profile,
-        *,
-        nodes_required: int,
-    ) -> Profile:
-        """Derive a recorded per-node power trace from utilization profiles.
+    def _power_samples(
+        self, cpu: np.ndarray, gpu: np.ndarray, mem: np.ndarray
+    ) -> np.ndarray:
+        """Recorded per-node power samples (watts) of utilization samples.
 
-        Uses the same component model as :mod:`repro.power.node_power` so
-        that replaying the recorded power and recomputing it from utilization
+        Evaluates the system's node power model
+        (:meth:`~repro.power.NodePowerModel.power_array`), so that
+        replaying the recorded power and recomputing it from utilization
         agree — this is what lets the Adastra experiment (Fig. 5) match the
         observed swings exactly.
         """
-        node_cfg = self.system.partitions[0].node_power
-        times = cpu.times
-        cpu_v = cpu.values
-        gpu_v = gpu.values_at(times)
-        mem_v = mem.values_at(times)
-        watts = (
-            node_cfg.idle_w
-            + node_cfg.cpus_per_node
-            * (node_cfg.cpu_idle_w + cpu_v * (node_cfg.cpu_max_w - node_cfg.cpu_idle_w))
-            + node_cfg.gpus_per_node
-            * (node_cfg.gpu_idle_w + gpu_v * (node_cfg.gpu_max_w - node_cfg.gpu_idle_w))
-            + mem_v * node_cfg.mem_dynamic_w
+        return NodePowerModel(self.system.partitions[0].node_power).power_array(
+            cpu, gpu, mem
         )
-        return Profile(times, watts)
 
+
+def _change_grids(
+    times: np.ndarray,
+    values: np.ndarray,
+    offsets: np.ndarray,
+    durations: list[float],
+) -> list[Profile]:
+    """The profiles of samples stored back to back in flat arrays.
+
+    Profile ``k`` owns samples ``offsets[k]`` to ``offsets[k + 1]``, its
+    first sample at time 0.0, and lasts ``durations[k]``. One ``!=`` over
+    the flat values keeps every sample that differs from the one before it,
+    plus each profile's first; each profile's change grid is then a
+    read-only slice of the kept arrays.
+    """
+    keep = np.empty(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    keep[offsets[:-1]] = True
+    grid_times = _frozen_view(times[keep])
+    grid_values = _frozen_view(values[keep])
+    bounds = [0, *np.cumsum(np.add.reduceat(keep, offsets[:-1], dtype=np.intp)).tolist()]
+    return [
+        _grid_profile(grid_times[start:stop], grid_values[start:stop], duration)
+        for start, stop, duration in zip(bounds, bounds[1:], durations)
+    ]

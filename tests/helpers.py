@@ -3,6 +3,14 @@
 Kept separate from ``conftest.py`` (which pytest reserves for fixtures and
 hooks) so test modules can do ``from helpers import make_job`` without
 relying on package-relative imports.
+
+The *scan reference* lives here too: per-query evaluations of a profile
+(:func:`value_at`, :func:`next_change_after`, ...), of one job run
+(:func:`utilization_at`, :func:`job_power_w`, ...) and of the whole
+running set (:func:`scan_sample`). No engine path calls them; they are the
+straightforward evaluation the engine's cached job power states and
+breakpoint heap must reproduce (:func:`run_checked`,
+``tests/test_power.py::TestJobPowerStates``).
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import pytest
 from repro.cluster import DOWN, FREE, ResourceManager
 from repro.engine import PowerCapScheduler, SimulationEngine, SimulationResult
 from repro.engine.stats import StatsCollector
+from repro.power import SystemPowerModel, SystemPowerSample
 from repro.telemetry import Job, JobRun, JobState, Profile, constant_profile
 
 __all__ = [
@@ -23,10 +32,20 @@ __all__ = [
     "assert_node_conservation",
     "assert_power_matches_scan",
     "assert_replay_starts",
+    "change_points",
+    "is_constant",
+    "job_energy_j",
+    "job_power_w",
     "make_job",
+    "next_change_after",
+    "next_power_change_after",
     "queued_run",
+    "recorded_power_at",
     "run_checked",
+    "scan_sample",
     "summary_drifts",
+    "utilization_at",
+    "value_at",
 ]
 
 
@@ -81,6 +100,167 @@ def queued_run(job: Job, now: float = 0.0) -> JobRun:
     return run
 
 
+# -- the scan reference: profiles ------------------------------------------------
+
+
+def value_at(profile: Profile, t: float) -> float:
+    """The value ``profile`` holds at relative time ``t`` (seconds).
+
+    Zero-order hold on the change grid: the value of the last grid point at
+    or before ``t``. Times before 0.0 hold the first value and times past
+    the recorded duration the last one (the paper's "missing data → last
+    known value" rule).
+    """
+    times, values = profile.change_grid()
+    index = max(int(np.searchsorted(times, t, side="right")) - 1, 0)
+    return float(values[index])
+
+
+def change_points(profile: Profile) -> np.ndarray:
+    """Relative times at which the held value changes: the grid after 0.0."""
+    return profile.change_grid()[0][1:]
+
+
+def next_change_after(profile: Profile, t: float) -> float | None:
+    """First relative time strictly after ``t`` at which the value changes.
+
+    ``None`` when the value never changes after ``t``: for a constant
+    profile, and for any ``t`` at or past the last change point.
+    """
+    changes = change_points(profile)
+    index = int(np.searchsorted(changes, t, side="right"))
+    return float(changes[index]) if index < changes.size else None
+
+
+def is_constant(profile: Profile) -> bool:
+    """Whether the profile holds one value over its whole span."""
+    return profile.change_grid()[0].size == 1
+
+
+# -- the scan reference: job runs and the running set -------------------------
+
+
+def _elapsed(run: JobRun, now: float) -> float:
+    """Seconds since the simulated start (0 if not yet started)."""
+    if run.sim_start_time is None:
+        return 0.0
+    return max(0.0, now - run.sim_start_time)
+
+
+def utilization_at(run: JobRun, now: float) -> tuple[float, float, float]:
+    """(cpu, gpu, mem) utilization of ``run`` at simulation time ``now``.
+
+    Profiles are indexed by elapsed time since the *simulated* start, so a
+    rescheduled job replays its recorded behaviour shifted to its new start.
+    """
+    t = _elapsed(run, now)
+    job = run.job
+    return value_at(job.cpu_util, t), value_at(job.gpu_util, t), value_at(job.mem_util, t)
+
+
+def recorded_power_at(run: JobRun, now: float) -> float | None:
+    """Recorded per-node power (watts) of ``run`` at ``now``, if a trace exists."""
+    if run.job.node_power is None:
+        return None
+    return value_at(run.job.node_power, _elapsed(run, now))
+
+
+def next_power_change_after(run: JobRun, now: float) -> float | None:
+    """First simulation time strictly after ``now`` at which the run's power
+    or mean-utilization contribution changes, or ``None``.
+
+    Elapsed-time indexing: a backdated (off-grid) start shifts every change
+    point with it.
+    """
+    base = run.sim_start_time if run.sim_start_time is not None else now
+    elapsed = now - base
+    best: float | None = None
+    for profile in run.job.power_profiles():
+        change = next_change_after(profile, elapsed)
+        if change is not None:
+            candidate = base + change
+            if best is None or candidate < best:
+                best = candidate
+    return best
+
+
+def job_power_w(model: SystemPowerModel, run: JobRun, now: float) -> float:
+    """Total power of one running job (watts across all its nodes): the
+    recorded trace when present, else the scalar node model on its
+    utilization."""
+    job = run.job
+    recorded = recorded_power_at(run, now)
+    if recorded is not None:
+        return recorded * job.nodes_required
+    cpu, gpu, mem = utilization_at(run, now)
+    return model.node_model(job.partition).power(cpu, gpu, mem) * job.nodes_required
+
+
+def job_energy_j(model: SystemPowerModel, job: Job) -> float:
+    """Energy of ``job`` over its recorded duration (joules): the job's power
+    held from each change point of its power-relevant profiles, times the
+    width up to the next one (the last cut at the job's end)."""
+    duration = job.duration
+    if duration <= 0:
+        return 0.0
+    points = sorted(
+        {0.0}
+        | {
+            t
+            for profile in job.power_profiles()
+            for t in change_points(profile).tolist()
+            if t < duration
+        }
+    )
+    node = model.node_model(job.partition)
+    energy = 0.0
+    for start, stop in zip(points, [*points[1:], duration]):
+        if job.node_power is not None:
+            power = value_at(job.node_power, start)
+        else:
+            power = node.power(
+                value_at(job.cpu_util, start),
+                value_at(job.gpu_util, start),
+                value_at(job.mem_util, start),
+            )
+        energy += power * (stop - start)
+    return energy * job.nodes_required
+
+
+def scan_sample(
+    model: SystemPowerModel,
+    now: float,
+    running_jobs,
+    *,
+    allocated_nodes: int | None = None,
+    down_nodes: int = 0,
+) -> SystemPowerSample:
+    """System power at ``now`` by evaluating every running job afresh."""
+    power_w = 0.0
+    cpu_weighted = 0.0
+    gpu_weighted = 0.0
+    nodes_busy = 0
+    for run in running_jobs:
+        nodes = run.job.nodes_required
+        power_w += job_power_w(model, run, now)
+        cpu, gpu, _ = utilization_at(run, now)
+        cpu_weighted += cpu * nodes
+        gpu_weighted += gpu * nodes
+        nodes_busy += nodes
+    return model.compose_sample(
+        now,
+        power_w,
+        nodes_busy=nodes_busy,
+        cpu_weighted=cpu_weighted,
+        gpu_weighted=gpu_weighted,
+        allocated_nodes=allocated_nodes,
+        down_nodes=down_nodes,
+    )
+
+
+# -- run checks -------------------------------------------------------------------
+
+
 def assert_node_conservation(rm: ResourceManager) -> None:
     """Recount the owner table against the resource manager's counters.
 
@@ -118,7 +298,8 @@ def assert_power_matches_scan(engine: SimulationEngine) -> None:
     """
     rm = engine.resource_manager
     tick = engine.stats.ticks[-1]
-    scan = engine.power_model.sample(
+    scan = scan_sample(
+        engine.power_model,
         tick.time_s,
         rm.running_jobs,
         allocated_nodes=rm.allocated_nodes,

@@ -24,7 +24,7 @@ from repro.workloads.distributions import (
     WaveArrivals,
 )
 
-from helpers import make_job
+from helpers import is_constant, make_job, next_power_change_after
 
 
 class TestParseDuration:
@@ -85,6 +85,16 @@ class TestEngineSmoke:
         twin = dataclasses.replace(twin, job_id=first.job_id)
         with pytest.raises(SimulationError, match=str(first.job_id)):
             SimulationEngine(tiny_system, [first, twin], "fcfs")
+
+    @pytest.mark.parametrize(
+        "seed", [-1, 1.5, "3", True], ids=["negative", "float", "string", "bool"]
+    )
+    def test_rejects_bad_seed(self, tiny_system, tiny_workload, seed):
+        # The engine checks its seed itself, with the error RunRequest
+        # raises, rather than running (it draws from it only when nodes
+        # are down).
+        with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+            SimulationEngine(tiny_system, tiny_workload, "fcfs", seed=seed)
 
     def test_fixed_seed_is_deterministic(self):
         a = run_simulation(system="tiny", policy="fcfs", duration="3h", seed=11)
@@ -305,7 +315,7 @@ class TestEventDrivenEquivalence:
         non_constant = [
             j
             for j in jobs
-            if any(not p.is_constant() for p in j.power_profiles())
+            if any(not is_constant(p) for p in j.power_profiles())
         ]
         assert 2 * len(non_constant) >= len(jobs)
         sparse = SimulationEngine(
@@ -389,7 +399,7 @@ def _run_with_scanned_indexes(system, jobs, policy, seed):
         changes = [
             change
             for run in running
-            if (change := run.next_power_change_after(now)) is not None
+            if (change := next_power_change_after(run, now)) is not None
         ]
         assert engine.power_aggregator.next_breakpoint_after(now) == min(
             changes, default=None

@@ -11,7 +11,7 @@ import pytest
 from repro.exceptions import DataLoaderError, SimulationError
 from repro.telemetry import Job, JobRun, JobState, Profile, constant_profile
 
-from helpers import make_job
+from helpers import make_job, recorded_power_at, utilization_at
 
 
 class TestJobConstruction:
@@ -177,16 +177,16 @@ class TestTelemetryAccess:
         run = JobRun(make_job(duration=100, cpu_profile=Profile([0, 50], [0.2, 0.9])))
         run.mark_queued(0.0)
         run.mark_running(1000.0, (0,))
-        cpu, _, _ = run.utilization_at(1010.0)
+        cpu, _, _ = utilization_at(run, 1010.0)
         assert cpu == pytest.approx(0.2)
-        cpu, _, _ = run.utilization_at(1060.0)
+        cpu, _, _ = utilization_at(run, 1060.0)
         assert cpu == pytest.approx(0.9)
 
     def test_recorded_power_none_without_trace(self):
-        assert JobRun(make_job()).recorded_power_at(0.0) is None
+        assert recorded_power_at(JobRun(make_job()), 0.0) is None
 
     def test_recorded_power_with_trace(self):
         run = JobRun(make_job(node_power=constant_profile(500.0, 600.0)))
         run.mark_queued(0.0)
         run.mark_running(10.0, (0,))
-        assert run.recorded_power_at(20.0) == pytest.approx(500.0)
+        assert recorded_power_at(run, 20.0) == pytest.approx(500.0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ResourceManager
 from repro.config import (
     PartitionConfig,
     PowerLossConfig,
@@ -21,13 +22,22 @@ from repro.exceptions import ConfigurationError
 from repro.power import (
     ConversionLossModel,
     NodePowerModel,
+    RunningSetPowerAggregator,
     SystemPowerModel,
     system_idle_power_kw,
 )
 from repro.power.system_power import _SCALAR_MAX_POINTS, build_power_states
 from repro.telemetry import JobRun, Profile, constant_profile
 
-from helpers import make_job, queued_run
+from helpers import (
+    job_energy_j,
+    job_power_w,
+    make_job,
+    next_power_change_after,
+    queued_run,
+    scan_sample,
+    utilization_at,
+)
 
 
 class TestNodePowerModel:
@@ -176,37 +186,46 @@ class TestConversionLossModel:
         assert got == model.evaluate(compute_kw).total_loss_kw
 
 
+def _aggregated_sample(model, jobs, now, *, down_nodes=0):
+    """System power at ``now`` with ``jobs`` started at 0.0, through the
+    engine's incremental aggregator."""
+    rm = ResourceManager(model.system)
+    for job in jobs:
+        rm.allocate(queued_run(job), 0.0)
+    return RunningSetPowerAggregator(model, rm).sample(now, down_nodes=down_nodes)
+
+
+def _job_power_w(model, job, now):
+    """Power of ``job`` started at 0.0, from its job power state at ``now``."""
+    run = queued_run(job)
+    run.mark_running(0.0, tuple(range(job.nodes_required)))
+    (state,) = build_power_states([(run, model.node_model(job.partition))], now)
+    return state.current_power_w
+
+
 class TestSystemPowerModel:
     @pytest.fixture
     def model(self, tiny_system):
         return SystemPowerModel(tiny_system)
 
     def test_idle_system_sample(self, model, tiny_system):
-        sample = model.sample(0.0, [])
+        sample = _aggregated_sample(model, [], 0.0)
         assert sample.job_power_kw == 0.0
         assert sample.idle_power_kw == pytest.approx(tiny_system.idle_system_power_kw)
         assert sample.facility_power_kw > sample.compute_power_kw
 
     def test_job_power_from_utilization(self, model):
         job = make_job(nodes=4, cpu=1.0, gpu=1.0, mem=1.0)
-        job = queued_run(job, 0.0)
-        job.mark_running(0.0, (0, 1, 2, 3))
         node_max = model.system.partitions[0].node_power.max_w
-        assert model.job_power_w(job, 10.0) == pytest.approx(4 * node_max)
+        assert _job_power_w(model, job, 10.0) == pytest.approx(4 * node_max)
 
     def test_recorded_power_trace_wins(self, model):
         job = make_job(nodes=2, cpu=0.0, node_power=constant_profile(1234.0, 600))
-        job = queued_run(job, 0.0)
-        job.mark_running(0.0, (0, 1))
-        assert model.job_power_w(job, 5.0) == pytest.approx(2 * 1234.0)
+        assert _job_power_w(model, job, 5.0) == pytest.approx(2 * 1234.0)
 
     def test_sample_with_running_jobs(self, model):
-        jobs = []
-        for i in range(3):
-            run = queued_run(make_job(nodes=2, cpu=0.5, gpu=0.5))
-            run.mark_running(0.0, (2 * i, 2 * i + 1))
-            jobs.append(run)
-        sample = model.sample(100.0, jobs)
+        jobs = [make_job(nodes=2, cpu=0.5, gpu=0.5) for _ in range(3)]
+        sample = _aggregated_sample(model, jobs, 100.0)
         assert sample.allocated_nodes == 6
         assert sample.job_power_kw > 0
         assert 0 < sample.mean_cpu_util <= 1
@@ -216,10 +235,7 @@ class TestSystemPowerModel:
 
     def test_more_load_more_power(self, model):
         def sample_for(util):
-            job = make_job(nodes=8, cpu=util, gpu=util)
-            job = queued_run(job, 0.0)
-            job.mark_running(0.0, tuple(range(8)))
-            return model.sample(10.0, [job])
+            return _aggregated_sample(model, [make_job(nodes=8, cpu=util, gpu=util)], 10.0)
 
         assert sample_for(0.9).facility_power_kw > sample_for(0.1).facility_power_kw
 
@@ -247,8 +263,8 @@ class TestSystemPowerModel:
         assert model.job_energy_j(job) == pytest.approx(low * 100 + high * 100)
 
     def test_down_nodes_reduce_idle_power(self, model):
-        with_down = model.sample(0.0, [], down_nodes=16)
-        without = model.sample(0.0, [])
+        with_down = _aggregated_sample(model, [], 0.0, down_nodes=16)
+        without = _aggregated_sample(model, [], 0.0)
         assert with_down.idle_power_kw < without.idle_power_kw
 
 
@@ -320,9 +336,10 @@ class TestJobPowerStates:
 
     :func:`build_power_states` is the one constructor of the aggregator's
     cached per-job contributions. Advanced to any time, a state must hold
-    exactly (``==``) what :meth:`SystemPowerModel.job_power_w`,
-    :meth:`JobRun.utilization_at` and :meth:`JobRun.next_power_change_after`
-    compute from the job's profiles at that time. The inputs reach both
+    exactly (``==``) what the scan reference (``tests/helpers.py``:
+    :func:`job_power_w`, :func:`utilization_at`,
+    :func:`next_power_change_after`) computes from the job's profiles at
+    that time. The inputs reach both
     ways of building a state: point by point with the scalar model (at or
     below ``_SCALAR_MAX_POINTS`` summed change points) and the vectorised
     pass above it.
@@ -408,9 +425,9 @@ class TestJobPowerStates:
         def check(state, t):
             run = state.run
             nodes = run.job.nodes_required
-            cpu, gpu, _ = run.utilization_at(t)
-            change = run.next_power_change_after(t)
-            assert state.current_power_w == model.job_power_w(run, t)
+            cpu, gpu, _ = utilization_at(run, t)
+            change = next_power_change_after(run, t)
+            assert state.current_power_w == job_power_w(model, run, t)
             assert state.current_cpu_weighted == cpu * nodes
             assert state.current_gpu_weighted == gpu * nodes
             assert state.next_change == (math.inf if change is None else change)
@@ -429,6 +446,24 @@ class TestJobPowerStates:
                 check(state, t)
 
 
+    @given(seed=st.integers(min_value=0, max_value=2**16), with_traces=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_energy_matches_scan(self, seed, with_traces):
+        # job_energy_j integrates the same union grid the states hold; the
+        # scan sums the held power over every change point before the job
+        # ends. Profiles may run past the job's end (their later change
+        # points must not count) or stop short of it (the last value holds).
+        model = SystemPowerModel(get_system_config("tiny"))
+        rng = np.random.default_rng(seed)
+        runs = self._build_runs(
+            rng, 8, with_traces=with_traces, partitions=["batch"], now=0.0
+        )
+        for run in runs:
+            assert model.job_energy_j(run.job) == pytest.approx(
+                job_energy_j(model, run.job), rel=1e-12, abs=0.0
+            )
+
+
 class TestRunningSetPowerAggregator:
     """The incremental aggregator must reproduce the scanning evaluation."""
 
@@ -438,9 +473,6 @@ class TestRunningSetPowerAggregator:
 
     @pytest.fixture
     def rig(self, system):
-        from repro.cluster import ResourceManager
-        from repro.power import RunningSetPowerAggregator
-
         model = SystemPowerModel(system)
         rm = ResourceManager(system)
         return model, rm, RunningSetPowerAggregator(model, rm)
@@ -470,12 +502,12 @@ class TestRunningSetPowerAggregator:
             rm.allocate(run, 0.0)
         for now in np.arange(0.0, 360.0, 15.0):
             self._assert_matches(
-                agg.sample(now), model.sample(now, rm.running_jobs)
+                agg.sample(now), scan_sample(model, now, rm.running_jobs)
             )
         rm.release(runs[1], 360.0)
         for now in np.arange(360.0, 615.0, 15.0):
             self._assert_matches(
-                agg.sample(now), model.sample(now, rm.running_jobs)
+                agg.sample(now), scan_sample(model, now, rm.running_jobs)
             )
 
     def test_recorded_power_trace_wins_over_model(self, rig):
@@ -486,7 +518,7 @@ class TestRunningSetPowerAggregator:
         rm.allocate(job, 0.0)
         for now in (0.0, 45.0, 60.0, 61.0, 200.0):
             sample = agg.sample(now)
-            self._assert_matches(sample, model.sample(now, rm.running_jobs))
+            self._assert_matches(sample, scan_sample(model, now, rm.running_jobs))
         # Past the trace end the last value is held (gap-filling rule).
         assert agg.sample(290.0).job_power_kw == pytest.approx(3 * 750.0 / 1000.0)
 
@@ -499,7 +531,7 @@ class TestRunningSetPowerAggregator:
         job = queued_run(job, 0.0)
         rm.allocate(job, 7.5)
         for now in (15.0, 105.0, 107.5, 120.0):
-            self._assert_matches(agg.sample(now), model.sample(now, rm.running_jobs))
+            self._assert_matches(agg.sample(now), scan_sample(model, now, rm.running_jobs))
 
     def test_idle_system_reports_exact_zero_job_power(self, rig):
         model, rm, agg = rig
@@ -513,11 +545,11 @@ class TestRunningSetPowerAggregator:
         assert sample.mean_cpu_util == 0.0
         assert sample.mean_gpu_util == 0.0
         assert sample.allocated_nodes == 0
-        self._assert_matches(sample, model.sample(300.0, rm.running_jobs))
+        self._assert_matches(sample, scan_sample(model, 300.0, rm.running_jobs))
 
     def test_next_breakpoint_after_matches_per_job_bound(self, rig):
         # The engine's event bound: the aggregator's heap minimum must be
-        # float-identical to the min of Job.next_power_change_after over
+        # float-identical to the min of the scanned next_power_change_after over
         # the running set, at every query time.
         model, rm, agg = rig
         jobs = [
@@ -539,7 +571,7 @@ class TestRunningSetPowerAggregator:
                 (
                     change
                     for run in rm.running_by_id.values()
-                    if (change := run.next_power_change_after(now)) is not None
+                    if (change := next_power_change_after(run, now)) is not None
                 ),
                 default=None,
             )
@@ -587,13 +619,13 @@ class TestRunningSetPowerAggregator:
         ]
         for run in runs:
             rm.allocate(run, 0.0)
-        self._assert_matches(agg.sample(0.0), model.sample(0.0, rm.running_jobs))
+        self._assert_matches(agg.sample(0.0), scan_sample(model, 0.0, rm.running_jobs))
         rm.release(runs[0], 100.0)
         rm.release(runs[2], 100.0)
         late = make_job(nodes=8, submit=0.0, duration=500.0, gpu=0.9)
         late = queued_run(late, 100.0)
         rm.allocate(late, 100.0)
-        self._assert_matches(agg.sample(100.0), model.sample(100.0, rm.running_jobs))
+        self._assert_matches(agg.sample(100.0), scan_sample(model, 100.0, rm.running_jobs))
 
     def test_breakpoint_on_rounding_boundary_does_not_spin(self, rig):
         # start + t can compare <= now while now - start < t in float64;
@@ -612,10 +644,10 @@ class TestRunningSetPowerAggregator:
         # Sampling exactly on the rounded boundary must terminate and match
         # the scan (which still sees the pre-change value, elapsed < change).
         self._assert_matches(
-            agg.sample(boundary), model.sample(boundary, rm.running_jobs)
+            agg.sample(boundary), scan_sample(model, boundary, rm.running_jobs)
         )
         # One ulp later the elapsed time crosses and the new value applies.
         later = np.nextafter(boundary + 15.0, np.inf)
         self._assert_matches(
-            agg.sample(later), model.sample(later, rm.running_jobs)
+            agg.sample(later), scan_sample(model, later, rm.running_jobs)
         )

@@ -445,14 +445,31 @@ class TestSweepSpec:
 
     @given(payload=_SWEEP_PAYLOADS)
     @example(payload=[["name", "x"], ["duration", "1h"]])
+    @example(payload={"name": "s", "duration_s": math.nan})
+    @example(payload={"name": "s", "duration": "1h", "horizon_s": math.inf})
+    @example(payload={"name": "s", "duration": "1h", "power_caps": [-math.inf]})
+    @example(payload={"name": "s", "duration": "1h", "price_per_kwh": math.nan})
     @settings(max_examples=300, deadline=None)
     def test_from_json_dict_gives_run_ids_or_an_srapserror(self, payload: object) -> None:
         try:
             spec = SweepSpec.from_json_dict(payload)
-            runs = spec.materialize() if spec.total_runs <= 16 else []
         except SRapsError:
             return
         assert isinstance(payload, dict)
+        # Non-finite numbers never construct: a spec that cannot run fails
+        # on construction, not first in materialize().
+        numbers = (
+            spec.duration_s,
+            spec.horizon_s,
+            spec.price_per_kwh,
+            spec.carbon_kg_per_kwh,
+            *spec.power_caps,
+        )
+        assert all(math.isfinite(x) for x in numbers if x is not None), numbers
+        try:
+            runs = spec.materialize() if spec.total_runs <= 16 else []
+        except SRapsError:
+            return
         assert all(len(run.run_id) == 16 for run in runs)
 
     def test_workload_variants_registry_materialises(self) -> None:
@@ -597,16 +614,6 @@ def assert_store_matches_fresh_runs(store_path: Path) -> int:
 
 
 class TestDriver:
-    def test_equal_except_seed(self) -> None:
-        # A chunk reuses its parsed request for payloads that differ only
-        # in their seed.
-        from repro.sweep.driver import _equal_except_seed
-
-        a = {"system": "tiny", "policy": "fcfs", "seed": 1}
-        assert _equal_except_seed(a, {**a, "seed": 9})
-        assert not _equal_except_seed(a, {**a, "policy": "backfill"})
-        assert not _equal_except_seed(a, {"system": "tiny", "seed": 1})
-
     def test_parallel_sweep_matches_direct_runs(self, tmp_path: Path) -> None:
         spec = small_spec("par")
         path = tmp_path / "par.sqlite"

@@ -19,6 +19,8 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
+from helpers import change_points, is_constant
+
 
 class TestJobSizeDistribution:
     def test_within_bounds(self, rng):
@@ -179,7 +181,7 @@ class TestSyntheticWorkloadGenerator:
             sizes=JobSizeDistribution(max_nodes=8), trace_interval_s=None
         )
         jobs = SyntheticWorkloadGenerator(tiny_system, spec, seed=2).generate(3600.0)
-        assert all(len(j.cpu_util) <= 2 for j in jobs)
+        assert all(is_constant(j.cpu_util) for j in jobs)
 
     def test_oversized_workload_rejected(self, tiny_system):
         spec = WorkloadSpec(sizes=JobSizeDistribution(max_nodes=10_000))
@@ -230,7 +232,7 @@ class TestSampleNoise:
             for profile in (job.cpu_util, job.gpu_util, job.mem_util):
                 # At most phases-1 = 3 value changes, regardless of how many
                 # 60 s samples spell the phases out.
-                assert profile.change_points().size <= 3
+                assert change_points(profile).size <= 3
 
     def test_noise_scale_does_not_perturb_other_draws(self, tiny_system):
         noisy = SyntheticWorkloadGenerator(tiny_system, self._spec(1.0), seed=3).generate(
