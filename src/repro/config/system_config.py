@@ -268,7 +268,11 @@ class SystemConfig:
 
     @property
     def idle_system_power_kw(self) -> float:
-        """Idle modelled IT power in kilowatts."""
+        """Idle modelled IT power in kilowatts: every node, down ones too, at ``min_w``.
+
+        The one system idle-power formula; the power-cap scheduler takes it
+        as its conservative idle floor.
+        """
         watts = sum(p.node_count * p.node_power.min_w for p in self.partitions)
         return watts / 1000.0
 

@@ -1,9 +1,25 @@
-"""Central energy plant: CDUs + cooling towers + PUE.
+"""Central energy plant: CDU loops + facility loop and cooling towers + PUE.
 
-The plant composes the per-CDU secondary loops with the facility loop and
-the cooling towers and produces the facility-level quantities the DCDT
-reports: cooling power (pumps, tower fans, and — for the air-cooled fraction
-of the load — CRAC compressor power) and power usage effectiveness
+One :class:`CoolingPlant` holds the three loop temperatures the model
+needs and advances them in :meth:`CoolingPlant.step`:
+
+* the **CDU return** temperature. Each cooling distribution unit runs a
+  secondary (compute) water loop through the cold plates of its racks and
+  passes a fixed share of its heat (the heat exchanger's effectiveness,
+  0.9) to the facility loop. The CDUs are identical, start at the supply
+  setpoint and always share the liquid-cooled heat evenly, so they always
+  hold one return temperature;
+* the **tower supply** and **tower return** temperatures of the facility
+  loop. Evaporative towers cool the water to the ambient wet bulb plus a
+  load-dependent approach (never below the facility setpoint); the water
+  returning to them (the "cooling tower return temperature" of Fig. 6 of
+  the paper) runs the loop's temperature rise above that.
+
+Every loop is a lumped thermal mass: its temperature relaxes towards its
+steady-state target through a first-order lag (:func:`lag_fraction`). The
+plant reports cooling power (pumps, tower fans and — for the air-cooled
+fraction of the load — CRAC compressor power) and power usage
+effectiveness
 
     PUE = (IT power + losses + cooling power) / IT power.
 
@@ -15,8 +31,8 @@ any overhead (loss or cooling) power remains, and 1.0 only when the whole
 facility is drawing nothing. Fully air-cooled plants (``cdu_count == 0``,
 which :class:`~repro.config.CoolingConfig` requires to come with
 ``air_cooled_fraction == 1.0``) are supported: all heat is removed by the
-CRACs on the facility loop and the CDU return temperature is reported at
-the nominal supply setpoint.
+CRACs on the facility loop and the CDU return temperature stays at the
+nominal supply setpoint.
 """
 
 from __future__ import annotations
@@ -26,8 +42,24 @@ from dataclasses import dataclass
 
 from ..config import CoolingConfig
 from ..devtools import hot_path
-from .cdu import CDU, lag_fraction
-from .cooling_tower import CoolingTower
+
+#: Specific heat capacity of water, J/(kg*K).
+WATER_CP = 4186.0
+
+#: Heat-exchanger effectiveness of a CDU: the share of its secondary loop's
+#: heat it passes to the facility loop.
+_CDU_EFFECTIVENESS = 0.9
+
+
+def lag_fraction(dt_s: float, tau_s: float) -> float:
+    """Share of the gap to its target a first-order lag closes in ``dt_s``.
+
+    ``1 - exp(-dt_s / tau_s)`` (``1.0`` for a massless loop). Every loop of
+    the plant relaxes by ``x += lag_fraction(dt_s, tau_s) * (target - x)``;
+    because the factors compose exactly across substeps, a coalesced step
+    lands where the dense steps it replaces would.
+    """
+    return 1.0 - pow(2.718281828459045, -dt_s / tau_s) if tau_s > 0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -66,16 +98,23 @@ def power_usage_effectiveness(it_power_kw: float, overhead_kw: float) -> float:
 class CoolingPlant:
     """Transient lumped cooling model for the whole data centre.
 
-    The plant owns its CDUs and tower; :meth:`step` advances their
-    temperatures and returns the two numbers the statistics need, and
-    :attr:`last_state` expands the latest step into a
-    :class:`CoolingPlantState` only when asked.
+    :meth:`step` advances the three loop temperatures and returns the two
+    numbers the statistics need; :attr:`last_state` expands the latest
+    step into a :class:`CoolingPlantState` only when asked.
     """
 
     def __init__(self, config: CoolingConfig) -> None:
         self.config = config
-        self.cdus = [CDU(config) for _ in range(config.cdu_count)]
-        self.tower = CoolingTower(config)
+        # Mass flow times heat capacity (W/K) of one CDU loop and of the
+        # facility loop; each loop's lag time constant is its thermal mass
+        # over that.
+        self._cdu_flow_cp = config.secondary_flow_kg_per_s_per_cdu * WATER_CP
+        self._cdu_tau_s = config.cdu_thermal_mass_j_per_k / self._cdu_flow_cp
+        self._tower_flow_cp = config.facility_flow_kg_per_s * WATER_CP
+        self._tower_tau_s = config.facility_thermal_mass_j_per_k / self._tower_flow_cp
+        self._cdu_return_c = config.supply_temperature_c
+        self._tower_return_c = config.facility_supply_temperature_c
+        self._tower_supply_c = config.facility_supply_temperature_c
         #: ``(now, it_power_kw, loss_power_kw, cooling_power_kw, pue)`` of
         #: the latest :meth:`step`; :attr:`last_state` expands it on demand.
         self._last: tuple[float, float, float, float, float] | None = None
@@ -90,23 +129,15 @@ class CoolingPlant:
         if self._last is None:
             return None
         now, it_power_kw, loss_power_kw, cooling_power_kw, pue = self._last
-        cdus = self.cdus
-        tower = self.tower
         return CoolingPlantState(
             time_s=now,
             it_power_kw=it_power_kw,
             loss_power_kw=loss_power_kw,
             cooling_power_kw=cooling_power_kw,
             pue=pue,
-            # With no CDUs the secondary loop does not exist; report the
-            # nominal supply temperature rather than dividing by zero.
-            cdu_return_temperature_c=(
-                sum(cdu._return_temperature_c for cdu in cdus) / len(cdus)
-                if cdus
-                else self.config.supply_temperature_c
-            ),
-            tower_return_temperature_c=tower._return_temperature_c,
-            tower_supply_temperature_c=tower._supply_temperature_c,
+            cdu_return_temperature_c=self._cdu_return_c,
+            tower_return_temperature_c=self._tower_return_c,
+            tower_supply_temperature_c=self._tower_supply_c,
         )
 
     @hot_path
@@ -135,10 +166,6 @@ class CoolingPlant:
             in the machine room as well and must be removed by the plant.
         dt_s:
             Step length in seconds.
-
-        Same arithmetic as stepping every :class:`CDU` and the
-        :class:`CoolingTower` through their own ``step`` methods, without
-        building their state objects.
         """
         it_power_kw = max(0.0, it_power_kw)
         loss_power_kw = max(0.0, loss_power_kw)
@@ -151,39 +178,45 @@ class CoolingPlant:
         liquid_heat_kw = total_heat_kw * (1.0 - config.air_cooled_fraction)
         air_heat_kw = total_heat_kw * config.air_cooled_fraction
 
-        # Secondary loops: split the liquid-cooled heat evenly across CDUs.
-        # They are homogeneous, so the first one's steady-state target, lag
-        # factor and effectiveness hold for all of them.
+        # CDU loops: each takes an even share of the liquid-cooled heat.
         heat_to_facility_kw = 0.0
-        cdus = self.cdus
-        if cdus:
-            first = cdus[0]
-            per_cdu_heat_kw = max(0.0, liquid_heat_kw / len(cdus))
-            target_c = first.steady_state_return_c(per_cdu_heat_kw)
-            alpha = lag_fraction(dt_s, first.tau_s)
-            transfer_kw = first.effectiveness * per_cdu_heat_kw
-            for cdu in cdus:
-                cdu._return_temperature_c += alpha * (
-                    target_c - cdu._return_temperature_c
-                )
-                cdu._heat_load_kw = per_cdu_heat_kw
-                heat_to_facility_kw += transfer_kw
+        cdu_count = config.cdu_count
+        if cdu_count:
+            per_cdu_heat_kw = liquid_heat_kw / cdu_count
+            target_c = config.supply_temperature_c + (
+                per_cdu_heat_kw * 1000.0
+            ) / self._cdu_flow_cp
+            self._cdu_return_c += lag_fraction(dt_s, self._cdu_tau_s) * (
+                target_c - self._cdu_return_c
+            )
+            heat_to_facility_kw = cdu_count * (_CDU_EFFECTIVENESS * per_cdu_heat_kw)
 
         # Air-cooled heat is removed by CRACs, whose condenser heat also ends
         # up on the facility loop.
         crac_power_kw = air_heat_kw / config.crac_cop if air_heat_kw > 0 else 0.0
         facility_heat_kw = heat_to_facility_kw + air_heat_kw + crac_power_kw
-        fan_power_kw = self.tower.advance(facility_heat_kw, dt_s)
+
+        # Facility loop: the towers cool to wet bulb + approach (which grows
+        # with load), never below the supply setpoint; the return runs the
+        # loop's temperature rise above the supply.
+        supply_target_c = max(
+            config.facility_supply_temperature_c,
+            config.ambient_wet_bulb_c
+            + (
+                config.tower_approach_c
+                + config.tower_range_coefficient * facility_heat_kw * 1000.0
+            ),
+        )
+        return_target_c = supply_target_c + (
+            facility_heat_kw * 1000.0
+        ) / self._tower_flow_cp
+        alpha = lag_fraction(dt_s, self._tower_tau_s)
+        self._tower_supply_c += alpha * (supply_target_c - self._tower_supply_c)
+        self._tower_return_c += alpha * (return_target_c - self._tower_return_c)
+        fan_power_kw = config.fan_power_fraction * facility_heat_kw
 
         pump_power_kw = config.pump_power_fraction * total_heat_kw
         cooling_power_kw = pump_power_kw + fan_power_kw + crac_power_kw
         pue = power_usage_effectiveness(it_power_kw, loss_power_kw + cooling_power_kw)
         self._last = (now, it_power_kw, loss_power_kw, cooling_power_kw, pue)
         return cooling_power_kw, pue
-
-    def reset(self) -> None:
-        """Reset all loops to their nominal temperatures."""
-        for cdu in self.cdus:
-            cdu.reset()
-        self.tower.reset()
-        self._last = None

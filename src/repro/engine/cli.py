@@ -322,39 +322,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     obs = _build_obs(args)
     try:
         signals = _signals_from_args(args)
-        if args.swf is not None:
-            # Externally loaded workloads cannot be captured in a
-            # serialisable request; they keep the direct path.
-            workload = read_swf(args.swf, processors_per_node=args.processors_per_node)
-            result = run_simulation(
-                system=args.system,
-                policy=args.mode,
-                duration=parse_duration(args.duration),
-                seed=args.seed,
-                workload=workload,
-                horizon=args.horizon,
-                dense_ticks=args.dense_ticks,
-                signals=signals,
-                obs=obs,
-            )
-        else:
-            # Same execution path as the sweep driver's pool workers.
-            # Imported lazily: repro.sweep imports repro.engine at package
-            # init, so a top-level import here would be a cycle.
-            from ..sweep.request import RunRequest, run_request
-
-            request = RunRequest(
-                system=args.system,
-                policy=args.mode,
-                duration_s=parse_duration(args.duration),
-                seed=args.seed,
-                horizon_s=(
-                    parse_duration(args.horizon) if args.horizon is not None else None
-                ),
-                dense_ticks=args.dense_ticks,
-                signals=signals,
-            )
-            result = run_request(request, obs=obs)
+        workload = (
+            read_swf(args.swf, processors_per_node=args.processors_per_node)
+            if args.swf is not None
+            else None
+        )
+        result = run_simulation(
+            system=args.system,
+            policy=args.mode,
+            # Parsed here even for an SWF workload, whose window it does
+            # not set, so a bad --duration is an error either way.
+            duration=parse_duration(args.duration),
+            seed=args.seed,
+            workload=workload,
+            horizon=args.horizon,
+            dense_ticks=args.dense_ticks,
+            signals=signals,
+            obs=obs,
+        )
     except (SRapsError, OSError) as exc:
         _LOG.error("%s", exc)
         return 1

@@ -788,7 +788,7 @@ class PowerCapScheduler(Scheduler):
     def bind_power_model(self, model: SystemPowerModel) -> None:
         """Attach the run's power model (the engine calls this once)."""
         self._power_model = model
-        self._idle_floor_kw = model.idle_floor_kw()
+        self._idle_floor_kw = model.system.idle_system_power_kw
 
     def reset(self) -> None:
         self.base.reset()
@@ -819,7 +819,7 @@ class PowerCapScheduler(Scheduler):
                 "PowerCapScheduler.schedule() called before bind_power_model()"
             )
         peak_w = model.job_peak_power_w(job)
-        idle_w = model.node_idle_power_w(job.partition) * job.nodes_required
+        idle_w = model.node_model(job.partition).config.min_w * job.nodes_required
         incr = max(0.0, watts_to_kilowatts(peak_w - idle_w))
         self._incr_kw_cache[job.job_id] = incr
         return incr

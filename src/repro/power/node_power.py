@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import NodePowerConfig, SystemConfig
+from ..config import NodePowerConfig
 
 
 class NodePowerModel:
@@ -68,27 +68,3 @@ class NodePowerModel:
             + mem * cfg.mem_dynamic_w
         )
         return power_w
-
-    @property
-    def idle_power(self) -> float:
-        """Power of an idle node (watts)."""
-        return self.config.min_w
-
-    @property
-    def max_power(self) -> float:
-        """Power of a fully loaded node (watts)."""
-        return self.config.max_w
-
-
-def system_idle_power_kw(system: SystemConfig, *, include_down: bool = False) -> float:
-    """Idle IT power of the whole system in kilowatts.
-
-    Down nodes are assumed powered off unless ``include_down`` is set.
-    """
-    total_w = 0.0
-    for partition in system.partitions:
-        nodes = partition.node_count
-        if not include_down:
-            nodes = int(round(nodes * (1.0 - system.down_node_fraction)))
-        total_w += nodes * partition.node_power.min_w
-    return total_w / 1000.0

@@ -120,24 +120,6 @@ class SystemPowerModel:
         _, power_w, _, _ = _power_grid(job, self.node_model(job.partition))
         return max(power_w) * job.nodes_required
 
-    def node_idle_power_w(self, partition: str) -> float:
-        """Idle draw of one in-service node of ``partition`` (watts)."""
-        partition_config = next(
-            (p for p in self.system.partitions if p.name == partition),
-            self.system.partitions[0],
-        )
-        return float(partition_config.node_power.min_w)
-
-    def idle_floor_kw(self) -> float:
-        """IT power of the whole system sitting idle (every node at min), kW.
-
-        A conservative floor for cap projections: actual idle power is
-        lower whenever nodes are allocated (their idle share moves into job
-        power) or down.
-        """
-        idle_w = sum(node_count * min_w for node_count, min_w in self._idle_table)
-        return idle_w / 1000.0
-
     # -- system power ---------------------------------------------------------------
 
     def compose_sample(

@@ -18,7 +18,8 @@ Design points:
 * **Failures never kill the sweep.** A run raising in a worker comes back
   as a traceback string and is recorded as a ``failed`` row. A chunk task
   dying wholesale (e.g. ``BrokenProcessPool``) marks every unreported run
-  of that chunk failed — nothing is silently lost.
+  of that chunk failed, and so does a chunk the broken pool refuses to
+  take — nothing is silently lost.
 * **Per-run progress aggregates into one heartbeat.** Each worker attaches
   a throttled :class:`~repro.obs.ProgressReporter` whose callback ships
   ``(run_id, fraction_done)`` beats over the queue; the parent folds all
@@ -46,6 +47,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from queue import Empty
@@ -442,8 +444,9 @@ def _run_pooled(
     ) -> None:
         """Record every unreported run of a chunk whose task died wholesale.
 
-        Covers worker crashes / ``BrokenProcessPool``: the runs never got
-        to report, and silence is not an option for a warehouse.
+        Covers worker crashes / ``BrokenProcessPool``, whether the pool
+        broke while the chunk ran or before it could be submitted: the runs
+        never got to report, and silence is not an option for a warehouse.
         """
         for payload in chunk:
             ingest.take(
@@ -460,10 +463,14 @@ def _run_pooled(
         queue: "Queue[object]" = _results_queue(manager)
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            future_chunks: dict[Future[None], tuple[_RunPayload, ...]] = {
-                pool.submit(_execute_chunk, chunk, queue): chunk
-                for chunk in _chunks(tasks, chunk_size)
-            }
+            future_chunks: dict[Future[None], tuple[_RunPayload, ...]] = {}
+            for chunk in _chunks(tasks, chunk_size):
+                try:
+                    future_chunks[pool.submit(_execute_chunk, chunk, queue)] = chunk
+                except BrokenProcessPool as error:
+                    # A worker died while chunks were still being handed
+                    # out: the broken pool refuses the rest.
+                    _reap_dead_chunk(chunk, error)
             outstanding = set(future_chunks)
             # Termination is by deterministic accounting, never by peeking:
             # Queue.empty() is documented unreliable across processes, so

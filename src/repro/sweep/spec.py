@@ -32,6 +32,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -146,15 +147,26 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("a sweep needs a name")
-        # ``not 0 < x < inf`` also rejects NaN: a spec that cannot run
-        # fails here, not in materialize().
-        if not 0 < self.duration_s < math.inf:
+        # A bool is not a number here (RunRequest rejects it too), and
+        # ``not 0 < x < inf`` also rejects NaN: a spec that cannot run fails
+        # here, not in materialize().
+        duration_s = self.duration_s
+        if (
+            isinstance(duration_s, bool)
+            or not isinstance(duration_s, Real)
+            or not 0 < duration_s < math.inf
+        ):
             raise ConfigurationError(
-                f"sweep duration_s must be positive and finite, got {self.duration_s!r}"
+                f"sweep duration_s must be positive and finite, got {duration_s!r}"
             )
-        if self.horizon_s is not None and not 0 < self.horizon_s < math.inf:
+        horizon_s = self.horizon_s
+        if horizon_s is not None and (
+            isinstance(horizon_s, bool)
+            or not isinstance(horizon_s, Real)
+            or not 0 < horizon_s < math.inf
+        ):
             raise ConfigurationError(
-                f"sweep horizon_s must be positive and finite, got {self.horizon_s!r}"
+                f"sweep horizon_s must be positive and finite, got {horizon_s!r}"
             )
         for axis in ("systems", "policies", "workloads"):
             if not getattr(self, axis):
@@ -179,13 +191,20 @@ class SweepSpec:
         if not self.power_caps:
             raise ConfigurationError("sweep axis 'power_caps' must be non-empty")
         for cap in self.power_caps:
-            if cap is not None and not 0 < cap < math.inf:
+            if cap is not None and (
+                isinstance(cap, bool) or not isinstance(cap, Real) or not 0 < cap < math.inf
+            ):
                 raise ConfigurationError(
-                    f"power cap values must be finite, positive kW or null, got {cap!r}"
+                    "sweep power_caps values must be finite, positive kW or null, "
+                    f"got {cap!r}"
                 )
         for scalar in ("price_per_kwh", "carbon_kg_per_kwh"):
             value = getattr(self, scalar)
-            if value is not None and not 0 <= value < math.inf:
+            if value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, Real)
+                or not 0 <= value < math.inf
+            ):
                 raise ConfigurationError(
                     f"sweep {scalar} must be finite and >= 0, got {value!r}"
                 )

@@ -29,7 +29,7 @@ class Profile:
     ----------
     times:
         Sample times in seconds relative to the owning job's start (must be
-        non-negative and strictly increasing).
+        finite, non-negative and strictly increasing).
     values:
         Sample values (utilization fraction, watts, ...); same length as
         ``times``.
@@ -58,6 +58,9 @@ class Profile:
             )
         if times_arr.size == 0:
             raise DataLoaderError("profile must contain at least one sample")
+        # Checked before the order: NaN fails every comparison below.
+        if np.any(~np.isfinite(times_arr)):
+            raise DataLoaderError("profile times must be finite")
         if np.any(times_arr < 0):
             raise DataLoaderError("profile times must be non-negative")
         if np.any(np.diff(times_arr) <= 0):
@@ -132,12 +135,15 @@ class Profile:
 
         With ``values`` in watts and times in seconds this yields joules.
         ``duration`` defaults to the recorded profile duration; longer
-        durations extend the last known value (gap-filling rule).
+        durations extend the last known value (gap-filling rule). A
+        negative or non-finite ``duration`` is a :class:`DataLoaderError`.
         """
         if duration is None:
             duration = self._duration
-        if duration < 0:
-            raise DataLoaderError("integration duration must be non-negative")
+        if not 0 <= duration < math.inf:
+            raise DataLoaderError(
+                f"integration duration must be finite and non-negative, got {duration!r}"
+            )
         if duration == 0:
             return 0.0
         # The grid intervals that start before ``duration``, the last one
@@ -197,11 +203,14 @@ def constant_profile(value: float, duration: float = 0.0) -> Profile:
     zero-duration profile. The result equals the validated
     ``Profile([0, duration], [value, value])`` (or ``Profile([0], [value])``)
     and raises the same :class:`DataLoaderError` for a non-finite
-    ``value``, but its grid times are the shared ``[0.0]`` array.
+    ``value`` or ``duration``, but its grid times are the shared ``[0.0]``
+    array.
     """
     value = float(value)
     if not math.isfinite(value):
         raise DataLoaderError("profile values must be finite")
+    if not math.isfinite(duration):
+        raise DataLoaderError("profile times must be finite")
     return _grid_profile(
         _ZERO_GRID,
         _frozen_view(np.array([value])),

@@ -55,7 +55,8 @@ def parse_duration(value: DurationLike, *, default: int | None = None) -> int:
     Accepted forms:
 
     * ``None`` — returns ``default`` (which must then be provided),
-    * plain numbers (``61000``, ``61000.0``) — interpreted as seconds,
+    * plain numbers (``61000``, ``61000.0``) — interpreted as seconds
+      (a bool is not a number here),
     * suffixed strings (``"15s"``, ``"1h"``, ``"7d"``, ``"35d"``, ``"2w"``),
     * Slurm-style clock strings (``"1:30:00"``, ``"2-12:00:00"``, ``"15:00"``).
 
@@ -80,6 +81,8 @@ def parse_duration(value: DurationLike, *, default: int | None = None) -> int:
         if default is None:
             raise ConfigurationError("duration is required but was None")
         return int(default)
+    if isinstance(value, bool):
+        raise ConfigurationError(f"duration must be a number or a string, got {value!r}")
     if isinstance(value, (int, float)):
         if not math.isfinite(value):
             raise ConfigurationError(f"duration must be finite, got {value!r}")

@@ -10,7 +10,11 @@ The *scan reference* lives here too: per-query evaluations of a profile
 running set (:func:`scan_sample`). No engine path calls them; they are the
 straightforward evaluation the engine's cached job power states and
 breakpoint heap must reproduce (:func:`run_checked`,
-``tests/test_power.py::TestJobPowerStates``).
+``tests/test_power.py::TestJobPowerStates``). So do the facility
+references: :class:`ReferenceCoolingPlant` steps every CDU and the tower
+loop on its own, and :func:`stage_efficiency` is the conversion stages'
+efficiency curve on numpy (``tests/test_cooling.py``,
+``tests/test_power.py``).
 """
 
 from __future__ import annotations
@@ -22,12 +26,15 @@ import numpy as np
 import pytest
 
 from repro.cluster import DOWN, FREE, ResourceManager
+from repro.config import CoolingConfig
+from repro.cooling.plant import _CDU_EFFECTIVENESS, WATER_CP, lag_fraction
 from repro.engine import PowerCapScheduler, SimulationEngine, SimulationResult
 from repro.engine.stats import StatsCollector
 from repro.power import SystemPowerModel, SystemPowerSample
 from repro.telemetry import Job, JobRun, JobState, Profile, constant_profile
 
 __all__ = [
+    "ReferenceCoolingPlant",
     "assert_energy_balance",
     "assert_node_conservation",
     "assert_power_matches_scan",
@@ -43,6 +50,7 @@ __all__ = [
     "recorded_power_at",
     "run_checked",
     "scan_sample",
+    "stage_efficiency",
     "summary_drifts",
     "utilization_at",
     "value_at",
@@ -256,6 +264,87 @@ def scan_sample(
         allocated_nodes=allocated_nodes,
         down_nodes=down_nodes,
     )
+
+
+# -- the facility references: cooling loops and conversion stages ---------------
+
+
+class ReferenceCoolingPlant:
+    """The cooling plant stepped loop by loop, one CDU at a time.
+
+    Every CDU keeps its own return temperature and passes its own share of
+    heat to the facility loop, summed CDU by CDU; then the tower loop
+    steps on that heat. :meth:`repro.cooling.CoolingPlant.step` holds one
+    return temperature for its identical CDUs and must reproduce this.
+    """
+
+    def __init__(self, config: CoolingConfig) -> None:
+        self.config = config
+        self.cdu_return_c = [config.supply_temperature_c] * config.cdu_count
+        self.tower_return_c = config.facility_supply_temperature_c
+        self.tower_supply_c = config.facility_supply_temperature_c
+
+    def step(
+        self, it_power_kw: float, loss_power_kw: float, dt_s: float
+    ) -> tuple[float, float]:
+        """Advance every loop by ``dt_s``; ``(cooling_power_kw, pue)``."""
+        config = self.config
+        it_power_kw = max(0.0, it_power_kw)
+        loss_power_kw = max(0.0, loss_power_kw)
+        total_heat_kw = it_power_kw + loss_power_kw
+        liquid_heat_kw = total_heat_kw * (1.0 - config.air_cooled_fraction)
+        air_heat_kw = total_heat_kw * config.air_cooled_fraction
+
+        cdu_flow_cp = config.secondary_flow_kg_per_s_per_cdu * WATER_CP
+        cdu_alpha = lag_fraction(dt_s, config.cdu_thermal_mass_j_per_k / cdu_flow_cp)
+        heat_to_facility_kw = 0.0
+        for index, return_c in enumerate(self.cdu_return_c):
+            heat_kw = max(0.0, liquid_heat_kw / len(self.cdu_return_c))
+            target_c = config.supply_temperature_c + (heat_kw * 1000.0) / cdu_flow_cp
+            self.cdu_return_c[index] = return_c + cdu_alpha * (target_c - return_c)
+            heat_to_facility_kw += _CDU_EFFECTIVENESS * heat_kw
+
+        crac_power_kw = air_heat_kw / config.crac_cop if air_heat_kw > 0 else 0.0
+        tower_heat_kw = max(0.0, heat_to_facility_kw + air_heat_kw + crac_power_kw)
+        tower_flow_cp = config.facility_flow_kg_per_s * WATER_CP
+        approach_c = (
+            config.tower_approach_c
+            + config.tower_range_coefficient * tower_heat_kw * 1000.0
+        )
+        supply_target_c = max(
+            config.facility_supply_temperature_c, config.ambient_wet_bulb_c + approach_c
+        )
+        return_target_c = supply_target_c + (tower_heat_kw * 1000.0) / tower_flow_cp
+        tower_alpha = lag_fraction(
+            dt_s, config.facility_thermal_mass_j_per_k / tower_flow_cp
+        )
+        self.tower_supply_c += tower_alpha * (supply_target_c - self.tower_supply_c)
+        self.tower_return_c += tower_alpha * (return_target_c - self.tower_return_c)
+
+        fan_power_kw = config.fan_power_fraction * tower_heat_kw
+        pump_power_kw = config.pump_power_fraction * total_heat_kw
+        cooling_power_kw = pump_power_kw + fan_power_kw + crac_power_kw
+        overhead_kw = loss_power_kw + cooling_power_kw
+        if it_power_kw > 0:
+            pue = (it_power_kw + overhead_kw) / it_power_kw
+        elif overhead_kw > 0:
+            pue = math.inf
+        else:
+            pue = 1.0
+        return cooling_power_kw, pue
+
+
+def stage_efficiency(
+    load_fraction: float | np.ndarray, idle_eff: float, peak_eff: float
+) -> float | np.ndarray:
+    """A conversion stage's efficiency curve on numpy, array-capable.
+
+    ``peak - (peak - idle) * exp(-8 * load)`` with the load clipped to
+    ``[0, 1.5]``: the reference for the scalar stages inside
+    :meth:`repro.power.ConversionLossModel.total_loss_kw`.
+    """
+    load = np.clip(load_fraction, 0.0, 1.5)
+    return peak_eff - (peak_eff - idle_eff) * np.exp(-8.0 * load)
 
 
 # -- run checks -------------------------------------------------------------------

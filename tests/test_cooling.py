@@ -1,4 +1,4 @@
-"""Tests for the lumped-parameter cooling plant (CDU, tower, PUE)."""
+"""Tests for the lumped-parameter cooling plant (CDU loops, tower loop, PUE)."""
 
 from __future__ import annotations
 
@@ -9,14 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CoolingConfig
-from repro.cooling import (
-    CDU,
-    CoolingPlant,
-    CoolingPlantState,
-    CoolingTower,
-    power_usage_effectiveness,
-)
+from repro.config import CoolingConfig, get_system_config
+from repro.cooling import CoolingPlant, CoolingPlantState, power_usage_effectiveness
+from repro.cooling.plant import WATER_CP
+
+from helpers import ReferenceCoolingPlant
 
 
 @pytest.fixture
@@ -30,86 +27,103 @@ def cooling_config():
     )
 
 
+def _settled(config: CoolingConfig, it_power_kw: float, steps: int = 2000) -> CoolingPlantState:
+    """The plant's state after ``steps`` 10 s steps at a constant IT power."""
+    plant = CoolingPlant(config)
+    for t in range(steps):
+        state = _step(plant, t * 10.0, it_power_kw, 0.0, 10.0)
+    return state
+
+
+def _cdu_target_c(config: CoolingConfig, per_cdu_heat_kw: float) -> float:
+    """Steady-state CDU return temperature for a constant heat per CDU."""
+    flow_cp = config.secondary_flow_kg_per_s_per_cdu * WATER_CP
+    return config.supply_temperature_c + per_cdu_heat_kw * 1000.0 / flow_cp
+
+
 class TestCDU:
+    """The CDU secondary loops, seen through the plant."""
+
     def test_initial_state(self, cooling_config):
-        cdu = CDU(cooling_config)
-        state = cdu.state
-        assert state.return_temperature_c == pytest.approx(cooling_config.supply_temperature_c)
-        assert state.heat_load_kw == 0.0
-        assert state.delta_t == pytest.approx(0.0)
+        # A zero-length step moves no loop: every temperature is its setpoint.
+        state = _step(CoolingPlant(cooling_config), 0.0, 0.0, 0.0, 0.0)
+        assert state.cdu_return_temperature_c == cooling_config.supply_temperature_c
+        assert state.tower_return_temperature_c == cooling_config.facility_supply_temperature_c
+        assert state.tower_supply_temperature_c == cooling_config.facility_supply_temperature_c
 
     def test_steady_state_return_scales_with_load(self, cooling_config):
-        cdu = CDU(cooling_config)
-        assert cdu.steady_state_return_c(400.0) > cdu.steady_state_return_c(100.0)
-        assert cdu.steady_state_return_c(0.0) == pytest.approx(cooling_config.supply_temperature_c)
+        count = cooling_config.cdu_count
+        high = _settled(cooling_config, 400.0 * count)
+        low = _settled(cooling_config, 100.0 * count)
+        assert high.cdu_return_temperature_c > low.cdu_return_temperature_c
+        idle = _settled(cooling_config, 0.0)
+        assert idle.cdu_return_temperature_c == pytest.approx(cooling_config.supply_temperature_c)
 
     def test_converges_to_steady_state(self, cooling_config):
-        cdu = CDU(cooling_config)
-        target = cdu.steady_state_return_c(300.0)
-        for _ in range(2000):
-            state = cdu.step(300.0, dt_s=10.0)
-        assert state.return_temperature_c == pytest.approx(target, abs=0.05)
+        state = _settled(cooling_config, 300.0 * cooling_config.cdu_count)
+        target = _cdu_target_c(cooling_config, 300.0)
+        assert state.cdu_return_temperature_c == pytest.approx(target, abs=0.05)
 
     def test_transient_lag(self, cooling_config):
         """One short step moves the temperature only part-way to steady state."""
-        cdu = CDU(cooling_config)
-        target = cdu.steady_state_return_c(300.0)
-        state = cdu.step(300.0, dt_s=5.0)
-        assert cooling_config.supply_temperature_c < state.return_temperature_c < target
+        plant = CoolingPlant(cooling_config)
+        state = _step(plant, 5.0, 300.0 * cooling_config.cdu_count, 0.0, 5.0)
+        target = _cdu_target_c(cooling_config, 300.0)
+        assert cooling_config.supply_temperature_c < state.cdu_return_temperature_c < target
 
     def test_negative_load_clamped(self, cooling_config):
-        cdu = CDU(cooling_config)
-        state = cdu.step(-50.0, dt_s=10.0)
-        assert state.heat_load_kw == 0.0
-
-    def test_reset(self, cooling_config):
-        cdu = CDU(cooling_config)
-        cdu.step(500.0, 1000.0)
-        cdu.reset()
-        assert cdu.state.return_temperature_c == pytest.approx(cooling_config.supply_temperature_c)
+        state = _step(CoolingPlant(cooling_config), 10.0, -50.0, 0.0, 10.0)
+        assert state.it_power_kw == 0.0
+        assert state.cooling_power_kw == 0.0
+        assert state.cdu_return_temperature_c == cooling_config.supply_temperature_c
 
     def test_heat_to_facility_scaled_by_effectiveness(self, cooling_config):
-        cdu = CDU(cooling_config, effectiveness=0.8)
-        cdu.step(200.0, 10.0)
-        assert cdu.heat_to_facility_kw() == pytest.approx(160.0)
+        # The CDUs pass 90 % of their heat to the facility loop, whose tower
+        # fans draw fan_power_fraction of it on top of the pumps.
+        state = _step(CoolingPlant(cooling_config), 10.0, 800.0, 0.0, 10.0)
+        pump_kw = cooling_config.pump_power_fraction * 800.0
+        fan_kw = cooling_config.fan_power_fraction * 0.9 * 800.0
+        assert state.cooling_power_kw == pytest.approx(pump_kw + fan_kw)
 
 
 class TestCoolingTower:
+    """The facility loop and its cooling towers, seen through the plant."""
+
     def test_return_above_supply_under_load(self, cooling_config):
-        tower = CoolingTower(cooling_config)
-        for _ in range(500):
-            state = tower.step(2000.0, dt_s=60.0)
-        assert state.return_temperature_c > state.supply_temperature_c
+        state = _settled(cooling_config, 2000.0, steps=500)
+        assert state.tower_return_temperature_c > state.tower_supply_temperature_c
 
     def test_return_temperature_increases_with_load(self, cooling_config):
-        low_tower = CoolingTower(cooling_config)
-        high_tower = CoolingTower(cooling_config)
-        for _ in range(500):
-            low = low_tower.step(500.0, dt_s=60.0)
-            high = high_tower.step(3000.0, dt_s=60.0)
-        assert high.return_temperature_c > low.return_temperature_c
+        low = _settled(cooling_config, 500.0, steps=500)
+        high = _settled(cooling_config, 3000.0, steps=500)
+        assert high.tower_return_temperature_c > low.tower_return_temperature_c
 
-    def test_fan_power_proportional_to_load(self, cooling_config):
-        tower = CoolingTower(cooling_config)
-        state = tower.step(1000.0, dt_s=60.0)
-        assert state.fan_power_kw == pytest.approx(cooling_config.fan_power_fraction * 1000.0)
+    def test_fan_power_proportional_to_load(self):
+        # Fully air-cooled: the towers reject the CRACs' heat plus their
+        # compressor power, and the fans draw fan_power_fraction of it.
+        config = CoolingConfig(cdu_count=0, air_cooled_fraction=1.0)
+        state = _step(CoolingPlant(config), 60.0, 1000.0, 0.0, 60.0)
+        crac_kw = 1000.0 / config.crac_cop
+        fan_kw = config.fan_power_fraction * (1000.0 + crac_kw)
+        pump_kw = config.pump_power_fraction * 1000.0
+        assert state.cooling_power_kw == pytest.approx(pump_kw + fan_kw + crac_kw)
 
     def test_supply_never_below_setpoint(self, cooling_config):
-        tower = CoolingTower(cooling_config)
-        for _ in range(200):
-            state = tower.step(0.0, dt_s=60.0)
-        assert state.supply_temperature_c >= cooling_config.facility_supply_temperature_c - 1e-6
+        state = _settled(cooling_config, 0.0, steps=200)
+        assert (
+            state.tower_supply_temperature_c
+            >= cooling_config.facility_supply_temperature_c - 1e-6
+        )
 
     def test_approach_grows_with_load(self, cooling_config):
-        tower = CoolingTower(cooling_config)
-        assert tower.approach_c(5000.0) > tower.approach_c(100.0)
-
-    def test_reset(self, cooling_config):
-        tower = CoolingTower(cooling_config)
-        tower.step(3000.0, 600.0)
-        tower.reset()
-        assert tower.state.return_temperature_c == pytest.approx(
-            cooling_config.facility_supply_temperature_c
+        # Above ~3.3 MW of facility heat, wet bulb + approach exceeds the
+        # supply setpoint, and the towers' supply temperature follows it.
+        low = _settled(cooling_config, 10000.0, steps=500)
+        high = _settled(cooling_config, 40000.0, steps=500)
+        assert (
+            high.tower_supply_temperature_c
+            > low.tower_supply_temperature_c
+            > cooling_config.facility_supply_temperature_c
         )
 
 
@@ -213,12 +227,6 @@ class TestCoolingPlant:
         assert p_hybrid.cooling_power_kw > p_liquid.cooling_power_kw
         assert p_hybrid.pue > p_liquid.pue
 
-    def test_reset(self, cooling_config):
-        plant = CoolingPlant(cooling_config)
-        plant.step(60.0, 10000.0, 200.0, 60.0)
-        plant.reset()
-        assert plant.last_state is None
-
     def test_last_state_tracked(self, cooling_config):
         plant = CoolingPlant(cooling_config)
         assert plant.last_state is None
@@ -231,9 +239,13 @@ class TestCoolingPlant:
             10.0,
         )
         assert (state.cooling_power_kw, state.pue) == (cooling_kw, pue)
-        assert state.cdu_return_temperature_c == plant.cdus[0].state.return_temperature_c
-        assert state.tower_return_temperature_c == plant.tower.state.return_temperature_c
-        assert state.tower_supply_temperature_c == plant.tower.state.supply_temperature_c
+        # The loops have started to warm under the load.
+        assert state.cdu_return_temperature_c > cooling_config.supply_temperature_c
+        assert (
+            state.tower_return_temperature_c
+            > state.tower_supply_temperature_c
+            == cooling_config.facility_supply_temperature_c
+        )
         # The state reflects the latest step only.
         plant.step(120.0, 3000.0, 40.0, 60.0)
         assert plant.last_state is not None
@@ -260,43 +272,13 @@ class TestPowerUsageEffectiveness:
         assert power_usage_effectiveness(0.0, 0.0) == 1.0
 
 
-def _object_plant_step(
-    config: CoolingConfig,
-    cdus: list[CDU],
-    tower: CoolingTower,
-    it_power_kw: float,
-    loss_power_kw: float,
-    dt_s: float,
-) -> tuple[float, float]:
-    """Reference: the plant step composed from the CDU/tower ``step`` objects."""
-    it_power_kw = max(0.0, it_power_kw)
-    loss_power_kw = max(0.0, loss_power_kw)
-    total_heat_kw = it_power_kw + loss_power_kw
-    liquid_heat_kw = total_heat_kw * (1.0 - config.air_cooled_fraction)
-    air_heat_kw = total_heat_kw * config.air_cooled_fraction
-    heat_to_facility_kw = 0.0
-    if cdus:
-        per_cdu_heat = liquid_heat_kw / len(cdus)
-        for cdu in cdus:
-            cdu.step(per_cdu_heat, dt_s)
-            heat_to_facility_kw += cdu.heat_to_facility_kw()
-    crac_power_kw = air_heat_kw / config.crac_cop if air_heat_kw > 0 else 0.0
-    facility_heat_kw = heat_to_facility_kw + air_heat_kw + crac_power_kw
-    tower_state = tower.step(facility_heat_kw, dt_s)
-    pump_power_kw = config.pump_power_fraction * total_heat_kw
-    cooling_power_kw = pump_power_kw + tower_state.fan_power_kw + crac_power_kw
-    overhead_kw = loss_power_kw + cooling_power_kw
-    if it_power_kw > 0:
-        pue = (it_power_kw + overhead_kw) / it_power_kw
-    elif overhead_kw > 0:
-        pue = float("inf")
-    else:
-        pue = 1.0
-    return cooling_power_kw, pue
-
-
 class TestScalarPlantMatchesObjectSteps:
-    """CoolingPlant.step equals stepping the CDU and tower objects, exactly."""
+    """CoolingPlant.step equals stepping every CDU and the tower on its own.
+
+    Exactly while the per-CDU sum of heat to the facility loop is exact
+    (up to four CDUs); within 1e-12 for Frontier's 25, where the plant's
+    ``cdu_count * heat`` and the reference's sum may round apart.
+    """
 
     @pytest.mark.parametrize(
         "config",
@@ -311,23 +293,33 @@ class TestScalarPlantMatchesObjectSteps:
                 cdu_thermal_mass_j_per_k=1.0e6,
                 facility_thermal_mass_j_per_k=1.0e7,
             ),
+            get_system_config("frontier").cooling,
         ],
-        ids=["liquid", "hybrid", "air_only", "small_loops"],
+        ids=["liquid", "hybrid", "air_only", "small_loops", "frontier_25"],
     )
     def test_random_power_and_dt_series(self, config):
+        def same(got: float, want: float) -> bool:
+            if config.cdu_count > 4:
+                return got == pytest.approx(want, rel=1e-12)
+            return got == want
+
         rng = random.Random(20261017)
         plant = CoolingPlant(config)
-        cdus = [CDU(config) for _ in range(config.cdu_count)]
-        tower = CoolingTower(config)
+        reference = ReferenceCoolingPlant(config)
         now = 0.0
         for _ in range(400):
             it_power_kw = rng.choice([0.0, rng.uniform(0.0, 30000.0), -5.0])
             loss_power_kw = rng.choice([0.0, rng.uniform(0.0, 900.0)])
             dt_s = rng.choice([15.0, 15.0 * rng.randint(2, 400), rng.uniform(0.1, 600.0)])
-            got = plant.step(now, it_power_kw, loss_power_kw, dt_s)
-            want = _object_plant_step(config, cdus, tower, it_power_kw, loss_power_kw, dt_s)
-            assert got == want
-            for plant_cdu, cdu in zip(plant.cdus, cdus):
-                assert plant_cdu.state == cdu.state
-            assert plant.tower.state == tower.state
+            cooling_kw, pue = plant.step(now, it_power_kw, loss_power_kw, dt_s)
+            want_cooling_kw, want_pue = reference.step(it_power_kw, loss_power_kw, dt_s)
+            assert same(cooling_kw, want_cooling_kw) and same(pue, want_pue)
+            state = plant.last_state
+            assert state is not None
+            assert all(
+                same(state.cdu_return_temperature_c, return_c)
+                for return_c in reference.cdu_return_c
+            )
+            assert same(state.tower_return_temperature_c, reference.tower_return_c)
+            assert same(state.tower_supply_temperature_c, reference.tower_supply_c)
             now += dt_s

@@ -24,7 +24,6 @@ from repro.power import (
     NodePowerModel,
     RunningSetPowerAggregator,
     SystemPowerModel,
-    system_idle_power_kw,
 )
 from repro.power.system_power import _SCALAR_MAX_POINTS, build_power_states
 from repro.telemetry import JobRun, Profile, constant_profile
@@ -36,6 +35,7 @@ from helpers import (
     next_power_change_after,
     queued_run,
     scan_sample,
+    stage_efficiency,
     utilization_at,
 )
 
@@ -46,10 +46,10 @@ class TestNodePowerModel:
         return NodePowerModel(tiny_system.partitions[0].node_power)
 
     def test_idle_power(self, model):
-        assert model.power(0.0, 0.0, 0.0) == pytest.approx(model.idle_power)
+        assert model.power(0.0, 0.0, 0.0) == pytest.approx(model.config.min_w)
 
     def test_max_power(self, model):
-        assert model.power(1.0, 1.0, 1.0) == pytest.approx(model.max_power)
+        assert model.power(1.0, 1.0, 1.0) == pytest.approx(model.config.max_w)
 
     def test_monotonic_in_cpu(self, model):
         assert model.power(0.8) > model.power(0.2)
@@ -58,7 +58,7 @@ class TestNodePowerModel:
         assert model.power(0.5, 0.9) > model.power(0.5, 0.1)
 
     def test_clipping(self, model):
-        assert model.power(2.0, 2.0, 2.0) == pytest.approx(model.max_power)
+        assert model.power(2.0, 2.0, 2.0) == pytest.approx(model.config.max_w)
         assert model.power(-1.0) == pytest.approx(model.power(0.0))
 
     @given(
@@ -70,7 +70,7 @@ class TestNodePowerModel:
     def test_power_bounded_property(self, cpu, gpu, mem):
         model = NodePowerModel(get_system_config("tiny").partitions[0].node_power)
         p = model.power(cpu, gpu, mem)
-        assert model.idle_power - 1e-9 <= p <= model.max_power + 1e-9
+        assert model.config.min_w - 1e-9 <= p <= model.config.max_w + 1e-9
 
     @given(
         config=st.sampled_from(
@@ -104,15 +104,14 @@ class TestNodePowerModel:
 
 class TestSystemIdlePower:
     def test_scales_with_node_count(self):
-        frontier = system_idle_power_kw(get_system_config("frontier"))
-        tiny = system_idle_power_kw(get_system_config("tiny"))
+        frontier = get_system_config("frontier").idle_system_power_kw
+        tiny = get_system_config("tiny").idle_system_power_kw
         assert frontier > 100 * tiny
 
-    def test_down_nodes_excluded(self):
-        system = get_system_config("tiny").with_overrides(down_node_fraction=0.5)
-        assert system_idle_power_kw(system) == pytest.approx(
-            0.5 * system_idle_power_kw(system, include_down=True)
-        )
+
+def _efficiency(model: ConversionLossModel, compute_kw: float) -> float:
+    """End-to-end electrical efficiency: compute over facility-side power."""
+    return compute_kw / (compute_kw + model.total_loss_kw(compute_kw))
 
 
 class TestConversionLossModel:
@@ -121,38 +120,31 @@ class TestConversionLossModel:
         return ConversionLossModel(PowerLossConfig(), peak_compute_power_kw=1000.0)
 
     def test_losses_positive(self, model):
-        breakdown = model.evaluate(500.0)
-        assert breakdown.sivoc_loss_kw > 0
-        assert breakdown.rectifier_loss_kw > 0
-        assert breakdown.switchgear_loss_kw > 0
-        assert breakdown.facility_power_kw > 500.0
+        assert model.total_loss_kw(500.0) > 0.0
 
     def test_zero_power(self, model):
-        breakdown = model.evaluate(0.0)
-        assert breakdown.total_loss_kw == pytest.approx(0.0)
-        assert breakdown.efficiency == pytest.approx(1.0)
+        assert model.total_loss_kw(0.0) == pytest.approx(0.0)
 
     def test_efficiency_improves_with_load(self, model):
-        low = model.evaluate(50.0).efficiency
-        high = model.evaluate(900.0).efficiency
-        assert high > low
+        assert _efficiency(model, 900.0) > _efficiency(model, 50.0)
 
     def test_efficiency_below_one(self, model):
-        assert model.evaluate(800.0).efficiency < 1.0
+        assert _efficiency(model, 800.0) < 1.0
 
     def test_loss_fraction_larger_at_low_load(self, model):
-        low = model.evaluate(50.0)
-        high = model.evaluate(900.0)
-        assert low.total_loss_kw / low.compute_power_kw > high.total_loss_kw / high.compute_power_kw
+        assert model.total_loss_kw(50.0) / 50.0 > model.total_loss_kw(900.0) / 900.0
 
     def test_stage_efficiency_curve_monotonic(self, model):
-        loads = np.linspace(0.01, 1.0, 50)
-        eff = model.rectifier_efficiency(loads)
-        assert np.all(np.diff(eff) > 0)
-        assert eff.max() <= PowerLossConfig().rectifier_efficiency_peak + 1e-9
+        # Both stages gain efficiency with load, so the chain does too, and
+        # it never beats both stages at their peaks.
+        config = model.config
+        efficiencies = [_efficiency(model, kw) for kw in np.linspace(10.0, 1000.0, 50)]
+        assert np.all(np.diff(efficiencies) > 0)
+        peak = config.sivoc_efficiency_peak * config.rectifier_efficiency_peak
+        assert max(efficiencies) <= peak + 1e-9
 
     def test_negative_power_clamped(self, model):
-        assert model.evaluate(-10.0).facility_power_kw == 0.0
+        assert model.total_loss_kw(-10.0) == 0.0
 
     def test_invalid_peak_power(self):
         with pytest.raises(ConfigurationError):
@@ -162,28 +154,33 @@ class TestConversionLossModel:
     @settings(max_examples=50, deadline=None)
     def test_facility_at_least_compute_property(self, power):
         model = ConversionLossModel(PowerLossConfig(), peak_compute_power_kw=1000.0)
-        breakdown = model.evaluate(power)
-        assert breakdown.facility_power_kw >= breakdown.compute_power_kw
+        assert model.total_loss_kw(power) >= 0.0
 
     @pytest.mark.parametrize("load", [-0.25, 0.0, 0.5, 1.0, 1.5, 3.0])
     def test_scalar_total_matches_numpy_curves(self, model, load):
         # Reference: the loss arithmetic on the array-capable numpy
-        # efficiency curves, as evaluate() computed it before the scalar
-        # form. Only the exponential differs (math.exp vs np.exp).
+        # efficiency curves. Only the exponential differs (math.exp vs
+        # np.exp).
+        config = model.config
         compute_kw = load * model.peak_compute_power_kw
         clamped = max(0.0, compute_kw)
         ratio = clamped / model.peak_compute_power_kw
-        sivoc_input = clamped / float(model.sivoc_efficiency(ratio))
-        rect_input = sivoc_input / float(model.rectifier_efficiency(ratio))
+        sivoc_eff = stage_efficiency(
+            ratio, config.sivoc_efficiency_idle, config.sivoc_efficiency_peak
+        )
+        rect_eff = stage_efficiency(
+            ratio, config.rectifier_efficiency_idle, config.rectifier_efficiency_peak
+        )
+        sivoc_input = clamped / float(sivoc_eff)
+        rect_input = sivoc_input / float(rect_eff)
         reference = (
             (sivoc_input - clamped)
             + (rect_input - sivoc_input)
-            + rect_input * model.config.switchgear_loss_fraction
+            + rect_input * config.switchgear_loss_fraction
         )
         got = model.total_loss_kw(compute_kw)
         assert isinstance(got, float)
         assert abs(got - reference) <= math.ulp(reference)
-        assert got == model.evaluate(compute_kw).total_loss_kw
 
 
 def _aggregated_sample(model, jobs, now, *, down_nodes=0):

@@ -254,7 +254,7 @@ class TestDismissalCoalescing:
 
         def incr(job):
             peak_w = model.job_peak_power_w(job)
-            idle_w = model.node_idle_power_w(job.partition) * job.nodes_required
+            idle_w = model.node_model(job.partition).config.min_w * job.nodes_required
             return max(0.0, (peak_w - idle_w) / 1000.0)
 
         light_load = incr(jobs[0]) + max(incr(jobs[1]), incr(jobs[3]))
@@ -262,7 +262,7 @@ class TestDismissalCoalescing:
         # The scenario needs the light jobs to co-run under a cap the
         # hungry job can never fit below.
         assert light_load < 0.9 * hungry
-        return model.idle_floor_kw() + 0.9 * hungry
+        return tiny_system.idle_system_power_kw + 0.9 * hungry
 
     def test_dismissal_unblocks_queue_without_coalescing_past_it(self, tiny_system):
         results = {}

@@ -138,9 +138,9 @@ def _random_signals(tiny_system, rng, *, capped):
     120.0, 420.0 and 1234.5 s). Cap levels are scaled from the tiny
     system's 8 kW idle floor so a good fraction of draws actually bind.
     """
-    from repro.power import OperatingSignals, SystemPowerModel
+    from repro.power import OperatingSignals
 
-    floor_kw = SystemPowerModel(tiny_system).idle_floor_kw()
+    floor_kw = tiny_system.idle_system_power_kw
     boundary_pool = [
         15.0 * rng.randint(1, 360),  # on the tick grid
         15.0 * rng.randint(1, 360),

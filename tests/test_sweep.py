@@ -23,6 +23,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import sqlite3
 from pathlib import Path
 
@@ -435,12 +437,30 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("dense_ticks", "no"), ("n_seeds", 1.5), ("root_seed", "abc")],
+        [
+            ("dense_ticks", "no"),
+            ("n_seeds", 1.5),
+            ("root_seed", "abc"),
+            # JSON true is not a number of seconds, kW or a rate.
+            ("duration_s", True),
+            ("horizon_s", True),
+            ("power_caps", [True]),
+            ("price_per_kwh", True),
+            ("carbon_kg_per_kwh", True),
+        ],
     )
     def test_mistyped_scalar_rejected(self, field: str, value: object) -> None:
         data = small_spec().to_json_dict()
         data[field] = value
         with pytest.raises(ConfigurationError, match=field):
+            SweepSpec.from_json_dict(data)
+
+    @pytest.mark.parametrize("alias", ["duration", "horizon"])
+    def test_boolean_duration_alias_rejected(self, alias: str) -> None:
+        data = small_spec().to_json_dict()
+        del data[f"{alias}_s"]
+        data[alias] = True
+        with pytest.raises(ConfigurationError, match="duration"):
             SweepSpec.from_json_dict(data)
 
     @given(payload=_SWEEP_PAYLOADS)
@@ -1165,6 +1185,63 @@ class TestDriverRegressions:
         assert outcome.failed == 0
         with ResultsStore(path) as store:
             assert store.count_by_status() == {"completed": 2}
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched run_request reaches pool workers only through fork",
+    )
+    @pytest.mark.parametrize("dies_before_submission_ends", [False, True])
+    def test_dead_worker_fails_its_chunk_and_resume_completes(
+        self,
+        tmp_path: Path,
+        monkeypatch: pytest.MonkeyPatch,
+        dies_before_submission_ends: bool,
+    ) -> None:
+        """A worker process that dies mid-run breaks the pool: every run of
+        a chunk that never reported is recorded failed, the sweep returns,
+        and a resume completes every run.
+
+        The worker may die while the driver is still submitting chunks;
+        the second case forces that by letting each chunk finish before
+        the next is submitted.
+        """
+        from concurrent.futures import ProcessPoolExecutor, wait
+
+        from repro.sweep import driver
+
+        spec = small_spec("dead")  # 4 runs
+        doomed_id = spec.materialize()[0].run_id
+        real_run_request = driver.run_request
+
+        def dying_run_request(request, obs=None):  # type: ignore[no-untyped-def]
+            if request.run_id == doomed_id:
+                os._exit(3)
+            return real_run_request(request, obs=obs)
+
+        class OneChunkAtATime(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):  # type: ignore[no-untyped-def]
+                future = super().submit(fn, *args, **kwargs)
+                wait([future], timeout=60)
+                return future
+
+        monkeypatch.setattr(driver, "run_request", dying_run_request)
+        if dies_before_submission_ends:
+            monkeypatch.setattr(driver, "ProcessPoolExecutor", OneChunkAtATime)
+        path = tmp_path / "dead.sqlite"
+        outcome = run_sweep(
+            spec, path, workers=2, chunk_size=1, heartbeat_interval_s=None
+        )
+        assert outcome.completed + outcome.failed == outcome.total == spec.total_runs
+        with ResultsStore(path) as store:
+            doomed = [row for row in store.runs() if row.run_id == doomed_id]
+        assert [row.status for row in doomed] == ["failed"]
+        assert "chunk task died before the run reported" in (doomed[0].error or "")
+
+        monkeypatch.undo()
+        resumed = run_sweep(spec, path, workers=2, heartbeat_interval_s=None)
+        assert (resumed.completed, resumed.failed) == (outcome.failed, 0)
+        with ResultsStore(path) as store:
+            assert store.count_by_status() == {"completed": spec.total_runs}
 
     def test_interrupt_salvages_and_resumes(
         self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch

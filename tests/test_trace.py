@@ -48,6 +48,13 @@ class TestProfileConstruction:
         with pytest.raises(DataLoaderError):
             Profile([0, 10], [1.0, float("nan")])
 
+    @pytest.mark.parametrize("time", [math.nan, math.inf])
+    def test_rejects_non_finite_times(self, time):
+        # NaN passes both the sign and the order check; inf would make an
+        # infinite duration.
+        with pytest.raises(DataLoaderError, match="finite"):
+            Profile([0.0, time], [1.0, 2.0])
+
     def test_arrays_read_only(self):
         p = Profile([0, 10], [1.0, 2.0])
         with pytest.raises(ValueError):
@@ -175,6 +182,11 @@ class TestIntegration:
         with pytest.raises(DataLoaderError):
             Profile([0], [1.0]).integral(-1.0)
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_integral_non_finite_duration_rejected(self, duration):
+        with pytest.raises(DataLoaderError, match="finite"):
+            Profile([0, 10], [1.0, 2.0]).integral(duration)
+
     @given(
         value=st.floats(min_value=0.0, max_value=1e4),
         duration=st.floats(min_value=0.1, max_value=1e5),
@@ -231,6 +243,12 @@ class TestConstantProfile:
     def test_non_finite_value_rejected(self, value, duration):
         with pytest.raises(DataLoaderError, match="finite"):
             constant_profile(value, duration)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        # NaN used to fall through to a zero duration, inf to an infinite one.
+        with pytest.raises(DataLoaderError, match="finite"):
+            constant_profile(0.5, duration)
 
     @pytest.mark.parametrize("value", [0.0, 0.3, 1234.5, -2.0])
     @pytest.mark.parametrize("duration", [0.0, 1.0, 3600.0])

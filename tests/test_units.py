@@ -67,7 +67,7 @@ class TestParseDuration:
         with pytest.raises(ConfigurationError):
             parse_duration(None)
 
-    @pytest.mark.parametrize("bad", ["", "abc", "5 parsecs", "-5h", -10])
+    @pytest.mark.parametrize("bad", ["", "abc", "5 parsecs", "-5h", -10, True, False])
     def test_invalid(self, bad):
         with pytest.raises(ConfigurationError):
             parse_duration(bad)
