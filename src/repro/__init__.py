@@ -7,12 +7,17 @@ coupling batch scheduling, per-job power modelling, electrical conversion
 losses and a transient cooling plant, plus power caps and electricity price
 and carbon signals for power-aware operation, and resumable scenario sweeps.
 
+Every front end — :func:`run_simulation`, :func:`run_request` for a
+serialisable :class:`RunRequest`, the ``repro-sim`` and ``repro-sweep``
+commands — builds one :class:`SimulationEngine` on the given jobs or on a
+synthetic workload, and reads the result through ``stats.summary()``.
+(``tests/test_engine.py`` runs the block below.)
+
 Quick start::
 
     from repro import run_simulation
 
-    result = run_simulation(system="tiny", policy="fcfs", backfill="easy",
-                            duration="6h", seed=1)
+    result = run_simulation(system="tiny", policy="backfill", duration="6h", seed=1)
     print(result.stats.summary())
 """
 

@@ -9,7 +9,9 @@ loaded from the built-in registry, or defined ad hoc in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Mapping
 
 from ..exceptions import ConfigurationError
@@ -48,8 +50,21 @@ class NodePowerConfig:
     gpus_per_node: int
 
     def __post_init__(self) -> None:
-        if self.idle_w < 0:
-            raise ConfigurationError("idle_w must be non-negative")
+        for name in (
+            "idle_w",
+            "cpu_idle_w",
+            "cpu_max_w",
+            "gpu_idle_w",
+            "gpu_max_w",
+            "mem_dynamic_w",
+        ):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value!r}")
+        for name in ("cpus_per_node", "gpus_per_node"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.cpu_max_w < self.cpu_idle_w:
             raise ConfigurationError("cpu_max_w must be >= cpu_idle_w")
         if self.gpu_max_w < self.gpu_idle_w:
@@ -133,9 +148,34 @@ class CoolingConfig:
     crac_cop: float = 3.5
 
     def __post_init__(self) -> None:
+        for name in (
+            "supply_temperature_c",
+            "facility_supply_temperature_c",
+            "ambient_wet_bulb_c",
+        ):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        for name in ("secondary_flow_kg_per_s_per_cdu", "facility_flow_kg_per_s", "crac_cop"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
+        for name in (
+            "cdu_thermal_mass_j_per_k",
+            "facility_thermal_mass_j_per_k",
+            "tower_approach_c",
+            "tower_range_coefficient",
+            "pump_power_fraction",
+            "fan_power_fraction",
+        ):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value!r}")
         # cdu_count == 0 is a valid fully air-cooled plant (all heat goes
         # through the CRAC/facility path) — but only with nothing routed to
         # the then-nonexistent liquid loop.
+        if isinstance(self.cdu_count, bool) or not isinstance(self.cdu_count, Integral):
+            raise ConfigurationError(f"cdu_count must be an integer, got {self.cdu_count!r}")
         if self.cdu_count < 0:
             raise ConfigurationError("cdu_count must be non-negative")
         # Exact comparison on purpose: 1.0 is a user-entered sentinel
@@ -147,12 +187,8 @@ class CoolingConfig:
             raise ConfigurationError(
                 "cdu_count == 0 (no liquid loop) requires air_cooled_fraction == 1.0"
             )
-        if self.secondary_flow_kg_per_s_per_cdu <= 0 or self.facility_flow_kg_per_s <= 0:
-            raise ConfigurationError("flow rates must be positive")
         if not 0.0 <= self.air_cooled_fraction <= 1.0:
             raise ConfigurationError("air_cooled_fraction must be in [0, 1]")
-        if self.crac_cop <= 0:
-            raise ConfigurationError("crac_cop must be positive")
 
 
 @dataclass(frozen=True)
@@ -164,6 +200,11 @@ class PartitionConfig:
     node_power: NodePowerConfig
 
     def __post_init__(self) -> None:
+        if isinstance(self.node_count, bool) or not isinstance(self.node_count, Integral):
+            raise ConfigurationError(
+                f"partition {self.name!r} node_count must be an integer, "
+                f"got {self.node_count!r}"
+            )
         if self.node_count <= 0:
             raise ConfigurationError(f"partition {self.name!r} must have nodes")
 
@@ -217,8 +258,10 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if not self.partitions:
             raise ConfigurationError("a system needs at least one partition")
-        if self.timestep_s <= 0 or self.trace_quantum_s <= 0:
-            raise ConfigurationError("timestep_s and trace_quantum_s must be positive")
+        for name in ("timestep_s", "trace_quantum_s"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
         if not 0.0 <= self.down_node_fraction < 1.0:
             raise ConfigurationError("down_node_fraction must be in [0, 1)")
         names = [p.name for p in self.partitions]

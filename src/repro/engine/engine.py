@@ -33,9 +33,9 @@ floating-point associativity. Pass
 tick when an exact per-tick time series is needed.
 
 :func:`run_simulation` is the one-call entry point used by the CLI, the
-tests and the quick-start example: it resolves the system
-configuration, synthesises (or accepts) a workload, picks a policy and runs
-the engine to completion.
+tests and the quick-start example: it resolves the system configuration,
+synthesises (or accepts) a workload and runs one engine to completion, the
+same build :func:`repro.sweep.run_request` makes from a request.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ from ..power import RunningSetPowerAggregator, SystemPowerModel
 from ..power.signals import OperatingSignals
 from ..telemetry.job import Job, JobRun, JobState
 from ..units import parse_duration as _parse_duration_s
-from ..workloads import SyntheticWorkloadGenerator, WorkloadSpec, default_workload_spec
-from .scheduler import BackfillScheduler, PowerCapScheduler, Scheduler, get_scheduler
+from ..workloads import SyntheticWorkloadGenerator, WorkloadSpec
+from .scheduler import PowerCapScheduler, Scheduler, get_scheduler
 from .stats import StatsCollector
 
 #: Engine phases the span tracer times (one span per phase per step).
@@ -68,7 +68,6 @@ __all__ = [
     "SimulationEngine",
     "SimulationResult",
     "check_seed",
-    "resolve_policy_name",
     "run_simulation",
     "parse_duration",
 ]
@@ -92,9 +91,9 @@ def check_seed(seed: object) -> int:
     """``seed`` as a non-negative int, or a :class:`ConfigurationError`.
 
     The one seed check: :class:`SimulationEngine` applies it, and so do
-    :class:`~repro.sweep.RunRequest` and the direct branch of
-    :func:`run_simulation`, which seed a workload before any engine exists.
-    Bools, floats and strings are rejected rather than truncated or parsed.
+    :func:`run_simulation` and :class:`~repro.sweep.RunRequest`, which seed
+    a workload before any engine exists. Bools, floats and strings are
+    rejected rather than truncated or parsed.
     """
     if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
@@ -118,14 +117,6 @@ class SimulationResult:
         """Shortcut for ``result.stats.summary()``."""
         return self.stats.summary()
 
-    @property
-    def completed_jobs(self) -> list[JobRun]:
-        return [run for run in self.jobs if run.state is JobState.COMPLETED]
-
-    @property
-    def dismissed_jobs(self) -> list[JobRun]:
-        return [run for run in self.jobs if run.state is JobState.DISMISSED]
-
 
 class SimulationEngine:
     """Discrete-time engine coupling scheduling, power and cooling.
@@ -139,8 +130,8 @@ class SimulationEngine:
         builds one :class:`JobRun` per job for its run state, so the same
         list can drive several runs. Job ids must be unique.
     scheduler:
-        Policy instance or registry name; defaults to the system's
-        ``default_policy``.
+        Policy instance or registry name (:func:`get_scheduler`); ``None``
+        means the system's ``default_policy``.
     seed:
         Seed forwarded to the resource manager's down-node draw; an
         integer >= 0 (:func:`check_seed`).
@@ -151,9 +142,13 @@ class SimulationEngine:
         boundary), so no runtime or energy past the horizon is credited.
     dense_ticks:
         Force one statistics sample per ``timestep_s`` grid tick instead of
-        coalescing event-free intervals. Summary metrics are identical
-        either way; dense mode exists for consumers of the exact per-tick
-        time series.
+        coalescing event-free intervals (a bool). Summary metrics are
+        identical either way; dense mode exists for consumers of the exact
+        per-tick time series.
+    signals:
+        Optional :class:`~repro.power.signals.OperatingSignals` (power cap,
+        electricity price, carbon intensity). A finite cap wraps the policy
+        in a :class:`~repro.engine.scheduler.PowerCapScheduler`.
     obs:
         Optional :class:`~repro.obs.Observability` bundle — phase-span
         tracer, metrics registry, structured event log and/or progress
@@ -176,12 +171,26 @@ class SimulationEngine:
         obs: Observability | None = None,
     ) -> None:
         seed = check_seed(seed)
+        # Checked here, where every front end passes: a truthy non-bool such
+        # as "no" would run dense, and a signals dict would fail mid-setup.
+        if not isinstance(dense_ticks, bool):
+            raise ConfigurationError(
+                f"dense_ticks must be true or false, got {dense_ticks!r}"
+            )
+        if signals is not None and not isinstance(signals, OperatingSignals):
+            raise ConfigurationError(
+                "signals must be OperatingSignals or None, got "
+                f"{type(signals).__name__} (build it with "
+                "OperatingSignals.from_json_dict)"
+            )
         self.system = system
         self.signals = signals
         if isinstance(scheduler, Scheduler):
             self.scheduler = scheduler
         else:
-            self.scheduler = get_scheduler(scheduler or system.default_policy)
+            self.scheduler = get_scheduler(
+                system.default_policy if scheduler is None else scheduler
+            )
         if (
             signals is not None
             and signals.has_cap
@@ -739,39 +748,10 @@ class SimulationEngine:
             ).inc(self._events.events_emitted)
 
 
-def resolve_policy_name(
-    policy: str | Scheduler, backfill: str | None
-) -> str | Scheduler:
-    """Apply the ``backfill=`` convenience switch to a policy selection.
-
-    ``"easy"`` (and friends) upgrades an ``fcfs``/``backfill`` name to EASY
-    backfill; anything else is rejected. Shared by :func:`run_simulation`
-    and :func:`repro.sweep.run_request` so the shim and the serialisable
-    path can never drift in what they accept.
-    """
-    if backfill is None:
-        return policy
-    if str(backfill).lower() not in ("easy", "on", "true", "1"):
-        raise SchedulingError(f"unknown backfill mode {backfill!r}; use 'easy'")
-    if isinstance(policy, Scheduler):
-        if not isinstance(policy, BackfillScheduler):
-            raise SchedulingError(
-                f"backfill={backfill!r} is incompatible with the "
-                f"{policy.name!r} scheduler instance"
-            )
-        return policy
-    if policy in ("fcfs", "backfill"):
-        return "backfill"
-    raise SchedulingError(
-        f"backfill={backfill!r} is incompatible with policy {policy!r}"
-    )
-
-
 def run_simulation(
     system: SystemConfig | str = "tiny",
     *,
     policy: str | Scheduler | None = None,
-    backfill: str | None = None,
     duration: str | float = "24h",
     seed: int = 0,
     workload: list[Job] | None = None,
@@ -783,15 +763,12 @@ def run_simulation(
 ) -> SimulationResult:
     """Run one end-to-end simulation and return its result.
 
-    Back-compat shim: a call whose arguments are fully serialisable —
-    ``system`` given as a registry name, ``policy`` as a name (or absent)
-    and no explicit ``workload`` list — is packed into a
-    :class:`~repro.sweep.RunRequest` and executed through
-    :func:`~repro.sweep.run_request`, the single path sweep workers and
-    the CLI also use. Calls holding live objects (an ad-hoc
-    :class:`SystemConfig`, a :class:`Scheduler` instance, a job list) keep
-    the historical direct path below — they cannot cross a process
-    boundary.
+    Builds the run the way :func:`~repro.sweep.run_request` does —
+    ``SyntheticWorkloadGenerator(config, spec, seed).generate(duration)``
+    unless a ``workload`` is given, then one :class:`SimulationEngine` — and
+    accepts live objects (a :class:`SystemConfig`, a :class:`Scheduler`
+    instance, a job list) besides names. The engine checks every argument,
+    so a bad one fails the same way whichever front end passed it.
 
     Parameters
     ----------
@@ -799,11 +776,9 @@ def run_simulation(
         Registered system name (``"tiny"``, ``"frontier"``, ...) or a
         :class:`SystemConfig`.
     policy:
-        Scheduling policy name (``replay`` / ``fcfs`` / ``backfill``) or a
-        :class:`Scheduler` instance; defaults to the system's default.
-    backfill:
-        Convenience switch: ``"easy"`` upgrades an ``fcfs`` (or default)
-        policy to EASY backfill.
+        Scheduling policy name (``replay`` / ``fcfs`` / ``backfill``, or
+        ``easy`` for ``backfill``) or a :class:`Scheduler` instance;
+        defaults to the system's default.
     duration:
         Length of the synthesised workload window (``"6h"``, ``"24h"``,
         seconds). Ignored when ``workload`` is given.
@@ -813,7 +788,8 @@ def run_simulation(
         Explicit job list (e.g. from :func:`repro.telemetry.read_swf`);
         bypasses the synthetic generator.
     spec:
-        Workload specification for the synthetic generator.
+        Workload specification for the synthetic generator; ``None`` means
+        :func:`~repro.workloads.default_workload_spec` of the system.
     horizon:
         Optional hard stop for the engine (same formats as ``duration``).
     dense_ticks:
@@ -829,46 +805,18 @@ def run_simulation(
         metrics, event log, progress reporter); ``None`` (the default)
         runs fully uninstrumented.
     """
-    if (
-        workload is None
-        and isinstance(system, str)
-        and (policy is None or isinstance(policy, str))
-    ):
-        # Serialisable call: route through the one RunRequest execution
-        # path. Imported lazily — repro.sweep imports this module, so a
-        # top-level import here would be a cycle.
-        from ..sweep.request import RunRequest, run_request
-
-        return run_request(
-            RunRequest(
-                system=system,
-                policy=policy,
-                backfill=backfill,
-                duration_s=parse_duration(duration),
-                seed=seed,
-                spec=spec,
-                horizon_s=parse_duration(horizon) if horizon is not None else None,
-                dense_ticks=dense_ticks,
-                signals=signals,
-            ),
-            obs=obs,
-        )
     seed = check_seed(seed)
+    horizon_s = parse_duration(horizon) if horizon is not None else None
     config = system if isinstance(system, SystemConfig) else get_system_config(system)
     if workload is None:
-        if spec is None:
-            spec = default_workload_spec(config)
         generator = SyntheticWorkloadGenerator(config, spec, seed=seed)
         workload = generator.generate(parse_duration(duration))
-    policy_name = resolve_policy_name(
-        policy if policy is not None else config.default_policy, backfill
-    )
     engine = SimulationEngine(
         config,
         workload,
-        policy_name,
+        policy,
         seed=seed,
-        horizon_s=parse_duration(horizon) if horizon is not None else None,
+        horizon_s=horizon_s,
         dense_ticks=dense_ticks,
         signals=signals,
         obs=obs,

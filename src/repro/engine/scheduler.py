@@ -915,7 +915,13 @@ def available_policies() -> tuple[str, ...]:
 
 
 def get_scheduler(name: str) -> Scheduler:
-    """Instantiate a scheduling policy by (case-insensitive) name."""
+    """Instantiate a scheduling policy by (case-insensitive) name.
+
+    ``"easy"`` is an alias of ``"backfill"``; anything but a known name is
+    a :class:`SchedulingError`.
+    """
+    if not isinstance(name, str):
+        raise SchedulingError(f"scheduling policy must be a name, got {name!r}")
     key = name.lower()
     if key == "easy":  # common alias for EASY backfill
         key = "backfill"

@@ -23,15 +23,16 @@ Storage is *columnar*: one preallocated, amortised-doubling array per
 :class:`TickSample` field, written row by row — a dense frontier-scale run
 holds a handful of numpy arrays instead of millions of Python sample
 objects (13 float64/int64 columns ≈ 100 bytes/tick vs. ~1 kB/tick for a
-boxed dataclass). The public API is unchanged: :attr:`StatsCollector.ticks`
-is a lazy sequence view that materialises a :class:`TickSample` per access,
-and every summary metric is maintained incrementally in
-:meth:`~StatsCollector.record_tick` / :meth:`~StatsCollector.record_job`,
-so ``summary()`` is O(1) rather than a rescan of all ticks and jobs.
+boxed dataclass). :attr:`StatsCollector.ticks` is a lazy sequence view that
+materialises a :class:`TickSample` per access, and every summary metric is
+maintained incrementally in :meth:`~StatsCollector.record_tick` /
+:meth:`~StatsCollector.record_job`, so :meth:`~StatsCollector.summary` —
+the one place the metrics are read — is O(1) rather than a rescan of all
+ticks and jobs.
 
 PUE at zero IT power is reported as ``float("inf")`` (overhead power with
 nothing to attribute it to), never as the flattering 1.0 floor; such ticks
-are excluded from :attr:`StatsCollector.max_pue`.
+are excluded from the summary's ``max_pue``.
 """
 
 from __future__ import annotations
@@ -318,16 +319,6 @@ class StatsCollector:
     # -- derived metrics -------------------------------------------------------
 
     @property
-    def total_energy_kwh(self) -> float:
-        """Facility energy over the run (IT + losses + cooling), kWh."""
-        return self._energy_kwh
-
-    @property
-    def it_energy_kwh(self) -> float:
-        """IT (compute) energy over the run, kWh."""
-        return self._it_energy_kwh
-
-    @property
     def elapsed_s(self) -> float:
         """Simulated span covered by the recorded samples (``Σ dt_s``).
 
@@ -336,125 +327,54 @@ class StatsCollector:
         """
         return self._time_weight_s
 
-    @property
-    def mean_pue(self) -> float:
-        """Energy-weighted mean PUE (total facility energy / IT energy).
-
-        ``inf`` when overhead energy was drawn with zero IT energy (the
-        degenerate all-idle case); 1.0 only for a truly empty record.
-        """
-        if self._it_energy_kwh <= 0:
-            return float("inf") if self._energy_kwh > 0 else 1.0
-        return self._energy_kwh / self._it_energy_kwh
-
-    @property
-    def max_pue(self) -> float:
-        """Worst finite per-sample PUE over ticks that drew IT power.
-
-        Zero-IT ticks report PUE = inf by convention (see module docstring)
-        and are excluded here rather than letting the sentinel swamp the
-        maximum of the meaningful samples. Maintained incrementally in
-        :meth:`record_tick` — O(1), no rescan of the tick columns.
-        """
-        return self._max_pue
-
-    @property
-    def mean_utilization(self) -> float:
-        """Time-weighted mean node utilization."""
-        if self._time_weight_s <= 0:
-            return 0.0
-        return self._utilization_weight / self._time_weight_s
-
-    @property
-    def mean_cpu_util(self) -> float:
-        """Time-weighted mean CPU utilization across allocated nodes.
-
-        dt-weighted like :attr:`mean_utilization`; a plain average over the
-        per-tick ``mean_cpu_util`` column would be step-weighted and drift
-        between dense and coalesced runs.
-        """
-        if self._time_weight_s <= 0:
-            return 0.0
-        return self._cpu_util_weight / self._time_weight_s
-
-    @property
-    def mean_gpu_util(self) -> float:
-        """Time-weighted mean GPU utilization across allocated nodes."""
-        if self._time_weight_s <= 0:
-            return 0.0
-        return self._gpu_util_weight / self._time_weight_s
-
-    @property
-    def energy_cost(self) -> float:
-        """Electricity cost of the facility energy (``Σ kWh · price``)."""
-        return self._energy_cost
-
-    @property
-    def carbon_kg(self) -> float:
-        """Carbon emitted by the facility energy (``Σ kWh · kg/kWh``)."""
-        return self._carbon_kg
-
-    @property
-    def cap_violation_kwh(self) -> float:
-        """IT energy drawn above the active power cap (0 when capped runs
-        are enforced by the :class:`~repro.engine.PowerCapScheduler`)."""
-        return self._cap_violation_kwh
-
-    @property
-    def capped_hold_s(self) -> float:
-        """Job-seconds of cap-induced queue holding (``Σ held_jobs · dt``)."""
-        return self._capped_hold_s
-
-    @property
-    def node_h(self) -> float:
-        """Node-hours delivered to completed jobs (maintained incrementally)."""
-        return self._node_h
-
-    @property
-    def mean_wait_s(self) -> float:
-        """Mean queue wait of completed jobs, seconds."""
-        if self._wait_count == 0:
-            return 0.0
-        return self._wait_sum_s / self._wait_count
-
-    @property
-    def max_wait_s(self) -> float:
-        return self._max_wait_s
-
-    @property
-    def makespan_s(self) -> float:
-        """Span from first simulated start to last simulated end."""
-        if self._first_sim_start is None or self._last_sim_end is None:
-            return 0.0
-        return self._last_sim_end - self._first_sim_start
-
     def summary(self) -> dict[str, float]:
         """Summary metrics of the run (the numbers ``repro-sim`` prints).
 
-        Every entry is an incrementally maintained scalar, so the call is
-        O(1) regardless of how many ticks and jobs were recorded.
+        Every entry is read off an incrementally maintained accumulator, so
+        the call is O(1) regardless of how many ticks and jobs were recorded:
+
+        * the energies are facility (IT + losses + cooling), IT and cooling
+          energy in kWh; ``mean_pue`` is their energy-weighted ratio —
+          ``inf`` when overhead was drawn with zero IT energy, 1.0 only for
+          an empty record;
+        * ``max_pue`` is the worst finite PUE over ticks that drew IT power
+          (see the module docstring);
+        * utilization means are dt-weighted, so dense and coalesced runs
+          agree; node-hours, waits and the makespan cover completed jobs;
+        * ``energy_cost`` (``Σ kWh · price``) and ``carbon_kg``
+          (``Σ kWh · kg/kWh``) weight facility energy by the operating
+          signals; ``cap_violation_kwh`` is IT energy above the active cap
+          and ``capped_hold_s`` the job-seconds of cap-induced holding.
         """
+        time_s = self._time_weight_s
+        if self._it_energy_kwh <= 0:
+            mean_pue = float("inf") if self._energy_kwh > 0 else 1.0
+        else:
+            mean_pue = self._energy_kwh / self._it_energy_kwh
+        first, last = self._first_sim_start, self._last_sim_end
         return {
-            "total_energy_kwh": self.total_energy_kwh,
-            "it_energy_kwh": self.it_energy_kwh,
+            "total_energy_kwh": self._energy_kwh,
+            "it_energy_kwh": self._it_energy_kwh,
             "cooling_energy_kwh": self._cooling_energy_kwh,
-            "mean_pue": self.mean_pue,
-            "max_pue": self.max_pue,
-            "mean_utilization": self.mean_utilization,
-            "node_hours": self.node_h,
-            "mean_wait_s": self.mean_wait_s,
-            "max_wait_s": self.max_wait_s,
-            "makespan_s": self.makespan_s,
+            "mean_pue": mean_pue,
+            "max_pue": self._max_pue,
+            "mean_utilization": 0.0 if time_s <= 0 else self._utilization_weight / time_s,
+            "node_hours": self._node_h,
+            "mean_wait_s": (
+                self._wait_sum_s / self._wait_count if self._wait_count else 0.0
+            ),
+            "max_wait_s": self._max_wait_s,
+            "makespan_s": 0.0 if first is None or last is None else last - first,
             "jobs_completed": float(len(self.completed_jobs)),
             "jobs_dismissed": float(len(self.dismissed_jobs)),
             "ticks": float(self._tick_count),
-            "simulated_s": self.elapsed_s,
-            "mean_cpu_util": self.mean_cpu_util,
-            "mean_gpu_util": self.mean_gpu_util,
-            "energy_cost": self.energy_cost,
-            "carbon_kg": self.carbon_kg,
-            "cap_violation_kwh": self.cap_violation_kwh,
-            "capped_hold_s": self.capped_hold_s,
+            "simulated_s": time_s,
+            "mean_cpu_util": 0.0 if time_s <= 0 else self._cpu_util_weight / time_s,
+            "mean_gpu_util": 0.0 if time_s <= 0 else self._gpu_util_weight / time_s,
+            "energy_cost": self._energy_cost,
+            "carbon_kg": self._carbon_kg,
+            "cap_violation_kwh": self._cap_violation_kwh,
+            "capped_hold_s": self._capped_hold_s,
         }
 
     def column(self, name: str) -> np.ndarray:

@@ -7,8 +7,8 @@ overnight":
 
 * :mod:`repro.sweep.request` — :class:`RunRequest`, the serialisable
   description of one engine run (JSON round-trip, content-hash
-  :attr:`~RunRequest.run_id`), and :func:`run_request`, the single
-  execution path shared by ``run_simulation``, the CLIs and pool workers.
+  :attr:`~RunRequest.run_id`), and :func:`run_request`, which pool workers
+  call and which builds a run exactly as ``run_simulation`` does.
 * :mod:`repro.sweep.spec` — :class:`SweepSpec` axis grids materialised
   into :class:`SweepRun` lists with order-independent spawned seeds.
 * :mod:`repro.sweep.driver` — :func:`run_sweep`, the resumable

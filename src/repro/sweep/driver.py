@@ -94,9 +94,6 @@ class _RunPayload:
     """What the parent ships to a worker for one run (picklable)."""
 
     run_id: str
-    sweep: str
-    run_index: int
-    workload: str
     request: dict[str, object]
     progress_interval_s: float | None
 
@@ -379,9 +376,6 @@ def run_sweep(
         tasks = [
             _RunPayload(
                 run_id=run.run_id,
-                sweep=run.sweep,
-                run_index=run.run_index,
-                workload=run.workload,
                 request=run.request.to_json_dict(),
                 progress_interval_s=progress_interval_s,
             )

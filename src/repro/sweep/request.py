@@ -14,11 +14,14 @@ the same request always maps to the same id — across processes, sessions and
 machines — which is what makes sweep resume idempotent: a results store row
 keyed by ``run_id`` either exists (skip) or does not (run).
 
-:func:`repro.engine.run_simulation` is a thin back-compat shim over
-:func:`run_request`: serialisable calls are routed through a request, while
-explicit ``workload=`` lists, ad-hoc :class:`~repro.config.SystemConfig`
-instances and :class:`~repro.engine.Scheduler` instances keep the historical
-direct path (those cannot cross a process boundary).
+:func:`run_request` builds a run exactly as
+:func:`repro.engine.run_simulation` does — the synthetic generator on the
+request's spec, then one :class:`~repro.engine.SimulationEngine` — so a
+stored sweep summary equals the in-process call with the same arguments
+(``tests/test_sweep.py::TestShimEquivalence`` holds them equal). Only
+``run_simulation`` takes live objects (an ad-hoc
+:class:`~repro.config.SystemConfig`, a :class:`~repro.engine.Scheduler`
+instance, a job list), which cannot cross a process boundary.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from numbers import Integral, Real
 from typing import Any, Mapping
 
 from ..config import get_system_config
-from ..engine.engine import SimulationEngine, SimulationResult, check_seed, resolve_policy_name
+from ..engine.engine import SimulationEngine, SimulationResult, check_seed
 from ..exceptions import ConfigurationError, SimulationError
 from ..obs import Observability
 from ..power.signals import OperatingSignals
@@ -44,7 +47,6 @@ from ..workloads import (
     UserPopulation,
     WaveArrivals,
     WorkloadSpec,
-    default_workload_spec,
 )
 
 __all__ = [
@@ -71,10 +73,15 @@ _SPEC_TUPLE_FIELDS = (
 )
 
 
-#: Keys a request dict may carry for engine flags that no longer exist. The
-#: run id hashes the dict, so every request still writes them as ``true``;
-#: ``false`` would name a run this engine cannot reproduce.
-_RETIRED_FLAGS = ("event_index", "vectorized")
+#: Request keys that no longer select anything: key -> (the one value every
+#: request still writes for it, what to use instead). The run id hashes the
+#: dict, so dropping a key would move every stored id; any other value names
+#: a run this engine cannot reproduce.
+_RETIRED_KEYS: dict[str, tuple[object, str]] = {
+    "backfill": (None, "select EASY backfill with policy 'backfill'"),
+    "event_index": (True, "the engine has no event_index=false path any more"),
+    "vectorized": (True, "the engine has no vectorized=false path any more"),
+}
 
 
 def _json_object(data: object, label: str) -> Mapping[str, object]:
@@ -219,9 +226,9 @@ class RunRequest:
         cross a process boundary (register it on both sides instead).
     policy:
         Scheduling policy name, or ``None`` for the system's default.
-    backfill:
-        The ``run_simulation`` convenience switch (``"easy"`` upgrades an
-        FCFS/default policy to EASY backfill), validated identically.
+        Spellings are not canonicalised: ``None`` and the default's name,
+        or ``"easy"`` and ``"backfill"``, run the same simulation under two
+        run ids.
     duration_s:
         Synthetic workload window in seconds.
     seed:
@@ -243,7 +250,6 @@ class RunRequest:
 
     system: str = "tiny"
     policy: str | None = None
-    backfill: str | None = None
     duration_s: float = 86400.0
     seed: int = 0
     spec: WorkloadSpec | None = None
@@ -263,12 +269,10 @@ class RunRequest:
         # equal requests built from "1h" (int) and 3600.0 (float) would
         # otherwise hash apart. frozen=True requires the direct setattr.
         object.__setattr__(self, "duration_s", _duration_s(self.duration_s, "duration_s"))
-        for name in ("policy", "backfill"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ConfigurationError(
-                    f"RunRequest.{name} must be a name or null, got {value!r}"
-                )
+        if self.policy is not None and not isinstance(self.policy, str):
+            raise ConfigurationError(
+                f"RunRequest.policy must be a name or null, got {self.policy!r}"
+            )
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.horizon_s is not None:
             object.__setattr__(self, "horizon_s", _duration_s(self.horizon_s, "horizon_s"))
@@ -284,13 +288,12 @@ class RunRequest:
         payload: dict[str, object] = {
             "system": self.system,
             "policy": self.policy,
-            "backfill": self.backfill,
             "duration_s": self.duration_s,
             "seed": self.seed,
             "spec": None if self.spec is None else workload_spec_to_dict(self.spec),
             "horizon_s": self.horizon_s,
             "dense_ticks": self.dense_ticks,
-            **dict.fromkeys(_RETIRED_FLAGS, True),
+            **{key: value for key, (value, _) in _RETIRED_KEYS.items()},
         }
         # Serialised by omission when absent: the run id hashes this dict,
         # and a "signals": null key would re-hash every historical request.
@@ -303,18 +306,17 @@ class RunRequest:
         """Rebuild a request from :meth:`to_json_dict` output."""
         data = _json_object(data, "RunRequest")
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known - set(_RETIRED_FLAGS))
+        unknown = sorted(set(data) - known - set(_RETIRED_KEYS))
         if unknown:
             raise ConfigurationError(
                 f"unknown RunRequest field(s) {', '.join(unknown)}; known: "
                 + ", ".join(sorted(known))
             )
         kwargs: dict[str, Any] = dict(data)
-        for flag in _RETIRED_FLAGS:
-            if kwargs.pop(flag, True) is not True:
+        for key, (value, instead) in _RETIRED_KEYS.items():
+            if kwargs.pop(key, value) is not value:
                 raise ConfigurationError(
-                    f"RunRequest.{flag} must be true: the engine has no "
-                    f"{flag}=false path any more"
+                    f"RunRequest.{key} must be {json.dumps(value)}: {instead}"
                 )
         spec_data = kwargs.get("spec")
         if spec_data is not None:
@@ -357,24 +359,19 @@ def run_request(
 ) -> SimulationResult:
     """Execute one :class:`RunRequest` and return its result.
 
-    This is the single execution path every front end funnels into:
-    :func:`repro.engine.run_simulation` (back-compat shim), the ``repro-sim``
-    CLI and the sweep driver's pool workers all end up here, so a stored
-    sweep summary and a direct in-process run of the same request are the
-    same computation.
+    The build is :func:`repro.engine.run_simulation`'s: the synthetic
+    generator on the request's spec (``None`` is the system's default
+    spec), then one :class:`~repro.engine.SimulationEngine`, which checks
+    every argument. The sweep driver's workers run every request here, so a
+    stored sweep summary and an in-process run of the same arguments are
+    the same computation.
     """
     config = get_system_config(request.system)
-    policy = resolve_policy_name(
-        request.policy if request.policy is not None else config.default_policy,
-        request.backfill,
-    )
-    spec = request.spec if request.spec is not None else default_workload_spec(config)
-    generator = SyntheticWorkloadGenerator(config, spec, seed=request.seed)
-    workload = generator.generate(request.duration_s)
+    generator = SyntheticWorkloadGenerator(config, request.spec, seed=request.seed)
     engine = SimulationEngine(
         config,
-        workload,
-        policy,
+        generator.generate(request.duration_s),
+        request.policy,
         seed=request.seed,
         horizon_s=request.horizon_s,
         dense_ticks=request.dense_ticks,

@@ -104,7 +104,10 @@ class SweepSpec:
     systems / policies / workloads:
         Axis values. ``None`` in ``policies`` means each system's default
         policy; workload names resolve through :data:`WORKLOAD_VARIANTS`
-        and ``custom_workloads``.
+        and ``custom_workloads``. Two spellings of one policy (``None`` and
+        the default's name, ``"easy"`` and ``"backfill"``) are two run ids
+        for the same simulation; a repeated axis value or seed is one run id
+        twice, which :meth:`materialize` rejects.
     n_seeds:
         Monte Carlo mode: this many independent seeds per grid point,
         spawned from ``root_seed`` by run index. Mutually exclusive with
@@ -320,8 +323,8 @@ class SweepSpec:
                 raise ConfigurationError(
                     f"sweep {self.name!r} materialises duplicate run id "
                     f"{run.run_id} (run {clash.run_index} and {run.run_index} "
-                    "describe the identical simulation); remove the redundant "
-                    "axis value (e.g. both None and the default policy name)"
+                    "are the same request); remove the repeated axis value or "
+                    "seed (e.g. policies ['fcfs', 'fcfs'] or seeds [1, 1])"
                 )
             seen[run.run_id] = run
         return runs

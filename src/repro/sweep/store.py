@@ -29,46 +29,15 @@ from pathlib import Path
 from types import TracebackType
 from typing import Mapping
 
-from ..engine.stats import json_safe
+from ..engine.stats import StatsCollector, json_safe
 from ..exceptions import ConfigurationError
 
 __all__ = ["ResultsStore", "StoredRun", "SUMMARY_COLUMNS"]
 
-#: Summary metrics flattened into dedicated REAL columns, in schema order.
-#: Must stay in sync with :meth:`repro.engine.stats.StatsCollector.summary`.
-SUMMARY_COLUMNS: tuple[str, ...] = (
-    "total_energy_kwh",
-    "it_energy_kwh",
-    "cooling_energy_kwh",
-    "mean_pue",
-    "max_pue",
-    "mean_utilization",
-    "node_hours",
-    "mean_wait_s",
-    "max_wait_s",
-    "makespan_s",
-    "jobs_completed",
-    "jobs_dismissed",
-    "ticks",
-    "simulated_s",
-    "mean_cpu_util",
-    "mean_gpu_util",
-    "energy_cost",
-    "carbon_kg",
-    "cap_violation_kwh",
-    "capped_hold_s",
-)
-
-#: Columns added after the first released schema: rows recorded by an older
-#: store predate them, so their SQL values are NULL (decoded as NaN).
-_MIGRATED_COLUMNS: tuple[str, ...] = (
-    "mean_cpu_util",
-    "mean_gpu_util",
-    "energy_cost",
-    "carbon_kg",
-    "cap_violation_kwh",
-    "capped_hold_s",
-)
+#: Summary metrics flattened into dedicated REAL columns, in schema order:
+#: the keys of :meth:`~repro.engine.stats.StatsCollector.summary`, read off
+#: an empty collector so the two can never disagree.
+SUMMARY_COLUMNS: tuple[str, ...] = tuple(StatsCollector().summary())
 
 #: Columns the axis filters and ``order_by`` may reference (whitelist: these
 #: names are interpolated into SQL, so nothing outside this set is allowed).

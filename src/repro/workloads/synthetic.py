@@ -216,7 +216,8 @@ class SyntheticWorkloadGenerator:
         The system configuration (node counts cap job sizes; node power
         characteristics drive synthesized power traces).
     spec:
-        The workload specification.
+        The workload specification; ``None`` means
+        :func:`default_workload_spec` of ``system``.
     seed:
         Seed for the internal :class:`numpy.random.Generator`.
 
@@ -240,7 +241,7 @@ class SyntheticWorkloadGenerator:
         seed: int = 0,
     ) -> None:
         self.system = system
-        self.spec = spec if spec is not None else WorkloadSpec()
+        self.spec = spec if spec is not None else default_workload_spec(system)
         self.seed = seed
         if self.spec.sizes.max_nodes > system.total_nodes:
             raise ConfigurationError(

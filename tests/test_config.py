@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.config import (
@@ -51,6 +53,26 @@ class TestNodePowerConfig:
         with pytest.raises(ConfigurationError):
             _node(gpus_per_node=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("idle_w", math.nan),
+            ("idle_w", math.inf),
+            ("cpu_idle_w", -50.0),
+            ("cpu_max_w", math.nan),
+            ("gpu_idle_w", -1.0),
+            ("gpu_max_w", math.inf),
+            ("mem_dynamic_w", -100.0),
+            ("mem_dynamic_w", math.nan),
+            ("cpus_per_node", 2.5),
+            ("gpus_per_node", True),
+        ],
+    )
+    def test_rejects_non_finite_negative_or_fractional(self, field, value):
+        # A NaN idle power would run to a NaN energy and PUE without an error.
+        with pytest.raises(ConfigurationError, match=field):
+            _node(**{field: value})
+
 
 class TestPowerLossConfig:
     def test_defaults_valid(self):
@@ -81,6 +103,32 @@ class TestCoolingConfig:
     def test_rejects_bad_air_fraction(self):
         with pytest.raises(ConfigurationError):
             CoolingConfig(air_cooled_fraction=1.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("supply_temperature_c", math.nan),
+            ("ambient_wet_bulb_c", -math.inf),
+            ("cdu_count", 2.5),
+            ("cdu_thermal_mass_j_per_k", -1.0),
+            ("facility_thermal_mass_j_per_k", math.inf),
+            ("secondary_flow_kg_per_s_per_cdu", math.nan),
+            ("facility_flow_kg_per_s", math.inf),
+            ("tower_approach_c", -4.0),
+            ("tower_range_coefficient", math.nan),
+            # A negative fraction gives negative cooling power and a PUE below 1.
+            ("pump_power_fraction", -0.5),
+            ("fan_power_fraction", math.nan),
+            ("crac_cop", math.nan),
+            ("crac_cop", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_negative_or_fractional(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            CoolingConfig(**{field: value})
+
+    def test_zero_thermal_mass_is_a_massless_loop(self):
+        assert CoolingConfig(cdu_thermal_mass_j_per_k=0.0).cdu_thermal_mass_j_per_k == 0.0
 
 
 class TestSystemConfig:
@@ -142,6 +190,25 @@ class TestSystemConfig:
     def test_down_node_fraction_validation(self):
         with pytest.raises(ConfigurationError):
             self._system(down_node_fraction=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timestep_s", math.nan),
+            ("timestep_s", math.inf),
+            ("trace_quantum_s", math.nan),
+            ("trace_quantum_s", math.inf),
+        ],
+    )
+    def test_with_overrides_rejects_non_finite_numbers(self, field, value):
+        # A what-if override must fail here, not as a bare ValueError mid-run.
+        with pytest.raises(ConfigurationError, match=field):
+            self._system().with_overrides(**{field: value})
+
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_partition_node_count_must_be_an_integer(self, count):
+        with pytest.raises(ConfigurationError, match="node_count"):
+            PartitionConfig("batch", count, _node())
 
 
 class TestRegistry:

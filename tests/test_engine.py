@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import textwrap
 
 import pytest
 
+import repro
 from repro import run_simulation
 from repro.config import get_system_config
-from repro.engine import FCFSScheduler, SimulationEngine, parse_duration
+from repro.engine import SimulationEngine, parse_duration
 from repro.exceptions import ConfigurationError, SchedulingError, SimulationError, SRapsError
 from repro.telemetry import JobState, Profile
 from repro.workloads import (
@@ -493,9 +495,8 @@ class TestHorizonClamping:
         # The stats integration stops at the horizon too: the final sample
         # is clipped rather than covering its whole tick.
         assert summary["simulated_s"] == pytest.approx(1795.0)
-        stats = result.stats
-        assert stats.it_energy_kwh == pytest.approx(
-            sum(t.compute_power_kw * t.dt_s for t in stats.ticks) / 3600.0
+        assert summary["it_energy_kwh"] == pytest.approx(
+            sum(t.compute_power_kw * t.dt_s for t in result.stats.ticks) / 3600.0
         )
 
     def test_job_ending_inside_final_partial_tick_is_not_truncated(self, tiny_system):
@@ -551,13 +552,16 @@ class TestHorizonClamping:
 
 
 class TestRunSimulation:
-    def test_quickstart_signature(self):
-        # The package docstring's example must keep working.
-        result = run_simulation(
-            system="tiny", policy="fcfs", backfill="easy", duration="2h", seed=1
-        )
+    def test_quickstart_example_runs(self, capsys):
+        # Runs the quick-start block of the package docstring itself, so the
+        # example cannot drift from the API.
+        block = repro.__doc__.split("Quick start::", 1)[1]
+        namespace: dict = {}
+        exec(compile(textwrap.dedent(block), "<repro quick start>", "exec"), namespace)
+        result = namespace["result"]
         assert result.policy == "backfill"
-        assert result.stats.summary()["jobs_completed"] > 0
+        assert result.summary()["jobs_completed"] > 0
+        assert "jobs_completed" in capsys.readouterr().out
 
     def test_explicit_workload_bypasses_generator(self, tiny_system):
         jobs = [make_job(nodes=4, submit=0.0, duration=450.0)]
@@ -568,23 +572,40 @@ class TestRunSimulation:
         "seed", [-1, 1.5, "3", True], ids=["negative", "float", "string", "bool"]
     )
     def test_direct_path_shares_the_request_seed_check(self, tiny_system, seed):
-        # A SystemConfig takes the direct branch, a system name the
-        # RunRequest one: both reject the seed with the same error.
+        # A SystemConfig and a system name reject the seed with the same
+        # error, and so does a request (check_seed is the one check).
         with pytest.raises(ConfigurationError) as direct:
             run_simulation(tiny_system, duration="1h", seed=seed)
         with pytest.raises(ConfigurationError) as via_request:
             run_simulation("tiny", duration="1h", seed=seed)
         assert str(direct.value) == str(via_request.value)
 
-    def test_rejects_bad_backfill_combination(self):
-        with pytest.raises(SchedulingError):
-            run_simulation(system="tiny", policy="replay", backfill="easy",
-                           duration="1h")
-
-    def test_rejects_backfill_with_non_backfill_scheduler_instance(self):
-        with pytest.raises(SchedulingError, match="incompatible"):
-            run_simulation(system="tiny", policy=FCFSScheduler(),
-                           backfill="easy", duration="1h")
+    @pytest.mark.parametrize("front_end", ["name", "config", "engine"])
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            pytest.param({"dense_ticks": "yes"}, ConfigurationError, id="dense_ticks-str"),
+            # The JSON form of a signal bundle is RunRequest's to parse.
+            pytest.param(
+                {"signals": {"power_cap_kw": [[0.0, 20.0]]}},
+                ConfigurationError,
+                id="signals-dict",
+            ),
+            pytest.param({"policy": 3}, SchedulingError, id="policy-int"),
+        ],
+    )
+    def test_every_front_end_rejects_the_same_arguments(
+        self, tiny_system, front_end, kwargs, error
+    ):
+        with pytest.raises(error):
+            if front_end == "engine":
+                kwargs = dict(kwargs)
+                policy = kwargs.pop("policy", None)
+                jobs = [make_job(nodes=2, submit=0.0, duration=600.0)]
+                SimulationEngine(tiny_system, jobs, policy, **kwargs)
+            else:
+                system = "tiny" if front_end == "name" else tiny_system
+                run_simulation(system, duration="1h", seed=1, **kwargs)
 
     def test_cooling_is_coupled_when_configured(self, tiny_system, tiny_workload):
         result = SimulationEngine(tiny_system, tiny_workload, "fcfs").run()

@@ -68,15 +68,15 @@ class TestConstantCap:
         result = _run(signals=OperatingSignals.constant(power_cap_kw=14.0))
         summary = result.summary()
         assert summary["capped_hold_s"] > 0.0
-        assert not result.dismissed_jobs
+        assert not result.stats.dismissed_jobs
         # Every job still completes, just later.
-        assert len(result.completed_jobs) == len(result.jobs)
+        assert len(result.stats.completed_jobs) == len(result.jobs)
         assert summary["mean_wait_s"] > _run().summary()["mean_wait_s"]
 
     def test_tight_cap_dismisses_infeasible_jobs(self):
         result = _run(signals=OperatingSignals.constant(power_cap_kw=12.0))
-        assert result.dismissed_jobs
-        for run in result.dismissed_jobs:
+        assert result.stats.dismissed_jobs
+        for run in result.stats.dismissed_jobs:
             assert run.state is JobState.DISMISSED
             assert run.dismiss_reason.startswith("power cap infeasible")
 
@@ -94,8 +94,8 @@ class TestConstantCap:
         # (never merely held), so no hold time accrues.
         result = _run(signals=OperatingSignals.constant(power_cap_kw=8.5))
         summary = result.summary()
-        assert len(result.dismissed_jobs) == 16
-        assert len(result.completed_jobs) == len(result.jobs) - 16
+        assert len(result.stats.dismissed_jobs) == 16
+        assert len(result.stats.completed_jobs) == len(result.jobs) - 16
         assert summary["capped_hold_s"] == 0.0
 
 
@@ -137,7 +137,7 @@ class TestDemandResponse:
         assert result.policy == "power_cap(fcfs)"
         summary = result.summary()
         # The cap lifts afterwards, so nothing is infeasible forever.
-        assert not result.dismissed_jobs
+        assert not result.stats.dismissed_jobs
         assert summary["capped_hold_s"] > 0.0
         # Violations can only accrue inside the window, from jobs already
         # running when the cap drops (the scheduler never kills jobs).
@@ -196,7 +196,7 @@ class TestSchedulerUnit:
         counters = scheduler.observability_counters()
         assert counters["cap_hold_events"] == 0
         assert counters["cap_dismissed_jobs"] == 0
-        assert result.dismissed_jobs  # the end-to-end effect of the counter path
+        assert result.stats.dismissed_jobs  # the end-to-end effect of the counter path
 
     def test_reset_clears_cap_state(self, tiny_system):
         signals = OperatingSignals.constant(power_cap_kw=14.0)
@@ -275,14 +275,14 @@ class TestDismissalCoalescing:
             results[dense] = engine.run()
 
         for result in results.values():
-            [dismissed] = result.dismissed_jobs
+            [dismissed] = result.stats.dismissed_jobs
             assert dismissed.job.nodes_required == 8
             assert "power cap infeasible" in dismissed.dismiss_reason
             # The trailing 6-node job starts on the first grid tick after
             # the head's dismissal at t=600, not at the next natural event
             # (the 20-node job's end at t=7200).
             trailing = next(
-                j for j in result.completed_jobs if j.job.nodes_required == 6
+                j for j in result.stats.completed_jobs if j.job.nodes_required == 6
             )
             assert trailing.sim_start_time == 615.0
 

@@ -207,7 +207,7 @@ class TestBackfillScheduler:
     def test_reduces_mean_wait_on_synthetic_workload(self, tiny_system, tiny_workload):
         fcfs = SimulationEngine(tiny_system, tiny_workload, "fcfs").run()
         easy = SimulationEngine(tiny_system, tiny_workload, "backfill").run()
-        assert easy.stats.mean_wait_s <= fcfs.stats.mean_wait_s
+        assert easy.summary()["mean_wait_s"] <= fcfs.summary()["mean_wait_s"]
 
     def test_reservation_is_partition_aware(self, two_partition_system):
         # gpu partition: 6 of 8 nodes busy until t=3600; a 7-node gpu head is

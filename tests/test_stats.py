@@ -28,23 +28,25 @@ class TestDerivedMetrics:
         # Interval-aware left-Riemann integral of the per-sample facility
         # power (event-driven samples carry their own dt_s).
         expected = sum(t.facility_power_kw * t.dt_s for t in stats.ticks) / 3600.0
-        assert stats.total_energy_kwh == pytest.approx(expected)
-        assert stats.it_energy_kwh <= stats.total_energy_kwh
+        summary = stats.summary()
+        assert summary["total_energy_kwh"] == pytest.approx(expected)
+        assert summary["it_energy_kwh"] <= summary["total_energy_kwh"]
         assert stats.elapsed_s == pytest.approx(sum(t.dt_s for t in stats.ticks))
 
     def test_mean_pue_is_energy_weighted(self, finished_run):
-        stats = finished_run.stats
-        assert stats.mean_pue == pytest.approx(
-            stats.total_energy_kwh / stats.it_energy_kwh
+        summary = finished_run.stats.summary()
+        assert summary["mean_pue"] == pytest.approx(
+            summary["total_energy_kwh"] / summary["it_energy_kwh"]
         )
-        assert stats.mean_pue <= stats.max_pue
+        assert summary["mean_pue"] <= summary["max_pue"]
 
     def test_wait_and_node_h(self, finished_run):
         stats = finished_run.stats
+        summary = stats.summary()
         waits = [j.wait_time for j in stats.completed_jobs]
-        assert stats.mean_wait_s == pytest.approx(sum(waits) / len(waits))
-        assert stats.max_wait_s == pytest.approx(max(waits))
-        assert stats.node_h == pytest.approx(
+        assert summary["mean_wait_s"] == pytest.approx(sum(waits) / len(waits))
+        assert summary["max_wait_s"] == pytest.approx(max(waits))
+        assert summary["node_hours"] == pytest.approx(
             sum(j.job.nodes_required * (j.sim_duration or 0.0) for j in stats.completed_jobs)
             / 3600.0
         )
@@ -106,7 +108,7 @@ class TestPueAtZeroItPower:
         )
         # The inf sentinel of the idle tick must not swamp the meaningful
         # maximum of the loaded ticks.
-        assert stats.max_pue == pytest.approx(105.0 / 100.0)
+        assert stats.summary()["max_pue"] == pytest.approx(105.0 / 100.0)
 
     def test_all_idle_run_has_inf_mean_pue(self):
         stats = StatsCollector()
@@ -114,8 +116,9 @@ class TestPueAtZeroItPower:
             stats, 0.0, 15.0, 0.0, 25.0,
             utilization=0.0, running_jobs=0, queued_jobs=0,
         )
-        assert stats.mean_pue == float("inf")
-        assert stats.max_pue == 1.0  # no tick with IT power at all
+        summary = stats.summary()
+        assert summary["mean_pue"] == float("inf")
+        assert summary["max_pue"] == 1.0  # no tick with IT power at all
 
     def test_inf_pue_exports_as_null_in_strict_json(self, tmp_path):
         stats = StatsCollector()
@@ -138,7 +141,7 @@ class TestPueAtZeroItPower:
             utilization=0.0, running_jobs=0, queued_jobs=0,
         )
         assert tick.pue == pytest.approx(1.0)
-        assert stats.mean_pue == pytest.approx(1.0)
+        assert stats.summary()["mean_pue"] == pytest.approx(1.0)
 
 
 class TestExports:
@@ -330,7 +333,7 @@ class TestIncrementalSummary:
             t.pue for t in stats.ticks
             if t.compute_power_kw > 0 and math.isfinite(t.pue)
         )
-        assert stats.max_pue == pytest.approx(expected)
+        assert stats.summary()["max_pue"] == pytest.approx(expected)
 
     def test_job_metrics_match_scan(self, finished_run):
         stats = finished_run.stats
@@ -338,19 +341,20 @@ class TestIncrementalSummary:
         waits = [j.wait_time for j in jobs if j.wait_time is not None]
         starts = [j.sim_start_time for j in jobs if j.sim_start_time is not None]
         ends = [j.sim_end_time for j in jobs if j.sim_end_time is not None]
-        assert stats.node_h == pytest.approx(
+        summary = stats.summary()
+        assert summary["node_hours"] == pytest.approx(
             sum(j.job.nodes_required * (j.sim_duration or 0.0) for j in jobs) / 3600.0
         )
-        assert stats.mean_wait_s == pytest.approx(sum(waits) / len(waits))
-        assert stats.max_wait_s == pytest.approx(max(waits))
-        assert stats.makespan_s == pytest.approx(max(ends) - min(starts))
+        assert summary["mean_wait_s"] == pytest.approx(sum(waits) / len(waits))
+        assert summary["max_wait_s"] == pytest.approx(max(waits))
+        assert summary["makespan_s"] == pytest.approx(max(ends) - min(starts))
 
     def test_empty_job_metrics(self):
-        stats = StatsCollector()
-        assert stats.node_h == 0.0
-        assert stats.mean_wait_s == 0.0
-        assert stats.max_wait_s == 0.0
-        assert stats.makespan_s == 0.0
+        summary = StatsCollector().summary()
+        assert summary["node_hours"] == 0.0
+        assert summary["mean_wait_s"] == 0.0
+        assert summary["max_wait_s"] == 0.0
+        assert summary["makespan_s"] == 0.0
 
 
 class TestJsonSafe:

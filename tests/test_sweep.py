@@ -6,8 +6,8 @@ The contracts pinned here:
   content-hash ``run_id`` is stable (and changes when the request does);
   malformed request JSON raises a ``repro.exceptions`` error, never a bare
   Python one (a hypothesis property over nested ``spec`` and ``signals``);
-* ``run_simulation`` (the back-compat shim) and ``run_request`` are the
-  same computation — equal summaries, not merely close ones;
+* ``run_simulation`` and ``run_request`` build a run the same way — equal
+  summaries, not merely close ones;
 * :class:`SweepSpec` materialisation is deterministic, collision-checked
   and keyed by run index, so execution order (shuffled, chunked, pooled)
   can never change a stored result;
@@ -130,7 +130,7 @@ _REQUEST_PAYLOADS = st.fixed_dictionaries(
     optional={
         "system": st.just("tiny") | _JSON,
         "policy": st.sampled_from(["fcfs", "backfill", "replay"]) | _JSON,
-        "backfill": st.just("easy") | _JSON,
+        "backfill": st.none() | _JSON,
         "duration_s": _NUMBERS | _JSON,
         "seed": _NUMBERS | _JSON,
         "spec": _SPECS | _JSON,
@@ -200,17 +200,26 @@ class TestRunRequest:
         # so a literal pin guards against accidental canonical-form drift
         # (which would orphan every existing results store).
         assert RunRequest(system="tiny", seed=1).run_id == "42acf52c4e8c743a"
-        # The canonical form still carries the retired engine flags as
-        # true; stored requests with both set round-trip to the same id.
+        # The canonical form still carries the retired keys at their one
+        # value; stored requests with them round-trip to the same id.
         payload = RunRequest(system="tiny", seed=1).to_json_dict()
         assert payload["event_index"] is True and payload["vectorized"] is True
+        assert payload["backfill"] is None
         assert RunRequest.from_json_dict(payload).run_id == "42acf52c4e8c743a"
 
-    @pytest.mark.parametrize("flag", ["event_index", "vectorized"])
-    def test_retired_flag_false_rejected(self, flag: str) -> None:
+    @pytest.mark.parametrize(
+        "flag, value, match",
+        [
+            pytest.param("event_index", False, "event_index", id="event_index"),
+            pytest.param("vectorized", False, "vectorized", id="vectorized"),
+            # EASY backfill is policy "backfill"; the error says so.
+            pytest.param("backfill", "easy", "backfill.*policy", id="backfill"),
+        ],
+    )
+    def test_retired_flag_false_rejected(self, flag: str, value: object, match: str) -> None:
         payload = RunRequest(system="tiny", seed=1).to_json_dict()
-        payload[flag] = False
-        with pytest.raises(ConfigurationError, match=flag):
+        payload[flag] = value
+        with pytest.raises(ConfigurationError, match=match):
             RunRequest.from_json_dict(payload)
 
     def test_unknown_field_rejected(self) -> None:
@@ -325,39 +334,43 @@ class TestWorkloadSpecSerialisation:
 
 
 class TestShimEquivalence:
-    def test_run_simulation_matches_run_request(self) -> None:
-        request = RunRequest(
-            system="tiny", policy="fcfs", duration_s=SHORT_S, seed=5
-        )
-        via_shim = run_simulation(
-            system="tiny", policy="fcfs", duration=SHORT_S, seed=5
-        )
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({}, id="default-policy"),
+            pytest.param({"policy": "easy"}, id="easy"),
+            pytest.param({"policy": "backfill", "spec": busy_trace_spec()}, id="busy-backfill"),
+            pytest.param(
+                {
+                    "policy": "backfill",
+                    "spec": busy_trace_spec(),
+                    "signals": OperatingSignals.constant(
+                        power_cap_kw=20.0, price_per_kwh=0.12
+                    ),
+                },
+                id="cap-price",
+            ),
+            pytest.param({"policy": "fcfs", "horizon_s": 2700.0}, id="horizon"),
+            pytest.param({"policy": "fcfs", "dense_ticks": True}, id="dense"),
+        ],
+    )
+    def test_run_simulation_matches_run_request(self, kwargs: dict) -> None:
+        # The two front ends build a run the same way: same summary, key
+        # order included, and the same policy name.
+        request = RunRequest(system="tiny", duration_s=SHORT_S, seed=5, **kwargs)
         via_request = run_request(request)
-        assert via_shim.summary() == via_request.summary()
-        assert via_shim.policy == via_request.policy
-
-    def test_shim_with_backfill_and_spec(self) -> None:
-        spec = busy_trace_spec()
         via_shim = run_simulation(
-            system="tiny",
-            policy="fcfs",
-            backfill="easy",
-            duration=SHORT_S,
-            seed=2,
-            spec=spec,
+            request.system,
+            policy=request.policy,
+            duration=request.duration_s,
+            seed=request.seed,
+            spec=request.spec,
+            horizon=request.horizon_s,
+            dense_ticks=request.dense_ticks,
+            signals=request.signals,
         )
-        via_request = run_request(
-            RunRequest(
-                system="tiny",
-                policy="fcfs",
-                backfill="easy",
-                duration_s=SHORT_S,
-                seed=2,
-                spec=spec,
-            )
-        )
-        assert via_shim.summary() == via_request.summary()
-        assert via_shim.policy == "backfill"
+        assert list(via_shim.summary().items()) == list(via_request.summary().items())
+        assert via_shim.policy == via_request.policy
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +401,23 @@ class TestSweepSpec:
         assert [run.request.seed for run in runs] == [10, 20, 10, 20]
 
     def test_duplicate_runs_rejected(self) -> None:
-        # tiny's default policy is also an explicit axis value here, so two
-        # grid points collapse onto identical requests.
-        spec = small_spec(policies=(None, "fcfs"), n_seeds=None, seeds=(1,))
-        from repro.config import get_system_config
-
-        if get_system_config("tiny").default_policy == "fcfs":
-            with pytest.raises(ConfigurationError, match="duplicate run id"):
+        # A repeated axis value or a repeated explicit seed is one request
+        # twice; the message names that case.
+        for spec in (
+            small_spec(policies=("fcfs", "fcfs"), n_seeds=None, seeds=(1,)),
+            small_spec(policies=("fcfs",), n_seeds=None, seeds=(1, 1)),
+        ):
+            with pytest.raises(ConfigurationError, match="duplicate run id.*repeated"):
                 spec.materialize()
-        else:  # pragma: no cover - depends on tiny's registry entry
-            spec.materialize()
+
+    @pytest.mark.parametrize(
+        "policies", [(None, "replay"), ("easy", "backfill")], ids=["default", "easy"]
+    )
+    def test_two_spellings_of_one_policy_are_two_run_ids(self, policies) -> None:
+        # Spellings are not canonicalised: that would move every stored
+        # default-policy id.
+        spec = small_spec(policies=policies, n_seeds=None, seeds=(1,))
+        assert len({run.run_id for run in spec.materialize()}) == 2
 
     def test_unknown_workload_rejected(self) -> None:
         with pytest.raises(ConfigurationError, match="unknown workload variant"):
@@ -651,7 +671,7 @@ class TestDriver:
     ) -> None:
         """Every run completes on one worker and on a pool, the two stores
         are equal, and four stored rows re-run through the public
-        ``run_simulation`` shim within 1e-9."""
+        ``run_simulation`` within 1e-9."""
         serial = tmp_path / "serial.sqlite"
         pooled = tmp_path / "pooled.sqlite"
         outcomes = (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from repro.workloads import (
     UserPopulation,
     WaveArrivals,
     WorkloadSpec,
+    default_workload_spec,
 )
 
 from helpers import change_points, is_constant
@@ -182,6 +185,19 @@ class TestSyntheticWorkloadGenerator:
         )
         jobs = SyntheticWorkloadGenerator(tiny_system, spec, seed=2).generate(3600.0)
         assert all(is_constant(j.cpu_util) for j in jobs)
+
+    def test_no_spec_means_the_system_default_spec(self, tiny_system):
+        def jobs_without_ids(generator):
+            # Job ids come from a process-wide counter; everything else matches.
+            return [
+                dataclasses.replace(job, job_id=0) for job in generator.generate(3 * 3600.0)
+            ]
+
+        spec = default_workload_spec(tiny_system)
+        generator = SyntheticWorkloadGenerator(tiny_system, seed=4)
+        assert generator.spec == spec
+        expected = jobs_without_ids(SyntheticWorkloadGenerator(tiny_system, spec, seed=4))
+        assert expected and jobs_without_ids(generator) == expected
 
     def test_oversized_workload_rejected(self, tiny_system):
         spec = WorkloadSpec(sizes=JobSizeDistribution(max_nodes=10_000))
