@@ -14,21 +14,29 @@ counts and lowest-id-first free heaps index it, so a placement never scans
 the inventory. What the resource manager allocates and releases are the
 engine's :class:`~repro.telemetry.job.JobRun` records; the read-only
 :class:`~repro.telemetry.job.Job` inside each one is never written.
+
+It is also the one owner of node *pools*: a job draws from its partition
+when that partition is a proper subset of the nodes, otherwise from the
+whole pool (key ``None``), whose placements take the lowest free ids and so
+fill the partitions in configuration order. The policies, the engine and
+the power model ask it (:meth:`ResourceManager.pool_of` and the per-pool
+queries) instead of re-deriving the rule.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
+from collections import Counter
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, ValuesView
 
 import numpy as np
 
 from ..config import SystemConfig
 from ..exceptions import AllocationError
 from ..devtools import hot_path
-from ..telemetry.job import JobRun, JobState
+from ..telemetry.job import Job, JobRun, JobState
 
 #: Owner-table entry of an idle, in-service node.
 FREE = None
@@ -80,6 +88,19 @@ class ResourceManager:
             self._free_count[partition.name] = len(free_ids)
             self._free_heaps[partition.name] = free_ids  # ascending == valid heap
 
+        #: The proper-partition pools in configuration order: empty on a
+        #: single-partition system, whose only pool is the whole one.
+        self.pools: tuple[str, ...] = (
+            tuple(self._free_count) if len(system.partitions) > 1 else ()
+        )
+        self._pool_of_partition = {name: name for name in self.pools}
+        #: In-service nodes per pool, fixed after the down-node draw (every
+        #: in-service node is still free here).
+        self._capacity: dict[str | None, int] = {
+            None: sum(self._free_count.values()),
+            **{name: self._free_count[name] for name in self.pools},
+        }
+
         # Inventory counters kept in lockstep with allocate/release so the
         # per-step queries are O(1) instead of full inventory scans; the
         # down count is immutable after the seed draw above. The epoch
@@ -108,14 +129,18 @@ class ResourceManager:
         # instead of diffing its cached job set against the running set.
         self._journal: list[tuple[bool, int]] = []
 
-        # Expected-release index for the EASY shadow reservation: running
-        # jobs ordered by ``(sim_start + requested_runtime, nodes_required)``
-        # — the planning view a scheduler has (wall-time limits), distinct
-        # from the end-time heap above (actual recorded durations). Kept as
-        # an insort-maintained sorted list with lazy deletion so the
-        # reservation walk reads occupants in expected-end order with early
-        # exit instead of materialising and sorting the running set per call.
-        self._expected_sorted: list[tuple[float, int, int]] = []
+        # Expected-release index for the EASY shadow reservation, one list
+        # per pool: running jobs ordered by ``(sim_start +
+        # requested_runtime, nodes in the pool)`` — the planning view a
+        # scheduler has (wall-time limits), distinct from the end-time heap
+        # above (actual recorded durations). Each list is insort-maintained
+        # with lazy deletion so the reservation walk reads occupants in
+        # expected-end order with early exit instead of materialising and
+        # sorting the running set per call.
+        self._expected_sorted: dict[str | None, list[tuple[float, int, int]]] = {
+            None: [],
+            **{name: [] for name in self.pools},
+        }
         self._expected_of: dict[int, float] = {}
         self._expected_stale = 0
 
@@ -174,10 +199,28 @@ class ResourceManager:
         return [nid for nid in node_range if owner[nid] is FREE]
 
     def free_node_count(self, partition: str | None = None) -> int:
-        """Number of idle in-service nodes, from the O(1) free counts."""
+        """Idle in-service nodes of one partition or pool (``None``: the
+        whole pool), from the O(1) free counts."""
         if partition is None:
             return len(self.owner) - self._allocated_count - self._down_count
         return self._free_count.get(partition, 0)
+
+    @property
+    def partition_free_counts(self) -> ValuesView[int]:
+        """Idle in-service nodes of each partition, in configuration order
+        (a live read-only view; the power model counts idle power from it)."""
+        return self._free_count.values()
+
+    # -- pools -----------------------------------------------------------------
+
+    def pool_of(self, job: Job) -> str | None:
+        """The pool ``job`` draws from: its partition when that partition is
+        a proper subset of the nodes, otherwise ``None`` (the whole pool)."""
+        return self._pool_of_partition.get(job.partition)
+
+    def pool_capacity(self, pool: str | None) -> int:
+        """In-service nodes of a pool (fixed after the down-node draw)."""
+        return self._capacity[pool]
 
     # -- allocation / release ---------------------------------------------------
 
@@ -199,7 +242,8 @@ class ResourceManager:
             Current simulation time.
         node_ids:
             Explicit placement (scheduler- or replay-chosen). When omitted,
-            the lowest-id free nodes of the job's partition are used.
+            the lowest-id free nodes of the job's pool (:meth:`pool_of`)
+            are used.
         exact_placement:
             Replay mode — require the job's recorded nodes; if any of them is
             unavailable an :class:`AllocationError` is raised.
@@ -222,14 +266,14 @@ class ResourceManager:
             chosen = tuple(job.recorded_nodes if exact_placement else node_ids)
             self._claim(chosen, job_id, job.nodes_required)
         else:
-            partition = job.partition if job.partition in self._free_count else None
-            free = self.free_node_count(partition)
+            pool = self.pool_of(job)
+            free = self.free_node_count(pool)
             if free < job.nodes_required:
                 raise AllocationError(
                     f"job {job_id}: requested {job.nodes_required} nodes, "
                     f"only {free} available"
                 )
-            chosen = self._claim_lowest_free(job.nodes_required, partition, job_id)
+            chosen = self._claim_lowest_free(job.nodes_required, pool, job_id)
 
         run.mark_running(now, chosen)
         self._running[job_id] = run
@@ -240,7 +284,12 @@ class ResourceManager:
         heapq.heappush(self._end_heap, (end_time, job_id))
         expected_end = now + job.requested_runtime
         self._expected_of[job_id] = expected_end
-        insort(self._expected_sorted, (expected_end, job.nodes_required, job_id))
+        expected = self._expected_sorted
+        insort(expected[None], (expected_end, job.nodes_required, job_id))
+        if self.pools:
+            partition_of = self._partition_of
+            for name, nodes in Counter(partition_of[nid] for nid in chosen).items():
+                insort(expected[name], (expected_end, nodes, job_id))
         self._journal.append((True, job_id))
         self.journal_appends += 1
         return chosen
@@ -331,20 +380,23 @@ class ResourceManager:
         self.journal_drains += 1
         return entries
 
-    def expected_release_entries(self) -> Iterator[tuple[float, int, int]]:
-        """Running jobs as ``(expected end, nodes_required, job_id)``, ordered.
+    def expected_release_entries(
+        self, pool: str | None = None
+    ) -> Iterator[tuple[float, int, int]]:
+        """Running jobs holding nodes of ``pool`` (``None``: the whole
+        pool) as ``(expected end, nodes in the pool, job_id)``, ordered.
 
-        Ascending by ``(sim_start + requested_runtime, nodes_required)`` —
-        exactly the order the EASY shadow reservation consumes occupants in
-        (ties beyond that are indistinguishable to the reservation
-        arithmetic). Backed by the insort-maintained index, so a walk that
-        exits early (the reservation stops once the head fits) costs
-        O(entries consumed + stale skipped), never a sort of the running
-        set. Stale entries of released jobs are skipped via the
-        authoritative map, mirroring the end-time heap's lazy deletion.
+        Ascending by ``(sim_start + requested_runtime, nodes)`` — exactly
+        the order the EASY shadow reservation consumes occupants in (ties
+        beyond that are indistinguishable to the reservation arithmetic).
+        Backed by the pool's insort-maintained index, so a walk that exits
+        early (the reservation stops once the head fits) costs O(entries
+        consumed + stale skipped), never a sort of the running set. Stale
+        entries of released jobs are skipped via the authoritative map,
+        mirroring the end-time heap's lazy deletion.
         """
         expected_of = self._expected_of
-        for entry in self._expected_sorted:
+        for entry in self._expected_sorted[pool]:
             if expected_of.get(entry[2]) == entry[0]:
                 yield entry
 
@@ -356,11 +408,11 @@ class ResourceManager:
         if self._expected_stale > max(64, len(self._expected_of)):
             # More tombstones than live entries: compact so walks stay
             # proportional to the live running set.
-            self._expected_sorted = [
-                entry
-                for entry in self._expected_sorted
-                if self._expected_of.get(entry[2]) == entry[0]
-            ]
+            expected_of = self._expected_of
+            for pool, entries in self._expected_sorted.items():
+                self._expected_sorted[pool] = [
+                    entry for entry in entries if expected_of.get(entry[2]) == entry[0]
+                ]
             self._expected_stale = 0
 
     # -- owner table -------------------------------------------------------------
@@ -402,7 +454,7 @@ class ResourceManager:
         duplicate heap entry (stale, then re-pushed after a release) cannot
         be chosen twice within one selection.
         """
-        names = [partition] if partition is not None else list(self._free_heaps)
+        names = (partition,) if partition is not None else tuple(self._free_heaps)
         owner = self.owner
         chosen: list[int] = []
         for name in names:

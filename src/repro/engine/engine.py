@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Real
 from time import perf_counter_ns
 
 from ..cluster import ResourceManager
@@ -56,6 +56,7 @@ from ..obs.metrics import Histogram
 from ..power import RunningSetPowerAggregator, SystemPowerModel
 from ..power.signals import OperatingSignals
 from ..telemetry.job import Job, JobRun, JobState
+from ..units import check_seed
 from ..units import parse_duration as _parse_duration_s
 from ..workloads import SyntheticWorkloadGenerator, WorkloadSpec
 from .scheduler import PowerCapScheduler, Scheduler, get_scheduler
@@ -67,7 +68,6 @@ ENGINE_PHASES = ("schedule", "coalesce", "power", "cooling", "stats")
 __all__ = [
     "SimulationEngine",
     "SimulationResult",
-    "check_seed",
     "run_simulation",
     "parse_duration",
 ]
@@ -78,26 +78,13 @@ def parse_duration(value: str | float | int) -> float:
 
     Delegates to :func:`repro.units.parse_duration` (plain numbers, suffixed
     strings such as ``"90m"``/``"24h"``, Slurm clock strings such as
-    ``"1:30:00"``) and additionally rejects non-positive values, which make
-    no sense as a simulation window or horizon.
+    ``"1:30:00"``; fractions of a second kept) and additionally rejects
+    zero, which makes no sense as a simulation window or horizon.
     """
-    seconds = float(_parse_duration_s(value))
+    seconds = _parse_duration_s(value)
     if seconds <= 0:
         raise SimulationError(f"duration must be positive, got {value!r}")
     return seconds
-
-
-def check_seed(seed: object) -> int:
-    """``seed`` as a non-negative int, or a :class:`ConfigurationError`.
-
-    The one seed check: :class:`SimulationEngine` applies it, and so do
-    :func:`run_simulation` and :class:`~repro.sweep.RunRequest`, which seed
-    a workload before any engine exists. Bools, floats and strings are
-    rejected rather than truncated or parsed.
-    """
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
 
 
 @dataclass
@@ -134,12 +121,13 @@ class SimulationEngine:
         means the system's ``default_policy``.
     seed:
         Seed forwarded to the resource manager's down-node draw; an
-        integer >= 0 (:func:`check_seed`).
+        integer >= 0 (:func:`repro.units.check_seed`).
     horizon_s:
-        Optional hard stop (relative to the first tick). Jobs still pending
-        or queued at the horizon are dismissed; jobs still on nodes are
-        truncated at exactly ``start + horizon_s`` (not the next tick
-        boundary), so no runtime or energy past the horizon is credited.
+        Optional hard stop (relative to the first tick), a positive finite
+        number of seconds. Jobs still pending or queued at the horizon are
+        dismissed; jobs still on nodes are truncated at exactly ``start +
+        horizon_s`` (not the next tick boundary), so no runtime or energy
+        past the horizon is credited.
     dense_ticks:
         Force one statistics sample per ``timestep_s`` grid tick instead of
         coalescing event-free intervals (a bool). Summary metrics are
@@ -171,8 +159,18 @@ class SimulationEngine:
         obs: Observability | None = None,
     ) -> None:
         seed = check_seed(seed)
-        # Checked here, where every front end passes: a truthy non-bool such
-        # as "no" would run dense, and a signals dict would fail mid-setup.
+        # Checked here, where every front end passes: a NaN or infinite
+        # horizon would run the whole workload and a non-positive one
+        # dismiss it, a truthy non-bool such as "no" would run dense, and a
+        # signals dict would fail mid-setup.
+        if horizon_s is not None and (
+            isinstance(horizon_s, bool)
+            or not isinstance(horizon_s, Real)
+            or not 0 < horizon_s < math.inf
+        ):
+            raise SimulationError(
+                f"horizon_s must be a positive, finite number of seconds, got {horizon_s!r}"
+            )
         if not isinstance(dense_ticks, bool):
             raise ConfigurationError(
                 f"dense_ticks must be true or false, got {dense_ticks!r}"
@@ -259,15 +257,7 @@ class SimulationEngine:
         )
         #: Queued jobs in submission order, the read-only view policies see.
         self._queue: list[Job] = []
-        # Capacity is fixed after the down-node draw (every in-service node
-        # is still free here); precompute it so the per-submission
-        # feasibility check is O(1) instead of an inventory scan.
-        rm = self.resource_manager
-        self._in_service_nodes = rm.total_nodes - rm.down_nodes
-        self._partition_capacity = {
-            partition.name: rm.free_node_count(partition.name)
-            for partition in system.partitions
-        }
+        self._in_service_nodes = self.resource_manager.pool_capacity(None)
 
         timestep = float(system.timestep_s)
         if self._pending:
@@ -422,20 +412,16 @@ class SimulationEngine:
             t0 = self._mark("coalesce", t0)
 
         # (4) Power on the running set, (5) cooling on the resulting heat.
-        # Node counts come from the resource manager's O(1) counters and the
-        # (immutable after the seed draw) down count; the power aggregator
-        # reuses cached per-job contributions, so the power evaluation of an
-        # event-free step is O(1) — profile lookups and model evaluations
-        # never rescan the running set. The release check and event bounds
-        # are heap-backed too, and the run loop's ``finished`` check is
-        # O(1), so an event-free step is O(log R) end to end. The power
-        # sample is the only object the rest of the step builds: losses,
-        # cooling and the stats record work on plain floats.
-        rm = self.resource_manager
-        allocated = rm.allocated_nodes
-        power = self.power_aggregator.sample(
-            now, allocated_nodes=allocated, down_nodes=rm.down_nodes
-        )
+        # Node counts come from the resource manager's O(1) counters; the
+        # power aggregator reuses cached per-job contributions, so the power
+        # evaluation of an event-free step is O(1) — profile lookups and
+        # model evaluations never rescan the running set. The release check
+        # and event bounds are heap-backed too, and the run loop's
+        # ``finished`` check is O(1), so an event-free step is O(log R) end
+        # to end. The power sample is the only object the rest of the step
+        # builds: losses, cooling and the stats record work on plain floats.
+        allocated = self.resource_manager.allocated_nodes
+        power = self.power_aggregator.sample(now)
         compute_kw = power.compute_power_kw
         loss_kw = power.loss_kw
         if tracer is not None:
@@ -637,11 +623,10 @@ class SimulationEngine:
     # -- helpers ---------------------------------------------------------------
 
     def _impossible(self, job: Job) -> bool:
-        """Whether the job's request can never be satisfied on this system."""
-        if job.nodes_required > self._in_service_nodes:
-            return True
-        partition_capacity = self._partition_capacity.get(job.partition)
-        return partition_capacity is not None and job.nodes_required > partition_capacity
+        """Whether the job's request can never be satisfied on this system:
+        it exceeds the in-service nodes of the pool it draws from."""
+        rm = self.resource_manager
+        return job.nodes_required > rm.pool_capacity(rm.pool_of(job))
 
     def _dismiss(self, run: JobRun, reason: str, now: float) -> None:
         """Dismiss one job that will never run, with the reason why."""

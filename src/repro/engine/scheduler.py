@@ -305,13 +305,14 @@ class ReplayScheduler(Scheduler):
                 if not free_counts.fits(job):
                     self._delayed.add(job.job_id)
                     continue
-                free_counts.consume(job)
+                free_counts.consume(free_counts.split(job))
                 decisions.append(self._decide(job, now))
                 continue
-            partition = free_counts.partition_key(job)
             free = [
                 nid
-                for nid in resource_manager.available_node_ids(partition)
+                for nid in resource_manager.available_node_ids(
+                    resource_manager.pool_of(job)
+                )
                 if nid not in claimed
             ]
             if len(free) < job.nodes_required:
@@ -424,7 +425,7 @@ class FCFSScheduler(Scheduler):
         for job in queue:
             if not free_counts.fits(job):
                 break
-            free_counts.consume(job)
+            free_counts.consume(free_counts.split(job))
             decisions.append(SchedulingDecision(job))
         return decisions
 
@@ -470,19 +471,16 @@ class BackfillScheduler(Scheduler):
         self._noop_key: tuple[int, tuple[int, ...]] | None = None
         #: Observability counters (published as ``sched_*_total`` metrics).
         self.reservations_computed = 0
-        self.reservations_indexed = 0
         self.noop_memo_hits = 0
 
     def reset(self) -> None:
         self._noop_key = None
         self.reservations_computed = 0
-        self.reservations_indexed = 0
         self.noop_memo_hits = 0
 
     def observability_counters(self) -> dict[str, int]:
         return {
             "backfill_reservations": self.reservations_computed,
-            "backfill_reservations_indexed": self.reservations_indexed,
             "backfill_noop_memo_hits": self.noop_memo_hits,
         }
 
@@ -502,8 +500,8 @@ class BackfillScheduler(Scheduler):
     ) -> list[SchedulingDecision]:
         decisions: list[SchedulingDecision] = []
         free_counts = _FreeNodeCounts(resource_manager)
-        #: (expected end, job, registered partition) of jobs started this tick.
-        started: list[tuple[float, Job, str | None]] = []
+        #: (expected end, job, nodes taken per pool) of jobs started this tick.
+        started: list[tuple[float, Job, dict[str | None, int]]] = []
 
         # Phase 1 — plain FCFS prefix. An index cursor over the engine's
         # live queue: no per-call list copy, no O(queue) pop(0) shuffles.
@@ -514,41 +512,53 @@ class BackfillScheduler(Scheduler):
             if not free_counts.fits(job):
                 break
             index += 1
-            free_counts.consume(job)
-            started.append((now + job.requested_runtime, job, free_counts.partition_key(job)))
+            taken = free_counts.split(job)
+            free_counts.consume(taken)
+            started.append((now + job.requested_runtime, job, taken))
             decisions.append(SchedulingDecision(job))
 
         if index == count:
             return decisions
 
         # Phase 2 — reservation for the blocked head, against the node pool
-        # the head actually draws from (its partition, when registered).
+        # the head draws from.
         head = queue[index]
         index += 1
-        head_key = free_counts.partition_key(head)
+        pool = free_counts.pool_of(head)
         shadow_time, spare_nodes = self._reserve(
-            head, head_key, free_counts, resource_manager, started, now
+            head, pool, free_counts, resource_manager, started, now
         )
 
-        # Phase 3 — backfill behind the reservation.
-        for position in range(index, count):
-            job = queue[position]
-            if not free_counts.fits(job):
-                continue
-            job_key = free_counts.partition_key(job)
-            # A job confined to a different registered partition can never
-            # occupy the head's reserved nodes, so it backfills freely.
-            independent = (
-                head_key is not None and job_key is not None and job_key != head_key
-            )
-            ends_before_shadow = now + job.requested_runtime <= shadow_time
-            constrained = not independent and not ends_before_shadow
-            if constrained and job.nodes_required > spare_nodes:
-                continue
-            free_counts.consume(job)
-            if constrained:
-                spare_nodes -= job.nodes_required
-            decisions.append(SchedulingDecision(job))
+        # Phase 3 — backfill behind the reservation. A job keeps the nodes
+        # it takes from the head's pool past the shadow time unless it is
+        # expected to end before it; a job of another partition takes none
+        # of them. A whole-pool job takes its nodes from the partitions in
+        # order, so later starts can move it out of a partition head's
+        # pool: one the reservation declined is tried again after a sweep
+        # that started anything, and the pass ends with nothing the next
+        # tick would start.
+        candidates: Sequence[int] = range(index, count)
+        while candidates:
+            retry: list[int] = []
+            started_any = False
+            for position in candidates:
+                job = queue[position]
+                if not free_counts.fits(job):
+                    continue
+                taken = free_counts.split(job)
+                if now + job.requested_runtime <= shadow_time:
+                    reserved = 0
+                else:
+                    reserved = taken.get(pool, 0)
+                if reserved > spare_nodes:
+                    if pool is not None and free_counts.pool_of(job) is None:
+                        retry.append(position)
+                    continue
+                free_counts.consume(taken)
+                spare_nodes -= reserved
+                decisions.append(SchedulingDecision(job))
+                started_any = True
+            candidates = retry if started_any else ()
         return decisions
 
     @hot_path
@@ -569,106 +579,31 @@ class BackfillScheduler(Scheduler):
     def _reserve(
         self,
         head: Job,
-        head_key: str | None,
+        pool: str | None,
         free_counts: "_FreeNodeCounts",
         resource_manager: ResourceManager,
-        started: list[tuple[float, Job, str | None]],
+        started: list[tuple[float, Job, dict[str | None, int]]],
         now: float,
     ) -> tuple[float, int]:
         """Shadow reservation for the blocked head: ``(shadow_time, spare)``.
 
-        When the head draws from the whole node pool (no registered
-        partition, or a partition spanning every node — every single-
-        partition system), each occupant's overlap with the head's pool is
-        simply its full node count, so the walk can consume the resource
-        manager's expected-release index directly: occupants arrive in
-        ``(expected end, nodes)`` order — the exact order the historical
-        ``sorted(occupants)`` produced (ties beyond that are
-        indistinguishable to the arithmetic) — merged with this tick's own
-        starts, and the walk stops as soon as the head fits. That replaces
-        the per-call O(running set) occupant scan with its per-node overlap
-        loop and the O(R log R) sort. Heads confined to a proper partition
-        take the occupant scan (:meth:`_occupants` + :meth:`_reservation`),
-        which counts only the nodes inside that partition.
+        One walk for every head: the resource manager's expected-release
+        list of the head's pool merged with this tick's own starts, each
+        with the nodes the ledger debited from that pool, until the head
+        fits. ``shadow_time`` is when enough nodes have been freed (by
+        expected end times) for the head to start; ``spare`` is how many
+        nodes of the pool remain free then beyond the head's reservation —
+        the budget for backfill jobs that outlive the shadow time. The
+        reference is ``tests/helpers.py::scan_reservation``.
         """
         self.reservations_computed += 1
-        free_now = free_counts.free_in(head_key)
-        whole_pool = head_key is None
-        if not whole_pool:
-            node_range = resource_manager.system.partition_node_range(head_key)
-            whole_pool = (
-                node_range.start == 0
-                and node_range.stop == resource_manager.total_nodes
-            )
-        if whole_pool:
-            self.reservations_indexed += 1
-            started_entries = sorted(
-                (end, job.nodes_required, job.job_id) for end, job, _ in started
-            )
-            available = free_now
-            for end, nodes, _ in heapq.merge(
-                resource_manager.expected_release_entries(), started_entries
-            ):
-                available += nodes
-                if available >= head.nodes_required:
-                    # Overrun convention as in _reservation: a stale
-                    # expected end never shadows before the current tick.
-                    return max(now, end), available - head.nodes_required
-            return float("inf"), 0
-        occupants = self._occupants(resource_manager, started, head_key, now)
-        return self._reservation(head, free_now, occupants, now)
-
-    @staticmethod
-    def _occupants(
-        resource_manager: ResourceManager,
-        started: list[tuple[float, Job, str | None]],
-        head_key: str | None,
-        now: float,
-    ) -> list[tuple[float, int]]:
-        """(expected end, nodes relevant to the head's pool) of occupying jobs.
-
-        Running jobs contribute their actual node overlap with the head's
-        partition; jobs decided earlier this tick (no placement yet)
-        contribute their full request when they draw from the head's pool.
-        """
-        if head_key is None:
-            node_range = None
-        else:
-            node_range = resource_manager.system.partition_node_range(head_key)
-        occupants: list[tuple[float, int]] = []
-        for run in resource_manager.running_jobs:
-            start = run.sim_start_time if run.sim_start_time is not None else now
-            if node_range is None:
-                overlap = run.job.nodes_required
-            else:
-                overlap = sum(
-                    1
-                    for nid in run.assigned_nodes
-                    if node_range.start <= nid < node_range.stop
-                )
-            if overlap:
-                occupants.append((start + run.job.requested_runtime, overlap))
-        for end, job, job_key in started:
-            if head_key is None or job_key is None or job_key == head_key:
-                occupants.append((end, job.nodes_required))
-        return occupants
-
-    @staticmethod
-    def _reservation(
-        head: Job,
-        free_now: int,
-        occupants: list[tuple[float, int]],
-        now: float,
-    ) -> tuple[float, int]:
-        """Return ``(shadow_time, spare_nodes)`` for the blocked head job.
-
-        ``shadow_time`` is when enough nodes have been freed (by expected
-        end times) for the head to start; ``spare_nodes`` is how many nodes
-        remain free at that moment beyond the head's reservation — the
-        budget available to backfill jobs that outlive the shadow time.
-        """
-        available = free_now
-        for end, nodes in sorted(occupants):
+        own = sorted(
+            (end, taken[pool], job.job_id) for end, job, taken in started if pool in taken
+        )
+        available = free_counts.free_in(pool)
+        for end, nodes, _ in heapq.merge(
+            resource_manager.expected_release_entries(pool), own
+        ):
             available += nodes
             if available >= head.nodes_required:
                 # A job that overran its wall-time limit has an expected end
@@ -681,60 +616,57 @@ class BackfillScheduler(Scheduler):
 
 
 class _FreeNodeCounts:
-    """Per-partition free-node ledger a policy debits as it decides.
+    """Per-pool free-node ledger a policy debits as it decides.
 
     The resource manager's availability only changes when the engine
     executes decisions, so a policy emitting several decisions in one tick
-    must do its own bookkeeping to avoid overcommitting. Jobs naming an
-    unregistered partition are placed from the whole node pool, so their
-    consumption is debited against *every* named ledger (conservative: a
-    later same-tick decision may be deferred to the next tick, but can
-    never overcommit).
+    must do its own bookkeeping to avoid overcommitting. The ledger debits
+    each decision the way :meth:`ResourceManager.allocate` will place it —
+    a partition pool's job from its partition, a whole-pool job from the
+    partitions in configuration order — so every pool's count is the one
+    the resource manager will report once the decisions are executed.
     """
 
     def __init__(self, resource_manager: ResourceManager) -> None:
         self._rm = resource_manager
+        #: The resource manager's pool rule (:meth:`ResourceManager.pool_of`).
+        self.pool_of = resource_manager.pool_of
         self._free: dict[str | None, int] = {None: resource_manager.free_node_count()}
-        #: Nodes consumed pool-wide (unregistered-partition jobs); already
-        #: materialized named ledgers are debited directly, ones
-        #: materialized later subtract this debt from the fresh RM count.
-        self._pool_debt = 0
 
-    @property
-    def total_free(self) -> int:
-        return self._free[None]
-
-    def partition_key(self, job: Job) -> str | None:
-        """The job's partition if registered, else ``None`` (whole pool)."""
-        if any(p.name == job.partition for p in self._rm.system.partitions):
-            return job.partition
-        return None
-
-    def free_in(self, key: str | None) -> int:
-        """Free nodes remaining in one partition (or the whole pool)."""
-        if key not in self._free:
-            fresh = self._rm.free_node_count(key)
-            self._free[key] = max(0, fresh - self._pool_debt)
-        return self._free[key]
+    def free_in(self, pool: str | None) -> int:
+        """Free nodes remaining in one pool (``None``: the whole pool)."""
+        free = self._free.get(pool)
+        if free is None:
+            free = self._free[pool] = self._rm.free_node_count(pool)
+        return free
 
     def fits(self, job: Job) -> bool:
-        if job.nodes_required > self._free[None]:
-            return False
-        key = self.partition_key(job)
-        return key is None or job.nodes_required <= self.free_in(key)
+        """Whether the job's pool has enough free nodes left for it."""
+        return job.nodes_required <= self.free_in(self.pool_of(job))
 
-    def consume(self, job: Job) -> None:
-        """Debit the ledger for one decision."""
-        n = job.nodes_required
-        key = self.partition_key(job)
-        self._free[None] -= n
-        if key is not None:
-            self._free[key] = self.free_in(key) - n
-        else:
-            self._pool_debt += n
-            for ledger_key in self._free:
-                if ledger_key is not None:
-                    self._free[ledger_key] = max(0, self._free[ledger_key] - n)
+    def split(self, job: Job) -> dict[str | None, int]:
+        """Nodes ``job`` takes from each pool if it starts now (it fits):
+        all from the whole pool (``None``), and from its partition or, for
+        a whole-pool job, from the partitions in configuration order."""
+        nodes = job.nodes_required
+        taken: dict[str | None, int] = {None: nodes}
+        pool = self.pool_of(job)
+        if pool is not None:
+            taken[pool] = nodes
+            return taken
+        for name in self._rm.pools:
+            if not nodes:
+                break
+            here = min(nodes, self.free_in(name))
+            if here:
+                taken[name] = here
+                nodes -= here
+        return taken
+
+    def consume(self, taken: dict[str | None, int]) -> None:
+        """Debit the ledger for one decision, by its :meth:`split`."""
+        for pool, nodes in taken.items():
+            self._free[pool] = self.free_in(pool) - nodes
 
 
 class PowerCapScheduler(Scheduler):

@@ -6,8 +6,8 @@ a job's power-relevant profiles with the node power held on each interval
 the utilization). Job power states, job energy and job peak power all read
 it. At every simulation step the :class:`RunningSetPowerAggregator` sums the
 running jobs' cached contributions, and :class:`SystemPowerModel` adds the
-idle power of unallocated nodes and the conversion losses to obtain
-facility-side power. The per-step result is a :class:`SystemPowerSample`
+idle power of each partition's free nodes and the conversion losses to
+obtain facility-side power. The per-step result is a :class:`SystemPowerSample`
 carrying the breakdown the statistics collector and cooling model consume.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,11 +73,7 @@ class SystemPowerModel:
             system.power_loss, peak_compute_power_kw=system.peak_system_power_kw
         )
         # Read by every per-step sample: hoisted out of the configuration.
-        self._total_nodes = system.total_nodes
-        self._idle_table = tuple(
-            (partition.node_count, partition.node_power.min_w)
-            for partition in system.partitions
-        )
+        self._idle_w = tuple(partition.node_power.min_w for partition in system.partitions)
 
     # -- per-job power ------------------------------------------------------------
 
@@ -130,32 +126,19 @@ class SystemPowerModel:
         nodes_busy: int,
         cpu_weighted: float,
         gpu_weighted: float,
-        allocated_nodes: int | None = None,
-        down_nodes: int = 0,
+        free_nodes: Iterable[int],
     ) -> SystemPowerSample:
         """Build a :class:`SystemPowerSample` from aggregated job totals.
 
         Used by the incremental :class:`RunningSetPowerAggregator`: given
         the summed job power and node-weighted utilizations, add the idle
-        power of unallocated nodes and the conversion losses.
+        power of the free in-service nodes — ``free_nodes`` holds each
+        partition's count, in configuration order, each drawing its own
+        partition's idle power — and the conversion losses.
         """
-        if allocated_nodes is None:
-            allocated_nodes = nodes_busy
-
-        idle_nodes = max(0, self._total_nodes - allocated_nodes - down_nodes)
         idle_power_w = 0.0
-        remaining_idle = idle_nodes
-        # Idle power accounted per partition, assuming busy nodes are drawn
-        # from partitions in configuration order (sufficient for the
-        # single-partition systems of the paper; multi-partition splits are
-        # approximate).
-        busy_remaining = allocated_nodes
-        for node_count, min_w in self._idle_table:
-            busy_here = min(busy_remaining, node_count)
-            busy_remaining -= busy_here
-            idle_here = min(remaining_idle, node_count - busy_here)
-            remaining_idle -= idle_here
-            idle_power_w += idle_here * min_w
+        for free, min_w in zip(free_nodes, self._idle_w):
+            idle_power_w += free * min_w
 
         total_busy = max(1, nodes_busy)
         return SystemPowerSample(
@@ -165,7 +148,7 @@ class SystemPowerModel:
             loss_kw=self.loss_model.total_loss_kw(
                 (job_power_w + idle_power_w) / 1000.0
             ),
-            allocated_nodes=allocated_nodes,
+            allocated_nodes=nodes_busy,
             mean_cpu_util=cpu_weighted / total_busy if nodes_busy else 0.0,
             mean_gpu_util=gpu_weighted / total_busy if nodes_busy else 0.0,
         )
@@ -341,25 +324,20 @@ class RunningSetPowerAggregator:
         self.states_built = 0
 
     @hot_path
-    def sample(
-        self,
-        now: float,
-        *,
-        allocated_nodes: int | None = None,
-        down_nodes: int = 0,
-    ) -> SystemPowerSample:
-        """System power at ``now``, recomputing only what changed."""
+    def sample(self, now: float) -> SystemPowerSample:
+        """System power at ``now``, recomputing only what changed.
+
+        Idle power counts each partition's free nodes in the resource
+        manager's owner table.
+        """
         self._refresh(now)
-        if allocated_nodes is None:
-            allocated_nodes = self._nodes_busy
         return self._model.compose_sample(
             now,
             self._job_power_w,
             nodes_busy=self._nodes_busy,
             cpu_weighted=self._cpu_weighted,
             gpu_weighted=self._gpu_weighted,
-            allocated_nodes=allocated_nodes,
-            down_nodes=down_nodes,
+            free_nodes=self._rm.partition_free_counts,
         )
 
     @hot_path

@@ -34,10 +34,12 @@ from numbers import Integral, Real
 from typing import Any, Mapping
 
 from ..config import get_system_config
-from ..engine.engine import SimulationEngine, SimulationResult, check_seed
+from ..engine.engine import SimulationEngine, SimulationResult
+from ..engine.scheduler import get_scheduler
 from ..exceptions import ConfigurationError, SimulationError
 from ..obs import Observability
 from ..power.signals import OperatingSignals
+from ..units import check_seed
 from ..workloads import (
     BurstArrivals,
     JobSizeDistribution,
@@ -197,6 +199,22 @@ def _integer(value: object, label: str) -> int:
     return int(value)
 
 
+def _check_registered(system: object, policy: object) -> None:
+    """A system or policy that is not a registered name is an error, which
+    lists the known names (:func:`~repro.config.get_system_config`,
+    :func:`~repro.engine.get_scheduler`); ``policy`` may be ``None``, the
+    system's default."""
+    if not isinstance(system, str) or not system:
+        raise ConfigurationError(
+            f"system must be a registered system name, got {system!r}"
+        )
+    get_system_config(system)
+    if policy is not None:
+        if not isinstance(policy, str):
+            raise ConfigurationError(f"policy must be a name or null, got {policy!r}")
+        get_scheduler(policy)
+
+
 def _duration_s(value: object, name: str) -> float:
     """A positive, finite number of seconds as a float."""
     if isinstance(value, bool) or not isinstance(value, Real):
@@ -223,12 +241,13 @@ class RunRequest:
     system:
         Registered system name (``"tiny"``, ``"frontier"``, ...). Only
         registry names are allowed — an ad-hoc :class:`SystemConfig` cannot
-        cross a process boundary (register it on both sides instead).
+        cross a process boundary (register it on both sides instead); an
+        unknown name fails at construction.
     policy:
-        Scheduling policy name, or ``None`` for the system's default.
-        Spellings are not canonicalised: ``None`` and the default's name,
-        or ``"easy"`` and ``"backfill"``, run the same simulation under two
-        run ids.
+        Scheduling policy name, or ``None`` for the system's default; an
+        unknown name fails at construction. Spellings are not
+        canonicalised: ``None`` and the default's name, or ``"easy"`` and
+        ``"backfill"``, run the same simulation under two run ids.
     duration_s:
         Synthetic workload window in seconds.
     seed:
@@ -258,8 +277,7 @@ class RunRequest:
     signals: OperatingSignals | None = None
 
     def __post_init__(self) -> None:
-        if not self.system or not isinstance(self.system, str):
-            raise ConfigurationError("RunRequest.system must be a registered system name")
+        _check_registered(self.system, self.policy)
         if not isinstance(self.dense_ticks, bool):
             raise ConfigurationError(
                 f"RunRequest.dense_ticks must be true or false, got {self.dense_ticks!r}"
@@ -269,10 +287,6 @@ class RunRequest:
         # equal requests built from "1h" (int) and 3600.0 (float) would
         # otherwise hash apart. frozen=True requires the direct setattr.
         object.__setattr__(self, "duration_s", _duration_s(self.duration_s, "duration_s"))
-        if self.policy is not None and not isinstance(self.policy, str):
-            raise ConfigurationError(
-                f"RunRequest.policy must be a name or null, got {self.policy!r}"
-            )
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.horizon_s is not None:
             object.__setattr__(self, "horizon_s", _duration_s(self.horizon_s, "horizon_s"))

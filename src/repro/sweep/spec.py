@@ -51,6 +51,7 @@ from ..workloads import (
 from .request import (
     RunRequest,
     _integer,
+    _check_registered,
     _json_object,
     workload_spec_from_dict,
     workload_spec_to_dict,
@@ -174,6 +175,9 @@ class SweepSpec:
         for axis in ("systems", "policies", "workloads"):
             if not getattr(self, axis):
                 raise ConfigurationError(f"sweep axis {axis!r} must be non-empty")
+        # A misspelt system or policy fails here, before any run is made.
+        for system, policy in product(self.systems, self.policies):
+            _check_registered(system, policy)
         if self.n_seeds is not None and self.seeds is not None:
             raise ConfigurationError(
                 "n_seeds (spawned) and seeds (explicit) are mutually exclusive"

@@ -5,15 +5,16 @@ The paper's CLI accepts fast-forward/simulation-time arguments such as
 module provides the parsing used throughout the reproduction plus a handful
 of small unit-conversion helpers used by the power and cooling substrates.
 
-All simulation time is handled internally as integer seconds relative to the
-start of the loaded telemetry window; wall-clock anchoring is the job of the
-dataloaders.
+All simulation time is handled internally as seconds (floats) relative to
+the start of the loaded telemetry window; wall-clock anchoring is the job of
+the dataloaders.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from numbers import Integral
 from typing import Union
 
 from .exceptions import ConfigurationError
@@ -49,38 +50,38 @@ _HMS_RE = re.compile(
 DurationLike = Union[int, float, str, None]
 
 
-def parse_duration(value: DurationLike, *, default: int | None = None) -> int:
-    """Parse a duration expression into integer seconds.
+def parse_duration(value: DurationLike) -> float:
+    """Parse a duration expression into seconds.
 
     Accepted forms:
 
-    * ``None`` — returns ``default`` (which must then be provided),
-    * plain numbers (``61000``, ``61000.0``) — interpreted as seconds
-      (a bool is not a number here),
-    * suffixed strings (``"15s"``, ``"1h"``, ``"7d"``, ``"35d"``, ``"2w"``),
+    * plain numbers (``61000``, ``5400.5``) — interpreted as seconds (a bool
+      is not a number here),
+    * suffixed strings (``"15s"``, ``"1h"``, ``"1.5h"``, ``"7d"``, ``"2w"``),
     * Slurm-style clock strings (``"1:30:00"``, ``"2-12:00:00"``, ``"15:00"``).
+
+    Fractions of a second are kept, so every front end that parses a
+    duration here means the same window by it.
 
     Parameters
     ----------
     value:
-        The duration expression.
-    default:
-        Value returned when ``value`` is ``None``.
+        The duration expression. ``None`` is an error (a duration is
+        required).
 
     Returns
     -------
-    int
-        Number of seconds (rounded to the nearest integer).
+    float
+        Number of seconds.
 
     Raises
     ------
     ConfigurationError
-        If the expression cannot be parsed or is negative.
+        If the expression is missing, cannot be parsed, is not finite or is
+        negative.
     """
     if value is None:
-        if default is None:
-            raise ConfigurationError("duration is required but was None")
-        return int(default)
+        raise ConfigurationError("duration is required but was None")
     if isinstance(value, bool):
         raise ConfigurationError(f"duration must be a number or a string, got {value!r}")
     if isinstance(value, (int, float)):
@@ -88,7 +89,7 @@ def parse_duration(value: DurationLike, *, default: int | None = None) -> int:
             raise ConfigurationError(f"duration must be finite, got {value!r}")
         if value < 0:
             raise ConfigurationError(f"duration must be non-negative, got {value!r}")
-        return int(round(value))
+        return float(value)
 
     text = str(value).strip()
     if not text:
@@ -103,8 +104,7 @@ def parse_duration(value: DurationLike, *, default: int | None = None) -> int:
         # Slurm's "MM:SS" form has no hour field; we follow the common
         # scheduler convention of treating "H:MM" / "H:MM:SS" as hours-first,
         # which matches the strings used in the paper's artifacts.
-        total = ((days * 24 + hours) * 60 + minutes) * 60 + seconds
-        return total
+        return float(((days * 24 + hours) * 60 + minutes) * 60 + seconds)
 
     match = _DURATION_RE.match(text)
     if match is None:
@@ -113,10 +113,21 @@ def parse_duration(value: DurationLike, *, default: int | None = None) -> int:
     unit = match.group("unit").lower() or "s"
     if unit not in _SUFFIX_SECONDS:
         raise ConfigurationError(f"unknown duration unit {unit!r} in {value!r}")
-    seconds = number * _SUFFIX_SECONDS[unit]
-    if seconds < 0:
-        raise ConfigurationError(f"duration must be non-negative, got {value!r}")
-    return int(round(seconds))
+    return number * _SUFFIX_SECONDS[unit]
+
+
+def check_seed(seed: object) -> int:
+    """``seed`` as a non-negative int, or a :class:`ConfigurationError`.
+
+    The one seed check: :class:`~repro.engine.SimulationEngine`,
+    :class:`~repro.workloads.SyntheticWorkloadGenerator`,
+    :func:`~repro.engine.run_simulation` and
+    :class:`~repro.sweep.RunRequest` apply it. Bools, floats and strings
+    are rejected rather than truncated or parsed.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
 
 
 def format_duration(seconds: float) -> str:

@@ -14,7 +14,9 @@ the same workload: the golden-summary and dense-vs-event tests
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +26,7 @@ from ..exceptions import ConfigurationError
 from ..power.node_power import NodePowerModel
 from ..telemetry.job import Job
 from ..telemetry.trace import _ZERO_GRID, Profile, _frozen_view, _grid_profile
+from ..units import check_seed
 from .distributions import (
     BurstArrivals,
     JobSizeDistribution,
@@ -219,7 +222,8 @@ class SyntheticWorkloadGenerator:
         The workload specification; ``None`` means
         :func:`default_workload_spec` of ``system``.
     seed:
-        Seed for the internal :class:`numpy.random.Generator`.
+        Seed for the internal :class:`numpy.random.Generator`; an integer
+        >= 0 (:func:`repro.units.check_seed`).
 
     Random draws come from one stream in a fixed order: the per-job scalars
     (submit times, sizes, runtimes, wall limits, queue waits, users,
@@ -242,7 +246,7 @@ class SyntheticWorkloadGenerator:
     ) -> None:
         self.system = system
         self.spec = spec if spec is not None else default_workload_spec(system)
-        self.seed = seed
+        self.seed = check_seed(seed)
         if self.spec.sizes.max_nodes > system.total_nodes:
             raise ConfigurationError(
                 f"workload max job size {self.spec.sizes.max_nodes} exceeds "
@@ -264,7 +268,17 @@ class SyntheticWorkloadGenerator:
         *before* ``start_s`` (one mean runtime long) is generated as well so
         that the system is busy at window start — the prepopulation behaviour
         the paper calls out as often neglected by scheduling simulators.
+        ``duration_s`` must be a finite number >= 0; an empty window yields
+        no jobs.
         """
+        if (
+            isinstance(duration_s, bool)
+            or not isinstance(duration_s, Real)
+            or not 0 <= duration_s < math.inf
+        ):
+            raise ConfigurationError(
+                f"workload window must be a finite number of seconds >= 0, got {duration_s!r}"
+            )
         rng = np.random.default_rng(self.seed)
         spec = self.spec
 

@@ -7,10 +7,12 @@ relying on package-relative imports.
 The *scan reference* lives here too: per-query evaluations of a profile
 (:func:`value_at`, :func:`next_change_after`, ...), of one job run
 (:func:`utilization_at`, :func:`job_power_w`, ...) and of the whole
-running set (:func:`scan_sample`). No engine path calls them; they are the
-straightforward evaluation the engine's cached job power states and
-breakpoint heap must reproduce (:func:`run_checked`,
-``tests/test_power.py::TestJobPowerStates``). So do the facility
+running set (:func:`scan_sample`), and the EASY reservation by a scan of
+every running job's nodes (:func:`scan_reservation`). No engine path calls
+them; they are the straightforward evaluation the engine's cached job power
+states, breakpoint heap and reservation walk must reproduce
+(:func:`run_checked`, ``tests/test_power.py::TestJobPowerStates``,
+``tests/test_scheduler.py``). So do the facility
 references: :class:`ReferenceCoolingPlant` steps every CDU and the tower
 loop on its own, and :func:`stage_efficiency` is the conversion stages'
 efficiency curve on numpy (``tests/test_cooling.py``,
@@ -21,12 +23,13 @@ from __future__ import annotations
 
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.cluster import DOWN, FREE, ResourceManager
-from repro.config import CoolingConfig
+from repro.config import CoolingConfig, PartitionConfig, SystemConfig, get_system_config
 from repro.cooling.plant import _CDU_EFFECTIVENESS, WATER_CP, lag_fraction
 from repro.engine import PowerCapScheduler, SimulationEngine, SimulationResult
 from repro.engine.stats import StatsCollector
@@ -37,6 +40,7 @@ __all__ = [
     "ReferenceCoolingPlant",
     "assert_energy_balance",
     "assert_node_conservation",
+    "assert_node_time_on_grid",
     "assert_power_matches_scan",
     "assert_replay_starts",
     "change_points",
@@ -49,9 +53,11 @@ __all__ = [
     "queued_run",
     "recorded_power_at",
     "run_checked",
+    "scan_reservation",
     "scan_sample",
     "stage_efficiency",
     "summary_drifts",
+    "two_partition_system",
     "utilization_at",
     "value_at",
 ]
@@ -98,6 +104,22 @@ def make_job(
         gpu_util=gpu_profile if gpu_profile is not None else constant_profile(gpu, duration),
         mem_util=mem_profile if mem_profile is not None else constant_profile(mem, duration),
         node_power=node_power,
+    )
+
+
+def two_partition_system() -> SystemConfig:
+    """16 cpu + 8 gpu nodes of the tiny system's node; gpu nodes idle 50 W higher."""
+    node = get_system_config("tiny").partitions[0].node_power
+    return SystemConfig(
+        name="twopart",
+        description="two-partition test system",
+        partitions=(
+            PartitionConfig("cpu", 16, node),
+            PartitionConfig("gpu", 8, replace(node, idle_w=node.idle_w + 50.0)),
+        ),
+        timestep_s=15,
+        trace_quantum_s=15,
+        default_policy="fcfs",
     )
 
 
@@ -236,34 +258,77 @@ def job_energy_j(model: SystemPowerModel, job: Job) -> float:
 
 
 def scan_sample(
-    model: SystemPowerModel,
-    now: float,
-    running_jobs,
-    *,
-    allocated_nodes: int | None = None,
-    down_nodes: int = 0,
+    model: SystemPowerModel, now: float, resource_manager: ResourceManager
 ) -> SystemPowerSample:
-    """System power at ``now`` by evaluating every running job afresh."""
+    """System power at ``now`` by evaluating every running job afresh.
+
+    Idle power counts each partition's free nodes in the owner table.
+    """
     power_w = 0.0
     cpu_weighted = 0.0
     gpu_weighted = 0.0
     nodes_busy = 0
-    for run in running_jobs:
+    for run in resource_manager.running_jobs:
         nodes = run.job.nodes_required
         power_w += job_power_w(model, run, now)
         cpu, gpu, _ = utilization_at(run, now)
         cpu_weighted += cpu * nodes
         gpu_weighted += gpu * nodes
         nodes_busy += nodes
+    system = resource_manager.system
+    owner = resource_manager.owner
+    free_nodes = [
+        sum(1 for nid in system.partition_node_range(partition.name) if owner[nid] is FREE)
+        for partition in system.partitions
+    ]
     return model.compose_sample(
         now,
         power_w,
         nodes_busy=nodes_busy,
         cpu_weighted=cpu_weighted,
         gpu_weighted=gpu_weighted,
-        allocated_nodes=allocated_nodes,
-        down_nodes=down_nodes,
+        free_nodes=free_nodes,
     )
+
+
+# -- the scan reference: the EASY reservation -----------------------------------
+
+
+def scan_reservation(
+    resource_manager: ResourceManager, head: Job, started: list[Job], now: float
+) -> tuple[float, float]:
+    """``(shadow_time, spare)`` of the blocked ``head``, by scanning nodes.
+
+    Places the tick's own starts (``started``, in decision order) on a copy
+    of the resource manager at ``now``, so they sit on the nodes allocation
+    gives them. Then every running job counts its nodes inside the head's
+    pool — the head's partition when the system has several and names it,
+    otherwise every node — with its expected end ``sim_start +
+    requested_runtime``, and a walk in ``(expected end, nodes)`` order adds
+    them to the pool's free nodes until the head fits. An overrun expected
+    end shadows at ``now``; a head that never fits reserves nothing.
+    ``BackfillScheduler._reserve`` must reproduce this with ``==``.
+    """
+    rm = copy.deepcopy(resource_manager)
+    for job in started:
+        rm.allocate(queued_run(job, now), now)
+    system = rm.system
+    names = [partition.name for partition in system.partitions]
+    if len(names) > 1 and head.partition in names:
+        pool = system.partition_node_range(head.partition)
+    else:
+        pool = range(system.total_nodes)
+    occupants = []
+    for run in rm.running_jobs:
+        nodes = sum(1 for nid in run.assigned_nodes if nid in pool)
+        if nodes:
+            occupants.append((run.sim_start_time + run.job.requested_runtime, nodes))
+    available = sum(1 for nid in pool if rm.owner[nid] is FREE)
+    for end, nodes in sorted(occupants):
+        available += nodes
+        if available >= head.nodes_required:
+            return max(now, end), available - head.nodes_required
+    return math.inf, 0
 
 
 # -- the facility references: cooling loops and conversion stages ---------------
@@ -385,15 +450,8 @@ def assert_power_matches_scan(engine: SimulationEngine) -> None:
     power sample saw. The incremental aggregator sums in its own order,
     so the match is to 1e-12, not bit for bit.
     """
-    rm = engine.resource_manager
     tick = engine.stats.ticks[-1]
-    scan = scan_sample(
-        engine.power_model,
-        tick.time_s,
-        rm.running_jobs,
-        allocated_nodes=rm.allocated_nodes,
-        down_nodes=rm.down_nodes,
-    )
+    scan = scan_sample(engine.power_model, tick.time_s, engine.resource_manager)
     for recorded, expected in (
         (tick.compute_power_kw, scan.compute_power_kw),
         (tick.loss_power_kw, scan.loss_kw),
@@ -437,6 +495,33 @@ def assert_replay_starts(runs: list[JobRun]) -> None:
             assert run.sim_start_time == run.job.start_time, run.job_id
 
 
+def assert_node_time_on_grid(engine: SimulationEngine, result: SimulationResult) -> None:
+    """Node time integrates on the tick grid: ∫ ``allocated_nodes`` · ``dt_s``
+    equals Σ nodes × (⌈end⌉ − ⌈start⌉) over the jobs that ran.
+
+    ⌈t⌉ is the first grid tick at or after ``t``: the engine allocates a
+    job on the tick that starts it (a replay start backdated to an off-grid
+    recorded start included) and releases it on the first tick at or after
+    its end, which is at least the next tick. A horizon cut ends at the
+    horizon. (``node_hours`` uses the exact simulated durations instead.)
+    """
+    stats = result.stats
+    origin = result.start_time_s
+    timestep = float(engine.system.timestep_s)
+    cut = math.inf if engine.horizon_s is None else origin + engine.horizon_s
+
+    def grid_tick(t: float) -> float:
+        return origin + timestep * math.ceil((t - origin) / timestep)
+
+    expected = 0.0
+    for run in stats.completed_jobs:
+        start = grid_tick(run.sim_start_time)
+        end = min(max(grid_tick(run.sim_end_time), start + timestep), cut)
+        expected += run.job.nodes_required * (end - start)
+    integral = float(np.sum(stats.column("allocated_nodes") * stats.column("dt_s")))
+    assert integral == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+
 def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationResult:
     """Run one engine over ``jobs``, checking conservation on its tables.
 
@@ -445,10 +530,12 @@ def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationR
     event-driven runs, each step's power is checked against a scan of the
     running set (:func:`assert_power_matches_scan`; dense runs are tied to
     event-driven ones by the 1e-9 summary contract). After the run, energy
-    balances (:func:`assert_energy_balance`), every run record is COMPLETED
-    or DISMISSED, each job id left the system exactly once, the input jobs
-    equal a deep copy taken before the run, and replay (bare or under the
-    cap wrapper) started its jobs as :func:`assert_replay_starts` says.
+    balances (:func:`assert_energy_balance`), node time integrates on the
+    tick grid (:func:`assert_node_time_on_grid`), every run record is
+    COMPLETED or DISMISSED, each job id left the system exactly once, the
+    input jobs equal a deep copy taken before the run, and replay (bare or
+    under the cap wrapper) started its jobs as :func:`assert_replay_starts`
+    says.
     """
     before = copy.deepcopy(jobs)
     engine = SimulationEngine(system, jobs, policy, **engine_kwargs)
@@ -463,6 +550,7 @@ def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationR
     engine.step = checked_step  # type: ignore[method-assign]
     result = engine.run()
     assert_energy_balance(result.stats)
+    assert_node_time_on_grid(engine, result)
     assert all(
         run.state in (JobState.COMPLETED, JobState.DISMISSED) for run in result.jobs
     )

@@ -473,7 +473,7 @@ class TestExpectedReleaseIndex:
         # Compaction ran at least once: far fewer tombstones than the 70
         # releases, and the sorted list stays proportional to live + recent.
         assert rm._expected_stale <= 64
-        assert len(rm._expected_sorted) == len(survivors) + rm._expected_stale
+        assert len(rm._expected_sorted[None]) == len(survivors) + rm._expected_stale
         assert [jid for _, _, jid in rm.expected_release_entries()] == [
             j.job_id for j in sorted(survivors, key=lambda j: j.job_id)
         ]

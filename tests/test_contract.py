@@ -13,6 +13,10 @@ Two gates guard what the twin computes, and they are not interchangeable:
   is wrong, not the reference. The power-cap case also checks that a
   constant cap is never exceeded and does bind, and the frontier-scale
   case that the workload keeps its >= 1,000 concurrently running jobs.
+  The two-partition gate holds the same contract on a 16 cpu + 8 gpu
+  system, with jobs of each partition and of the whole pool, under all
+  three policies, uncapped and capped, every run through
+  :func:`helpers.run_checked`.
 
 Drift is :func:`helpers.summary_drifts`: symmetric over the metric keys,
 non-finite values in one bucket, ``ticks`` excluded.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,13 +39,19 @@ from repro.obs import EventLog, MetricsRegistry, Observability, ProgressReporter
 from repro.power import OperatingSignals
 from repro.workloads import (
     SyntheticWorkloadGenerator,
+    WorkloadSpec,
     burst_arrival_spec,
     busy_trace_spec,
     frontier_scale_spec,
     idle_heavy_spec,
 )
+from repro.workloads.distributions import (
+    JobSizeDistribution,
+    PoissonArrivals,
+    RuntimeDistribution,
+)
 
-from helpers import summary_drifts
+from helpers import run_checked, summary_drifts, two_partition_system
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "engine_summary_tiny_seed42.json"
 
@@ -155,3 +166,53 @@ def test_dense_matches_event(case: str) -> None:
         assert summary["capped_hold_s"] > 0.0
     if case == "frontier_scale":
         assert event.stats.column("running_jobs").max() >= 1000
+
+
+#: Seed of the two-partition gate's workload.
+TWO_PARTITION_SEED = 2
+
+#: Largest request per partition of the two-partition gate; ``debug`` is
+#: not registered there, so its jobs draw from the whole pool.
+TWO_PARTITION_NODES = {"cpu": 16, "gpu": 8, "debug": 24}
+
+
+def _two_partition_jobs(system) -> list:
+    """60 jobs with 5-minute phases, cycling through cpu, gpu and debug."""
+    spec = WorkloadSpec(
+        sizes=JobSizeDistribution(min_nodes=1, max_nodes=16, full_system_fraction=0.0),
+        runtimes=RuntimeDistribution(median_s=1800.0, sigma=0.8, min_s=120.0, max_s=7200.0),
+        arrivals=PoissonArrivals(rate_per_hour=30.0),
+        trace_interval_s=300.0,
+    )
+    generator = SyntheticWorkloadGenerator(system, spec, seed=TWO_PARTITION_SEED)
+    jobs = generator.generate(3 * 3600.0)[:60]
+    assert len(jobs) == 60
+    partitions = list(TWO_PARTITION_NODES)
+    return [
+        replace(
+            job,
+            partition=partitions[i % 3],
+            nodes_required=min(job.nodes_required, TWO_PARTITION_NODES[partitions[i % 3]]),
+        )
+        for i, job in enumerate(jobs)
+    ]
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("policy", ["replay", "fcfs", "backfill"])
+def test_two_partition_dense_matches_event(policy: str, capped: bool) -> None:
+    system = two_partition_system()
+    jobs = _two_partition_jobs(system)
+    signals = None
+    if capped:
+        # A constant cap at 80% of the uncapped compute peak binds.
+        uncapped = SimulationEngine(system, jobs, policy).run()
+        cap_kw = 0.8 * float(uncapped.stats.column("compute_power_kw").max())
+        signals = OperatingSignals(power_cap_kw=((0.0, cap_kw),))
+    dense = run_checked(system, jobs, policy, dense_ticks=True, signals=signals)
+    event = run_checked(system, jobs, policy, signals=signals)
+    summary = event.summary()
+    assert not _over(summary_drifts(summary, dense.summary()), EQUIVALENCE_RTOL)
+    if capped:
+        assert summary["cap_violation_kwh"] == 0.0
+        assert summary["capped_hold_s"] > 0.0

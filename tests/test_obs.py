@@ -16,6 +16,7 @@ import json
 import logging
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -303,6 +304,44 @@ class TestEngineIntegration:
         assert reasons == {"power cap infeasible", "simulation horizon reached"}
         for line in dismissals:
             assert line["reason"] == run_of[line["job_id"]].dismiss_reason
+
+
+def _glossary_names() -> set[str]:
+    """Metric names of the README's metrics glossary table, with the
+    ``engine_phase_<phase>_us`` row expanded over the engine phases."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names: set[str] = set()
+    for line in text.split("### Metrics glossary", 1)[1].splitlines():
+        if not line.startswith("| `"):
+            if names:
+                break  # the end of the table
+            continue
+        name = line.split("`")[1]
+        if name == "engine_phase_<phase>_us":
+            names.update(f"engine_phase_{phase}_us" for phase in ENGINE_PHASES)
+        else:
+            names.add(name)
+    return names
+
+
+class TestMetricsGlossary:
+    def test_glossary_lists_exactly_the_published_metrics(self):
+        # repro-lint finds a metric missing from the table; this finds a
+        # row no run publishes. One fully instrumented run per policy and
+        # one capped run publish every metric the engine has.
+        runs = [{"policy": policy} for policy in ("replay", "fcfs", "backfill")]
+        runs.append(
+            {"policy": "backfill", "signals": OperatingSignals.constant(power_cap_kw=20.0)}
+        )
+        published: set[str] = set()
+        for kwargs in runs:
+            obs, _ = _full_obs()
+            run_simulation("tiny", duration="2h", seed=3, obs=obs, **kwargs)
+            obs.events.close()
+            published.update(
+                name for kind in obs.metrics.snapshot().values() for name in kind
+            )
+        assert _glossary_names() == published
 
 
 class TestObservabilityBundle:

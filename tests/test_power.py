@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ResourceManager
-from repro.config import (
-    PartitionConfig,
-    PowerLossConfig,
-    SystemConfig,
-    available_systems,
-    get_system_config,
-)
+from repro.config import PowerLossConfig, available_systems, get_system_config
 from repro.exceptions import ConfigurationError
 from repro.power import (
     ConversionLossModel,
@@ -36,6 +29,7 @@ from helpers import (
     queued_run,
     scan_sample,
     stage_efficiency,
+    two_partition_system,
     utilization_at,
 )
 
@@ -183,13 +177,13 @@ class TestConversionLossModel:
         assert abs(got - reference) <= math.ulp(reference)
 
 
-def _aggregated_sample(model, jobs, now, *, down_nodes=0):
+def _aggregated_sample(model, jobs, now):
     """System power at ``now`` with ``jobs`` started at 0.0, through the
     engine's incremental aggregator."""
     rm = ResourceManager(model.system)
     for job in jobs:
         rm.allocate(queued_run(job), 0.0)
-    return RunningSetPowerAggregator(model, rm).sample(now, down_nodes=down_nodes)
+    return RunningSetPowerAggregator(model, rm).sample(now)
 
 
 def _job_power_w(model, job, now):
@@ -259,31 +253,32 @@ class TestSystemPowerModel:
         high = low + node_cfg.cpus_per_node * (node_cfg.cpu_max_w - node_cfg.cpu_idle_w)
         assert model.job_energy_j(job) == pytest.approx(low * 100 + high * 100)
 
-    def test_down_nodes_reduce_idle_power(self, model):
-        with_down = _aggregated_sample(model, [], 0.0, down_nodes=16)
+    @pytest.mark.parametrize("gpu_nodes, idle_kw", [(8, 4.0), (4, 5.2)])
+    def test_idle_power_counts_each_partitions_free_nodes(self, gpu_nodes, idle_kw):
+        # A gpu job leaves the 16 cpu nodes (250 W idle) free, and the
+        # rest of the gpu nodes (300 W): 8 gpu nodes busy idle 4.0 kW, not
+        # 8 cpu + 8 gpu nodes by configuration order (2.0 + 2.4 kW).
+        system = two_partition_system()
+        model = SystemPowerModel(system)
+        rm = ResourceManager(system)
+        rm.allocate(queued_run(make_job(nodes=gpu_nodes, partition="gpu")), 0.0)
+        assert [p.node_power.min_w for p in system.partitions] == [250.0, 300.0]
+        sample = RunningSetPowerAggregator(model, rm).sample(0.0)
+        assert sample.idle_power_kw == pytest.approx(idle_kw, rel=1e-15)
+        assert scan_sample(model, 0.0, rm).idle_power_kw == sample.idle_power_kw
+
+    def test_down_nodes_reduce_idle_power(self, model, tiny_system):
+        # Down nodes come from the system's down_node_fraction: the resource
+        # manager marks them, and they draw no idle power.
+        half_down = SystemPowerModel(tiny_system.with_overrides(down_node_fraction=0.5))
+        with_down = _aggregated_sample(half_down, [], 0.0)
         without = _aggregated_sample(model, [], 0.0)
-        assert with_down.idle_power_kw < without.idle_power_kw
+        assert with_down.idle_power_kw == pytest.approx(without.idle_power_kw / 2)
 
 
 def _profile_from(draw_values, duration):
     times = np.linspace(0.0, max(duration, 1.0), num=len(draw_values))
     return Profile(times, draw_values)
-
-
-def _two_partition_system():
-    """16 cpu + 8 gpu nodes; the gpu partition's nodes idle 50 W higher."""
-    node = get_system_config("tiny").partitions[0].node_power
-    return SystemConfig(
-        name="twopart",
-        description="two-partition test system",
-        partitions=(
-            PartitionConfig("cpu", 16, node),
-            PartitionConfig("gpu", 8, replace(node, idle_w=node.idle_w + 50.0)),
-        ),
-        timestep_s=15,
-        trace_quantum_s=15,
-        default_policy="fcfs",
-    )
 
 
 def _grid_points(job):
@@ -404,7 +399,7 @@ class TestJobPowerStates:
     )
     @settings(max_examples=40, deadline=None)
     def test_states_match_scan(self, seed, n_jobs, with_traces, two_partitions, now):
-        system = _two_partition_system() if two_partitions else get_system_config("tiny")
+        system = two_partition_system() if two_partitions else get_system_config("tiny")
         model = SystemPowerModel(system)
         rng = np.random.default_rng(seed)
         runs = self._build_runs(
@@ -499,12 +494,12 @@ class TestRunningSetPowerAggregator:
             rm.allocate(run, 0.0)
         for now in np.arange(0.0, 360.0, 15.0):
             self._assert_matches(
-                agg.sample(now), scan_sample(model, now, rm.running_jobs)
+                agg.sample(now), scan_sample(model, now, rm)
             )
         rm.release(runs[1], 360.0)
         for now in np.arange(360.0, 615.0, 15.0):
             self._assert_matches(
-                agg.sample(now), scan_sample(model, now, rm.running_jobs)
+                agg.sample(now), scan_sample(model, now, rm)
             )
 
     def test_recorded_power_trace_wins_over_model(self, rig):
@@ -515,7 +510,7 @@ class TestRunningSetPowerAggregator:
         rm.allocate(job, 0.0)
         for now in (0.0, 45.0, 60.0, 61.0, 200.0):
             sample = agg.sample(now)
-            self._assert_matches(sample, scan_sample(model, now, rm.running_jobs))
+            self._assert_matches(sample, scan_sample(model, now, rm))
         # Past the trace end the last value is held (gap-filling rule).
         assert agg.sample(290.0).job_power_kw == pytest.approx(3 * 750.0 / 1000.0)
 
@@ -528,7 +523,7 @@ class TestRunningSetPowerAggregator:
         job = queued_run(job, 0.0)
         rm.allocate(job, 7.5)
         for now in (15.0, 105.0, 107.5, 120.0):
-            self._assert_matches(agg.sample(now), scan_sample(model, now, rm.running_jobs))
+            self._assert_matches(agg.sample(now), scan_sample(model, now, rm))
 
     def test_idle_system_reports_exact_zero_job_power(self, rig):
         model, rm, agg = rig
@@ -542,7 +537,7 @@ class TestRunningSetPowerAggregator:
         assert sample.mean_cpu_util == 0.0
         assert sample.mean_gpu_util == 0.0
         assert sample.allocated_nodes == 0
-        self._assert_matches(sample, scan_sample(model, 300.0, rm.running_jobs))
+        self._assert_matches(sample, scan_sample(model, 300.0, rm))
 
     def test_next_breakpoint_after_matches_per_job_bound(self, rig):
         # The engine's event bound: the aggregator's heap minimum must be
@@ -616,13 +611,13 @@ class TestRunningSetPowerAggregator:
         ]
         for run in runs:
             rm.allocate(run, 0.0)
-        self._assert_matches(agg.sample(0.0), scan_sample(model, 0.0, rm.running_jobs))
+        self._assert_matches(agg.sample(0.0), scan_sample(model, 0.0, rm))
         rm.release(runs[0], 100.0)
         rm.release(runs[2], 100.0)
         late = make_job(nodes=8, submit=0.0, duration=500.0, gpu=0.9)
         late = queued_run(late, 100.0)
         rm.allocate(late, 100.0)
-        self._assert_matches(agg.sample(100.0), scan_sample(model, 100.0, rm.running_jobs))
+        self._assert_matches(agg.sample(100.0), scan_sample(model, 100.0, rm))
 
     def test_breakpoint_on_rounding_boundary_does_not_spin(self, rig):
         # start + t can compare <= now while now - start < t in float64;
@@ -641,10 +636,10 @@ class TestRunningSetPowerAggregator:
         # Sampling exactly on the rounded boundary must terminate and match
         # the scan (which still sees the pre-change value, elapsed < change).
         self._assert_matches(
-            agg.sample(boundary), scan_sample(model, boundary, rm.running_jobs)
+            agg.sample(boundary), scan_sample(model, boundary, rm)
         )
         # One ulp later the elapsed time crosses and the new value applies.
         later = np.nextafter(boundary + 15.0, np.inf)
         self._assert_matches(
-            agg.sample(later), scan_sample(model, later, rm.running_jobs)
+            agg.sample(later), scan_sample(model, later, rm)
         )

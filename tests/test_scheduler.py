@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ResourceManager
 from repro.config import get_system_config
@@ -15,10 +17,11 @@ from repro.engine import (
     available_policies,
     get_scheduler,
 )
+from repro.engine.scheduler import _FreeNodeCounts
 from repro.exceptions import SchedulingError
 from repro.telemetry import JobState
 
-from helpers import make_job, queued_run
+from helpers import make_job, queued_run, scan_reservation, two_partition_system
 
 
 class TestRegistry:
@@ -231,6 +234,31 @@ class TestBackfillScheduler:
         assert head.job_id not in started
 
 
+    def test_declined_whole_pool_job_is_retried_once_cpu_fills(self):
+        # cpu head H (16 nodes) waits for a 14-node cpu job: shadow at its
+        # expected end, no spare. A long 1-node whole-pool job W would take
+        # one of the 2 free cpu nodes, so the reservation declines it; the
+        # short cpu job C behind it then takes both. W is tried again and
+        # now lands on a gpu node, outside the reservation: it starts this
+        # tick, as it would on the next one.
+        system = two_partition_system()
+        rm = ResourceManager(system)
+        rm.allocate(
+            queued_run(make_job(nodes=14, partition="cpu", duration=3600.0, wall_limit=3600.0)),
+            0.0,
+        )
+        head = make_job(nodes=16, partition="cpu", submit=10.0, wall_limit=1800.0)
+        whole = make_job(nodes=1, partition="debug", submit=20.0, wall_limit=7200.0)
+        short = make_job(nodes=2, partition="cpu", submit=30.0, wall_limit=1800.0)
+        scheduler = BackfillScheduler()
+        decisions = scheduler.schedule([head, whole, short], rm, now=60.0)
+        assert [d.job.job_id for d in decisions] == [short.job_id, whole.job_id]
+        for decision in decisions:
+            rm.allocate(queued_run(decision.job), 60.0)
+        assert rm.running_by_id[whole.job_id].assigned_nodes == (16,)
+        assert scheduler.schedule([head], rm, now=75.0) == []
+
+
 class TestBackfillReservationEdgeCases:
     def test_head_that_can_never_fit_reserves_nothing(self, tiny_system):
         # A 40-node head on a 32-node system can never start by the
@@ -272,22 +300,29 @@ class TestBackfillReservationEdgeCases:
         assert narrow.job_id in started  # fits now and within the spare pool
         assert wide.job_id not in started  # only 8 nodes free right now
 
+    @staticmethod
+    def _reservation(system, head, now):
+        """The walk's ``(shadow, spare)`` for ``head`` behind one 24-node
+        occupant (wall limit 600 s, started at 0), and the scan's."""
+        rm = ResourceManager(system)
+        rm.allocate(
+            queued_run(make_job(nodes=24, submit=0.0, duration=86400.0, wall_limit=600.0)),
+            0.0,
+        )
+        scheduler = BackfillScheduler()
+        walk = scheduler._reserve(head, None, _FreeNodeCounts(rm), rm, [], now)
+        return walk, scan_reservation(rm, head, [], now)
+
     def test_overrun_shadow_never_precedes_now(self, tiny_system):
         # Directly check the reservation arithmetic of the overrun case.
         head = make_job(nodes=16, submit=0.0, wall_limit=1800.0)
-        shadow, spare = BackfillScheduler._reservation(
-            head, 8, [(600.0, 24)], now=7200.0
-        )
-        assert shadow == pytest.approx(7200.0)  # max(now, stale end)
-        assert spare == 16
+        walk, scan = self._reservation(tiny_system, head, now=7200.0)
+        assert walk == scan == (7200.0, 16)  # max(now, stale end)
 
     def test_unfittable_head_reservation_is_inf(self, tiny_system):
         head = make_job(nodes=40, submit=0.0, wall_limit=600.0)
-        shadow, spare = BackfillScheduler._reservation(
-            head, 8, [(3600.0, 24)], now=0.0
-        )
-        assert shadow == float("inf")
-        assert spare == 0
+        walk, scan = self._reservation(tiny_system, head, now=0.0)
+        assert walk == scan == (float("inf"), 0)
 
 
 class TestNextEventHint:
@@ -379,32 +414,33 @@ class TestNextEventHint:
 
 
 class TestLedgerSafety:
-    def test_pool_debt_applies_to_late_materialized_ledgers(self, two_partition_system):
-        # An unregistered-partition job consumes from the whole pool before
-        # any named ledger has been materialized; a ledger materialized
-        # *afterwards* (first free_in/fits call for that partition) must
-        # still see the pool-wide debt, or a same-tick decision could
-        # overcommit the partition.
-        from repro.engine.scheduler import _FreeNodeCounts
-
+    def test_whole_pool_jobs_debit_partitions_in_allocation_order(
+        self, two_partition_system
+    ):
+        # An unregistered-partition job draws from the whole pool, and the
+        # resource manager places it on the lowest free ids: the cpu
+        # partition first, then gpu. The ledger debits it the same way, so
+        # after 16 whole-pool nodes the cpu ledger is empty and the gpu
+        # ledger still holds all 8 nodes — exactly what the resource manager
+        # reports once the decisions are executed.
         rm = ResourceManager(two_partition_system)
         counts = _FreeNodeCounts(rm)
         pool_job = make_job(nodes=14, submit=0.0, partition="debug")
-        assert counts.fits(pool_job)
-        counts.consume(pool_job)  # no named ledger exists yet: pure pool debt
-        assert counts.total_free == 24 - 14
-        # The cpu ledger (16 nodes) materializes now and must be debited.
-        assert counts.free_in("cpu") == max(0, 16 - 14)
-        cpu_job = make_job(nodes=4, submit=0.0, partition="cpu")
-        assert not counts.fits(cpu_job)
-        # A second pool job debits both the pool and the already-known ledger.
         small_pool_job = make_job(nodes=2, submit=0.0, partition="debug")
-        assert counts.fits(small_pool_job)
-        counts.consume(small_pool_job)
-        assert counts.total_free == 8
-        assert counts.free_in("cpu") == 0
-        # The gpu ledger materializes last: debt from *both* pool jobs applies.
-        assert counts.free_in("gpu") == max(0, 8 - 16)
+        assert counts.fits(pool_job)
+        counts.consume(counts.split(pool_job))
+        assert (counts.free_in(None), counts.free_in("cpu")) == (10, 2)
+        assert not counts.fits(make_job(nodes=4, submit=0.0, partition="cpu"))
+        assert counts.split(small_pool_job) == {None: 2, "cpu": 2}
+        counts.consume(counts.split(small_pool_job))
+        ledger = (counts.free_in(None), counts.free_in("cpu"), counts.free_in("gpu"))
+        assert ledger == (8, 0, 8)
+        assert counts.fits(make_job(nodes=8, submit=0.0, partition="gpu"))
+        for job in (pool_job, small_pool_job):
+            rm.allocate(queued_run(job), 0.0)
+        assert (
+            rm.free_node_count(), rm.free_node_count("cpu"), rm.free_node_count("gpu")
+        ) == ledger
 
     def test_unregistered_partition_jobs_share_pool_safely(self, tiny_system):
         # A job naming an unregistered partition draws from the whole pool;
@@ -545,11 +581,13 @@ class _SortingReplayScheduler(ReplayScheduler):
 
 
 class _ScanBackfillScheduler(BackfillScheduler):
-    """Reference EASY backfill: every reservation from the occupant scan."""
+    """Reference EASY backfill: every reservation from the node scan."""
 
-    def _reserve(self, head, head_key, free_counts, resource_manager, started, now):
-        occupants = self._occupants(resource_manager, started, head_key, now)
-        return self._reservation(head, free_counts.free_in(head_key), occupants, now)
+    def _reserve(self, head, pool, free_counts, resource_manager, started, now):
+        self.reservations_computed += 1
+        return scan_reservation(
+            resource_manager, head, [job for _, job, _ in started], now
+        )
 
 
 class TestBackfillReservationIndex:
@@ -574,7 +612,7 @@ class TestBackfillReservationIndex:
 
         indexed = BackfillScheduler()
         decisions = build(indexed), build(_ScanBackfillScheduler())
-        assert indexed.reservations_indexed == indexed.reservations_computed > 0
+        assert indexed.reservations_computed > 0
         return decisions
 
     def test_indexed_and_scan_reservations_agree(self, tiny_system):
@@ -610,10 +648,10 @@ class TestBackfillReservationIndex:
         )
         assert indexed == scanned
 
-    def test_partition_confined_head_uses_scan_fallback(self, two_partition_system):
-        # A head restricted to a proper subset of the nodes cannot use the
-        # whole-pool index; it must take the same partition-aware decisions
-        # as the reference scan.
+    def test_partition_confined_head_agrees(self, two_partition_system):
+        # A head restricted to a proper subset of the nodes walks its
+        # partition's expected-release list; it must take the same
+        # partition-aware decisions as the reference scan.
         def run(scheduler):
             rm = ResourceManager(two_partition_system)
             running = make_job(nodes=6, partition="gpu", submit=0.0,
@@ -629,7 +667,28 @@ class TestBackfillReservationIndex:
 
         default = BackfillScheduler()
         assert run(default) == run(_ScanBackfillScheduler()) == ["cpu"]
-        assert default.reservations_indexed == 0
+        assert default.reservations_computed == 1
+
+    def test_same_tick_whole_pool_start_counts_its_share_of_the_partition(self):
+        # A 4-node whole-pool start takes the last 2 cpu nodes and 2 gpu
+        # nodes; a cpu head's walk gets back only its 2 cpu nodes at 1800 s,
+        # so the head fits when the 14-node cpu job ends, with no spare.
+        system = two_partition_system()
+        rm = ResourceManager(system)
+        rm.allocate(
+            queued_run(make_job(nodes=14, partition="cpu", duration=3600.0, wall_limit=3600.0)),
+            0.0,
+        )
+        ledger = _FreeNodeCounts(rm)
+        whole = make_job(nodes=4, partition="debug", wall_limit=1800.0)
+        taken = ledger.split(whole)
+        assert taken == {None: 4, "cpu": 2, "gpu": 2}
+        ledger.consume(taken)
+        head = make_job(nodes=16, partition="cpu", wall_limit=1800.0)
+        walk = BackfillScheduler()._reserve(
+            head, "cpu", ledger, rm, [(1800.0, whole, taken)], 0.0
+        )
+        assert walk == scan_reservation(rm, head, [whole], 0.0) == (3600.0, 0)
 
     def test_same_tick_starts_enter_the_reservation(self, tiny_system):
         # Phase-1 starts of the same tick must occupy the reservation walk
@@ -645,3 +704,66 @@ class TestBackfillReservationIndex:
             now=0.0,
         )
         assert indexed == scanned
+
+
+#: Partitions the reservation property draws jobs from: ``debug`` is not
+#: registered on the two-partition system, so its jobs take the whole pool.
+_PARTITIONS = ("cpu", "gpu", "debug")
+
+
+class TestReservationWalkMatchesScan:
+    """The one reservation walk equals the node scan with ``==``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_walk_equals_scan_on_two_partitions(self, data):
+        system = two_partition_system()
+        rm = ResourceManager(system)
+        now = 7200.0
+        # Running jobs in each partition and in the whole pool, some placed
+        # explicitly on nodes of both partitions; early starts with short
+        # wall limits overrun them (expected end before now).
+        for _ in range(data.draw(st.integers(0, 10))):
+            start = data.draw(st.sampled_from((0.0, 3600.0, 6600.0, now)))
+            job = make_job(
+                nodes=data.draw(st.integers(1, 12)),
+                partition=data.draw(st.sampled_from(_PARTITIONS)),
+                submit=start,
+                start=start,
+                duration=14400.0,
+                wall_limit=data.draw(st.sampled_from((300.0, 1800.0, 3600.0, 7200.0))),
+            )
+            free = rm.available_node_ids()
+            if data.draw(st.booleans()) and len(free) >= job.nodes_required:
+                nodes = data.draw(st.permutations(free))[: job.nodes_required]
+                rm.allocate(queued_run(job, start), start, node_ids=nodes)
+            elif job.nodes_required <= rm.free_node_count(rm.pool_of(job)):
+                rm.allocate(queued_run(job, start), start)
+        # This tick's own starts, debited from the ledger as phase 1 does.
+        ledger = _FreeNodeCounts(rm)
+        started = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            job = make_job(
+                nodes=data.draw(st.integers(1, 8)),
+                partition=data.draw(st.sampled_from(_PARTITIONS)),
+                submit=now,
+                start=now,
+                wall_limit=data.draw(st.sampled_from((600.0, 1800.0, 7200.0))),
+            )
+            if ledger.fits(job):
+                taken = ledger.split(job)
+                ledger.consume(taken)
+                started.append((now + job.requested_runtime, job, taken))
+        # A blocked head of any pool; beyond the pool's capacity it never fits.
+        partition = data.draw(st.sampled_from(_PARTITIONS))
+        pool = rm.pool_of(make_job(partition=partition))
+        head = make_job(
+            nodes=ledger.free_in(pool) + data.draw(st.integers(1, 10)),
+            partition=partition,
+            submit=now,
+            start=now,
+            wall_limit=1800.0,
+        )
+        walk = BackfillScheduler()._reserve(head, pool, ledger, rm, started, now)
+        scan = scan_reservation(rm, head, [job for _, job, _ in started], now)
+        assert walk == scan

@@ -33,6 +33,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import OperatingSignals, run_simulation
+from repro.config import get_system_config
+from repro.engine import SimulationEngine
 from repro.exceptions import ConfigurationError, SRapsError
 from repro.sweep import (
     ResultsStore,
@@ -56,7 +58,7 @@ from repro.workloads import (
     busy_trace_spec,
 )
 
-from helpers import summary_drifts
+from helpers import make_job, summary_drifts
 
 #: One short in-process run is ~0.1 s on the tiny system; every sweep in
 #: this module but the 64-run store gate stays below a dozen runs to keep
@@ -226,6 +228,24 @@ class TestRunRequest:
         with pytest.raises(ConfigurationError, match="unknown RunRequest field"):
             RunRequest.from_json_dict({"system": "tiny", "nodes": 4})
 
+    @pytest.mark.parametrize(
+        "field, axis, name, known",
+        [
+            ("system", "systems", "nope-system", "known systems: .*frontier"),
+            ("policy", "policies", "nope", "known: backfill, fcfs, replay"),
+        ],
+        ids=["system", "policy"],
+    )
+    def test_unregistered_names_rejected_at_construction(
+        self, field: str, axis: str, name: str, known: str
+    ) -> None:
+        # A typo fails where it is written, listing the known names, not as
+        # one failed store row per run after the pool has started.
+        with pytest.raises(SRapsError, match=known):
+            RunRequest(**{field: name})
+        with pytest.raises(SRapsError, match=known):
+            SweepSpec(name="typo", duration_s=SHORT_S, **{axis: (name,)})
+
     def test_validation(self) -> None:
         from repro.exceptions import SimulationError
 
@@ -352,12 +372,17 @@ class TestShimEquivalence:
             ),
             pytest.param({"policy": "fcfs", "horizon_s": 2700.0}, id="horizon"),
             pytest.param({"policy": "fcfs", "dense_ticks": True}, id="dense"),
+            # Fractions of a second mean the same window on both front ends.
+            pytest.param(
+                {"policy": "fcfs", "duration_s": 5400.5, "horizon_s": 7000.7},
+                id="fractional",
+            ),
         ],
     )
     def test_run_simulation_matches_run_request(self, kwargs: dict) -> None:
         # The two front ends build a run the same way: same summary, key
         # order included, and the same policy name.
-        request = RunRequest(system="tiny", duration_s=SHORT_S, seed=5, **kwargs)
+        request = RunRequest(**{"system": "tiny", "duration_s": SHORT_S, "seed": 5, **kwargs})
         via_request = run_request(request)
         via_shim = run_simulation(
             request.system,
@@ -371,6 +396,21 @@ class TestShimEquivalence:
         )
         assert list(via_shim.summary().items()) == list(via_request.summary().items())
         assert via_shim.policy == via_request.policy
+
+    @pytest.mark.parametrize(
+        "horizon", [math.nan, math.inf, 0.0, -5.0], ids=["nan", "inf", "zero", "negative"]
+    )
+    def test_every_front_end_rejects_a_bad_horizon(self, horizon: float) -> None:
+        # A NaN or infinite horizon would run the whole workload and a
+        # non-positive one dismiss it; all three front ends refuse them.
+        tiny = get_system_config("tiny")
+        jobs = [make_job(nodes=2, duration=7200.0)]
+        with pytest.raises(SRapsError, match="horizon"):
+            SimulationEngine(tiny, jobs, "fcfs", horizon_s=horizon)
+        with pytest.raises(SRapsError, match="duration"):
+            run_simulation("tiny", duration=SHORT_S, horizon=horizon)
+        with pytest.raises(SRapsError, match="horizon_s"):
+            RunRequest(system="tiny", duration_s=SHORT_S, horizon_s=horizon)
 
 
 # ---------------------------------------------------------------------------

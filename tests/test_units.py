@@ -27,7 +27,10 @@ class TestParseDuration:
         assert parse_duration(61000) == 61000
 
     def test_plain_float_seconds(self):
-        assert parse_duration(61000.4) == 61000
+        # Fractions of a second are kept, not rounded away.
+        assert parse_duration(61000.4) == 61000.4
+        assert parse_duration(0.4) == 0.4
+        assert parse_duration("0.25s") == 0.25
 
     def test_numeric_string(self):
         assert parse_duration("4381000") == 4381000
@@ -59,9 +62,6 @@ class TestParseDuration:
     )
     def test_clock_strings(self, text, expected):
         assert parse_duration(text) == expected
-
-    def test_none_with_default(self):
-        assert parse_duration(None, default=100) == 100
 
     def test_none_without_default_raises(self):
         with pytest.raises(ConfigurationError):
@@ -148,11 +148,7 @@ class TestParseDurationErrorPaths:
 
     def test_none_error_mentions_requirement(self):
         with pytest.raises(ConfigurationError, match="required"):
-            parse_duration(None, default=None)
-
-    def test_none_default_zero_is_honoured(self):
-        # default=0 is falsy but valid — must not be confused with "missing".
-        assert parse_duration(None, default=0) == 0
+            parse_duration(None)
 
     def test_whitespace_only_is_empty(self):
         with pytest.raises(ConfigurationError, match="empty"):

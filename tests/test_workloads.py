@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -198,6 +199,21 @@ class TestSyntheticWorkloadGenerator:
         assert generator.spec == spec
         expected = jobs_without_ids(SyntheticWorkloadGenerator(tiny_system, spec, seed=4))
         assert expected and jobs_without_ids(generator) == expected
+
+    @pytest.mark.parametrize(
+        "seed", [-1, 1.5, "3", True], ids=["negative", "float", "string", "bool"]
+    )
+    def test_seed_is_checked_like_the_engines(self, tiny_system, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            SyntheticWorkloadGenerator(tiny_system, seed=seed)
+
+    @pytest.mark.parametrize(
+        "window", [-1.0, math.nan, math.inf, "1h"], ids=["negative", "nan", "inf", "string"]
+    )
+    def test_window_must_be_finite_and_non_negative(self, tiny_system, window):
+        generator = SyntheticWorkloadGenerator(tiny_system, seed=1)
+        with pytest.raises(ConfigurationError, match="window"):
+            generator.generate(window)
 
     def test_oversized_workload_rejected(self, tiny_system):
         spec = WorkloadSpec(sizes=JobSizeDistribution(max_nodes=10_000))
