@@ -15,12 +15,12 @@ the inventory. What the resource manager allocates and releases are the
 engine's :class:`~repro.telemetry.job.JobRun` records; the read-only
 :class:`~repro.telemetry.job.Job` inside each one is never written.
 
-It is also the one owner of node *pools*: a job draws from its partition
-when that partition is a proper subset of the nodes, otherwise from the
-whole pool (key ``None``), whose placements take the lowest free ids and so
-fill the partitions in configuration order. The policies, the engine and
-the power model ask it (:meth:`ResourceManager.pool_of` and the per-pool
-queries) instead of re-deriving the rule.
+It is also the one owner of the rule "which partition does this job run
+in": every job runs in exactly one partition — its own when the system has
+it, otherwise the system's first partition, the partition whose node model
+prices it (:meth:`~repro.power.SystemPowerModel.node_model`). The policies
+and the engine ask it (:meth:`ResourceManager.partition_of` and the
+per-partition queries) instead of re-deriving the rule.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import heapq
 from bisect import insort
 from collections import Counter
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence, ValuesView
+from typing import Iterable, Iterator, Mapping, Sequence, ValuesView
 
 import numpy as np
 
@@ -77,6 +77,7 @@ class ResourceManager:
         # of a full inventory scan. Heap entries staled by explicit
         # placements are discarded lazily: the owner table is the truth.
         self._partition_of: list[str] = [""] * total
+        self._default_partition = system.partitions[0].name
         self._free_count: dict[str, int] = {}
         self._free_heaps: dict[str, list[int]] = {}
         for partition in system.partitions:
@@ -88,18 +89,9 @@ class ResourceManager:
             self._free_count[partition.name] = len(free_ids)
             self._free_heaps[partition.name] = free_ids  # ascending == valid heap
 
-        #: The proper-partition pools in configuration order: empty on a
-        #: single-partition system, whose only pool is the whole one.
-        self.pools: tuple[str, ...] = (
-            tuple(self._free_count) if len(system.partitions) > 1 else ()
-        )
-        self._pool_of_partition = {name: name for name in self.pools}
-        #: In-service nodes per pool, fixed after the down-node draw (every
-        #: in-service node is still free here).
-        self._capacity: dict[str | None, int] = {
-            None: sum(self._free_count.values()),
-            **{name: self._free_count[name] for name in self.pools},
-        }
+        #: In-service nodes per partition, fixed after the down-node draw
+        #: (every in-service node is still free here).
+        self._capacity = dict(self._free_count)
 
         # Inventory counters kept in lockstep with allocate/release so the
         # per-step queries are O(1) instead of full inventory scans; the
@@ -130,16 +122,15 @@ class ResourceManager:
         self._journal: list[tuple[bool, int]] = []
 
         # Expected-release index for the EASY shadow reservation, one list
-        # per pool: running jobs ordered by ``(sim_start +
-        # requested_runtime, nodes in the pool)`` — the planning view a
+        # per partition: running jobs ordered by ``(sim_start +
+        # requested_runtime, nodes in the partition)`` — the planning view a
         # scheduler has (wall-time limits), distinct from the end-time heap
         # above (actual recorded durations). Each list is insort-maintained
         # with lazy deletion so the reservation walk reads occupants in
         # expected-end order with early exit instead of materialising and
         # sorting the running set per call.
-        self._expected_sorted: dict[str | None, list[tuple[float, int, int]]] = {
-            None: [],
-            **{name: [] for name in self.pools},
+        self._expected_sorted: dict[str, list[tuple[float, int, int]]] = {
+            name: [] for name in self._free_count
         }
         self._expected_of: dict[int, float] = {}
         self._expected_stale = 0
@@ -199,8 +190,8 @@ class ResourceManager:
         return [nid for nid in node_range if owner[nid] is FREE]
 
     def free_node_count(self, partition: str | None = None) -> int:
-        """Idle in-service nodes of one partition or pool (``None``: the
-        whole pool), from the O(1) free counts."""
+        """Idle in-service nodes of one partition (``None``: the whole
+        system), from the O(1) free counts."""
         if partition is None:
             return len(self.owner) - self._allocated_count - self._down_count
         return self._free_count.get(partition, 0)
@@ -211,16 +202,17 @@ class ResourceManager:
         (a live read-only view; the power model counts idle power from it)."""
         return self._free_count.values()
 
-    # -- pools -----------------------------------------------------------------
+    # -- partitions ------------------------------------------------------------
 
-    def pool_of(self, job: Job) -> str | None:
-        """The pool ``job`` draws from: its partition when that partition is
-        a proper subset of the nodes, otherwise ``None`` (the whole pool)."""
-        return self._pool_of_partition.get(job.partition)
+    def partition_of(self, job: Job) -> str:
+        """The partition ``job`` runs in: its own when the system has it,
+        otherwise the system's first partition."""
+        partition = job.partition
+        return partition if partition in self._capacity else self._default_partition
 
-    def pool_capacity(self, pool: str | None) -> int:
-        """In-service nodes of a pool (fixed after the down-node draw)."""
-        return self._capacity[pool]
+    def partition_capacity(self, partition: str) -> int:
+        """In-service nodes of a partition (fixed after the down-node draw)."""
+        return self._capacity[partition]
 
     # -- allocation / release ---------------------------------------------------
 
@@ -242,8 +234,8 @@ class ResourceManager:
             Current simulation time.
         node_ids:
             Explicit placement (scheduler- or replay-chosen). When omitted,
-            the lowest-id free nodes of the job's pool (:meth:`pool_of`)
-            are used.
+            the lowest-id free nodes of the job's partition
+            (:meth:`partition_of`) are used.
         exact_placement:
             Replay mode — require the job's recorded nodes; if any of them is
             unavailable an :class:`AllocationError` is raised.
@@ -265,15 +257,22 @@ class ResourceManager:
         if exact_placement or node_ids is not None:
             chosen = tuple(job.recorded_nodes if exact_placement else node_ids)
             self._claim(chosen, job_id, job.nodes_required)
+            # An explicit placement may hold nodes of several partitions
+            # (recorded telemetry); each counts its own share.
+            partition_of = self._partition_of
+            shares: Iterable[tuple[str, int]] = Counter(
+                partition_of[nid] for nid in chosen
+            ).items()
         else:
-            pool = self.pool_of(job)
-            free = self.free_node_count(pool)
+            partition = self.partition_of(job)
+            free = self._free_count[partition]
             if free < job.nodes_required:
                 raise AllocationError(
                     f"job {job_id}: requested {job.nodes_required} nodes, "
                     f"only {free} available"
                 )
-            chosen = self._claim_lowest_free(job.nodes_required, pool, job_id)
+            chosen = self._claim_lowest_free(job.nodes_required, partition, job_id)
+            shares = ((partition, job.nodes_required),)
 
         run.mark_running(now, chosen)
         self._running[job_id] = run
@@ -285,11 +284,8 @@ class ResourceManager:
         expected_end = now + job.requested_runtime
         self._expected_of[job_id] = expected_end
         expected = self._expected_sorted
-        insort(expected[None], (expected_end, job.nodes_required, job_id))
-        if self.pools:
-            partition_of = self._partition_of
-            for name, nodes in Counter(partition_of[nid] for nid in chosen).items():
-                insort(expected[name], (expected_end, nodes, job_id))
+        for name, nodes in shares:
+            insort(expected[name], (expected_end, nodes, job_id))
         self._journal.append((True, job_id))
         self.journal_appends += 1
         return chosen
@@ -380,23 +376,21 @@ class ResourceManager:
         self.journal_drains += 1
         return entries
 
-    def expected_release_entries(
-        self, pool: str | None = None
-    ) -> Iterator[tuple[float, int, int]]:
-        """Running jobs holding nodes of ``pool`` (``None``: the whole
-        pool) as ``(expected end, nodes in the pool, job_id)``, ordered.
+    def expected_release_entries(self, partition: str) -> Iterator[tuple[float, int, int]]:
+        """Running jobs holding nodes of ``partition`` as ``(expected end,
+        nodes in the partition, job_id)``, ordered.
 
         Ascending by ``(sim_start + requested_runtime, nodes)`` — exactly
         the order the EASY shadow reservation consumes occupants in (ties
         beyond that are indistinguishable to the reservation arithmetic).
-        Backed by the pool's insort-maintained index, so a walk that exits
-        early (the reservation stops once the head fits) costs O(entries
-        consumed + stale skipped), never a sort of the running set. Stale
-        entries of released jobs are skipped via the authoritative map,
-        mirroring the end-time heap's lazy deletion.
+        Backed by the partition's insort-maintained index, so a walk that
+        exits early (the reservation stops once the head fits) costs
+        O(entries consumed + stale skipped), never a sort of the running
+        set. Stale entries of released jobs are skipped via the
+        authoritative map, mirroring the end-time heap's lazy deletion.
         """
         expected_of = self._expected_of
-        for entry in self._expected_sorted[pool]:
+        for entry in self._expected_sorted[partition]:
             if expected_of.get(entry[2]) == entry[0]:
                 yield entry
 
@@ -409,8 +403,8 @@ class ResourceManager:
             # More tombstones than live entries: compact so walks stay
             # proportional to the live running set.
             expected_of = self._expected_of
-            for pool, entries in self._expected_sorted.items():
-                self._expected_sorted[pool] = [
+            for partition, entries in self._expected_sorted.items():
+                self._expected_sorted[partition] = [
                     entry for entry in entries if expected_of.get(entry[2]) == entry[0]
                 ]
             self._expected_stale = 0
@@ -443,31 +437,24 @@ class ResourceManager:
             owner[nid] = job_id
             free_count[partition_of[nid]] -= 1
 
-    def _claim_lowest_free(
-        self, count: int, partition: str | None, job_id: int
-    ) -> tuple[int, ...]:
-        """Give the ``count`` lowest-id free nodes (of one partition or all)
-        to ``job_id``; the caller has checked that enough are free.
+    def _claim_lowest_free(self, count: int, partition: str, job_id: int) -> tuple[int, ...]:
+        """Give the ``count`` lowest-id free nodes of ``partition`` to
+        ``job_id``; the caller has checked that enough are free.
 
         Heap entries staled by explicit placements are discarded as they
         surface. Each node is claimed the moment it is popped, so a
         duplicate heap entry (stale, then re-pushed after a release) cannot
         be chosen twice within one selection.
         """
-        names = (partition,) if partition is not None else tuple(self._free_heaps)
+        heap = self._free_heaps[partition]
         owner = self.owner
         chosen: list[int] = []
-        for name in names:
-            heap = self._free_heaps[name]
-            taken = len(chosen)
-            while heap and len(chosen) < count:
-                nid = heapq.heappop(heap)
-                if owner[nid] is FREE:
-                    owner[nid] = job_id
-                    chosen.append(nid)
-            self._free_count[name] -= len(chosen) - taken
-            if len(chosen) == count:
-                break
+        while len(chosen) < count:
+            nid = heapq.heappop(heap)
+            if owner[nid] is FREE:
+                owner[nid] = job_id
+                chosen.append(nid)
+        self._free_count[partition] -= count
         return tuple(chosen)
 
     def _release(self, run: JobRun, now: float) -> None:

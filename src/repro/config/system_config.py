@@ -309,16 +309,6 @@ class SystemConfig:
         watts = sum(p.node_count * p.node_power.max_w for p in self.partitions)
         return watts / 1000.0
 
-    @property
-    def idle_system_power_kw(self) -> float:
-        """Idle modelled IT power in kilowatts: every node, down ones too, at ``min_w``.
-
-        The one system idle-power formula; the power-cap scheduler takes it
-        as its conservative idle floor.
-        """
-        watts = sum(p.node_count * p.node_power.min_w for p in self.partitions)
-        return watts / 1000.0
-
     def with_overrides(self, **kwargs: object) -> "SystemConfig":
         """Return a copy with selected fields replaced (what-if studies)."""
         return replace(self, **kwargs)  # type: ignore[arg-type]

@@ -34,8 +34,8 @@ tick when an exact per-tick time series is needed.
 
 :func:`run_simulation` is the one-call entry point used by the CLI, the
 tests and the quick-start example: it resolves the system configuration,
-synthesises (or accepts) a workload and runs one engine to completion, the
-same build :func:`repro.sweep.run_request` makes from a request.
+synthesises (or accepts) a workload and runs one engine to completion.
+:func:`repro.sweep.run_request` runs a request through it.
 """
 
 from __future__ import annotations
@@ -136,7 +136,10 @@ class SimulationEngine:
     signals:
         Optional :class:`~repro.power.signals.OperatingSignals` (power cap,
         electricity price, carbon intensity). A finite cap wraps the policy
-        in a :class:`~repro.engine.scheduler.PowerCapScheduler`.
+        in a :class:`~repro.engine.scheduler.PowerCapScheduler`. A
+        :class:`~repro.engine.scheduler.PowerCapScheduler` passed as the
+        policy brings its own signals when this is ``None``; giving both
+        with different values is a :class:`ConfigurationError`.
     obs:
         Optional :class:`~repro.obs.Observability` bundle — phase-span
         tracer, metrics registry, structured event log and/or progress
@@ -182,6 +185,16 @@ class SimulationEngine:
                 "OperatingSignals.from_json_dict)"
             )
         self.system = system
+        if isinstance(scheduler, PowerCapScheduler):
+            # The wrapper enforces its own signals' cap; the stats must
+            # record the same cap, price and carbon.
+            if signals is None:
+                signals = scheduler.signals
+            elif signals != scheduler.signals:
+                raise ConfigurationError(
+                    "signals differ from those of the PowerCapScheduler "
+                    "passed as the policy; pass them once"
+                )
         self.signals = signals
         if isinstance(scheduler, Scheduler):
             self.scheduler = scheduler
@@ -211,7 +224,7 @@ class SimulationEngine:
             self.power_model, self.resource_manager
         )
         if isinstance(self.scheduler, PowerCapScheduler):
-            self.scheduler.bind_power_model(self.power_model)
+            self.scheduler.bind_power_model(self.power_model, self.resource_manager)
         self.cooling_plant = (
             CoolingPlant(system.cooling) if system.cooling is not None else None
         )
@@ -257,7 +270,9 @@ class SimulationEngine:
         )
         #: Queued jobs in submission order, the read-only view policies see.
         self._queue: list[Job] = []
-        self._in_service_nodes = self.resource_manager.pool_capacity(None)
+        self._in_service_nodes = (
+            self.resource_manager.total_nodes - self.resource_manager.down_nodes
+        )
 
         timestep = float(system.timestep_s)
         if self._pending:
@@ -624,9 +639,9 @@ class SimulationEngine:
 
     def _impossible(self, job: Job) -> bool:
         """Whether the job's request can never be satisfied on this system:
-        it exceeds the in-service nodes of the pool it draws from."""
+        it exceeds the in-service nodes of the partition it runs in."""
         rm = self.resource_manager
-        return job.nodes_required > rm.pool_capacity(rm.pool_of(job))
+        return job.nodes_required > rm.partition_capacity(rm.partition_of(job))
 
     def _dismiss(self, run: JobRun, reason: str, now: float) -> None:
         """Dismiss one job that will never run, with the reason why."""
@@ -748,7 +763,7 @@ def run_simulation(
 ) -> SimulationResult:
     """Run one end-to-end simulation and return its result.
 
-    Builds the run the way :func:`~repro.sweep.run_request` does —
+    The one build of a run, :func:`~repro.sweep.run_request`'s too —
     ``SyntheticWorkloadGenerator(config, spec, seed).generate(duration)``
     unless a ``workload`` is given, then one :class:`SimulationEngine` — and
     accepts live objects (a :class:`SystemConfig`, a :class:`Scheduler`
@@ -806,4 +821,7 @@ def run_simulation(
         signals=signals,
         obs=obs,
     )
+    # The engine holds its own run records, so a generated job list is
+    # dropped before the run instead of adding to its peak memory.
+    del workload
     return engine.run()

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import abc
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -199,77 +198,20 @@ class ReplayScheduler(Scheduler):
         #: Jobs proposed at least once; proposing one again means the
         #: earlier proposal did not start it.
         self._proposed: set[int] = set()
-        #: (now, job ids expected in the queue after the engine executes
-        #: the returned decisions, earliest future recorded start) stashed
-        #: by :meth:`schedule` so the engine's same-tick
-        #: :meth:`next_event_hint` call skips the sort and the per-job due
-        #: checks. Jobs the engine starts between the two calls are all
-        #: *due* (recorded start <= now), so removing them from the queue
-        #: can never change the future-start minimum; the exact id match
-        #: guards direct callers that drop the decisions on the floor or
-        #: present a different queue.
-        self._hint_stash: tuple[float, frozenset[int], float | None] | None = None
-        #: Memoized queue ordering: ((resource-manager epoch, queue length),
-        #: member job ids, the sorted list). Within the engine, the queue's
-        #: composition can only change through a submission (length changes)
-        #: or a start (allocation bumps the epoch), so an (epoch, length)
-        #: match plus the id check — O(queue) but far cheaper than the
-        #: O(queue log queue) sort with its per-job key tuples — proves the
-        #: cached ordering is current. The sort keys (recorded start, job
-        #: id) are immutable, so a membership match is an ordering match.
-        self._order_memo: (
-            tuple[tuple[int, int], frozenset[int], list[Job]] | None
-        ) = None
-        #: Observability counters (published as ``sched_*_total`` metrics).
-        self.order_memo_hits = 0
-        self.hint_stash_hits = 0
 
     def reset(self) -> None:
         self._delayed.clear()
         self._proposed.clear()
-        self._hint_stash = None
-        self._order_memo = None
-        self.order_memo_hits = 0
-        self.hint_stash_hits = 0
-
-    def observability_counters(self) -> dict[str, int]:
-        return {
-            "replay_order_memo_hits": self.order_memo_hits,
-            "replay_hint_stash_hits": self.hint_stash_hits,
-        }
-
-    def _ordered_queue(
-        self, queue: Sequence[Job], resource_manager: ResourceManager
-    ) -> list[Job]:
-        """The queue sorted by (recorded start, job id), memoized."""
-        key = (resource_manager.epoch, len(queue))
-        memo = self._order_memo
-        if (
-            memo is not None
-            and memo[0] == key
-            and all(job.job_id in memo[1] for job in queue)
-        ):
-            self.order_memo_hits += 1
-            return memo[2]
-        ordered = sorted(queue, key=lambda j: (j.start_time, j.job_id))
-        self._order_memo = (
-            key, frozenset(job.job_id for job in ordered), ordered
-        )
-        return ordered
 
     def schedule(
         self, queue: Sequence[Job], resource_manager: ResourceManager, now: float
     ) -> list[SchedulingDecision]:
-        ordered = self._ordered_queue(queue, resource_manager)
-        # ``ordered`` ascends by recorded start, so the due jobs are exactly
-        # the prefix with start_time <= now.
-        cut = bisect_right(ordered, now, key=lambda j: j.start_time)
-        due = ordered[:cut]
-        future_min = ordered[cut].start_time if cut < len(ordered) else None
+        # Only the due jobs are ordered, by (recorded start, job id).
+        due = sorted(
+            (job for job in queue if job.start_time <= now),
+            key=lambda j: (j.start_time, j.job_id),
+        )
         if not due:
-            self._hint_stash = (
-                now, frozenset(job.job_id for job in ordered), future_min
-            )
             return []
         owner = resource_manager.owner
         exact_jobs: list[Job] = []
@@ -298,20 +240,23 @@ class ReplayScheduler(Scheduler):
             decisions.append(self._decide(job, now, exact_placement=True))
         # With no recorded placements to protect this tick, a count ledger
         # suffices and the resource manager picks the nodes (cheap on large
-        # systems); otherwise select explicit free nodes around the claims.
+        # systems); otherwise select explicit free nodes of the job's
+        # partition around the claims: a wrapping cap may hold a claiming
+        # job, and the resource manager's own pick would then hand its
+        # recorded nodes to this one.
         free_counts = _FreeNodeCounts(resource_manager)
         for job in flex_jobs:
             if not claimed:
                 if not free_counts.fits(job):
                     self._delayed.add(job.job_id)
                     continue
-                free_counts.consume(free_counts.split(job))
+                free_counts.take(job)
                 decisions.append(self._decide(job, now))
                 continue
             free = [
                 nid
                 for nid in resource_manager.available_node_ids(
-                    resource_manager.pool_of(job)
+                    resource_manager.partition_of(job)
                 )
                 if nid not in claimed
             ]
@@ -321,14 +266,6 @@ class ReplayScheduler(Scheduler):
             chosen = tuple(free[: job.nodes_required])
             claimed.update(chosen)
             decisions.append(self._decide(job, now, node_ids=chosen))
-        started_ids = {decision.job.job_id for decision in decisions}
-        self._hint_stash = (
-            now,
-            frozenset(
-                job.job_id for job in ordered if job.job_id not in started_ids
-            ),
-            future_min,
-        )
         return decisions
 
     def _decide(
@@ -370,35 +307,12 @@ class ReplayScheduler(Scheduler):
         because their placement failed this tick (they are in
         ``_delayed``), and a failed placement can only succeed after a
         release — which the engine tracks as an event of its own. A due
-        job that has *not* been attempted yet (``schedule`` not called)
-        vetoes coalescing.
+        job that has *not* been attempted yet (``schedule`` not called, or
+        its decision not executed) vetoes coalescing.
 
-        When :meth:`schedule` already ran at this ``now`` on this exact
-        residual queue (the engine's calling order), its stashed
-        future-start minimum answers without re-sorting or re-checking
-        dueness; any job it started since was due, so the stash cannot
-        have gone stale. Any other caller — schedule skipped, its
-        decisions dropped, a different queue — fails the id match and
-        falls back to the O(queue) scan.
+        One scan of the queue, O(queue) like :meth:`schedule`'s own pass.
         """
-        if not queue:
-            return None
-        if self._hint_stash is not None:
-            stash_now, expected_ids, future_min = self._hint_stash
-            if (
-                stash_now == now
-                and len(queue) == len(expected_ids)
-                # Id-set membership test, O(queue) by construction: the
-                # stash is only valid for this exact residual queue.
-                and all(job.job_id in expected_ids for job in queue)  # repro-lint: disable=hot-path
-            ):
-                # Every due job was either started (left the queue) or
-                # recorded in _delayed by the schedule() call that filled
-                # the stash, so the veto case cannot arise here.
-                self.hint_stash_hits += 1
-                return future_min
         hint: float | None = None
-        # Stash miss: the O(queue) fallback scan the stash exists to avoid.
         for job in queue:  # repro-lint: disable=hot-path
             if job.start_time > now:
                 hint = job.start_time if hint is None else min(hint, job.start_time)
@@ -425,7 +339,7 @@ class FCFSScheduler(Scheduler):
         for job in queue:
             if not free_counts.fits(job):
                 break
-            free_counts.consume(free_counts.split(job))
+            free_counts.take(job)
             decisions.append(SchedulingDecision(job))
         return decisions
 
@@ -500,8 +414,8 @@ class BackfillScheduler(Scheduler):
     ) -> list[SchedulingDecision]:
         decisions: list[SchedulingDecision] = []
         free_counts = _FreeNodeCounts(resource_manager)
-        #: (expected end, job, nodes taken per pool) of jobs started this tick.
-        started: list[tuple[float, Job, dict[str | None, int]]] = []
+        #: (expected end, job, its partition) of jobs started this tick.
+        started: list[tuple[float, Job, str]] = []
 
         # Phase 1 — plain FCFS prefix. An index cursor over the engine's
         # live queue: no per-call list copy, no O(queue) pop(0) shuffles.
@@ -512,53 +426,36 @@ class BackfillScheduler(Scheduler):
             if not free_counts.fits(job):
                 break
             index += 1
-            taken = free_counts.split(job)
-            free_counts.consume(taken)
-            started.append((now + job.requested_runtime, job, taken))
+            started.append((now + job.requested_runtime, job, free_counts.take(job)))
             decisions.append(SchedulingDecision(job))
 
         if index == count:
             return decisions
 
-        # Phase 2 — reservation for the blocked head, against the node pool
-        # the head draws from.
+        # Phase 2 — reservation for the blocked head, in its partition.
         head = queue[index]
-        index += 1
-        pool = free_counts.pool_of(head)
+        partition = free_counts.partition_of(head)
         shadow_time, spare_nodes = self._reserve(
-            head, pool, free_counts, resource_manager, started, now
+            head, partition, free_counts, resource_manager, started, now
         )
 
-        # Phase 3 — backfill behind the reservation. A job keeps the nodes
-        # it takes from the head's pool past the shadow time unless it is
-        # expected to end before it; a job of another partition takes none
-        # of them. A whole-pool job takes its nodes from the partitions in
-        # order, so later starts can move it out of a partition head's
-        # pool: one the reservation declined is tried again after a sweep
-        # that started anything, and the pass ends with nothing the next
-        # tick would start.
-        candidates: Sequence[int] = range(index, count)
-        while candidates:
-            retry: list[int] = []
-            started_any = False
-            for position in candidates:
-                job = queue[position]
-                if not free_counts.fits(job):
+        # Phase 3 — backfill behind the reservation, one sweep. A job of
+        # the head's partition keeps its nodes past the shadow time unless
+        # it is expected to end before it; a job of another partition takes
+        # none of the head's nodes.
+        for position in range(index + 1, count):
+            job = queue[position]
+            if not free_counts.fits(job):
+                continue
+            if (
+                now + job.requested_runtime > shadow_time
+                and free_counts.partition_of(job) == partition
+            ):
+                if job.nodes_required > spare_nodes:
                     continue
-                taken = free_counts.split(job)
-                if now + job.requested_runtime <= shadow_time:
-                    reserved = 0
-                else:
-                    reserved = taken.get(pool, 0)
-                if reserved > spare_nodes:
-                    if pool is not None and free_counts.pool_of(job) is None:
-                        retry.append(position)
-                    continue
-                free_counts.consume(taken)
-                spare_nodes -= reserved
-                decisions.append(SchedulingDecision(job))
-                started_any = True
-            candidates = retry if started_any else ()
+                spare_nodes -= job.nodes_required
+            free_counts.take(job)
+            decisions.append(SchedulingDecision(job))
         return decisions
 
     @hot_path
@@ -579,30 +476,32 @@ class BackfillScheduler(Scheduler):
     def _reserve(
         self,
         head: Job,
-        pool: str | None,
+        partition: str,
         free_counts: "_FreeNodeCounts",
         resource_manager: ResourceManager,
-        started: list[tuple[float, Job, dict[str | None, int]]],
+        started: list[tuple[float, Job, str]],
         now: float,
     ) -> tuple[float, int]:
         """Shadow reservation for the blocked head: ``(shadow_time, spare)``.
 
         One walk for every head: the resource manager's expected-release
-        list of the head's pool merged with this tick's own starts, each
-        with the nodes the ledger debited from that pool, until the head
-        fits. ``shadow_time`` is when enough nodes have been freed (by
-        expected end times) for the head to start; ``spare`` is how many
-        nodes of the pool remain free then beyond the head's reservation —
-        the budget for backfill jobs that outlive the shadow time. The
-        reference is ``tests/helpers.py::scan_reservation``.
+        list of the head's partition merged with this tick's own starts in
+        that partition, until the head fits. ``shadow_time`` is when enough
+        nodes have been freed (by expected end times) for the head to
+        start; ``spare`` is how many nodes of the partition remain free
+        then beyond the head's reservation — the budget for backfill jobs
+        that outlive the shadow time. The reference is
+        ``tests/helpers.py::scan_reservation``.
         """
         self.reservations_computed += 1
         own = sorted(
-            (end, taken[pool], job.job_id) for end, job, taken in started if pool in taken
+            (end, job.nodes_required, job.job_id)
+            for end, job, name in started
+            if name == partition
         )
-        available = free_counts.free_in(pool)
+        available = free_counts.free_in(partition)
         for end, nodes, _ in heapq.merge(
-            resource_manager.expected_release_entries(pool), own
+            resource_manager.expected_release_entries(partition), own
         ):
             available += nodes
             if available >= head.nodes_required:
@@ -616,57 +515,39 @@ class BackfillScheduler(Scheduler):
 
 
 class _FreeNodeCounts:
-    """Per-pool free-node ledger a policy debits as it decides.
+    """Per-partition free-node ledger a policy debits as it decides.
 
     The resource manager's availability only changes when the engine
     executes decisions, so a policy emitting several decisions in one tick
-    must do its own bookkeeping to avoid overcommitting. The ledger debits
-    each decision the way :meth:`ResourceManager.allocate` will place it —
-    a partition pool's job from its partition, a whole-pool job from the
-    partitions in configuration order — so every pool's count is the one
-    the resource manager will report once the decisions are executed.
+    must do its own bookkeeping to avoid overcommitting. Every job runs in
+    one partition (:meth:`ResourceManager.partition_of`), so each decision
+    debits that partition's count, which is then the one the resource
+    manager will report once the decisions are executed.
     """
 
     def __init__(self, resource_manager: ResourceManager) -> None:
         self._rm = resource_manager
-        #: The resource manager's pool rule (:meth:`ResourceManager.pool_of`).
-        self.pool_of = resource_manager.pool_of
-        self._free: dict[str | None, int] = {None: resource_manager.free_node_count()}
+        #: The resource manager's partition rule.
+        self.partition_of = resource_manager.partition_of
+        self._free: dict[str, int] = {}
 
-    def free_in(self, pool: str | None) -> int:
-        """Free nodes remaining in one pool (``None``: the whole pool)."""
-        free = self._free.get(pool)
+    def free_in(self, partition: str) -> int:
+        """Free nodes remaining in one partition."""
+        free = self._free.get(partition)
         if free is None:
-            free = self._free[pool] = self._rm.free_node_count(pool)
+            free = self._free[partition] = self._rm.free_node_count(partition)
         return free
 
     def fits(self, job: Job) -> bool:
-        """Whether the job's pool has enough free nodes left for it."""
-        return job.nodes_required <= self.free_in(self.pool_of(job))
+        """Whether the job's partition has enough free nodes left for it."""
+        return job.nodes_required <= self.free_in(self.partition_of(job))
 
-    def split(self, job: Job) -> dict[str | None, int]:
-        """Nodes ``job`` takes from each pool if it starts now (it fits):
-        all from the whole pool (``None``), and from its partition or, for
-        a whole-pool job, from the partitions in configuration order."""
-        nodes = job.nodes_required
-        taken: dict[str | None, int] = {None: nodes}
-        pool = self.pool_of(job)
-        if pool is not None:
-            taken[pool] = nodes
-            return taken
-        for name in self._rm.pools:
-            if not nodes:
-                break
-            here = min(nodes, self.free_in(name))
-            if here:
-                taken[name] = here
-                nodes -= here
-        return taken
-
-    def consume(self, taken: dict[str | None, int]) -> None:
-        """Debit the ledger for one decision, by its :meth:`split`."""
-        for pool, nodes in taken.items():
-            self._free[pool] = self.free_in(pool) - nodes
+    def take(self, job: Job) -> str:
+        """Debit ``job``'s nodes from its partition (it fits); return the
+        partition."""
+        partition = self.partition_of(job)
+        self._free[partition] = self.free_in(partition) - job.nodes_required
+        return partition
 
 
 class PowerCapScheduler(Scheduler):
@@ -676,9 +557,10 @@ class PowerCapScheduler(Scheduler):
     start decisions as usual and the wrapper greedily admits them, in
     order, while the *projected* IT power stays under the active
     ``power_cap_kw`` from :class:`~repro.power.signals.OperatingSignals`.
-    Projected power is the system's idle floor (every node's minimum draw)
-    plus, per admitted job, its peak incremental draw over the idle
-    baseline of the nodes it occupies. The per-job peak is conservative,
+    Projected power is the system's idle floor (every in-service node at
+    its partition's idle draw, :meth:`SystemPowerModel.idle_power_w`) plus,
+    per admitted job, its peak incremental draw over the idle baseline of
+    the nodes it occupies. The per-job peak is conservative,
     so a run under a *constant* cap can never record compute power above
     the cap (``cap_violation_kwh`` stays zero). Demand-response windows
     that drop the cap below already-committed load — or below the idle
@@ -717,10 +599,18 @@ class PowerCapScheduler(Scheduler):
         self._holds_total = 0
         self._dismissed_total = 0
 
-    def bind_power_model(self, model: SystemPowerModel) -> None:
-        """Attach the run's power model (the engine calls this once)."""
+    def bind_power_model(
+        self, model: SystemPowerModel, resource_manager: ResourceManager
+    ) -> None:
+        """Attach the run's power model and take the idle floor over the
+        resource manager's in-service nodes (the engine calls this once)."""
         self._power_model = model
-        self._idle_floor_kw = model.system.idle_system_power_kw
+        self._idle_floor_kw = watts_to_kilowatts(
+            model.idle_power_w(
+                resource_manager.partition_capacity(partition.name)
+                for partition in model.system.partitions
+            )
+        )
 
     def reset(self) -> None:
         self.base.reset()

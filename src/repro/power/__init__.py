@@ -8,9 +8,10 @@ model has one evaluation: :meth:`NodePowerModel.power` (and its vectorised
 twin :meth:`NodePowerModel.power_array`, equal bit for bit) for a node,
 :meth:`ConversionLossModel.total_loss_kw` for the losses, and
 :meth:`SystemPowerModel.compose_sample` for the system sample that
-:class:`RunningSetPowerAggregator` builds each step.
-The idle IT power of a whole system is
-:attr:`repro.config.SystemConfig.idle_system_power_kw`.
+:class:`RunningSetPowerAggregator` builds each step. System idle power has
+one formula, :meth:`SystemPowerModel.idle_power_w` over idle nodes per
+partition: each sample counts the free in-service nodes with it, and the
+power-cap scheduler's idle floor every in-service node.
 """
 
 from .losses import ConversionLossModel

@@ -6,8 +6,9 @@ a job's power-relevant profiles with the node power held on each interval
 the utilization). Job power states, job energy and job peak power all read
 it. At every simulation step the :class:`RunningSetPowerAggregator` sums the
 running jobs' cached contributions, and :class:`SystemPowerModel` adds the
-idle power of each partition's free nodes and the conversion losses to
-obtain facility-side power. The per-step result is a :class:`SystemPowerSample`
+idle power of each partition's free nodes (:meth:`SystemPowerModel.idle_power_w`,
+the one idle formula) and the conversion losses to obtain facility-side
+power. The per-step result is a :class:`SystemPowerSample`
 carrying the breakdown the statistics collector and cooling model consume.
 """
 
@@ -78,7 +79,9 @@ class SystemPowerModel:
     # -- per-job power ------------------------------------------------------------
 
     def node_model(self, partition: str) -> NodePowerModel:
-        """The node power model of ``partition`` (default partition fallback)."""
+        """The node power model of ``partition``; an unregistered name gets
+        the first partition's, where the resource manager runs such a job
+        (:meth:`~repro.cluster.ResourceManager.partition_of`)."""
         return self._node_models.get(partition) or self._node_models[self._default_partition]
 
     def job_energy_j(self, job: Job) -> float:
@@ -118,6 +121,19 @@ class SystemPowerModel:
 
     # -- system power ---------------------------------------------------------------
 
+    def idle_power_w(self, idle_nodes: Iterable[int]) -> float:
+        """Idle IT power (watts) of ``idle_nodes``: each partition's count,
+        in configuration order, at its partition's node idle draw.
+
+        The one system idle formula: every sample counts the free
+        in-service nodes with it, and the power-cap scheduler its floor,
+        every in-service node.
+        """
+        idle_power_w = 0.0
+        for nodes, min_w in zip(idle_nodes, self._idle_w):
+            idle_power_w += nodes * min_w
+        return idle_power_w
+
     def compose_sample(
         self,
         now: float,
@@ -132,14 +148,11 @@ class SystemPowerModel:
 
         Used by the incremental :class:`RunningSetPowerAggregator`: given
         the summed job power and node-weighted utilizations, add the idle
-        power of the free in-service nodes — ``free_nodes`` holds each
-        partition's count, in configuration order, each drawing its own
-        partition's idle power — and the conversion losses.
+        power of the free in-service nodes (``free_nodes``: each
+        partition's count, in configuration order; :meth:`idle_power_w`)
+        and the conversion losses.
         """
-        idle_power_w = 0.0
-        for free, min_w in zip(free_nodes, self._idle_w):
-            idle_power_w += free * min_w
-
+        idle_power_w = self.idle_power_w(free_nodes)
         total_busy = max(1, nodes_busy)
         return SystemPowerSample(
             time_s=now,

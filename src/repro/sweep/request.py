@@ -14,10 +14,10 @@ the same request always maps to the same id — across processes, sessions and
 machines — which is what makes sweep resume idempotent: a results store row
 keyed by ``run_id`` either exists (skip) or does not (run).
 
-:func:`run_request` builds a run exactly as
-:func:`repro.engine.run_simulation` does — the synthetic generator on the
-request's spec, then one :class:`~repro.engine.SimulationEngine` — so a
-stored sweep summary equals the in-process call with the same arguments
+:func:`run_request` is one call of :func:`repro.engine.run_simulation`
+— the synthetic generator on the request's spec, then one
+:class:`~repro.engine.SimulationEngine` — so a stored sweep summary equals
+the in-process call with the same arguments
 (``tests/test_sweep.py::TestShimEquivalence`` holds them equal). Only
 ``run_simulation`` takes live objects (an ad-hoc
 :class:`~repro.config.SystemConfig`, a :class:`~repro.engine.Scheduler`
@@ -34,7 +34,7 @@ from numbers import Integral, Real
 from typing import Any, Mapping
 
 from ..config import get_system_config
-from ..engine.engine import SimulationEngine, SimulationResult
+from ..engine.engine import SimulationResult, run_simulation
 from ..engine.scheduler import get_scheduler
 from ..exceptions import ConfigurationError, SimulationError
 from ..obs import Observability
@@ -45,7 +45,6 @@ from ..workloads import (
     JobSizeDistribution,
     PoissonArrivals,
     RuntimeDistribution,
-    SyntheticWorkloadGenerator,
     UserPopulation,
     WaveArrivals,
     WorkloadSpec,
@@ -373,23 +372,21 @@ def run_request(
 ) -> SimulationResult:
     """Execute one :class:`RunRequest` and return its result.
 
-    The build is :func:`repro.engine.run_simulation`'s: the synthetic
-    generator on the request's spec (``None`` is the system's default
-    spec), then one :class:`~repro.engine.SimulationEngine`, which checks
-    every argument. The sweep driver's workers run every request here, so a
-    stored sweep summary and an in-process run of the same arguments are
-    the same computation.
+    One call of :func:`repro.engine.run_simulation` with the request's
+    fields: the synthetic generator on the request's spec (``None`` is the
+    system's default spec), then one :class:`~repro.engine.SimulationEngine`,
+    which checks every argument. The sweep driver's workers run every
+    request here, so a stored sweep summary and an in-process run of the
+    same arguments are the same computation.
     """
-    config = get_system_config(request.system)
-    generator = SyntheticWorkloadGenerator(config, request.spec, seed=request.seed)
-    engine = SimulationEngine(
-        config,
-        generator.generate(request.duration_s),
-        request.policy,
+    return run_simulation(
+        request.system,
+        policy=request.policy,
+        duration=request.duration_s,
         seed=request.seed,
-        horizon_s=request.horizon_s,
+        spec=request.spec,
+        horizon=request.horizon_s,
         dense_ticks=request.dense_ticks,
         signals=request.signals,
         obs=obs,
     )
-    return engine.run()

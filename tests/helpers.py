@@ -17,6 +17,12 @@ references: :class:`ReferenceCoolingPlant` steps every CDU and the tower
 loop on its own, and :func:`stage_efficiency` is the conversion stages'
 efficiency curve on numpy (``tests/test_cooling.py``,
 ``tests/test_power.py``).
+
+The *run relations* relate different runs instead of two paths of one:
+a run turned into recorded telemetry (:func:`recorded_workload`) and
+replayed, a workload moved in time (:func:`time_shifted`) and one with its
+job ids relabelled (:func:`relabeled`) must each reproduce the original
+summary (``tests/test_oracles.py``).
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ __all__ = [
     "assert_power_matches_scan",
     "assert_replay_starts",
     "change_points",
+    "idle_floor_kw",
     "is_constant",
     "job_energy_j",
     "job_power_w",
@@ -52,11 +59,14 @@ __all__ = [
     "next_power_change_after",
     "queued_run",
     "recorded_power_at",
+    "recorded_workload",
+    "relabeled",
     "run_checked",
     "scan_reservation",
     "scan_sample",
     "stage_efficiency",
     "summary_drifts",
+    "time_shifted",
     "two_partition_system",
     "utilization_at",
     "value_at",
@@ -121,6 +131,13 @@ def two_partition_system() -> SystemConfig:
         trace_quantum_s=15,
         default_policy="fcfs",
     )
+
+
+def idle_floor_kw(system: SystemConfig) -> float:
+    """Every node of ``system`` at its partition's idle draw, kW: the power
+    cap's idle floor when no node is down."""
+    model = SystemPowerModel(system)
+    return model.idle_power_w(partition.node_count for partition in system.partitions) / 1000.0
 
 
 def queued_run(job: Job, now: float = 0.0) -> JobRun:
@@ -302,28 +319,27 @@ def scan_reservation(
     Places the tick's own starts (``started``, in decision order) on a copy
     of the resource manager at ``now``, so they sit on the nodes allocation
     gives them. Then every running job counts its nodes inside the head's
-    pool — the head's partition when the system has several and names it,
-    otherwise every node — with its expected end ``sim_start +
+    partition — the one it names when the system has it, otherwise the
+    system's first — with its expected end ``sim_start +
     requested_runtime``, and a walk in ``(expected end, nodes)`` order adds
-    them to the pool's free nodes until the head fits. An overrun expected
-    end shadows at ``now``; a head that never fits reserves nothing.
-    ``BackfillScheduler._reserve`` must reproduce this with ``==``.
+    them to the partition's free nodes until the head fits. An overrun
+    expected end shadows at ``now``; a head that never fits reserves
+    nothing. ``BackfillScheduler._reserve`` must reproduce this with ``==``.
     """
     rm = copy.deepcopy(resource_manager)
     for job in started:
         rm.allocate(queued_run(job, now), now)
     system = rm.system
     names = [partition.name for partition in system.partitions]
-    if len(names) > 1 and head.partition in names:
-        pool = system.partition_node_range(head.partition)
-    else:
-        pool = range(system.total_nodes)
+    partition = system.partition_node_range(
+        head.partition if head.partition in names else names[0]
+    )
     occupants = []
     for run in rm.running_jobs:
-        nodes = sum(1 for nid in run.assigned_nodes if nid in pool)
+        nodes = sum(1 for nid in run.assigned_nodes if nid in partition)
         if nodes:
             occupants.append((run.sim_start_time + run.job.requested_runtime, nodes))
-    available = sum(1 for nid in pool if rm.owner[nid] is FREE)
+    available = sum(1 for nid in partition if rm.owner[nid] is FREE)
     for end, nodes in sorted(occupants):
         available += nodes
         if available >= head.nodes_required:
@@ -603,3 +619,46 @@ def summary_drifts(candidate: dict, reference: dict) -> dict[str, float]:
         if key != "ticks" and key not in reference:
             drifts[key] = math.inf
     return drifts
+
+
+# -- run relations ------------------------------------------------------------------
+
+
+def recorded_workload(result: SimulationResult) -> list[Job]:
+    """The run as recorded telemetry, for a replay round trip.
+
+    Every started job becomes a recorded job: it starts at its simulated
+    start, runs for its duration and holds the nodes the run gave it.
+    Replaying this workload must start every job on time, with no replay
+    tag, and reproduce the run's summary (``ticks`` aside: replay steps to
+    the recorded starts instead of the policy's events).
+    """
+    return [
+        replace(
+            run.job,
+            start_time=run.sim_start_time,
+            end_time=run.sim_start_time + run.job.duration,
+            recorded_nodes=run.assigned_nodes,
+        )
+        for run in result.jobs
+        if run.sim_start_time is not None
+    ]
+
+
+def time_shifted(jobs: list[Job], shift_s: float) -> list[Job]:
+    """``jobs`` with every submit, start and end time moved by ``shift_s``."""
+    return [
+        replace(
+            job,
+            submit_time=job.submit_time + shift_s,
+            start_time=job.start_time + shift_s,
+            end_time=job.end_time + shift_s,
+        )
+        for job in jobs
+    ]
+
+
+def relabeled(jobs: list[Job], offset: int) -> list[Job]:
+    """``jobs`` with every job id moved by ``offset``: the relabel keeps
+    the id order, so ties break the same way."""
+    return [replace(job, job_id=job.job_id + offset) for job in jobs]

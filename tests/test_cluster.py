@@ -436,7 +436,7 @@ class TestExpectedReleaseIndex:
         late = _allocate(rm, make_job(nodes=2, duration=900.0, wall_limit=900.0))
         early = _allocate(rm, make_job(nodes=4, duration=300.0, wall_limit=300.0))
         tied = _allocate(rm, make_job(nodes=1, duration=300.0, wall_limit=300.0))
-        entries = list(rm.expected_release_entries())
+        entries = list(rm.expected_release_entries("batch"))
         assert entries == [
             (300.0, 1, tied.job_id),
             (300.0, 4, early.job_id),
@@ -448,7 +448,7 @@ class TestExpectedReleaseIndex:
         # the *planning* end, distinct from the end-time heap's actual end.
         rm = ResourceManager(tiny_system)
         job = _allocate(rm, make_job(nodes=1, duration=10_000.0, wall_limit=600.0))
-        (end, nodes, job_id), = rm.expected_release_entries()
+        (end, nodes, job_id), = rm.expected_release_entries("batch")
         assert (end, nodes, job_id) == (600.0, 1, job.job_id)
         assert rm.next_job_end() == pytest.approx(10_000.0)
 
@@ -457,7 +457,7 @@ class TestExpectedReleaseIndex:
         gone = _allocate(rm, make_job(nodes=2, duration=600.0, wall_limit=600.0))
         kept = _allocate(rm, make_job(nodes=1, duration=900.0, wall_limit=900.0))
         rm.release(gone, 10.0)
-        assert [jid for _, _, jid in rm.expected_release_entries()] == [kept.job_id]
+        assert [jid for _, _, jid in rm.expected_release_entries("batch")] == [kept.job_id]
 
     def test_compaction_drops_tombstones(self, tiny_system):
         rm = ResourceManager(tiny_system)
@@ -473,7 +473,7 @@ class TestExpectedReleaseIndex:
         # Compaction ran at least once: far fewer tombstones than the 70
         # releases, and the sorted list stays proportional to live + recent.
         assert rm._expected_stale <= 64
-        assert len(rm._expected_sorted[None]) == len(survivors) + rm._expected_stale
-        assert [jid for _, _, jid in rm.expected_release_entries()] == [
+        assert len(rm._expected_sorted["batch"]) == len(survivors) + rm._expected_stale
+        assert [jid for _, _, jid in rm.expected_release_entries("batch")] == [
             j.job_id for j in sorted(survivors, key=lambda j: j.job_id)
         ]

@@ -18,6 +18,8 @@ from repro.config import (
 )
 from repro.exceptions import ConfigurationError
 
+from helpers import idle_floor_kw
+
 
 def _node(**overrides):
     defaults = dict(
@@ -179,7 +181,7 @@ class TestSystemConfig:
 
     def test_peak_exceeds_idle_power(self):
         system = self._system()
-        assert system.peak_system_power_kw > system.idle_system_power_kw > 0
+        assert system.peak_system_power_kw > idle_floor_kw(system) > 0
 
     def test_with_overrides(self):
         base = self._system()

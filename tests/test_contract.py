@@ -14,9 +14,10 @@ Two gates guard what the twin computes, and they are not interchangeable:
   constant cap is never exceeded and does bind, and the frontier-scale
   case that the workload keeps its >= 1,000 concurrently running jobs.
   The two-partition gate holds the same contract on a 16 cpu + 8 gpu
-  system, with jobs of each partition and of the whole pool, under all
-  three policies, uncapped and capped, every run through
-  :func:`helpers.run_checked`.
+  system, with jobs of each partition and of an unregistered one (which
+  run in cpu), under all three policies, uncapped and capped, every run
+  through :func:`helpers.run_checked`; every started job's nodes lie in
+  the partition whose node model prices it.
 
 Drift is :func:`helpers.summary_drifts`: symmetric over the metric keys,
 non-finite values in one bucket, ``ticks`` excluded.
@@ -36,7 +37,7 @@ from repro.config import get_system_config
 from repro.engine import SimulationEngine, parse_duration
 from repro.engine.stats import json_safe
 from repro.obs import EventLog, MetricsRegistry, Observability, ProgressReporter, SpanTracer
-from repro.power import OperatingSignals
+from repro.power import OperatingSignals, SystemPowerModel
 from repro.workloads import (
     SyntheticWorkloadGenerator,
     WorkloadSpec,
@@ -172,8 +173,8 @@ def test_dense_matches_event(case: str) -> None:
 TWO_PARTITION_SEED = 2
 
 #: Largest request per partition of the two-partition gate; ``debug`` is
-#: not registered there, so its jobs draw from the whole pool.
-TWO_PARTITION_NODES = {"cpu": 16, "gpu": 8, "debug": 24}
+#: not registered there, so its jobs run in ``cpu``, the first partition.
+TWO_PARTITION_NODES = {"cpu": 16, "gpu": 8, "debug": 16}
 
 
 def _two_partition_jobs(system) -> list:
@@ -216,3 +217,24 @@ def test_two_partition_dense_matches_event(policy: str, capped: bool) -> None:
     if capped:
         assert summary["cap_violation_kwh"] == 0.0
         assert summary["capped_hold_s"] > 0.0
+
+
+@pytest.mark.parametrize("policy", ["replay", "fcfs", "backfill"])
+def test_two_partition_runs_lie_in_their_priced_partition(policy: str) -> None:
+    # The power model prices a job with one partition's node model; the
+    # job's nodes must all belong to that partition.
+    system = two_partition_system()
+    result = SimulationEngine(system, _two_partition_jobs(system), policy).run()
+    model = SystemPowerModel(system)
+    started = [run for run in result.jobs if run.assigned_nodes]
+    assert len(started) == len(result.jobs)
+    misplaced = [
+        run.job_id
+        for run in started
+        if any(
+            model.node_model(system.partition_of_node(nid).name)
+            is not model.node_model(run.job.partition)
+            for nid in run.assigned_nodes
+        )
+    ]
+    assert misplaced == []

@@ -22,6 +22,7 @@ from repro.power.system_power import _SCALAR_MAX_POINTS, build_power_states
 from repro.telemetry import JobRun, Profile, constant_profile
 
 from helpers import (
+    idle_floor_kw,
     job_energy_j,
     job_power_w,
     make_job,
@@ -98,8 +99,8 @@ class TestNodePowerModel:
 
 class TestSystemIdlePower:
     def test_scales_with_node_count(self):
-        frontier = get_system_config("frontier").idle_system_power_kw
-        tiny = get_system_config("tiny").idle_system_power_kw
+        frontier = idle_floor_kw(get_system_config("frontier"))
+        tiny = idle_floor_kw(get_system_config("tiny"))
         assert frontier > 100 * tiny
 
 
@@ -202,7 +203,7 @@ class TestSystemPowerModel:
     def test_idle_system_sample(self, model, tiny_system):
         sample = _aggregated_sample(model, [], 0.0)
         assert sample.job_power_kw == 0.0
-        assert sample.idle_power_kw == pytest.approx(tiny_system.idle_system_power_kw)
+        assert sample.idle_power_kw == pytest.approx(idle_floor_kw(tiny_system))
         assert sample.facility_power_kw > sample.compute_power_kw
 
     def test_job_power_from_utilization(self, model):

@@ -10,21 +10,21 @@ from __future__ import annotations
 
 import io
 import json
-import math
 
 import numpy as np
 import pytest
 
 from repro import OperatingSignals, PowerCapScheduler, run_simulation
+from repro.cluster import ResourceManager
 from repro.config import get_system_config
 from repro.engine import FCFSScheduler, SimulationEngine
-from repro.exceptions import SchedulingError
+from repro.exceptions import ConfigurationError, SchedulingError
 from repro.obs import EventLog, Observability
 from repro.power import SystemPowerModel
 from repro.telemetry import JobState
 from repro.workloads import SyntheticWorkloadGenerator, busy_trace_spec
 
-from helpers import make_job
+from helpers import idle_floor_kw, make_job
 
 
 def _run(policy="fcfs", *, signals=None, dense_ticks=False, seed=1):
@@ -176,12 +176,44 @@ class TestSchedulerUnit:
         assert result.policy == "power_cap(fcfs)"
         assert [j.state for j in result.jobs] == [JobState.COMPLETED]
 
+    def test_wrapper_instance_brings_its_signals(self, tiny_system):
+        # A cap for 3-7 h and a price step at 6 h. The wrapper passed as the
+        # policy enforces its cap; the run must also record that cap, price
+        # and carbon, exactly as when the engine wraps the policy itself.
+        signals = OperatingSignals(
+            power_cap_kw=((0.0, None), (3 * 3600.0, 12.0), (7 * 3600.0, None)),
+            price_per_kwh=((0.0, 0.1), (6 * 3600.0, 0.3)),
+            carbon_kg_per_kwh=((0.0, 0.35),),
+        )
+        jobs = SyntheticWorkloadGenerator(tiny_system, busy_trace_spec(), seed=3).generate(
+            12 * 3600.0
+        )
+        wrapped = SimulationEngine(tiny_system, jobs, "fcfs", signals=signals).run()
+        instance = SimulationEngine(
+            tiny_system, jobs, PowerCapScheduler(FCFSScheduler(), signals)
+        ).run()
+        summary = instance.summary()
+        assert summary["cap_violation_kwh"] > 0.0
+        assert summary["energy_cost"] > 0.0
+        assert summary == wrapped.summary()
+
+    def test_wrapper_instance_with_other_signals_is_rejected(self, tiny_system):
+        scheduler = PowerCapScheduler(
+            FCFSScheduler(), OperatingSignals.constant(power_cap_kw=14.0)
+        )
+        jobs = [make_job(nodes=4, submit=0.0, duration=600.0)]
+        with pytest.raises(ConfigurationError, match="PowerCapScheduler"):
+            SimulationEngine(
+                tiny_system,
+                jobs,
+                scheduler,
+                signals=OperatingSignals.constant(power_cap_kw=12.0),
+            )
+
     def test_unbound_power_model_raises(self, tiny_system):
         scheduler = PowerCapScheduler(
             FCFSScheduler(), OperatingSignals.constant(power_cap_kw=14.0)
         )
-        from repro.cluster import ResourceManager
-
         rm = ResourceManager(tiny_system)
         job = make_job(nodes=2, submit=0.0, duration=600.0)
         with pytest.raises(SchedulingError, match="bind_power_model"):
@@ -201,7 +233,7 @@ class TestSchedulerUnit:
     def test_reset_clears_cap_state(self, tiny_system):
         signals = OperatingSignals.constant(power_cap_kw=14.0)
         scheduler = PowerCapScheduler(FCFSScheduler(), signals)
-        scheduler.bind_power_model(SystemPowerModel(tiny_system))
+        scheduler.bind_power_model(SystemPowerModel(tiny_system), ResourceManager(tiny_system))
         scheduler._held = 3
         scheduler._committed_kw = {1: 2.0}
         scheduler._committed_total_kw = 2.0
@@ -218,6 +250,30 @@ class TestSchedulerUnit:
         scheduler._held = 0
         base_hint = FCFSScheduler().next_event_hint([], 123.0)
         assert scheduler.next_event_hint([], 123.0) == base_hint
+
+
+class TestIdleFloor:
+    """The cap's idle floor is every in-service node at its idle draw."""
+
+    @pytest.mark.parametrize(
+        "cap_kw, dismissed_headroom",
+        [(5.0, None), (3.9, "-0.100")],
+        ids=["fits", "below_floor"],
+    )
+    def test_down_nodes_leave_the_floor(self, tiny_system, cap_kw, dismissed_headroom):
+        # Half of tiny's 32 nodes are down: the 16 in service idle at 4.0
+        # kW, which the power model charges and the floor counts. A 2-node
+        # job fits under a 5 kW cap; under 3.9 kW the floor alone leaves
+        # -0.1 kW of headroom.
+        system = tiny_system.with_overrides(down_node_fraction=0.5)
+        job = make_job(nodes=2, submit=0.0, duration=600.0)
+        signals = OperatingSignals.constant(power_cap_kw=cap_kw)
+        [run] = SimulationEngine(system, [job], "fcfs", signals=signals).run().jobs
+        if dismissed_headroom is None:
+            assert run.state is JobState.COMPLETED
+        else:
+            assert run.state is JobState.DISMISSED
+            assert f"headroom {dismissed_headroom} kW" in run.dismiss_reason
 
 
 class TestDismissalCoalescing:
@@ -243,7 +299,10 @@ class TestDismissalCoalescing:
             make_job(nodes=8, submit=0.0, start=0.0, duration=600.0, wall_limit=600.0, **light),
             # Power-hungry head: node-blocked until t=600 (only 4 nodes
             # free), cap-infeasible once proposed.
-            make_job(nodes=8, submit=10.0, start=10.0, duration=3600.0, wall_limit=3600.0, cpu=1.0, gpu=1.0),
+            make_job(
+                nodes=8, submit=10.0, start=10.0, duration=3600.0, wall_limit=3600.0,
+                cpu=1.0, gpu=1.0,
+            ),
             # Waits behind the head (too wide for the 4 free nodes);
             # startable the tick after the head is dismissed.
             make_job(nodes=6, submit=20.0, start=20.0, duration=900.0, wall_limit=9000.0, **light),
@@ -262,7 +321,7 @@ class TestDismissalCoalescing:
         # The scenario needs the light jobs to co-run under a cap the
         # hungry job can never fit below.
         assert light_load < 0.9 * hungry
-        return tiny_system.idle_system_power_kw + 0.9 * hungry
+        return idle_floor_kw(tiny_system) + 0.9 * hungry
 
     def test_dismissal_unblocks_queue_without_coalescing_past_it(self, tiny_system):
         results = {}

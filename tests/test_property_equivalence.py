@@ -36,7 +36,7 @@ from repro.workloads.distributions import (
     WaveArrivals,
 )
 
-from helpers import make_job, run_checked
+from helpers import idle_floor_kw, make_job, run_checked
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -140,7 +140,7 @@ def _random_signals(tiny_system, rng, *, capped):
     """
     from repro.power import OperatingSignals
 
-    floor_kw = tiny_system.idle_system_power_kw
+    floor_kw = idle_floor_kw(tiny_system)
     boundary_pool = [
         15.0 * rng.randint(1, 360),  # on the tick grid
         15.0 * rng.randint(1, 360),

@@ -234,31 +234,6 @@ class TestBackfillScheduler:
         assert head.job_id not in started
 
 
-    def test_declined_whole_pool_job_is_retried_once_cpu_fills(self):
-        # cpu head H (16 nodes) waits for a 14-node cpu job: shadow at its
-        # expected end, no spare. A long 1-node whole-pool job W would take
-        # one of the 2 free cpu nodes, so the reservation declines it; the
-        # short cpu job C behind it then takes both. W is tried again and
-        # now lands on a gpu node, outside the reservation: it starts this
-        # tick, as it would on the next one.
-        system = two_partition_system()
-        rm = ResourceManager(system)
-        rm.allocate(
-            queued_run(make_job(nodes=14, partition="cpu", duration=3600.0, wall_limit=3600.0)),
-            0.0,
-        )
-        head = make_job(nodes=16, partition="cpu", submit=10.0, wall_limit=1800.0)
-        whole = make_job(nodes=1, partition="debug", submit=20.0, wall_limit=7200.0)
-        short = make_job(nodes=2, partition="cpu", submit=30.0, wall_limit=1800.0)
-        scheduler = BackfillScheduler()
-        decisions = scheduler.schedule([head, whole, short], rm, now=60.0)
-        assert [d.job.job_id for d in decisions] == [short.job_id, whole.job_id]
-        for decision in decisions:
-            rm.allocate(queued_run(decision.job), 60.0)
-        assert rm.running_by_id[whole.job_id].assigned_nodes == (16,)
-        assert scheduler.schedule([head], rm, now=75.0) == []
-
-
 class TestBackfillReservationEdgeCases:
     def test_head_that_can_never_fit_reserves_nothing(self, tiny_system):
         # A 40-node head on a 32-node system can never start by the
@@ -310,7 +285,7 @@ class TestBackfillReservationEdgeCases:
             0.0,
         )
         scheduler = BackfillScheduler()
-        walk = scheduler._reserve(head, None, _FreeNodeCounts(rm), rm, [], now)
+        walk = scheduler._reserve(head, rm.partition_of(head), _FreeNodeCounts(rm), rm, [], now)
         return walk, scan_reservation(rm, head, [], now)
 
     def test_overrun_shadow_never_precedes_now(self, tiny_system):
@@ -358,8 +333,7 @@ class TestNextEventHint:
 
     def test_replay_hint_stash_matches_scan_after_schedule(self, tiny_system):
         # The engine calls next_event_hint right after executing schedule's
-        # decisions; the O(1) stash must answer exactly what the O(queue)
-        # scan would.
+        # decisions: the hint is the earliest future recorded start.
         scheduler = ReplayScheduler()
         rm = ResourceManager(tiny_system)
         due = make_job(nodes=1, submit=0.0, start=100.0)
@@ -371,9 +345,8 @@ class TestNextEventHint:
         assert scheduler.next_event_hint([far, near], now=200.0) == pytest.approx(900.0)
 
     def test_replay_hint_stash_rejected_when_decisions_dropped(self, tiny_system):
-        # A direct caller that never executes the decisions must not get
-        # the stashed answer: the due job is still queued and unstarted, so
-        # the scan fallback vetoes coalescing.
+        # A direct caller that never executes the decisions: the due job is
+        # still queued and unstarted, so the hint vetoes coalescing.
         scheduler = ReplayScheduler()
         rm = ResourceManager(tiny_system)
         due = make_job(nodes=1, submit=0.0, start=100.0)
@@ -385,9 +358,8 @@ class TestNextEventHint:
     def test_replay_hint_stash_rejected_for_different_same_length_queue(
         self, tiny_system
     ):
-        # Same now, same queue *length*, different members: the stash must
-        # not answer for a queue it never saw — an unattempted due job in
-        # the substitute queue has to veto.
+        # Same now, same queue *length*, different members: an unattempted
+        # due job in the substitute queue has to veto.
         scheduler = ReplayScheduler()
         rm = ResourceManager(tiny_system)
         due_a = make_job(nodes=1, submit=0.0, start=100.0)
@@ -396,9 +368,9 @@ class TestNextEventHint:
         due_d = make_job(nodes=1, submit=0.0, start=150.0)
         decisions = scheduler.schedule([due_a, fut_b, fut_c], rm, now=200.0)
         assert [d.job.job_id for d in decisions] == [due_a.job_id]
-        # Engine view (started job removed): stash answers.
+        # Engine view (started job removed): the earliest future start.
         assert scheduler.next_event_hint([fut_b, fut_c], now=200.0) == pytest.approx(900.0)
-        # Substitute queue of the same length: scan fallback vetoes.
+        # Substitute queue of the same length: the unattempted due job vetoes.
         assert scheduler.next_event_hint([due_d, fut_b], now=200.0) == 200.0
 
     def test_replay_delayed_job_waits_on_releases_not_time(self, tiny_system):
@@ -414,37 +386,23 @@ class TestNextEventHint:
 
 
 class TestLedgerSafety:
-    def test_whole_pool_jobs_debit_partitions_in_allocation_order(
-        self, two_partition_system
-    ):
-        # An unregistered-partition job draws from the whole pool, and the
-        # resource manager places it on the lowest free ids: the cpu
-        # partition first, then gpu. The ledger debits it the same way, so
-        # after 16 whole-pool nodes the cpu ledger is empty and the gpu
-        # ledger still holds all 8 nodes — exactly what the resource manager
-        # reports once the decisions are executed.
+    def test_ledger_debits_each_job_from_its_partition(self, two_partition_system):
+        # An unregistered-partition job runs in cpu, the first partition:
+        # the ledger debits it there, exactly as the resource manager
+        # places it, and the gpu count is untouched.
         rm = ResourceManager(two_partition_system)
         counts = _FreeNodeCounts(rm)
-        pool_job = make_job(nodes=14, submit=0.0, partition="debug")
-        small_pool_job = make_job(nodes=2, submit=0.0, partition="debug")
-        assert counts.fits(pool_job)
-        counts.consume(counts.split(pool_job))
-        assert (counts.free_in(None), counts.free_in("cpu")) == (10, 2)
-        assert not counts.fits(make_job(nodes=4, submit=0.0, partition="cpu"))
-        assert counts.split(small_pool_job) == {None: 2, "cpu": 2}
-        counts.consume(counts.split(small_pool_job))
-        ledger = (counts.free_in(None), counts.free_in("cpu"), counts.free_in("gpu"))
-        assert ledger == (8, 0, 8)
+        debug = make_job(nodes=14, submit=0.0, partition="debug")
+        assert counts.take(debug) == "cpu"
+        assert (counts.free_in("cpu"), counts.free_in("gpu")) == (2, 8)
+        assert not counts.fits(make_job(nodes=4, submit=0.0, partition="debug"))
         assert counts.fits(make_job(nodes=8, submit=0.0, partition="gpu"))
-        for job in (pool_job, small_pool_job):
-            rm.allocate(queued_run(job), 0.0)
-        assert (
-            rm.free_node_count(), rm.free_node_count("cpu"), rm.free_node_count("gpu")
-        ) == ledger
+        rm.allocate(queued_run(debug), 0.0)
+        assert (rm.free_node_count("cpu"), rm.free_node_count("gpu")) == (2, 8)
 
     def test_unregistered_partition_jobs_share_pool_safely(self, tiny_system):
-        # A job naming an unregistered partition draws from the whole pool;
-        # a same-tick job in the registered partition must see the reduced
+        # A job naming an unregistered partition runs in the system's one
+        # partition; a same-tick job naming it must see the reduced
         # availability instead of crashing the engine with an overcommit.
         big = make_job(nodes=30, submit=0.0, duration=600.0, partition="debug")
         small = make_job(nodes=4, submit=0.0, duration=300.0)
@@ -452,6 +410,49 @@ class TestLedgerSafety:
         assert all(j.state is JobState.COMPLETED for j in result.jobs)
         deferred = next(j for j in result.jobs if j.job.nodes_required == 4)
         assert deferred.sim_start_time >= 600.0
+
+
+class TestOnePartitionPerJob:
+    """Every job runs in one partition: its own, else the first one."""
+
+    @pytest.mark.parametrize("policy", ["replay", "fcfs", "backfill"])
+    def test_unregistered_job_waits_for_cpu_and_never_exceeds_it(
+        self, two_partition_system, policy
+    ):
+        # cpu (nodes 0-15) is full for an hour and gpu (16-23) idle: an
+        # 8-node job naming no registered partition waits for cpu instead
+        # of landing on gpu nodes 16-23, and a 17-node one exceeds cpu and
+        # is dismissed at submission.
+        hog = make_job(nodes=16, partition="cpu", duration=3600.0)
+        waits = make_job(nodes=8, partition="debug", duration=600.0)
+        too_big = make_job(nodes=17, partition="debug", duration=600.0)
+        result = SimulationEngine(
+            two_partition_system, [hog, waits, too_big], policy
+        ).run()
+        _, waited, dismissed = result.jobs
+        assert waited.sim_start_time >= 3600.0
+        assert max(waited.assigned_nodes) < 16
+        assert dismissed.state is JobState.DISMISSED
+        assert dismissed.dismiss_reason == "request exceeds system capacity"
+
+    def test_reservation_declines_an_unregistered_job_in_one_sweep(
+        self, two_partition_system
+    ):
+        # cpu head H (16 nodes) waits for a 14-node cpu job: shadow at its
+        # expected end, no spare. A long 1-node job naming no registered
+        # partition runs in cpu too, so the reservation declines it; the
+        # short cpu job behind it takes the 2 free cpu nodes, and no second
+        # sweep moves the declined job to a gpu node.
+        rm = ResourceManager(two_partition_system)
+        rm.allocate(
+            queued_run(make_job(nodes=14, partition="cpu", duration=3600.0, wall_limit=3600.0)),
+            0.0,
+        )
+        head = make_job(nodes=16, partition="cpu", submit=10.0, wall_limit=1800.0)
+        debug = make_job(nodes=1, partition="debug", submit=20.0, wall_limit=7200.0)
+        short = make_job(nodes=2, partition="cpu", submit=30.0, wall_limit=1800.0)
+        decisions = BackfillScheduler().schedule([head, debug, short], rm, now=60.0)
+        assert [d.job.job_id for d in decisions] == [short.job_id]
 
 
 class TestBackfillNoOpMemoization:
@@ -517,73 +518,10 @@ class TestBackfillNoOpMemoization:
         assert scheduler._noop_key is None
 
 
-class TestReplayOrderMemo:
-    """The memoized (start, job id) queue ordering of ReplayScheduler."""
-
-    def _queued(self, *specs):
-        return [make_job(nodes=1, submit=0.0, start=s, duration=600.0) for s in specs]
-
-    def test_memo_reused_while_epoch_and_queue_stable(self, tiny_system):
-        rm = ResourceManager(tiny_system)
-        scheduler = ReplayScheduler()
-        jobs = self._queued(900.0, 300.0, 600.0)
-        first = scheduler._ordered_queue(jobs, rm)
-        assert [j.start_time for j in first] == [300.0, 600.0, 900.0]
-        assert scheduler._ordered_queue(jobs, rm) is first  # memo hit
-
-    def test_same_length_different_queue_is_not_aliased(self, tiny_system):
-        # Same epoch, same length, different members: the id check must
-        # reject the memo and sort the new queue (a trap for direct
-        # callers outside the engine's calling pattern).
-        rm = ResourceManager(tiny_system)
-        scheduler = ReplayScheduler()
-        queue_a = self._queued(900.0, 300.0)
-        queue_b = self._queued(120.0, 60.0)
-        scheduler._ordered_queue(queue_a, rm)
-        ordered_b = scheduler._ordered_queue(queue_b, rm)
-        assert [j.start_time for j in ordered_b] == [60.0, 120.0]
-
-    def test_allocation_invalidates_memo(self, tiny_system):
-        rm = ResourceManager(tiny_system)
-        scheduler = ReplayScheduler()
-        jobs = self._queued(900.0, 300.0)
-        first = scheduler._ordered_queue(jobs, rm)
-        runner = make_job(nodes=1, submit=0.0, duration=600.0)
-        rm.allocate(queued_run(runner, 0.0), 0.0)  # epoch bump
-        assert scheduler._ordered_queue(jobs, rm) is not first
-
-    def test_schedule_results_identical_with_and_without_memo(self, tiny_system):
-        def run(scheduler):
-            rm = ResourceManager(tiny_system)
-            jobs = self._queued(45.0, 30.0, 1200.0)
-            started = []
-            for now in (0.0, 30.0, 45.0, 60.0, 1200.0):
-                decisions = scheduler.schedule(jobs, rm, now)
-                for decision in decisions:
-                    rm.allocate(queued_run(decision.job), decision.start_time or now)
-                    jobs.remove(decision.job)
-                started.append(
-                    (now, sorted(d.start_time for d in decisions),
-                     scheduler.next_event_hint(jobs, now))
-                )
-            return started
-
-        memoized = ReplayScheduler()
-        assert run(memoized) == run(_SortingReplayScheduler())
-        assert memoized.order_memo_hits > 0
-
-
-class _SortingReplayScheduler(ReplayScheduler):
-    """Reference replay policy: sorts the queue on every call, no memo."""
-
-    def _ordered_queue(self, queue, resource_manager):
-        return sorted(queue, key=lambda j: (j.start_time, j.job_id))
-
-
 class _ScanBackfillScheduler(BackfillScheduler):
     """Reference EASY backfill: every reservation from the node scan."""
 
-    def _reserve(self, head, pool, free_counts, resource_manager, started, now):
+    def _reserve(self, head, partition, free_counts, resource_manager, started, now):
         self.reservations_computed += 1
         return scan_reservation(
             resource_manager, head, [job for _, job, _ in started], now
@@ -669,27 +607,6 @@ class TestBackfillReservationIndex:
         assert run(default) == run(_ScanBackfillScheduler()) == ["cpu"]
         assert default.reservations_computed == 1
 
-    def test_same_tick_whole_pool_start_counts_its_share_of_the_partition(self):
-        # A 4-node whole-pool start takes the last 2 cpu nodes and 2 gpu
-        # nodes; a cpu head's walk gets back only its 2 cpu nodes at 1800 s,
-        # so the head fits when the 14-node cpu job ends, with no spare.
-        system = two_partition_system()
-        rm = ResourceManager(system)
-        rm.allocate(
-            queued_run(make_job(nodes=14, partition="cpu", duration=3600.0, wall_limit=3600.0)),
-            0.0,
-        )
-        ledger = _FreeNodeCounts(rm)
-        whole = make_job(nodes=4, partition="debug", wall_limit=1800.0)
-        taken = ledger.split(whole)
-        assert taken == {None: 4, "cpu": 2, "gpu": 2}
-        ledger.consume(taken)
-        head = make_job(nodes=16, partition="cpu", wall_limit=1800.0)
-        walk = BackfillScheduler()._reserve(
-            head, "cpu", ledger, rm, [(1800.0, whole, taken)], 0.0
-        )
-        assert walk == scan_reservation(rm, head, [whole], 0.0) == (3600.0, 0)
-
     def test_same_tick_starts_enter_the_reservation(self, tiny_system):
         # Phase-1 starts of the same tick must occupy the reservation walk
         # on both paths: a 16-node head behind a fresh 24-node start.
@@ -707,7 +624,7 @@ class TestBackfillReservationIndex:
 
 
 #: Partitions the reservation property draws jobs from: ``debug`` is not
-#: registered on the two-partition system, so its jobs take the whole pool.
+#: registered on the two-partition system, so its jobs run in ``cpu``.
 _PARTITIONS = ("cpu", "gpu", "debug")
 
 
@@ -720,9 +637,9 @@ class TestReservationWalkMatchesScan:
         system = two_partition_system()
         rm = ResourceManager(system)
         now = 7200.0
-        # Running jobs in each partition and in the whole pool, some placed
-        # explicitly on nodes of both partitions; early starts with short
-        # wall limits overrun them (expected end before now).
+        # Running jobs of each partition name, some placed explicitly on
+        # nodes of both partitions; early starts with short wall limits
+        # overrun them (expected end before now).
         for _ in range(data.draw(st.integers(0, 10))):
             start = data.draw(st.sampled_from((0.0, 3600.0, 6600.0, now)))
             job = make_job(
@@ -737,7 +654,7 @@ class TestReservationWalkMatchesScan:
             if data.draw(st.booleans()) and len(free) >= job.nodes_required:
                 nodes = data.draw(st.permutations(free))[: job.nodes_required]
                 rm.allocate(queued_run(job, start), start, node_ids=nodes)
-            elif job.nodes_required <= rm.free_node_count(rm.pool_of(job)):
+            elif job.nodes_required <= rm.free_node_count(rm.partition_of(job)):
                 rm.allocate(queued_run(job, start), start)
         # This tick's own starts, debited from the ledger as phase 1 does.
         ledger = _FreeNodeCounts(rm)
@@ -751,19 +668,18 @@ class TestReservationWalkMatchesScan:
                 wall_limit=data.draw(st.sampled_from((600.0, 1800.0, 7200.0))),
             )
             if ledger.fits(job):
-                taken = ledger.split(job)
-                ledger.consume(taken)
-                started.append((now + job.requested_runtime, job, taken))
-        # A blocked head of any pool; beyond the pool's capacity it never fits.
-        partition = data.draw(st.sampled_from(_PARTITIONS))
-        pool = rm.pool_of(make_job(partition=partition))
+                started.append((now + job.requested_runtime, job, ledger.take(job)))
+        # A blocked head of any partition name; beyond its partition's
+        # capacity it never fits.
+        name = data.draw(st.sampled_from(_PARTITIONS))
+        partition = rm.partition_of(make_job(partition=name))
         head = make_job(
-            nodes=ledger.free_in(pool) + data.draw(st.integers(1, 10)),
-            partition=partition,
+            nodes=ledger.free_in(partition) + data.draw(st.integers(1, 10)),
+            partition=name,
             submit=now,
             start=now,
             wall_limit=1800.0,
         )
-        walk = BackfillScheduler()._reserve(head, pool, ledger, rm, started, now)
+        walk = BackfillScheduler()._reserve(head, partition, ledger, rm, started, now)
         scan = scan_reservation(rm, head, [job for _, job, _ in started], now)
         assert walk == scan
