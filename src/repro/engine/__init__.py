@@ -11,8 +11,9 @@ The engine advances on a ``SystemConfig.timestep_s`` tick grid; each step it
 
 1. releases jobs whose simulated runtime has elapsed,
 2. submits newly-arrived jobs into the scheduler queue,
-3. asks the scheduling policy for placement decisions and executes them
-   through the resource manager,
+3. asks the scheduling policy for one pass (starts, dismissals, holds and
+   how long the answer stands), or reuses the last one while it stands, and
+   executes it through the resource manager,
 4. evaluates the system power model on the running set, steps the cooling
    plant on the resulting heat load, and
 5. appends a sample to the statistics collector.
@@ -35,6 +36,7 @@ from .scheduler import (
     FCFSScheduler,
     PowerCapScheduler,
     ReplayScheduler,
+    SchedulePass,
     Scheduler,
     SchedulingDecision,
     available_policies,
@@ -48,6 +50,7 @@ __all__ = [
     "run_simulation",
     "parse_duration",
     "Scheduler",
+    "SchedulePass",
     "SchedulingDecision",
     "ReplayScheduler",
     "FCFSScheduler",

@@ -11,17 +11,24 @@ same-timestep end/start collision on a node; replay decisions may backdate a
 job's start to its recorded (possibly off-grid) start time so the simulated
 schedule matches the telemetry exactly.
 
+Each step asks the policy once: :meth:`Scheduler.schedule` returns one
+:class:`~repro.engine.scheduler.SchedulePass` — starts, dismissals, held
+jobs and ``valid_until``, the earliest time its answer could change. The
+engine checks that every job a pass names is queued and named once, then
+executes it. It keeps the last pass and reuses it without calling the
+policy while the resource manager's epoch and its own queue version (bumped
+on every submission and removal) are unchanged and ``now < valid_until``.
+
 Time advancement is *event-driven* by default: when nothing can change
 before the next event — no pending submission, no running-job end, no
 backdated replay start, no horizon, no profile breakpoint on the running
-set, and a scheduling policy that declares itself quiescent via
-:meth:`Scheduler.next_event_hint` — the engine jumps straight to the grid
-tick that first processes the next event, recording one aggregated
-:class:`~repro.engine.stats.TickSample` whose ``dt_s`` spans the coalesced
-interval. A running job with a piecewise-constant profile does not force
-dense ticking: it merely bounds the interval by its next profile *value
-change* (a point of the profile's change grid, which holds no repeated
-equal samples; the power aggregator's
+set, and no policy pass that runs out (its ``valid_until``) — the engine
+jumps straight to the grid tick that first processes the next event,
+recording one aggregated :class:`~repro.engine.stats.TickSample` whose
+``dt_s`` spans the coalesced interval. A running job with a
+piecewise-constant profile does not force dense ticking: it merely bounds
+the interval by its next profile *value change* (a point of the profile's
+change grid, which holds no repeated equal samples; the power aggregator's
 :meth:`~repro.power.RunningSetPowerAggregator.next_breakpoint_after` keeps
 the earliest one of the running set), so busy telemetry-replay traces
 coalesce almost as well as idle ones. Because power and cooling overhead
@@ -59,7 +66,7 @@ from ..telemetry.job import Job, JobRun, JobState
 from ..units import check_seed
 from ..units import parse_duration as _parse_duration_s
 from ..workloads import SyntheticWorkloadGenerator, WorkloadSpec
-from .scheduler import PowerCapScheduler, Scheduler, get_scheduler
+from .scheduler import PowerCapScheduler, SchedulePass, Scheduler, get_scheduler
 from .stats import StatsCollector
 
 #: Engine phases the span tracer times (one span per phase per step).
@@ -270,6 +277,14 @@ class SimulationEngine:
         )
         #: Queued jobs in submission order, the read-only view policies see.
         self._queue: list[Job] = []
+        #: Bumped on every submission into and removal from the queue.
+        self._queue_version = 0
+        #: The last policy pass and the (epoch, queue version) it answered;
+        #: clearing the key makes the next step ask the policy again.
+        self._pass = SchedulePass(starts=[], valid_until=None)
+        self._pass_key: tuple[int, int] | None = None
+        #: Steps that reused the last pass instead of calling the policy.
+        self._pass_memo_hits = 0
         self._in_service_nodes = (
             self.resource_manager.total_nodes - self.resource_manager.down_nodes
         )
@@ -355,53 +370,26 @@ class SimulationEngine:
                 continue
             run.mark_queued(job.submit_time)
             self._queue.append(job)
+            self._queue_version += 1
             if events is not None:
                 events.job_submitted(run, now)
 
-        # (3) Scheduling decisions, executed through the resource manager.
-        # The queue is handed over as-is (policies treat it read-only);
-        # copying it into a tuple per step would cost O(queue) even on
-        # steps where the policy is memoized to a no-op.
+        # (3) One policy pass, executed through the resource manager — or
+        # the last pass again while it stands. The queue is handed over
+        # as-is (policies treat it read-only).
         if self._queue:
-            decisions = self.scheduler.schedule(
-                self._queue, self.resource_manager, now
-            )
-            started: set[int] = set()
-            for decision in decisions:
-                job_id = decision.job.job_id
-                run = self._run_of.get(job_id)
-                if run is None or run.state is not JobState.QUEUED or job_id in started:
-                    raise SchedulingError(
-                        f"policy {self.scheduler.name!r} scheduled job "
-                        f"{job_id} which is not queued"
-                    )
-                start = decision.start_time if decision.start_time is not None else now
-                try:
-                    self.resource_manager.allocate(
-                        run,
-                        start,
-                        node_ids=decision.node_ids,
-                        exact_placement=decision.exact_placement,
-                    )
-                except AllocationError as exc:
-                    raise SchedulingError(
-                        f"policy {self.scheduler.name!r} produced an invalid "
-                        f"placement at t={now:.0f}: {exc}"
-                    ) from exc
-                run.replay_delayed = decision.replay_delayed
-                run.replay_relocated = decision.replay_relocated
-                started.add(job_id)
-                if events is not None:
-                    events.job_started(run, now)
-            # Jobs a power-capped policy rejected outright (they can never
-            # fit under any present-or-future cap) leave the queue here,
-            # exactly like capacity-infeasible submissions.
-            dismissed = self.scheduler.drain_dismissals()
-            for job, reason in dismissed:
-                self._dismiss(self._run_of[job.job_id], reason, now)
-            if started or dismissed:
-                removed = started | {job.job_id for job, _ in dismissed}
-                self._queue = [j for j in self._queue if j.job_id not in removed]
+            key = (self.resource_manager.epoch, self._queue_version)
+            valid_until = self._pass.valid_until
+            if key == self._pass_key and (valid_until is None or now < valid_until):
+                # Executing a pass's starts or dismissals moves the key, so
+                # a reused pass has neither.
+                self._pass_memo_hits += 1
+            else:
+                self._pass_key = key
+                self._pass = self.scheduler.schedule(
+                    self._queue, self.resource_manager, now
+                )
+                self._execute(self._pass, now)
         if tracer is not None:
             t0 = self._mark("schedule", t0)
 
@@ -476,7 +464,7 @@ class SimulationEngine:
             price_per_kwh=price_per_kwh,
             carbon_kg_per_kwh=carbon_kg_per_kwh,
             power_cap_kw=power_cap_kw,
-            cap_held_jobs=self.scheduler.held_jobs() if queue else 0,
+            cap_held_jobs=self._pass.held if queue else 0,
         )
         if tracer is not None:
             self._mark("stats", t0)
@@ -537,6 +525,56 @@ class SimulationEngine:
             self._finalize_obs(result, run_t0)
         return result
 
+    def _execute(self, schedule_pass: SchedulePass, now: float) -> None:
+        """Start, then dismiss, the jobs a pass names; they leave the queue.
+
+        Every named job must be queued: a job named twice, or a start or
+        dismissal of a job that is running or has left the system, is a
+        :class:`SchedulingError` naming the policy.
+        """
+        events = self._events
+        removed: set[int] = set()
+        for decision in schedule_pass.starts:
+            run = self._queued_run(decision.job, "started")
+            start = decision.start_time if decision.start_time is not None else now
+            try:
+                self.resource_manager.allocate(
+                    run,
+                    start,
+                    node_ids=decision.node_ids,
+                    exact_placement=decision.exact_placement,
+                )
+            except AllocationError as exc:
+                raise SchedulingError(
+                    f"policy {self.scheduler.name!r} produced an invalid "
+                    f"placement at t={now:.0f}: {exc}"
+                ) from exc
+            run.replay_delayed = decision.replay_delayed
+            run.replay_relocated = decision.replay_relocated
+            removed.add(run.job_id)
+            if events is not None:
+                events.job_started(run, now)
+        # Jobs the policy rejected outright (a power cap they can never fit
+        # under) leave the queue here, like capacity-infeasible submissions.
+        for job, reason in schedule_pass.dismissals:
+            run = self._queued_run(job, "dismissed")
+            self._dismiss(run, reason, now)
+            removed.add(run.job_id)
+        if removed:
+            self._queue = [j for j in self._queue if j.job_id not in removed]
+            self._queue_version += 1
+
+    def _queued_run(self, job: Job, action: str) -> JobRun:
+        """The run of a job a pass names, which must be queued; each start
+        or dismissal leaves QUEUED, so a second naming fails here too."""
+        run = self._run_of.get(job.job_id)
+        if run is None or run.state is not JobState.QUEUED:
+            raise SchedulingError(
+                f"policy {self.scheduler.name!r} {action} job {job.job_id} "
+                "which is not queued"
+            )
+        return run
+
     def _stop_at_horizon(self) -> None:
         """Dismiss what has not started and truncate what runs at the horizon.
 
@@ -574,12 +612,12 @@ class SimulationEngine:
         The engine may jump over grid ticks on which a dense run would
         provably do nothing: no release (all running ends lie at or past the
         next event), no submission (first pending submit likewise), no
-        policy action (the scheduler's :meth:`~Scheduler.next_event_hint`
-        either vetoes, names a future time, or declares itself quiescent)
-        and no horizon crossing. A running job with a time-varying profile
-        does not veto coalescing — it bounds the interval by its next
-        profile *value change* (repeated equal samples are not
-        breakpoints), since every skipped grid tick up to that point
+        policy action (the current pass's ``valid_until`` either vetoes at
+        ``now``, names a future time, or is ``None``; with the queue empty
+        it is ignored) and no horizon crossing. A running job with a
+        time-varying profile does not veto coalescing — it bounds the
+        interval by its next profile *value change* (repeated equal samples
+        are not breakpoints), since every skipped grid tick up to that point
         provably samples the same power as the recorded one.
 
         The running-set bounds are O(log R): the earliest job end comes from
@@ -596,7 +634,7 @@ class SimulationEngine:
         breakpoint, which may itself lie off-grid for replay-backdated
         starts).
         """
-        hint = self.scheduler.next_event_hint(self._queue, now)
+        hint = self._pass.valid_until if self._queue else None
         if hint is not None and hint <= now:
             return timestep
         events: list[float] = []
@@ -737,6 +775,10 @@ class SimulationEngine:
             metrics.counter(f"rm_{name}_total").inc(value)
         for name, value in self.power_aggregator.observability_counters().items():
             metrics.counter(f"power_{name}_total").inc(value)
+        metrics.counter(
+            "engine_pass_memo_hits_total",
+            "steps that reused the last scheduling pass without calling the policy",
+        ).inc(self._pass_memo_hits)
         for name, value in self.scheduler.observability_counters().items():
             metrics.counter(f"sched_{name}_total").inc(value)
         metrics.counter(

@@ -1,13 +1,16 @@
 """Pluggable scheduling policies.
 
 The scheduler decides *which* queued jobs start *when* (and, in replay mode,
-*where*); the resource manager validates and carries out the placement. Each
-policy returns a list of :class:`SchedulingDecision` for the current tick and
-never mutates job or node state itself (jobs are read-only; the engine owns
-each job's run record). The engine executes decisions in order, so a policy
-must account for the nodes its own earlier decisions of the same tick will
-consume (all policies here track a local free-node count for exactly that
-reason).
+*where*); the resource manager validates and carries out the placement. A
+policy answers each call with one :class:`SchedulePass`: the
+:class:`SchedulingDecision` starts for the current tick, the jobs it
+dismisses with their reasons, how many jobs a power cap held back, and
+``valid_until``, the earliest time the same queue and running set could get
+a different answer. It never mutates job or node state itself (jobs are
+read-only; the engine owns each job's run record). The engine executes the
+starts in order, so a policy must account for the nodes its own earlier
+decisions of the same tick will consume (all policies here track a local
+free-node count for exactly that reason).
 
 Three policies cover the paper's experiments:
 
@@ -35,7 +38,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..cluster import DOWN, FREE, ResourceManager
-from ..devtools import hot_path
 from ..exceptions import SchedulingError
 from ..power.signals import OperatingSignals
 from ..telemetry.job import Job
@@ -45,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..power.system_power import SystemPowerModel
 
 __all__ = [
+    "SchedulePass",
     "SchedulingDecision",
     "Scheduler",
     "ReplayScheduler",
@@ -86,6 +89,35 @@ class SchedulingDecision:
     replay_relocated: bool = False
 
 
+@dataclass(frozen=True, slots=True, kw_only=True)
+class SchedulePass:
+    """A policy's whole answer to one :meth:`Scheduler.schedule` call.
+
+    Attributes
+    ----------
+    starts:
+        The jobs to start now, in execution order.
+    dismissals:
+        Queued jobs the policy rejects outright, each with the reason why;
+        they leave the queue exactly like capacity-infeasible submissions.
+    held:
+        How many queued jobs a power cap held back this pass (the engine
+        integrates it into ``capped_hold_s``).
+    valid_until:
+        The earliest time at which the same queue and running set could get
+        a different answer; ``None`` means not before the next submission or
+        release. The engine reuses the pass without asking again while the
+        resource manager's epoch and its queue are unchanged and ``now <
+        valid_until``, and the pass bounds event-driven coalescing at that
+        time. ``valid_until=now`` is always safe: ask again next tick.
+    """
+
+    starts: list[SchedulingDecision]
+    dismissals: Sequence[tuple[Job, str]] = ()
+    held: int = 0
+    valid_until: float | None
+
+
 class Scheduler(abc.ABC):
     """Base class for scheduling policies.
 
@@ -100,8 +132,8 @@ class Scheduler(abc.ABC):
     @abc.abstractmethod
     def schedule(
         self, queue: Sequence[Job], resource_manager: ResourceManager, now: float
-    ) -> list[SchedulingDecision]:
-        """Return the start decisions for the current tick.
+    ) -> SchedulePass:
+        """Return this tick's pass: starts, dismissals, holds and validity.
 
         Parameters
         ----------
@@ -130,46 +162,14 @@ class Scheduler(abc.ABC):
         """
         return {}
 
-    def drain_dismissals(self) -> list[tuple[Job, str]]:
-        """Jobs the policy decided to reject outright, each with a reason.
-
-        The engine polls this once per tick after executing the decisions
-        and marks the returned jobs dismissed, removing them from the
-        queue. Draining transfers ownership: the policy must forget the
-        jobs it returns. The default policy never dismisses.
-        """
-        return []
-
-    def held_jobs(self) -> int:
-        """Queued jobs the policy deliberately held back this tick.
-
-        Power-capped policies hold jobs that fit the free nodes but not
-        the active power budget; the engine feeds the count to the stats
-        collector's ``capped_hold_s`` integral. The default holds none.
-        """
-        return 0
-
-    @hot_path
     def next_event_hint(self, queue: Sequence[Job], now: float) -> float | None:
-        """Earliest future time this policy might start a job spontaneously.
+        """Unused: a policy states when its answer can change in
+        :attr:`SchedulePass.valid_until`, and the engine never calls this.
 
-        The engine uses this for event-driven time advancement: between
-        ``now`` and the earliest of (next submission, next running-job end,
-        this hint, the horizon) the simulation state cannot change, so the
-        engine may coalesce the intervening no-op ticks into one sample.
-
-        Return ``None`` when the policy only ever acts in response to a
-        submission or a release (both of which the engine tracks as events
-        of their own); return a time ``<= now`` to veto coalescing
-        entirely. The engine calls this *after* :meth:`schedule` within a
-        tick, so the queue contains only jobs the policy just declined to
-        start. As with :meth:`schedule`, the queue is the engine's live
-        list and must be treated as read-only.
-
-        The default is conservative: a non-empty queue vetoes coalescing,
-        an empty queue allows it freely.
+        It stays only because ``perfbench/layers.py`` wraps this name on
+        every policy class; it goes with that wrapper.
         """
-        return now if queue else None
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.name!r})"
@@ -205,14 +205,22 @@ class ReplayScheduler(Scheduler):
 
     def schedule(
         self, queue: Sequence[Job], resource_manager: ResourceManager, now: float
-    ) -> list[SchedulingDecision]:
-        # Only the due jobs are ordered, by (recorded start, job id).
-        due = sorted(
-            (job for job in queue if job.start_time <= now),
-            key=lambda j: (j.start_time, j.job_id),
-        )
+    ) -> SchedulePass:
+        # One scan splits the due jobs from the earliest recorded start
+        # still ahead, the pass's validity: a due job left queued waits for
+        # a release, which the engine tracks as an event of its own. Only
+        # the due jobs are ordered, by (recorded start, job id).
+        due: list[Job] = []
+        next_start: float | None = None
+        for job in queue:
+            start = job.start_time
+            if start <= now:
+                due.append(job)
+            elif next_start is None or start < next_start:
+                next_start = start
+        due.sort(key=lambda j: (j.start_time, j.job_id))
         if not due:
-            return []
+            return SchedulePass(starts=[], valid_until=next_start)
         owner = resource_manager.owner
         exact_jobs: list[Job] = []
         flex_jobs: list[Job] = []
@@ -266,7 +274,7 @@ class ReplayScheduler(Scheduler):
             chosen = tuple(free[: job.nodes_required])
             claimed.update(chosen)
             decisions.append(self._decide(job, now, node_ids=chosen))
-        return decisions
+        return SchedulePass(starts=decisions, valid_until=next_start)
 
     def _decide(
         self,
@@ -298,28 +306,6 @@ class ReplayScheduler(Scheduler):
             replay_relocated=bool(job.recorded_nodes) and not exact_placement,
         )
 
-    @hot_path
-    def next_event_hint(self, queue: Sequence[Job], now: float) -> float | None:
-        """The earliest backdated (recorded) start still ahead of ``now``.
-
-        Queued jobs whose recorded start lies in the future are pure timer
-        events; jobs already due can only have been left in the queue
-        because their placement failed this tick (they are in
-        ``_delayed``), and a failed placement can only succeed after a
-        release — which the engine tracks as an event of its own. A due
-        job that has *not* been attempted yet (``schedule`` not called, or
-        its decision not executed) vetoes coalescing.
-
-        One scan of the queue, O(queue) like :meth:`schedule`'s own pass.
-        """
-        hint: float | None = None
-        for job in queue:  # repro-lint: disable=hot-path
-            if job.start_time > now:
-                hint = job.start_time if hint is None else min(hint, job.start_time)
-            elif job.job_id not in self._delayed:
-                return now
-        return hint
-
 
 class FCFSScheduler(Scheduler):
     """Strict first-come-first-served.
@@ -333,7 +319,10 @@ class FCFSScheduler(Scheduler):
 
     def schedule(
         self, queue: Sequence[Job], resource_manager: ResourceManager, now: float
-    ) -> list[SchedulingDecision]:
+    ) -> SchedulePass:
+        # Whether the head fits depends only on the free-node counts, which
+        # change only on releases: blocked now means blocked until the next
+        # event, so the pass holds until then.
         decisions: list[SchedulingDecision] = []
         free_counts = _FreeNodeCounts(resource_manager)
         for job in queue:
@@ -341,18 +330,7 @@ class FCFSScheduler(Scheduler):
                 break
             free_counts.take(job)
             decisions.append(SchedulingDecision(job))
-        return decisions
-
-    @hot_path
-    def next_event_hint(self, queue: Sequence[Job], now: float) -> float | None:
-        """FCFS never acts spontaneously.
-
-        Whether the queue head fits depends only on the free-node counts,
-        which change exclusively on releases (and the queue itself only on
-        submissions) — both tracked by the engine as events. Blocked now
-        means blocked until the next event, so coalescing is always safe.
-        """
-        return None
+        return SchedulePass(starts=decisions, valid_until=None)
 
 
 class BackfillScheduler(Scheduler):
@@ -372,46 +350,23 @@ class BackfillScheduler(Scheduler):
     name = "backfill"
 
     def __init__(self) -> None:
-        #: Memoized "nothing startable" key: (resource-manager epoch, queue
-        #: job ids). The full EASY pass is O(queue × occupants); with
-        #: breakpoint-bounded coalescing the engine steps on every profile
-        #: breakpoint, and re-running that pass each power-only step would
-        #: dominate busy traces. A no-op decision is a pure function of the
-        #: free-node inventory (changes only with the epoch) and the queue
-        #: composition: the only ``now``-dependent test,
-        #: ``now + requested_runtime <= shadow_time``, can flip true→false
-        #: but never false→true as ``now`` advances, so a declined queue
-        #: stays declined until the next allocation, release or submission.
-        self._noop_key: tuple[int, tuple[int, ...]] | None = None
-        #: Observability counters (published as ``sched_*_total`` metrics).
+        #: Observability counter (published as a ``sched_*_total`` metric).
         self.reservations_computed = 0
-        self.noop_memo_hits = 0
 
     def reset(self) -> None:
-        self._noop_key = None
         self.reservations_computed = 0
-        self.noop_memo_hits = 0
 
     def observability_counters(self) -> dict[str, int]:
-        return {
-            "backfill_reservations": self.reservations_computed,
-            "backfill_noop_memo_hits": self.noop_memo_hits,
-        }
+        return {"backfill_reservations": self.reservations_computed}
 
     def schedule(
         self, queue: Sequence[Job], resource_manager: ResourceManager, now: float
-    ) -> list[SchedulingDecision]:
-        key = (resource_manager.epoch, tuple(job.job_id for job in queue))
-        if key == self._noop_key:
-            self.noop_memo_hits += 1
-            return []
-        decisions = self._schedule(queue, resource_manager, now)
-        self._noop_key = None if decisions else key
-        return decisions
-
-    def _schedule(
-        self, queue: Sequence[Job], resource_manager: ResourceManager, now: float
-    ) -> list[SchedulingDecision]:
+    ) -> SchedulePass:
+        # The pass holds until the next event: with the running set and the
+        # queue frozen, the free-node counts and the reservation's spare
+        # nodes are constant, and the one now-dependent test, ``now +
+        # requested_runtime <= shadow_time``, can only flip from true to
+        # false as ``now`` advances, so a declined job stays declined.
         decisions: list[SchedulingDecision] = []
         free_counts = _FreeNodeCounts(resource_manager)
         #: (expected end, job, its partition) of jobs started this tick.
@@ -430,7 +385,7 @@ class BackfillScheduler(Scheduler):
             decisions.append(SchedulingDecision(job))
 
         if index == count:
-            return decisions
+            return SchedulePass(starts=decisions, valid_until=None)
 
         # Phase 2 — reservation for the blocked head, in its partition.
         head = queue[index]
@@ -456,22 +411,7 @@ class BackfillScheduler(Scheduler):
                 spare_nodes -= job.nodes_required
             free_counts.take(job)
             decisions.append(SchedulingDecision(job))
-        return decisions
-
-    @hot_path
-    def next_event_hint(self, queue: Sequence[Job], now: float) -> float | None:
-        """EASY backfill never acts spontaneously between events.
-
-        With the running set and the queue frozen, the free-node counts and
-        the reservation's ``spare_nodes`` are constant; the only
-        now-dependent quantity is the shadow time ``max(now, end_k)``, and
-        the backfill condition ``now + requested_runtime <= shadow_time``
-        can only flip from true to false as ``now`` advances (or stays
-        constant in the overrun case ``shadow == now``). A job declined
-        this tick therefore stays declined until the next submission or
-        release, so coalescing is always safe.
-        """
-        return None
+        return SchedulePass(starts=decisions, valid_until=None)
 
     def _reserve(
         self,
@@ -571,6 +511,16 @@ class PowerCapScheduler(Scheduler):
     cap are dismissed with a reason instead of deadlocking an FCFS queue
     head forever; held jobs simply stay queued and are re-proposed by the
     base policy next tick.
+
+    A pass that held or dismissed a job is valid only until ``now``, so the
+    next grid tick asks again: a held job's admissibility depends on the
+    active cap *and* on the base's proposals, which (for backfill) can
+    change with ``now`` alone, and a dismissal removes queue entries after
+    the base ran — dismissing a blocked head unblocks the jobs behind it on
+    the very next tick, which a dense run acts on immediately. Otherwise
+    the admitted set equals the base's proposals, and so does the pass's
+    validity. Cap *changes* bound coalescing through the engine's signal
+    breakpoints, not through the pass.
     """
 
     def __init__(self, base: Scheduler, signals: OperatingSignals) -> None:
@@ -588,13 +538,6 @@ class PowerCapScheduler(Scheduler):
         self._committed_kw: dict[int, float] = {}
         self._committed_total_kw = 0.0
         self._epoch = -1
-        self._held = 0
-        #: Dismissals produced by the *latest* pass (not yet superseded by
-        #: another pass). A dismissal mutates the queue after the base
-        #: policy ran, so the base must be re-consulted on the very next
-        #: grid tick — see :meth:`next_event_hint`.
-        self._dismissed_pass = 0
-        self._dismissals: list[tuple[Job, str]] = []
         #: Observability counters (published as ``sched_*_total`` metrics).
         self._holds_total = 0
         self._dismissed_total = 0
@@ -618,9 +561,6 @@ class PowerCapScheduler(Scheduler):
         self._committed_kw.clear()
         self._committed_total_kw = 0.0
         self._epoch = -1
-        self._held = 0
-        self._dismissed_pass = 0
-        self._dismissals.clear()
         self._holds_total = 0
         self._dismissed_total = 0
 
@@ -648,9 +588,7 @@ class PowerCapScheduler(Scheduler):
 
     def schedule(
         self, queue: Sequence[Job], resource_manager: ResourceManager, now: float
-    ) -> list[SchedulingDecision]:
-        self._held = 0
-        self._dismissed_pass = 0
+    ) -> SchedulePass:
         if resource_manager.epoch != self._epoch:
             # Releases only happen across epoch changes, so the committed
             # ledger needs purging exactly then. Recomputing the total from
@@ -661,12 +599,14 @@ class PowerCapScheduler(Scheduler):
                 del self._committed_kw[job_id]
             self._committed_total_kw = sum(self._committed_kw.values())
         proposals = self.base.schedule(queue, resource_manager, now)
-        if not proposals:
+        if not proposals.starts:
             return proposals
         cap_kw = self.signals.cap_at(now)
         budget_kw = cap_kw - self._idle_floor_kw - self._committed_total_kw
         admitted: list[SchedulingDecision] = []
-        for decision in proposals:
+        dismissals = list(proposals.dismissals)
+        held = proposals.held
+        for decision in proposals.starts:
             job = decision.job
             incr_kw = self._incr_kw(job)
             if incr_kw <= budget_kw:
@@ -677,7 +617,7 @@ class PowerCapScheduler(Scheduler):
                 continue
             headroom_kw = self.signals.max_cap_at_or_after(now) - self._idle_floor_kw
             if incr_kw > headroom_kw:
-                self._dismissals.append(
+                dismissals.append(
                     (
                         job,
                         "power cap infeasible: needs "
@@ -686,42 +626,15 @@ class PowerCapScheduler(Scheduler):
                     )
                 )
                 self._dismissed_total += 1
-                self._dismissed_pass += 1
                 continue
-            self._held += 1
+            held += 1
             self._holds_total += 1
-        return admitted
-
-    def drain_dismissals(self) -> list[tuple[Job, str]]:
-        drained = self._dismissals
-        self._dismissals = []
-        return drained
-
-    def held_jobs(self) -> int:
-        return self._held
-
-    @hot_path
-    def next_event_hint(self, queue: Sequence[Job], now: float) -> float | None:
-        """Veto coalescing while any job is held back by the cap.
-
-        A held job's admissibility depends on the active cap *and* on the
-        base policy's proposal set, which (for backfill) can change with
-        ``now`` alone mid-interval as the shadow-time test ages; dense
-        stepping while holding keeps the dense and event-driven schedules
-        identical. A pass that *dismissed* jobs vetoes once too: the
-        dismissal removes queue entries after the base policy ran, so the
-        base's no-op contract (queue and running set frozen between events)
-        no longer holds — dismissing a blocked FCFS/backfill head unblocks
-        the jobs behind it on the very next grid tick, which a dense run
-        acts on immediately. With nothing held and nothing just dismissed,
-        the admitted set equals the base's proposals, so the base policy's
-        own coalescing contract applies unchanged. Cap *changes* bound
-        coalescing globally through the engine's signal breakpoint stream,
-        not through this hint.
-        """
-        if self._held or (self._dismissed_pass and queue):
-            return now
-        return self.base.next_event_hint(queue, now)
+        return SchedulePass(
+            starts=admitted,
+            dismissals=dismissals,
+            held=held,
+            valid_until=now if held or dismissals else proposals.valid_until,
+        )
 
 
 _POLICIES: dict[str, Callable[[], Scheduler]] = {

@@ -150,11 +150,6 @@ class Job:
             return self.wall_time_limit
         return self.duration
 
-    @property
-    def node_s(self) -> float:
-        """Recorded node-seconds (nodes x runtime)."""
-        return self.nodes_required * self.duration
-
     def power_profiles(self) -> tuple[Profile, ...]:
         """The profiles that determine this job's sampled power state.
 
@@ -226,16 +221,6 @@ class JobRun:
     # -- derived simulation properties -----------------------------------------
 
     @property
-    def is_active(self) -> bool:
-        """True while the job occupies resources."""
-        return self.state is JobState.RUNNING
-
-    @property
-    def is_finished(self) -> bool:
-        """True once the job has left the system (completed or dismissed)."""
-        return self.state in (JobState.COMPLETED, JobState.DISMISSED)
-
-    @property
     def sim_duration(self) -> float | None:
         """Simulated runtime, if the job has both started and ended."""
         if self.sim_start_time is None or self.sim_end_time is None:
@@ -248,13 +233,6 @@ class JobRun:
         if self.sim_start_time is None:
             return None
         return max(0.0, self.sim_start_time - self._submit())
-
-    @property
-    def turnaround_time(self) -> float | None:
-        """Simulated turnaround (end - submit), if finished."""
-        if self.sim_end_time is None:
-            return None
-        return max(0.0, self.sim_end_time - self._submit())
 
     def _submit(self) -> float:
         if self.sim_submit_time is not None:
@@ -300,10 +278,10 @@ class JobRun:
         self.sim_end_time = now
 
     def mark_dismissed(self, reason: str | None = None) -> None:
-        """Remove the job from consideration without running it."""
-        if self.state is JobState.RUNNING:
+        """Transition PENDING/QUEUED → DISMISSED: the job never runs."""
+        if self.state not in (JobState.PENDING, JobState.QUEUED):
             raise SimulationError(
-                f"job {self.job_id}: cannot dismiss a running job"
+                f"job {self.job_id}: cannot dismiss from state {self.state.value}"
             )
         self.state = JobState.DISMISSED
         self.dismiss_reason = reason

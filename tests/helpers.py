@@ -18,6 +18,11 @@ loop on its own, and :func:`stage_efficiency` is the conversion stages'
 efficiency curve on numpy (``tests/test_cooling.py``,
 ``tests/test_power.py``).
 
+The engine reuses its last scheduling pass while the pass stands;
+:func:`without_pass_memo` is the reference that asks the policy on every
+step with a queue, and :func:`schedule_calls` records when the policy was
+asked (``tests/test_engine.py::TestPassMemo``).
+
 The *run relations* relate different runs instead of two paths of one:
 a run turned into recorded telemetry (:func:`recorded_workload`) and
 replayed, a workload moved in time (:func:`time_shifted`) and one with its
@@ -37,7 +42,7 @@ import pytest
 from repro.cluster import DOWN, FREE, ResourceManager
 from repro.config import CoolingConfig, PartitionConfig, SystemConfig, get_system_config
 from repro.cooling.plant import _CDU_EFFECTIVENESS, WATER_CP, lag_fraction
-from repro.engine import PowerCapScheduler, SimulationEngine, SimulationResult
+from repro.engine import PowerCapScheduler, SchedulePass, SimulationEngine, SimulationResult
 from repro.engine.stats import StatsCollector
 from repro.power import SystemPowerModel, SystemPowerSample
 from repro.telemetry import Job, JobRun, JobState, Profile, constant_profile
@@ -64,12 +69,14 @@ __all__ = [
     "run_checked",
     "scan_reservation",
     "scan_sample",
+    "schedule_calls",
     "stage_efficiency",
     "summary_drifts",
     "time_shifted",
     "two_partition_system",
     "utilization_at",
     "value_at",
+    "without_pass_memo",
 ]
 
 
@@ -580,6 +587,42 @@ def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationR
     if scheduler.name == "replay":
         assert_replay_starts(result.jobs)
     return result
+
+
+def without_pass_memo(engine: SimulationEngine) -> SimulationEngine:
+    """Make ``engine`` ask its policy on every step with a queue.
+
+    Wraps :meth:`SimulationEngine.step` to clear the engine's pass key
+    before each step, so the last pass is never reused: the reference the
+    memo must reproduce exactly. Returns the engine.
+    """
+    step = engine.step
+
+    def step_without_memo() -> None:
+        engine._pass_key = None
+        step()
+
+    engine.step = step_without_memo  # type: ignore[method-assign]
+    return engine
+
+
+def schedule_calls(engine: SimulationEngine) -> list[tuple[float, SchedulePass]]:
+    """Record every call of ``engine``'s policy: ``(now, the pass it returned)``.
+
+    Wraps the policy instance's ``schedule`` and returns the list the
+    wrapper appends to; the engine sees the same passes.
+    """
+    calls: list[tuple[float, SchedulePass]] = []
+    scheduler = engine.scheduler
+    schedule = scheduler.schedule
+
+    def recorded(queue, resource_manager, now):
+        schedule_pass = schedule(queue, resource_manager, now)
+        calls.append((now, schedule_pass))
+        return schedule_pass
+
+    scheduler.schedule = recorded  # type: ignore[method-assign]
+    return calls
 
 
 def _is_finite_number(value) -> bool:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.cluster import DOWN, FREE, ResourceManager
 from repro.config import get_system_config
 from repro.exceptions import AllocationError
-from repro.telemetry import JobRun
+from repro.telemetry import JobRun, JobState
 
 from helpers import assert_node_conservation, make_job, queued_run
 
@@ -141,7 +141,7 @@ class TestResourceManager:
         rm.release(run, 600.0)
         assert rm.allocated_nodes == 0
         assert rm.free_node_count() == 32
-        assert run.is_finished
+        assert run.state is JobState.COMPLETED
 
     def test_release_unknown_job_rejected(self, tiny_system):
         rm = ResourceManager(tiny_system)

@@ -11,8 +11,9 @@ import pytest
 import repro
 from repro import run_simulation
 from repro.config import get_system_config
-from repro.engine import SimulationEngine, parse_duration
+from repro.engine import FCFSScheduler, SchedulePass, SimulationEngine, parse_duration
 from repro.exceptions import ConfigurationError, SchedulingError, SimulationError, SRapsError
+from repro.power import OperatingSignals
 from repro.telemetry import JobState, Profile
 from repro.workloads import (
     SyntheticWorkloadGenerator,
@@ -26,7 +27,14 @@ from repro.workloads.distributions import (
     WaveArrivals,
 )
 
-from helpers import is_constant, make_job, next_power_change_after
+from helpers import (
+    is_constant,
+    make_job,
+    next_power_change_after,
+    schedule_calls,
+    two_partition_system,
+    without_pass_memo,
+)
 
 
 class TestParseDuration:
@@ -549,6 +557,203 @@ class TestHorizonClamping:
         for result in (sparse, dense):
             truncated = next(j for j in result.jobs if j.job.nodes_required == 4)
             assert truncated.sim_end_time == pytest.approx(2222.0)
+
+
+def _job_records(result) -> list[tuple]:
+    """Every run record's outcome: state, times, nodes and tags."""
+    return [
+        (
+            run.job_id,
+            run.state,
+            run.sim_submit_time,
+            run.sim_start_time,
+            run.sim_end_time,
+            run.assigned_nodes,
+            run.dismiss_reason,
+            run.replay_delayed,
+            run.replay_relocated,
+            run.truncated_by_horizon,
+        )
+        for run in result.jobs
+    ]
+
+
+class _RetryEvery90s(FCFSScheduler):
+    """FCFS whose blocked passes stand for 90 s only."""
+
+    def schedule(self, queue, resource_manager, now):
+        schedule_pass = super().schedule(queue, resource_manager, now)
+        if schedule_pass.starts:
+            return schedule_pass
+        return SchedulePass(starts=[], valid_until=now + 90.0)
+
+
+class TestPassMemo:
+    """The engine reuses its last pass while the epoch, the queue version
+    and ``now < valid_until`` stand, and never changes a result by it."""
+
+    @staticmethod
+    def _blocked(policy, *extra_jobs):
+        # A 32-node hog until t=3000 blocks a 4-node job behind it; dense
+        # ticks make every grid tick a step the memo could serve.
+        jobs = [
+            make_job(nodes=32, submit=0.0, duration=3000.0),
+            make_job(nodes=4, submit=0.0, duration=600.0),
+            *extra_jobs,
+        ]
+        engine = SimulationEngine(get_system_config("tiny"), jobs, policy, dense_ticks=True)
+        return engine, schedule_calls(engine)
+
+    def test_policy_called_once_while_the_pass_stands(self):
+        engine, calls = self._blocked(_RetryEvery90s())
+        engine.run()
+        # t=0 starts the hog; each blocked pass stands for 90 s, so the
+        # policy is asked every sixth tick, until the release at t=3000.
+        retries = [15.0 + 90.0 * k for k in range(34)]
+        assert [now for now, _ in calls] == [0.0, *retries, 3000.0]
+        assert engine._pass_memo_hits == 3000 // 15 - len(calls) + 1
+
+    def test_submission_or_release_asks_again(self):
+        late = make_job(nodes=1, submit=600.0, start=600.0, duration=300.0)
+        engine, calls = self._blocked("fcfs", late)
+        result = engine.run()
+        assert [now for now, _ in calls] == [0.0, 15.0, 600.0, 3000.0]
+        assert [run.sim_start_time for run in result.jobs] == [0.0, 3000.0, 3000.0]
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["event", "dense"])
+    def test_pass_that_held_a_job_is_never_reused(self, tiny_system, dense):
+        jobs = SyntheticWorkloadGenerator(tiny_system, busy_trace_spec(), seed=3).generate(
+            6 * 3600.0
+        )
+        engine = SimulationEngine(
+            tiny_system, jobs, "backfill", dense_ticks=dense,
+            signals=OperatingSignals.constant(power_cap_kw=18.0),
+        )
+        calls = schedule_calls(engine)
+        step = engine.step
+        steps: list[tuple[bool, int]] = []  # (policy asked, jobs it held)
+
+        def recorded_step() -> None:
+            before = len(calls)
+            step()
+            asked = len(calls) > before
+            steps.append((asked, calls[-1][1].held if asked else 0))
+
+        engine.step = recorded_step
+        engine.run()
+        held_steps = [i for i, (_, held) in enumerate(steps[:-1]) if held]
+        assert len(held_steps) > 10
+        assert all(steps[i + 1][0] for i in held_steps)
+
+    def test_replay_asked_again_at_its_next_recorded_start(self):
+        # t=15 declines the job recorded at t=907; that pass stands until
+        # the first tick at or past 907, which starts it, backdated.
+        jobs = [
+            make_job(nodes=4, submit=0.0, start=0.0, duration=3000.0),
+            make_job(nodes=4, submit=0.0, start=907.0, duration=600.0),
+        ]
+        engine = SimulationEngine(get_system_config("tiny"), jobs, "replay", dense_ticks=True)
+        calls = schedule_calls(engine)
+        result = engine.run()
+        assert [now for now, _ in calls] == [0.0, 15.0, 915.0]
+        assert calls[1][1].valid_until == 907.0
+        assert result.jobs[1].sim_start_time == 907.0
+
+    @pytest.mark.parametrize("policy", ["replay", "fcfs", "backfill"])
+    @pytest.mark.parametrize("system_name", ["tiny", "two_partition"])
+    def test_memo_changes_no_result(self, system_name, policy):
+        # With and without the memo: uncapped and at 70% of the dense
+        # uncapped compute peak, dense and event-driven.
+        if system_name == "tiny":
+            system = get_system_config("tiny")
+        else:
+            system = two_partition_system()
+        jobs = SyntheticWorkloadGenerator(system, seed=5).generate(6 * 3600.0)
+        peak_kw = float(
+            SimulationEngine(system, jobs, policy, dense_ticks=True)
+            .run()
+            .stats.column("compute_power_kw")
+            .max()
+        )
+        for signals in (None, OperatingSignals.constant(power_cap_kw=0.7 * peak_kw)):
+            for dense in (False, True):
+                memo = SimulationEngine(
+                    system, jobs, policy, dense_ticks=dense, signals=signals
+                ).run()
+                reference = without_pass_memo(
+                    SimulationEngine(system, jobs, policy, dense_ticks=dense, signals=signals)
+                ).run()
+                assert list(memo.summary().items()) == list(reference.summary().items())
+                assert _job_records(memo) == _job_records(reference)
+
+
+class _NamesAJobTwice(FCFSScheduler):
+    """FCFS whose first pass names one job twice: it dismisses the first
+    blocked job twice, or dismisses the job it starts."""
+
+    name = "names-twice"
+
+    def __init__(self, how: str) -> None:
+        super().__init__()
+        self.how = how
+
+    def schedule(self, queue, resource_manager, now):
+        schedule_pass = super().schedule(queue, resource_manager, now)
+        if self.how == "dismissed_twice":
+            blocked = queue[len(schedule_pass.starts)]
+            dismissals = [(blocked, "named twice")] * 2
+        else:
+            dismissals = [(schedule_pass.starts[0].job, "named twice")]
+        return SchedulePass(
+            starts=schedule_pass.starts, dismissals=dismissals, valid_until=None
+        )
+
+
+class _DismissesFinishedJob(FCFSScheduler):
+    """FCFS that dismisses every job it started once it has finished."""
+
+    name = "dismisses-finished"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.started: list = []
+
+    def schedule(self, queue, resource_manager, now):
+        schedule_pass = super().schedule(queue, resource_manager, now)
+        gone = [job for job in self.started if job.job_id not in resource_manager.running_by_id]
+        self.started += [decision.job for decision in schedule_pass.starts]
+        return SchedulePass(
+            starts=schedule_pass.starts,
+            dismissals=[(job, "already gone") for job in gone],
+            valid_until=None,
+        )
+
+
+class TestPassChecks:
+    """Every job a pass names must be queued and named once in that pass."""
+
+    @pytest.mark.parametrize("how", ["dismissed_twice", "started_and_dismissed"])
+    def test_job_named_twice_is_rejected(self, tiny_system, how):
+        # The 32-node job starts and the 4-node job waits behind it.
+        jobs = [
+            make_job(nodes=32, submit=0.0, duration=600.0),
+            make_job(nodes=4, submit=0.0, duration=600.0),
+        ]
+        engine = SimulationEngine(tiny_system, jobs, _NamesAJobTwice(how))
+        with pytest.raises(SchedulingError, match="'names-twice' dismissed job"):
+            engine.run()
+
+    def test_finished_job_cannot_be_dismissed(self, tiny_system):
+        # The first job ends at t=300; the submission at t=600 asks the
+        # policy again, which then dismisses the finished job.
+        jobs = [
+            make_job(nodes=1, submit=0.0, duration=300.0),
+            make_job(nodes=1, submit=600.0, start=600.0, duration=300.0),
+        ]
+        engine = SimulationEngine(tiny_system, jobs, _DismissesFinishedJob())
+        with pytest.raises(SchedulingError, match="'dismisses-finished' dismissed job"):
+            engine.run()
+        assert engine.runs[0].state is JobState.COMPLETED
 
 
 class TestRunSimulation:

@@ -98,13 +98,9 @@ class TestDerivedProperties:
         assert make_job(duration=600, wall_limit=3600).requested_runtime == 3600
         assert make_job(duration=600).requested_runtime == 600
 
-    def test_node_seconds(self):
-        assert make_job(nodes=4, duration=100).node_s == 400
-
     def test_wait_and_turnaround_before_start(self):
         run = JobRun(make_job())
         assert run.wait_time is None
-        assert run.turnaround_time is None
         assert run.sim_duration is None
 
 
@@ -115,12 +111,9 @@ class TestStateMachine:
         assert run.state is JobState.QUEUED
         run.mark_running(10.0, (3, 4))
         assert run.state is JobState.RUNNING
-        assert run.is_active
         run.mark_completed(110.0)
         assert run.state is JobState.COMPLETED
-        assert run.is_finished
         assert run.wait_time == pytest.approx(10.0 - 5.0)
-        assert run.turnaround_time == pytest.approx(110.0 - 5.0)
         assert run.sim_duration == pytest.approx(100.0)
 
     def test_cannot_queue_twice(self):
@@ -151,8 +144,22 @@ class TestStateMachine:
         run = JobRun(make_job())
         run.mark_dismissed("request exceeds system capacity")
         assert run.state is JobState.DISMISSED
-        assert run.is_finished
         assert run.dismiss_reason == "request exceeds system capacity"
+
+    def test_only_pending_or_queued_runs_can_be_dismissed(self):
+        queued = JobRun(make_job())
+        queued.mark_queued(0.0)
+        queued.mark_dismissed("power cap infeasible")
+        assert queued.state is JobState.DISMISSED
+        completed = JobRun(make_job())
+        completed.mark_queued(0.0)
+        completed.mark_running(0.0, (0,))
+        completed.mark_completed(600.0)
+        for run in (queued, completed):
+            with pytest.raises(SimulationError, match="cannot dismiss"):
+                run.mark_dismissed("again")
+        assert completed.state is JobState.COMPLETED
+        assert queued.dismiss_reason == "power cap infeasible"
 
     def test_cannot_dismiss_running(self):
         run = JobRun(make_job())

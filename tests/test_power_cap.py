@@ -17,7 +17,7 @@ import pytest
 from repro import OperatingSignals, PowerCapScheduler, run_simulation
 from repro.cluster import ResourceManager
 from repro.config import get_system_config
-from repro.engine import FCFSScheduler, SimulationEngine
+from repro.engine import FCFSScheduler, ReplayScheduler, SimulationEngine
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.obs import EventLog, Observability
 from repro.power import SystemPowerModel
@@ -230,26 +230,43 @@ class TestSchedulerUnit:
         assert counters["cap_dismissed_jobs"] == 0
         assert result.stats.dismissed_jobs  # the end-to-end effect of the counter path
 
-    def test_reset_clears_cap_state(self, tiny_system):
-        signals = OperatingSignals.constant(power_cap_kw=14.0)
+    def _held_pass(self, tiny_system):
+        """One capped FCFS pass over two 8-node jobs: the cap admits the
+        first and holds the second."""
+        signals = OperatingSignals.constant(power_cap_kw=idle_floor_kw(tiny_system) + 2.5)
         scheduler = PowerCapScheduler(FCFSScheduler(), signals)
-        scheduler.bind_power_model(SystemPowerModel(tiny_system), ResourceManager(tiny_system))
-        scheduler._held = 3
-        scheduler._committed_kw = {1: 2.0}
-        scheduler._committed_total_kw = 2.0
+        rm = ResourceManager(tiny_system)
+        scheduler.bind_power_model(SystemPowerModel(tiny_system), rm)
+        jobs = [make_job(nodes=8, submit=0.0, duration=600.0) for _ in range(2)]
+        return scheduler, scheduler.schedule(jobs, rm, 123.0), jobs
+
+    def test_reset_clears_cap_state(self, tiny_system):
+        scheduler, schedule_pass, jobs = self._held_pass(tiny_system)
+        assert [d.job for d in schedule_pass.starts] == jobs[:1]
+        assert schedule_pass.held == 1
+        assert scheduler._committed_kw
         scheduler.reset()
-        assert scheduler.held_jobs() == 0
         assert scheduler._committed_kw == {}
         assert scheduler._committed_total_kw == 0.0
+        assert scheduler.observability_counters() == {
+            "cap_hold_events": 0,
+            "cap_dismissed_jobs": 0,
+        }
 
-    def test_next_event_hint_vetoes_coalescing_while_holding(self):
-        signals = OperatingSignals.constant(power_cap_kw=14.0)
-        scheduler = PowerCapScheduler(FCFSScheduler(), signals)
-        scheduler._held = 1
-        assert scheduler.next_event_hint([], 123.0) == 123.0
-        scheduler._held = 0
-        base_hint = FCFSScheduler().next_event_hint([], 123.0)
-        assert scheduler.next_event_hint([], 123.0) == base_hint
+    def test_next_event_hint_vetoes_coalescing_while_holding(self, tiny_system):
+        # A pass that holds a job stands only until now; one that admits
+        # every proposal carries its base's validity.
+        _, schedule_pass, _ = self._held_pass(tiny_system)
+        assert schedule_pass.valid_until == 123.0
+        signals = OperatingSignals.constant(power_cap_kw=500.0)
+        scheduler = PowerCapScheduler(ReplayScheduler(), signals)
+        rm = ResourceManager(tiny_system)
+        scheduler.bind_power_model(SystemPowerModel(tiny_system), rm)
+        due = make_job(nodes=2, submit=0.0, start=100.0)
+        ahead = make_job(nodes=2, submit=0.0, start=900.0)
+        schedule_pass = scheduler.schedule([due, ahead], rm, 123.0)
+        assert [d.job for d in schedule_pass.starts] == [due]
+        assert (schedule_pass.held, schedule_pass.valid_until) == (0, 900.0)
 
 
 class TestIdleFloor:

@@ -12,7 +12,9 @@ from repro.engine import (
     BackfillScheduler,
     FCFSScheduler,
     ReplayScheduler,
+    SchedulePass,
     Scheduler,
+    SchedulingDecision,
     SimulationEngine,
     available_policies,
     get_scheduler,
@@ -21,7 +23,13 @@ from repro.engine.scheduler import _FreeNodeCounts
 from repro.exceptions import SchedulingError
 from repro.telemetry import JobState
 
-from helpers import make_job, queued_run, scan_reservation, two_partition_system
+from helpers import (
+    make_job,
+    queued_run,
+    scan_reservation,
+    schedule_calls,
+    two_partition_system,
+)
 
 
 class TestRegistry:
@@ -71,8 +79,8 @@ class TestReplayScheduler:
         scheduler = ReplayScheduler()
         rm = ResourceManager(tiny_system)
         job = make_job(nodes=1, submit=0.0, start=500.0)
-        assert scheduler.schedule([job], rm, now=0.0) == []
-        decisions = scheduler.schedule([job], rm, now=510.0)
+        assert scheduler.schedule([job], rm, now=0.0).starts == []
+        decisions = scheduler.schedule([job], rm, now=510.0).starts
         assert len(decisions) == 1
         assert decisions[0].start_time == pytest.approx(500.0)
 
@@ -129,7 +137,7 @@ class TestFCFSScheduler:
             make_job(nodes=8, submit=float(i), start=float(i), duration=600.0)
             for i in range(3)
         ]
-        decisions = scheduler.schedule(jobs, rm, now=10.0)
+        decisions = scheduler.schedule(jobs, rm, now=10.0).starts
         assert [d.job.job_id for d in decisions] == [j.job_id for j in jobs]
 
     def test_blocks_behind_head_that_does_not_fit(self, tiny_system):
@@ -141,13 +149,13 @@ class TestFCFSScheduler:
         rm.allocate(queued_run(running, 0.0), 0.0)
         wide = make_job(nodes=8, submit=0.0)
         small = make_job(nodes=1, submit=1.0, start=1.0)
-        assert scheduler.schedule([wide, small], rm, now=5.0) == []
+        assert scheduler.schedule([wide, small], rm, now=5.0).starts == []
 
     def test_tracks_nodes_consumed_within_one_tick(self, tiny_system):
         scheduler = FCFSScheduler()
         rm = ResourceManager(tiny_system)
         jobs = [make_job(nodes=12, submit=float(i)) for i in range(3)]
-        decisions = scheduler.schedule(jobs, rm, now=5.0)
+        decisions = scheduler.schedule(jobs, rm, now=5.0).starts
         # 12 + 12 fit in 32 nodes; the third must wait even though the
         # resource manager still reports 32 free nodes mid-tick.
         assert len(decisions) == 2
@@ -173,7 +181,7 @@ class TestBackfillScheduler:
         long_wide = make_job(nodes=8, submit=40.0, duration=7200.0,
                              wall_limit=7200.0)
         queue = [wide, short, long_narrow, long_wide]
-        decisions = scheduler.schedule(queue, rm, now=60.0)
+        decisions = scheduler.schedule(queue, rm, now=60.0).starts
         started = {d.job.job_id for d in decisions}
         assert short.job_id in started
         assert long_narrow.job_id in started  # spare = 24 free at shadow - 16
@@ -227,7 +235,7 @@ class TestBackfillScheduler:
                             duration=7200.0, wall_limit=7200.0)
         cpu_long = make_job(nodes=4, partition="cpu", submit=30.0,
                             duration=7200.0, wall_limit=7200.0)
-        decisions = scheduler.schedule([head, gpu_long, cpu_long], rm, now=60.0)
+        decisions = scheduler.schedule([head, gpu_long, cpu_long], rm, now=60.0).starts
         started = {d.job.job_id for d in decisions}
         assert cpu_long.job_id in started  # different partition: independent
         assert gpu_long.job_id not in started  # would delay the gpu head
@@ -248,7 +256,7 @@ class TestBackfillReservationEdgeCases:
         head = make_job(nodes=40, submit=10.0, wall_limit=600.0)
         filler = make_job(nodes=8, submit=20.0, duration=7200.0, wall_limit=7200.0)
         queue = [head, filler]
-        decisions = scheduler.schedule(queue, rm, now=60.0)
+        decisions = scheduler.schedule(queue, rm, now=60.0).starts
         started = {d.job.job_id for d in decisions}
         assert head.job_id not in started
         assert filler.job_id in started
@@ -269,7 +277,7 @@ class TestBackfillReservationEdgeCases:
         narrow = make_job(nodes=8, submit=20.0, duration=7200.0, wall_limit=7200.0)
         wide = make_job(nodes=12, submit=30.0, duration=7200.0, wall_limit=7200.0)
         queue = [head, narrow, wide]
-        decisions = scheduler.schedule(queue, rm, now=7200.0)
+        decisions = scheduler.schedule(queue, rm, now=7200.0).starts
         started = {d.job.job_id for d in decisions}
         assert head.job_id not in started
         assert narrow.job_id in started  # fits now and within the spare pool
@@ -301,77 +309,46 @@ class TestBackfillReservationEdgeCases:
 
 
 class TestNextEventHint:
+    """A policy's next-event hint is its pass's ``valid_until``."""
+
     def test_default_vetoes_with_queue_and_allows_when_empty(self, tiny_system):
+        # A policy that acts on the clock alone must answer valid_until=now,
+        # the always-safe answer: the engine then steps every tick while
+        # the queue holds a job, and ignores it once the queue is empty.
         class Minimal(Scheduler):
             name = "minimal"
 
             def schedule(self, queue, resource_manager, now):
-                return []
+                starts = [SchedulingDecision(queue[0])] if now >= 600.0 else []
+                return SchedulePass(starts=starts, valid_until=now)
 
-        scheduler = Minimal()
-        job = make_job(nodes=1, submit=0.0)
-        assert scheduler.next_event_hint([job], now=100.0) == 100.0
-        assert scheduler.next_event_hint([], now=100.0) is None
+        job = make_job(nodes=1, submit=0.0, duration=300.0)
+        result = SimulationEngine(tiny_system, [job], Minimal()).run()
+        assert result.jobs[0].sim_start_time == 600.0
+        times = [tick.time_s for tick in result.stats.ticks]
+        assert times == [15.0 * k for k in range(41)] + [900.0]
 
-    def test_fcfs_and_backfill_are_event_driven(self):
-        job = make_job(nodes=1, submit=0.0)
-        assert FCFSScheduler().next_event_hint([job], now=50.0) is None
-        assert BackfillScheduler().next_event_hint([job], now=50.0) is None
+    def test_fcfs_and_backfill_are_event_driven(self, tiny_system):
+        # Started or blocked, their answer stands until the next event.
+        rm = ResourceManager(tiny_system)
+        fits = make_job(nodes=1, submit=0.0)
+        blocked = make_job(nodes=40, submit=0.0, wall_limit=600.0)
+        for scheduler in (FCFSScheduler(), BackfillScheduler()):
+            for queue in ([fits], [blocked], [blocked, fits]):
+                assert scheduler.schedule(queue, rm, now=50.0).valid_until is None
 
     def test_replay_hints_earliest_future_recorded_start(self, tiny_system):
         scheduler = ReplayScheduler()
+        rm = ResourceManager(tiny_system)
         early = make_job(nodes=1, submit=0.0, start=900.0)
         late = make_job(nodes=1, submit=0.0, start=4500.0)
-        assert scheduler.next_event_hint([late, early], now=0.0) == pytest.approx(900.0)
-
-    def test_replay_vetoes_for_unattempted_due_job(self, tiny_system):
-        scheduler = ReplayScheduler()
+        idle = scheduler.schedule([late, early], rm, now=0.0)
+        assert (idle.starts, idle.valid_until) == ([], 900.0)
+        # A due job starts; the pass still names the earliest start ahead.
         due = make_job(nodes=1, submit=0.0, start=100.0)
-        # schedule() has not run, so the due job has not been attempted:
-        # the hint must veto coalescing rather than silently skip it.
-        assert scheduler.next_event_hint([due], now=200.0) == 200.0
-
-    def test_replay_hint_stash_matches_scan_after_schedule(self, tiny_system):
-        # The engine calls next_event_hint right after executing schedule's
-        # decisions: the hint is the earliest future recorded start.
-        scheduler = ReplayScheduler()
-        rm = ResourceManager(tiny_system)
-        due = make_job(nodes=1, submit=0.0, start=100.0)
-        near = make_job(nodes=1, submit=0.0, start=900.0)
-        far = make_job(nodes=1, submit=0.0, start=4500.0)
-        decisions = scheduler.schedule([far, due, near], rm, now=200.0)
-        assert [d.job.job_id for d in decisions] == [due.job_id]
-        # Engine's view: the started job left the queue.
-        assert scheduler.next_event_hint([far, near], now=200.0) == pytest.approx(900.0)
-
-    def test_replay_hint_stash_rejected_when_decisions_dropped(self, tiny_system):
-        # A direct caller that never executes the decisions: the due job is
-        # still queued and unstarted, so the hint vetoes coalescing.
-        scheduler = ReplayScheduler()
-        rm = ResourceManager(tiny_system)
-        due = make_job(nodes=1, submit=0.0, start=100.0)
-        future = make_job(nodes=1, submit=0.0, start=900.0)
-        decisions = scheduler.schedule([due, future], rm, now=200.0)
-        assert len(decisions) == 1
-        assert scheduler.next_event_hint([due, future], now=200.0) == 200.0
-
-    def test_replay_hint_stash_rejected_for_different_same_length_queue(
-        self, tiny_system
-    ):
-        # Same now, same queue *length*, different members: an unattempted
-        # due job in the substitute queue has to veto.
-        scheduler = ReplayScheduler()
-        rm = ResourceManager(tiny_system)
-        due_a = make_job(nodes=1, submit=0.0, start=100.0)
-        fut_b = make_job(nodes=1, submit=0.0, start=900.0)
-        fut_c = make_job(nodes=1, submit=0.0, start=950.0)
-        due_d = make_job(nodes=1, submit=0.0, start=150.0)
-        decisions = scheduler.schedule([due_a, fut_b, fut_c], rm, now=200.0)
-        assert [d.job.job_id for d in decisions] == [due_a.job_id]
-        # Engine view (started job removed): the earliest future start.
-        assert scheduler.next_event_hint([fut_b, fut_c], now=200.0) == pytest.approx(900.0)
-        # Substitute queue of the same length: the unattempted due job vetoes.
-        assert scheduler.next_event_hint([due_d, fut_b], now=200.0) == 200.0
+        busy = scheduler.schedule([late, due, early], rm, now=200.0)
+        assert [d.job.job_id for d in busy.starts] == [due.job_id]
+        assert busy.valid_until == 900.0
 
     def test_replay_delayed_job_waits_on_releases_not_time(self, tiny_system):
         scheduler = ReplayScheduler()
@@ -379,10 +356,10 @@ class TestNextEventHint:
         blocker = make_job(nodes=32, submit=0.0, duration=3600.0)
         rm.allocate(queued_run(blocker, 0.0), 0.0)
         delayed = make_job(nodes=4, submit=0.0, start=60.0)
-        assert scheduler.schedule([delayed], rm, now=60.0) == []
+        schedule_pass = scheduler.schedule([delayed], rm, now=60.0)
         # The delayed job can only start after a release, which the engine
-        # tracks as its own event — no time-based hint is needed.
-        assert scheduler.next_event_hint([delayed], now=60.0) is None
+        # tracks as its own event — no time-based validity is needed.
+        assert (schedule_pass.starts, schedule_pass.valid_until) == ([], None)
 
 
 class TestLedgerSafety:
@@ -451,71 +428,69 @@ class TestOnePartitionPerJob:
         head = make_job(nodes=16, partition="cpu", submit=10.0, wall_limit=1800.0)
         debug = make_job(nodes=1, partition="debug", submit=20.0, wall_limit=7200.0)
         short = make_job(nodes=2, partition="cpu", submit=30.0, wall_limit=1800.0)
-        decisions = BackfillScheduler().schedule([head, debug, short], rm, now=60.0)
+        decisions = BackfillScheduler().schedule([head, debug, short], rm, now=60.0).starts
         assert [d.job.job_id for d in decisions] == [short.job_id]
 
 
 class TestBackfillNoOpMemoization:
-    """Redundant EASY passes are skipped on power-only (breakpoint) steps."""
+    """Redundant EASY passes are skipped on power-only steps: the engine
+    reuses a pass while the epoch and the queue stand (dense ticks, so
+    every grid tick is a step)."""
 
-    def _blocked_setup(self, now=0.0):
+    def _engine(self, extra_jobs=()):
+        # A 32-node hog until t=7200 blocks an 8-node job behind it.
         system = get_system_config("tiny")
-        rm = ResourceManager(system)
-        hog = queued_run(make_job(nodes=32, submit=0.0, duration=7200.0, wall_limit=7200.0))
-        rm.allocate(hog, now)
+        hog = make_job(nodes=32, submit=0.0, duration=7200.0, wall_limit=7200.0)
         blocked = make_job(nodes=8, submit=0.0, duration=600.0, wall_limit=600.0)
-        return system, rm, hog, blocked
+        jobs = [hog, blocked, *extra_jobs]
+        engine = SimulationEngine(system, jobs, "backfill", dense_ticks=True)
+        return engine, schedule_calls(engine), blocked
 
     def test_noop_is_memoized_until_epoch_changes(self):
-        _, rm, hog, blocked = self._blocked_setup()
-        scheduler = BackfillScheduler()
-        queue = (blocked,)
-        assert scheduler.schedule(queue, rm, 0.0) == []
-
-        calls = 0
-        original = rm.free_node_count
-
-        def counting(partition=None):
-            nonlocal calls
-            calls += 1
-            return original(partition)
-
-        rm.free_node_count = counting  # type: ignore[method-assign]
-        # Same epoch + same queue: the memo short-circuits before any
-        # inventory query, no matter how far the clock advanced.
-        assert scheduler.schedule(queue, rm, 1500.0) == []
-        assert calls == 0
-        # A release invalidates the memo and the job now starts.
-        rm.release(hog, 1800.0)
-        decisions = scheduler.schedule(queue, rm, 1800.0)
-        assert [d.job.job_id for d in decisions] == [blocked.job_id]
-        assert calls > 0
+        engine, calls, blocked = self._engine()
+        result = engine.run()
+        # t=0 starts the hog, t=15 declines the blocked job, and that pass
+        # stands until the release at t=7200 starts it.
+        assert [now for now, _ in calls] == [0.0, 15.0, 7200.0]
+        assert result.jobs[1].sim_start_time == 7200.0
+        assert engine._pass_memo_hits == 7200 // 15 - 2
+        assert engine.scheduler.reservations_computed == 2
 
     def test_queue_change_invalidates_memo(self):
-        _, rm, _, blocked = self._blocked_setup()
-        scheduler = BackfillScheduler()
-        assert scheduler.schedule((blocked,), rm, 0.0) == []
-        newcomer = make_job(nodes=40, submit=0.0, duration=600.0)  # never fits
-        assert scheduler.schedule((blocked, newcomer), rm, 0.0) == []
-        assert scheduler._noop_key is not None
-        assert scheduler._noop_key[1] == (blocked.job_id, newcomer.job_id)
+        # A submission at t=3000 moves the queue version: the engine asks
+        # again although the epoch stands.
+        late = make_job(nodes=4, submit=3000.0, start=3000.0, duration=600.0,
+                        wall_limit=600.0)
+        engine, calls, _ = self._engine([late])
+        engine.run()
+        assert [now for now, _ in calls] == [0.0, 15.0, 3000.0, 7200.0]
 
     def test_reset_clears_memo(self):
-        _, rm, _, blocked = self._blocked_setup()
-        scheduler = BackfillScheduler()
-        assert scheduler.schedule((blocked,), rm, 0.0) == []
-        assert scheduler._noop_key is not None
-        scheduler.reset()
-        assert scheduler._noop_key is None
+        # The pass lives in the engine, not the policy: a second engine
+        # driving the same policy instance asks it afresh, exactly as the
+        # first did, and the engine's reset clears the policy's counter.
+        engine, calls, _ = self._engine()
+        engine.run()
+        jobs = [run.job for run in engine.runs]
+        again = SimulationEngine(engine.system, jobs, engine.scheduler, dense_ticks=True)
+        assert again._pass_key is None
+        assert again.scheduler.reservations_computed == 0
+        again.run()
+        assert [now for now, _ in calls] == [0.0, 15.0, 7200.0] * 2
+        assert again.scheduler.reservations_computed == 2
 
     def test_successful_decisions_are_never_memoized(self):
-        system = get_system_config("tiny")
-        rm = ResourceManager(system)
-        job = make_job(nodes=4, submit=0.0, duration=600.0)
-        scheduler = BackfillScheduler()
-        decisions = scheduler.schedule((job,), rm, 0.0)
-        assert len(decisions) == 1
-        assert scheduler._noop_key is None
+        # Executing a pass's starts moves the epoch and the queue version,
+        # so a pass that started a job is never reused.
+        engine, calls, _ = self._engine()
+        engine.step()
+        [(_, first)] = calls
+        assert first.starts
+        assert engine._pass_key != (
+            engine.resource_manager.epoch, engine._queue_version
+        )
+        engine.step()
+        assert len(calls) == 2
 
 
 class _ScanBackfillScheduler(BackfillScheduler):
@@ -545,7 +520,7 @@ class TestBackfillReservationIndex:
                 queue.append(job)
             return [
                 (d.job.nodes_required, d.job.wall_time_limit)
-                for d in scheduler.schedule(queue, rm, now)
+                for d in scheduler.schedule(queue, rm, now).starts
             ]
 
         indexed = BackfillScheduler()
@@ -601,7 +576,7 @@ class TestBackfillReservationIndex:
             cpu_long = make_job(nodes=4, partition="cpu", submit=30.0,
                                 duration=7200.0, wall_limit=7200.0)
             queue = [head, gpu_long, cpu_long]
-            return [d.job.partition for d in scheduler.schedule(queue, rm, 60.0)]
+            return [d.job.partition for d in scheduler.schedule(queue, rm, 60.0).starts]
 
         default = BackfillScheduler()
         assert run(default) == run(_ScanBackfillScheduler()) == ["cpu"]
