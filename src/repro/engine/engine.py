@@ -13,11 +13,13 @@ schedule matches the telemetry exactly.
 
 Each step asks the policy once: :meth:`Scheduler.schedule` returns one
 :class:`~repro.engine.scheduler.SchedulePass` — starts, dismissals, held
-jobs and ``valid_until``, the earliest time its answer could change. The
-engine checks that every job a pass names is queued and named once, then
-executes it. It keeps the last pass and reuses it without calling the
-policy while the resource manager's epoch and its own queue version (bumped
-on every submission and removal) are unchanged and ``now < valid_until``.
+jobs, ``valid_until``, the earliest time its answer could change, and
+``stands_until``, that time if nothing of it is executed. The engine checks
+that every job a pass names is queued and named once and starts inside the
+current tick, then executes it. It keeps the last pass and reuses it
+without calling the policy while the resource manager's epoch and its own
+queue version (bumped on every submission and removal) are unchanged and
+``now < stands_until``.
 
 Time advancement is *event-driven* by default: when nothing can change
 before the next event — no pending submission, no running-job end, no
@@ -379,8 +381,8 @@ class SimulationEngine:
         # as-is (policies treat it read-only).
         if self._queue:
             key = (self.resource_manager.epoch, self._queue_version)
-            valid_until = self._pass.valid_until
-            if key == self._pass_key and (valid_until is None or now < valid_until):
+            stands_until = self._pass.stands_until
+            if key == self._pass_key and (stands_until is None or now < stands_until):
                 # Executing a pass's starts or dismissals moves the key, so
                 # a reused pass has neither.
                 self._pass_memo_hits += 1
@@ -530,13 +532,25 @@ class SimulationEngine:
 
         Every named job must be queued: a job named twice, or a start or
         dismissal of a job that is running or has left the system, is a
-        :class:`SchedulingError` naming the policy.
+        :class:`SchedulingError` naming the policy. So is a start time
+        before the job's submission, after ``now`` or at or before the
+        previous grid tick: only a start inside the current tick, such as
+        replay's recorded one, may be backdated.
         """
         events = self._events
         removed: set[int] = set()
+        timestep = float(self.system.timestep_s)
         for decision in schedule_pass.starts:
             run = self._queued_run(decision.job, "started")
-            start = decision.start_time if decision.start_time is not None else now
+            start = decision.start_time
+            if start is None:
+                start = now
+            elif not (run.job.submit_time <= start <= now and start > now - timestep):
+                raise SchedulingError(
+                    f"policy {self.scheduler.name!r} started job {run.job_id} at "
+                    f"t={start!r}; at t={now!r} a start must lie in (t - {timestep:g}, t] "
+                    f"and not before its submission at t={run.job.submit_time!r}"
+                )
             try:
                 self.resource_manager.allocate(
                     run,

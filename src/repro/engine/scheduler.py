@@ -4,13 +4,14 @@ The scheduler decides *which* queued jobs start *when* (and, in replay mode,
 *where*); the resource manager validates and carries out the placement. A
 policy answers each call with one :class:`SchedulePass`: the
 :class:`SchedulingDecision` starts for the current tick, the jobs it
-dismisses with their reasons, how many jobs a power cap held back, and
+dismisses with their reasons, how many jobs a power cap held back,
 ``valid_until``, the earliest time the same queue and running set could get
-a different answer. It never mutates job or node state itself (jobs are
-read-only; the engine owns each job's run record). The engine executes the
-starts in order, so a policy must account for the nodes its own earlier
-decisions of the same tick will consume (all policies here track a local
-free-node count for exactly that reason).
+a different answer, and ``stands_until``, that time if nothing of the pass
+is executed. It never mutates job or node state itself (jobs are read-only;
+the engine owns each job's run record). The engine executes the starts in
+order, so a policy must account for the nodes its own earlier decisions of
+the same tick will consume (all policies here track a local free-node count
+for exactly that reason).
 
 Three policies cover the paper's experiments:
 
@@ -33,9 +34,9 @@ Three policies cover the paper's experiments:
 from __future__ import annotations
 
 import abc
-import heapq
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..cluster import DOWN, FREE, ResourceManager
 from ..exceptions import SchedulingError
@@ -89,6 +90,10 @@ class SchedulingDecision:
     replay_relocated: bool = False
 
 
+#: Default of :attr:`SchedulePass.stands_until`: take ``valid_until``.
+_SAME_AS_VALID_UNTIL: Any = object()
+
+
 @dataclass(frozen=True, slots=True, kw_only=True)
 class SchedulePass:
     """A policy's whole answer to one :meth:`Scheduler.schedule` call.
@@ -106,16 +111,29 @@ class SchedulePass:
     valid_until:
         The earliest time at which the same queue and running set could get
         a different answer; ``None`` means not before the next submission or
-        release. The engine reuses the pass without asking again while the
-        resource manager's epoch and its queue are unchanged and ``now <
-        valid_until``, and the pass bounds event-driven coalescing at that
-        time. ``valid_until=now`` is always safe: ask again next tick.
+        release. The pass bounds event-driven coalescing at that time, so
+        ``valid_until=now`` makes the engine step every tick.
+    stands_until:
+        The earliest time at which the same queue and running set could get
+        a different answer if nothing of this pass were executed; it
+        defaults to ``valid_until``. The engine reuses the pass without
+        asking again while the resource manager's epoch and its queue are
+        unchanged and ``now < stands_until``; executing a start or a
+        dismissal changes both. ``now`` is always safe: ask again next tick.
+        A policy sets it apart from ``valid_until`` when it must step every
+        tick yet knows that a pass nothing came of keeps its answer longer,
+        as :class:`PowerCapScheduler` does for a pass that held every start.
     """
 
     starts: list[SchedulingDecision]
     dismissals: Sequence[tuple[Job, str]] = ()
     held: int = 0
     valid_until: float | None
+    stands_until: float | None = _SAME_AS_VALID_UNTIL
+
+    def __post_init__(self) -> None:
+        if self.stands_until is _SAME_AS_VALID_UNTIL:
+            object.__setattr__(self, "stands_until", self.valid_until)
 
 
 class Scheduler(abc.ABC):
@@ -333,6 +351,17 @@ class FCFSScheduler(Scheduler):
         return SchedulePass(starts=decisions, valid_until=None)
 
 
+def _last_start_before(end: float, runtime: float) -> float:
+    """A time ``t`` such that ``now + runtime < end`` in floats for every
+    ``now < t``.
+
+    ``end - ulp(end)`` is exact, and rounding the difference down keeps ``t
+    <= end - ulp(end) - runtime`` exactly; the sum ``now + runtime`` is then
+    below ``end - ulp(end)`` before rounding, and no greater after it.
+    """
+    return math.nextafter(end - math.ulp(end) - runtime, -math.inf)
+
+
 class BackfillScheduler(Scheduler):
     """EASY backfill against wall-time limits.
 
@@ -362,11 +391,15 @@ class BackfillScheduler(Scheduler):
     def schedule(
         self, queue: Sequence[Job], resource_manager: ResourceManager, now: float
     ) -> SchedulePass:
-        # The pass holds until the next event: with the running set and the
-        # queue frozen, the free-node counts and the reservation's spare
-        # nodes are constant, and the one now-dependent test, ``now +
-        # requested_runtime <= shadow_time``, can only flip from true to
-        # false as ``now`` advances, so a declined job stays declined.
+        # The pass holds until the next event: once it is executed, the
+        # jobs it started sit in the running set at fixed expected ends, so
+        # with the running set and the queue frozen the free-node counts,
+        # the shadow time and the spare nodes are constant, and the one
+        # now-dependent test, ``now + requested_runtime <= shadow_time``,
+        # can only flip from true to false, so a declined job stays
+        # declined. A pass nothing came of (a cap held its starts) stands
+        # only until one of its own starts would flip that test (case 1) or
+        # overtake a fixed expected end in the reservation walk (case 3).
         decisions: list[SchedulingDecision] = []
         free_counts = _FreeNodeCounts(resource_manager)
         #: (expected end, job, its partition) of jobs started this tick.
@@ -390,7 +423,7 @@ class BackfillScheduler(Scheduler):
         # Phase 2 — reservation for the blocked head, in its partition.
         head = queue[index]
         partition = free_counts.partition_of(head)
-        shadow_time, spare_nodes = self._reserve(
+        shadow_time, spare_nodes, shadow_fixed, stands_until = self._reserve(
             head, partition, free_counts, resource_manager, started, now
         )
 
@@ -402,16 +435,24 @@ class BackfillScheduler(Scheduler):
             job = queue[position]
             if not free_counts.fits(job):
                 continue
-            if (
-                now + job.requested_runtime > shadow_time
-                and free_counts.partition_of(job) == partition
-            ):
-                if job.nodes_required > spare_nodes:
-                    continue
-                spare_nodes -= job.nodes_required
+            if now + job.requested_runtime > shadow_time:
+                if free_counts.partition_of(job) == partition:
+                    if job.nodes_required > spare_nodes:
+                        continue
+                    spare_nodes -= job.nodes_required
+            elif shadow_fixed and free_counts.partition_of(job) == partition:
+                # Case 1: against a fixed shadow, the job ends by it only
+                # while now + requested_runtime stays at or below it.
+                stands_until = min(
+                    stands_until, _last_start_before(shadow_time, job.requested_runtime)
+                )
             free_counts.take(job)
             decisions.append(SchedulingDecision(job))
-        return SchedulePass(starts=decisions, valid_until=None)
+        return SchedulePass(
+            starts=decisions,
+            valid_until=None,
+            stands_until=stands_until if stands_until < math.inf else None,
+        )
 
     def _reserve(
         self,
@@ -421,8 +462,9 @@ class BackfillScheduler(Scheduler):
         resource_manager: ResourceManager,
         started: list[tuple[float, Job, str]],
         now: float,
-    ) -> tuple[float, int]:
-        """Shadow reservation for the blocked head: ``(shadow_time, spare)``.
+    ) -> tuple[float, int, bool, float]:
+        """Shadow reservation for the blocked head: ``(shadow_time, spare,
+        fixed, stands_until)``.
 
         One walk for every head: the resource manager's expected-release
         list of the head's partition merged with this tick's own starts in
@@ -431,27 +473,50 @@ class BackfillScheduler(Scheduler):
         start; ``spare`` is how many nodes of the partition remain free
         then beyond the head's reservation — the budget for backfill jobs
         that outlive the shadow time. The reference is
-        ``tests/helpers.py::scan_reservation``.
+        ``tests/helpers.py::scan_reservation``. ``fixed`` says whether the
+        shadow is an expected end still ahead, which stays put as ``now``
+        advances, rather than ``now`` or an own start, which move with it.
+
+        The own starts end at ``now + requested_runtime``, so they move
+        through the fixed ends as ``now`` advances. ``stands_until`` is the
+        earliest time one walked before the head fits could reach the next
+        fixed end after it (case 3; a tie already changes the order). The
+        merge is walked by hand to read that next end: ``heapq.merge``
+        reads one entry ahead of the one it yields.
         """
         self.reservations_computed += 1
         own = sorted(
-            (end, job.nodes_required, job.job_id)
+            (end, job.nodes_required, job.job_id, job.requested_runtime)
             for end, job, name in started
             if name == partition
         )
         available = free_counts.free_in(partition)
-        for end, nodes, _ in heapq.merge(
-            resource_manager.expected_release_entries(partition), own
-        ):
+        releases = resource_manager.expected_release_entries(partition)
+        release = next(releases, None)
+        stands_until = math.inf
+        position = 0
+        while True:
+            if release is not None and (position == len(own) or release < own[position]):
+                end, nodes, _ = release
+                release = next(releases, None)
+                fixed = True
+            elif position < len(own):
+                end, nodes, _, runtime = own[position]
+                position += 1
+                fixed = False
+                if release is not None:
+                    stands_until = min(stands_until, _last_start_before(release[0], runtime))
+            else:
+                # Head can never fit by this estimate (should have been
+                # dismissed at submission); reserve nothing rather than crash.
+                return math.inf, 0, False, stands_until
             available += nodes
             if available >= head.nodes_required:
                 # A job that overran its wall-time limit has an expected end
                 # in the past; assume it ends imminently (the usual EASY
                 # convention), never before the current tick.
-                return max(now, end), available - head.nodes_required
-        # Head can never fit by this estimate (should have been dismissed
-        # at submission); reserve nothing rather than crash.
-        return float("inf"), 0
+                spare = available - head.nodes_required
+                return max(now, end), spare, fixed and end > now, stands_until
 
 
 class _FreeNodeCounts:
@@ -509,18 +574,21 @@ class PowerCapScheduler(Scheduler):
 
     Jobs whose incremental draw can never fit under any present-or-future
     cap are dismissed with a reason instead of deadlocking an FCFS queue
-    head forever; held jobs simply stay queued and are re-proposed by the
-    base policy next tick.
+    head forever; held jobs simply stay queued, and the base proposes them
+    again when it is next asked.
 
     A pass that held or dismissed a job is valid only until ``now``, so the
-    next grid tick asks again: a held job's admissibility depends on the
-    active cap *and* on the base's proposals, which (for backfill) can
-    change with ``now`` alone, and a dismissal removes queue entries after
-    the base ran — dismissing a blocked head unblocks the jobs behind it on
-    the very next tick, which a dense run acts on immediately. Otherwise
-    the admitted set equals the base's proposals, and so does the pass's
-    validity. Cap *changes* bound coalescing through the engine's signal
-    breakpoints, not through the pass.
+    engine steps every grid tick while jobs are held: a dismissal removes
+    queue entries after the base ran — dismissing a blocked head unblocks
+    the jobs behind it on the very next tick, which a dense run acts on
+    immediately — and stepping through holds keeps each run's steps. A
+    pass that held every start and dismissed nothing executes nothing, so
+    its answer stands until its base's could change (its ``stands_until``;
+    for backfill, ``now`` alone can change it) or the signals step (the
+    cap sets the budget); the engine reuses it until then. Otherwise the
+    admitted set equals the base's proposals, and the pass is the base's.
+    Cap *changes* bound coalescing through the engine's signal breakpoints,
+    not through the pass.
     """
 
     def __init__(self, base: Scheduler, signals: OperatingSignals) -> None:
@@ -629,11 +697,20 @@ class PowerCapScheduler(Scheduler):
                 continue
             held += 1
             self._holds_total += 1
+        if not held and not dismissals:
+            return proposals
+        stands_until = proposals.stands_until
+        change = self.signals.next_change_after(now)
+        if dismissals:
+            stands_until = now
+        elif change is not None and (stands_until is None or change < stands_until):
+            stands_until = change
         return SchedulePass(
             starts=admitted,
             dismissals=dismissals,
             held=held,
-            valid_until=now if held or dismissals else proposals.valid_until,
+            valid_until=now,
+            stands_until=stands_until,
         )
 
 

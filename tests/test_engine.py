@@ -10,10 +10,17 @@ import pytest
 
 import repro
 from repro import run_simulation
+from repro.cluster import ResourceManager
 from repro.config import get_system_config
-from repro.engine import FCFSScheduler, SchedulePass, SimulationEngine, parse_duration
+from repro.engine import (
+    FCFSScheduler,
+    PowerCapScheduler,
+    SchedulePass,
+    SimulationEngine,
+    parse_duration,
+)
 from repro.exceptions import ConfigurationError, SchedulingError, SimulationError, SRapsError
-from repro.power import OperatingSignals
+from repro.power import OperatingSignals, SystemPowerModel
 from repro.telemetry import JobState, Profile
 from repro.workloads import (
     SyntheticWorkloadGenerator,
@@ -28,10 +35,12 @@ from repro.workloads.distributions import (
 )
 
 from helpers import (
+    idle_floor_kw,
     is_constant,
     make_job,
     next_power_change_after,
     schedule_calls,
+    summary_drifts,
     two_partition_system,
     without_pass_memo,
 )
@@ -621,7 +630,9 @@ class TestPassMemo:
         assert [run.sim_start_time for run in result.jobs] == [0.0, 3000.0, 3000.0]
 
     @pytest.mark.parametrize("dense", [False, True], ids=["event", "dense"])
-    def test_pass_that_held_a_job_is_never_reused(self, tiny_system, dense):
+    def test_held_pass_is_reused_until_its_stands_until(self, tiny_system, dense):
+        # A pass that held jobs is reused while it stands, yet its
+        # valid_until=now still makes every step one tick.
         jobs = SyntheticWorkloadGenerator(tiny_system, busy_trace_spec(), seed=3).generate(
             6 * 3600.0
         )
@@ -631,19 +642,20 @@ class TestPassMemo:
         )
         calls = schedule_calls(engine)
         step = engine.step
-        steps: list[tuple[bool, int]] = []  # (policy asked, jobs it held)
+        held_steps: list[tuple[float, float, bool, SchedulePass]] = []
 
         def recorded_step() -> None:
-            before = len(calls)
+            now, before = engine.now, len(calls)
             step()
-            asked = len(calls) > before
-            steps.append((asked, calls[-1][1].held if asked else 0))
+            if engine._queue and engine._pass.held:
+                held_steps.append((now, engine.now - now, len(calls) > before, engine._pass))
 
         engine.step = recorded_step
         engine.run()
-        held_steps = [i for i, (_, held) in enumerate(steps[:-1]) if held]
-        assert len(held_steps) > 10
-        assert all(steps[i + 1][0] for i in held_steps)
+        reused = [(now, held) for now, _, asked, held in held_steps if not asked]
+        assert len(held_steps) > 10 and len(reused) > 10
+        assert all(dt == 15.0 for _, dt, _, _ in held_steps)
+        assert all(held.stands_until is None or now < held.stands_until for now, held in reused)
 
     def test_replay_asked_again_at_its_next_recorded_start(self):
         # t=15 declines the job recorded at t=907; that pass stands until
@@ -675,7 +687,11 @@ class TestPassMemo:
             .stats.column("compute_power_kw")
             .max()
         )
-        for signals in (None, OperatingSignals.constant(power_cap_kw=0.7 * peak_kw)):
+        # A stepped cap too: a held pass stands only until the cap steps.
+        stepped = OperatingSignals(
+            power_cap_kw=((0.0, 0.6 * peak_kw), (7507.5, 0.8 * peak_kw), (14400.0, 0.65 * peak_kw))
+        )
+        for signals in (None, OperatingSignals.constant(power_cap_kw=0.7 * peak_kw), stepped):
             for dense in (False, True):
                 memo = SimulationEngine(
                     system, jobs, policy, dense_ticks=dense, signals=signals
@@ -685,6 +701,102 @@ class TestPassMemo:
                 ).run()
                 assert list(memo.summary().items()) == list(reference.summary().items())
                 assert _job_records(memo) == _job_records(reference)
+
+
+def _incr_kw(system, job) -> float:
+    """The power cap's peak draw of ``job`` over its nodes' idle draw, kW."""
+    scheduler = PowerCapScheduler(FCFSScheduler(), OperatingSignals.constant(power_cap_kw=1.0))
+    scheduler.bind_power_model(SystemPowerModel(system), ResourceManager(system))
+    return scheduler._incr_kw(job)
+
+
+class TestStandingTime:
+    """Each term of a held backfill pass's ``stands_until``. Under a cap that
+    holds every new start, the engine reuses the held pass until the term
+    runs out; each run equals the one that asks on every step (the memo
+    changes nothing), and dense equals event-driven."""
+
+    @staticmethod
+    def _run(system, jobs, signals):
+        """The event-driven memo run and the calls it made, checked against
+        the dense and the no-memo runs."""
+        runs = {}
+        for dense in (False, True):
+            for memo in (True, False):
+                engine = SimulationEngine(
+                    system, jobs, "backfill", dense_ticks=dense, signals=signals
+                )
+                if not memo:
+                    without_pass_memo(engine)
+                calls = schedule_calls(engine)
+                runs[dense, memo] = engine.run(), calls
+        for dense in (False, True):
+            memo, reference = runs[dense, True][0], runs[dense, False][0]
+            assert list(memo.summary().items()) == list(reference.summary().items())
+            assert _job_records(memo) == _job_records(reference)
+        event, dense = runs[False, True][0], runs[True, True][0]
+        assert max(summary_drifts(dense.summary(), event.summary()).values()) <= 1e-9
+        assert _job_records(dense) == _job_records(event)
+        return runs[False, True]
+
+    @staticmethod
+    def _occupied(system):
+        """F (8 nodes, expected end 3600) and B (16 nodes, 7200) run from
+        t=0, leaving 8 of tiny's 32 nodes free, under a cap that admits them
+        with 0.01 kW to spare: every later start is held."""
+        occupants = [
+            make_job(nodes=8, duration=3600.0, wall_limit=3600.0),
+            make_job(nodes=16, duration=7200.0, wall_limit=7200.0),
+        ]
+        cap_kw = idle_floor_kw(system) + sum(_incr_kw(system, job) for job in occupants) + 0.01
+        return occupants, OperatingSignals.constant(power_cap_kw=cap_kw)
+
+    def test_short_backfill_start_stands_until_it_would_outlive_the_shadow(self, tiny_system):
+        # Case 1. Head H (12 nodes) waits for F: shadow 3600, spare 4. S (6
+        # nodes, 1800 s) ends before the shadow while now <= 1800, so the
+        # pass proposes it and the cap holds it; that pass stands until
+        # 1800. From 1815 S would outlive the shadow and needs more than
+        # the spare: the pass proposes nothing.
+        occupants, signals = self._occupied(tiny_system)
+        head = make_job(nodes=12, submit=900.0, start=900.0, wall_limit=1800.0)
+        short = make_job(nodes=6, submit=901.0, start=901.0, wall_limit=1800.0)
+        _, calls = self._run(tiny_system, [*occupants, head, short], signals)
+        assert [(now, p.held) for now, p in calls[:5]] == [
+            (0.0, 0), (900.0, 0), (915.0, 1), (1800.0, 1), (1815.0, 0)
+        ]
+
+    def test_own_start_stands_until_it_ties_the_next_fixed_end(self, tiny_system):
+        # Case 3 with a tie. A (4 nodes, 1800 s) starts in phase 1 and H (12
+        # nodes) waits. At 915 A's expected end 2715 comes before F's 3600
+        # in the walk: H fits at F with 4 spare, so L (4 nodes, 7200 s)
+        # backfills, and the cap holds A and L. That pass stands until A
+        # reaches F at 1800. There A ties F and still comes first (fewer
+        # nodes), but the tie stands only until now: at 1815 F comes first,
+        # H fits at F with no spare, and L waits.
+        occupants, signals = self._occupied(tiny_system)
+        own = make_job(nodes=4, submit=900.0, start=900.0, wall_limit=1800.0)
+        head = make_job(nodes=12, submit=901.0, start=901.0, wall_limit=1800.0)
+        long = make_job(nodes=4, submit=902.0, start=902.0, wall_limit=7200.0)
+        _, calls = self._run(tiny_system, [*occupants, own, head, long], signals)
+        assert [(now, p.held) for now, p in calls[:5]] == [
+            (0.0, 0), (900.0, 1), (915.0, 2), (1800.0, 2), (1815.0, 1)
+        ]
+
+    def test_held_pass_stands_until_the_cap_steps(self, tiny_system):
+        # The signal bound. J waits under a cap that admits only F until
+        # the cap rises at t=1000.5: the held pass stands until then, and
+        # J starts at the first tick after it.
+        running = make_job(nodes=8, duration=3600.0, wall_limit=3600.0)
+        job = make_job(nodes=8, submit=600.0, start=600.0, duration=600.0)
+        cap_kw = idle_floor_kw(tiny_system) + _incr_kw(tiny_system, running) + 0.01
+        signals = OperatingSignals(
+            power_cap_kw=((0.0, cap_kw), (1000.5, cap_kw + _incr_kw(tiny_system, job)))
+        )
+        result, calls = self._run(tiny_system, [running, job], signals)
+        assert [(now, p.held, p.stands_until) for now, p in calls] == [
+            (0.0, 0, None), (600.0, 1, 1000.5), (1005.0, 0, None)
+        ]
+        assert result.jobs[1].sim_start_time == 1005.0
 
 
 class _NamesAJobTwice(FCFSScheduler):
@@ -729,8 +841,41 @@ class _DismissesFinishedJob(FCFSScheduler):
         )
 
 
+class _StartsAt(FCFSScheduler):
+    """FCFS that records each start at ``submit + offset``."""
+
+    name = "starts-at"
+
+    def __init__(self, offset: float) -> None:
+        super().__init__()
+        self.offset = offset
+
+    def schedule(self, queue, resource_manager, now):
+        starts = [
+            dataclasses.replace(decision, start_time=decision.job.submit_time + self.offset)
+            for decision in super().schedule(queue, resource_manager, now).starts
+        ]
+        return SchedulePass(starts=starts, valid_until=None)
+
+
 class TestPassChecks:
-    """Every job a pass names must be queued and named once in that pass."""
+    """Every job a pass names must be queued and named once in that pass,
+    and start inside the current tick, not before its submission."""
+
+    @pytest.mark.parametrize(
+        "offset, blocked",
+        [(-3600.0, False), (15.0, False), (0.0, True)],
+        ids=["before_submit", "after_now", "before_the_tick"],
+    )
+    def test_start_outside_the_tick_is_rejected(self, tiny_system, offset, blocked):
+        # A job submitted and started at t=0 may not start an hour earlier
+        # or a tick later; one that waited behind a 32-node hog until t=600
+        # may not start back at its submission.
+        jobs = [make_job(nodes=32, submit=0.0, duration=600.0)] if blocked else []
+        jobs.append(make_job(nodes=1, submit=0.0, duration=600.0))
+        engine = SimulationEngine(tiny_system, jobs, _StartsAt(offset))
+        with pytest.raises(SchedulingError, match=f"'starts-at' started job {jobs[-1].job_id} "):
+            engine.run()
 
     @pytest.mark.parametrize("how", ["dismissed_twice", "started_and_dismissed"])
     def test_job_named_twice_is_rejected(self, tiny_system, how):

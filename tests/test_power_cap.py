@@ -254,7 +254,7 @@ class TestSchedulerUnit:
         }
 
     def test_next_event_hint_vetoes_coalescing_while_holding(self, tiny_system):
-        # A pass that holds a job stands only until now; one that admits
+        # A pass that holds a job is valid only until now; one that admits
         # every proposal carries its base's validity.
         _, schedule_pass, _ = self._held_pass(tiny_system)
         assert schedule_pass.valid_until == 123.0
@@ -267,6 +267,20 @@ class TestSchedulerUnit:
         schedule_pass = scheduler.schedule([due, ahead], rm, 123.0)
         assert [d.job for d in schedule_pass.starts] == [due]
         assert (schedule_pass.held, schedule_pass.valid_until) == (0, 900.0)
+
+    def test_held_pass_stands_until_the_cap_steps(self, tiny_system):
+        # A pass that held every start executes nothing: it stands until
+        # its base's answer (FCFS: the next event) or the cap could change.
+        # A dismissal is executed, so that pass stands only until now.
+        floor_kw = idle_floor_kw(tiny_system)
+        signals = OperatingSignals(power_cap_kw=((0.0, floor_kw + 1.0), (900.0, floor_kw + 3.0)))
+        scheduler = PowerCapScheduler(FCFSScheduler(), signals)
+        rm = ResourceManager(tiny_system)
+        scheduler.bind_power_model(SystemPowerModel(tiny_system), rm)
+        held = scheduler.schedule([make_job(nodes=8, submit=0.0)], rm, 123.0)
+        assert (held.held, held.valid_until, held.stands_until) == (1, 123.0, 900.0)
+        dismissed = scheduler.schedule([make_job(nodes=32, submit=0.0)], rm, 123.0)
+        assert (len(dismissed.dismissals), dismissed.stands_until) == (1, 123.0)
 
 
 class TestIdleFloor:

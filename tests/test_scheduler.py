@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from repro.engine import (
     available_policies,
     get_scheduler,
 )
-from repro.engine.scheduler import _FreeNodeCounts
+from repro.engine.scheduler import _FreeNodeCounts, _last_start_before
 from repro.exceptions import SchedulingError
 from repro.telemetry import JobState
 
@@ -294,7 +296,7 @@ class TestBackfillReservationEdgeCases:
         )
         scheduler = BackfillScheduler()
         walk = scheduler._reserve(head, rm.partition_of(head), _FreeNodeCounts(rm), rm, [], now)
-        return walk, scan_reservation(rm, head, [], now)
+        return walk[:2], scan_reservation(rm, head, [], now)
 
     def test_overrun_shadow_never_precedes_now(self, tiny_system):
         # Directly check the reservation arithmetic of the overrun case.
@@ -497,10 +499,13 @@ class _ScanBackfillScheduler(BackfillScheduler):
     """Reference EASY backfill: every reservation from the node scan."""
 
     def _reserve(self, head, partition, free_counts, resource_manager, started, now):
+        # A shadow that is never fixed and a walk that stands forever: the
+        # decisions do not depend on either.
         self.reservations_computed += 1
-        return scan_reservation(
+        shadow, spare = scan_reservation(
             resource_manager, head, [job for _, job, _ in started], now
         )
+        return shadow, spare, False, math.inf
 
 
 class TestBackfillReservationIndex:
@@ -604,14 +609,18 @@ _PARTITIONS = ("cpu", "gpu", "debug")
 
 
 class TestReservationWalkMatchesScan:
-    """The one reservation walk equals the node scan with ``==``."""
+    """The one reservation walk equals the node scan with ``==``, and a pass
+    nothing came of keeps its starts until its ``stands_until``."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_walk_equals_scan_on_two_partitions(self, data):
+    NOW = 7200.0
+
+    @classmethod
+    def _draw_state(cls, data):
+        """A two-partition resource manager, this tick's own starts (as
+        phase 1 records them) and a blocked head of any partition name."""
         system = two_partition_system()
         rm = ResourceManager(system)
-        now = 7200.0
+        now = cls.NOW
         # Running jobs of each partition name, some placed explicitly on
         # nodes of both partitions; early starts with short wall limits
         # overrun them (expected end before now).
@@ -655,6 +664,56 @@ class TestReservationWalkMatchesScan:
             start=now,
             wall_limit=1800.0,
         )
-        walk = BackfillScheduler()._reserve(head, partition, ledger, rm, started, now)
-        scan = scan_reservation(rm, head, [job for _, job, _ in started], now)
-        assert walk == scan
+        return rm, ledger, started, head
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_walk_equals_scan_on_two_partitions(self, data):
+        rm, ledger, started, head = self._draw_state(data)
+        partition = rm.partition_of(head)
+        walk = BackfillScheduler()._reserve(head, partition, ledger, rm, started, self.NOW)
+        scan = scan_reservation(rm, head, [job for _, job, _ in started], self.NOW)
+        assert walk[:2] == scan
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pass_keeps_its_starts_until_it_stands_no_longer(self, data):
+        # The queue is the own starts, the head and candidates behind it.
+        # Asked again at every later grid tick before stands_until, with
+        # nothing executed, the policy names the same starts. Every expected
+        # end lies by 14400 s, and every answer after that stands.
+        rm, _, started, head = self._draw_state(data)
+        behind = [
+            make_job(
+                nodes=data.draw(st.integers(1, 8)),
+                partition=data.draw(st.sampled_from(_PARTITIONS)),
+                submit=self.NOW,
+                start=self.NOW,
+                wall_limit=data.draw(st.sampled_from((600.0, 1800.0, 3600.0, 7200.0))),
+            )
+            for _ in range(data.draw(st.integers(0, 6)))
+        ]
+        queue = [job for _, job, _ in started] + [head] + behind
+        scheduler = BackfillScheduler()
+        first = scheduler.schedule(queue, rm, self.NOW)
+        starts = [decision.job.job_id for decision in first.starts]
+        stands_until = 14400.0 if first.stands_until is None else first.stands_until
+        now = self.NOW + 15.0
+        while now < stands_until:
+            again = scheduler.schedule(queue, rm, now)
+            assert [decision.job.job_id for decision in again.starts] == starts, now
+            now += 15.0
+
+
+class TestStandingTimeArithmetic:
+    """``e - requested_runtime`` rounded down to a safe bound."""
+
+    @given(
+        end=st.floats(-1e9, 1e9, allow_nan=False),
+        runtime=st.floats(0.0, 1e7, allow_nan=False),
+    )
+    def test_every_earlier_start_ends_before_the_end(self, end, runtime):
+        # The latest float before the bound is the worst case: float
+        # addition is monotone, so every earlier now ends earlier still.
+        now = math.nextafter(_last_start_before(end, runtime), -math.inf)
+        assert now + runtime < end
