@@ -26,7 +26,7 @@ per-partition queries) instead of re-deriving the rule.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, ValuesView
@@ -44,6 +44,9 @@ FREE = None
 #: datasets do not record this, but the engine supports it for what-if
 #: studies (the paper notes its absence inflates rescheduled utilization).
 DOWN = "down"
+
+#: An expected-release entry: ``(expected end, nodes in the partition, job id)``.
+_Expected = tuple[float, int, int]
 
 
 class ResourceManager:
@@ -126,14 +129,14 @@ class ResourceManager:
         # requested_runtime, nodes in the partition)`` — the planning view a
         # scheduler has (wall-time limits), distinct from the end-time heap
         # above (actual recorded durations). Each list is insort-maintained
-        # with lazy deletion so the reservation walk reads occupants in
-        # expected-end order with early exit instead of materialising and
-        # sorting the running set per call.
-        self._expected_sorted: dict[str, list[tuple[float, int, int]]] = {
+        # and holds exactly the running jobs' entries, so the reservation
+        # walk reads occupants in expected-end order with early exit instead
+        # of materialising and sorting the running set per call. Each
+        # running job's entries are kept with their lists for its release.
+        self._expected_sorted: dict[str, list[_Expected]] = {
             name: [] for name in self._free_count
         }
-        self._expected_of: dict[int, float] = {}
-        self._expected_stale = 0
+        self._expected_entries: dict[int, list[tuple[list[_Expected], _Expected]]] = {}
 
         # Observability counters: plain ints bumped on already-per-event
         # paths (never per step), folded into the engine's metrics registry
@@ -282,10 +285,12 @@ class ResourceManager:
         self._end_of[job_id] = end_time
         heapq.heappush(self._end_heap, (end_time, job_id))
         expected_end = now + job.requested_runtime
-        self._expected_of[job_id] = expected_end
-        expected = self._expected_sorted
-        for name, nodes in shares:
-            insort(expected[name], (expected_end, nodes, job_id))
+        entries = self._expected_entries[job_id] = [
+            (self._expected_sorted[name], (expected_end, nodes, job_id))
+            for name, nodes in shares
+        ]
+        for ordered, entry in entries:
+            insort(ordered, entry)
         self._journal.append((True, job_id))
         self.journal_appends += 1
         return chosen
@@ -376,38 +381,20 @@ class ResourceManager:
         self.journal_drains += 1
         return entries
 
-    def expected_release_entries(self, partition: str) -> Iterator[tuple[float, int, int]]:
+    def expected_release_entries(self, partition: str) -> Iterator[_Expected]:
         """Running jobs holding nodes of ``partition`` as ``(expected end,
         nodes in the partition, job_id)``, ordered.
 
         Ascending by ``(sim_start + requested_runtime, nodes)`` — exactly
         the order the EASY shadow reservation consumes occupants in (ties
         beyond that are indistinguishable to the reservation arithmetic).
-        Backed by the partition's insort-maintained index, so a walk that
-        exits early (the reservation stops once the head fits) costs
-        O(entries consumed + stale skipped), never a sort of the running
-        set. Stale entries of released jobs are skipped via the
-        authoritative map, mirroring the end-time heap's lazy deletion.
+        A plain iterator over the partition's insort-maintained index, which
+        a release deletes from at once, so a walk that exits early (the
+        reservation stops once the head fits) costs O(entries consumed),
+        never a sort of the running set. The index must not change while a
+        walk is open.
         """
-        expected_of = self._expected_of
-        for entry in self._expected_sorted[partition]:
-            if expected_of.get(entry[2]) == entry[0]:
-                yield entry
-
-    def _drop_expected(self, job_id: int) -> None:
-        """Lazily delete a released job from the expected-release index."""
-        if self._expected_of.pop(job_id, None) is None:
-            return
-        self._expected_stale += 1
-        if self._expected_stale > max(64, len(self._expected_of)):
-            # More tombstones than live entries: compact so walks stay
-            # proportional to the live running set.
-            expected_of = self._expected_of
-            for partition, entries in self._expected_sorted.items():
-                self._expected_sorted[partition] = [
-                    entry for entry in entries if expected_of.get(entry[2]) == entry[0]
-                ]
-            self._expected_stale = 0
+        return iter(self._expected_sorted[partition])
 
     # -- owner table -------------------------------------------------------------
 
@@ -475,7 +462,8 @@ class ResourceManager:
             free_count[name] += 1
             heapq.heappush(free_heaps[name], nid)
         del self._running[job_id]
-        self._drop_expected(job_id)
+        for ordered, entry in self._expected_entries.pop(job_id):
+            del ordered[bisect_left(ordered, entry)]
         self._allocated_count -= len(run.assigned_nodes)
         self._epoch += 1
         self._journal.append((False, job_id))

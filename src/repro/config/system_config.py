@@ -273,25 +273,6 @@ class SystemConfig:
         """Total node count across all partitions."""
         return sum(p.node_count for p in self.partitions)
 
-    @property
-    def has_cooling_model(self) -> bool:
-        """Whether a cooling model is configured for this system."""
-        return self.cooling is not None
-
-    def partition_of_node(self, node_id: int) -> PartitionConfig:
-        """Return the partition owning ``node_id`` (contiguous assignment)."""
-        if node_id < 0:
-            raise ConfigurationError(f"node id must be non-negative, got {node_id}")
-        offset = 0
-        for partition in self.partitions:
-            if node_id < offset + partition.node_count:
-                return partition
-            offset += partition.node_count
-        raise ConfigurationError(
-            f"node id {node_id} out of range for system {self.name!r} "
-            f"({self.total_nodes} nodes)"
-        )
-
     def partition_node_range(self, partition_name: str) -> range:
         """Return the node-id range of the named partition."""
         offset = 0

@@ -75,11 +75,6 @@ class CoolingPlantState:
     tower_return_temperature_c: float
     tower_supply_temperature_c: float
 
-    @property
-    def total_facility_power_kw(self) -> float:
-        """Total power drawn by the data centre (IT + losses + cooling), kW."""
-        return self.it_power_kw + self.loss_power_kw + self.cooling_power_kw
-
 
 def power_usage_effectiveness(it_power_kw: float, overhead_kw: float) -> float:
     """PUE = (IT + overhead) / IT, with the zero-IT conventions.

@@ -135,8 +135,9 @@ class SimulationEngine:
         Optional hard stop (relative to the first tick), a positive finite
         number of seconds. Jobs still pending or queued at the horizon are
         dismissed; jobs still on nodes are truncated at exactly ``start +
-        horizon_s`` (not the next tick boundary), so no runtime or energy
-        past the horizon is credited.
+        horizon_s``, where the clock ends too (the step that crosses it is
+        clamped to end there), so no runtime or energy past the horizon is
+        credited.
     dense_ticks:
         Force one statistics sample per ``timestep_s`` grid tick instead of
         coalescing event-free intervals (a bool). Summary metrics are
@@ -298,6 +299,11 @@ class SimulationEngine:
         else:
             self.now = 0.0
         self._start_time = self.now
+        #: Where the run is cut: the one horizon test of ``run``, ``step``
+        #: and coalescing, infinite without a horizon.
+        self._horizon_end = (
+            self.now + horizon_s if horizon_s is not None else math.inf
+        )
         # Loop guard: even a fully serialised (one-job-at-a-time) schedule
         # fits inside the sum of runtimes after the last job has become
         # startable. "Startable" must use the recorded start times, not just
@@ -370,7 +376,7 @@ class SimulationEngine:
             if self._impossible(job):
                 self._dismiss(run, "request exceeds system capacity", now)
                 continue
-            run.mark_queued(job.submit_time)
+            run.mark_queued()
             self._queue.append(job)
             self._queue_version += 1
             if events is not None:
@@ -407,12 +413,13 @@ class SimulationEngine:
             dt_s = self._coalesced_dt(now, timestep)
         # A sample never extends past the horizon: the run is cut there, so
         # integrating energy (or stepping the cooling plant) over the rest
-        # of the tick would credit time the window never contained. Applies
-        # identically in dense and event-driven mode, keeping them equal.
-        if self.horizon_s is not None:
-            horizon_end = self._start_time + self.horizon_s
-            if now < horizon_end < now + dt_s:
-                dt_s = horizon_end - now
+        # of the tick would credit time the window never contained. A
+        # clamped step ends exactly on it. Applies identically in dense and
+        # event-driven mode, keeping them equal.
+        next_now = now + dt_s
+        if now < self._horizon_end < next_now:
+            next_now = self._horizon_end
+            dt_s = next_now - now
         if tracer is not None:
             t0 = self._mark("coalesce", t0)
 
@@ -472,7 +479,7 @@ class SimulationEngine:
             self._mark("stats", t0)
         if self._queue_gauge is not None:
             self._queue_gauge.set(float(len(queue)))
-        self.now = now + dt_s
+        self.now = next_now
 
     def run(self) -> SimulationResult:
         """Run to completion (all jobs finished, or the horizon reached).
@@ -499,10 +506,7 @@ class SimulationEngine:
             progress.start()
         ticks = 0
         while not self.finished:
-            if (
-                self.horizon_s is not None
-                and self.now - self._start_time >= self.horizon_s
-            ):
+            if self.now >= self._horizon_end:
                 self._stop_at_horizon()
                 break
             if ticks >= self._max_ticks:
@@ -594,23 +598,19 @@ class SimulationEngine:
 
         Jobs still on nodes are truncated at the horizon so every job ends
         the run completed or dismissed (their partial node-hours and waits
-        stay in the statistics). The release time is the horizon itself,
-        not ``self.now``: the clock sits on the first tick boundary at or
-        past the horizon, which for a non-grid-aligned horizon would credit
-        runtime and node-hours the window never contained. A job whose
-        natural end falls inside that final partial tick ends at its own
+        stay in the statistics), at the horizon itself, where the clock
+        ends: the step that crosses it is clamped to end there. A job whose
+        natural end falls inside that final partial step ends at its own
         end time and is not flagged as truncated.
         """
-        assert self.horizon_s is not None  # run() checks the horizon first
         events = self._events
         if events is not None:
             events.milestone("horizon_reached", self.now)
         self._dismiss_remaining("simulation horizon reached")
-        horizon_end = self._start_time + self.horizon_s
         for run in self.resource_manager.running_jobs:
             start = run.sim_start_time if run.sim_start_time is not None else self.now
             natural_end = start + run.job.duration
-            end = min(self.now, horizon_end, natural_end)
+            end = min(self._horizon_end, natural_end)
             run.truncated_by_horizon = end < natural_end
             self.resource_manager.release(run, end)
             self.stats.record_job(run)
@@ -675,8 +675,7 @@ class SimulationEngine:
             # horizon here would pad the record with idle time a dense run
             # never integrates.
             return timestep
-        if self.horizon_s is not None:
-            events.append(self._start_time + self.horizon_s)
+        events.append(self._horizon_end)
         t_next = min(events)
         k = int(math.ceil((t_next - now) / timestep))
         # Guard against float overshoot: every skipped grid tick must fall

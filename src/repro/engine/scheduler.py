@@ -211,15 +211,12 @@ class ReplayScheduler(Scheduler):
     name = "replay"
 
     def __init__(self) -> None:
-        #: Due jobs whose placement failed: they wait for a release.
-        self._delayed: set[int] = set()
-        #: Jobs proposed at least once; proposing one again means the
-        #: earlier proposal did not start it.
-        self._proposed: set[int] = set()
+        #: Jobs that were due in an earlier pass: one still queued missed
+        #: its recorded start.
+        self._due_before: set[int] = set()
 
     def reset(self) -> None:
-        self._delayed.clear()
-        self._proposed.clear()
+        self._due_before.clear()
 
     def schedule(
         self, queue: Sequence[Job], resource_manager: ResourceManager, now: float
@@ -256,14 +253,11 @@ class ReplayScheduler(Scheduler):
         decisions: list[SchedulingDecision] = []
         claimed: set[int] = set()
         for job in exact_jobs:
-            feasible = not (claimed & set(job.recorded_nodes)) and all(
+            if claimed.isdisjoint(job.recorded_nodes) and all(
                 owner[nid] is FREE for nid in job.recorded_nodes
-            )
-            if not feasible:
-                self._delayed.add(job.job_id)
-                continue
-            claimed.update(job.recorded_nodes)
-            decisions.append(self._decide(job, now, exact_placement=True))
+            ):
+                claimed.update(job.recorded_nodes)
+                decisions.append(self._decide(job, now, exact_placement=True))
         # With no recorded placements to protect this tick, a count ledger
         # suffices and the resource manager picks the nodes (cheap on large
         # systems); otherwise select explicit free nodes of the job's
@@ -273,11 +267,9 @@ class ReplayScheduler(Scheduler):
         free_counts = _FreeNodeCounts(resource_manager)
         for job in flex_jobs:
             if not claimed:
-                if not free_counts.fits(job):
-                    self._delayed.add(job.job_id)
-                    continue
-                free_counts.take(job)
-                decisions.append(self._decide(job, now))
+                if free_counts.fits(job):
+                    free_counts.take(job)
+                    decisions.append(self._decide(job, now))
                 continue
             free = [
                 nid
@@ -286,12 +278,11 @@ class ReplayScheduler(Scheduler):
                 )
                 if nid not in claimed
             ]
-            if len(free) < job.nodes_required:
-                self._delayed.add(job.job_id)
-                continue
-            chosen = tuple(free[: job.nodes_required])
-            claimed.update(chosen)
-            decisions.append(self._decide(job, now, node_ids=chosen))
+            if len(free) >= job.nodes_required:
+                chosen = tuple(free[: job.nodes_required])
+                claimed.update(chosen)
+                decisions.append(self._decide(job, now, node_ids=chosen))
+        self._due_before.update(job.job_id for job in due)
         return SchedulePass(starts=decisions, valid_until=next_start)
 
     def _decide(
@@ -302,19 +293,17 @@ class ReplayScheduler(Scheduler):
         node_ids: tuple[int, ...] | None = None,
         exact_placement: bool = False,
     ) -> SchedulingDecision:
-        """Propose ``job``: at its recorded start the first time, now after.
+        """Propose ``job``: at its recorded start the first pass it is due,
+        now after.
 
-        A job proposed again was not started by its earlier proposal: its
-        placement failed, or a wrapping policy such as
+        A job still queued after an earlier pass it was due in did not
+        start then: its placement failed, or a wrapping policy such as
         :class:`PowerCapScheduler` held it. It then starts at the tick that
         admits it, never backdated to its recorded start, and is tagged
         delayed. A free-node placement of a job with recorded nodes is
         tagged relocated.
         """
-        job_id = job.job_id
-        delayed = job_id in self._delayed or job_id in self._proposed
-        if not delayed:
-            self._proposed.add(job_id)
+        delayed = job.job_id in self._due_before
         return SchedulingDecision(
             job,
             node_ids=node_ids,
@@ -563,14 +552,15 @@ class PowerCapScheduler(Scheduler):
     order, while the *projected* IT power stays under the active
     ``power_cap_kw`` from :class:`~repro.power.signals.OperatingSignals`.
     Projected power is the system's idle floor (every in-service node at
-    its partition's idle draw, :meth:`SystemPowerModel.idle_power_w`) plus,
-    per admitted job, its peak incremental draw over the idle baseline of
-    the nodes it occupies. The per-job peak is conservative,
-    so a run under a *constant* cap can never record compute power above
-    the cap (``cap_violation_kwh`` stays zero). Demand-response windows
-    that drop the cap below already-committed load — or below the idle
-    floor itself — can still record violations: capping holds *future*
-    starts, it does not checkpoint running jobs.
+    its partition's idle draw, :meth:`SystemPowerModel.idle_power_w`) plus
+    the committed draw: the running set's peak incremental draws over the
+    idle baseline of the nodes each job occupies, cached per job when it
+    was admitted and summed afresh whenever the running set changes. The
+    per-job peak is conservative, so a run under a *constant* cap can never
+    record compute power above the cap (``cap_violation_kwh`` stays zero).
+    Demand-response windows that drop the cap below already-committed load
+    — or below the idle floor itself — can still record violations: capping
+    holds *future* starts, it does not checkpoint running jobs.
 
     Jobs whose incremental draw can never fit under any present-or-future
     cap are dismissed with a reason instead of deadlocking an FCFS queue
@@ -598,12 +588,10 @@ class PowerCapScheduler(Scheduler):
         self._power_model: SystemPowerModel | None = None
         self._idle_floor_kw = 0.0
         #: Peak incremental draw per job id (jobs are immutable, so the
-        #: grid evaluation in job_peak_power_w runs once per job).
+        #: grid evaluation in job_peak_power_w runs once per job). Every
+        #: running job was admitted through it.
         self._incr_kw_cache: dict[int, float] = {}
-        #: Incremental draw committed per admitted job still running,
-        #: purged against the resource manager's running set on each
-        #: allocation epoch change.
-        self._committed_kw: dict[int, float] = {}
+        #: The running set's summed increments, taken at the last epoch.
         self._committed_total_kw = 0.0
         self._epoch = -1
         #: Observability counters (published as ``sched_*_total`` metrics).
@@ -626,7 +614,6 @@ class PowerCapScheduler(Scheduler):
     def reset(self) -> None:
         self.base.reset()
         self._incr_kw_cache.clear()
-        self._committed_kw.clear()
         self._committed_total_kw = 0.0
         self._epoch = -1
         self._holds_total = 0
@@ -658,14 +645,13 @@ class PowerCapScheduler(Scheduler):
         self, queue: Sequence[Job], resource_manager: ResourceManager, now: float
     ) -> SchedulePass:
         if resource_manager.epoch != self._epoch:
-            # Releases only happen across epoch changes, so the committed
-            # ledger needs purging exactly then. Recomputing the total from
-            # the surviving entries keeps float error from accumulating.
+            # The running set changes only across epoch changes. Its jobs
+            # are in admission order, so the sum adds the same cached
+            # floats in the same order each time and no error accumulates.
             self._epoch = resource_manager.epoch
-            running = resource_manager.running_by_id
-            for job_id in [j for j in self._committed_kw if j not in running]:
-                del self._committed_kw[job_id]
-            self._committed_total_kw = sum(self._committed_kw.values())
+            self._committed_total_kw = sum(
+                map(self._incr_kw_cache.__getitem__, resource_manager.running_by_id)
+            )
         proposals = self.base.schedule(queue, resource_manager, now)
         if not proposals.starts:
             return proposals
@@ -680,8 +666,6 @@ class PowerCapScheduler(Scheduler):
             if incr_kw <= budget_kw:
                 admitted.append(decision)
                 budget_kw -= incr_kw
-                self._committed_kw[job.job_id] = incr_kw
-                self._committed_total_kw += incr_kw
                 continue
             headroom_kw = self.signals.max_cap_at_or_after(now) - self._idle_floor_kw
             if incr_kw > headroom_kw:

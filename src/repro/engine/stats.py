@@ -395,15 +395,6 @@ class StatsCollector:
         view.setflags(write=False)
         return view
 
-    def timeseries(self) -> dict[str, list[float]]:
-        """Column-oriented view of the per-tick samples.
-
-        One ``tolist()`` per column (C-level conversion to Python scalars),
-        never a per-tick Python object round-trip.
-        """
-        n = self._tick_count
-        return {name: self._columns[name][:n].tolist() for name in TickSample.FIELDS}
-
     # -- export ----------------------------------------------------------------
 
     def to_csv(self, path: str | Path) -> None:

@@ -22,7 +22,6 @@ import json
 import logging
 import math
 from pathlib import Path
-from typing import IO
 
 from ..telemetry.job import JobRun
 
@@ -92,13 +91,6 @@ class EventLog:
         log = cls()
         handler = logging.FileHandler(Path(path), mode="w")
         log._attach(handler)
-        return log
-
-    @classmethod
-    def to_stream(cls, stream: IO[str]) -> "EventLog":
-        """Event log writing JSON lines to an open text stream."""
-        log = cls()
-        log._attach(logging.StreamHandler(stream))
         return log
 
     def _attach(self, handler: logging.Handler) -> None:

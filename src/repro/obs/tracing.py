@@ -66,11 +66,6 @@ class SpanTracer:
 
     # -- recording -------------------------------------------------------------
 
-    @staticmethod
-    def now_ns() -> int:
-        """Monotonic span clock (``time.perf_counter_ns``)."""
-        return perf_counter_ns()
-
     def add(self, name: str, start_ns: int, end_ns: int | None = None) -> int:
         """Record one completed span and return its end timestamp (ns).
 

@@ -329,7 +329,6 @@ class RunningSetPowerAggregator:
         self._job_power_w = 0.0
         self._cpu_weighted = 0.0
         self._gpu_weighted = 0.0
-        self._nodes_busy = 0
         # Observability counters: plain ints on per-event paths, folded
         # into the engine's metrics registry at run finalisation.
         self.breakpoint_crossings = 0
@@ -340,14 +339,14 @@ class RunningSetPowerAggregator:
     def sample(self, now: float) -> SystemPowerSample:
         """System power at ``now``, recomputing only what changed.
 
-        Idle power counts each partition's free nodes in the resource
-        manager's owner table.
+        The busy node count and each partition's free nodes, which idle
+        power counts, are the resource manager's own counters.
         """
         self._refresh(now)
         return self._model.compose_sample(
             now,
             self._job_power_w,
-            nodes_busy=self._nodes_busy,
+            nodes_busy=self._rm.allocated_nodes,
             cpu_weighted=self._cpu_weighted,
             gpu_weighted=self._gpu_weighted,
             free_nodes=self._rm.partition_free_counts,
@@ -425,7 +424,6 @@ class RunningSetPowerAggregator:
                 self._job_power_w -= state.current_power_w
                 self._cpu_weighted -= state.current_cpu_weighted
                 self._gpu_weighted -= state.current_gpu_weighted
-                self._nodes_busy -= state.nodes
                 # Heap entries of ended jobs are discarded lazily.
         started_jobs = [
             running[job_id]
@@ -440,7 +438,6 @@ class RunningSetPowerAggregator:
                 self._job_power_w += state.current_power_w
                 self._cpu_weighted += state.current_cpu_weighted
                 self._gpu_weighted += state.current_gpu_weighted
-                self._nodes_busy += state.nodes
                 if math.isfinite(state.next_change):
                     heapq.heappush(self._changes, (state.next_change, job_id))
         if not states:

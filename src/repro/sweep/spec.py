@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from numbers import Real
 from pathlib import Path
@@ -376,22 +376,7 @@ class SweepSpec:
                     )
                 value = payload.pop(alias)
                 payload[target] = None if value is None else parse_duration(value)
-        known = {
-            "name",
-            "duration_s",
-            "systems",
-            "policies",
-            "workloads",
-            "n_seeds",
-            "seeds",
-            "root_seed",
-            "horizon_s",
-            "dense_ticks",
-            "power_caps",
-            "price_per_kwh",
-            "carbon_kg_per_kwh",
-            "custom_workloads",
-        }
+        known = {spec_field.name for spec_field in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ConfigurationError(

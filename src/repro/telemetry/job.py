@@ -175,7 +175,10 @@ class JobRun:
     """One job's state in one simulation run, owned by the engine.
 
     Built in O(1) per input job, without validation (the :class:`Job` was
-    validated once, when it was loaded). The ``mark_*`` transitions are the
+    validated once, when it was loaded). It has no submit time of its own:
+    a run is submitted at its job's :attr:`Job.submit_time` (the engine
+    queues it on the first tick at or after it), which :attr:`wait_time`
+    reads. The ``mark_*`` transitions are the
     only writers of :attr:`state` and raise :class:`SimulationError` on an
     illegal move. The typed tags say why a run ended the way it did:
 
@@ -196,7 +199,6 @@ class JobRun:
         "job_id",
         "state",
         "assigned_nodes",
-        "sim_submit_time",
         "sim_start_time",
         "sim_end_time",
         "dismiss_reason",
@@ -210,7 +212,6 @@ class JobRun:
         self.job_id = job.job_id
         self.state = JobState.PENDING
         self.assigned_nodes: tuple[int, ...] = ()
-        self.sim_submit_time: float | None = None
         self.sim_start_time: float | None = None
         self.sim_end_time: float | None = None
         self.dismiss_reason: str | None = None
@@ -229,27 +230,21 @@ class JobRun:
 
     @property
     def wait_time(self) -> float | None:
-        """Simulated queue wait (start - submit), if started."""
+        """Simulated queue wait (start - the job's submit time), if started."""
         if self.sim_start_time is None:
             return None
-        return max(0.0, self.sim_start_time - self._submit())
-
-    def _submit(self) -> float:
-        if self.sim_submit_time is not None:
-            return self.sim_submit_time
-        return self.job.submit_time
+        return max(0.0, self.sim_start_time - self.job.submit_time)
 
     # -- state transitions (used by engine / resource manager) -----------------
 
-    def mark_queued(self, now: float) -> None:
-        """Transition PENDING → QUEUED when the job is submitted."""
+    def mark_queued(self) -> None:
+        """Transition PENDING → QUEUED when the job is submitted, at its
+        :attr:`Job.submit_time`."""
         if self.state is not JobState.PENDING:
             raise SimulationError(
                 f"job {self.job_id}: cannot queue from state {self.state.value}"
             )
         self.state = JobState.QUEUED
-        if self.sim_submit_time is None:
-            self.sim_submit_time = now
 
     def mark_running(self, now: float, nodes: tuple[int, ...]) -> None:
         """Transition QUEUED/PENDING → RUNNING with an allocation."""
@@ -265,8 +260,6 @@ class JobRun:
         self.state = JobState.RUNNING
         self.assigned_nodes = tuple(nodes)
         self.sim_start_time = now
-        if self.sim_submit_time is None:
-            self.sim_submit_time = self.job.submit_time
 
     def mark_completed(self, now: float) -> None:
         """Transition RUNNING → COMPLETED, releasing is the RM's job."""

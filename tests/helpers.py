@@ -33,8 +33,10 @@ summary (``tests/test_oracles.py``).
 from __future__ import annotations
 
 import copy
+import logging
 import math
 from dataclasses import replace
+from typing import IO
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from repro.config import CoolingConfig, PartitionConfig, SystemConfig, get_syste
 from repro.cooling.plant import _CDU_EFFECTIVENESS, WATER_CP, lag_fraction
 from repro.engine import PowerCapScheduler, SchedulePass, SimulationEngine, SimulationResult
 from repro.engine.stats import StatsCollector
+from repro.obs import EventLog
 from repro.power import SystemPowerModel, SystemPowerSample
 from repro.telemetry import Job, JobRun, JobState, Profile, constant_profile
 
@@ -71,6 +74,7 @@ __all__ = [
     "scan_sample",
     "schedule_calls",
     "stage_efficiency",
+    "stream_event_log",
     "summary_drifts",
     "time_shifted",
     "two_partition_system",
@@ -147,10 +151,17 @@ def idle_floor_kw(system: SystemConfig) -> float:
     return model.idle_power_w(partition.node_count for partition in system.partitions) / 1000.0
 
 
-def queued_run(job: Job, now: float = 0.0) -> JobRun:
-    """A fresh run record of ``job``, submitted at ``now``."""
+def stream_event_log(stream: IO[str]) -> EventLog:
+    """An event log writing JSON lines to an open text stream."""
+    log = EventLog()
+    log._attach(logging.StreamHandler(stream))
+    return log
+
+
+def queued_run(job: Job) -> JobRun:
+    """A fresh run record of ``job``, queued."""
     run = JobRun(job)
-    run.mark_queued(now)
+    run.mark_queued()
     return run
 
 
@@ -335,7 +346,7 @@ def scan_reservation(
     """
     rm = copy.deepcopy(resource_manager)
     for job in started:
-        rm.allocate(queued_run(job, now), now)
+        rm.allocate(queued_run(job), now)
     system = rm.system
     names = [partition.name for partition in system.partitions]
     partition = system.partition_node_range(

@@ -168,7 +168,7 @@ class TestResourceManager:
         rm.allocate(first, 0.0)
         assert rm.free_node_count() == 0
         rm.complete_finished_jobs(now=100.0)
-        second = queued_run(make_job(nodes=32, submit=50, start=100, duration=100), 50.0)
+        second = queued_run(make_job(nodes=32, submit=50, start=100, duration=100))
         nodes = rm.allocate(second, 100.0)
         assert len(nodes) == 32
 
@@ -268,7 +268,7 @@ class TestEpochAndCounters:
 
 
 def _allocate(rm, job, now=0.0):
-    run = queued_run(job, now)
+    run = queued_run(job)
     rm.allocate(run, now)
     return run
 
@@ -459,21 +459,45 @@ class TestExpectedReleaseIndex:
         rm.release(gone, 10.0)
         assert [jid for _, _, jid in rm.expected_release_entries("batch")] == [kept.job_id]
 
-    def test_compaction_drops_tombstones(self, tiny_system):
+    def test_release_deletes_its_entries(self, tiny_system):
         rm = ResourceManager(tiny_system)
         survivors = []
         for i in range(6):
             job = _allocate(rm, make_job(nodes=1, duration=600.0 + i, wall_limit=600.0 + i))
             survivors.append(job)
-        # Release many more than survive so the stale count passes the
-        # live count and the compaction threshold (>= 64 tombstones).
+        # Releases interleaved with allocations: each one deletes its entry
+        # at once, so the list holds only the survivors' entries.
         for _ in range(70):
             job = _allocate(rm, make_job(nodes=1, duration=60.0, wall_limit=60.0))
             rm.release(job, 0.0)
-        # Compaction ran at least once: far fewer tombstones than the 70
-        # releases, and the sorted list stays proportional to live + recent.
-        assert rm._expected_stale <= 64
-        assert len(rm._expected_sorted["batch"]) == len(survivors) + rm._expected_stale
-        assert [jid for _, _, jid in rm.expected_release_entries("batch")] == [
-            j.job_id for j in sorted(survivors, key=lambda j: j.job_id)
+        assert rm._expected_sorted["batch"] == [
+            (600.0 + i, 1, job.job_id) for i, job in enumerate(survivors)
         ]
+
+    def test_spanning_release_leaves_the_running_entries(self, two_partition_system):
+        # An explicit placement across the cpu/gpu boundary holds one entry
+        # in each partition's list, for its nodes there. Releasing one
+        # deletes both and leaves each list with exactly the running jobs'.
+        rm = ResourceManager(two_partition_system)
+        spans = []
+        for nodes, wall_limit in (((14, 15, 16, 17, 18), 600.0), ((13, 19), 1200.0)):
+            run = queued_run(
+                make_job(nodes=len(nodes), partition="cpu", wall_limit=wall_limit,
+                         recorded_nodes=nodes)
+            )
+            rm.allocate(run, 0.0, exact_placement=True)
+            spans.append(run)
+        gone, kept = spans
+        cpu = _allocate(rm, make_job(nodes=2, partition="cpu", wall_limit=900.0))
+        gpu = _allocate(rm, make_job(nodes=1, partition="gpu", wall_limit=300.0))
+        assert list(rm.expected_release_entries("gpu")) == [
+            (300.0, 1, gpu.job_id), (600.0, 3, gone.job_id), (1200.0, 1, kept.job_id)
+        ]
+        rm.release(gone, 100.0)
+        assert list(rm.expected_release_entries("cpu")) == [
+            (900.0, 2, cpu.job_id), (1200.0, 1, kept.job_id)
+        ]
+        assert list(rm.expected_release_entries("gpu")) == [
+            (300.0, 1, gpu.job_id), (1200.0, 1, kept.job_id)
+        ]
+        assert set(rm.running_by_id) == {cpu.job_id, gpu.job_id, kept.job_id}

@@ -147,19 +147,6 @@ class TestSystemConfig:
     def test_total_nodes(self):
         assert self._system().total_nodes == 30
 
-    def test_partition_of_node(self):
-        system = self._system()
-        assert system.partition_of_node(0).name == "cpu"
-        assert system.partition_of_node(9).name == "cpu"
-        assert system.partition_of_node(10).name == "gpu"
-        assert system.partition_of_node(29).name == "gpu"
-
-    def test_partition_of_node_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            self._system().partition_of_node(30)
-        with pytest.raises(ConfigurationError):
-            self._system().partition_of_node(-1)
-
     def test_partition_node_range(self):
         system = self._system()
         assert system.partition_node_range("cpu") == range(0, 10)
@@ -252,10 +239,10 @@ class TestRegistry:
         assert get_system_config("tiny") is config
 
     def test_frontier_has_cooling_model(self):
-        assert get_system_config("frontier").has_cooling_model
+        assert get_system_config("frontier").cooling is not None
 
     def test_marconi_has_no_cooling_model(self):
-        assert not get_system_config("marconi100").has_cooling_model
+        assert get_system_config("marconi100").cooling is None
 
     def test_schedulers_match_table1(self):
         assert get_system_config("fugaku").scheduler_name == "fujitsu_tcs"

@@ -36,7 +36,7 @@ from repro import run_simulation
 from repro.config import get_system_config
 from repro.engine import SimulationEngine, parse_duration
 from repro.engine.stats import json_safe
-from repro.obs import EventLog, MetricsRegistry, Observability, ProgressReporter, SpanTracer
+from repro.obs import MetricsRegistry, Observability, ProgressReporter, SpanTracer
 from repro.power import OperatingSignals, SystemPowerModel
 from repro.workloads import (
     SyntheticWorkloadGenerator,
@@ -52,7 +52,7 @@ from repro.workloads.distributions import (
     RuntimeDistribution,
 )
 
-from helpers import run_checked, summary_drifts, two_partition_system
+from helpers import run_checked, stream_event_log, summary_drifts, two_partition_system
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "engine_summary_tiny_seed42.json"
 
@@ -97,7 +97,7 @@ def test_golden_summary(instrumented: bool, request: pytest.FixtureRequest) -> N
         obs = Observability(
             tracer=SpanTracer(),
             metrics=MetricsRegistry(),
-            events=EventLog.to_stream(io.StringIO()),
+            events=stream_event_log(io.StringIO()),
             progress=ProgressReporter(interval_s=0.0, callback=lambda snapshot: None),
         )
     try:
@@ -226,13 +226,18 @@ def test_two_partition_runs_lie_in_their_priced_partition(policy: str) -> None:
     system = two_partition_system()
     result = SimulationEngine(system, _two_partition_jobs(system), policy).run()
     model = SystemPowerModel(system)
+    partition_of_node = {
+        nid: partition.name
+        for partition in system.partitions
+        for nid in system.partition_node_range(partition.name)
+    }
     started = [run for run in result.jobs if run.assigned_nodes]
     assert len(started) == len(result.jobs)
     misplaced = [
         run.job_id
         for run in started
         if any(
-            model.node_model(system.partition_of_node(nid).name)
+            model.node_model(partition_of_node[nid])
             is not model.node_model(run.job.partition)
             for nid in run.assigned_nodes
         )

@@ -567,6 +567,21 @@ class TestHorizonClamping:
             truncated = next(j for j in result.jobs if j.job.nodes_required == 4)
             assert truncated.sim_end_time == pytest.approx(2222.0)
 
+    @pytest.mark.parametrize("dense_ticks", [False, True], ids=["event", "dense"])
+    def test_clock_ends_on_a_fractional_horizon(self, dense_ticks):
+        # Here (start + h) - start < h in floats: a stop test on the elapsed
+        # time would run one more full tick past the cut. The clock must end
+        # exactly on the horizon, and no time after it be integrated.
+        horizon_s = 2223.7327248373917
+        result = run_simulation(
+            "tiny", policy="backfill", duration="6h", seed=1,
+            horizon=horizon_s, dense_ticks=dense_ticks,
+        )
+        assert result.end_time_s == result.start_time_s + horizon_s
+        assert result.summary()["simulated_s"] <= horizon_s * (1 + 1e-12)
+        ends = [run.sim_end_time for run in result.jobs if run.sim_end_time is not None]
+        assert max(ends) <= result.end_time_s
+
 
 def _job_records(result) -> list[tuple]:
     """Every run record's outcome: state, times, nodes and tags."""
@@ -574,7 +589,6 @@ def _job_records(result) -> list[tuple]:
         (
             run.job_id,
             run.state,
-            run.sim_submit_time,
             run.sim_start_time,
             run.sim_end_time,
             run.assigned_nodes,

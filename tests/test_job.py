@@ -107,24 +107,24 @@ class TestDerivedProperties:
 class TestStateMachine:
     def test_full_lifecycle(self):
         run = JobRun(make_job(nodes=2, submit=0, duration=100))
-        run.mark_queued(5.0)
+        run.mark_queued()
         assert run.state is JobState.QUEUED
         run.mark_running(10.0, (3, 4))
         assert run.state is JobState.RUNNING
         run.mark_completed(110.0)
         assert run.state is JobState.COMPLETED
-        assert run.wait_time == pytest.approx(10.0 - 5.0)
+        assert run.wait_time == pytest.approx(10.0 - 0.0)
         assert run.sim_duration == pytest.approx(100.0)
 
     def test_cannot_queue_twice(self):
         run = JobRun(make_job())
-        run.mark_queued(0.0)
+        run.mark_queued()
         with pytest.raises(SimulationError):
-            run.mark_queued(1.0)
+            run.mark_queued()
 
     def test_cannot_start_completed_job(self):
         run = JobRun(make_job())
-        run.mark_queued(0.0)
+        run.mark_queued()
         run.mark_running(0.0, (0,))
         run.mark_completed(10.0)
         with pytest.raises(SimulationError):
@@ -132,7 +132,7 @@ class TestStateMachine:
 
     def test_allocation_size_must_match(self):
         run = JobRun(make_job(nodes=3))
-        run.mark_queued(0.0)
+        run.mark_queued()
         with pytest.raises(SimulationError):
             run.mark_running(0.0, (1, 2))
 
@@ -148,11 +148,11 @@ class TestStateMachine:
 
     def test_only_pending_or_queued_runs_can_be_dismissed(self):
         queued = JobRun(make_job())
-        queued.mark_queued(0.0)
+        queued.mark_queued()
         queued.mark_dismissed("power cap infeasible")
         assert queued.state is JobState.DISMISSED
         completed = JobRun(make_job())
-        completed.mark_queued(0.0)
+        completed.mark_queued()
         completed.mark_running(0.0, (0,))
         completed.mark_completed(600.0)
         for run in (queued, completed):
@@ -163,7 +163,7 @@ class TestStateMachine:
 
     def test_cannot_dismiss_running(self):
         run = JobRun(make_job())
-        run.mark_queued(0.0)
+        run.mark_queued()
         run.mark_running(0.0, (0,))
         with pytest.raises(SimulationError):
             run.mark_dismissed()
@@ -171,7 +171,7 @@ class TestStateMachine:
     def test_runs_of_one_job_are_independent(self):
         job = make_job()
         first, second = JobRun(job), JobRun(job)
-        first.mark_queued(0.0)
+        first.mark_queued()
         first.mark_running(5.0, (0,))
         assert second.state is JobState.PENDING
         assert second.assigned_nodes == ()
@@ -182,7 +182,7 @@ class TestStateMachine:
 class TestTelemetryAccess:
     def test_utilization_relative_to_sim_start(self):
         run = JobRun(make_job(duration=100, cpu_profile=Profile([0, 50], [0.2, 0.9])))
-        run.mark_queued(0.0)
+        run.mark_queued()
         run.mark_running(1000.0, (0,))
         cpu, _, _ = utilization_at(run, 1010.0)
         assert cpu == pytest.approx(0.2)
@@ -194,6 +194,6 @@ class TestTelemetryAccess:
 
     def test_recorded_power_with_trace(self):
         run = JobRun(make_job(node_power=constant_profile(500.0, 600.0)))
-        run.mark_queued(0.0)
+        run.mark_queued()
         run.mark_running(10.0, (0,))
         assert recorded_power_at(run, 20.0) == pytest.approx(500.0)

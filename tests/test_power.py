@@ -507,7 +507,7 @@ class TestRunningSetPowerAggregator:
         model, rm, agg = rig
         trace = Profile([0.0, 60.0, 60.5, 180.0], [500.0, 500.0, 750.0, 750.0])
         job = make_job(nodes=3, submit=0.0, duration=300.0, node_power=trace)
-        job = queued_run(job, 0.0)
+        job = queued_run(job)
         rm.allocate(job, 0.0)
         for now in (0.0, 45.0, 60.0, 61.0, 200.0):
             sample = agg.sample(now)
@@ -521,7 +521,7 @@ class TestRunningSetPowerAggregator:
         model, rm, agg = rig
         phased = Profile([0.0, 100.0], [0.1, 0.9])
         job = make_job(nodes=2, submit=0.0, duration=400.0, cpu_profile=phased)
-        job = queued_run(job, 0.0)
+        job = queued_run(job)
         rm.allocate(job, 7.5)
         for now in (15.0, 105.0, 107.5, 120.0):
             self._assert_matches(agg.sample(now), scan_sample(model, now, rm))
@@ -529,7 +529,7 @@ class TestRunningSetPowerAggregator:
     def test_idle_system_reports_exact_zero_job_power(self, rig):
         model, rm, agg = rig
         job = make_job(nodes=4, submit=0.0, duration=300.0, cpu=0.7)
-        job = queued_run(job, 0.0)
+        job = queued_run(job)
         rm.allocate(job, 0.0)
         assert agg.sample(0.0).job_power_kw > 0.0
         rm.release(job, 300.0)
@@ -573,7 +573,7 @@ class TestRunningSetPowerAggregator:
     def test_next_breakpoint_none_for_constant_jobs(self, rig):
         _, rm, agg = rig
         job = make_job(nodes=2, submit=0.0, duration=600.0, cpu=0.7)
-        job = queued_run(job, 0.0)
+        job = queued_run(job)
         rm.allocate(job, 0.0)
         assert agg.next_breakpoint_after(0.0) is None
 
@@ -581,7 +581,7 @@ class TestRunningSetPowerAggregator:
         _, rm, agg = rig
         phased = Profile([0.0, 300.0], [0.2, 0.9])
         job = make_job(nodes=2, submit=0.0, duration=600.0, cpu_profile=phased)
-        job = queued_run(job, 0.0)
+        job = queued_run(job)
         rm.allocate(job, 0.0)
         assert agg.next_breakpoint_after(0.0) == pytest.approx(300.0)
         rm.release(job, 100.0)
@@ -595,7 +595,7 @@ class TestRunningSetPowerAggregator:
         _, rm, agg = rig
         phased = Profile([0.0, 120.0, 240.0], [0.2, 0.8, 0.5])
         job = make_job(nodes=2, submit=0.0, duration=600.0, cpu_profile=phased)
-        job = queued_run(job, 0.0)
+        job = queued_run(job)
         rm.allocate(job, 0.0)
         # Querying exactly on a breakpoint applies the crossing and reports
         # the following one.
@@ -616,7 +616,7 @@ class TestRunningSetPowerAggregator:
         rm.release(runs[0], 100.0)
         rm.release(runs[2], 100.0)
         late = make_job(nodes=8, submit=0.0, duration=500.0, gpu=0.9)
-        late = queued_run(late, 100.0)
+        late = queued_run(late)
         rm.allocate(late, 100.0)
         self._assert_matches(agg.sample(100.0), scan_sample(model, 100.0, rm))
 
@@ -632,7 +632,7 @@ class TestRunningSetPowerAggregator:
         profile = Profile([0.0, change], [0.2, 0.9])
         job = make_job(nodes=2, submit=start, start=start, duration=600.0,
                        cpu_profile=profile)
-        job = queued_run(job, start)
+        job = queued_run(job)
         rm.allocate(job, start)
         # Sampling exactly on the rounded boundary must terminate and match
         # the scan (which still sees the pre-change value, elapsed < change).

@@ -19,12 +19,12 @@ from repro.cluster import ResourceManager
 from repro.config import get_system_config
 from repro.engine import FCFSScheduler, ReplayScheduler, SimulationEngine
 from repro.exceptions import ConfigurationError, SchedulingError
-from repro.obs import EventLog, Observability
+from repro.obs import Observability
 from repro.power import SystemPowerModel
 from repro.telemetry import JobState
 from repro.workloads import SyntheticWorkloadGenerator, busy_trace_spec
 
-from helpers import idle_floor_kw, make_job
+from helpers import idle_floor_kw, make_job, stream_event_log
 
 
 def _run(policy="fcfs", *, signals=None, dense_ticks=False, seed=1):
@@ -244,9 +244,9 @@ class TestSchedulerUnit:
         scheduler, schedule_pass, jobs = self._held_pass(tiny_system)
         assert [d.job for d in schedule_pass.starts] == jobs[:1]
         assert schedule_pass.held == 1
-        assert scheduler._committed_kw
+        assert scheduler._incr_kw_cache
         scheduler.reset()
-        assert scheduler._committed_kw == {}
+        assert scheduler._incr_kw_cache == {}
         assert scheduler._committed_total_kw == 0.0
         assert scheduler.observability_counters() == {
             "cap_hold_events": 0,
@@ -420,7 +420,7 @@ class TestReplayUnderCap:
             else None
         )
         stream = io.StringIO()
-        with EventLog.to_stream(stream) as events:
+        with stream_event_log(stream) as events:
             result = SimulationEngine(
                 system,
                 jobs,

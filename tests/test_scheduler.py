@@ -148,7 +148,7 @@ class TestFCFSScheduler:
         # 30 of 32 nodes busy: an 8-node head is blocked, and strict FCFS
         # must not let the 1-node job behind it jump the queue.
         running = make_job(nodes=30, submit=0.0)
-        rm.allocate(queued_run(running, 0.0), 0.0)
+        rm.allocate(queued_run(running), 0.0)
         wide = make_job(nodes=8, submit=0.0)
         small = make_job(nodes=1, submit=1.0, start=1.0)
         assert scheduler.schedule([wide, small], rm, now=5.0).starts == []
@@ -170,7 +170,7 @@ class TestBackfillScheduler:
         # 24 nodes busy until t=3600 (wall limit known to the scheduler).
         running = make_job(nodes=24, submit=0.0, start=0.0, duration=3600.0,
                            wall_limit=3600.0)
-        rm.allocate(queued_run(running, 0.0), 0.0)
+        rm.allocate(queued_run(running), 0.0)
         # Head needs 16 nodes -> blocked (only 8 free), shadow time 3600.
         wide = make_job(nodes=16, submit=10.0, wall_limit=1800.0)
         # Short job: 4 nodes for 600 s -> ends before the shadow time.
@@ -231,7 +231,7 @@ class TestBackfillScheduler:
         rm = ResourceManager(two_partition_system)
         running = make_job(nodes=6, partition="gpu", submit=0.0, duration=3600.0,
                            wall_limit=3600.0)
-        rm.allocate(queued_run(running, 0.0), 0.0)
+        rm.allocate(queued_run(running), 0.0)
         head = make_job(nodes=7, partition="gpu", submit=10.0, wall_limit=1800.0)
         gpu_long = make_job(nodes=2, partition="gpu", submit=20.0,
                             duration=7200.0, wall_limit=7200.0)
@@ -254,7 +254,7 @@ class TestBackfillReservationEdgeCases:
         scheduler = BackfillScheduler()
         rm = ResourceManager(tiny_system)
         running = make_job(nodes=24, submit=0.0, duration=3600.0, wall_limit=3600.0)
-        rm.allocate(queued_run(running, 0.0), 0.0)
+        rm.allocate(queued_run(running), 0.0)
         head = make_job(nodes=40, submit=10.0, wall_limit=600.0)
         filler = make_job(nodes=8, submit=20.0, duration=7200.0, wall_limit=7200.0)
         queue = [head, filler]
@@ -271,7 +271,7 @@ class TestBackfillReservationEdgeCases:
         scheduler = BackfillScheduler()
         rm = ResourceManager(tiny_system)
         overrunner = make_job(nodes=24, submit=0.0, duration=86400.0, wall_limit=600.0)
-        rm.allocate(queued_run(overrunner, 0.0), 0.0)
+        rm.allocate(queued_run(overrunner), 0.0)
         head = make_job(nodes=16, submit=10.0, wall_limit=1800.0)
         # Shadow at now=7200: available = 8 free + 24 released = 32, spare
         # = 32 - 16 = 16... but only 8 nodes are actually free *now*, so a
@@ -356,7 +356,7 @@ class TestNextEventHint:
         scheduler = ReplayScheduler()
         rm = ResourceManager(tiny_system)
         blocker = make_job(nodes=32, submit=0.0, duration=3600.0)
-        rm.allocate(queued_run(blocker, 0.0), 0.0)
+        rm.allocate(queued_run(blocker), 0.0)
         delayed = make_job(nodes=4, submit=0.0, start=60.0)
         schedule_pass = scheduler.schedule([delayed], rm, now=60.0)
         # The delayed job can only start after a release, which the engine
@@ -517,7 +517,7 @@ class TestBackfillReservationIndex:
             for nodes, duration, limit in running_specs:
                 job = make_job(nodes=nodes, submit=0.0, duration=duration,
                                wall_limit=limit)
-                rm.allocate(queued_run(job, 0.0), 0.0)
+                rm.allocate(queued_run(job), 0.0)
             queue = []
             for nodes, duration, limit in queue_specs:
                 job = make_job(nodes=nodes, submit=0.0, duration=duration,
@@ -574,7 +574,7 @@ class TestBackfillReservationIndex:
             rm = ResourceManager(two_partition_system)
             running = make_job(nodes=6, partition="gpu", submit=0.0,
                                duration=3600.0, wall_limit=3600.0)
-            rm.allocate(queued_run(running, 0.0), 0.0)
+            rm.allocate(queued_run(running), 0.0)
             head = make_job(nodes=7, partition="gpu", submit=10.0, wall_limit=1800.0)
             gpu_long = make_job(nodes=2, partition="gpu", submit=20.0,
                                 duration=7200.0, wall_limit=7200.0)
@@ -637,9 +637,9 @@ class TestReservationWalkMatchesScan:
             free = rm.available_node_ids()
             if data.draw(st.booleans()) and len(free) >= job.nodes_required:
                 nodes = data.draw(st.permutations(free))[: job.nodes_required]
-                rm.allocate(queued_run(job, start), start, node_ids=nodes)
+                rm.allocate(queued_run(job), start, node_ids=nodes)
             elif job.nodes_required <= rm.free_node_count(rm.partition_of(job)):
-                rm.allocate(queued_run(job, start), start)
+                rm.allocate(queued_run(job), start)
         # This tick's own starts, debited from the ledger as phase 1 does.
         ledger = _FreeNodeCounts(rm)
         started = []
@@ -666,6 +666,48 @@ class TestReservationWalkMatchesScan:
         )
         return rm, ledger, started, head
 
+    @classmethod
+    def _draw_overtaken_state(cls, data):
+        """The shape only case 3 of ``stands_until`` covers, as a resource
+        manager and a queue: an own start, the head and a candidate.
+
+        The head fits on the own start's end with nodes to spare. A fixed
+        expected end of its partition follows that end by a few ticks, so
+        as ``now`` advances the own end passes it; the head then fits on
+        the fixed end with none to spare, and the candidate, with the own
+        start's wall limit, no longer ends by the shadow and is declined.
+        """
+        rm = ResourceManager(two_partition_system())
+        now = cls.NOW
+        name = data.draw(st.sampled_from(_PARTITIONS))
+        partition = rm.partition_of(make_job(partition=name))
+        fixed_nodes = data.draw(st.integers(1, 2))
+        own_nodes = data.draw(st.integers(fixed_nodes + 1, fixed_nodes + 2))
+        free_nodes = data.draw(
+            st.integers(1, rm.partition_capacity(partition) - fixed_nodes - own_nodes)
+        )
+        runtime = data.draw(st.sampled_from((600.0, 1800.0)))
+        fixed_end = now + runtime + 15.0 * data.draw(st.integers(1, 4))
+        start = data.draw(st.sampled_from((0.0, 3600.0, 6600.0)))
+        # The fixed end, and a later one holding the rest of the partition.
+        for nodes, wall_limit in (
+            (fixed_nodes, fixed_end - start),
+            (rm.partition_capacity(partition) - fixed_nodes - own_nodes - free_nodes, 14400.0),
+        ):
+            if nodes:
+                job = make_job(nodes=nodes, partition=name, submit=start, start=start,
+                               duration=14400.0, wall_limit=wall_limit)
+                rm.allocate(queued_run(job), start)
+        queue = [
+            make_job(nodes=nodes, partition=name, submit=now, start=now, wall_limit=limit)
+            for nodes, limit in (
+                (own_nodes, runtime),
+                (free_nodes + fixed_nodes, 1800.0),
+                (data.draw(st.integers(1, free_nodes)), runtime),
+            )
+        ]
+        return rm, queue
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_walk_equals_scan_on_two_partitions(self, data):
@@ -681,9 +723,15 @@ class TestReservationWalkMatchesScan:
         # The queue is the own starts, the head and candidates behind it.
         # Asked again at every later grid tick before stands_until, with
         # nothing executed, the policy names the same starts. Every expected
-        # end lies by 14400 s, and every answer after that stands.
-        rm, _, started, head = self._draw_state(data)
-        behind = [
+        # end lies by 14400 s, and every answer after that stands. Half the
+        # draws take the shape only case 3 covers; a uniform draw rarely
+        # shows it.
+        if data.draw(st.booleans()):
+            rm, queue = self._draw_overtaken_state(data)
+        else:
+            rm, _, started, head = self._draw_state(data)
+            queue = [job for _, job, _ in started] + [head]
+        queue += [
             make_job(
                 nodes=data.draw(st.integers(1, 8)),
                 partition=data.draw(st.sampled_from(_PARTITIONS)),
@@ -693,7 +741,6 @@ class TestReservationWalkMatchesScan:
             )
             for _ in range(data.draw(st.integers(0, 6)))
         ]
-        queue = [job for _, job, _ in started] + [head] + behind
         scheduler = BackfillScheduler()
         first = scheduler.schedule(queue, rm, self.NOW)
         starts = [decision.job.job_id for decision in first.starts]

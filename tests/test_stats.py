@@ -309,13 +309,6 @@ class TestColumnarStorage:
         )
         assert len(stats.ticks) == 1
 
-    def test_timeseries_types_match_fields(self):
-        stats = self._fill(4)
-        series = stats.timeseries()
-        assert set(series) == set(TickSample.FIELDS)
-        assert all(isinstance(v, int) for v in series["running_jobs"])
-        assert all(isinstance(v, float) for v in series["facility_power_kw"])
-
 
 class TestIncrementalSummary:
     """summary() is O(1): every metric matches an explicit recomputation."""
