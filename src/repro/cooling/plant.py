@@ -23,6 +23,13 @@ effectiveness
 
     PUE = (IT power + losses + cooling power) / IT power.
 
+Cooling power and PUE, like the loops' targets, depend on the load (IT
+power and losses) alone, never on the loop temperatures, and the lag
+factors on the step length alone. So a step evaluates the load-dependent
+part only when the load differs from the previous step's and the lag
+factors only when the step length does; the three temperatures relax on
+every step.
+
 The paper's Frontier twin reports an average PUE around 1.06; the defaults
 here land in that neighbourhood at high load and rise at low load, which is
 the qualitative behaviour the what-if studies rely on. At exactly zero IT
@@ -110,9 +117,23 @@ class CoolingPlant:
         self._cdu_return_c = config.supply_temperature_c
         self._tower_return_c = config.facility_supply_temperature_c
         self._tower_supply_c = config.facility_supply_temperature_c
-        #: ``(now, it_power_kw, loss_power_kw, cooling_power_kw, pue)`` of
-        #: the latest :meth:`step`; :attr:`last_state` expands it on demand.
-        self._last: tuple[float, float, float, float, float] | None = None
+        #: The load the load-dependent outputs below were evaluated for;
+        #: NaN, which equals no load, until the first step evaluates them.
+        self._it_power_kw = math.nan
+        self._loss_power_kw = math.nan
+        self._cdu_target_c = config.supply_temperature_c
+        self._supply_target_c = config.facility_supply_temperature_c
+        self._return_target_c = config.facility_supply_temperature_c
+        self._cooling_power_kw = 0.0
+        self._pue = 1.0
+        #: The step length the two lag factors were evaluated for (NaN
+        #: likewise).
+        self._dt_s = math.nan
+        self._cdu_alpha = 0.0
+        self._tower_alpha = 0.0
+        #: ``now`` of the latest :meth:`step`; :attr:`last_state` expands
+        #: it with the outputs above on demand.
+        self._now: float | None = None
 
     @property
     def last_state(self) -> CoolingPlantState | None:
@@ -121,15 +142,14 @@ class CoolingPlant:
         Built on each access from the latest step's outputs and the loops'
         current temperatures; the step itself never allocates one.
         """
-        if self._last is None:
+        if self._now is None:
             return None
-        now, it_power_kw, loss_power_kw, cooling_power_kw, pue = self._last
         return CoolingPlantState(
-            time_s=now,
-            it_power_kw=it_power_kw,
-            loss_power_kw=loss_power_kw,
-            cooling_power_kw=cooling_power_kw,
-            pue=pue,
+            time_s=self._now,
+            it_power_kw=self._it_power_kw,
+            loss_power_kw=self._loss_power_kw,
+            cooling_power_kw=self._cooling_power_kw,
+            pue=self._pue,
             cdu_return_temperature_c=self._cdu_return_c,
             tower_return_temperature_c=self._tower_return_c,
             tower_supply_temperature_c=self._tower_supply_c,
@@ -146,7 +166,10 @@ class CoolingPlant:
         """Advance the cooling plant by one simulation step.
 
         Returns ``(cooling_power_kw, pue)``; :attr:`last_state` has the
-        full picture.
+        full picture. Both, and the loops' targets, are evaluated only
+        when the load differs from the previous step's, and the lag
+        factors only when ``dt_s`` does; the temperatures relax on every
+        call.
 
         Parameters
         ----------
@@ -164,6 +187,32 @@ class CoolingPlant:
         """
         it_power_kw = max(0.0, it_power_kw)
         loss_power_kw = max(0.0, loss_power_kw)
+        # Exact identity on purpose: the outputs are functions of these
+        # floats alone, so equal floats give the same doubles, and a
+        # tolerance would hold on to the outputs of a load that moved.
+        if (
+            it_power_kw != self._it_power_kw  # repro-lint: disable=float-compare
+            or loss_power_kw != self._loss_power_kw  # repro-lint: disable=float-compare
+        ):
+            self._set_load(it_power_kw, loss_power_kw)
+        if dt_s != self._dt_s:  # repro-lint: disable=float-compare
+            self._dt_s = dt_s
+            self._cdu_alpha = lag_fraction(dt_s, self._cdu_tau_s)
+            self._tower_alpha = lag_fraction(dt_s, self._tower_tau_s)
+        # Without CDUs the target stays at the supply setpoint, where the
+        # return starts, so this leaves the return there.
+        self._cdu_return_c += self._cdu_alpha * (self._cdu_target_c - self._cdu_return_c)
+        alpha = self._tower_alpha
+        self._tower_supply_c += alpha * (self._supply_target_c - self._tower_supply_c)
+        self._tower_return_c += alpha * (self._return_target_c - self._tower_return_c)
+        self._now = now
+        return self._cooling_power_kw, self._pue
+
+    def _set_load(self, it_power_kw: float, loss_power_kw: float) -> None:
+        """Evaluate the loops' targets, cooling power and PUE at a new load
+        (both powers already clamped at zero)."""
+        self._it_power_kw = it_power_kw
+        self._loss_power_kw = loss_power_kw
         total_heat_kw = it_power_kw + loss_power_kw
 
         # A fully air-cooled plant (cdu_count == 0) is forced to
@@ -178,12 +227,9 @@ class CoolingPlant:
         cdu_count = config.cdu_count
         if cdu_count:
             per_cdu_heat_kw = liquid_heat_kw / cdu_count
-            target_c = config.supply_temperature_c + (
+            self._cdu_target_c = config.supply_temperature_c + (
                 per_cdu_heat_kw * 1000.0
             ) / self._cdu_flow_cp
-            self._cdu_return_c += lag_fraction(dt_s, self._cdu_tau_s) * (
-                target_c - self._cdu_return_c
-            )
             heat_to_facility_kw = cdu_count * (_CDU_EFFECTIVENESS * per_cdu_heat_kw)
 
         # Air-cooled heat is removed by CRACs, whose condenser heat also ends
@@ -202,16 +248,15 @@ class CoolingPlant:
                 + config.tower_range_coefficient * facility_heat_kw * 1000.0
             ),
         )
-        return_target_c = supply_target_c + (
+        self._supply_target_c = supply_target_c
+        self._return_target_c = supply_target_c + (
             facility_heat_kw * 1000.0
         ) / self._tower_flow_cp
-        alpha = lag_fraction(dt_s, self._tower_tau_s)
-        self._tower_supply_c += alpha * (supply_target_c - self._tower_supply_c)
-        self._tower_return_c += alpha * (return_target_c - self._tower_return_c)
         fan_power_kw = config.fan_power_fraction * facility_heat_kw
 
         pump_power_kw = config.pump_power_fraction * total_heat_kw
         cooling_power_kw = pump_power_kw + fan_power_kw + crac_power_kw
-        pue = power_usage_effectiveness(it_power_kw, loss_power_kw + cooling_power_kw)
-        self._last = (now, it_power_kw, loss_power_kw, cooling_power_kw, pue)
-        return cooling_power_kw, pue
+        self._cooling_power_kw = cooling_power_kw
+        self._pue = power_usage_effectiveness(
+            it_power_kw, loss_power_kw + cooling_power_kw
+        )

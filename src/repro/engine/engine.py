@@ -288,6 +288,12 @@ class SimulationEngine:
         self._pass_key: tuple[int, int] | None = None
         #: Steps that reused the last pass instead of calling the policy.
         self._pass_memo_hits = 0
+        #: The signal values ``(cap_kw, price_per_kwh, carbon_kg_per_kwh)``
+        #: held until ``_signal_until``, the next signal change: read once
+        #: per signal segment (:meth:`_read_signals`). Without signals they
+        #: hold for ever.
+        self._signal_values = (math.inf, 0.0, 0.0)
+        self._signal_until = math.inf if signals is None else -math.inf
         self._in_service_nodes = (
             self.resource_manager.total_nodes - self.resource_manager.down_nodes
         )
@@ -401,6 +407,11 @@ class SimulationEngine:
         if tracer is not None:
             t0 = self._mark("schedule", t0)
 
+        # The signal segment that holds ``now``, read once per segment: its
+        # values go into the stats record and its end bounds coalescing.
+        if now >= self._signal_until:
+            self._read_signals(now)
+
         # (3b) Event-driven coalescing: how much simulated time this sample
         # stands for. Stays one tick in dense mode or whenever anything can
         # change before the next event. Only the running-set *size* is
@@ -427,11 +438,13 @@ class SimulationEngine:
         # Node counts come from the resource manager's O(1) counters; the
         # power aggregator reuses cached per-job contributions, so the power
         # evaluation of an event-free step is O(1) — profile lookups and
-        # model evaluations never rescan the running set. The release check
-        # and event bounds are heap-backed too, and the run loop's
-        # ``finished`` check is O(1), so an event-free step is O(log R) end
-        # to end. The power sample is the only object the rest of the step
-        # builds: losses, cooling and the stats record work on plain floats.
+        # model evaluations never rescan the running set — and it returns
+        # the same sample object until a start, an end or a profile crossing
+        # moves it. Cooling power and PUE depend on that load alone, so the
+        # plant evaluates them only when the load moves and otherwise just
+        # relaxes its loop temperatures. The release check and event bounds
+        # are heap-backed too, and the run loop's ``finished`` check is
+        # O(1), so an event-free step is O(log R) end to end.
         allocated = self.resource_manager.allocated_nodes
         power = self.power_aggregator.sample(now)
         compute_kw = power.compute_power_kw
@@ -447,13 +460,11 @@ class SimulationEngine:
             cooling_kw = 0.0
             pue = power_usage_effectiveness(compute_kw, loss_kw)
 
-        # (6) Statistics. Operating-signal values are piecewise constant and
-        # every coalesced interval is bounded by the signals' change points
-        # (see _coalesced_dt), so sampling them at ``now`` is exact over dt_s.
-        if self.signals is not None:
-            power_cap_kw, price_per_kwh, carbon_kg_per_kwh = self.signals.values_at(now)
-        else:
-            power_cap_kw, price_per_kwh, carbon_kg_per_kwh = math.inf, 0.0, 0.0
+        # (6) Statistics. Every coalesced interval is bounded by the signals'
+        # next change (see _coalesced_dt), so the values held at ``now`` are
+        # exact over dt_s; the power, cooling power and PUE recorded are the
+        # step's held load and its load-only functions.
+        power_cap_kw, price_per_kwh, carbon_kg_per_kwh = self._signal_values
         queue = self._queue
         self.stats.record_tick(
             now,
@@ -654,13 +665,11 @@ class SimulationEngine:
         events: list[float] = []
         if hint is not None:
             events.append(hint)
-        if self.signals is not None:
+        if self._signal_until < math.inf:
             # Signal steps are breakpoints of their own: the cap gates
             # admission and the price/carbon/cap values weight the stats
             # integrals, so a sample must never straddle a change point.
-            signal_change = self.signals.next_change_after(now)
-            if signal_change is not None:
-                events.append(signal_change)
+            events.append(self._signal_until)
         if self._pending:
             events.append(self._pending[0].submit_time)
         next_end = self.resource_manager.next_job_end()
@@ -687,6 +696,15 @@ class SimulationEngine:
         return max(1, k) * timestep
 
     # -- helpers ---------------------------------------------------------------
+
+    def _read_signals(self, now: float) -> None:
+        """Read the signal segment that holds ``now``: its values and the
+        next change, where the next read is due (``inf`` after the last)."""
+        signals = self.signals
+        assert signals is not None  # without signals no read is ever due
+        self._signal_values = signals.values_at(now)
+        change = signals.next_change_after(now)
+        self._signal_until = math.inf if change is None else change
 
     def _impossible(self, job: Job) -> bool:
         """Whether the job's request can never be satisfied on this system:

@@ -8,7 +8,8 @@ model has one evaluation: :meth:`NodePowerModel.power` (and its vectorised
 twin :meth:`NodePowerModel.power_array`, equal bit for bit) for a node,
 :meth:`ConversionLossModel.total_loss_kw` for the losses, and
 :meth:`SystemPowerModel.compose_sample` for the system sample that
-:class:`RunningSetPowerAggregator` builds each step. System idle power has
+:class:`RunningSetPowerAggregator` builds whenever the running set or a
+job's held power moves. System idle power has
 one formula, :meth:`SystemPowerModel.idle_power_w` over idle nodes per
 partition: each sample counts the free in-service nodes with it, and the
 power-cap scheduler's idle floor every in-service node.

@@ -8,7 +8,8 @@ from its idle value to its peak value with load following a saturating curve,
 which reproduces the characteristic behaviour that losses are a *larger
 fraction* of power at low load — one reason scheduling-induced load smoothing
 changes total energy, not just its timing. :meth:`ConversionLossModel.total_loss_kw`
-is the model's one evaluation; the engine calls it once per step.
+is the model's one evaluation; the power aggregator calls it each time it
+composes a system sample.
 """
 
 from __future__ import annotations

@@ -4,12 +4,13 @@ Job power has one derivation, :func:`_power_grid`: the union change grid of
 a job's power-relevant profiles with the node power held on each interval
 (the recorded trace if available, otherwise the component model applied to
 the utilization). Job power states, job energy and job peak power all read
-it. At every simulation step the :class:`RunningSetPowerAggregator` sums the
-running jobs' cached contributions, and :class:`SystemPowerModel` adds the
-idle power of each partition's free nodes (:meth:`SystemPowerModel.idle_power_w`,
-the one idle formula) and the conversion losses to obtain facility-side
-power. The per-step result is a :class:`SystemPowerSample`
-carrying the breakdown the statistics collector and cooling model consume.
+it. The :class:`RunningSetPowerAggregator` sums the running jobs' cached
+contributions, and :class:`SystemPowerModel` adds the idle power of each
+partition's free nodes (:meth:`SystemPowerModel.idle_power_w`, the one idle
+formula) and the conversion losses to obtain facility-side power. The
+result is a :class:`SystemPowerSample` carrying the breakdown the
+statistics collector and cooling model consume; the aggregator rebuilds it
+only when the running set or a job's held power moves.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from .node_power import NodePowerModel
 
 
 class SystemPowerSample(NamedTuple):
-    """Power state of the system at one simulation time.
+    """Power state of the system while its inputs hold.
 
-    A named tuple rather than a frozen dataclass: the engine builds one
-    every step, and a tuple costs about a third as much to build.
+    It carries no time: the aggregator keeps one sample while the running
+    set and every job's held power stand, and builds a new one only when
+    they move. A named tuple rather than a frozen dataclass, because a
+    tuple costs about a third as much to build.
     """
 
-    time_s: float
     #: IT (compute) power of busy nodes, kW.
     job_power_kw: float
     #: IT power of idle (unallocated, in-service) nodes, kW.
@@ -136,7 +138,6 @@ class SystemPowerModel:
 
     def compose_sample(
         self,
-        now: float,
         job_power_w: float,
         *,
         nodes_busy: int,
@@ -155,7 +156,6 @@ class SystemPowerModel:
         idle_power_w = self.idle_power_w(free_nodes)
         total_busy = max(1, nodes_busy)
         return SystemPowerSample(
-            time_s=now,
             job_power_kw=job_power_w / 1000.0,
             idle_power_kw=idle_power_w / 1000.0,
             loss_kw=self.loss_model.total_loss_kw(
@@ -308,7 +308,10 @@ class RunningSetPowerAggregator:
     - jobs whose profile crossed a change point since the last step, tracked
       in a min-heap of upcoming change times.
 
-    On an event-free stretch a step is O(1). The result equals a fresh scan
+    The sample itself (idle power, conversion losses, mean utilizations) is
+    rebuilt only after one of the two: while the epoch and the count of
+    applied crossings stand, :meth:`sample` returns the same object. On an
+    event-free stretch a step is O(1). The result equals a fresh scan
     of the running set up to float add/subtract associativity: the
     incremental totals can carry ~1e-15 residue while jobs are running, and
     are flushed to exact zeros whenever the running set drains. Dense and
@@ -329,6 +332,11 @@ class RunningSetPowerAggregator:
         self._job_power_w = 0.0
         self._cpu_weighted = 0.0
         self._gpu_weighted = 0.0
+        #: The current sample and the ``(epoch, breakpoint_crossings)`` it
+        #: was composed at: every input of the sample moves only with one
+        #: of the two.
+        self._sample: SystemPowerSample | None = None
+        self._sample_key: tuple[int, int] | None = None
         # Observability counters: plain ints on per-event paths, folded
         # into the engine's metrics registry at run finalisation.
         self.breakpoint_crossings = 0
@@ -340,17 +348,24 @@ class RunningSetPowerAggregator:
         """System power at ``now``, recomputing only what changed.
 
         The busy node count and each partition's free nodes, which idle
-        power counts, are the resource manager's own counters.
+        power counts, are the resource manager's own counters. They move
+        only with its epoch, and the job totals only with a membership
+        sync or a crossing, so the sample is composed again only when the
+        epoch or the crossing count has moved since the last one.
         """
         self._refresh(now)
-        return self._model.compose_sample(
-            now,
-            self._job_power_w,
-            nodes_busy=self._rm.allocated_nodes,
-            cpu_weighted=self._cpu_weighted,
-            gpu_weighted=self._gpu_weighted,
-            free_nodes=self._rm.partition_free_counts,
-        )
+        key = (self._epoch, self.breakpoint_crossings)
+        if key != self._sample_key:
+            self._sample_key = key
+            self._sample = self._model.compose_sample(
+                self._job_power_w,
+                nodes_busy=self._rm.allocated_nodes,
+                cpu_weighted=self._cpu_weighted,
+                gpu_weighted=self._gpu_weighted,
+                free_nodes=self._rm.partition_free_counts,
+            )
+        assert self._sample is not None  # composed at the first call
+        return self._sample
 
     @hot_path
     def next_breakpoint_after(self, now: float) -> float | None:

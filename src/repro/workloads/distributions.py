@@ -256,12 +256,15 @@ class UserPopulation:
         weights = ranks ** (-self.zipf_exponent)
         return weights / weights.sum()
 
-    def sample_users(self, rng: np.random.Generator, size: int) -> list[str]:
-        """Draw ``size`` user names."""
-        idx = rng.choice(self.n_users, size=size, p=self._weights(self.n_users))
-        return [f"user{int(i):03d}" for i in idx]
+    def sample_users(
+        self, rng: np.random.Generator, size: int
+    ) -> tuple[list[str], list[str]]:
+        """Draw ``size`` users: their names and their accounts.
 
-    def account_of(self, user: str) -> str:
-        """Deterministic user → account mapping (users stay in one project)."""
-        digits = int("".join(ch for ch in user if ch.isdigit()) or 0)
-        return f"acct{digits % self.n_accounts:03d}"
+        User ``i`` is ``user{i:03d}`` and always bills account
+        ``acct{i % n_accounts:03d}`` (users stay in one project); both are
+        formatted from the drawn index.
+        """
+        n_accounts = self.n_accounts
+        drawn = rng.choice(self.n_users, size=size, p=self._weights(self.n_users)).tolist()
+        return [f"user{i:03d}" for i in drawn], [f"acct{i % n_accounts:03d}" for i in drawn]

@@ -296,7 +296,7 @@ class SyntheticWorkloadGenerator:
         runtimes = spec.runtimes.sample(rng, n)
         wall_limits = spec.runtimes.sample_wall_limits(rng, runtimes)
         queue_waits = rng.exponential(scale=spec.runtimes.median_s * 0.25, size=n)
-        users = spec.users.sample_users(rng, n)
+        users, accounts = spec.users.sample_users(rng, n)
         priorities = rng.uniform(*spec.priority_range, size=n)
 
         # Utilization profiles, job-major in cpu/gpu/mem order (3*i + k),
@@ -312,7 +312,6 @@ class SyntheticWorkloadGenerator:
         for i in range(n):
             start_time = float(submit_times[i] + queue_waits[i])
             end_time = float(start_time + runtimes[i])
-            user = users[i]
             cpu_profile, gpu_profile, mem_profile = profiles[3 * i : 3 * i + 3]
             jobs.append(
                 Job(
@@ -322,8 +321,8 @@ class SyntheticWorkloadGenerator:
                     end_time=end_time,
                     wall_time_limit=float(wall_limits[i]),
                     name=f"synth-{self.system.name}-{i:06d}",
-                    user=user,
-                    account=spec.users.account_of(user),
+                    user=users[i],
+                    account=accounts[i],
                     partition=self.system.partitions[0].name,
                     priority=float(priorities[i]),
                     cpu_util=cpu_profile,

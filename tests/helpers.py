@@ -47,7 +47,7 @@ from repro.cooling.plant import _CDU_EFFECTIVENESS, WATER_CP, lag_fraction
 from repro.engine import PowerCapScheduler, SchedulePass, SimulationEngine, SimulationResult
 from repro.engine.stats import StatsCollector
 from repro.obs import EventLog
-from repro.power import SystemPowerModel, SystemPowerSample
+from repro.power import OperatingSignals, SystemPowerModel, SystemPowerSample
 from repro.telemetry import Job, JobRun, JobState, Profile, constant_profile
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "assert_node_time_on_grid",
     "assert_power_matches_scan",
     "assert_replay_starts",
+    "assert_signal_integrals",
     "change_points",
     "idle_floor_kw",
     "is_constant",
@@ -317,7 +318,6 @@ def scan_sample(
         for partition in system.partitions
     ]
     return model.compose_sample(
-        now,
         power_w,
         nodes_busy=nodes_busy,
         cpu_weighted=cpu_weighted,
@@ -513,6 +513,29 @@ def assert_energy_balance(stats: StatsCollector) -> None:
         assert summary[key] == pytest.approx(float(np.sum(power * hours)), rel=1e-9)
 
 
+def assert_signal_integrals(stats: StatsCollector, signals: OperatingSignals) -> None:
+    """The signal-weighted summaries are the recorded columns weighted row
+    by row with the signal values at each row's ``time_s``.
+
+    ``energy_cost`` and ``carbon_kg`` weight ``facility_power_kw``, and
+    ``cap_violation_kwh`` integrates ``compute_power_kw`` above the cap, so
+    a row recorded with another segment's values fails here.
+    """
+    column = stats.column
+    values = [signals.values_at(t) for t in column("time_s").tolist()]
+    cap_kw, price, carbon = np.array(values, dtype=float).reshape(-1, 3).T
+    hours = column("dt_s") / 3600.0
+    facility_kwh = column("facility_power_kw") * hours
+    over_cap_kw = np.clip(column("compute_power_kw") - cap_kw, 0.0, None)
+    summary = stats.summary()
+    for key, expected in (
+        ("energy_cost", np.sum(facility_kwh * price)),
+        ("carbon_kg", np.sum(facility_kwh * carbon)),
+        ("cap_violation_kwh", np.sum(over_cap_kw * hours)),
+    ):
+        assert summary[key] == pytest.approx(float(expected), rel=1e-9), key
+
+
 def assert_replay_starts(runs: list[JobRun]) -> None:
     """Replay starts each job at its recorded start unless it is delayed.
 
@@ -565,11 +588,12 @@ def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationR
     running set (:func:`assert_power_matches_scan`; dense runs are tied to
     event-driven ones by the 1e-9 summary contract). After the run, energy
     balances (:func:`assert_energy_balance`), node time integrates on the
-    tick grid (:func:`assert_node_time_on_grid`), every run record is
-    COMPLETED or DISMISSED, each job id left the system exactly once, the
-    input jobs equal a deep copy taken before the run, and replay (bare or
-    under the cap wrapper) started its jobs as :func:`assert_replay_starts`
-    says.
+    tick grid (:func:`assert_node_time_on_grid`), a run with signals
+    weights its columns as its summary does
+    (:func:`assert_signal_integrals`), every run record is COMPLETED or
+    DISMISSED, each job id left the system exactly once, the input jobs
+    equal a deep copy taken before the run, and replay (bare or under the
+    cap wrapper) started its jobs as :func:`assert_replay_starts` says.
     """
     before = copy.deepcopy(jobs)
     engine = SimulationEngine(system, jobs, policy, **engine_kwargs)
@@ -585,6 +609,8 @@ def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationR
     result = engine.run()
     assert_energy_balance(result.stats)
     assert_node_time_on_grid(engine, result)
+    if engine.signals is not None:
+        assert_signal_integrals(result.stats, engine.signals)
     assert all(
         run.state in (JobState.COMPLETED, JobState.DISMISSED) for run in result.jobs
     )

@@ -303,14 +303,31 @@ class TestScalarPlantMatchesObjectSteps:
                 return got == pytest.approx(want, rel=1e-12)
             return got == want
 
+        # Each drawn load and step length holds for 1-5 steps, each on its
+        # own count, so the plant's held outputs and held lag factors are
+        # both exercised, and so is a new step length under a held load.
         rng = random.Random(20261017)
         plant = CoolingPlant(config)
         reference = ReferenceCoolingPlant(config)
         now = 0.0
-        for _ in range(400):
-            it_power_kw = rng.choice([0.0, rng.uniform(0.0, 30000.0), -5.0])
-            loss_power_kw = rng.choice([0.0, rng.uniform(0.0, 900.0)])
-            dt_s = rng.choice([15.0, 15.0 * rng.randint(2, 400), rng.uniform(0.1, 600.0)])
+        load_steps = dt_steps = dt_changes_under_held_load = 0
+        dt_s = math.nan
+        for _ in range(1000):
+            load_held = load_steps > 0
+            if not load_held:
+                load_steps = rng.randint(1, 5)
+                it_power_kw = rng.choice([0.0, rng.uniform(0.0, 30000.0), -5.0])
+                loss_power_kw = rng.choice([0.0, rng.uniform(0.0, 900.0)])
+            if dt_steps == 0:
+                dt_steps = rng.randint(1, 5)
+                drawn_dt_s = rng.choice(
+                    [15.0, 15.0 * rng.randint(2, 400), rng.uniform(0.1, 600.0)]
+                )
+                if load_held and drawn_dt_s != dt_s:
+                    dt_changes_under_held_load += 1
+                dt_s = drawn_dt_s
+            load_steps -= 1
+            dt_steps -= 1
             cooling_kw, pue = plant.step(now, it_power_kw, loss_power_kw, dt_s)
             want_cooling_kw, want_pue = reference.step(it_power_kw, loss_power_kw, dt_s)
             assert same(cooling_kw, want_cooling_kw) and same(pue, want_pue)
@@ -323,3 +340,4 @@ class TestScalarPlantMatchesObjectSteps:
             assert same(state.tower_return_temperature_c, reference.tower_return_c)
             assert same(state.tower_supply_temperature_c, reference.tower_supply_c)
             now += dt_s
+        assert dt_changes_under_held_load > 0

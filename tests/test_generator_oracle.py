@@ -7,9 +7,11 @@ with the scalar :meth:`NodePowerModel.power`. ``SyntheticWorkloadGenerator
 .generate`` takes the same random draws in the same order but draws
 scalar-telemetry means as one array, vectorises the arithmetic after the
 draws, evaluates power traces with ``power_array`` and compresses every
-profile to its change grid in one pass without re-validating it. It must
-produce the same jobs bit for bit: every scalar field, every profile's
-change grid and duration, and the job order.
+profile to its change grid in one pass without re-validating it; it formats
+each account from the drawn user index, where the reference parses it back
+out of the user name (:func:`account_of`). It must produce the same jobs
+bit for bit: every scalar field, every profile's change grid and duration,
+and the job order.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ SCALAR_FIELDS = tuple(
     for f in dataclasses.fields(Job)
     if f.name not in PROFILE_FIELDS and f.name != "job_id"
 )
+
+
+def account_of(user: str, n_accounts: int) -> str:
+    """The reference user -> account rule: the digits of the user's name,
+    modulo the account count (the generator formats both from the drawn
+    user index instead)."""
+    digits = int("".join(ch for ch in user if ch.isdigit()) or 0)
+    return f"acct{digits % n_accounts:03d}"
 
 
 def _serial_samples(generator, rng, runtime_s):
@@ -90,7 +100,7 @@ def serial_generate(generator, duration_s, *, start_s=0.0, include_prehistory=Tr
     runtimes = spec.runtimes.sample(rng, n)
     wall_limits = spec.runtimes.sample_wall_limits(rng, runtimes)
     queue_waits = rng.exponential(scale=spec.runtimes.median_s * 0.25, size=n)
-    users = spec.users.sample_users(rng, n)
+    users, _ = spec.users.sample_users(rng, n)
     priorities = rng.uniform(*spec.priority_range, size=n)
 
     node_model = NodePowerModel(system.partitions[0].node_power)
@@ -117,7 +127,7 @@ def serial_generate(generator, duration_s, *, start_s=0.0, include_prehistory=Tr
                 wall_time_limit=float(wall_limits[i]),
                 name=f"synth-{system.name}-{i:06d}",
                 user=user,
-                account=spec.users.account_of(user),
+                account=account_of(user, spec.users.n_accounts),
                 partition=system.partitions[0].name,
                 priority=float(priorities[i]),
                 cpu_util=cpu_profile,

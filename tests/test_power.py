@@ -503,6 +503,32 @@ class TestRunningSetPowerAggregator:
                 agg.sample(now), scan_sample(model, now, rm)
             )
 
+    def test_sample_is_composed_again_only_when_its_inputs_move(self, rig):
+        # While the epoch and the applied crossings stand, every step gets
+        # the same sample object; an allocate, a release and a profile
+        # crossing each compose a new one, equal to the scan.
+        model, rm, agg = rig
+        phased = Profile([0.0, 120.0], [0.2, 0.8])
+        first = queued_run(make_job(nodes=4, submit=0.0, duration=600.0, cpu_profile=phased))
+        second = queued_run(make_job(nodes=2, submit=0.0, duration=600.0, gpu=0.6))
+        samples = []
+
+        def composed_and_held(now):
+            sample = agg.sample(now)
+            assert all(sample is not earlier for earlier in samples), now
+            self._assert_matches(sample, scan_sample(model, now, rm))
+            assert agg.sample(now + 15.0) is sample
+            assert agg.sample(now + 29.0) is sample
+            samples.append(sample)
+
+        rm.allocate(first, 0.0)
+        composed_and_held(0.0)
+        composed_and_held(120.0)  # the profile crossing
+        rm.allocate(second, 150.0)
+        composed_and_held(150.0)
+        rm.release(second, 180.0)
+        composed_and_held(180.0)
+
     def test_recorded_power_trace_wins_over_model(self, rig):
         model, rm, agg = rig
         trace = Profile([0.0, 60.0, 60.5, 180.0], [500.0, 500.0, 750.0, 750.0])

@@ -116,17 +116,22 @@ class TestArrivals:
 class TestUserPopulation:
     def test_user_names_within_pool(self, rng):
         pop = UserPopulation(n_users=5, n_accounts=2)
-        users = pop.sample_users(rng, 100)
+        users, _ = pop.sample_users(rng, 100)
         assert set(users) <= {f"user{i:03d}" for i in range(5)}
 
-    def test_account_mapping_stable(self):
-        pop = UserPopulation(n_accounts=4)
-        assert pop.account_of("user013") == pop.account_of("user013")
-        assert pop.account_of("user013").startswith("acct")
+    def test_account_mapping_stable(self, rng):
+        # User i always bills account i % n_accounts, whatever the draw.
+        pop = UserPopulation(n_users=1200, n_accounts=7, zipf_exponent=0.5)
+        users, accounts = pop.sample_users(rng, 3000)
+        assert len(accounts) == len(users) == 3000
+        assert any(len(user) == len("user1000") for user in users)  # four digits too
+        account_of = dict(zip(users, accounts))
+        for user, account in zip(users, accounts):
+            assert account == account_of[user] == f"acct{int(user[4:]) % 7:03d}"
 
     def test_zipf_concentration(self, rng):
         pop = UserPopulation(n_users=50, zipf_exponent=1.5)
-        users = pop.sample_users(rng, 2000)
+        users, _ = pop.sample_users(rng, 2000)
         counts = {}
         for user in users:
             counts[user] = counts.get(user, 0) + 1
