@@ -163,10 +163,8 @@ _UNITS_HELPERS = frozenset(
         "parse_duration",
         "format_duration",
         "watts_to_kilowatts",
-        "kilowatts_to_megawatts",
         "joules_to_kilowatt_hours",
         "kilowatt_hours_to_joules",
-        "node_seconds_to_node_hours",
         "celsius_to_kelvin",
         "kelvin_to_celsius",
         "is_zero_kw",

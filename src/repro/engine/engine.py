@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from numbers import Real
 from time import perf_counter_ns
 
 from ..cluster import ResourceManager
@@ -65,7 +64,7 @@ from ..obs.metrics import Histogram
 from ..power import RunningSetPowerAggregator, SystemPowerModel
 from ..power.signals import OperatingSignals
 from ..telemetry.job import Job, JobRun, JobState
-from ..units import check_seed
+from ..units import check_duration_s, check_seed
 from ..units import parse_duration as _parse_duration_s
 from ..workloads import SyntheticWorkloadGenerator, WorkloadSpec
 from .scheduler import PowerCapScheduler, SchedulePass, Scheduler, get_scheduler
@@ -176,14 +175,8 @@ class SimulationEngine:
         # horizon would run the whole workload and a non-positive one
         # dismiss it, a truthy non-bool such as "no" would run dense, and a
         # signals dict would fail mid-setup.
-        if horizon_s is not None and (
-            isinstance(horizon_s, bool)
-            or not isinstance(horizon_s, Real)
-            or not 0 < horizon_s < math.inf
-        ):
-            raise SimulationError(
-                f"horizon_s must be a positive, finite number of seconds, got {horizon_s!r}"
-            )
+        if horizon_s is not None:
+            horizon_s = check_duration_s(horizon_s, "horizon_s")
         if not isinstance(dense_ticks, bool):
             raise ConfigurationError(
                 f"dense_ticks must be true or false, got {dense_ticks!r}"

@@ -76,7 +76,8 @@ class TickSample:
     mean_cpu_util: float
     mean_gpu_util: float
 
-    #: CSV column order (kept in one place for header/row agreement).
+    #: Column order of the tick series: the collector's columns and the CSV
+    #: header are built from it.
     FIELDS = (
         "time_s",
         "dt_s",
@@ -92,9 +93,6 @@ class TickSample:
         "mean_cpu_util",
         "mean_gpu_util",
     )
-
-    def row(self) -> list[float]:
-        return [getattr(self, name) for name in self.FIELDS]
 
 
 #: Columns stored as int64 (node/job counts); everything else is float64.

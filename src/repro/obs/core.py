@@ -47,15 +47,6 @@ class Observability:
         self.events = events
         self.progress = progress
 
-    @classmethod
-    def collecting(cls) -> "Observability":
-        """Tracer + metrics collecting in memory (no sinks attached).
-
-        The convenient form for tests and embedding consumers that read
-        the instruments back after :meth:`SimulationEngine.run`.
-        """
-        return cls(tracer=SpanTracer(), metrics=MetricsRegistry())
-
     @property
     def enabled(self) -> bool:
         """Whether any instrument is active."""

@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..units import check_number
 
 __all__ = ["OperatingSignals"]
 
@@ -35,16 +35,6 @@ CapSegment = tuple[float, "float | None"]
 
 #: One step of a price / carbon series: ``(time_s, value)``.
 Segment = tuple[float, float]
-
-
-def _number(raw: object, name: str) -> float:
-    """A segment field as a float; anything but a real number is rejected."""
-    if isinstance(raw, bool) or not isinstance(raw, Real):
-        raise ConfigurationError(f"signals.{name} segments must hold numbers, got {raw!r}")
-    try:
-        return float(raw)
-    except OverflowError:  # an int beyond float range is not finite either
-        return math.inf
 
 
 def _canonical_series(
@@ -69,7 +59,7 @@ def _canonical_series(
                 f"signals.{name} segments must be (time_s, value) pairs"
             )
         raw_time, raw_value = segment
-        time_s = _number(raw_time, name)
+        time_s = check_number(raw_time, f"signals.{name} segment times")
         if not math.isfinite(time_s) or time_s < 0.0:
             raise ConfigurationError(
                 f"signals.{name} segment times must be finite and >= 0, "
@@ -83,7 +73,7 @@ def _canonical_series(
                 )
             value = None
         else:
-            value = _number(raw_value, name)
+            value = check_number(raw_value, f"signals.{name} values")
             if not math.isfinite(value) or value < 0.0:
                 raise ConfigurationError(
                     f"signals.{name} values must be finite and >= 0, "

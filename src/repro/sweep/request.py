@@ -30,16 +30,15 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from numbers import Integral, Real
 from typing import Any, Mapping
 
 from ..config import get_system_config
 from ..engine.engine import SimulationResult, run_simulation
 from ..engine.scheduler import get_scheduler
-from ..exceptions import ConfigurationError, SimulationError
+from ..exceptions import ConfigurationError
 from ..obs import Observability
 from ..power.signals import OperatingSignals
-from ..units import check_seed
+from ..units import check_duration_s, check_number, check_seed
 from ..workloads import (
     BurstArrivals,
     JobSizeDistribution,
@@ -178,24 +177,21 @@ def _workload_spec(kwargs: dict[str, Any]) -> WorkloadSpec:
 
 
 def _reject_non_finite(data: object) -> None:
-    """A NaN or infinity anywhere in a spec dict is a :class:`ConfigurationError`.
+    """A number anywhere in a spec dict that is not finite is a
+    :class:`ConfigurationError`: a NaN, an infinity, or an int beyond float
+    range (:func:`~repro.units.check_number` reads it as ``inf``).
 
-    The run id hashes the request's JSON form, which has no spelling for them.
+    The run id hashes the request's JSON form, which has no spelling for
+    the first two, and no generator draw can use the third.
     """
-    if isinstance(data, float) and not math.isfinite(data):
-        raise ConfigurationError(f"WorkloadSpec values must be finite, got {data!r}")
     if isinstance(data, Mapping):
         data = list(data.values())
     if isinstance(data, (list, tuple)):
         for item in data:
             _reject_non_finite(item)
-
-
-def _integer(value: object, label: str) -> int:
-    """``value`` as an int; bools, floats and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ConfigurationError(f"{label} must be an integer, got {value!r}")
-    return int(value)
+    elif isinstance(data, (int, float)) and not isinstance(data, bool):
+        if not math.isfinite(check_number(data, "WorkloadSpec values")):
+            raise ConfigurationError(f"WorkloadSpec values must be finite, got {data!r}")
 
 
 def _check_registered(system: object, policy: object) -> None:
@@ -212,23 +208,6 @@ def _check_registered(system: object, policy: object) -> None:
         if not isinstance(policy, str):
             raise ConfigurationError(f"policy must be a name or null, got {policy!r}")
         get_scheduler(policy)
-
-
-def _duration_s(value: object, name: str) -> float:
-    """A positive, finite number of seconds as a float."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigurationError(
-            f"RunRequest.{name} must be a number of seconds, got {value!r}"
-        )
-    try:
-        seconds = float(value)
-    except OverflowError:  # an int beyond float range is not finite either
-        seconds = math.inf
-    if not (math.isfinite(seconds) and seconds > 0):
-        raise SimulationError(
-            f"RunRequest.{name} must be positive and finite, got {value!r}"
-        )
-    return seconds
 
 
 @dataclass(frozen=True)
@@ -283,12 +262,16 @@ class RunRequest:
             )
         # Canonicalise the numeric fields: the run id hashes the JSON form,
         # and json.dumps renders int 3600 and float 3600.0 differently, so
-        # equal requests built from "1h" (int) and 3600.0 (float) would
+        # equal requests built from 3600 (int) and 3600.0 (float) would
         # otherwise hash apart. frozen=True requires the direct setattr.
-        object.__setattr__(self, "duration_s", _duration_s(self.duration_s, "duration_s"))
+        object.__setattr__(
+            self, "duration_s", check_duration_s(self.duration_s, "RunRequest.duration_s")
+        )
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.horizon_s is not None:
-            object.__setattr__(self, "horizon_s", _duration_s(self.horizon_s, "horizon_s"))
+            object.__setattr__(
+                self, "horizon_s", check_duration_s(self.horizon_s, "RunRequest.horizon_s")
+            )
         if self.signals is not None and not isinstance(self.signals, OperatingSignals):
             object.__setattr__(
                 self, "signals", OperatingSignals.from_json_dict(self.signals)
@@ -352,7 +335,7 @@ class RunRequest:
         """Parse :meth:`to_json` output; malformed JSON is a ConfigurationError."""
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an int past the digit limit
             raise ConfigurationError(f"RunRequest JSON does not parse: {exc}") from None
         return cls.from_json_dict(data)
 

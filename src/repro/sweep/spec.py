@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from itertools import product
-from numbers import Real
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..power.signals import OperatingSignals
-from ..units import parse_duration
+from ..units import check_number, check_seed, parse_duration
 from ..workloads import (
     WorkloadSpec,
     burst_arrival_spec,
@@ -50,8 +50,6 @@ from ..workloads import (
 )
 from .request import (
     RunRequest,
-    _integer,
-    _check_registered,
     _json_object,
     workload_spec_from_dict,
     workload_spec_to_dict,
@@ -75,6 +73,13 @@ WORKLOAD_VARIANTS: dict[str, Callable[[], WorkloadSpec] | None] = {
     "burst_arrival": burst_arrival_spec,
     "idle_heavy": idle_heavy_spec,
 }
+
+
+def _integer(value: object, label: str) -> int:
+    """``value`` as an int; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigurationError(f"{label} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,8 @@ class SweepSpec:
         spawned from ``root_seed`` by run index. Mutually exclusive with
         ``seeds``; when both are omitted one spawned seed per point is used.
     seeds:
-        Paired mode: explicit seeds applied to every grid point.
+        Paired mode: explicit seeds applied to every grid point, each an
+        integer in ``[0, 2**63)`` (:func:`~repro.units.check_seed`).
     root_seed:
         Entropy root for ``n_seeds`` spawning.
     horizon_s / dense_ticks:
@@ -131,6 +137,11 @@ class SweepSpec:
     custom_workloads:
         Inline workload variants: name -> :class:`WorkloadSpec`. Names
         shadow the built-in registry.
+
+    A spec is checked by the requests it builds: construction builds one
+    :class:`RunRequest` per grid point (seed 0), through the same helper
+    :meth:`materialize` uses, so the shared run parameters and the axis
+    names fail here, with the request's own error, before any run.
     """
 
     name: str
@@ -149,35 +160,13 @@ class SweepSpec:
     custom_workloads: Mapping[str, WorkloadSpec] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Only what no request can check; the requests built last check the
+        # rest, so a spec that cannot run fails here, not in materialize().
         if not self.name:
             raise ConfigurationError("a sweep needs a name")
-        # A bool is not a number here (RunRequest rejects it too), and
-        # ``not 0 < x < inf`` also rejects NaN: a spec that cannot run fails
-        # here, not in materialize().
-        duration_s = self.duration_s
-        if (
-            isinstance(duration_s, bool)
-            or not isinstance(duration_s, Real)
-            or not 0 < duration_s < math.inf
-        ):
-            raise ConfigurationError(
-                f"sweep duration_s must be positive and finite, got {duration_s!r}"
-            )
-        horizon_s = self.horizon_s
-        if horizon_s is not None and (
-            isinstance(horizon_s, bool)
-            or not isinstance(horizon_s, Real)
-            or not 0 < horizon_s < math.inf
-        ):
-            raise ConfigurationError(
-                f"sweep horizon_s must be positive and finite, got {horizon_s!r}"
-            )
-        for axis in ("systems", "policies", "workloads"):
+        for axis in ("systems", "policies", "workloads", "power_caps"):
             if not getattr(self, axis):
                 raise ConfigurationError(f"sweep axis {axis!r} must be non-empty")
-        # A misspelt system or policy fails here, before any run is made.
-        for system, policy in product(self.systems, self.policies):
-            _check_registered(system, policy)
         if self.n_seeds is not None and self.seeds is not None:
             raise ConfigurationError(
                 "n_seeds (spawned) and seeds (explicit) are mutually exclusive"
@@ -188,49 +177,28 @@ class SweepSpec:
             if not self.seeds:
                 raise ConfigurationError("explicit seeds must be non-empty")
             for seed in self.seeds:
-                _integer(seed, "each explicit seed")
+                try:
+                    check_seed(seed)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"sweep seeds: {exc}") from None
         if _integer(self.root_seed, "root_seed") < 0:
             raise ConfigurationError("root_seed must be >= 0")
-        if not isinstance(self.dense_ticks, bool):
-            raise ConfigurationError(
-                f"sweep dense_ticks must be true or false, got {self.dense_ticks!r}"
-            )
-        if not self.power_caps:
-            raise ConfigurationError("sweep axis 'power_caps' must be non-empty")
         for cap in self.power_caps:
-            if cap is not None and (
-                isinstance(cap, bool) or not isinstance(cap, Real) or not 0 < cap < math.inf
-            ):
+            if cap is None:
+                continue
+            if not 0 < check_number(cap, "sweep power_caps values") < math.inf:
                 raise ConfigurationError(
                     "sweep power_caps values must be finite, positive kW or null, "
                     f"got {cap!r}"
                 )
-        for scalar in ("price_per_kwh", "carbon_kg_per_kwh"):
-            value = getattr(self, scalar)
-            if value is not None and (
-                isinstance(value, bool)
-                or not isinstance(value, Real)
-                or not 0 <= value < math.inf
-            ):
-                raise ConfigurationError(
-                    f"sweep {scalar} must be finite and >= 0, got {value!r}"
-                )
-        # Mirror RunRequest's numeric canonicalisation so equal specs always
-        # materialise identical run ids (parse_duration("1h") returns int).
-        object.__setattr__(self, "duration_s", float(self.duration_s))
-        if self.horizon_s is not None:
-            object.__setattr__(self, "horizon_s", float(self.horizon_s))
-        object.__setattr__(
-            self,
-            "power_caps",
-            tuple(None if cap is None else float(cap) for cap in self.power_caps),
-        )
         for name in self.workloads:
             if name not in self.custom_workloads and name not in WORKLOAD_VARIANTS:
                 known = sorted(set(WORKLOAD_VARIANTS) | set(self.custom_workloads))
                 raise ConfigurationError(
                     f"unknown workload variant {name!r}; known: " + ", ".join(known)
                 )
+        for point in self._grid():
+            self._request(*point, seed=0)
 
     # -- grid expansion --------------------------------------------------------
 
@@ -272,6 +240,30 @@ class SweepSpec:
             carbon_kg_per_kwh=self.carbon_kg_per_kwh,
         )
 
+    def _grid(self) -> list[tuple[str, str | None, str, float | None]]:
+        """The grid points (system, policy, workload, cap) in run order."""
+        return list(product(self.systems, self.policies, self.workloads, self.power_caps))
+
+    def _request(
+        self,
+        system: str,
+        policy: str | None,
+        workload: str,
+        power_cap_kw: float | None,
+        seed: int,
+    ) -> RunRequest:
+        """The request of one grid point and seed; it checks its own fields."""
+        return RunRequest(
+            system=system,
+            policy=policy,
+            duration_s=self.duration_s,
+            seed=seed,
+            spec=self._workload_spec_of(workload),
+            horizon_s=self.horizon_s,
+            dense_ticks=self.dense_ticks,
+            signals=self._signals_of(power_cap_kw),
+        )
+
     def materialize(self) -> list[SweepRun]:
         """Expand the grid into ordered :class:`SweepRun` rows.
 
@@ -281,41 +273,29 @@ class SweepSpec:
         — keyed by the run's *materialisation* index, never by execution or
         completion order, so sweep results cannot depend on scheduling.
         """
-        combos = list(
-            product(self.systems, self.policies, self.workloads, self.power_caps)
-        )
-        total = len(combos) * self.seeds_per_point
+        grid = self._grid()
+        total = len(grid) * self.seeds_per_point
         spawned: list[np.random.SeedSequence] | None = None
         if self.seeds is None:
             spawned = np.random.SeedSequence(self.root_seed).spawn(total)
 
         runs: list[SweepRun] = []
         run_index = 0
-        for system, policy, workload, power_cap in combos:
+        for system, policy, workload, power_cap in grid:
             for seed_slot in range(self.seeds_per_point):
                 if self.seeds is not None:
-                    seed = int(self.seeds[seed_slot])
+                    seed = self.seeds[seed_slot]
                 else:
                     assert spawned is not None
-                    # uint32 words: plenty of seed space, and the value
-                    # fits SQLite's signed 64-bit INTEGER column.
+                    # uint32 words: plenty of seed space, far below
+                    # check_seed's 2**63 bound.
                     seed = int(spawned[run_index].generate_state(1, dtype=np.uint32)[0])
-                request = RunRequest(
-                    system=system,
-                    policy=policy,
-                    duration_s=self.duration_s,
-                    seed=seed,
-                    spec=self._workload_spec_of(workload),
-                    horizon_s=self.horizon_s,
-                    dense_ticks=self.dense_ticks,
-                    signals=self._signals_of(power_cap),
-                )
                 runs.append(
                     SweepRun(
                         sweep=self.name,
                         run_index=run_index,
                         workload=workload,
-                        request=request,
+                        request=self._request(system, policy, workload, power_cap, seed),
                     )
                 )
                 run_index += 1

@@ -1,9 +1,19 @@
-"""Time-duration and power-unit helpers.
+"""Input rules for numbers, durations and seeds, plus the power-unit helpers.
 
 The paper's CLI accepts fast-forward/simulation-time arguments such as
-``-ff 4381000`` (plain seconds), ``-t 1h``, ``-ff 35d`` or ``-t 7d``. This
-module provides the parsing used throughout the reproduction plus a handful
-of small unit-conversion helpers used by the power and cooling substrates.
+``-ff 4381000`` (plain seconds), ``-t 1h``, ``-ff 35d`` or ``-t 7d``;
+:func:`parse_duration` is the parser every front end uses for them.
+
+Every boundary reads its numbers and seeds through the rules here, so each
+rule has one home:
+
+* :func:`check_number` is the one number rule: bools and non-reals are
+  refused, and an int beyond float range reads as ``inf``, which the
+  caller's finiteness check then refuses. Each caller keeps its own range
+  check and error type.
+* :func:`check_duration_s` is a positive, finite number of seconds on top
+  of it (request windows and horizons, the engine's horizon).
+* :func:`check_seed` is the one seed check.
 
 All simulation time is handled internally as seconds (floats) relative to
 the start of the loaded telemetry window; wall-clock anchoring is the job of
@@ -14,10 +24,10 @@ from __future__ import annotations
 
 import math
 import re
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Union
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, SimulationError
 
 #: Multipliers for the duration suffixes accepted by :func:`parse_duration`.
 _SUFFIX_SECONDS = {
@@ -49,14 +59,46 @@ _HMS_RE = re.compile(
 
 DurationLike = Union[int, float, str, None]
 
+#: Seeds must stay below this: the results store keeps them in a signed
+#: 64-bit ``INTEGER`` column.
+SEED_LIMIT = 2**63
+
+
+def check_number(value: object, label: str) -> float:
+    """``value`` as a float, or a :class:`ConfigurationError` naming ``label``.
+
+    The one number rule: a bool or anything but a real number is refused,
+    and an int beyond float range reads as ``inf`` (``-inf`` below it), so
+    the caller's finiteness check refuses it rather than ``float()`` raising
+    a builtin ``OverflowError``. Range checks stay with the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigurationError(f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond float range is not finite either
+        return math.inf if value > 0 else -math.inf
+
+
+def check_duration_s(value: object, label: str) -> float:
+    """A positive, finite number of seconds as a float.
+
+    :func:`check_number` reads ``value``; a number that is not positive and
+    finite is a :class:`SimulationError` naming ``label``.
+    """
+    seconds = check_number(value, label)
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise SimulationError(f"{label} must be positive and finite, got {value!r}")
+    return seconds
+
 
 def parse_duration(value: DurationLike) -> float:
     """Parse a duration expression into seconds.
 
     Accepted forms:
 
-    * plain numbers (``61000``, ``5400.5``) — interpreted as seconds (a bool
-      is not a number here),
+    * plain numbers (``61000``, ``5400.5``) — interpreted as seconds and
+      read by :func:`check_number` (a bool is not a number here),
     * suffixed strings (``"15s"``, ``"1h"``, ``"1.5h"``, ``"7d"``, ``"2w"``),
     * Slurm-style clock strings (``"1:30:00"``, ``"2-12:00:00"``, ``"15:00"``).
 
@@ -82,16 +124,20 @@ def parse_duration(value: DurationLike) -> float:
     """
     if value is None:
         raise ConfigurationError("duration is required but was None")
-    if isinstance(value, bool):
-        raise ConfigurationError(f"duration must be a number or a string, got {value!r}")
-    if isinstance(value, (int, float)):
-        if not math.isfinite(value):
-            raise ConfigurationError(f"duration must be finite, got {value!r}")
-        if value < 0:
-            raise ConfigurationError(f"duration must be non-negative, got {value!r}")
-        return float(value)
+    if isinstance(value, str):
+        seconds = _text_seconds(value)
+    else:
+        seconds = check_number(value, "duration")
+    if not math.isfinite(seconds):
+        raise ConfigurationError(f"duration must be finite, got {value!r}")
+    if seconds < 0:
+        raise ConfigurationError(f"duration must be non-negative, got {value!r}")
+    return seconds
 
-    text = str(value).strip()
+
+def _text_seconds(value: str) -> float:
+    """The seconds a suffixed or clock string names (``inf`` past float range)."""
+    text = value.strip()
     if not text:
         raise ConfigurationError("empty duration string")
 
@@ -104,7 +150,7 @@ def parse_duration(value: DurationLike) -> float:
         # Slurm's "MM:SS" form has no hour field; we follow the common
         # scheduler convention of treating "H:MM" / "H:MM:SS" as hours-first,
         # which matches the strings used in the paper's artifacts.
-        return float(((days * 24 + hours) * 60 + minutes) * 60 + seconds)
+        return check_number(((days * 24 + hours) * 60 + minutes) * 60 + seconds, "duration")
 
     match = _DURATION_RE.match(text)
     if match is None:
@@ -117,16 +163,23 @@ def parse_duration(value: DurationLike) -> float:
 
 
 def check_seed(seed: object) -> int:
-    """``seed`` as a non-negative int, or a :class:`ConfigurationError`.
+    """``seed`` as an int in ``[0, 2**63)``, or a :class:`ConfigurationError`.
 
     The one seed check: :class:`~repro.engine.SimulationEngine`,
     :class:`~repro.workloads.SyntheticWorkloadGenerator`,
-    :func:`~repro.engine.run_simulation` and
-    :class:`~repro.sweep.RunRequest` apply it. Bools, floats and strings
-    are rejected rather than truncated or parsed.
+    :func:`~repro.engine.run_simulation`, :class:`~repro.sweep.RunRequest`
+    and the explicit seeds of :class:`~repro.sweep.SweepSpec` apply it.
+    Bools, floats and strings are rejected rather than truncated or parsed,
+    and a seed of :data:`SEED_LIMIT` or more is refused before it runs,
+    because the results store could not hold it.
     """
     if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+    if seed >= SEED_LIMIT:
+        raise ConfigurationError(
+            f"seed must be below 2**63 (the results store keeps seeds as signed "
+            f"64-bit integers), got {seed!r}"
+        )
     return int(seed)
 
 
@@ -148,11 +201,6 @@ def watts_to_kilowatts(watts: float) -> float:
     return watts / 1_000.0
 
 
-def kilowatts_to_megawatts(kilowatts: float) -> float:
-    """Convert kilowatts to megawatts."""
-    return kilowatts / 1_000.0
-
-
 def joules_to_kilowatt_hours(joules: float) -> float:
     """Convert joules to kilowatt-hours."""
     return joules / 3.6e6
@@ -161,11 +209,6 @@ def joules_to_kilowatt_hours(joules: float) -> float:
 def kilowatt_hours_to_joules(kwh: float) -> float:
     """Convert kilowatt-hours to joules."""
     return kwh * 3.6e6
-
-
-def node_seconds_to_node_hours(node_seconds: float) -> float:
-    """Convert node-seconds to node-hours."""
-    return node_seconds / 3600.0
 
 
 def celsius_to_kelvin(celsius: float) -> float:

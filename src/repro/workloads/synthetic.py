@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +25,7 @@ from ..exceptions import ConfigurationError
 from ..power.node_power import NodePowerModel
 from ..telemetry.job import Job
 from ..telemetry.trace import _ZERO_GRID, Profile, _frozen_view, _grid_profile
-from ..units import check_seed
+from ..units import check_number, check_seed
 from .distributions import (
     BurstArrivals,
     JobSizeDistribution,
@@ -271,11 +270,7 @@ class SyntheticWorkloadGenerator:
         ``duration_s`` must be a finite number >= 0; an empty window yields
         no jobs.
         """
-        if (
-            isinstance(duration_s, bool)
-            or not isinstance(duration_s, Real)
-            or not 0 <= duration_s < math.inf
-        ):
+        if not 0 <= check_number(duration_s, "workload window") < math.inf:
             raise ConfigurationError(
                 f"workload window must be a finite number of seconds >= 0, got {duration_s!r}"
             )
@@ -329,7 +324,6 @@ class SyntheticWorkloadGenerator:
                     gpu_util=gpu_profile,
                     mem_util=mem_profile,
                     node_power=power_profiles[i],
-                    metadata={"synthetic": True, "workload_seed": self.seed},
                 )
             )
         jobs.sort(key=lambda j: j.submit_time)

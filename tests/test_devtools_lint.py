@@ -68,7 +68,7 @@ class TestUnitSuffixRule:
             "total = 3\n",
             # The repro.units helpers spell units long-form by design.
             "x = joules_to_kilowatt_hours(3.6e6)\n",
-            "y = node_seconds_to_node_hours(7200)\n",
+            "y = watts_to_kilowatts(7200)\n",
         ],
     )
     def test_canonical_and_unrelated_names_pass(self, snippet):

@@ -134,7 +134,6 @@ def serial_generate(generator, duration_s, *, start_s=0.0, include_prehistory=Tr
                 gpu_util=gpu_profile,
                 mem_util=mem_profile,
                 node_power=power_profile,
-                metadata={"synthetic": True, "workload_seed": generator.seed},
             )
         )
     jobs.sort(key=lambda j: j.submit_time)

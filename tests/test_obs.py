@@ -352,11 +352,6 @@ class TestObservabilityBundle:
         assert not Observability().enabled
         assert Observability(tracer=SpanTracer()).enabled
 
-    def test_collecting_shortcut(self):
-        obs = Observability.collecting()
-        assert obs.tracer is not None and obs.metrics is not None
-        assert obs.events is None and obs.progress is None
-
 
 class TestCLIObservability:
     def test_flags_write_all_artifacts(self, tmp_path, capsys):

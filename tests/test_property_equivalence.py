@@ -39,7 +39,7 @@ from repro.workloads.distributions import (
 from helpers import idle_floor_kw, make_job, run_checked
 
 try:
-    from hypothesis import HealthCheck, given, settings
+    from hypothesis import HealthCheck, Phase, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -179,11 +179,17 @@ def _check_signals_property(tiny_system, seed, signals_seed, capped, horizon):
 
 
 if HAVE_HYPOTHESIS:
+    #: No shrink phase: each example is six full runs (three policies, dense
+    #: and event) and its draw is a handful of scalars, so shrinking a found
+    #: counterexample took minutes and gained little. Every example is still
+    #: drawn; only a failure's shrinking is skipped.
+    _NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
     @settings(
         max_examples=12,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
+        phases=_NO_SHRINK,
     )
     @given(
         seed=st.integers(min_value=0, max_value=2**20),
@@ -208,6 +214,7 @@ if HAVE_HYPOTHESIS:
         max_examples=10,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
+        phases=_NO_SHRINK,
     )
     @given(
         seed=st.integers(min_value=0, max_value=2**20),

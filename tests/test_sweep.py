@@ -11,6 +11,9 @@ The contracts pinned here:
 * :class:`SweepSpec` materialisation is deterministic, collision-checked
   and keyed by run index, so execution order (shuffled, chunked, pooled)
   can never change a stored result;
+* every boundary (sweep spec, request, engine, ``run_simulation``, the
+  duration parser, the generator) refuses an out-of-range number or seed
+  with a ``repro.exceptions`` error;
 * the driver survives worker failures (recorded rows, not dead sweeps)
   and a killed sweep finishes idempotently on re-run with no duplicate
   rows, every stored summary matching a fresh in-process run at 1e-9;
@@ -47,11 +50,13 @@ from repro.sweep import (
 from repro.sweep.request import workload_spec_from_dict, workload_spec_to_dict
 from repro.sweep.spec import WORKLOAD_VARIANTS
 from repro.sweep.store import SUMMARY_COLUMNS
+from repro.units import parse_duration
 from repro.workloads import (
     BurstArrivals,
     JobSizeDistribution,
     PoissonArrivals,
     RuntimeDistribution,
+    SyntheticWorkloadGenerator,
     UserPopulation,
     WaveArrivals,
     WorkloadSpec,
@@ -81,9 +86,17 @@ def small_spec(name: str = "t", **overrides: object) -> SweepSpec:
 # ---------------------------------------------------------------------------
 # RunRequest serialisation
 
-#: Any JSON number, NaN and the infinities included (``json.dumps`` writes
-#: them as ``NaN`` / ``Infinity``, which ``json.loads`` reads back).
-_NUMBERS = st.integers(min_value=-3, max_value=2**70) | st.floats()
+#: An int that JSON spells and ``float()`` cannot read.
+HUGE = 10**400
+
+#: Any JSON number: NaN and the infinities included (``json.dumps`` writes
+#: them as ``NaN`` / ``Infinity``, which ``json.loads`` reads back), and ints
+#: beyond float range.
+_NUMBERS = (
+    st.integers(min_value=-3, max_value=2**70)
+    | st.floats()
+    | st.integers(min_value=2**1024, max_value=HUGE)
+)
 _JSON = st.recursive(
     st.none() | st.booleans() | _NUMBERS | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)
@@ -413,6 +426,69 @@ class TestShimEquivalence:
             RunRequest(system="tiny", duration_s=SHORT_S, horizon_s=horizon)
 
 
+class TestBoundary:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: SweepSpec(name="b", duration_s=HUGE), id="sweep-duration"),
+            pytest.param(
+                lambda: SweepSpec(name="b", duration_s=SHORT_S, horizon_s=HUGE),
+                id="sweep-horizon",
+            ),
+            pytest.param(
+                lambda: SweepSpec(name="b", duration_s=SHORT_S, power_caps=(HUGE,)),
+                id="sweep-cap",
+            ),
+            pytest.param(
+                lambda: SimulationEngine(
+                    get_system_config("tiny"), [make_job(nodes=2)], "fcfs", horizon_s=HUGE
+                ),
+                id="engine-horizon",
+            ),
+            pytest.param(lambda: run_simulation("tiny", duration=HUGE), id="run-duration"),
+            pytest.param(
+                lambda: run_simulation("tiny", duration=SHORT_S, horizon=HUGE),
+                id="run-horizon",
+            ),
+            pytest.param(lambda: parse_duration(HUGE), id="parse-duration"),
+            pytest.param(lambda: parse_duration(f"{HUGE}s"), id="parse-duration-suffixed"),
+            pytest.param(lambda: parse_duration(f"{HUGE}-00:00"), id="parse-duration-clock"),
+            pytest.param(
+                lambda: SyntheticWorkloadGenerator(get_system_config("tiny")).generate(HUGE),
+                id="generate",
+            ),
+            pytest.param(
+                lambda: RunRequest.from_json(
+                    json.dumps({"spec": {"arrivals": {"kind": "poisson", "rate_per_hour": HUGE}}})
+                ),
+                id="request-spec-field",
+            ),
+            # Past Python's int-to-str digit limit json.loads raises ValueError.
+            pytest.param(
+                lambda: RunRequest.from_json('{"seed": %s}' % ("1" * 5000)),
+                id="request-json-long-int",
+            ),
+            # The results store keeps seeds in a signed 64-bit column.
+            pytest.param(lambda: RunRequest(seed=2**63), id="request-seed"),
+            pytest.param(
+                lambda: run_simulation("tiny", duration=SHORT_S, seed=2**63), id="run-seed"
+            ),
+            pytest.param(
+                lambda: SweepSpec(name="b", duration_s=SHORT_S, seeds=(2**63,)),
+                id="sweep-seed",
+            ),
+            # Refused by the spec itself, not first by materialize().
+            pytest.param(
+                lambda: SweepSpec(name="b", duration_s=SHORT_S, seeds=(-1,)),
+                id="sweep-negative-seed",
+            ),
+        ],
+    )
+    def test_out_of_range_input_is_an_srapserror(self, make) -> None:
+        with pytest.raises(SRapsError):
+            make()
+
+
 # ---------------------------------------------------------------------------
 # SweepSpec materialisation
 
@@ -525,6 +601,7 @@ class TestSweepSpec:
 
     @given(payload=_SWEEP_PAYLOADS)
     @example(payload=[["name", "x"], ["duration", "1h"]])
+    @example(payload={"name": "s", "duration_s": HUGE})
     @example(payload={"name": "s", "duration_s": math.nan})
     @example(payload={"name": "s", "duration": "1h", "horizon_s": math.inf})
     @example(payload={"name": "s", "duration": "1h", "power_caps": [-math.inf]})

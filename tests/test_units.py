@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.units import (
+    SEED_LIMIT,
     ZERO_POWER_ATOL_KW,
     celsius_to_kelvin,
+    check_number,
+    check_seed,
     format_duration,
+    is_zero_kw,
     joules_to_kilowatt_hours,
     kelvin_to_celsius,
     kilowatt_hours_to_joules,
-    kilowatts_to_megawatts,
-    is_zero_kw,
-    node_seconds_to_node_hours,
     parse_duration,
     watts_to_kilowatts,
 )
@@ -81,6 +84,23 @@ class TestParseDuration:
         assert parse_duration(f"{hours}h") == hours * 3600
 
 
+class TestInputRules:
+    def test_number_rule_reads_an_int_beyond_float_range_as_inf(self):
+        assert check_number(10**400, "x") == math.inf
+        assert check_number(-(10**400), "x") == -math.inf
+        assert check_number(3, "x") == 3.0 and type(check_number(3, "x")) is float
+
+    @pytest.mark.parametrize("bad", [True, "1", None, [1.0], 1j])
+    def test_number_rule_refuses_bools_and_non_reals(self, bad):
+        with pytest.raises(ConfigurationError, match="x must be a number"):
+            check_number(bad, "x")
+
+    def test_seed_rule_refuses_what_the_store_cannot_hold(self):
+        assert check_seed(SEED_LIMIT - 1) == 2**63 - 1
+        with pytest.raises(ConfigurationError, match="below 2\\*\\*63"):
+            check_seed(SEED_LIMIT)
+
+
 class TestFormatDuration:
     def test_seconds_only(self):
         assert format_duration(75) == "00:01:15"
@@ -104,17 +124,11 @@ class TestUnitConversions:
     def test_watts_kilowatts(self):
         assert watts_to_kilowatts(1500.0) == pytest.approx(1.5)
 
-    def test_kilowatts_megawatts(self):
-        assert kilowatts_to_megawatts(25000.0) == pytest.approx(25.0)
-
     def test_joules_kwh_roundtrip(self):
         assert kilowatt_hours_to_joules(joules_to_kilowatt_hours(7.2e9)) == pytest.approx(7.2e9)
 
     def test_one_kwh(self):
         assert joules_to_kilowatt_hours(3.6e6) == pytest.approx(1.0)
-
-    def test_node_hours(self):
-        assert node_seconds_to_node_hours(7200.0) == pytest.approx(2.0)
 
     def test_temperature_roundtrip(self):
         assert kelvin_to_celsius(celsius_to_kelvin(21.5)) == pytest.approx(21.5)
