@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from typing import Mapping
 
 from ..exceptions import ConfigurationError
+from ..units import check_integer, check_number
 
 
 @dataclass(frozen=True)
@@ -62,15 +62,11 @@ class NodePowerConfig:
             if not 0.0 <= value < math.inf:
                 raise ConfigurationError(f"{name} must be finite and >= 0, got {value!r}")
         for name in ("cpus_per_node", "gpus_per_node"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            check_integer(getattr(self, name), name, minimum=0)
         if self.cpu_max_w < self.cpu_idle_w:
             raise ConfigurationError("cpu_max_w must be >= cpu_idle_w")
         if self.gpu_max_w < self.gpu_idle_w:
             raise ConfigurationError("gpu_max_w must be >= gpu_idle_w")
-        if self.cpus_per_node < 0 or self.gpus_per_node < 0:
-            raise ConfigurationError("component counts must be non-negative")
 
     @property
     def max_w(self) -> float:
@@ -174,10 +170,7 @@ class CoolingConfig:
         # cdu_count == 0 is a valid fully air-cooled plant (all heat goes
         # through the CRAC/facility path) — but only with nothing routed to
         # the then-nonexistent liquid loop.
-        if isinstance(self.cdu_count, bool) or not isinstance(self.cdu_count, Integral):
-            raise ConfigurationError(f"cdu_count must be an integer, got {self.cdu_count!r}")
-        if self.cdu_count < 0:
-            raise ConfigurationError("cdu_count must be non-negative")
+        check_integer(self.cdu_count, "cdu_count", minimum=0)
         # Exact comparison on purpose: 1.0 is a user-entered sentinel
         # ("everything air-cooled"), not a computed quantity.
         if (
@@ -200,13 +193,7 @@ class PartitionConfig:
     node_power: NodePowerConfig
 
     def __post_init__(self) -> None:
-        if isinstance(self.node_count, bool) or not isinstance(self.node_count, Integral):
-            raise ConfigurationError(
-                f"partition {self.name!r} node_count must be an integer, "
-                f"got {self.node_count!r}"
-            )
-        if self.node_count <= 0:
-            raise ConfigurationError(f"partition {self.name!r} must have nodes")
+        check_integer(self.node_count, f"partition {self.name!r} node_count", minimum=1)
 
 
 @dataclass(frozen=True)
@@ -229,7 +216,10 @@ class SystemConfig:
         Native telemetry sampling interval of the dataset (15 s for Frontier,
         20 s for Marconi100, summaries otherwise).
     timestep_s:
-        Simulation timestep used by the engine for this system.
+        Simulation timestep used by the engine for this system: a positive
+        whole number of seconds (an ``int``; a float such as ``60.0`` is
+        refused). Grid times then stay whole numbers, which is what makes
+        an event-driven step land on the same ticks as one-tick steps.
     power_loss:
         Electrical loss model parameters.
     cooling:
@@ -258,10 +248,12 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if not self.partitions:
             raise ConfigurationError("a system needs at least one partition")
-        for name in ("timestep_s", "trace_quantum_s"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
+        check_integer(self.timestep_s, "timestep_s", minimum=1)
+        if math.isinf(check_number(self.timestep_s, "timestep_s")):
+            raise ConfigurationError("timestep_s must be finite, got an int beyond float range")
+        quantum_s = check_number(self.trace_quantum_s, "trace_quantum_s")
+        if not 0 < quantum_s < math.inf:
+            raise ConfigurationError(f"trace_quantum_s must be finite and > 0, got {quantum_s!r}")
         if not 0.0 <= self.down_node_fraction < 1.0:
             raise ConfigurationError("down_node_fraction must be in [0, 1)")
         names = [p.name for p in self.partitions]

@@ -7,7 +7,8 @@ composes the cluster substrate (:mod:`repro.cluster`), the power path
 pluggable scheduling policy (:mod:`repro.engine.scheduler`) and records the
 quantities the paper reports (:mod:`repro.engine.stats`).
 
-The engine advances on a ``SystemConfig.timestep_s`` tick grid; each step it
+The engine advances on a ``SystemConfig.timestep_s`` tick grid (a whole
+number of seconds); each step it
 
 1. releases jobs whose simulated runtime has elapsed,
 2. submits newly-arrived jobs into the scheduler queue,
@@ -18,13 +19,14 @@ The engine advances on a ``SystemConfig.timestep_s`` tick grid; each step it
    plant on the resulting heat load, and
 5. appends a sample to the statistics collector.
 
-Time advancement is event-driven by default: grid ticks on which provably
-nothing can happen (no submission, release, backdated replay start, policy
-action or horizon crossing, and constant power) are coalesced into a single
+Time advancement is event-driven: grid ticks on which provably nothing can
+happen (no submission, release, backdated replay start, policy action or
+horizon crossing, and constant power) are coalesced into a single
 interval-aware sample, which makes idle-heavy multi-week replays run orders
 of magnitude faster while leaving every summary metric bit-compatible up to
-floating-point associativity. Pass ``dense_ticks=True`` / ``--dense-ticks``
-for an exact one-sample-per-tick time series.
+floating-point associativity. The per-tick series is the recorded one
+expanded: each sample stands for the grid ticks of its interval, with the
+same values on each. One-tick stepping is the tests' oracle, not an option.
 
 Run a simulation from Python with :func:`run_simulation`, or from the shell
 with ``repro-sim`` / ``python -m repro.engine``.

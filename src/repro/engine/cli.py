@@ -1,8 +1,9 @@
 """Command-line entry point: ``repro-sim`` / ``python -m repro.engine``.
 
 Wires a synthetic (or SWF-loaded) workload through an end-to-end simulation
-of a named system and prints the summary metrics; the per-tick time series
-and the full record can be exported for plotting.
+of a named system and prints the summary metrics; the time series (one
+row per step, each with the ``dt_s`` it stands for) and the full record can
+be exported for plotting.
 
 Examples
 --------
@@ -115,15 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="hard stop for the simulation clock, e.g. 48h (default: run to drain)",
     )
-    parser.add_argument(
-        "--dense-ticks",
-        action="store_true",
-        help=(
-            "record one sample per timestep instead of coalescing event-free "
-            "intervals (exact per-tick time series; summary metrics are "
-            "identical either way)"
-        ),
-    )
     power_group = parser.add_argument_group("power-aware operation")
     power_group.add_argument(
         "--power-cap",
@@ -160,7 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--csv", metavar="PATH", default=None, help="export per-tick time series as CSV"
+        "--csv",
+        metavar="PATH",
+        default=None,
+        help="export the time series (one row per step) as CSV",
     )
     parser.add_argument(
         "--json",
@@ -336,7 +331,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=args.seed,
             workload=workload,
             horizon=args.horizon,
-            dense_ticks=args.dense_ticks,
             signals=signals,
             obs=obs,
         )

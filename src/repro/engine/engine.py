@@ -2,14 +2,14 @@
 
 :class:`SimulationEngine` advances a workload through the coupled scheduler →
 resource-manager → power → cooling pipeline on a fixed
-``SystemConfig.timestep_s`` tick grid. The workload's :class:`Job` records
-are read-only: the engine keeps each job's run state in one
-:class:`~repro.telemetry.job.JobRun` of its own, so one job list can drive
-any number of runs without being copied. Releases are processed before
-submissions and scheduling within a tick, which resolves the paper's
-same-timestep end/start collision on a node; replay decisions may backdate a
-job's start to its recorded (possibly off-grid) start time so the simulated
-schedule matches the telemetry exactly.
+``SystemConfig.timestep_s`` tick grid, a whole number of seconds. The
+workload's :class:`Job` records are read-only: the engine keeps each job's
+run state in one :class:`~repro.telemetry.job.JobRun` of its own, so one
+job list can drive any number of runs without being copied. Releases are
+processed before submissions and scheduling within a tick, which resolves
+the paper's same-timestep end/start collision on a node; replay decisions
+may backdate a job's start to its recorded (possibly off-grid) start time
+so the simulated schedule matches the telemetry exactly.
 
 Each step asks the policy once: :meth:`Scheduler.schedule` returns one
 :class:`~repro.engine.scheduler.SchedulePass` — starts, dismissals, held
@@ -21,10 +21,10 @@ without calling the policy while the resource manager's epoch and its own
 queue version (bumped on every submission and removal) are unchanged and
 ``now < stands_until``.
 
-Time advancement is *event-driven* by default: when nothing can change
-before the next event — no pending submission, no running-job end, no
-backdated replay start, no horizon, no profile breakpoint on the running
-set, and no policy pass that runs out (its ``valid_until``) — the engine
+Time advancement is *event-driven*: when nothing can change before the
+next event — no pending submission, no running-job end, no backdated
+replay start, no horizon, no profile breakpoint on the running set, and no
+policy pass that runs out (its ``valid_until``) — the engine
 jumps straight to the grid tick that first processes the next event,
 recording one aggregated :class:`~repro.engine.stats.TickSample` whose
 ``dt_s`` spans the coalesced interval. A running job with a
@@ -37,9 +37,10 @@ coalesce almost as well as idle ones. Because power and cooling overhead
 are constant over such an interval (the cooling loops relax exponentially
 towards a constant target, which composes exactly across substeps), every
 summary metric is identical to a dense tick-by-tick run up to
-floating-point associativity. Pass
-``dense_ticks=True`` (CLI: ``--dense-ticks``) to force one sample per grid
-tick when an exact per-tick time series is needed.
+floating-point associativity, and a sample's values are exactly those a
+dense run records on each grid tick of its interval. Dense stepping is not
+a mode of the engine: the tests run it as their oracle, through an engine
+whose :meth:`SimulationEngine._coalesced_dt` returns one tick.
 
 :func:`run_simulation` is the one-call entry point used by the CLI, the
 tests and the quick-start example: it resolves the system configuration,
@@ -137,11 +138,6 @@ class SimulationEngine:
         horizon_s``, where the clock ends too (the step that crosses it is
         clamped to end there), so no runtime or energy past the horizon is
         credited.
-    dense_ticks:
-        Force one statistics sample per ``timestep_s`` grid tick instead of
-        coalescing event-free intervals (a bool). Summary metrics are
-        identical either way; dense mode exists for consumers of the exact
-        per-tick time series.
     signals:
         Optional :class:`~repro.power.signals.OperatingSignals` (power cap,
         electricity price, carbon intensity). A finite cap wraps the policy
@@ -166,21 +162,15 @@ class SimulationEngine:
         *,
         seed: int = 0,
         horizon_s: float | None = None,
-        dense_ticks: bool = False,
         signals: OperatingSignals | None = None,
         obs: Observability | None = None,
     ) -> None:
         seed = check_seed(seed)
         # Checked here, where every front end passes: a NaN or infinite
         # horizon would run the whole workload and a non-positive one
-        # dismiss it, a truthy non-bool such as "no" would run dense, and a
-        # signals dict would fail mid-setup.
+        # dismiss it, and a signals dict would fail mid-setup.
         if horizon_s is not None:
             horizon_s = check_duration_s(horizon_s, "horizon_s")
-        if not isinstance(dense_ticks, bool):
-            raise ConfigurationError(
-                f"dense_ticks must be true or false, got {dense_ticks!r}"
-            )
         if signals is not None and not isinstance(signals, OperatingSignals):
             raise ConfigurationError(
                 "signals must be OperatingSignals or None, got "
@@ -234,7 +224,6 @@ class SimulationEngine:
         self.stats = StatsCollector()
         self.seed = seed
         self.horizon_s = horizon_s
-        self.dense_ticks = dense_ticks
 
         # Observability: unpack the bundle into per-instrument attributes so
         # the disabled path is a single ``is None`` check per phase. The
@@ -346,9 +335,9 @@ class SimulationEngine:
     def step(self) -> None:
         """Advance one step: release, submit, schedule, power, cooling, stats.
 
-        A step normally covers one ``timestep_s`` tick; in event-driven mode
-        (the default) it may cover many grid ticks at once when nothing can
-        change before the next event — see :meth:`_coalesced_dt`.
+        A step covers one ``timestep_s`` tick, or many grid ticks at once
+        when nothing can change before the next event — see
+        :meth:`_coalesced_dt`.
 
         When a span tracer is configured the step is carved into the
         :data:`ENGINE_PHASES` spans — ``schedule`` (releases, submissions
@@ -406,20 +395,16 @@ class SimulationEngine:
             self._read_signals(now)
 
         # (3b) Event-driven coalescing: how much simulated time this sample
-        # stands for. Stays one tick in dense mode or whenever anything can
-        # change before the next event. Only the running-set *size* is
-        # needed from here on — materialising (and sorting) the job list
-        # every step would reintroduce an O(R log R) pass.
+        # stands for — one tick whenever anything can change before the
+        # next event. Only the running-set *size* is needed from here on —
+        # materialising (and sorting) the job list every step would
+        # reintroduce an O(R log R) pass.
         running_count = len(self.resource_manager.running_by_id)
-        if self.dense_ticks:
-            dt_s = timestep
-        else:
-            dt_s = self._coalesced_dt(now, timestep)
+        dt_s = self._coalesced_dt(now, timestep)
         # A sample never extends past the horizon: the run is cut there, so
         # integrating energy (or stepping the cooling plant) over the rest
         # of the tick would credit time the window never contained. A
-        # clamped step ends exactly on it. Applies identically in dense and
-        # event-driven mode, keeping them equal.
+        # clamped step ends exactly on it, whatever the step's length.
         next_now = now + dt_s
         if now < self._horizon_end < next_now:
             next_now = self._horizon_end
@@ -650,7 +635,11 @@ class SimulationEngine:
         grid tick that processes the next event — exactly the tick a dense
         run would next act on (including the tick that first sees a profile
         breakpoint, which may itself lie off-grid for replay-backdated
-        starts).
+        starts). The timestep is a whole number of seconds, so ``now`` is
+        one too until the horizon clamp ends the run, and each tick
+        ``now + j * timestep`` is exact. Rounding is monotone, so when
+        that tick is at or after the event the rounded quotient is at most
+        ``j``: ``k`` never skips the tick that processes the event.
         """
         hint = self._pass.valid_until if self._queue else None
         if hint is not None and hint <= now:
@@ -678,14 +667,9 @@ class SimulationEngine:
             # never integrates.
             return timestep
         events.append(self._horizon_end)
-        t_next = min(events)
-        k = int(math.ceil((t_next - now) / timestep))
-        # Guard against float overshoot: every skipped grid tick must fall
-        # strictly before the next event, or a dense run would have acted
-        # on it first. (Undershoot is harmless — it merely records an extra
-        # identical sample.)
-        while k > 1 and now + (k - 1) * timestep >= t_next:
-            k -= 1
+        # A zero-duration job started in this step ends at ``now``: the
+        # step is then one tick.
+        k = math.ceil((min(events) - now) / timestep)
         return max(1, k) * timestep
 
     # -- helpers ---------------------------------------------------------------
@@ -823,7 +807,6 @@ def run_simulation(
     workload: list[Job] | None = None,
     spec: WorkloadSpec | None = None,
     horizon: str | float | None = None,
-    dense_ticks: bool = False,
     signals: OperatingSignals | None = None,
     obs: Observability | None = None,
 ) -> SimulationResult:
@@ -858,9 +841,6 @@ def run_simulation(
         :func:`~repro.workloads.default_workload_spec` of the system.
     horizon:
         Optional hard stop for the engine (same formats as ``duration``).
-    dense_ticks:
-        Force one statistics sample per grid tick instead of event-driven
-        coalescing. Summary metrics are identical either way.
     signals:
         Optional :class:`~repro.power.signals.OperatingSignals` — power
         cap, electricity price and carbon intensity step series. A finite
@@ -883,7 +863,6 @@ def run_simulation(
         policy,
         seed=seed,
         horizon_s=horizon_s,
-        dense_ticks=dense_ticks,
         signals=signals,
         obs=obs,
     )

@@ -20,7 +20,7 @@ summary invariants hold regardless of how time was discretised:
 ``mean_pue == total_energy_kwh / it_energy_kwh``, ``elapsed_s == Σ dt_s``.
 
 Storage is *columnar*: one preallocated, amortised-doubling array per
-:class:`TickSample` field, written row by row — a dense frontier-scale run
+:class:`TickSample` field, written row by row — a long frontier-scale run
 holds a handful of numpy arrays instead of millions of Python sample
 objects (13 float64/int64 columns ≈ 100 bytes/tick vs. ~1 kB/tick for a
 boxed dataclass). :attr:`StatsCollector.ticks` is a lazy sequence view that
@@ -32,7 +32,8 @@ ticks and jobs.
 
 PUE at zero IT power is reported as ``float("inf")`` (overhead power with
 nothing to attribute it to), never as the flattering 1.0 floor; such ticks
-are excluded from the summary's ``max_pue``.
+never raise the summary's ``max_pue`` (``inf`` is not finite, and 1.0 is
+where the maximum starts).
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ class TickSample:
     """Flattened record of the coupled models over one sampled interval.
 
     The sample stands for the half-open interval ``[time_s, time_s + dt_s)``
-    with every quantity held constant over it. A dense-tick run has
-    ``dt_s == timestep_s`` throughout; the event-driven engine records
-    aggregated samples with ``dt_s`` a multiple of the timestep.
+    with every quantity held constant over it: the per-tick series repeats
+    it on the grid ticks ``time_s + i * timestep_s`` for ``i <
+    ceil(dt_s / timestep_s)``. ``dt_s`` is a whole number of ticks, except
+    on a horizon-clamped last sample, which ends on the horizon.
     """
 
     time_s: float
@@ -285,7 +287,7 @@ class StatsCollector:
             self._cap_violation_kwh += (compute_power_kw - power_cap_kw) * hours
         if cap_held_jobs:
             self._capped_hold_s += cap_held_jobs * dt_s
-        if compute_power_kw > 0 and math.isfinite(pue) and pue > self._max_pue:
+        if math.isfinite(pue) and pue > self._max_pue:
             self._max_pue = pue
 
     def record_job(self, run: JobRun) -> None:
@@ -404,8 +406,8 @@ class StatsCollector:
             writer.writerow(TickSample.FIELDS)
             writer.writerows(zip(*columns))
 
-    def to_json(self, path: str | Path, *, include_timeseries: bool = True) -> None:
-        """Write summary (and optionally the time series) as JSON.
+    def to_json(self, path: str | Path) -> None:
+        """Write the summary and the time series as JSON.
 
         Non-finite values (the PUE ``inf`` sentinel of zero-IT samples) are
         exported as ``null``: RFC 8259 has no ``Infinity`` token, and
@@ -414,13 +416,13 @@ class StatsCollector:
         :func:`json_safe` — a vectorised finiteness pass per column, not a
         per-element recursion over the whole record.
         """
-        payload: dict[str, object] = {"summary": json_safe(self.summary())}
-        if include_timeseries:
-            n = self._tick_count
-            payload["timeseries"] = {
-                name: json_safe(self._columns[name][:n])
-                for name in TickSample.FIELDS
-            }
+        n = self._tick_count
+        payload = {
+            "summary": json_safe(self.summary()),
+            "timeseries": {
+                name: json_safe(self._columns[name][:n]) for name in TickSample.FIELDS
+            },
+        }
         Path(path).write_text(
             json.dumps(payload, indent=2, allow_nan=False) + "\n"
         )

@@ -63,7 +63,7 @@ def _canonical_series(
         if not math.isfinite(time_s) or time_s < 0.0:
             raise ConfigurationError(
                 f"signals.{name} segment times must be finite and >= 0, "
-                f"got {raw_time!r}"
+                f"got {time_s!r}"
             )
         value: float | None
         if raw_value is None:
@@ -77,7 +77,7 @@ def _canonical_series(
             if not math.isfinite(value) or value < 0.0:
                 raise ConfigurationError(
                     f"signals.{name} values must be finite and >= 0, "
-                    f"got {raw_value!r}"
+                    f"got {value!r}"
                 )
         out.append((time_s, value))
     times = [time_s for time_s, _ in out]

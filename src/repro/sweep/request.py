@@ -3,7 +3,7 @@
 A :class:`RunRequest` captures everything :func:`run_request` needs to
 reproduce a :class:`~repro.engine.SimulationEngine` run — registered system
 name, scheduling policy, synthetic-workload window and (optionally) the full
-:class:`~repro.workloads.WorkloadSpec`, engine flags and the seed — and
+:class:`~repro.workloads.WorkloadSpec`, horizon, signals and the seed — and
 round-trips losslessly through JSON. That is what lets a run cross a process
 boundary: the sweep driver ships request dicts to pool workers, and the
 planned simulation-as-a-service front end can accept the same payload over
@@ -81,6 +81,7 @@ _RETIRED_KEYS: dict[str, tuple[object, str]] = {
     "backfill": (None, "select EASY backfill with policy 'backfill'"),
     "event_index": (True, "the engine has no event_index=false path any more"),
     "vectorized": (True, "the engine has no vectorized=false path any more"),
+    "dense_ticks": (False, "the engine has no dense mode; a step stands for its dt_s of ticks"),
 }
 
 
@@ -190,8 +191,9 @@ def _reject_non_finite(data: object) -> None:
         for item in data:
             _reject_non_finite(item)
     elif isinstance(data, (int, float)) and not isinstance(data, bool):
-        if not math.isfinite(check_number(data, "WorkloadSpec values")):
-            raise ConfigurationError(f"WorkloadSpec values must be finite, got {data!r}")
+        value = check_number(data, "WorkloadSpec values")
+        if not math.isfinite(value):
+            raise ConfigurationError(f"WorkloadSpec values must be finite, got {value!r}")
 
 
 def _check_registered(system: object, policy: object) -> None:
@@ -235,8 +237,6 @@ class RunRequest:
         (:func:`~repro.workloads.default_workload_spec`).
     horizon_s:
         Optional hard stop for the engine clock, seconds.
-    dense_ticks:
-        Force one sample per grid tick, as in the engine.
     signals:
         Optional :class:`~repro.power.signals.OperatingSignals` (or its
         JSON dict form) — power cap, electricity price and carbon
@@ -251,15 +251,10 @@ class RunRequest:
     seed: int = 0
     spec: WorkloadSpec | None = None
     horizon_s: float | None = None
-    dense_ticks: bool = False
     signals: OperatingSignals | None = None
 
     def __post_init__(self) -> None:
         _check_registered(self.system, self.policy)
-        if not isinstance(self.dense_ticks, bool):
-            raise ConfigurationError(
-                f"RunRequest.dense_ticks must be true or false, got {self.dense_ticks!r}"
-            )
         # Canonicalise the numeric fields: the run id hashes the JSON form,
         # and json.dumps renders int 3600 and float 3600.0 differently, so
         # equal requests built from 3600 (int) and 3600.0 (float) would
@@ -288,7 +283,6 @@ class RunRequest:
             "seed": self.seed,
             "spec": None if self.spec is None else workload_spec_to_dict(self.spec),
             "horizon_s": self.horizon_s,
-            "dense_ticks": self.dense_ticks,
             **{key: value for key, (value, _) in _RETIRED_KEYS.items()},
         }
         # Serialised by omission when absent: the run id hashes this dict,
@@ -369,7 +363,6 @@ def run_request(
         seed=request.seed,
         spec=request.spec,
         horizon=request.horizon_s,
-        dense_ticks=request.dense_ticks,
         signals=request.signals,
         obs=obs,
     )

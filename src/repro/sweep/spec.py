@@ -1,11 +1,12 @@
 """Sweep specifications: an axis grid materialised into concrete runs.
 
 A :class:`SweepSpec` names the axes of a scenario sweep — systems, scheduling
-policies, workload variants and seeds — plus the shared run parameters
-(window, horizon, engine flags). :meth:`SweepSpec.materialize` expands the
-grid into an ordered list of :class:`SweepRun` rows, each wrapping a fully
-serialisable :class:`~repro.sweep.request.RunRequest` with its sweep
-coordinates (run index and axis labels), ready for the parallel driver.
+policies, workload variants, power caps and seeds — plus the shared run
+parameters (window, horizon, price and carbon intensity).
+:meth:`SweepSpec.materialize` expands the grid into an ordered list of
+:class:`SweepRun` rows, each wrapping a fully serialisable
+:class:`~repro.sweep.request.RunRequest` with its sweep coordinates (run
+index and axis labels), ready for the parallel driver.
 
 Seeds come in two flavours:
 
@@ -32,7 +33,6 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from itertools import product
-from numbers import Integral
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..power.signals import OperatingSignals
-from ..units import check_number, check_seed, parse_duration
+from ..units import check_integer, check_number, check_seed, parse_duration
 from ..workloads import (
     WorkloadSpec,
     burst_arrival_spec,
@@ -73,13 +73,6 @@ WORKLOAD_VARIANTS: dict[str, Callable[[], WorkloadSpec] | None] = {
     "burst_arrival": burst_arrival_spec,
     "idle_heavy": idle_heavy_spec,
 }
-
-
-def _integer(value: object, label: str) -> int:
-    """``value`` as an int; bools, floats and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ConfigurationError(f"{label} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,7 @@ class SweepSpec:
         integer in ``[0, 2**63)`` (:func:`~repro.units.check_seed`).
     root_seed:
         Entropy root for ``n_seeds`` spawning.
-    horizon_s / dense_ticks:
+    horizon_s:
         Forwarded to every :class:`RunRequest`.
     power_caps:
         Power-cap axis, kW. ``None`` means uncapped; a finite cap builds a
@@ -153,7 +146,6 @@ class SweepSpec:
     seeds: tuple[int, ...] | None = None
     root_seed: int = 0
     horizon_s: float | None = None
-    dense_ticks: bool = False
     power_caps: tuple[float | None, ...] = (None,)
     price_per_kwh: float | None = None
     carbon_kg_per_kwh: float | None = None
@@ -171,8 +163,8 @@ class SweepSpec:
             raise ConfigurationError(
                 "n_seeds (spawned) and seeds (explicit) are mutually exclusive"
             )
-        if self.n_seeds is not None and _integer(self.n_seeds, "n_seeds") < 1:
-            raise ConfigurationError("n_seeds must be >= 1")
+        if self.n_seeds is not None:
+            check_integer(self.n_seeds, "n_seeds", minimum=1)
         if self.seeds is not None:
             if not self.seeds:
                 raise ConfigurationError("explicit seeds must be non-empty")
@@ -181,15 +173,15 @@ class SweepSpec:
                     check_seed(seed)
                 except ConfigurationError as exc:
                     raise ConfigurationError(f"sweep seeds: {exc}") from None
-        if _integer(self.root_seed, "root_seed") < 0:
-            raise ConfigurationError("root_seed must be >= 0")
+        check_integer(self.root_seed, "root_seed", minimum=0)
         for cap in self.power_caps:
             if cap is None:
                 continue
-            if not 0 < check_number(cap, "sweep power_caps values") < math.inf:
+            cap_kw = check_number(cap, "sweep power_caps values")
+            if not 0 < cap_kw < math.inf:
                 raise ConfigurationError(
                     "sweep power_caps values must be finite, positive kW or null, "
-                    f"got {cap!r}"
+                    f"got {cap_kw!r}"
                 )
         for name in self.workloads:
             if name not in self.custom_workloads and name not in WORKLOAD_VARIANTS:
@@ -260,7 +252,6 @@ class SweepSpec:
             seed=seed,
             spec=self._workload_spec_of(workload),
             horizon_s=self.horizon_s,
-            dense_ticks=self.dense_ticks,
             signals=self._signals_of(power_cap_kw),
         )
 
@@ -327,7 +318,6 @@ class SweepSpec:
             "seeds": None if self.seeds is None else list(self.seeds),
             "root_seed": self.root_seed,
             "horizon_s": self.horizon_s,
-            "dense_ticks": self.dense_ticks,
             "power_caps": list(self.power_caps),
             "price_per_kwh": self.price_per_kwh,
             "carbon_kg_per_kwh": self.carbon_kg_per_kwh,

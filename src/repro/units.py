@@ -10,10 +10,14 @@ rule has one home:
 * :func:`check_number` is the one number rule: bools and non-reals are
   refused, and an int beyond float range reads as ``inf``, which the
   caller's finiteness check then refuses. Each caller keeps its own range
-  check and error type.
+  check and error type, and an error message prints the float it read, so
+  an int too long for ``repr`` still makes a message.
 * :func:`check_duration_s` is a positive, finite number of seconds on top
   of it (request windows and horizons, the engine's horizon).
-* :func:`check_seed` is the one seed check.
+* :func:`check_integer` is the one integer rule: bools, floats (``60.0``
+  included) and strings are refused rather than truncated or parsed, and
+  an optional ``minimum`` is the lower bound (counts, timesteps, seeds).
+* :func:`check_seed` is the one seed check, on top of it.
 
 All simulation time is handled internally as seconds (floats) relative to
 the start of the loaded telemetry window; wall-clock anchoring is the job of
@@ -88,8 +92,25 @@ def check_duration_s(value: object, label: str) -> float:
     """
     seconds = check_number(value, label)
     if not (math.isfinite(seconds) and seconds > 0):
-        raise SimulationError(f"{label} must be positive and finite, got {value!r}")
+        raise SimulationError(f"{label} must be positive and finite, got {seconds!r}")
     return seconds
+
+
+def check_integer(value: object, label: str, *, minimum: int | None = None) -> int:
+    """``value`` as an int, or a :class:`ConfigurationError` naming ``label``.
+
+    The one integer rule: a bool, a float (``60.0`` included) or anything
+    else but an integer is refused rather than truncated or parsed, and so
+    is an int below ``minimum`` when one is given. Other range checks stay
+    with the caller.
+    """
+    rule = "an integer" if minimum is None else f"an integer >= {minimum}"
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigurationError(f"{label} must be {rule}, got {value!r}")
+    if minimum is not None and value < minimum:
+        shown = check_number(value, label)
+        raise ConfigurationError(f"{label} must be {rule}, got {shown:.17g}")
+    return int(value)
 
 
 def parse_duration(value: DurationLike) -> float:
@@ -129,9 +150,9 @@ def parse_duration(value: DurationLike) -> float:
     else:
         seconds = check_number(value, "duration")
     if not math.isfinite(seconds):
-        raise ConfigurationError(f"duration must be finite, got {value!r}")
+        raise ConfigurationError(f"duration must be finite, got {seconds!r}")
     if seconds < 0:
-        raise ConfigurationError(f"duration must be non-negative, got {value!r}")
+        raise ConfigurationError(f"duration must be non-negative, got {seconds!r}")
     return seconds
 
 
@@ -169,18 +190,18 @@ def check_seed(seed: object) -> int:
     :class:`~repro.workloads.SyntheticWorkloadGenerator`,
     :func:`~repro.engine.run_simulation`, :class:`~repro.sweep.RunRequest`
     and the explicit seeds of :class:`~repro.sweep.SweepSpec` apply it.
-    Bools, floats and strings are rejected rather than truncated or parsed,
-    and a seed of :data:`SEED_LIMIT` or more is refused before it runs,
-    because the results store could not hold it.
+    :func:`check_integer` refuses bools, floats and strings, and a seed of
+    :data:`SEED_LIMIT` or more is refused before it runs, because the
+    results store could not hold it; that message does not echo the int,
+    which may be too long to print.
     """
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
-    if seed >= SEED_LIMIT:
+    value = check_integer(seed, "seed", minimum=0)
+    if value >= SEED_LIMIT:
         raise ConfigurationError(
-            f"seed must be below 2**63 (the results store keeps seeds as signed "
-            f"64-bit integers), got {seed!r}"
+            "seed must be below 2**63 (the results store keeps seeds as signed "
+            "64-bit integers)"
         )
-    return int(seed)
+    return value
 
 
 def format_duration(seconds: float) -> str:

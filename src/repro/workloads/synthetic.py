@@ -270,9 +270,10 @@ class SyntheticWorkloadGenerator:
         ``duration_s`` must be a finite number >= 0; an empty window yields
         no jobs.
         """
-        if not 0 <= check_number(duration_s, "workload window") < math.inf:
+        window_s = check_number(duration_s, "workload window")
+        if not 0 <= window_s < math.inf:
             raise ConfigurationError(
-                f"workload window must be a finite number of seconds >= 0, got {duration_s!r}"
+                f"workload window must be a finite number of seconds >= 0, got {window_s!r}"
             )
         rng = np.random.default_rng(self.seed)
         spec = self.spec

@@ -23,6 +23,12 @@ The engine reuses its last scheduling pass while the pass stands;
 step with a queue, and :func:`schedule_calls` records when the policy was
 asked (``tests/test_engine.py::TestPassMemo``).
 
+*Dense ticking* is the tests' oracle for event-driven time advancement:
+:class:`DenseEngine` is the one engine stepping one grid tick at a time
+(:func:`run_dense` builds a run with it as ``run_simulation`` does), and
+:func:`assert_dense_expands_event` holds its series to be the event-driven
+series expanded, with ``==``.
+
 The *run relations* relate different runs instead of two paths of one:
 a run turned into recorded telemetry (:func:`recorded_workload`) and
 replayed, a workload moved in time (:func:`time_shifted`) and one with its
@@ -44,14 +50,23 @@ import pytest
 from repro.cluster import DOWN, FREE, ResourceManager
 from repro.config import CoolingConfig, PartitionConfig, SystemConfig, get_system_config
 from repro.cooling.plant import _CDU_EFFECTIVENESS, WATER_CP, lag_fraction
-from repro.engine import PowerCapScheduler, SchedulePass, SimulationEngine, SimulationResult
-from repro.engine.stats import StatsCollector
+from repro.engine import (
+    PowerCapScheduler,
+    SchedulePass,
+    SimulationEngine,
+    SimulationResult,
+    parse_duration,
+)
+from repro.engine.stats import StatsCollector, TickSample
 from repro.obs import EventLog
 from repro.power import OperatingSignals, SystemPowerModel, SystemPowerSample
 from repro.telemetry import Job, JobRun, JobState, Profile, constant_profile
+from repro.workloads import SyntheticWorkloadGenerator
 
 __all__ = [
+    "DenseEngine",
     "ReferenceCoolingPlant",
+    "assert_dense_expands_event",
     "assert_energy_balance",
     "assert_node_conservation",
     "assert_node_time_on_grid",
@@ -71,6 +86,7 @@ __all__ = [
     "recorded_workload",
     "relabeled",
     "run_checked",
+    "run_dense",
     "scan_reservation",
     "scan_sample",
     "schedule_calls",
@@ -481,18 +497,25 @@ def assert_power_matches_scan(engine: SimulationEngine) -> None:
     """The last recorded tick's power equals a scan of the running set.
 
     Call right after a step: the running set is still the one the step's
-    power sample saw. The incremental aggregator sums in its own order,
-    so the match is to 1e-12, not bit for bit.
+    power sample saw. While jobs run, the incremental aggregator sums in
+    its own order, so the match is to 1e-12, not bit for bit. With the
+    running set empty it is ``==``: the aggregator flushes its totals when
+    the set drains, so an idle system reports exactly zero job power and
+    no residue of the jobs that left.
     """
     tick = engine.stats.ticks[-1]
     scan = scan_sample(engine.power_model, tick.time_s, engine.resource_manager)
+    idle = not engine.resource_manager.running_by_id
     for recorded, expected in (
         (tick.compute_power_kw, scan.compute_power_kw),
         (tick.loss_power_kw, scan.loss_kw),
         (tick.mean_cpu_util, scan.mean_cpu_util),
         (tick.mean_gpu_util, scan.mean_gpu_util),
     ):
-        assert recorded == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        if idle:
+            assert recorded == expected
+        else:
+            assert recorded == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def assert_energy_balance(stats: StatsCollector) -> None:
@@ -579,30 +602,95 @@ def assert_node_time_on_grid(engine: SimulationEngine, result: SimulationResult)
     assert integral == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
 
-def run_checked(system, jobs: list[Job], policy, **engine_kwargs) -> SimulationResult:
+class DenseEngine(SimulationEngine):
+    """The engine stepping one grid tick at a time: the dense oracle.
+
+    Every step but a horizon-clamped last one covers exactly one
+    ``timestep_s`` tick, so the record holds one row per grid tick. The
+    step itself is the engine's own; only the coalesced length differs.
+    """
+
+    def _coalesced_dt(self, now: float, timestep: float) -> float:
+        return timestep
+
+
+def run_dense(
+    system: str,
+    *,
+    policy: str | None,
+    duration: str | float,
+    seed: int,
+    horizon: str | float | None = None,
+    signals: OperatingSignals | None = None,
+) -> SimulationResult:
+    """:func:`repro.run_simulation`'s build, run by a :class:`DenseEngine`:
+    the system's default synthetic workload of ``duration``, then one dense
+    engine with the same seed, horizon and signals."""
+    config = get_system_config(system)
+    jobs = SyntheticWorkloadGenerator(config, seed=seed).generate(parse_duration(duration))
+    horizon_s = None if horizon is None else parse_duration(horizon)
+    return DenseEngine(
+        config, jobs, policy, seed=seed, horizon_s=horizon_s, signals=signals
+    ).run()
+
+
+#: The value columns of the tick series: every column but the interval.
+_VALUE_COLUMNS = [name for name in TickSample.FIELDS if name not in ("time_s", "dt_s")]
+
+
+def assert_dense_expands_event(dense: SimulationResult, event: SimulationResult) -> None:
+    """The dense series is the event-driven series expanded, with ``==``.
+
+    The dense times chain (each row starts where the one before ends);
+    every event sample's time is a dense time, the first one included;
+    each dense row holds, in every value column, the values of the event
+    sample whose interval contains it; and the dense ``dt_s`` of each
+    event interval sum to its ``dt_s``. The sum is :func:`math.fsum`,
+    rounded once: whole ticks add exactly, and the exact sum of a
+    horizon-clamped interval's rows is the event's clamped ``dt_s``.
+    """
+    d_time, e_time = dense.stats.column("time_s"), event.stats.column("time_s")
+    d_dt, e_dt = dense.stats.column("dt_s"), event.stats.column("dt_s")
+    assert np.array_equal(d_time[1:], d_time[:-1] + d_dt[:-1])
+    starts = np.searchsorted(d_time, e_time)
+    assert starts[0] == 0
+    assert np.all(starts < len(d_time))
+    assert np.array_equal(d_time[starts], e_time)
+    assert [math.fsum(chunk.tolist()) for chunk in np.split(d_dt, starts[1:])] == e_dt.tolist()
+    owner = np.repeat(np.arange(len(e_time)), np.diff(starts, append=len(d_time)))
+    for name in _VALUE_COLUMNS:
+        assert np.array_equal(
+            dense.stats.column(name), event.stats.column(name)[owner]
+        ), name
+
+
+def run_checked(
+    system, jobs: list[Job], policy, *, dense: bool = False, **engine_kwargs
+) -> SimulationResult:
     """Run one engine over ``jobs``, checking conservation on its tables.
 
-    Wraps :meth:`SimulationEngine.step` so the owner table is recounted
-    after every step (:func:`assert_node_conservation`) and, in
+    ``dense`` runs a :class:`DenseEngine` instead of the event-driven
+    engine. Wraps :meth:`SimulationEngine.step` so the owner table is
+    recounted after every step (:func:`assert_node_conservation`) and, in
     event-driven runs, each step's power is checked against a scan of the
     running set (:func:`assert_power_matches_scan`; dense runs are tied to
-    event-driven ones by the 1e-9 summary contract). After the run, energy
-    balances (:func:`assert_energy_balance`), node time integrates on the
-    tick grid (:func:`assert_node_time_on_grid`), a run with signals
-    weights its columns as its summary does
+    event-driven ones by :func:`assert_dense_expands_event`). After the
+    run, energy balances (:func:`assert_energy_balance`), node time
+    integrates on the tick grid (:func:`assert_node_time_on_grid`), a run
+    with signals weights its columns as its summary does
     (:func:`assert_signal_integrals`), every run record is COMPLETED or
     DISMISSED, each job id left the system exactly once, the input jobs
     equal a deep copy taken before the run, and replay (bare or under the
     cap wrapper) started its jobs as :func:`assert_replay_starts` says.
     """
     before = copy.deepcopy(jobs)
-    engine = SimulationEngine(system, jobs, policy, **engine_kwargs)
+    engine = (DenseEngine if dense else SimulationEngine)(system, jobs, policy, **engine_kwargs)
     step = engine.step
 
     def checked_step() -> None:
         step()
         assert_node_conservation(engine.resource_manager)
-        if not engine.dense_ticks:
+        if not dense:
             assert_power_matches_scan(engine)
 
     engine.step = checked_step  # type: ignore[method-assign]

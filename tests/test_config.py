@@ -185,6 +185,15 @@ class TestSystemConfig:
         [
             ("timestep_s", math.nan),
             ("timestep_s", math.inf),
+            # The tick is a positive whole number of seconds, an int: at a
+            # fractional one event-driven steps leave the one-tick grid.
+            ("timestep_s", 7.3),
+            ("timestep_s", 1 / 3),
+            ("timestep_s", 60.0),
+            ("timestep_s", True),
+            ("timestep_s", 0),
+            ("timestep_s", -15),
+            pytest.param("timestep_s", 10**400, id="timestep_s-beyond-float-range"),
             ("trace_quantum_s", math.nan),
             ("trace_quantum_s", math.inf),
         ],
@@ -215,6 +224,13 @@ class TestRegistry:
     def test_builtin_systems_match_table1(self, name, nodes):
         config = get_system_config(name)
         assert config.total_nodes == nodes
+
+    @pytest.mark.parametrize("name", available_systems())
+    def test_every_registered_system_constructs(self, name):
+        # Rebuilding runs every check again, the integer timestep included.
+        config = get_system_config(name)
+        assert config.with_overrides() == config
+        assert type(config.timestep_s) is int
 
     def test_case_insensitive_lookup(self):
         assert get_system_config("Frontier").total_nodes == 9600

@@ -7,10 +7,13 @@ Two gates guard what the twin computes, and they are not interchangeable:
   24 h workload, seed 42 — at 1e-6 relative, bare and under every
   instrument. It moves only when the simulation's meaning changes; run
   ``pytest --write-golden`` to accept such a change.
-* **Dense vs event** runs five workloads both ways and holds every summary
-  metric of the event-driven run within 1e-9 of dense ticking. This is the
-  engine's contract and is never refreshed: if it fires, the optimisation
-  is wrong, not the reference. The power-cap case also checks that a
+* **Dense vs event** runs five workloads both ways — the engine, and the
+  tests' one-tick :class:`helpers.DenseEngine` — and holds every summary
+  metric of the event-driven run within 1e-9 of dense ticking, and the
+  dense series to be the event series expanded, with ``==``
+  (:func:`helpers.assert_dense_expands_event`). This is the engine's
+  contract and is never refreshed: if it fires, the optimisation is wrong,
+  not the reference. The power-cap case also checks that a
   constant cap is never exceeded and does bind, and the frontier-scale
   case that the workload keeps its >= 1,000 concurrently running jobs.
   The two-partition gate holds the same contract on a 16 cpu + 8 gpu
@@ -52,7 +55,14 @@ from repro.workloads.distributions import (
     RuntimeDistribution,
 )
 
-from helpers import run_checked, stream_event_log, summary_drifts, two_partition_system
+from helpers import (
+    DenseEngine,
+    assert_dense_expands_event,
+    run_checked,
+    stream_event_log,
+    summary_drifts,
+    two_partition_system,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "engine_summary_tiny_seed42.json"
 
@@ -154,12 +164,11 @@ def test_dense_matches_event(case: str) -> None:
     duration_s = parse_duration(duration)
     jobs = SyntheticWorkloadGenerator(system, spec(), seed=SEED).generate(duration_s)
     signals = _cap_signals(system, jobs, policy, duration_s) if case == "power_cap" else None
-    dense = SimulationEngine(
-        system, jobs, policy, seed=SEED, dense_ticks=True, signals=signals
-    ).run()
+    dense = DenseEngine(system, jobs, policy, seed=SEED, signals=signals).run()
     event = SimulationEngine(system, jobs, policy, seed=SEED, signals=signals).run()
     summary = event.summary()
     assert not _over(summary_drifts(summary, dense.summary()), EQUIVALENCE_RTOL)
+    assert_dense_expands_event(dense, event)
     if case == "power_cap":
         # The admission check is exact, so a constant cap is never
         # exceeded; and the cap must bind, or this is an uncapped rerun.
@@ -210,10 +219,11 @@ def test_two_partition_dense_matches_event(policy: str, capped: bool) -> None:
         uncapped = SimulationEngine(system, jobs, policy).run()
         cap_kw = 0.8 * float(uncapped.stats.column("compute_power_kw").max())
         signals = OperatingSignals(power_cap_kw=((0.0, cap_kw),))
-    dense = run_checked(system, jobs, policy, dense_ticks=True, signals=signals)
+    dense = run_checked(system, jobs, policy, dense=True, signals=signals)
     event = run_checked(system, jobs, policy, signals=signals)
     summary = event.summary()
     assert not _over(summary_drifts(summary, dense.summary()), EQUIVALENCE_RTOL)
+    assert_dense_expands_event(dense, event)
     if capped:
         assert summary["cap_violation_kwh"] == 0.0
         assert summary["capped_hold_s"] > 0.0

@@ -35,10 +35,12 @@ from repro.workloads.distributions import (
 )
 
 from helpers import (
+    DenseEngine,
     idle_floor_kw,
     is_constant,
     make_job,
     next_power_change_after,
+    run_dense,
     schedule_calls,
     summary_drifts,
     two_partition_system,
@@ -209,9 +211,7 @@ class TestEventDrivenEquivalence:
         )
         jobs = generator.generate(6 * 3600.0)
         sparse = SimulationEngine(tiny_system, jobs, "backfill", seed=seed).run()
-        dense = SimulationEngine(
-            tiny_system, jobs, "backfill", seed=seed, dense_ticks=True
-        ).run()
+        dense = DenseEngine(tiny_system, jobs, "backfill", seed=seed).run()
         _summaries_equal(sparse.summary(), dense.summary())
         # Coalescing is bounded by events and profile breakpoints, so the
         # sample count can at best shrink, never grow.
@@ -224,7 +224,7 @@ class TestEventDrivenEquivalence:
         )
         jobs = generator.generate(4 * 3600.0)
         sparse = SimulationEngine(tiny_system, jobs, policy).run()
-        dense = SimulationEngine(tiny_system, jobs, policy, dense_ticks=True).run()
+        dense = DenseEngine(tiny_system, jobs, policy).run()
         _summaries_equal(sparse.summary(), dense.summary())
 
     def test_idle_heavy_workload_skips_ten_x_steps(self, tiny_system):
@@ -239,9 +239,7 @@ class TestEventDrivenEquivalence:
         sparse = SimulationEngine(
             tiny_system, jobs, "fcfs"
         ).run()
-        dense = SimulationEngine(
-            tiny_system, jobs, "fcfs", dense_ticks=True
-        ).run()
+        dense = DenseEngine(tiny_system, jobs, "fcfs").run()
         _summaries_equal(sparse.summary(), dense.summary())
         assert sparse.summary()["ticks"] * 10 <= dense.summary()["ticks"]
 
@@ -255,9 +253,7 @@ class TestEventDrivenEquivalence:
         sparse = SimulationEngine(
             tiny_system, jobs, "replay"
         ).run()
-        dense = SimulationEngine(
-            tiny_system, jobs, "replay", dense_ticks=True
-        ).run()
+        dense = DenseEngine(tiny_system, jobs, "replay").run()
         for result in (sparse, dense):
             starts = sorted(j.sim_start_time for j in result.jobs)
             assert starts == [pytest.approx(30000.0), pytest.approx(60000.0)]
@@ -278,7 +274,7 @@ class TestEventDrivenEquivalence:
         )
         jobs = SyntheticWorkloadGenerator(tiny_system, spec, seed=13).generate(4 * 3600.0)
         sparse = SimulationEngine(tiny_system, jobs, "fcfs").run()
-        dense = SimulationEngine(tiny_system, jobs, "fcfs", dense_ticks=True).run()
+        dense = DenseEngine(tiny_system, jobs, "fcfs").run()
         _summaries_equal(sparse.summary(), dense.summary())
         assert sparse.summary()["ticks"] < dense.summary()["ticks"]
 
@@ -294,10 +290,7 @@ class TestEventDrivenEquivalence:
         sparse = SimulationEngine(
             tiny_system, jobs, "fcfs"
         ).run()
-        dense = SimulationEngine(
-            tiny_system, jobs, "fcfs",
-            dense_ticks=True,
-        ).run()
+        dense = DenseEngine(tiny_system, jobs, "fcfs").run()
         _summaries_equal(sparse.summary(), dense.summary(), rel=1e-9)
         assert [t.time_s for t in sparse.stats.ticks] == [0.0, 1200.0, 1800.0]
         assert [t.dt_s for t in sparse.stats.ticks] == [1200.0, 600.0, 15.0]
@@ -340,13 +333,7 @@ class TestEventDrivenEquivalence:
         sparse = SimulationEngine(
             tiny_system, jobs, policy, seed=seed
         ).run()
-        dense = SimulationEngine(
-            tiny_system,
-            jobs,
-            policy,
-            seed=seed,
-            dense_ticks=True,
-        ).run()
+        dense = DenseEngine(tiny_system, jobs, policy, seed=seed).run()
         _summaries_equal(sparse.summary(), dense.summary(), rel=1e-9)
         assert sparse.summary()["ticks"] <= dense.summary()["ticks"]
 
@@ -362,20 +349,14 @@ class TestEventDrivenEquivalence:
         sparse = SimulationEngine(
             tiny_system, jobs, "backfill", seed=42
         ).run()
-        dense = SimulationEngine(
-            tiny_system,
-            jobs,
-            "backfill",
-            seed=42,
-            dense_ticks=True,
-        ).run()
+        dense = DenseEngine(tiny_system, jobs, "backfill", seed=42).run()
         _summaries_equal(sparse.summary(), dense.summary(), rel=1e-9)
         assert sparse.summary()["mean_utilization"] > 0.5  # genuinely busy
         assert sparse.summary()["ticks"] * 5 <= dense.summary()["ticks"]
 
     def test_dense_ticks_records_every_grid_tick(self, tiny_system):
         jobs = [make_job(nodes=2, submit=0.0, duration=1200.0)]
-        dense = SimulationEngine(tiny_system, jobs, "fcfs", dense_ticks=True).run()
+        dense = DenseEngine(tiny_system, jobs, "fcfs").run()
         assert all(t.dt_s == tiny_system.timestep_s for t in dense.stats.ticks)
         sparse = SimulationEngine(tiny_system, jobs, "fcfs").run()
         assert len(sparse.stats.ticks) < len(dense.stats.ticks)
@@ -383,13 +364,6 @@ class TestEventDrivenEquivalence:
         assert sum(t.dt_s for t in sparse.stats.ticks) == pytest.approx(
             sum(t.dt_s for t in dense.stats.ticks)
         )
-
-    def test_run_simulation_dense_ticks_flag(self):
-        sparse = run_simulation(system="tiny", policy="fcfs", duration="2h", seed=1)
-        dense = run_simulation(
-            system="tiny", policy="fcfs", duration="2h", seed=1, dense_ticks=True
-        )
-        _summaries_equal(sparse.summary(), dense.summary())
 
 
 def _run_with_scanned_indexes(system, jobs, policy, seed):
@@ -537,13 +511,7 @@ class TestHorizonClamping:
         sparse = SimulationEngine(
             tiny_system, jobs, "fcfs", horizon_s=86400.0
         ).run()
-        dense = SimulationEngine(
-            tiny_system,
-            jobs,
-            "fcfs",
-            horizon_s=86400.0,
-            dense_ticks=True,
-        ).run()
+        dense = DenseEngine(tiny_system, jobs, "fcfs", horizon_s=86400.0).run()
         _summaries_equal(sparse.summary(), dense.summary())
         assert sparse.summary()["simulated_s"] == pytest.approx(615.0)
 
@@ -555,27 +523,20 @@ class TestHorizonClamping:
         sparse = SimulationEngine(
             tiny_system, jobs, "fcfs", horizon_s=2222.0
         ).run()
-        dense = SimulationEngine(
-            tiny_system,
-            jobs,
-            "fcfs",
-            horizon_s=2222.0,
-            dense_ticks=True,
-        ).run()
+        dense = DenseEngine(tiny_system, jobs, "fcfs", horizon_s=2222.0).run()
         _summaries_equal(sparse.summary(), dense.summary())
         for result in (sparse, dense):
             truncated = next(j for j in result.jobs if j.job.nodes_required == 4)
             assert truncated.sim_end_time == pytest.approx(2222.0)
 
-    @pytest.mark.parametrize("dense_ticks", [False, True], ids=["event", "dense"])
-    def test_clock_ends_on_a_fractional_horizon(self, dense_ticks):
+    @pytest.mark.parametrize("dense", [False, True], ids=["event", "dense"])
+    def test_clock_ends_on_a_fractional_horizon(self, dense):
         # Here (start + h) - start < h in floats: a stop test on the elapsed
         # time would run one more full tick past the cut. The clock must end
         # exactly on the horizon, and no time after it be integrated.
         horizon_s = 2223.7327248373917
-        result = run_simulation(
-            "tiny", policy="backfill", duration="6h", seed=1,
-            horizon=horizon_s, dense_ticks=dense_ticks,
+        result = (run_dense if dense else run_simulation)(
+            "tiny", policy="backfill", duration="6h", seed=1, horizon=horizon_s
         )
         assert result.end_time_s == result.start_time_s + horizon_s
         assert result.summary()["simulated_s"] <= horizon_s * (1 + 1e-12)
@@ -624,7 +585,7 @@ class TestPassMemo:
             make_job(nodes=4, submit=0.0, duration=600.0),
             *extra_jobs,
         ]
-        engine = SimulationEngine(get_system_config("tiny"), jobs, policy, dense_ticks=True)
+        engine = DenseEngine(get_system_config("tiny"), jobs, policy)
         return engine, schedule_calls(engine)
 
     def test_policy_called_once_while_the_pass_stands(self):
@@ -650,9 +611,8 @@ class TestPassMemo:
         jobs = SyntheticWorkloadGenerator(tiny_system, busy_trace_spec(), seed=3).generate(
             6 * 3600.0
         )
-        engine = SimulationEngine(
-            tiny_system, jobs, "backfill", dense_ticks=dense,
-            signals=OperatingSignals.constant(power_cap_kw=18.0),
+        engine = (DenseEngine if dense else SimulationEngine)(
+            tiny_system, jobs, "backfill", signals=OperatingSignals.constant(power_cap_kw=18.0)
         )
         calls = schedule_calls(engine)
         step = engine.step
@@ -678,7 +638,7 @@ class TestPassMemo:
             make_job(nodes=4, submit=0.0, start=0.0, duration=3000.0),
             make_job(nodes=4, submit=0.0, start=907.0, duration=600.0),
         ]
-        engine = SimulationEngine(get_system_config("tiny"), jobs, "replay", dense_ticks=True)
+        engine = DenseEngine(get_system_config("tiny"), jobs, "replay")
         calls = schedule_calls(engine)
         result = engine.run()
         assert [now for now, _ in calls] == [0.0, 15.0, 915.0]
@@ -696,7 +656,7 @@ class TestPassMemo:
             system = two_partition_system()
         jobs = SyntheticWorkloadGenerator(system, seed=5).generate(6 * 3600.0)
         peak_kw = float(
-            SimulationEngine(system, jobs, policy, dense_ticks=True)
+            DenseEngine(system, jobs, policy)
             .run()
             .stats.column("compute_power_kw")
             .max()
@@ -706,12 +666,10 @@ class TestPassMemo:
             power_cap_kw=((0.0, 0.6 * peak_kw), (7507.5, 0.8 * peak_kw), (14400.0, 0.65 * peak_kw))
         )
         for signals in (None, OperatingSignals.constant(power_cap_kw=0.7 * peak_kw), stepped):
-            for dense in (False, True):
-                memo = SimulationEngine(
-                    system, jobs, policy, dense_ticks=dense, signals=signals
-                ).run()
+            for engine_class in (SimulationEngine, DenseEngine):
+                memo = engine_class(system, jobs, policy, signals=signals).run()
                 reference = without_pass_memo(
-                    SimulationEngine(system, jobs, policy, dense_ticks=dense, signals=signals)
+                    engine_class(system, jobs, policy, signals=signals)
                 ).run()
                 assert list(memo.summary().items()) == list(reference.summary().items())
                 assert _job_records(memo) == _job_records(reference)
@@ -737,8 +695,8 @@ class TestStandingTime:
         runs = {}
         for dense in (False, True):
             for memo in (True, False):
-                engine = SimulationEngine(
-                    system, jobs, "backfill", dense_ticks=dense, signals=signals
+                engine = (DenseEngine if dense else SimulationEngine)(
+                    system, jobs, "backfill", signals=signals
                 )
                 if not memo:
                     without_pass_memo(engine)
@@ -948,7 +906,6 @@ class TestRunSimulation:
     @pytest.mark.parametrize(
         "kwargs, error",
         [
-            pytest.param({"dense_ticks": "yes"}, ConfigurationError, id="dense_ticks-str"),
             # The JSON form of a signal bundle is RunRequest's to parse.
             pytest.param(
                 {"signals": {"power_cap_kw": [[0.0, 20.0]]}},

@@ -24,17 +24,16 @@ from repro.power import SystemPowerModel
 from repro.telemetry import JobState
 from repro.workloads import SyntheticWorkloadGenerator, busy_trace_spec
 
-from helpers import idle_floor_kw, make_job, stream_event_log
+from helpers import DenseEngine, idle_floor_kw, make_job, run_dense, stream_event_log
 
 
-def _run(policy="fcfs", *, signals=None, dense_ticks=False, seed=1):
-    return run_simulation(
+def _run(policy="fcfs", *, signals=None, dense=False, seed=1):
+    return (run_dense if dense else run_simulation)(
         system="tiny",
         policy=policy,
         duration="2h",
         seed=seed,
         signals=signals,
-        dense_ticks=dense_ticks,
     )
 
 
@@ -126,7 +125,7 @@ class TestCostAndCarbon:
         dense and event engines integrate the exact same cost."""
         signals = OperatingSignals(price_per_kwh=((0.0, 0.05), (1234.5, 0.50)))
         event = _run(signals=signals).summary()
-        dense = _run(signals=signals, dense_ticks=True).summary()
+        dense = _run(signals=signals, dense=True).summary()
         assert event["energy_cost"] == pytest.approx(dense["energy_cost"], rel=1e-9)
 
 
@@ -154,7 +153,7 @@ class TestMeanUtilWeighting:
         """Event and dense runs must agree on mean_cpu_util/mean_gpu_util:
         only a dt-weighted mean is invariant to sample coalescing."""
         event = _run().summary()
-        dense = _run(dense_ticks=True).summary()
+        dense = _run(dense=True).summary()
         assert event["mean_cpu_util"] == pytest.approx(dense["mean_cpu_util"], rel=1e-9)
         assert event["mean_gpu_util"] == pytest.approx(dense["mean_gpu_util"], rel=1e-9)
         assert 0.0 <= event["mean_cpu_util"] <= 1.0
@@ -359,8 +358,8 @@ class TestDismissalCoalescing:
         for dense in (True, False):
             jobs = self._jobs(tiny_system)
             signals = OperatingSignals.constant(power_cap_kw=self._cap_kw(tiny_system, jobs))
-            engine = SimulationEngine(
-                tiny_system, jobs, "backfill", signals=signals, dense_ticks=dense
+            engine = (DenseEngine if dense else SimulationEngine)(
+                tiny_system, jobs, "backfill", signals=signals
             )
             results[dense] = engine.run()
 
@@ -393,7 +392,7 @@ class TestEquivalenceUnderCaps:
             carbon_kg_per_kwh=((0.0, 0.25),),
         )
         event = _run(policy, signals=signals).summary()
-        dense = _run(policy, signals=signals, dense_ticks=True).summary()
+        dense = _run(policy, signals=signals, dense=True).summary()
         for key, value in dense.items():
             if key == "ticks":
                 continue
@@ -409,7 +408,7 @@ class TestReplayUnderCap:
     """
 
     @staticmethod
-    def _run(power_cap_kw, dense_ticks):
+    def _run(power_cap_kw, dense):
         system = get_system_config("tiny")
         jobs = SyntheticWorkloadGenerator(system, busy_trace_spec(), seed=3).generate(
             6 * 3600.0
@@ -421,13 +420,12 @@ class TestReplayUnderCap:
         )
         stream = io.StringIO()
         with stream_event_log(stream) as events:
-            result = SimulationEngine(
+            result = (DenseEngine if dense else SimulationEngine)(
                 system,
                 jobs,
                 "replay",
                 signals=signals,
                 horizon_s=12 * 3600.0,
-                dense_ticks=dense_ticks,
                 obs=Observability(events=events),
             ).run()
         admitted_at = {
@@ -437,10 +435,10 @@ class TestReplayUnderCap:
         }
         return system, result, admitted_at
 
-    @pytest.mark.parametrize("dense_ticks", [False, True], ids=["event", "dense"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["event", "dense"])
     @pytest.mark.parametrize("power_cap_kw", [None, 18.0], ids=["uncapped", "capped"])
-    def test_no_start_a_tick_before_its_admission(self, power_cap_kw, dense_ticks):
-        system, result, admitted_at = self._run(power_cap_kw, dense_ticks)
+    def test_no_start_a_tick_before_its_admission(self, power_cap_kw, dense):
+        system, result, admitted_at = self._run(power_cap_kw, dense)
         delayed = 0
         for run in result.jobs:
             if run.job_id not in admitted_at:
@@ -457,8 +455,8 @@ class TestReplayUnderCap:
             assert delayed > 0
 
     def test_dense_equals_event(self):
-        _, event, _ = self._run(18.0, dense_ticks=False)
-        _, dense, _ = self._run(18.0, dense_ticks=True)
+        _, event, _ = self._run(18.0, dense=False)
+        _, dense, _ = self._run(18.0, dense=True)
         for key, value in dense.summary().items():
             if key == "ticks":
                 continue

@@ -7,13 +7,15 @@ per-sample noise, phase counts, arrival rates, scalar vs sampled telemetry,
 recorded power traces) plus adversarial hand-built jobs — zero-duration
 jobs, simultaneous ends, replay-backdated starts — and an optional horizon
 that running jobs straddle, then asserts that the event-driven engine's
-summary is equal to dense ticking at 1e-9 relative under *all three*
-scheduling policies. Every one of those runs also goes through
-:func:`helpers.run_checked`, which checks node conservation on the owner
-table after each step, each event-driven step's power against a scan of the
-running set, energy balance over the run, that every job leaves the system
-exactly once, and that the one job list both engines share is left
-unchanged.
+summary is equal to dense ticking (:class:`helpers.DenseEngine`) at 1e-9
+relative under *all three* scheduling policies, and that the dense series
+is the event series expanded, with ``==``
+(:func:`helpers.assert_dense_expands_event`). Every one of those runs also
+goes through :func:`helpers.run_checked`, which checks node conservation on
+the owner table after each step, each event-driven step's power against a
+scan of the running set, energy balance over the run, that every job leaves
+the system exactly once, and that the one job list both engines share is
+left unchanged.
 
 When ``hypothesis`` is unavailable the same property runs over a
 seeded-random parameter sweep (``random.Random(2025)``), so the contract is
@@ -36,7 +38,7 @@ from repro.workloads.distributions import (
     WaveArrivals,
 )
 
-from helpers import idle_floor_kw, make_job, run_checked
+from helpers import assert_dense_expands_event, idle_floor_kw, make_job, run_checked
 
 try:
     from hypothesis import HealthCheck, Phase, given, settings
@@ -92,12 +94,7 @@ def _assert_dense_event_equivalent(tiny_system, jobs, policy, horizon_s, signals
         tiny_system, jobs, policy, horizon_s=horizon_s, signals=signals
     )
     dense = run_checked(
-        tiny_system,
-        jobs,
-        policy,
-        horizon_s=horizon_s,
-        dense_ticks=True,
-        signals=signals,
+        tiny_system, jobs, policy, dense=True, horizon_s=horizon_s, signals=signals
     )
     sparse_summary, dense_summary = sparse.summary(), dense.summary()
     assert set(sparse_summary) == set(dense_summary)
@@ -113,6 +110,7 @@ def _assert_dense_event_equivalent(tiny_system, jobs, policy, horizon_s, signals
     sparse_states = {j.job_id: j.state for j in sparse.jobs}
     dense_states = {j.job_id: j.state for j in dense.jobs}
     assert sparse_states == dense_states
+    assert_dense_expands_event(dense, sparse)
 
 
 def _check_property(tiny_system, seed, noise, phases, rate, scalar, power_trace, horizon):

@@ -26,6 +26,7 @@ from repro.exceptions import SchedulingError
 from repro.telemetry import JobState
 
 from helpers import (
+    DenseEngine,
     make_job,
     queued_run,
     scan_reservation,
@@ -445,7 +446,7 @@ class TestBackfillNoOpMemoization:
         hog = make_job(nodes=32, submit=0.0, duration=7200.0, wall_limit=7200.0)
         blocked = make_job(nodes=8, submit=0.0, duration=600.0, wall_limit=600.0)
         jobs = [hog, blocked, *extra_jobs]
-        engine = SimulationEngine(system, jobs, "backfill", dense_ticks=True)
+        engine = DenseEngine(system, jobs, "backfill")
         return engine, schedule_calls(engine), blocked
 
     def test_noop_is_memoized_until_epoch_changes(self):
@@ -474,7 +475,7 @@ class TestBackfillNoOpMemoization:
         engine, calls, _ = self._engine()
         engine.run()
         jobs = [run.job for run in engine.runs]
-        again = SimulationEngine(engine.system, jobs, engine.scheduler, dense_ticks=True)
+        again = DenseEngine(engine.system, jobs, engine.scheduler)
         assert again._pass_key is None
         assert again.scheduler.reservations_computed == 0
         again.run()

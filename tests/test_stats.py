@@ -167,11 +167,6 @@ class TestExports:
         assert set(series) == set(TickSample.FIELDS)
         assert len(series["pue"]) == len(finished_run.stats.ticks)
 
-    def test_json_summary_only(self, finished_run, tmp_path):
-        path = tmp_path / "summary.json"
-        finished_run.stats.to_json(path, include_timeseries=False)
-        assert "timeseries" not in json.loads(path.read_text())
-
 
 class TestCLI:
     def test_cli_end_to_end(self, capsys, tmp_path):

@@ -89,6 +89,11 @@ def small_spec(name: str = "t", **overrides: object) -> SweepSpec:
 #: An int that JSON spells and ``float()`` cannot read.
 HUGE = 10**400
 
+#: An int past Python's 4,300-digit ``str`` limit, which JSON cannot spell:
+#: a message that printed it with ``repr`` would raise a builtin
+#: ``ValueError`` instead of the boundary's own error.
+GIANT = 10**5000
+
 #: Any JSON number: NaN and the infinities included (``json.dumps`` writes
 #: them as ``NaN`` / ``Infinity``, which ``json.loads`` reads back), and ints
 #: beyond float range.
@@ -174,7 +179,6 @@ _SWEEP_PAYLOADS = st.fixed_dictionaries(
         "root_seed": _NUMBERS | _JSON,
         "horizon_s": _NUMBERS | _JSON,
         "horizon": st.just("2h") | _JSON,
-        "dense_ticks": st.booleans() | _JSON,
         "power_caps": st.lists(_NUMBERS | st.none(), max_size=2) | _JSON,
         "price_per_kwh": _NUMBERS | _JSON,
         "carbon_kg_per_kwh": _NUMBERS | _JSON,
@@ -199,7 +203,6 @@ class TestRunRequest:
             seed=11,
             spec=busy_trace_spec(),
             horizon_s=10800.0,
-            dense_ticks=True,
         )
         again = RunRequest.from_json(request.to_json())
         assert again == request
@@ -208,7 +211,7 @@ class TestRunRequest:
     def test_run_id_changes_with_content(self) -> None:
         base = RunRequest(system="tiny", seed=1)
         assert base.run_id != RunRequest(system="tiny", seed=2).run_id
-        assert base.run_id != RunRequest(system="tiny", seed=1, dense_ticks=True).run_id
+        assert base.run_id != RunRequest(system="tiny", seed=1, horizon_s=SHORT_S).run_id
 
     def test_run_id_is_stable_across_processes(self) -> None:
         # The id is a pure content hash — no salts, no object identity —
@@ -219,7 +222,7 @@ class TestRunRequest:
         # value; stored requests with them round-trip to the same id.
         payload = RunRequest(system="tiny", seed=1).to_json_dict()
         assert payload["event_index"] is True and payload["vectorized"] is True
-        assert payload["backfill"] is None
+        assert payload["backfill"] is None and payload["dense_ticks"] is False
         assert RunRequest.from_json_dict(payload).run_id == "42acf52c4e8c743a"
 
     @pytest.mark.parametrize(
@@ -229,6 +232,8 @@ class TestRunRequest:
             pytest.param("vectorized", False, "vectorized", id="vectorized"),
             # EASY backfill is policy "backfill"; the error says so.
             pytest.param("backfill", "easy", "backfill.*policy", id="backfill"),
+            # Dense ticking left the engine; the key stays false in every id.
+            pytest.param("dense_ticks", True, "dense_ticks", id="dense_ticks"),
         ],
     )
     def test_retired_flag_false_rejected(self, flag: str, value: object, match: str) -> None:
@@ -276,11 +281,6 @@ class TestRunRequest:
 
         with pytest.raises(SimulationError, match=field):
             RunRequest(system="tiny", **{field: value})  # type: ignore[arg-type]
-
-    def test_non_bool_dense_ticks_rejected(self) -> None:
-        # "no" is truthy: accepting it would silently run dense.
-        with pytest.raises(ConfigurationError, match="dense_ticks"):
-            RunRequest(system="tiny", dense_ticks="no")  # type: ignore[arg-type]
 
     def test_fractional_seed_rejected(self) -> None:
         # int(1.7) == 1 would give the request seed 1's run id.
@@ -384,7 +384,6 @@ class TestShimEquivalence:
                 id="cap-price",
             ),
             pytest.param({"policy": "fcfs", "horizon_s": 2700.0}, id="horizon"),
-            pytest.param({"policy": "fcfs", "dense_ticks": True}, id="dense"),
             # Fractions of a second mean the same window on both front ends.
             pytest.param(
                 {"policy": "fcfs", "duration_s": 5400.5, "horizon_s": 7000.7},
@@ -404,7 +403,6 @@ class TestShimEquivalence:
             seed=request.seed,
             spec=request.spec,
             horizon=request.horizon_s,
-            dense_ticks=request.dense_ticks,
             signals=request.signals,
         )
         assert list(via_shim.summary().items()) == list(via_request.summary().items())
@@ -481,6 +479,42 @@ class TestBoundary:
             pytest.param(
                 lambda: SweepSpec(name="b", duration_s=SHORT_S, seeds=(-1,)),
                 id="sweep-negative-seed",
+            ),
+            pytest.param(lambda: RunRequest(duration_s=GIANT), id="giant-request-duration"),
+            pytest.param(lambda: RunRequest(horizon_s=GIANT), id="giant-request-horizon"),
+            pytest.param(lambda: RunRequest(seed=GIANT), id="giant-request-seed"),
+            pytest.param(lambda: parse_duration(GIANT), id="giant-parse-duration"),
+            pytest.param(lambda: parse_duration(-GIANT), id="giant-negative-parse-duration"),
+            pytest.param(
+                lambda: SimulationEngine(
+                    get_system_config("tiny"), [make_job(nodes=2)], "fcfs", horizon_s=GIANT
+                ),
+                id="giant-engine-horizon",
+            ),
+            pytest.param(lambda: run_simulation("tiny", duration=GIANT), id="giant-run-duration"),
+            pytest.param(
+                lambda: SyntheticWorkloadGenerator(get_system_config("tiny")).generate(GIANT),
+                id="giant-generate",
+            ),
+            pytest.param(lambda: SweepSpec(name="b", duration_s=GIANT), id="giant-sweep-duration"),
+            pytest.param(
+                lambda: SweepSpec(name="b", duration_s=SHORT_S, power_caps=(GIANT,)),
+                id="giant-sweep-cap",
+            ),
+            pytest.param(
+                lambda: OperatingSignals(power_cap_kw=((0.0, 10.0), (GIANT, 5.0))),
+                id="giant-signal-time",
+            ),
+            pytest.param(
+                lambda: OperatingSignals(power_cap_kw=((0.0, GIANT),)), id="giant-signal-value"
+            ),
+            pytest.param(
+                lambda: SweepSpec(name="b", duration_s=SHORT_S, seeds=(GIANT,)),
+                id="giant-sweep-seed",
+            ),
+            pytest.param(
+                lambda: run_simulation("tiny", duration=SHORT_S, seed=-GIANT),
+                id="giant-negative-run-seed",
             ),
         ],
     )
@@ -574,13 +608,13 @@ class TestSweepSpec:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("dense_ticks", "no"),
             ("n_seeds", 1.5),
             ("root_seed", "abc"),
             # JSON true is not a number of seconds, kW or a rate.
             ("duration_s", True),
             ("horizon_s", True),
-            ("power_caps", [True]),
+            # The id of this case predates the removal of the case before it.
+            pytest.param("power_caps", [True], id="power_caps-value5"),
             ("price_per_kwh", True),
             ("carbon_kg_per_kwh", True),
         ],
@@ -589,6 +623,14 @@ class TestSweepSpec:
         data = small_spec().to_json_dict()
         data[field] = value
         with pytest.raises(ConfigurationError, match=field):
+            SweepSpec.from_json_dict(data)
+
+    def test_dense_ticks_is_an_unknown_field(self) -> None:
+        # Dense ticking left the engine; a spec file that names it fails
+        # on load like any other unknown field.
+        data = small_spec().to_json_dict()
+        data["dense_ticks"] = False
+        with pytest.raises(ConfigurationError, match="unknown sweep spec field.*dense_ticks"):
             SweepSpec.from_json_dict(data)
 
     @pytest.mark.parametrize("alias", ["duration", "horizon"])
@@ -812,7 +854,6 @@ class TestDriver:
                 duration=request.duration_s,
                 seed=request.seed,
                 spec=request.spec,
-                dense_ticks=request.dense_ticks,
             ).summary()
             assert row.summary is not None
             assert max(summary_drifts(fresh, row.summary).values()) <= 1e-9
